@@ -111,11 +111,28 @@ pub(crate) fn chaos(args: &Args) -> Result<String, CliError> {
 fn build_compressed(seed: u64) -> Result<CompressedModel, CliError> {
     let config = ModelConfig::tiny("Chaos", 2, 48, 4, 256, 64)
         .map_err(|e| CliError::Failed(format!("invalid chaos geometry: {e}")))?;
+    compress(config, seed)
+}
+
+fn compress(config: ModelConfig, seed: u64) -> Result<CompressedModel, CliError> {
     let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(seed))
         .map_err(|e| CliError::Failed(e.to_string()))?;
     let options = QuantizeOptions::gobo(3).map_err(|e| CliError::Failed(e.to_string()))?;
     let outcome = quantize_model(&model, &options).map_err(|e| CliError::Failed(e.to_string()))?;
     Ok(CompressedModel::new(&model, outcome.archive))
+}
+
+/// A format-v1 (checksum-less) `.gobom` written by the last release that
+/// could write one; nothing in the tree produces v1 any more, but old
+/// artifacts must keep loading.
+const V1_FIXTURE: &[u8] = include_bytes!("../../core/tests/fixtures/model_v1.gobom");
+
+/// The model [`V1_FIXTURE`] was written from (the `gobo::format` tests
+/// build the same one).
+fn v1_fixture_model() -> Result<CompressedModel, CliError> {
+    let config = ModelConfig::tiny("CliFmt", 2, 24, 2, 40, 12)
+        .map_err(|e| CliError::Failed(format!("invalid fixture geometry: {e}")))?;
+    compress(config, 5)
 }
 
 /// Workers panic on every 5th `serve.encode`. The run must complete
@@ -269,11 +286,14 @@ fn corrupt_model(corruptions: usize, seed: u64) -> Result<Scenario, CliError> {
         core.shutdown();
         ok
     };
-    // A legacy v1 file loads (warned, counted) with identical content.
+    // A legacy v1 file loads (warned, counted) with identical content:
+    // the checked-in v1 artifact re-encodes to the v2 bytes of the
+    // model it was written from.
     let unverified_before = gobo_quant::container::unverified_loads();
-    let v1_roundtrip = CompressedModel::from_bytes(&compressed.to_bytes_v1())
-        .map(|m| m.to_bytes() == reference)
-        .unwrap_or(false);
+    let v1_roundtrip = match CompressedModel::from_bytes(V1_FIXTURE) {
+        Ok(loaded) => loaded.to_bytes() == v1_fixture_model()?.to_bytes(),
+        Err(_) => false,
+    };
     let v1_counted = gobo_quant::container::unverified_loads() > unverified_before;
     let passed =
         panics == 0 && silent == 0 && truncations_ok && serves && v1_roundtrip && v1_counted;

@@ -72,9 +72,6 @@ USAGE:
                  |node-kill|network-partition|reload-under-load]...
                 [--requests N] [--corruptions N] [--seed N]
   gobo sanitize-report [--requests N] [--seed N] [--watchdog-ms N]
-  gobo bench-serve [--output BENCH_serve.json] [--layers N] [--hidden N]
-                [--bits N] [--clients N] [--requests N] [--seq-len N]
-                [--kernels on|off] [--cluster on|off] [--trace-out trace.json]
   gobo trace    --out <trace.json> [--layers N] [--hidden N] [--heads N]
                 [--bits N] [--seed N]
   gobo telemetry-check --input <telemetry.json>
@@ -95,11 +92,11 @@ SERVING:
   is auto-promoted after a clean window (--canary-window batches) or
   auto-rolled-back on any canary error or p95 regression beyond
   --canary-p95-factor-pct of the active baseline; the replaced
-  revision drains behind in-flight batches before retiring. Coalesced batches run a cache-blocked
-  GEMM directly on the packed quantized indices, decoding each weight
-  tile once per batch. `bench-serve` sweeps max_batch 1/8/32 with
-  pipelined clients and (unless --kernels off) adds a per-batch-size
-  blocked-vs-matvec kernel comparison to the report.
+  revision drains behind in-flight batches before retiring. Every
+  batch, coalesced or single, runs one cache-blocked GEMM directly on
+  the packed quantized indices, decoding each weight tile once per
+  batch. Serving numbers come from the repo's one benchmark,
+  `stackbench` (BENCHMARK.json; see benchmark/README.md).
 
 CLUSTER:
   `cluster-node` serves loaded models over the binary cluster protocol
@@ -111,8 +108,7 @@ CLUSTER:
   p95-derived delay) and the first answer wins. The router speaks the
   same HTTP dialect as `serve`, so clients need no change; its
   `/metrics` exposes `gobo_cluster_*` series and `GET /v1/cluster`
-  reports membership. `bench-serve --cluster on` adds a 3-node routed
-  section (healthy vs one-slow-node tail latency) to the report.
+  reports membership.
 
 FAULT INJECTION:
   `chaos` runs scripted fault scenarios against an in-process server
@@ -203,21 +199,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     if command == "lint" {
         return crate::lint_cmd::lint(rest);
     }
-    // `bench-serve --cluster` reads naturally as a bare switch; the
-    // strict `--flag value` grammar can't express that, so normalise a
-    // bare `--cluster` (followed by another flag or nothing) to
-    // `--cluster on` before parsing.
-    let mut rest: Vec<String> = rest.to_vec();
-    if command == "bench-serve" {
-        let mut i = 0;
-        while i < rest.len() {
-            if rest[i] == "--cluster" && rest.get(i + 1).is_none_or(|v| v.starts_with("--")) {
-                rest.insert(i + 1, "on".to_owned());
-            }
-            i += 1;
-        }
-    }
-    let args = Args::parse(&rest)?;
+    let args = Args::parse(rest)?;
     match command.as_str() {
         "demo" => demo(&args),
         "quantize" => quantize(&args),
@@ -227,7 +209,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "reload" => crate::serve_cmd::reload(&args),
         "cluster-node" => crate::cluster_cmd::cluster_node(&args),
         "cluster-router" => crate::cluster_cmd::cluster_router(&args),
-        "bench-serve" => crate::serve_cmd::bench_serve(&args),
         "chaos" => crate::chaos_cmd::chaos(&args),
         "sanitize-report" => crate::sanitize_cmd::sanitize_report(&args),
         "trace" => crate::obs_cmd::trace(&args),

@@ -1,22 +1,15 @@
-//! `gobo serve` and `gobo bench-serve`: the CLI face of `gobo-serve`.
+//! `gobo serve` and `gobo reload`: the CLI face of `gobo-serve`.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use gobo::pipeline::{quantize_model, QuantizeOptions};
-use gobo_model::config::ModelConfig;
-use gobo_model::TransformerModel;
-use gobo_quant::{QuantConfig, QuantMethod, QuantizedLayer, QuantizedMatrix};
 use gobo_serve::json::Json;
 use gobo_serve::{
-    CanaryPolicy, Client, EncodeRequest, HttpClient, HttpOptions, RegistryConfig, SchedulerConfig,
-    ServeCore, ServeOptions, Server,
+    CanaryPolicy, HttpClient, HttpOptions, RegistryConfig, SchedulerConfig, ServeCore,
+    ServeOptions, Server,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::cmd::{Args, CliError};
-use crate::format::CompressedModel;
 
 pub(crate) fn scheduler_config(args: &Args) -> Result<SchedulerConfig, CliError> {
     let defaults = SchedulerConfig::default();
@@ -158,465 +151,6 @@ pub(crate) fn reload(args: &Args) -> Result<String, CliError> {
     Ok(format!("published {name}@{bits}b@r{rev} on {addr}: {state}"))
 }
 
-/// One measured throughput configuration for `bench-serve`.
-struct BenchRow {
-    max_batch: usize,
-    requests: usize,
-    elapsed_us: u64,
-    latency_us_mean: f64,
-    /// p50/p95/p99 end-to-end latency from the server's
-    /// `gobo_serve_latency_us` histogram (queue wait + compute; the
-    /// warm-up request is included, as in the batch counters).
-    latency_us_p50: f64,
-    latency_us_p95: f64,
-    latency_us_p99: f64,
-    batches: u64,
-    batch_size_max: u64,
-}
-
-/// One measured kernel-comparison row: the blocked batched GEMM on
-/// packed indices against the per-centroid matvec applied row by row,
-/// at one batch size.
-struct KernelRow {
-    batch: usize,
-    blocked_us: f64,
-    matvec_rows_us: f64,
-}
-
-/// Latency quantiles of one cluster bench phase, microseconds.
-struct ClusterPhase {
-    p50: f64,
-    p95: f64,
-    p99: f64,
-}
-
-/// Nearest-rank percentile over an already-sorted sample.
-fn percentile(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
-    sorted[idx] as f64
-}
-
-fn phase_of(mut latencies: Vec<u64>) -> ClusterPhase {
-    latencies.sort_unstable();
-    ClusterPhase {
-        p50: percentile(&latencies, 0.50),
-        p95: percentile(&latencies, 0.95),
-        p99: percentile(&latencies, 0.99),
-    }
-}
-
-fn phase_json(phase: &ClusterPhase) -> Json {
-    Json::obj(vec![
-        ("latency_us_p50", Json::Num(phase.p50)),
-        ("latency_us_p95", Json::Num(phase.p95)),
-        ("latency_us_p99", Json::Num(phase.p99)),
-    ])
-}
-
-/// Routed tail-latency bench: 3 in-process nodes behind a router at
-/// RF=2, measured healthy and then with the key's primary slowed.
-/// The slowdown is at least 25ms and at least 3x the adapted hedge
-/// delay — scaled so the hedged backup decisively beats the slowed
-/// primary on any machine. The hedge (p95-derived delay) rescues the
-/// first slow requests, the hedge-loss snitch demotes the slow node
-/// out of the primary slot, and steady-state degraded p99 stays
-/// within ~2x of healthy — that ratio is the section's headline
-/// number.
-fn bench_cluster(
-    compressed: &CompressedModel,
-    requests: usize,
-    seq_len: usize,
-) -> Result<(Json, String), CliError> {
-    use gobo_cluster::{ClusterNode, Router, RouterConfig};
-
-    const ADAPTATION_REQUESTS: usize = 8;
-    let requests = requests.max(64);
-
-    let mut nodes: Vec<(Arc<ServeCore>, ClusterNode)> = Vec::new();
-    for _ in 0..3 {
-        let core = ServeCore::start(ServeOptions::default());
-        Client::new(Arc::clone(&core))
-            .register("bench", compressed)
-            .map_err(|e| CliError::Failed(e.to_string()))?;
-        let node = ClusterNode::start(Arc::clone(&core), "127.0.0.1:0")
-            .map_err(|e| CliError::Failed(format!("cluster bench node bind: {e}")))?;
-        nodes.push((core, node));
-    }
-    let router = Router::new(RouterConfig::default());
-    for (i, (_, node)) in nodes.iter().enumerate() {
-        router.add_node(format!("n{}", i + 1), node.local_addr().to_string());
-    }
-
-    let drive = |n: usize| -> Result<Vec<u64>, CliError> {
-        let mut latencies = Vec::with_capacity(n);
-        for r in 0..n {
-            let ids: Vec<u32> = (0..seq_len).map(|t| (1 + (r * 7 + t) % 250) as u32).collect();
-            let started = Instant::now();
-            router
-                .encode("bench", None, &ids, &[], 0)
-                .map_err(|e| CliError::Failed(format!("cluster bench encode: {e}")))?;
-            latencies.push(started.elapsed().as_micros() as u64);
-        }
-        Ok(latencies)
-    };
-
-    let healthy = phase_of(drive(requests)?);
-    let hedge_delay_us = router.hedge_delay().as_micros() as u64;
-
-    // Slow the current primary for the bench key; the first degraded
-    // requests pay the hedge, then the slow node is demoted. The
-    // slowdown must dwarf the hedge delay, or the hedged backup never
-    // wins and no demotion happens — 3x covers slow machines where
-    // the adapted hedge delay itself approaches tens of milliseconds.
-    let slow_delay = (router.hedge_delay() * 3).max(Duration::from_millis(25));
-    let primary = router
-        .replicas_for("bench", None)
-        .first()
-        .map(|n| n.id.clone())
-        .ok_or_else(|| CliError::Failed("cluster bench has no replicas".into()))?;
-    for (i, (_, node)) in nodes.iter().enumerate() {
-        if format!("n{}", i + 1) == primary {
-            node.set_artificial_delay(slow_delay);
-        }
-    }
-    let adaptation = drive(ADAPTATION_REQUESTS)?;
-    let adaptation_max = adaptation.iter().copied().max().unwrap_or(0);
-    let metrics = router.metrics();
-    let hedge_fires = metrics.hedge_fires.load(std::sync::atomic::Ordering::Relaxed);
-    let hedge_wins = metrics.hedge_wins.load(std::sync::atomic::Ordering::Relaxed);
-    let degraded = phase_of(drive(requests)?);
-    let p99_ratio = degraded.p99 / healthy.p99.max(1.0);
-    router.shutdown();
-    for (core, mut node) in nodes {
-        node.shutdown();
-        core.shutdown();
-    }
-
-    let json = Json::obj(vec![
-        ("nodes", Json::Num(3.0)),
-        ("replication", Json::Num(2.0)),
-        ("requests", Json::Num(requests as f64)),
-        ("hedge_delay_us", Json::Num(hedge_delay_us as f64)),
-        ("healthy", phase_json(&healthy)),
-        (
-            "adaptation",
-            Json::obj(vec![
-                ("requests", Json::Num(ADAPTATION_REQUESTS as f64)),
-                ("latency_us_max", Json::Num(adaptation_max as f64)),
-                ("hedge_fires", Json::Num(hedge_fires as f64)),
-                ("hedge_wins", Json::Num(hedge_wins as f64)),
-            ]),
-        ),
-        ("slow_node_delay_us", Json::Num(slow_delay.as_micros() as f64)),
-        ("degraded", phase_json(&degraded)),
-        ("p99_ratio", Json::Num(p99_ratio)),
-    ]);
-    let summary = format!(
-        "cluster (3 nodes, rf=2, primary slowed {}ms after healthy phase):\n  \
-         healthy   p50 {:>7.0} p95 {:>7.0} p99 {:>7.0} us\n  \
-         degraded  p50 {:>7.0} p95 {:>7.0} p99 {:>7.0} us (p99 ratio {:.2}x, \
-         hedge delay {} us, {} fired / {} won during adaptation, slow max {} us)\n",
-        slow_delay.as_millis(),
-        healthy.p50,
-        healthy.p95,
-        healthy.p99,
-        degraded.p50,
-        degraded.p95,
-        degraded.p99,
-        p99_ratio,
-        hedge_delay_us,
-        hedge_fires,
-        hedge_wins,
-        adaptation_max,
-    );
-    Ok((json, summary))
-}
-
-/// Times the two compute-on-compressed kernels on a deterministic
-/// `hidden × hidden` layer quantized at `bits`, free of any scheduler
-/// or HTTP noise — this isolates the once-per-batch tile-decode win
-/// that serve-side coalescing exists to harvest.
-fn bench_kernels(hidden: usize, bits: u8) -> Result<Vec<KernelRow>, CliError> {
-    let n = hidden * hidden;
-    let mut w: Vec<f32> = (0..n)
-        .map(|i| {
-            let x = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(17);
-            (((x >> 33) as f32 / (1u64 << 31) as f32) - 1.0) * 0.05
-        })
-        .collect();
-    // Plant outliers so the correction path is exercised too.
-    for i in (0..n).step_by(97) {
-        w[i] = if i % 194 == 0 { 1.3 } else { -1.6 };
-    }
-    let config =
-        QuantConfig::new(QuantMethod::Gobo, bits).map_err(|e| CliError::Failed(e.to_string()))?;
-    let layer = QuantizedLayer::encode(&w, &config).map_err(|e| CliError::Failed(e.to_string()))?;
-    let matrix =
-        QuantizedMatrix::new(layer, hidden, hidden).map_err(|e| CliError::Failed(e.to_string()))?;
-
-    let iters = (2_000_000 / (hidden * hidden)).clamp(4, 64);
-    let mut rows = Vec::new();
-    for batch in [1usize, 8, 32] {
-        let a: Vec<f32> = (0..batch * hidden).map(|i| ((i as f32) * 0.13).sin()).collect();
-        let time = |f: &dyn Fn() -> Result<Vec<f32>, gobo_quant::QuantError>| {
-            f().map_err(|e| CliError::Failed(e.to_string()))?; // warm-up
-            let started = Instant::now();
-            for _ in 0..iters {
-                f().map_err(|e| CliError::Failed(e.to_string()))?;
-            }
-            Ok::<f64, CliError>(started.elapsed().as_micros() as f64 / iters as f64)
-        };
-        let blocked_us = time(&|| matrix.matmul_batch(&a))?;
-        let matvec_rows_us = time(&|| matrix.matmul_nt(&a))?;
-        rows.push(KernelRow { batch, blocked_us, matvec_rows_us });
-    }
-    Ok(rows)
-}
-
-/// `gobo bench-serve`: in-process client throughput at batch sizes
-/// 1/8/32 plus a kernel-level blocked-vs-matvec comparison, written to
-/// a JSON report.
-///
-/// Clients submit their whole request window pipelined (submit all,
-/// then drain replies) so the number of in-flight requests is bounded
-/// by the window, not the client count — that is what lets the
-/// scheduler actually coalesce batches up to `max_batch`.
-///
-/// The default workload is single-token requests served by one worker:
-/// the paper's memory-bound GEMV regime, measured on fixed compute so
-/// the batch-32/batch-1 ratio reflects packed-tile decode amortization
-/// rather than thread parallelism. `--seq-len`/`--workers` restore
-/// longer sequences or a pool.
-pub(crate) fn bench_serve(args: &Args) -> Result<String, CliError> {
-    let output = args.get("output").unwrap_or("BENCH_serve.json");
-    let layers: usize = args.parse_num("layers", 2)?;
-    let hidden: usize = args.parse_num("hidden", 256)?;
-    let bits: u8 = args.parse_num("bits", 3)?;
-    let clients: usize = args.parse_num("clients", 4)?.max(1);
-    let requests: usize = args.parse_num("requests", 128)?.max(clients);
-    let seq_len: usize = args.parse_num("seq-len", 1)?.max(1);
-    let workers: usize = args.parse_num("workers", 1)?.max(1);
-    let seed: u64 = args.parse_num("seed", 0)?;
-    let kernels = match args.get("kernels").unwrap_or("on") {
-        "on" => true,
-        "off" => false,
-        other => return Err(CliError::Usage(format!("flag --kernels: `{other}` is not on|off"))),
-    };
-    let cluster = match args.get("cluster").unwrap_or("off") {
-        "on" => true,
-        "off" => false,
-        other => return Err(CliError::Usage(format!("flag --cluster: `{other}` is not on|off"))),
-    };
-    let trace_out = args.get("trace-out");
-
-    let config = ModelConfig::tiny("BenchServe", layers, hidden, 4, 256, 64)
-        .map_err(|e| CliError::Failed(format!("invalid bench geometry: {e}")))?;
-    let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(seed))
-        .map_err(|e| CliError::Failed(e.to_string()))?;
-    let quant_options = QuantizeOptions::gobo(bits).map_err(|e| CliError::Failed(e.to_string()))?;
-    let outcome =
-        quantize_model(&model, &quant_options).map_err(|e| CliError::Failed(e.to_string()))?;
-    let compressed = CompressedModel::new(&model, outcome.archive);
-
-    if trace_out.is_some() {
-        gobo_obs::trace::reset();
-        gobo_obs::trace::enable();
-    }
-    let mut rows = Vec::new();
-    for max_batch in [1usize, 8, 32] {
-        let core = ServeCore::start(ServeOptions {
-            registry: RegistryConfig::default(),
-            scheduler: SchedulerConfig {
-                workers,
-                max_batch,
-                max_wait: Duration::from_micros(500),
-                queue_capacity: requests + clients,
-                ..SchedulerConfig::default()
-            },
-            ..ServeOptions::default()
-        });
-        let client = Client::new(Arc::clone(&core));
-        client.register("bench", &compressed).map_err(|e| CliError::Failed(e.to_string()))?;
-        // Warm-up: populate whatever lazy state the first request hits.
-        client
-            .encode(EncodeRequest::new("bench", vec![1; seq_len]))
-            .map_err(|e| CliError::Failed(e.to_string()))?;
-
-        let per_client = requests / clients;
-        let started = Instant::now();
-        let mut joins = Vec::new();
-        for c in 0..clients {
-            let core = Arc::clone(&core);
-            joins.push(std::thread::spawn(move || -> Result<u64, String> {
-                // Pipelined: submit the whole window first, then drain
-                // the replies. Blocking per-request would cap in-flight
-                // requests at the client count and starve coalescing.
-                let mut pending = Vec::with_capacity(per_client);
-                for r in 0..per_client {
-                    let ids: Vec<usize> =
-                        (0..seq_len).map(|t| 1 + (c * 31 + r * 7 + t) % 250).collect();
-                    let sent = Instant::now();
-                    let rx = core
-                        .scheduler()
-                        .submit(EncodeRequest::new("bench", ids))
-                        .map_err(|e| e.to_string())?;
-                    pending.push((sent, rx));
-                }
-                let mut latency_us = 0u64;
-                for (sent, rx) in pending {
-                    rx.recv()
-                        .map_err(|_| "bench reply channel closed".to_string())?
-                        .map_err(|e| e.to_string())?;
-                    latency_us += sent.elapsed().as_micros() as u64;
-                }
-                Ok(latency_us)
-            }));
-        }
-        let mut latency_total = 0u64;
-        for join in joins {
-            latency_total += join
-                .join()
-                .map_err(|_| CliError::Failed("bench client panicked".into()))?
-                .map_err(CliError::Failed)?;
-        }
-        let elapsed_us = started.elapsed().as_micros() as u64;
-        let done = per_client * clients;
-        let metrics = core.metrics();
-        rows.push(BenchRow {
-            max_batch,
-            requests: done,
-            elapsed_us,
-            latency_us_mean: latency_total as f64 / done as f64,
-            latency_us_p50: metrics.latency_us.quantile(0.50),
-            latency_us_p95: metrics.latency_us.quantile(0.95),
-            latency_us_p99: metrics.latency_us.quantile(0.99),
-            // The warm-up request is included in these counters.
-            batches: metrics.batches.load(std::sync::atomic::Ordering::Relaxed),
-            batch_size_max: metrics.batch_size_max.load(std::sync::atomic::Ordering::Relaxed),
-        });
-        core.shutdown();
-    }
-    if let Some(path) = trace_out {
-        gobo_obs::trace::disable();
-        std::fs::write(path, gobo_obs::trace::export_chrome_trace())?;
-        gobo_obs::trace::reset();
-    }
-    let kernel_rows = if kernels { bench_kernels(hidden, bits)? } else { Vec::new() };
-    let cluster_section =
-        if cluster { Some(bench_cluster(&compressed, requests, seq_len)?) } else { None };
-
-    let mut pairs = vec![
-        ("bench", Json::Str("serve_throughput".to_owned())),
-        (
-            "model",
-            Json::obj(vec![
-                ("layers", Json::Num(layers as f64)),
-                ("hidden", Json::Num(hidden as f64)),
-                ("bits", Json::Num(bits as f64)),
-                ("seq_len", Json::Num(seq_len as f64)),
-            ]),
-        ),
-        ("clients", Json::Num(clients as f64)),
-        (
-            "configs",
-            Json::Arr(
-                rows.iter()
-                    .map(|row| {
-                        let rps = row.requests as f64 / (row.elapsed_us as f64 / 1e6);
-                        Json::obj(vec![
-                            ("max_batch", Json::Num(row.max_batch as f64)),
-                            ("requests", Json::Num(row.requests as f64)),
-                            ("elapsed_us", Json::Num(row.elapsed_us as f64)),
-                            ("throughput_rps", Json::Num(rps)),
-                            ("latency_us_mean", Json::Num(row.latency_us_mean)),
-                            ("latency_us_p50", Json::Num(row.latency_us_p50)),
-                            ("latency_us_p95", Json::Num(row.latency_us_p95)),
-                            ("latency_us_p99", Json::Num(row.latency_us_p99)),
-                            ("batches", Json::Num(row.batches as f64)),
-                            ("batch_size_max", Json::Num(row.batch_size_max as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ];
-    if !kernel_rows.is_empty() {
-        pairs.push((
-            "kernels",
-            Json::obj(vec![
-                ("hidden", Json::Num(hidden as f64)),
-                ("bits", Json::Num(bits as f64)),
-                (
-                    "batches",
-                    Json::Arr(
-                        kernel_rows
-                            .iter()
-                            .map(|row| {
-                                Json::obj(vec![
-                                    ("batch", Json::Num(row.batch as f64)),
-                                    ("blocked_us", Json::Num(row.blocked_us)),
-                                    ("matvec_rows_us", Json::Num(row.matvec_rows_us)),
-                                    (
-                                        "speedup",
-                                        Json::Num(row.matvec_rows_us / row.blocked_us.max(1e-9)),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ));
-    }
-    if let Some((cluster_json, _)) = &cluster_section {
-        pairs.push(("cluster", cluster_json.clone()));
-    }
-    let report = Json::obj(pairs);
-    std::fs::write(output, format!("{report}\n"))?;
-
-    let mut summary = format!(
-        "serve throughput ({clients} clients, {seq_len}-token sequences, {bits}-bit model):\n"
-    );
-    for row in &rows {
-        let rps = row.requests as f64 / (row.elapsed_us as f64 / 1e6);
-        summary.push_str(&format!(
-            "  max_batch {:>2}: {:>8.1} req/s, latency us mean {:>7.0} \
-             p50 {:>7.0} p95 {:>7.0} p99 {:>7.0}, {} batches (largest {})\n",
-            row.max_batch,
-            rps,
-            row.latency_us_mean,
-            row.latency_us_p50,
-            row.latency_us_p95,
-            row.latency_us_p99,
-            row.batches,
-            row.batch_size_max
-        ));
-    }
-    if !kernel_rows.is_empty() {
-        summary.push_str(&format!("kernel amortization (hidden {hidden}, {bits}-bit):\n"));
-        for row in &kernel_rows {
-            summary.push_str(&format!(
-                "  batch {:>2}: blocked {:>9.1} us vs matvec-per-row {:>9.1} us ({:.2}x)\n",
-                row.batch,
-                row.blocked_us,
-                row.matvec_rows_us,
-                row.matvec_rows_us / row.blocked_us.max(1e-9)
-            ));
-        }
-    }
-    if let Some((_, cluster_summary)) = &cluster_section {
-        summary.push_str(cluster_summary);
-    }
-    summary.push_str(&format!("report written to `{output}`"));
-    if let Some(path) = trace_out {
-        summary.push_str(&format!("\nchrome trace written to `{path}`"));
-    }
-    Ok(summary)
-}
-
 #[cfg(test)]
 mod tests {
     use std::io::{Read, Write};
@@ -634,120 +168,6 @@ mod tests {
     fn serve_requires_model_flag() {
         let err = run_str(&["serve"]).unwrap_err();
         assert!(err.to_string().contains("--model"), "{err}");
-    }
-
-    #[test]
-    fn bench_serve_writes_report() {
-        let out = tmp("BENCH_serve_test.json");
-        let msg = run_str(&[
-            "bench-serve",
-            "--output",
-            &out,
-            "--layers",
-            "1",
-            "--hidden",
-            "16",
-            "--requests",
-            "16",
-            "--clients",
-            "2",
-            "--seq-len",
-            "4",
-        ])
-        .unwrap();
-        assert!(msg.contains("max_batch 32"), "{msg}");
-        assert!(msg.contains("kernel amortization"), "{msg}");
-        let report = std::fs::read_to_string(&out).unwrap();
-        let value = gobo_serve::json::parse(&report).unwrap();
-        let configs = value.get("configs").and_then(|c| c.as_array().map(<[_]>::to_vec)).unwrap();
-        assert_eq!(configs.len(), 3);
-        for config in &configs {
-            assert!(config.get("throughput_rps").and_then(|v| v.as_f64()).unwrap() > 0.0);
-            let p50 = config.get("latency_us_p50").and_then(|v| v.as_f64()).unwrap();
-            let p95 = config.get("latency_us_p95").and_then(|v| v.as_f64()).unwrap();
-            let p99 = config.get("latency_us_p99").and_then(|v| v.as_f64()).unwrap();
-            assert!(p50 > 0.0, "p50 {p50}");
-            assert!(p50 <= p95 && p95 <= p99, "quantiles out of order: {p50} {p95} {p99}");
-        }
-        let kernels = value.get("kernels").unwrap();
-        let batches = kernels.get("batches").and_then(|b| b.as_array().map(<[_]>::to_vec)).unwrap();
-        assert_eq!(batches.len(), 3);
-        for row in &batches {
-            assert!(row.get("blocked_us").and_then(|v| v.as_f64()).unwrap() > 0.0);
-            assert!(row.get("matvec_rows_us").and_then(|v| v.as_f64()).unwrap() > 0.0);
-            assert!(row.get("speedup").and_then(|v| v.as_f64()).unwrap() > 0.0);
-        }
-    }
-
-    /// `--cluster` (bare or `on`) adds the routed 3-node section with
-    /// healthy/degraded tail latencies and the hedge evidence.
-    #[test]
-    fn bench_serve_cluster_section() {
-        let out = tmp("BENCH_serve_cluster.json");
-        let msg = run_str(&[
-            "bench-serve",
-            "--output",
-            &out,
-            "--layers",
-            "1",
-            "--hidden",
-            "16",
-            "--requests",
-            "16",
-            "--clients",
-            "2",
-            "--kernels",
-            "off",
-            "--cluster", // bare switch, normalised to `--cluster on`
-        ])
-        .unwrap();
-        assert!(msg.contains("cluster (3 nodes, rf=2"), "{msg}");
-        let report = std::fs::read_to_string(&out).unwrap();
-        let value = gobo_serve::json::parse(&report).unwrap();
-        let cluster = value.get("cluster").expect("cluster section");
-        assert_eq!(cluster.get("nodes").and_then(|v| v.as_f64()), Some(3.0));
-        let ratio = cluster.get("p99_ratio").and_then(|v| v.as_f64()).unwrap();
-        assert!(ratio > 0.0, "ratio {ratio}");
-        let healthy = cluster.get("healthy").unwrap();
-        let p50 = healthy.get("latency_us_p50").and_then(|v| v.as_f64()).unwrap();
-        let p99 = healthy.get("latency_us_p99").and_then(|v| v.as_f64()).unwrap();
-        assert!(p50 > 0.0 && p50 <= p99, "{p50} {p99}");
-        assert!(matches!(
-            run_str(&["bench-serve", "--output", &out, "--cluster", "sideways"]),
-            Err(crate::cmd::CliError::Usage(_))
-        ));
-    }
-
-    /// `--kernels off` drops the kernel section from report and summary.
-    #[test]
-    fn bench_serve_kernels_off() {
-        let out = tmp("BENCH_serve_nokernels.json");
-        let msg = run_str(&[
-            "bench-serve",
-            "--output",
-            &out,
-            "--layers",
-            "1",
-            "--hidden",
-            "16",
-            "--requests",
-            "8",
-            "--clients",
-            "2",
-            "--seq-len",
-            "4",
-            "--kernels",
-            "off",
-        ])
-        .unwrap();
-        assert!(!msg.contains("kernel amortization"), "{msg}");
-        let report = std::fs::read_to_string(&out).unwrap();
-        let value = gobo_serve::json::parse(&report).unwrap();
-        assert!(value.get("kernels").is_none());
-        assert!(matches!(
-            run_str(&["bench-serve", "--output", &out, "--kernels", "sideways"]),
-            Err(crate::cmd::CliError::Usage(_))
-        ));
     }
 
     /// End-to-end CLI test: quantize a model to disk, `gobo serve` it on

@@ -8,7 +8,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gobo_obs::hist::{escape_label, Histogram};
+use gobo_obs::hist::FamilyKind::{Counter, Gauge};
+use gobo_obs::hist::{escape_label, render_family_header, render_scalars, Histogram};
 
 /// Counters, gauges, and the route-latency histogram of one router.
 #[derive(Debug, Default)]
@@ -67,88 +68,41 @@ impl ClusterMetrics {
     /// address, so scrapes stay stable across port changes).
     pub fn render(&self, nodes: &[NodeHealthSample]) -> String {
         use std::fmt::Write as _;
-        let mut out = String::with_capacity(2048);
-        let mut counter = |name: &str, help: &str, value: u64| {
-            let _ = write!(
-                out,
-                "# HELP gobo_cluster_{name} {help}\n# TYPE gobo_cluster_{name} counter\ngobo_cluster_{name} {value}\n"
-            );
-        };
-        counter("requests_total", "requests routed", self.requests.load(Ordering::Relaxed));
-        counter(
-            "errors_total",
-            "requests that ultimately failed",
-            self.errors.load(Ordering::Relaxed),
-        );
-        counter(
-            "hedge_fires_total",
-            "hedge backups fired after the hedge delay",
-            self.hedge_fires.load(Ordering::Relaxed),
-        );
-        counter(
-            "hedge_wins_total",
-            "requests won by a hedge backup",
-            self.hedge_wins.load(Ordering::Relaxed),
-        );
-        counter(
-            "failovers_total",
-            "failovers to the next replica after a retryable failure",
-            self.failovers.load(Ordering::Relaxed),
-        );
-        counter(
-            "ring_rebuilds_total",
-            "consistent-hash ring rebuilds",
-            self.ring_rebuilds.load(Ordering::Relaxed),
-        );
-        counter("heartbeats_total", "heartbeats sent", self.heartbeats.load(Ordering::Relaxed));
-        counter(
-            "heartbeat_failures_total",
-            "heartbeats that failed or timed out",
-            self.heartbeat_failures.load(Ordering::Relaxed),
-        );
-        counter(
-            "mark_dead_total",
-            "healthy-to-dead membership transitions",
-            self.mark_dead.load(Ordering::Relaxed),
-        );
-        counter(
-            "mark_alive_total",
-            "dead-to-healthy membership transitions",
-            self.mark_alive.load(Ordering::Relaxed),
-        );
-        counter(
-            "canary_requests_total",
-            "requests routed preferentially to a node under canary trial",
-            self.canary_requests.load(Ordering::Relaxed),
-        );
-        counter(
-            "canary_promotions_total",
-            "canary trials that ended in promotion",
-            self.canary_promotions.load(Ordering::Relaxed),
-        );
-        counter(
-            "canary_rollbacks_total",
-            "canary trials rolled back on failure or p95 regression",
-            self.canary_rollbacks.load(Ordering::Relaxed),
-        );
-
+        let v = |value: &AtomicU64| value.load(Ordering::Relaxed);
         let healthy = nodes.iter().filter(|n| n.healthy).count() as u64;
         let down = nodes.iter().filter(|n| !n.healthy).count() as u64;
         let draining = nodes.iter().filter(|n| n.draining).count() as u64;
-        let mut gauge = |name: &str, help: &str, value: u64| {
-            let _ = write!(
-                out,
-                "# HELP gobo_cluster_{name} {help}\n# TYPE gobo_cluster_{name} gauge\ngobo_cluster_{name} {value}\n"
-            );
-        };
-        gauge("nodes", "cluster members known to the router", nodes.len() as u64);
-        gauge("nodes_healthy", "members currently marked healthy", healthy);
-        gauge("node_down", "members currently marked dead", down);
-        gauge("nodes_draining", "members reporting draining", draining);
+        // One row per scalar family, in exposition order; both
+        // `tests/golden/metrics_schema.txt` and the `gobo lint` naming
+        // rule read the result.
+        #[rustfmt::skip]
+        let scalars = [
+            (Counter, "gobo_cluster_requests_total", "requests routed", v(&self.requests)),
+            (Counter, "gobo_cluster_errors_total", "requests that ultimately failed", v(&self.errors)),
+            (Counter, "gobo_cluster_hedge_fires_total", "hedge backups fired after the hedge delay", v(&self.hedge_fires)),
+            (Counter, "gobo_cluster_hedge_wins_total", "requests won by a hedge backup", v(&self.hedge_wins)),
+            (Counter, "gobo_cluster_failovers_total", "failovers to the next replica after a retryable failure", v(&self.failovers)),
+            (Counter, "gobo_cluster_ring_rebuilds_total", "consistent-hash ring rebuilds", v(&self.ring_rebuilds)),
+            (Counter, "gobo_cluster_heartbeats_total", "heartbeats sent", v(&self.heartbeats)),
+            (Counter, "gobo_cluster_heartbeat_failures_total", "heartbeats that failed or timed out", v(&self.heartbeat_failures)),
+            (Counter, "gobo_cluster_mark_dead_total", "healthy-to-dead membership transitions", v(&self.mark_dead)),
+            (Counter, "gobo_cluster_mark_alive_total", "dead-to-healthy membership transitions", v(&self.mark_alive)),
+            (Counter, "gobo_cluster_canary_requests_total", "requests routed preferentially to a node under canary trial", v(&self.canary_requests)),
+            (Counter, "gobo_cluster_canary_promotions_total", "canary trials that ended in promotion", v(&self.canary_promotions)),
+            (Counter, "gobo_cluster_canary_rollbacks_total", "canary trials rolled back on failure or p95 regression", v(&self.canary_rollbacks)),
+            (Gauge, "gobo_cluster_nodes", "cluster members known to the router", nodes.len() as u64),
+            (Gauge, "gobo_cluster_nodes_healthy", "members currently marked healthy", healthy),
+            (Gauge, "gobo_cluster_node_down", "members currently marked dead", down),
+            (Gauge, "gobo_cluster_nodes_draining", "members reporting draining", draining),
+        ];
+        let mut out = String::with_capacity(2048);
+        render_scalars(&scalars, &mut out);
 
-        let _ = write!(
-            out,
-            "# HELP gobo_cluster_node_healthy per-node health (1 healthy, 0 dead)\n# TYPE gobo_cluster_node_healthy gauge\n"
+        render_family_header(
+            Gauge,
+            "gobo_cluster_node_healthy",
+            "per-node health (1 healthy, 0 dead)",
+            &mut out,
         );
         for node in nodes {
             let _ = writeln!(
@@ -158,9 +112,11 @@ impl ClusterMetrics {
                 u64::from(node.healthy)
             );
         }
-        let _ = write!(
-            out,
-            "# HELP gobo_cluster_node_queue_depth per-node queue depth from the last heartbeat\n# TYPE gobo_cluster_node_queue_depth gauge\n"
+        render_family_header(
+            Gauge,
+            "gobo_cluster_node_queue_depth",
+            "per-node queue depth from the last heartbeat",
+            &mut out,
         );
         for node in nodes {
             let _ = writeln!(

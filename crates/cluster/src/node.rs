@@ -16,22 +16,17 @@
 //! the failure hedged requests exist for.
 
 use std::io::BufReader;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-use gobo_sanitize::SanMutex;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use gobo_proto::frame::{
     read_frame, write_frame, EncodeErrFrame, EncodeOkFrame, EncodeRequestFrame,
     EncodeResponseFrame, Frame, HeartbeatAckFrame, ModelStatusFrame, ProtoError, MAX_PAYLOAD,
 };
-use gobo_serve::{EncodeRequest, ServeCore, ShutdownSignal};
+use gobo_serve::{EncodeRequest, Listener, ServeCore, ShutdownSignal};
 
-/// Poll interval of the non-blocking accept loop.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// How long a partitioned connection re-checks its parking condition.
 const PARTITION_POLL: Duration = Duration::from_millis(5);
 
@@ -44,16 +39,10 @@ struct NodeShared {
     drain_signal: ShutdownSignal,
 }
 
-/// Live connections: each worker's join handle plus a tracked clone
-/// of its socket, so shutdown can close streams a peer holds open.
-type ConnectionSet = Arc<SanMutex<Vec<(JoinHandle<()>, TcpStream)>>>;
-
 /// A running protocol listener over a [`ServeCore`].
 pub struct ClusterNode {
     shared: Arc<NodeShared>,
-    local_addr: SocketAddr,
-    accept_thread: Option<JoinHandle<()>>,
-    connections: ConnectionSet,
+    listener: Listener,
 }
 
 impl ClusterNode {
@@ -64,9 +53,6 @@ impl ClusterNode {
     ///
     /// Propagates socket failures.
     pub fn start(core: Arc<ServeCore>, addr: &str) -> std::io::Result<ClusterNode> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let shared = Arc::new(NodeShared {
             core,
             stop: AtomicBool::new(false),
@@ -75,43 +61,18 @@ impl ClusterNode {
             artificial_delay_us: AtomicU64::new(0),
             drain_signal: ShutdownSignal::new(),
         });
-        let connections: ConnectionSet =
-            Arc::new(SanMutex::new("cluster.node.connections", 12, Vec::new()));
-
-        let accept_thread = {
+        let listener = {
             let shared = Arc::clone(&shared);
-            let connections = Arc::clone(&connections);
-            std::thread::Builder::new().name("gobo-node-accept".into()).spawn(move || {
-                while !shared.stop.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let tracked = match stream.try_clone() {
-                                Ok(clone) => clone,
-                                Err(_) => continue,
-                            };
-                            let shared = Arc::clone(&shared);
-                            let handle = std::thread::spawn(move || {
-                                let _ = handle_conn(&shared, stream);
-                            });
-                            let mut conns = connections.lock();
-                            conns.retain(|(h, _)| !h.is_finished());
-                            conns.push((handle, tracked));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(ACCEPT_POLL);
-                        }
-                        Err(_) => std::thread::sleep(ACCEPT_POLL),
-                    }
-                }
+            Listener::spawn(addr, "gobo-node-accept", move |stream| {
+                let _ = handle_conn(&shared, stream);
             })?
         };
-
-        Ok(ClusterNode { shared, local_addr, accept_thread: Some(accept_thread), connections })
+        Ok(ClusterNode { shared, listener })
     }
 
     /// The bound address (with the resolved ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Adds a fixed delay to every encode on *this* node — the
@@ -151,14 +112,9 @@ impl ClusterNode {
     pub fn shutdown(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
         self.shared.drain_signal.request();
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        let conns: Vec<(JoinHandle<()>, TcpStream)> = self.connections.lock().drain(..).collect();
-        for (handle, stream) in conns {
-            let _ = stream.shutdown(Shutdown::Both);
-            let _ = handle.join();
-        }
+        // Both halves at once: a router blocked reading an answer from
+        // this node must see the kill now, not after its timeout.
+        self.listener.stop(Shutdown::Both);
     }
 }
 

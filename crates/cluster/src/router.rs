@@ -41,7 +41,7 @@ use gobo_proto::frame::{
     HeartbeatAckFrame, MAX_PAYLOAD,
 };
 use gobo_proto::net::{connect_retry, RetryPolicy};
-use gobo_serve::CanaryPolicy;
+use gobo_serve::{CanaryPolicy, VerdictWindow, WindowVerdict};
 
 use crate::metrics::{ClusterMetrics, NodeHealthSample};
 use crate::ring::Ring;
@@ -105,22 +105,7 @@ impl Default for RouterConfig {
 struct CanaryTrial {
     node_id: String,
     ticket: AtomicU64,
-    window: SanMutex<TrialWindow>,
-}
-
-/// Sliding latency windows of one canary trial.
-#[derive(Default)]
-struct TrialWindow {
-    canary_us: Vec<u64>,
-    baseline_us: Vec<u64>,
-}
-
-/// Verdict of one canary latency sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TrialVerdict {
-    Pending,
-    Promote,
-    Rollback,
+    window: SanMutex<VerdictWindow>,
 }
 
 /// Saturating cap on a node's slow score (how far hedging can demote
@@ -437,7 +422,7 @@ impl Router {
         *lock_write(&self.shared.canary) = Some(CanaryTrial {
             node_id: node_id.to_owned(),
             ticket: AtomicU64::new(0),
-            window: SanMutex::new("cluster.router.trial_window", 56, TrialWindow::default()),
+            window: SanMutex::new("cluster.router.trial_window", 56, VerdictWindow::default()),
         });
         true
     }
@@ -499,59 +484,41 @@ impl Router {
         }
     }
 
-    /// Feeds one successful request latency to the trial window.
-    /// Returns a verdict only once the canary window is full.
-    fn record_trial_sample(&self, us: u64, canary: bool) -> TrialVerdict {
-        let policy = self.shared.config.canary;
+    /// Feeds one successful request latency to the trial's
+    /// [`VerdictWindow`] — same rule as a single node's in-process
+    /// canary. Only a canary-side sample can complete the window.
+    fn record_trial_sample(&self, us: u64, canary: bool) -> WindowVerdict {
+        let policy = &self.shared.config.canary;
         let guard = lock_read(&self.shared.canary);
-        let Some(trial) = guard.as_ref() else { return TrialVerdict::Pending };
+        let Some(trial) = guard.as_ref() else { return WindowVerdict::Pending };
         let mut window = trial.window.lock();
-        let cap = (policy.window as usize).saturating_mul(4).max(1);
-        let bucket = if canary { &mut window.canary_us } else { &mut window.baseline_us };
-        if bucket.len() >= cap {
-            bucket.remove(0);
-        }
-        bucket.push(us);
-        if !canary || window.canary_us.len() < policy.window as usize {
-            return TrialVerdict::Pending;
-        }
-        if window.baseline_us.len() < policy.min_baseline as usize {
-            // Too little baseline to judge against — a clean full
-            // window promotes outright, same as a single node's
-            // in-process canary.
-            return TrialVerdict::Promote;
-        }
-        let canary_p95 = p95(&window.canary_us);
-        let baseline_p95 = p95(&window.baseline_us).max(1);
-        if canary_p95 > baseline_p95.saturating_mul(u64::from(policy.p95_factor_pct)) / 100 {
-            TrialVerdict::Rollback
+        if canary {
+            window.record_canary(policy, us)
         } else {
-            TrialVerdict::Promote
+            window.record_baseline(policy, us);
+            WindowVerdict::Pending
         }
     }
 
-    /// Applies a trial verdict. Counters move only when the trial was
-    /// still in flight — two racing verdicts resolve to one
-    /// transition.
-    fn apply_verdict(&self, verdict: TrialVerdict) {
-        if verdict == TrialVerdict::Pending {
+    /// Applies a trial verdict (a failed canary attempt is applied as
+    /// `Regressed` without waiting for the window). Counters move only
+    /// when the trial was still in flight — two racing verdicts resolve
+    /// to one transition.
+    fn apply_verdict(&self, verdict: WindowVerdict) {
+        if verdict == WindowVerdict::Pending {
             return;
         }
         let Some(trial) = lock_write(&self.shared.canary).take() else { return };
-        match verdict {
-            TrialVerdict::Promote => {
-                self.shared.metrics.canary_promotions.fetch_add(1, Ordering::Relaxed);
+        if verdict == WindowVerdict::Clean {
+            self.shared.metrics.canary_promotions.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.shared.metrics.canary_rollbacks.fetch_add(1, Ordering::Relaxed);
+            // Demote the failed node to last pick; the slow-score
+            // walk-back lets it earn its way forward again.
+            let nodes = lock_read(&self.shared.nodes);
+            if let Some(node) = nodes.iter().find(|n| n.id == trial.node_id) {
+                node.slow_score.store(SLOW_SCORE_CAP, Ordering::Relaxed);
             }
-            TrialVerdict::Rollback => {
-                self.shared.metrics.canary_rollbacks.fetch_add(1, Ordering::Relaxed);
-                // Demote the failed node to last pick; the slow-score
-                // walk-back lets it earn its way forward again.
-                let nodes = lock_read(&self.shared.nodes);
-                if let Some(node) = nodes.iter().find(|n| n.id == trial.node_id) {
-                    node.slow_score.store(SLOW_SCORE_CAP, Ordering::Relaxed);
-                }
-            }
-            TrialVerdict::Pending => {}
         }
     }
 
@@ -742,7 +709,7 @@ impl Router {
         if canary_failed {
             // Roll back even when the whole request later failed: the
             // trial node already proved unreliable.
-            self.apply_verdict(TrialVerdict::Rollback);
+            self.apply_verdict(WindowVerdict::Regressed);
         }
         let (winner_idx, ok) = outcome?;
         if winner_idx == 0 {
@@ -789,17 +756,6 @@ impl Router {
         self.shared.metrics.route_us.observe(elapsed_us);
         Ok(ok)
     }
-}
-
-/// Nearest-rank p95 of a non-empty sample window.
-fn p95(samples: &[u64]) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let idx = (sorted.len() * 95 / 100).min(sorted.len() - 1);
-    sorted.get(idx).copied().unwrap_or(0)
 }
 
 impl Drop for Router {

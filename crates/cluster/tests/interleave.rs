@@ -3,8 +3,11 @@
 //!
 //! The real protocol (`crates/cluster/src/router.rs`) is:
 //! `record_trial_sample` takes the canary read lock, then the trial
-//! window mutex, pushes one latency sample, and computes a verdict —
-//! `Pending` until the canary window is full. `apply_verdict` takes
+//! window mutex, and hands one latency sample to the workspace's one
+//! window implementation — `gobo_serve::lifecycle::VerdictWindow`, the
+//! same record-and-judge step the serve tier's `LifecycleController`
+//! runs under its own mutex — which answers `Pending` until the canary
+//! window is full. `apply_verdict` takes
 //! the canary *write* lock and `Option::take`s the trial; counters
 //! move only when the take wins, so two racing verdicts resolve to one
 //! transition. A failure path (`route` on canary error) force-applies
@@ -94,7 +97,8 @@ impl Program<Canary> for Worker {
             // Step 1: the request finishes; elapsed time is thread-local.
             self.encoded = true;
         } else if !self.recorded {
-            // Step 2: record_trial_sample — push one sample, judge.
+            // Step 2: record_trial_sample → VerdictWindow::record_canary
+            // — push one sample, judge.
             // When the trial is already taken the real code returns
             // Pending without touching the window (the freeze).
             if canary.trial {

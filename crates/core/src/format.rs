@@ -120,28 +120,18 @@ impl CompressedModel {
     /// Weights present in the archive are omitted from the skeleton
     /// section entirely.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = self.body_bytes(COMPRESSED_FORMAT_VERSION, &self.archive.to_bytes());
-        let crc = gobo_quant::integrity::crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
-    }
-
-    /// Serializes in the legacy v1 (checksum-less) layout, with a v1
-    /// archive inside. For compatibility tests only.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        self.body_bytes(COMPRESSED_LEGACY_VERSION, &self.archive.to_bytes_v1())
-    }
-
-    fn body_bytes(&self, version: u8, archive: &[u8]) -> Vec<u8> {
+        let archive = self.archive.to_bytes();
         let raw = save_model_with(&self.skeleton, |name| self.archive.get(name).is_none());
         let mut out = Vec::with_capacity(raw.len() + archive.len() + 20);
         out.extend_from_slice(&COMPRESSED_MAGIC.to_le_bytes());
-        out.push(version);
+        out.push(COMPRESSED_FORMAT_VERSION);
         out.extend_from_slice(&[0u8; 3]);
         out.extend_from_slice(&(raw.len() as u32).to_le_bytes());
         out.extend_from_slice(&raw);
         out.extend_from_slice(&(archive.len() as u32).to_le_bytes());
-        out.extend_from_slice(archive);
+        out.extend_from_slice(&archive);
+        let crc = gobo_quant::integrity::crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
         out
     }
 
@@ -306,9 +296,11 @@ mod tests {
 
     #[test]
     fn legacy_v1_file_still_loads() {
+        // `quantized()` as the last v1 writer serialized it.
         let (_, compressed) = quantized();
-        let v1 = compressed.to_bytes_v1();
-        let restored = CompressedModel::from_bytes(&v1).unwrap();
+        let v1 = include_bytes!("../tests/fixtures/model_v1.gobom");
+        let restored = CompressedModel::from_bytes(v1).unwrap();
+        assert_eq!(restored.to_bytes(), compressed.to_bytes());
         let decoded = restored.decode().unwrap();
         let reference = compressed.decode().unwrap();
         for spec in reference.fc_layers() {

@@ -11,7 +11,10 @@
 //! [`render_prometheus`](Histogram::render_prometheus) emits the
 //! standard `_bucket{le="…"}` / `_sum` / `_count` text-exposition
 //! series with cumulative bucket counts and the mandatory `+Inf`
-//! terminal bucket.
+//! terminal bucket. The rest of the text exposition lives here too:
+//! [`render_scalars`] writes a tier's counter/gauge table,
+//! [`render_family_header`] the `# HELP`/`# TYPE` lines every family
+//! starts with, [`escape_label`] label values.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -165,8 +168,7 @@ impl Histogram {
         out: &mut String,
     ) {
         use std::fmt::Write as _;
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} histogram");
+        render_family_header(FamilyKind::Histogram, name, help, out);
         let label_prefix: String =
             labels.iter().map(|(k, v)| format!("{k}=\"{}\",", escape_label(v))).collect();
         let counts = self.bucket_counts();
@@ -186,6 +188,42 @@ impl Histogram {
         };
         let _ = writeln!(out, "{name}_sum{plain_labels} {}", self.sum());
         let _ = writeln!(out, "{name}_count{plain_labels} {}", self.count());
+    }
+}
+
+/// The Prometheus family kinds this workspace exposes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FamilyKind {
+    /// Monotone counter (`_total`).
+    Counter,
+    /// Point-in-time value, including high-water marks.
+    Gauge,
+    /// Bucketed distribution ([`Histogram::render_prometheus`]).
+    Histogram,
+}
+
+/// Appends the `# HELP` / `# TYPE` header of one metric family — the
+/// one place the exposition header is spelled. Samples follow from the
+/// caller: [`render_scalars`] for plain values, labelled series or a
+/// histogram's buckets otherwise.
+pub fn render_family_header(kind: FamilyKind, name: &str, help: &str, out: &mut String) {
+    use std::fmt::Write as _;
+    let kind = match kind {
+        FamilyKind::Counter => "counter",
+        FamilyKind::Gauge => "gauge",
+        FamilyKind::Histogram => "histogram",
+    };
+    let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
+}
+
+/// Appends one unlabelled scalar family per `(kind, name, help, value)`
+/// row, in table order. Each serving tier keeps its counters and gauges
+/// as one such table, so a new metric is one row.
+pub fn render_scalars(rows: &[(FamilyKind, &str, &str, u64)], out: &mut String) {
+    use std::fmt::Write as _;
+    for &(kind, name, help, value) in rows {
+        render_family_header(kind, name, help, out);
+        let _ = writeln!(out, "{name} {value}");
     }
 }
 
@@ -337,6 +375,24 @@ mod tests {
         );
         assert!(out.contains("test_labeled_sum{model=\"bert\\\"base\\\\v1\\nx\"} 7"), "{out}");
         assert_eq!(escape_label("plain"), "plain");
+    }
+
+    #[test]
+    fn scalars_render_in_table_order() {
+        let mut out = String::new();
+        render_scalars(
+            &[
+                (FamilyKind::Counter, "t_requests_total", "requests seen", 3),
+                (FamilyKind::Gauge, "t_depth", "queue depth", 0),
+            ],
+            &mut out,
+        );
+        assert_eq!(
+            out,
+            "# HELP t_requests_total requests seen\n# TYPE t_requests_total counter\n\
+             t_requests_total 3\n\
+             # HELP t_depth queue depth\n# TYPE t_depth gauge\nt_depth 0\n"
+        );
     }
 
     #[test]

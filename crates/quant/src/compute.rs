@@ -151,48 +151,9 @@ impl QuantizedMatrix {
         Ok(y)
     }
 
-    /// `Y = A·Wᵀ` for row-major `a: (m, cols)`, producing `(m, rows)` —
-    /// the FC-layer product, computed on the compressed form one
-    /// activation row at a time (per-centroid schedule per row).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidConfig`] unless `a.len()` is a
-    /// multiple of `cols`.
-    pub fn matmul_nt(&self, a: &[f32]) -> Result<Vec<f32>, QuantError> {
-        if self.cols == 0 || !a.len().is_multiple_of(self.cols) {
-            return Err(QuantError::InvalidConfig { name: "a.len" });
-        }
-        let m = a.len() / self.cols;
-        let mut out = Vec::with_capacity(m * self.rows);
-        for row in a.chunks(self.cols) {
-            out.extend(self.matvec(row)?);
-        }
-        Ok(out)
-    }
-
-    /// Batched `Y = A·Wᵀ` on the compressed form, picking the schedule
-    /// by batch size: a single activation row takes the per-centroid
-    /// [`QuantizedMatrix::matvec`] path (today's matvec behaviour,
-    /// bit-for-bit), while a real batch takes the cache-blocked
-    /// [`QuantizedMatrix::matmul_blocked`] path that amortizes each
-    /// tile decode across every row of the batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidConfig`] unless `a.len()` is a
-    /// multiple of `cols`.
-    pub fn matmul_batch(&self, a: &[f32]) -> Result<Vec<f32>, QuantError> {
-        if self.cols == 0 || !a.len().is_multiple_of(self.cols) {
-            return Err(QuantError::InvalidConfig { name: "a.len" });
-        }
-        if a.len() == self.cols {
-            return self.matvec(a);
-        }
-        self.matmul_blocked(a)
-    }
-
-    /// Cache-blocked batched `Y = A·Wᵀ` straight on the packed indices.
+    /// Cache-blocked batched `Y = A·Wᵀ` straight on the packed indices,
+    /// for row-major `a: (m, cols)` producing `(m, rows)` — the one
+    /// FC-layer product, at every batch size including 1.
     ///
     /// For each weight row, each `COL_BLOCK`-wide tile of indices is
     /// unpacked once (word-at-a-time), mapped through the codebook LUT
@@ -341,18 +302,6 @@ mod tests {
         assert!((y[3] - 10.0).abs() < 0.1, "outlier row got {}", y[3]);
     }
 
-    #[test]
-    fn matmul_nt_stacks_rows() {
-        let (qm, _) = matrix(12, 20, 3);
-        let a: Vec<f32> = (0..3 * 20).map(|i| (i as f32 * 0.17).sin()).collect();
-        let out = qm.matmul_nt(&a).unwrap();
-        assert_eq!(out.len(), 3 * 12);
-        for (i, row) in a.chunks(20).enumerate() {
-            let single = qm.matvec(row).unwrap();
-            assert_eq!(&out[i * 12..(i + 1) * 12], &single[..]);
-        }
-    }
-
     /// The blocked kernel must agree with decode-then-dense **bit for
     /// bit**: same decoded values, same column-order accumulation. This
     /// is what makes served outputs independent of batch composition.
@@ -377,33 +326,12 @@ mod tests {
     }
 
     #[test]
-    fn matmul_batch_delegates_by_batch_size() {
-        let (qm, _) = matrix(12, 40, 3);
-        // m == 1: exactly the per-centroid matvec.
-        let x: Vec<f32> = (0..40).map(|i| (i as f32 * 0.29).cos()).collect();
-        let one = qm.matmul_batch(&x).unwrap();
-        let direct = qm.matvec(&x).unwrap();
-        for (a, b) in one.iter().zip(&direct) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // m > 1: exactly the blocked schedule.
-        let a: Vec<f32> = (0..5 * 40).map(|i| (i as f32 * 0.07).sin()).collect();
-        let batched = qm.matmul_batch(&a).unwrap();
-        let blocked = qm.matmul_blocked(&a).unwrap();
-        for (x, y) in batched.iter().zip(&blocked) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // Empty batch is a valid zero-row product.
-        assert!(qm.matmul_batch(&[]).unwrap().is_empty());
-    }
-
-    #[test]
     fn shape_validation() {
         let (qm, _) = matrix(10, 10, 3);
         assert!(qm.matvec(&[0.0; 9]).is_err());
-        assert!(qm.matmul_nt(&[0.0; 11]).is_err());
-        assert!(qm.matmul_batch(&[0.0; 11]).is_err());
         assert!(qm.matmul_blocked(&[0.0; 11]).is_err());
+        // An empty batch is a valid zero-row product.
+        assert!(qm.matmul_blocked(&[]).unwrap().is_empty());
         let layer = qm.into_layer();
         assert!(QuantizedMatrix::new(layer, 3, 7).is_err());
     }

@@ -139,10 +139,12 @@ fn array<const N: usize>(bytes: &[u8]) -> Result<[u8; N], QuantError> {
 }
 
 impl QuantizedLayer {
-    fn body_bytes(&self, version: u8) -> BytesMut {
+    /// Serializes the layer to the container format (v2: trailing CRC32
+    /// over everything preceding it).
+    pub fn to_bytes(&self) -> Bytes {
         let mut out = BytesMut::with_capacity(self.compressed_bytes().saturating_add(24));
         out.put_u32_le(LAYER_MAGIC);
-        out.put_u8(version);
+        out.put_u8(FORMAT_VERSION);
         out.put_u8(method_tag(self.method()));
         out.put_u8(self.bits());
         out.put_u8(0); // padding / reserved
@@ -160,23 +162,9 @@ impl QuantizedLayer {
             out.put_f32_le(v);
         }
         out.put_slice(self.packed_indices());
-        out
-    }
-
-    /// Serializes the layer to the container format (v2: trailing CRC32
-    /// over everything preceding it).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut out = self.body_bytes(FORMAT_VERSION);
         let crc = crc32(&out);
         out.put_u32_le(crc);
         out.freeze()
-    }
-
-    /// Serializes the layer in the legacy v1 (checksum-less) format.
-    /// Exists so compatibility tests can fabricate old artifacts; new
-    /// code should always write [`QuantizedLayer::to_bytes`].
-    pub fn to_bytes_v1(&self) -> Bytes {
-        self.body_bytes(LEGACY_FORMAT_VERSION).freeze()
     }
 
     /// Deserializes a layer from the container format.
@@ -388,24 +376,6 @@ impl ModelArchive {
         out.freeze()
     }
 
-    /// Serializes the archive in the legacy v1 (checksum-less) format,
-    /// v1 layer payloads included. For compatibility tests only.
-    pub fn to_bytes_v1(&self) -> Bytes {
-        let mut out = BytesMut::new();
-        out.put_u32_le(ARCHIVE_MAGIC);
-        out.put_u8(LEGACY_FORMAT_VERSION);
-        out.put_slice(&[0u8; 3]);
-        out.put_u32_le(self.entries.len() as u32);
-        for (name, layer) in &self.entries {
-            let payload = layer.to_bytes_v1();
-            out.put_u16_le(name.len() as u16);
-            out.put_slice(name.as_bytes());
-            out.put_u32_le(payload.len() as u32);
-            out.put_slice(&payload);
-        }
-        out.freeze()
-    }
-
     /// Deserializes an archive. v2 entries are checksum-verified before
     /// their layer payloads are parsed; v1 archives load with a warning
     /// on stderr and count toward [`unverified_loads`].
@@ -598,19 +568,21 @@ mod tests {
 
     #[test]
     fn legacy_v1_payloads_still_load_and_are_counted() {
-        let layer = sample_layer(300, 3);
+        // Nothing writes v1 any more: the fixtures are `sample_layer(300, 4)`
+        // and a three-entry archive as the last v1 writer serialized them
+        // (the same pair `tests/corruption.rs` checks from outside).
+        let layer = sample_layer(300, 4);
         let before = unverified_loads();
-        let restored = QuantizedLayer::from_bytes(&layer.to_bytes_v1()).unwrap();
-        assert_eq!(restored.decode(), layer.decode());
+        let restored =
+            QuantizedLayer::from_bytes(include_bytes!("../tests/fixtures/layer_v1.bin")).unwrap();
+        assert_eq!(restored.to_bytes(), layer.to_bytes());
 
-        let mut archive = ModelArchive::new();
-        archive.push("a", sample_layer(200, 3)).unwrap();
-        archive.push("b", sample_layer(150, 4)).unwrap();
-        let restored = ModelArchive::from_bytes(&archive.to_bytes_v1()).unwrap();
-        assert_eq!(restored.len(), 2);
-        assert_eq!(restored.get("a").unwrap().decode(), archive.get("a").unwrap().decode());
-        // 1 standalone layer + 1 archive + 2 layers inside it.
-        assert!(unverified_loads() >= before + 4);
+        let restored =
+            ModelArchive::from_bytes(include_bytes!("../tests/fixtures/archive_v1.bin")).unwrap();
+        assert_eq!(restored.len(), 3);
+        assert_eq!(restored.get("pooler").unwrap().decode(), sample_layer(123, 2).decode());
+        // 1 standalone layer + 1 archive + 3 layers inside it.
+        assert!(unverified_loads() >= before + 5);
     }
 
     #[test]

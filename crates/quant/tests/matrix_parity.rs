@@ -79,41 +79,6 @@ fn bert_layer_matvec_matches_decoded() {
     }
 }
 
-/// The batched FC product (`A·Wᵀ`) agrees with per-row decode-then-dot
-/// for a multi-token activation matrix.
-#[test]
-fn bert_layer_matmul_nt_matches_decoded() {
-    let config = ModelConfig::bert_base();
-    let specs = enumerate_fc_layers(&config);
-    let spec = specs.iter().find(|s| s.rows == s.cols).expect("square FC layer");
-    let dist = layer_distribution(&config, 0, specs.len());
-    let weights = synthesize_layer(spec, &dist, 13);
-
-    let layer =
-        QuantizedLayer::encode(&weights, &QuantConfig::new(QuantMethod::Gobo, 3).expect("bits"))
-            .expect("encode");
-    let matrix = QuantizedMatrix::new(layer, spec.rows, spec.cols).expect("shape");
-    let dense = matrix.to_dense();
-
-    let tokens = 4usize;
-    let a = activations(tokens * spec.cols, 7);
-    let mut reference = Vec::with_capacity(tokens * spec.rows);
-    for row in a.chunks(spec.cols) {
-        for r in 0..spec.rows {
-            reference.push(
-                dense[r * spec.cols..(r + 1) * spec.cols]
-                    .iter()
-                    .zip(row)
-                    .map(|(w, xv)| w * xv)
-                    .sum(),
-            );
-        }
-    }
-
-    let got = matrix.matmul_nt(&a).expect("matmul_nt");
-    assert_close(&got, &reference, "matmul_nt@3b");
-}
-
 /// Outliers must flow through the compressed product exactly: zeroing
 /// every activation except one that hits an outlier column isolates the
 /// outlier path, where both schedules multiply the same two floats and
@@ -176,10 +141,9 @@ proptest! {
     /// applied row by row sum the same terms in different orders, so
     /// they must agree within the documented 1e-4 reassociation
     /// tolerance — across bit widths 2/3/4, ragged batch sizes
-    /// (including 1, where `matmul_batch` *is* the matvec), and
-    /// outlier-heavy layers.
+    /// (including 1) and outlier-heavy layers.
     #[test]
-    fn matmul_batch_matches_matvec_per_row(
+    fn matmul_blocked_matches_matvec_per_row(
         bits_i in 0usize..3,
         batch_i in 0usize..5,
         outliers_i in 0usize..3,
@@ -191,7 +155,7 @@ proptest! {
         let (rows, cols) = (48, 96);
         let matrix = quantized(rows, cols, bits, outlier_every, seed);
         let a = activations(batch * cols, seed ^ 0xABCD);
-        let batched = matrix.matmul_batch(&a).expect("matmul_batch");
+        let batched = matrix.matmul_blocked(&a).expect("matmul_blocked");
         let mut reference = Vec::with_capacity(batch * rows);
         for row in a.chunks(cols) {
             reference.extend(matrix.matvec(row).expect("matvec"));

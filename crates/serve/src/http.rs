@@ -6,9 +6,11 @@
 //! sends `Connection: close`, or an error forces the server side shut.
 //!
 //! The transport is split from the routes so the cluster router can
-//! reuse it: [`HttpListener`] owns the accept loop, per-connection
-//! threads, and teardown; anything implementing [`HttpHandler`] plugs
-//! in behind it. [`Server`] is the serve-core handler with routes:
+//! reuse it: [`HttpListener`] runs the keep-alive request loop on the
+//! crate's one accept loop ([`crate::listener::Listener`] — accept
+//! thread, per-connection threads, teardown); anything implementing
+//! [`HttpHandler`] plugs in behind it. [`Server`] is the serve-core
+//! handler with routes:
 //!
 //! * `POST /v1/encode` — run one sequence through a registered model;
 //! * `GET  /v1/models` — list model revisions with lifecycle state
@@ -19,30 +21,26 @@
 //! * `GET  /metrics` — Prometheus text exposition;
 //! * `POST /v1/shutdown` — begin graceful shutdown (drain, then exit).
 //!
-//! The listener runs non-blocking with a short poll so shutdown can
-//! interrupt `accept`; each accepted connection is handled on its own
-//! thread, and teardown shuts the tracked sockets down so keep-alive
-//! connections unblock immediately instead of riding out their read
-//! timeout.
+//! Teardown shuts the tracked sockets' read halves down first, so
+//! keep-alive connections unblock immediately instead of riding out
+//! their read timeout while a response being written still completes.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use gobo_sanitize::{SanCondvar, SanMutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::core::ServeCore;
 use crate::error::ServeError;
 use crate::json::{parse, Json};
+use crate::listener::Listener;
 use crate::scheduler::EncodeRequest;
 
 /// Largest accepted request line or header line.
 const MAX_LINE: usize = 8 << 10;
-/// Poll interval of the non-blocking accept loop.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Front-end tunables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,20 +154,12 @@ pub trait HttpHandler: Send + Sync + 'static {
     fn on_reject_too_large(&self) {}
 }
 
-/// Live connections: each worker's join handle plus a tracked clone
-/// of its socket, so `stop` can shut the TCP stream down under a
-/// keep-alive client.
-type ConnectionSet = Arc<SanMutex<Vec<(JoinHandle<()>, TcpStream)>>>;
-
 /// A bound, accepting HTTP/1.1 listener delegating to an
-/// [`HttpHandler`]. Owns the accept thread and every per-connection
-/// thread; dropping it (or calling [`HttpListener::stop`]) shuts the
-/// sockets down and joins them all.
+/// [`HttpHandler`]: the shared [`Listener`] accept loop with the
+/// keep-alive request loop plugged in per connection. Dropping it (or
+/// calling [`HttpListener::stop`]) stops gracefully.
 pub struct HttpListener {
-    local_addr: SocketAddr,
-    accept_stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    connections: ConnectionSet,
+    listener: Listener,
 }
 
 impl HttpListener {
@@ -183,78 +173,22 @@ impl HttpListener {
         options: HttpOptions,
         handler: Arc<dyn HttpHandler>,
     ) -> std::io::Result<HttpListener> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let accept_stop = Arc::new(AtomicBool::new(false));
-        let connections: ConnectionSet =
-            Arc::new(SanMutex::new("serve.http.connections", 11, Vec::new()));
-
-        let accept_thread = {
-            let accept_stop = Arc::clone(&accept_stop);
-            let connections = Arc::clone(&connections);
-            std::thread::Builder::new().name("gobo-http-accept".into()).spawn(move || {
-                while !accept_stop.load(Ordering::Acquire) {
-                    gobo_sanitize::blocking_io("serve.http.accept");
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let tracked = match stream.try_clone() {
-                                Ok(clone) => clone,
-                                Err(_) => continue,
-                            };
-                            let handler = Arc::clone(&handler);
-                            let handle = std::thread::spawn(move || {
-                                handle_connection(handler.as_ref(), options, stream);
-                            });
-                            {
-                                let mut conns = connections.lock();
-                                // Reap finished handlers so the vector
-                                // does not grow with every connection.
-                                conns.retain(|(h, _)| !h.is_finished());
-                                conns.push((handle, tracked));
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(ACCEPT_POLL);
-                        }
-                        Err(_) => std::thread::sleep(ACCEPT_POLL),
-                    }
-                }
-            })?
-        };
-
-        Ok(HttpListener {
-            local_addr,
-            accept_stop,
-            accept_thread: Some(accept_thread),
-            connections,
-        })
+        let listener = Listener::spawn(addr, "gobo-http-accept", move |stream| {
+            handle_connection(handler.as_ref(), options, stream);
+        })?;
+        Ok(HttpListener { listener })
     }
 
     /// The bound address (with the resolved ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
-    /// Stops accepting, shuts down every tracked connection socket
-    /// (unblocking keep-alive reads), and joins all threads.
-    /// Idempotent.
+    /// Stops accepting, unblocks keep-alive reads while letting an
+    /// in-flight response finish ([`Shutdown::Read`] first), and joins
+    /// all threads. Idempotent.
     pub fn stop(&mut self) {
-        self.accept_stop.store(true, Ordering::Release);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        let conns: Vec<(JoinHandle<()>, TcpStream)> = self.connections.lock().drain(..).collect();
-        for (handle, stream) in conns {
-            // Close only the read half first: a handler parked in a
-            // keep-alive read sees EOF and exits, while a handler
-            // mid-response (e.g. the `/v1/shutdown` acknowledgement
-            // that triggered this teardown) can still finish its
-            // write. Full shutdown only after the handler is done.
-            let _ = stream.shutdown(Shutdown::Read);
-            let _ = handle.join();
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        self.listener.stop(Shutdown::Read);
     }
 }
 
@@ -317,7 +251,7 @@ fn handle_connection(handler: &dyn HttpHandler, options: HttpOptions, stream: Tc
             }
         }
     }
-    // The accept loop holds a tracked clone of this socket for
+    // The listener holds a tracked clone of this socket for
     // teardown, so dropping our handles does not close the TCP
     // connection — shut it down explicitly or the peer never sees EOF.
     let _ = stream.shutdown(Shutdown::Both);

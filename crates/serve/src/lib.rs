@@ -21,9 +21,11 @@
 //!   coalescing up to `max_batch`/`max_wait` (one worker claims a
 //!   model key and sweeps the whole queue for it), per-request
 //!   deadlines that reject (never hang) on overload, graceful drain;
-//! * [`http`] — a dependency-free HTTP/1.1 front end on
-//!   `std::net::TcpListener` (`POST /v1/encode`, `GET /v1/models`,
-//!   `GET /metrics`, `POST /v1/shutdown`);
+//! * [`listener`] — the one thread-per-connection TCP accept loop with
+//!   tracked-socket teardown, shared with the cluster node;
+//! * [`http`] — a dependency-free HTTP/1.1 front end on that listener
+//!   (`POST /v1/encode`, `GET /v1/models`, `GET /metrics`,
+//!   `POST /v1/shutdown`);
 //! * [`core`] — the shared registry+scheduler+metrics handle and the
 //!   in-process [`Client`] that benchmarks and tests use to bypass the
 //!   socket;
@@ -72,6 +74,7 @@ pub mod error;
 pub mod http;
 pub mod json;
 pub mod lifecycle;
+pub mod listener;
 pub mod metrics;
 pub mod registry;
 pub mod scheduler;
@@ -84,7 +87,10 @@ pub use http::{
     parse_encode_body, parse_request, HttpHandler, HttpListener, HttpOptions, HttpResponse,
     ParsedRequest, Server, ShutdownSignal,
 };
-pub use lifecycle::{CanaryPolicy, CanaryVerdict, LifecycleController};
+pub use lifecycle::{
+    CanaryPolicy, CanaryVerdict, LifecycleController, VerdictWindow, WindowVerdict,
+};
+pub use listener::Listener;
 pub use metrics::Metrics;
 pub use registry::{ModelEntry, ModelKey, ModelRegistry, ModelStatus, RegistryConfig, RevState};
 pub use scheduler::{EncodeRequest, EncodeResponse, Scheduler, SchedulerConfig};

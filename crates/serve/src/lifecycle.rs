@@ -75,11 +75,57 @@ pub enum CanaryVerdict {
     RolledBack,
 }
 
-/// Sliding latency windows for one slot while a canary is pending.
+/// What one canary sample did to a [`VerdictWindow`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WindowVerdict {
+    /// The canary window is still filling.
+    Pending,
+    /// Full window without a p95 regression: promote.
+    Clean,
+    /// Full window whose p95 regressed past the policy: roll back.
+    Regressed,
+}
+
+/// The one canary verdict window: sliding latency samples of a trial
+/// and of the baseline it is judged against. [`LifecycleController`]
+/// keeps one per model slot (canary vs. active revision), the cluster
+/// router one per trial (canary node vs. the rest); applying the
+/// verdict, and discarding the window with it, is the caller's job.
+/// Each side holds at most four verdict windows of samples, oldest
+/// dropped first, so a trial that never reaches a verdict stays bounded.
 #[derive(Debug, Default)]
-struct WindowState {
+pub struct VerdictWindow {
     canary_us: Vec<u64>,
-    active_us: Vec<u64>,
+    baseline_us: Vec<u64>,
+}
+
+impl VerdictWindow {
+    /// Records one baseline-side latency.
+    pub fn record_baseline(&mut self, policy: &CanaryPolicy, us: u64) {
+        push_capped(&mut self.baseline_us, us, policy);
+    }
+
+    /// Records one successful canary-side latency and judges the
+    /// window: pending until `policy.window` (at least one) canary
+    /// samples are held, then the canary p95 against `p95_factor_pct`
+    /// of the baseline p95. With fewer than `min_baseline` baseline
+    /// samples a full window of successes is the best signal there is.
+    pub fn record_canary(&mut self, policy: &CanaryPolicy, us: u64) -> WindowVerdict {
+        push_capped(&mut self.canary_us, us, policy);
+        if (self.canary_us.len() as u64) < u64::from(policy.window.max(1)) {
+            return WindowVerdict::Pending;
+        }
+        if (self.baseline_us.len() as u64) < u64::from(policy.min_baseline) {
+            return WindowVerdict::Clean;
+        }
+        let threshold =
+            p95(&self.baseline_us).max(1).saturating_mul(u64::from(policy.p95_factor_pct)) / 100;
+        if p95(&self.canary_us) > threshold {
+            WindowVerdict::Regressed
+        } else {
+            WindowVerdict::Clean
+        }
+    }
 }
 
 /// Shared canary controller; one per [`crate::ServeCore`].
@@ -88,7 +134,7 @@ pub struct LifecycleController {
     registry: Arc<ModelRegistry>,
     metrics: Arc<Metrics>,
     ticket: AtomicU64,
-    windows: SanMutex<HashMap<ModelKey, WindowState>>,
+    windows: SanMutex<HashMap<ModelKey, VerdictWindow>>,
 }
 
 impl LifecycleController {
@@ -111,7 +157,7 @@ impl LifecycleController {
     /// Windows hold plain latency samples; a poisoned lock at worst
     /// loses part of one verdict window, so recover rather than take
     /// the serving path down.
-    fn lock_windows(&self) -> SanMutexGuard<'_, HashMap<ModelKey, WindowState>> {
+    fn lock_windows(&self) -> SanMutexGuard<'_, HashMap<ModelKey, VerdictWindow>> {
         self.windows.lock()
     }
 
@@ -141,10 +187,7 @@ impl LifecycleController {
     /// Records one active-revision batch latency while a canary is
     /// pending, building the comparison baseline.
     pub fn record_active(&self, key: &ModelKey, micros: u64) {
-        let cap = self.window_cap();
-        let mut windows = self.lock_windows();
-        let w = windows.entry(key.clone()).or_default();
-        push_capped(&mut w.active_us, micros, cap);
+        self.lock_windows().entry(key.clone()).or_default().record_baseline(&self.policy, micros);
     }
 
     /// Records one successful canary batch. Returns the verdict: once
@@ -153,25 +196,14 @@ impl LifecycleController {
     /// or rolled back through the registry; otherwise the window keeps
     /// filling.
     pub fn record_canary_ok(&self, key: &ModelKey, micros: u64) -> CanaryVerdict {
-        let cap = self.window_cap();
         let mut windows = self.lock_windows();
-        let w = windows.entry(key.clone()).or_default();
-        push_capped(&mut w.canary_us, micros, cap);
-        if (w.canary_us.len() as u64) < u64::from(self.policy.window.max(1)) {
+        let verdict = windows.entry(key.clone()).or_default().record_canary(&self.policy, micros);
+        if verdict == WindowVerdict::Pending {
             return CanaryVerdict::Pending;
         }
-        let regressed = if (w.active_us.len() as u64) >= u64::from(self.policy.min_baseline) {
-            let canary_p95 = p95(&w.canary_us);
-            let active_p95 = p95(&w.active_us).max(1);
-            canary_p95 > active_p95.saturating_mul(u64::from(self.policy.p95_factor_pct)) / 100
-        } else {
-            // Too little baseline to judge latency: a full window of
-            // successful canary batches is the best signal available.
-            false
-        };
         windows.remove(key);
         drop(windows);
-        if regressed {
+        if verdict == WindowVerdict::Regressed {
             self.do_rollback(key)
         } else {
             self.do_promote(key)
@@ -204,17 +236,12 @@ impl LifecycleController {
             CanaryVerdict::Pending
         }
     }
-
-    /// Windows are bounded at the verdict window size (canary side) and
-    /// four windows of baseline, so a slot that never reaches a verdict
-    /// cannot grow without bound.
-    fn window_cap(&self) -> usize {
-        (self.policy.window.max(1) as usize) * 4
-    }
 }
 
-/// Appends to a bounded ring: once full, the oldest sample drops.
-fn push_capped(v: &mut Vec<u64>, value: u64, cap: usize) {
+/// Appends to a bounded ring of four verdict windows: once full, the
+/// oldest sample drops.
+fn push_capped(v: &mut Vec<u64>, value: u64, policy: &CanaryPolicy) {
+    let cap = (policy.window.max(1) as usize).saturating_mul(4);
     if v.len() >= cap {
         v.remove(0);
     }
@@ -341,6 +368,56 @@ mod tests {
         assert_eq!(c.record_canary_ok(&key, 500), CanaryVerdict::Pending);
         assert_eq!(c.record_canary_ok(&key, 500), CanaryVerdict::Promoted);
         assert_eq!(registry.get("m", None).unwrap().rev, 2);
+    }
+
+    /// The window rule by itself, on the cases the controller tests
+    /// above do not reach: `(policy, baseline, canary) → verdict of the
+    /// last canary sample`, every earlier one being `Pending`.
+    #[test]
+    fn verdict_window_table() {
+        use super::WindowVerdict::{Clean, Pending, Regressed};
+        let policy = |window, min_baseline| CanaryPolicy {
+            window,
+            min_baseline,
+            p95_factor_pct: 300,
+            ..Default::default()
+        };
+        type Case = (&'static str, CanaryPolicy, &'static [u64], &'static [u64], WindowVerdict);
+        let cases: [Case; 5] = [
+            ("exactly at the threshold is clean", policy(2, 2), &[100; 4], &[300, 300], Clean),
+            ("one past the threshold regresses", policy(2, 2), &[100; 4], &[301, 301], Regressed),
+            ("window = 0 judges on the first sample", policy(0, 1), &[100], &[500], Regressed),
+            ("an all-zero baseline p95 counts as 1 us", policy(1, 1), &[0; 4], &[3], Clean),
+            // Baseline cap: window 2 keeps the newest 8 samples, so the
+            // slow first half is gone and only the fast half judges.
+            (
+                "baseline keeps only 4 x window samples",
+                policy(2, 2),
+                &[900, 900, 900, 900, 900, 900, 900, 900, 10, 10, 10, 10, 10, 10, 10, 10],
+                &[40, 40],
+                Regressed,
+            ),
+        ];
+        for (name, policy, baseline, canary, want) in cases {
+            let mut window = VerdictWindow::default();
+            for &us in baseline {
+                window.record_baseline(&policy, us);
+            }
+            let (last, filling) = canary.split_last().unwrap();
+            for &us in filling {
+                assert_eq!(window.record_canary(&policy, us), Pending, "{name}");
+            }
+            assert_eq!(window.record_canary(&policy, *last), want, "{name}");
+        }
+
+        // Canary cap: a window nobody consumes the verdict of (a lost
+        // race keeps feeding it) never outgrows 4 x window either.
+        let policy = policy(2, 0);
+        let mut window = VerdictWindow::default();
+        for us in 0..20 {
+            window.record_canary(&policy, us);
+        }
+        assert_eq!(window.canary_us, (12..20).collect::<Vec<u64>>());
     }
 
     #[test]

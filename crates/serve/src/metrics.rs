@@ -3,7 +3,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gobo_obs::Histogram;
+use gobo_obs::hist::FamilyKind::{Counter, Gauge};
+use gobo_obs::hist::{render_family_header, render_scalars, Histogram};
 
 /// Counter/gauge/histogram set shared by the scheduler, registry, and
 /// front end.
@@ -117,157 +118,57 @@ impl Metrics {
 
     /// Renders the Prometheus text exposition.
     pub fn render(&self) -> String {
+        let v = |value: &AtomicU64| value.load(Ordering::Relaxed);
+        // One row per scalar family, in exposition order; both
+        // `tests/golden/metrics_schema.txt` and the `gobo lint` naming
+        // rule read the result.
+        #[rustfmt::skip]
+        let scalars = [
+            (Counter, "gobo_http_requests_total", "HTTP requests accepted by the front end", v(&self.http_requests)),
+            (Counter, "gobo_encode_requests_total", "encode requests submitted", v(&self.encode_requests)),
+            (Counter, "gobo_encode_ok_total", "encode requests completed successfully", v(&self.encode_ok)),
+            (Counter, "gobo_rejected_queue_full_total", "requests rejected at admission (queue full)", v(&self.rejected_queue_full)),
+            (Counter, "gobo_rejected_deadline_total", "requests rejected after deadline expiry", v(&self.rejected_deadline)),
+            (Counter, "gobo_rejected_shutdown_total", "requests rejected during shutdown", v(&self.rejected_shutdown)),
+            (Counter, "gobo_encode_failed_total", "encode requests that failed inference", v(&self.encode_failed)),
+            (Counter, "gobo_rejected_body_too_large_total", "HTTP requests rejected for an oversized body", v(&self.rejected_body_too_large)),
+            (Counter, "gobo_worker_panics_total", "worker threads lost to a panic during batch execution", v(&self.worker_panics)),
+            (Counter, "gobo_worker_respawns_total", "worker threads respawned after a panic", v(&self.worker_respawns)),
+            (Counter, "gobo_batches_total", "worker batches executed", v(&self.batches)),
+            (Counter, "gobo_batched_requests_total", "requests carried in executed batches", v(&self.batched_requests)),
+            (Counter, "gobo_registry_evictions_total", "models evicted under the registry byte budget", v(&self.registry_evictions)),
+            (Counter, "gobo_registry_retired_total", "draining model revisions retired after their refcount drained", v(&self.registry_retired)),
+            (Counter, "gobo_serve_canary_batches_total", "batches routed to a canary revision", v(&self.canary_batches)),
+            (Counter, "gobo_serve_canary_errors_total", "canary batches that failed and fell back to the active revision", v(&self.canary_errors)),
+            (Counter, "gobo_serve_canary_promotions_total", "canary revisions promoted to active after a clean window", v(&self.canary_promotions)),
+            (Counter, "gobo_serve_canary_rollbacks_total", "canary revisions rolled back on errors or latency regression", v(&self.canary_rollbacks)),
+            (Counter, "gobo_serve_reloads_total", "successful reload publishes", v(&self.reloads)),
+            (Counter, "gobo_serve_reload_rejected_total", "reload requests rejected before touching the registry", v(&self.reload_rejected)),
+            (Gauge, "gobo_queue_depth", "current admission queue depth", v(&self.queue_depth)),
+            // High-water marks (maintained via fetch_max) are gauges, not
+            // counters: they can be reset and never carry rate semantics.
+            (Gauge, "gobo_batch_size_max", "largest batch executed", v(&self.batch_size_max)),
+            (Gauge, "gobo_queue_depth_peak", "admission queue high-water mark", v(&self.queue_depth_peak)),
+            (Gauge, "gobo_registry_models", "models resident in the registry", v(&self.registry_models)),
+            (Gauge, "gobo_registry_bytes", "decoded bytes resident in the registry", v(&self.registry_bytes)),
+            (Gauge, "gobo_registry_draining", "model revisions draining behind in-flight batches", v(&self.registry_draining)),
+        ];
         let mut out = String::with_capacity(1600);
-        let mut counter = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP gobo_{name} {help}\n# TYPE gobo_{name} counter\ngobo_{name} {value}\n"
-            ));
-        };
-        counter(
-            "http_requests_total",
-            "HTTP requests accepted by the front end",
-            self.http_requests.load(Ordering::Relaxed),
-        );
-        counter(
-            "encode_requests_total",
-            "encode requests submitted",
-            self.encode_requests.load(Ordering::Relaxed),
-        );
-        counter(
-            "encode_ok_total",
-            "encode requests completed successfully",
-            self.encode_ok.load(Ordering::Relaxed),
-        );
-        counter(
-            "rejected_queue_full_total",
-            "requests rejected at admission (queue full)",
-            self.rejected_queue_full.load(Ordering::Relaxed),
-        );
-        counter(
-            "rejected_deadline_total",
-            "requests rejected after deadline expiry",
-            self.rejected_deadline.load(Ordering::Relaxed),
-        );
-        counter(
-            "rejected_shutdown_total",
-            "requests rejected during shutdown",
-            self.rejected_shutdown.load(Ordering::Relaxed),
-        );
-        counter(
-            "encode_failed_total",
-            "encode requests that failed inference",
-            self.encode_failed.load(Ordering::Relaxed),
-        );
-        counter(
-            "rejected_body_too_large_total",
-            "HTTP requests rejected for an oversized body",
-            self.rejected_body_too_large.load(Ordering::Relaxed),
-        );
-        counter(
-            "worker_panics_total",
-            "worker threads lost to a panic during batch execution",
-            self.worker_panics.load(Ordering::Relaxed),
-        );
-        counter(
-            "worker_respawns_total",
-            "worker threads respawned after a panic",
-            self.worker_respawns.load(Ordering::Relaxed),
-        );
-        counter("batches_total", "worker batches executed", self.batches.load(Ordering::Relaxed));
-        counter(
-            "batched_requests_total",
-            "requests carried in executed batches",
-            self.batched_requests.load(Ordering::Relaxed),
-        );
-        counter(
-            "registry_evictions_total",
-            "models evicted under the registry byte budget",
-            self.registry_evictions.load(Ordering::Relaxed),
-        );
-        counter(
-            "registry_retired_total",
-            "draining model revisions retired after their refcount drained",
-            self.registry_retired.load(Ordering::Relaxed),
-        );
-        counter(
-            "serve_canary_batches_total",
-            "batches routed to a canary revision",
-            self.canary_batches.load(Ordering::Relaxed),
-        );
-        counter(
-            "serve_canary_errors_total",
-            "canary batches that failed and fell back to the active revision",
-            self.canary_errors.load(Ordering::Relaxed),
-        );
-        counter(
-            "serve_canary_promotions_total",
-            "canary revisions promoted to active after a clean window",
-            self.canary_promotions.load(Ordering::Relaxed),
-        );
-        counter(
-            "serve_canary_rollbacks_total",
-            "canary revisions rolled back on errors or latency regression",
-            self.canary_rollbacks.load(Ordering::Relaxed),
-        );
-        counter(
-            "serve_reloads_total",
-            "successful reload publishes",
-            self.reloads.load(Ordering::Relaxed),
-        );
-        counter(
-            "serve_reload_rejected_total",
-            "reload requests rejected before touching the registry",
-            self.reload_rejected.load(Ordering::Relaxed),
-        );
-        let mut gauge = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP gobo_{name} {help}\n# TYPE gobo_{name} gauge\ngobo_{name} {value}\n"
-            ));
-        };
-        gauge(
-            "queue_depth",
-            "current admission queue depth",
-            self.queue_depth.load(Ordering::Relaxed),
-        );
-        // High-water marks (maintained via fetch_max) are gauges, not
-        // counters: they can be reset and never carry rate semantics.
-        gauge(
-            "batch_size_max",
-            "largest batch executed",
-            self.batch_size_max.load(Ordering::Relaxed),
-        );
-        gauge(
-            "queue_depth_peak",
-            "admission queue high-water mark",
-            self.queue_depth_peak.load(Ordering::Relaxed),
-        );
-        gauge(
-            "registry_models",
-            "models resident in the registry",
-            self.registry_models.load(Ordering::Relaxed),
-        );
-        gauge(
-            "registry_bytes",
-            "decoded bytes resident in the registry",
-            self.registry_bytes.load(Ordering::Relaxed),
-        );
-        gauge(
-            "registry_draining",
-            "model revisions draining behind in-flight batches",
-            self.registry_draining.load(Ordering::Relaxed),
-        );
+        render_scalars(&scalars, &mut out);
         // Batch amortization: average requests carried per executed
         // batch — how many activation rows each packed-tile decode was
         // amortized over. Derived at render time from the two counters,
         // so it needs no extra atomic and stays consistent with them.
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batched = self.batched_requests.load(Ordering::Relaxed);
+        let batches = v(&self.batches);
+        let batched = v(&self.batched_requests);
         let amortization = if batches == 0 { 0.0 } else { batched as f64 / batches as f64 };
-        out.push_str(&format!(
-            "# HELP gobo_serve_batch_amortization average requests per executed batch\n\
-             # TYPE gobo_serve_batch_amortization gauge\n\
-             gobo_serve_batch_amortization {amortization}\n"
-        ));
+        render_family_header(
+            Gauge,
+            "gobo_serve_batch_amortization",
+            "average requests per executed batch",
+            &mut out,
+        );
+        out.push_str(&format!("gobo_serve_batch_amortization {amortization}\n"));
         self.latency_us.render_prometheus(
             "gobo_serve_latency_us",
             "end-to-end encode latency (us)",

@@ -261,14 +261,7 @@ impl ModelRegistry {
     /// Returns [`ServeError::Io`] for unreadable files and
     /// [`ServeError::Format`] for corrupt containers.
     pub fn load_file(&self, name: &str, path: &str) -> Result<Arc<ModelEntry>, ServeError> {
-        gobo_fault::fail_point!(
-            "registry.load",
-            ServeError::Io("injected registry.load fault".to_owned())
-        );
-        gobo_sanitize::blocking_io("serve.registry.read_container");
-        let bytes = std::fs::read(path).map_err(|e| ServeError::Io(format!("{path}: {e}")))?;
-        let compressed = CompressedModel::from_bytes(&bytes)?;
-        self.insert(name, &compressed)
+        self.insert(name, &read_container(path)?)
     }
 
     /// Loads a `.gobom` container from disk and publishes it through
@@ -285,14 +278,7 @@ impl ModelRegistry {
         name: &str,
         path: &str,
     ) -> Result<(Arc<ModelEntry>, RevState), ServeError> {
-        gobo_fault::fail_point!(
-            "registry.load",
-            ServeError::Io("injected registry.load fault".to_owned())
-        );
-        gobo_sanitize::blocking_io("serve.registry.read_container");
-        let bytes = std::fs::read(path).map_err(|e| ServeError::Io(format!("{path}: {e}")))?;
-        let compressed = CompressedModel::from_bytes(&bytes)?;
-        self.publish(name, &compressed)
+        self.publish(name, &read_container(path)?)
     }
 
     /// Decodes `compressed` and the serving engine, outside the lock.
@@ -654,6 +640,18 @@ impl ModelRegistry {
         self.metrics.registry_bytes.store(Self::memory_bytes(inner) as u64, Ordering::Relaxed);
         self.metrics.registry_draining.store(inner.draining.len() as u64, Ordering::Relaxed);
     }
+}
+
+/// Reads and parses a `.gobom` container. The parse validates the CRC,
+/// so a corrupt file fails here, before any registry state is touched.
+fn read_container(path: &str) -> Result<CompressedModel, ServeError> {
+    gobo_fault::fail_point!(
+        "registry.load",
+        ServeError::Io("injected registry.load fault".to_owned())
+    );
+    gobo_sanitize::blocking_io("serve.registry.read_container");
+    let bytes = std::fs::read(path).map_err(|e| ServeError::Io(format!("{path}: {e}")))?;
+    Ok(CompressedModel::from_bytes(&bytes)?)
 }
 
 /// FP32 bytes of every tensor the decoded model holds (quantizable

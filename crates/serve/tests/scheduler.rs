@@ -65,6 +65,46 @@ fn coalesces_up_to_max_batch() {
     core.shutdown();
 }
 
+/// A pipelined window fills `max_batch` exactly. One worker and a
+/// coalescing window far longer than 32 submissions take: the worker
+/// that claims the first request keeps sweeping the queue until the
+/// batch is full, so all 32 ride one batch — the regression where
+/// coalescing fragmented at 4 would show up as `batch_size_max <= 4`.
+/// Every reply must still be byte-identical to a direct encode.
+#[test]
+fn pipelined_window_coalesces_to_max_batch_32() {
+    let container = compressed(1);
+    let direct = container.decode().unwrap();
+    let (core, client) = core_with(SchedulerConfig {
+        workers: 1,
+        max_batch: 32,
+        max_wait: Duration::from_secs(5),
+        queue_capacity: 64,
+        default_deadline: Duration::from_secs(30),
+    });
+    // Submit the whole window before reading any reply.
+    let pending: Vec<_> = (0..32usize)
+        .map(|i| {
+            let ids = vec![1 + i % 7, 2 + i % 3, 3];
+            let rx = core.scheduler().submit(EncodeRequest::new("m", ids.clone())).unwrap();
+            (ids, rx)
+        })
+        .collect();
+    for (ids, rx) in pending {
+        let response = rx.recv().unwrap().unwrap();
+        assert_eq!(response.batch_size, 32);
+        let reference = direct.encode(&ids, &[]).unwrap();
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&response.hidden), bits(reference.hidden.as_slice()));
+        assert_eq!(bits(&response.pooled.unwrap()), bits(reference.pooled.unwrap().as_slice()));
+    }
+    let metrics = core.metrics();
+    assert_eq!(metrics.batch_size_max.load(Ordering::Relaxed), 32);
+    assert_eq!(metrics.batches.load(Ordering::Relaxed), 1);
+    drop(client);
+    core.shutdown();
+}
+
 #[test]
 fn zero_wait_executes_singletons() {
     let (core, client) = core_with(SchedulerConfig {
