@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use gobo_quant::compute::QuantizedMatrix;
 use gobo_quant::packing::{pack, unpack};
 use gobo_quant::{QuantConfig, QuantMethod, QuantizedLayer};
+use gobo_tensor::Tensor;
 
 fn bench_packing(c: &mut Criterion) {
     let mut group = c.benchmark_group("packing");
@@ -48,10 +49,10 @@ fn bench_round_trip(c: &mut Criterion) {
     group.finish();
 }
 
-/// Compressed-domain matvec (the accelerator schedule) vs
-/// decode + dense matvec.
+/// One request's 8 token rows through the packed kernel vs
+/// decode + the dense kernel; the two outputs must be the same bits.
 fn bench_compressed_compute(c: &mut Criterion) {
-    let (rows, cols) = (768usize, 768usize);
+    let (rows, cols, tokens) = (768usize, 768usize, 8usize);
     let mut weights: Vec<f32> = (0..rows * cols)
         .map(|i| ((i as f32) * 0.021).sin() * 0.04 + ((i as f32) * 0.0013).cos() * 0.015)
         .collect();
@@ -60,19 +61,23 @@ fn bench_compressed_compute(c: &mut Criterion) {
         QuantizedLayer::encode(&weights, &QuantConfig::new(QuantMethod::Gobo, 3).expect("cfg"))
             .expect("encode");
     let qm = QuantizedMatrix::new(layer, rows, cols).expect("matrix");
-    let x: Vec<f32> = (0..cols).map(|i| (i as f32 * 0.05).cos()).collect();
+    let x: Vec<f32> = (0..tokens * cols).map(|i| (i as f32 * 0.05).cos()).collect();
+    let panel = Tensor::from_vec(x.clone(), &[tokens, cols]).expect("panel");
+    let decode_then_dense = || {
+        let dense = Tensor::from_vec(qm.to_dense(), &[rows, cols]).expect("dense");
+        panel.matmul_nt(&dense).expect("dense product")
+    };
+    let packed = qm.matmul_blocked(&x).expect("matmul_blocked");
+    let same =
+        packed.iter().zip(decode_then_dense().as_slice()).all(|(a, b)| a.to_bits() == b.to_bits());
+    assert!(same, "packed and dense products must agree bit for bit");
 
     let mut group = c.benchmark_group("compressed_compute_768x768");
-    group.throughput(Throughput::Elements((rows * cols) as u64));
-    group.bench_function("matvec_on_compressed", |b| b.iter(|| qm.matvec(&x).expect("matvec")));
-    group.bench_function("decode_then_dense_matvec", |b| {
-        b.iter(|| {
-            let dense = qm.to_dense();
-            let y: Vec<f32> =
-                (0..rows).map(|r| (0..cols).map(|c| dense[r * cols + c] * x[c]).sum()).collect();
-            y
-        })
+    group.throughput(Throughput::Elements((tokens * rows * cols) as u64));
+    group.bench_function("matmul_blocked_on_compressed", |b| {
+        b.iter(|| qm.matmul_blocked(&x).expect("matmul_blocked"))
     });
+    group.bench_function("decode_then_dense_matmul_nt", |b| b.iter(decode_then_dense));
     group.finish();
 }
 

@@ -145,6 +145,11 @@ fn worker_panic(requests: usize, seed: u64) -> Result<Scenario, CliError> {
             registry: RegistryConfig::default(),
             scheduler: SchedulerConfig {
                 workers: 2,
+                // A batch fires `serve.encode` once per request, so a
+                // batch of 5 would always hold a whole `every=5` period
+                // and every batch would panic. 4 leaves batches between
+                // the injected ones to succeed.
+                max_batch: 4,
                 queue_capacity: requests + 64,
                 // Generous deadline: the scenario proves requests fail
                 // *fast* via WorkerPanic, not via deadline expiry.

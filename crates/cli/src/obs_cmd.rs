@@ -150,8 +150,8 @@ mod tests {
     }
 
     /// `gobo trace` on a small synthetic model must produce a Chrome
-    /// trace that parses as JSON and carries one `gobo.quantize_layer`
-    /// complete event per quantized layer, on rayon worker threads.
+    /// trace that parses as JSON and carries a `gobo.quantize_layer`
+    /// complete event for each quantized layer, on rayon worker threads.
     #[test]
     fn trace_produces_parseable_chrome_trace_with_layer_spans() {
         let out = tmp("trace.json");
@@ -163,17 +163,36 @@ mod tests {
         let text = std::fs::read_to_string(&out).unwrap();
         let value = parse(&text).expect("trace must be valid JSON");
         let events = value.as_array().unwrap();
-        let layer_events: Vec<&Json> = events
-            .iter()
-            .filter(|e| e.get("name").and_then(Json::as_str) == Some("gobo.quantize_layer"))
-            .collect();
-        // 2 encoder layers x 6 FC mats + pooler = 13 quantized layers.
-        assert_eq!(layer_events.len(), 13, "{msg}");
-        for event in &layer_events {
-            assert_eq!(event.get("ph").and_then(Json::as_str), Some("X"));
-            assert!(event.get("ts").and_then(Json::as_f64).is_some());
-            assert!(event.get("dur").and_then(Json::as_f64).is_some());
+        let named = |name: &'static str| {
+            events.iter().filter(move |e| e.get("name").and_then(Json::as_str) == Some(name))
+        };
+        fn detail(e: &Json) -> Option<&str> {
+            e.get("args")?.get("detail")?.as_str()
         }
+        let window = |e: &Json| {
+            assert_eq!(e.get("ph").and_then(Json::as_str), Some("X"));
+            let ts = e.get("ts").and_then(Json::as_f64).expect("ts");
+            (ts, ts + e.get("dur").and_then(Json::as_f64).expect("dur"))
+        };
+
+        // The trace ring is process-global and the sibling test below
+        // quantizes its own model in parallel, on the same pool threads:
+        // its layer spans land in this trace too. Count only the layers
+        // inside this run's own model span, each layer once.
+        // 2 encoder layers x 6 FC mats + pooler = 13 quantized layers.
+        let own = named("gobo.quantize_model")
+            .find(|e| detail(e).is_some_and(|d| d.starts_with("layers=13 ")))
+            .expect("this run's gobo.quantize_model span");
+        let (begin, end) = window(own);
+        let layers: std::collections::BTreeSet<&str> = named("gobo.quantize_layer")
+            .filter(|e| {
+                let (ts, te) = window(e);
+                begin <= ts && te <= end
+            })
+            .filter_map(|e| detail(e)?.strip_prefix("layer=")?.split(' ').next())
+            .filter(|layer| layer.starts_with("encoder.") || *layer == "pooler")
+            .collect();
+        assert_eq!(layers.len(), 13, "{layers:?}\n{msg}");
         // The pool's thread-name metadata shows the spans ran on rayon
         // workers.
         assert!(text.contains("rayon-worker"), "no worker thread names in trace");

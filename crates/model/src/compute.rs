@@ -13,7 +13,9 @@
 //! `input.matmul_nt(model.weight(name)?)` **bit for bit**. Backends
 //! that only match within a tolerance would make served outputs depend
 //! on which backend answered, breaking the serve tier's byte-identical
-//! parity guarantee.
+//! parity guarantee. The way to honour it is to feed the same kernel:
+//! `matmul_nt` is `gobo_tensor::linalg::gemm_nt` over dense rows, and
+//! its module docs fix the summation order every backend inherits.
 
 use gobo_tensor::Tensor;
 

@@ -85,6 +85,14 @@ impl Codebook {
         values.iter().map(|&v| self.nearest(v) as u8).collect()
     }
 
+    /// The centroids padded with zeros to every `u8` index, so a decode
+    /// loop over validated indices needs no bounds check.
+    pub fn lut(&self) -> [f32; 256] {
+        let mut lut = [0.0f32; 256];
+        lut[..self.centroids.len()].copy_from_slice(&self.centroids);
+        lut
+    }
+
     /// Decodes assignments back to representative values.
     ///
     /// # Errors
@@ -92,12 +100,10 @@ impl Codebook {
     /// Returns [`QuantError::CorruptPayload`] when any index is out of
     /// range for this codebook.
     pub fn decode(&self, assignments: &[u8]) -> Result<Vec<f32>, QuantError> {
-        // A 256-entry LUT covers the whole u8 index space, so the decode
-        // loop indexes it unconditionally (no per-element bounds branch);
-        // out-of-range indices hit the sentinel lanes and are detected by
-        // one max() fold over the raw assignments.
-        let mut lut = [0.0f32; 256];
-        lut[..self.centroids.len()].copy_from_slice(&self.centroids);
+        // The LUT is indexed unconditionally (no per-element bounds
+        // branch); out-of-range indices hit the padding and are detected
+        // by one max() fold over the raw assignments.
+        let lut = self.lut();
         let out: Vec<f32> = assignments.iter().map(|&a| lut[a as usize]).collect();
         let max_seen = assignments.iter().copied().max().map_or(0, usize::from);
         if max_seen >= self.centroids.len() {

@@ -1,41 +1,37 @@
 //! Computing directly on the compressed representation.
 //!
 //! The MICRO version of GOBO pairs the storage format with a hardware
-//! accelerator that never decompresses: because every G-group weight is
-//! one of a few representative values, a matrix–vector product can
-//! *accumulate activations per centroid* and multiply by each centroid
-//! once —
+//! accelerator that never decompresses. Because every G-group weight is
+//! one of a few representative values, that accelerator *accumulates
+//! activations per centroid* and multiplies by each centroid once —
 //!
 //! ```text
 //! y[r] = Σ_c x[c]·w[r,c]
 //!      = Σ_k centroid[k] · ( Σ_{c: idx[r,c]=k} x[c] )  +  Σ_{outliers} x[c]·w[r,c]
 //! ```
 //!
-//! turning `cols` multiplications per output into `2^bits` plus a
-//! handful of outlier corrections. [`QuantizedMatrix`] implements that
-//! schedule in software, operating straight on the packed indices — no
-//! unpacked index copy is kept, so the resident footprint is the
-//! compressed layer itself.
+//! That schedule is **not** what this module runs: it sums in a
+//! different order from the dense product, so its results differ from
+//! the FP32 forward in the low bits, and a served model must not.
 //!
-//! For *batched* activations the same compressed stream pays off a
-//! second way: [`QuantizedMatrix::matmul_blocked`] decodes each weight
-//! tile (one `unpack_run` + codebook LUT + outlier patch) exactly once
-//! and reuses it across **all** rows of the activation batch, so the
-//! per-element decode cost — which dominates low-bit inference — is
-//! amortized by the batch size. That is the software analogue of the
-//! paper's hardware argument, and it is the kernel the serving tier
-//! hands whole coalesced batches to.
+//! What the software analogue keeps is the other half of the hardware
+//! argument — weights stay packed until the moment they are used.
+//! [`QuantizedMatrix::matmul_blocked`] hands the workspace's one GEMM
+//! kernel ([`gobo_tensor::linalg::gemm_nt`]) decoded tiles instead of
+//! dense rows: each 256-column tile is decoded (G-group runs unpacked
+//! straight through the codebook, outlier values written between the
+//! runs) exactly once and reused across **all** rows of the activation
+//! batch, so the per-element decode cost — which dominates low-bit
+//! inference at small batches — is amortized by the batch size. No
+//! unpacked copy outlives a tile, so the resident footprint is the
+//! compressed layer itself, and because the dense product is the same
+//! kernel over the same values, the two agree bit for bit.
+
+use gobo_tensor::linalg::{gemm_nt, WeightTiles, TILE_COLS};
 
 use crate::error::QuantError;
 use crate::layer::QuantizedLayer;
 use crate::packing;
-
-/// Column-block width of the blocked kernel. A decoded tile is
-/// `COL_BLOCK` f32s (1 KiB — comfortably L1-resident next to the
-/// codebook LUT), and the activation panel the inner loop streams is
-/// `batch × COL_BLOCK` f32s: 32 KiB at batch 32, sized to stay resident
-/// in L2 while the tile is reused across the whole batch.
-const COL_BLOCK: usize = 256;
 
 /// A [`QuantizedLayer`] with matrix shape, supporting products without
 /// decompression.
@@ -90,81 +86,18 @@ impl QuantizedMatrix {
         self.layer
     }
 
-    /// `y = W·x` computed on the compressed form: per output row,
-    /// activations are bucketed by centroid index and each centroid is
-    /// multiplied once; outliers contribute individually.
+    /// Batched `Y = A·Wᵀ` straight on the packed indices, for row-major
+    /// `a: (m, cols)` producing `(m, rows)` — the one FC-layer product,
+    /// at every batch size including 1.
     ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidConfig`] unless `x.len() == cols`.
-    pub fn matvec(&self, x: &[f32]) -> Result<Vec<f32>, QuantError> {
-        if x.len() != self.cols {
-            return Err(QuantError::InvalidConfig { name: "x.len" });
-        }
-        let centroids = self.layer.codebook().centroids();
-        let k = centroids.len();
-        let (outlier_positions, outlier_values) = self.layer.outliers();
-        let packed = self.layer.packed_indices();
-        let bits = self.layer.bits();
-        let mut y = vec![0.0f32; self.rows];
-        let mut buckets = vec![0.0f32; k];
-        // Per-row scratch for this row's G-group indices, unpacked
-        // word-at-a-time straight from the packed stream.
-        let mut idx_run = vec![0u8; self.cols];
-
-        let mut o_idx = 0usize; // cursor into the outlier arrays
-        let mut g_pos = 0usize; // G-group elements consumed so far
-        for (r, y_r) in y.iter_mut().enumerate() {
-            buckets.iter_mut().for_each(|b| *b = 0.0);
-            let base = r * self.cols;
-            // Outlier positions are strictly ascending, so this row's
-            // outliers are the next contiguous run of the cursor.
-            let o_start = o_idx;
-            while o_idx < outlier_positions.len()
-                && (outlier_positions[o_idx] as usize) < base + self.cols
-            {
-                o_idx += 1;
-            }
-            let g_count = self.cols - (o_idx - o_start);
-            packing::unpack_run(packed, bits, g_pos, &mut idx_run[..g_count])?;
-            g_pos += g_count;
-
-            let mut outlier_acc = 0.0f32;
-            let mut oi = o_start;
-            let mut gi = 0usize;
-            for (c, &xv) in x.iter().enumerate() {
-                let flat = (base + c) as u32;
-                if oi < o_idx && outlier_positions[oi] == flat {
-                    outlier_acc += xv * outlier_values[oi];
-                    oi += 1;
-                } else {
-                    buckets[idx_run[gi] as usize] += xv;
-                    gi += 1;
-                }
-            }
-            let mut acc = outlier_acc;
-            for (b, &c) in buckets.iter().zip(centroids) {
-                acc += b * c;
-            }
-            *y_r = acc;
-        }
-        Ok(y)
-    }
-
-    /// Cache-blocked batched `Y = A·Wᵀ` straight on the packed indices,
-    /// for row-major `a: (m, cols)` producing `(m, rows)` — the one
-    /// FC-layer product, at every batch size including 1.
-    ///
-    /// For each weight row, each `COL_BLOCK`-wide tile of indices is
-    /// unpacked once (word-at-a-time), mapped through the codebook LUT
-    /// with outlier values patched in place, and then reused across
-    /// **all** `m` activation rows — the decode cost is paid once per
-    /// tile instead of once per (tile, batch row). Accumulation per
-    /// `(batch row, weight row)` carries a single f32 accumulator
-    /// across the column blocks in column order, so the result is
-    /// **bit-identical** to decoding the layer and running the dense
-    /// `matmul_nt`: the served output of a batch does not depend on how
-    /// requests were coalesced. This is the kernel behind the
+    /// This is [`gobo_tensor::linalg::gemm_nt`] — the kernel under the
+    /// dense `Tensor::matmul_nt` — fed decoded tiles instead of slices
+    /// of a dense weight row: each [`TILE_COLS`]-wide tile is decoded
+    /// once and reused across **all** `m` activation rows. Because both
+    /// products run the same function over the same weight values, the
+    /// result is **bit-identical** to decoding the layer and running
+    /// `matmul_nt`, so the served output of a batch does not depend on
+    /// how requests were coalesced. This is the kernel behind the
     /// `gobo.batch_gemm` span.
     ///
     /// # Errors
@@ -178,67 +111,17 @@ impl QuantizedMatrix {
         let m = a.len() / self.cols;
         let _span =
             gobo_obs::span!("gobo.batch_gemm", rows = self.rows, cols = self.cols, batch = m);
-        let centroids = self.layer.codebook().centroids();
-        let (outlier_positions, outlier_values) = self.layer.outliers();
-        let packed = self.layer.packed_indices();
-        let bits = self.layer.bits();
-
-        let block = COL_BLOCK.min(self.cols);
-        let mut out = vec![0.0f32; m * self.rows];
-        let mut tile = vec![0.0f32; block];
-        let mut idx_run = vec![0u8; block];
-        let mut acc = vec![0.0f32; m];
-        let mut o_idx = 0usize; // cursor into the outlier arrays
-        let mut g_pos = 0usize; // G-group elements consumed so far
-        for r in 0..self.rows {
-            acc.iter_mut().for_each(|v| *v = 0.0);
-            let base = r * self.cols;
-            let mut cb = 0usize;
-            while cb < self.cols {
-                let width = block.min(self.cols - cb);
-                let start_flat = base + cb;
-                // Decode the tile once: outliers in range are the next
-                // contiguous run of the (ascending) outlier cursor; the
-                // gaps between them are G-group runs from the packed
-                // stream, mapped through the centroid LUT.
-                let o_start = o_idx;
-                while o_idx < outlier_positions.len()
-                    && (outlier_positions[o_idx] as usize) < start_flat + width
-                {
-                    o_idx += 1;
-                }
-                let g_count = width - (o_idx - o_start);
-                packing::unpack_run(packed, bits, g_pos, &mut idx_run[..g_count])?;
-                g_pos += g_count;
-                let t = &mut tile[..width];
-                let mut oi = o_start;
-                let mut gi = 0usize;
-                for (local, slot) in t.iter_mut().enumerate() {
-                    let flat = (start_flat + local) as u32;
-                    if oi < o_idx && outlier_positions[oi] == flat {
-                        *slot = outlier_values[oi];
-                        oi += 1;
-                    } else {
-                        *slot = centroids[idx_run[gi] as usize];
-                        gi += 1;
-                    }
-                }
-                // Reuse the decoded tile across every activation row.
-                for (i, acc_i) in acc.iter_mut().enumerate() {
-                    let arow = &a[i * self.cols + cb..i * self.cols + cb + width];
-                    let mut s = *acc_i;
-                    for (xv, wv) in arow.iter().zip(t.iter()) {
-                        s += xv * wv;
-                    }
-                    *acc_i = s;
-                }
-                cb += width;
-            }
-            for (i, &v) in acc.iter().enumerate() {
-                out[i * self.rows + r] = v;
-            }
-        }
-        Ok(out)
+        let (positions, values) = self.layer.outliers();
+        let mut tiles = TileDecoder {
+            cols: self.cols,
+            lut: self.layer.codebook().lut(),
+            positions,
+            values,
+            packed: self.layer.packed_indices(),
+            bits: self.layer.bits(),
+            tile: [0.0; TILE_COLS],
+        };
+        Ok(gemm_nt(a, m, self.cols, self.rows, &mut tiles))
     }
 
     /// Decodes to a dense row-major weight matrix (for verification and
@@ -248,40 +131,121 @@ impl QuantizedMatrix {
     }
 }
 
+/// Decodes weight tiles for [`gemm_nt`] from the packed layer.
+struct TileDecoder<'a> {
+    cols: usize,
+    /// [`Codebook::lut`](crate::codebook::Codebook::lut); indices are
+    /// validated against the codebook when a layer is parsed.
+    lut: [f32; 256],
+    positions: &'a [u32],
+    values: &'a [f32],
+    packed: &'a [u8],
+    bits: u8,
+    tile: [f32; TILE_COLS],
+}
+
+impl WeightTiles for TileDecoder<'_> {
+    /// Outlier positions are ascending, so the tile splits at the
+    /// outliers it holds: the G-group runs between them are gathered
+    /// through the codebook, the outlier values are written as stored.
+    fn tile(&mut self, row: usize, col: usize, width: usize) -> &[f32] {
+        let start = row * self.cols + col;
+        let first = self.positions.partition_point(|&p| (p as usize) < start);
+        let held = self.positions[first..].partition_point(|&p| (p as usize) < start + width);
+        // Every outlier before `start` is one G-group index not stored.
+        let mut g_at = start - first;
+        let mut at = 0;
+        let mut gather = |tile: &mut [f32]| {
+            packing::unpack_run_lut(self.packed, self.bits, g_at, &self.lut, tile)
+                .expect("QuantizedMatrix::new checked the payload covers every G-group index");
+            g_at += tile.len();
+        };
+        for (&p, &v) in self.positions[first..first + held].iter().zip(&self.values[first..]) {
+            let local = p as usize - start;
+            gather(&mut self.tile[at..local]);
+            self.tile[local] = v;
+            at = local + 1;
+        }
+        gather(&mut self.tile[at..width]);
+        &self.tile[..width]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{QuantConfig, QuantMethod};
+    use gobo_tensor::Tensor;
 
-    fn matrix(rows: usize, cols: usize, bits: u8) -> (QuantizedMatrix, Vec<f32>) {
+    /// Quantizes smooth weights with `outliers` planted at the given
+    /// flat positions (far outside the bulk, so they are detected).
+    fn matrix_with(rows: usize, cols: usize, bits: u8, outliers: &[usize]) -> QuantizedMatrix {
         let n = rows * cols;
         let mut w: Vec<f32> = (0..n)
             .map(|i| ((i as f32) * 0.13).sin() * 0.05 + ((i as f32) * 0.009).cos() * 0.02)
             .collect();
-        if n > 64 {
-            w[5] = 1.4;
-            w[n - 9] = -1.1;
+        for (j, &at) in outliers.iter().enumerate() {
+            w[at] = if j % 2 == 0 { 1.4 + j as f32 * 0.01 } else { -1.1 - j as f32 * 0.01 };
         }
         let layer = QuantizedLayer::encode(&w, &QuantConfig::new(QuantMethod::Gobo, bits).unwrap())
             .unwrap();
-        (QuantizedMatrix::new(layer, rows, cols).unwrap(), w)
+        let (positions, _) = layer.outliers();
+        for at in outliers {
+            assert!(positions.contains(&(*at as u32)), "planted outlier {at} not detected");
+        }
+        QuantizedMatrix::new(layer, rows, cols).unwrap()
     }
 
-    fn dense_matvec(w: &[f32], x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
-        (0..rows).map(|r| (0..cols).map(|c| w[r * cols + c] * x[c]).sum()).collect()
+    fn matrix(rows: usize, cols: usize, bits: u8) -> QuantizedMatrix {
+        matrix_with(rows, cols, bits, &[5, rows * cols - 9])
     }
 
-    #[test]
-    fn matvec_matches_decoded_dense_product() {
-        for bits in [2u8, 3, 4] {
-            let (qm, _) = matrix(24, 40, bits);
-            let x: Vec<f32> = (0..40).map(|i| (i as f32 * 0.3).cos()).collect();
-            let fast = qm.matvec(&x).unwrap();
-            let dense = qm.to_dense();
-            let reference = dense_matvec(&dense, &x, 24, 40);
-            for (a, b) in fast.iter().zip(&reference) {
-                assert!((a - b).abs() < 1e-4, "bits {bits}: {a} vs {b}");
+    /// The packed product must equal `Tensor::matmul_nt` on the decoded
+    /// layer **bit for bit**, at every batch size.
+    fn assert_matches_decoded(qm: &QuantizedMatrix, what: &str) {
+        let (rows, cols) = (qm.rows(), qm.cols());
+        let dense = Tensor::from_vec(qm.to_dense(), &[rows, cols]).unwrap();
+        for m in [1usize, 2, 5, 32] {
+            let a: Vec<f32> = (0..m * cols).map(|i| (i as f32 * 0.11).sin()).collect();
+            let got = qm.matmul_blocked(&a).unwrap();
+            let want = Tensor::from_vec(a, &[m, cols]).unwrap().matmul_nt(&dense).unwrap();
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(want.as_slice()) {
+                assert_eq!(g.to_bits(), w.to_bits(), "{what} {rows}x{cols} m={m}");
             }
+        }
+    }
+
+    /// This is what makes served outputs independent of batch
+    /// composition: shapes cross the tile width, and leave a `cols % 8`
+    /// tail with and without whole tiles before it.
+    #[test]
+    fn matmul_blocked_is_bit_identical_to_decoded_dense() {
+        for (rows, cols, bits) in
+            [(24, 40, 2u8), (16, 300, 3), (9, 513, 4), (12, 256, 3), (7, 261, 3), (30, 13, 4)]
+        {
+            assert_matches_decoded(&matrix(rows, cols, bits), &format!("{bits}b"));
+        }
+    }
+
+    /// Outliers wherever the branch-free decode splits a tile: its first
+    /// and last column, two adjacent columns, the tile boundary of a
+    /// second tile, and a tile that is nothing but outliers.
+    #[test]
+    fn outliers_at_tile_edges_decode_exactly() {
+        let cols = 256 + 44;
+        let row = |r: usize, c: usize| r * cols + c;
+        let cases: [(&str, Vec<usize>); 5] = [
+            ("first and last column of a tile", vec![row(1, 0), row(1, 255)]),
+            ("first and last column of the short tile", vec![row(2, 256), row(2, 299)]),
+            ("adjacent", vec![row(3, 17), row(3, 18), row(3, 255), row(3, 256)]),
+            ("row ends", vec![row(0, 0), row(5, 299)]),
+            ("all-outlier tile", (256..300).map(|c| row(4, c)).collect()),
+        ];
+        for (what, outliers) in &cases {
+            let qm = matrix_with(6, cols, 3, outliers);
+            assert_eq!(qm.to_dense().len(), 6 * cols);
+            assert_matches_decoded(&qm, what);
         }
     }
 
@@ -298,37 +262,14 @@ mod tests {
         let qm = QuantizedMatrix::new(layer, rows, cols).unwrap();
         let mut x = vec![0.0f32; cols];
         x[10] = 2.0;
-        let y = qm.matvec(&x).unwrap();
+        let y = qm.matmul_blocked(&x).unwrap();
         assert!((y[3] - 10.0).abs() < 0.1, "outlier row got {}", y[3]);
-    }
-
-    /// The blocked kernel must agree with decode-then-dense **bit for
-    /// bit**: same decoded values, same column-order accumulation. This
-    /// is what makes served outputs independent of batch composition.
-    #[test]
-    fn matmul_blocked_is_bit_identical_to_decoded_dense() {
-        for (rows, cols, bits) in [(24, 40, 2u8), (16, 300, 3), (9, 513, 4)] {
-            let (qm, _) = matrix(rows, cols, bits);
-            let dense = qm.to_dense();
-            for m in [1usize, 2, 5, 32] {
-                let a: Vec<f32> = (0..m * cols).map(|i| (i as f32 * 0.11).sin()).collect();
-                let got = qm.matmul_blocked(&a).unwrap();
-                let mut want = Vec::with_capacity(m * rows);
-                for row in a.chunks(cols) {
-                    want.extend(dense_matvec(&dense, row, rows, cols));
-                }
-                assert_eq!(got.len(), want.len());
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.to_bits(), w.to_bits(), "{rows}x{cols}@{bits}b m={m}");
-                }
-            }
-        }
     }
 
     #[test]
     fn shape_validation() {
-        let (qm, _) = matrix(10, 10, 3);
-        assert!(qm.matvec(&[0.0; 9]).is_err());
+        let qm = matrix(10, 10, 3);
+        assert!(qm.matmul_blocked(&[0.0; 9]).is_err());
         assert!(qm.matmul_blocked(&[0.0; 11]).is_err());
         // An empty batch is a valid zero-row product.
         assert!(qm.matmul_blocked(&[]).unwrap().is_empty());
@@ -338,14 +279,14 @@ mod tests {
 
     #[test]
     fn zero_input_gives_zero_output() {
-        let (qm, _) = matrix(6, 18, 3);
-        let y = qm.matvec(&[0.0; 18]).unwrap();
+        let qm = matrix(6, 18, 3);
+        let y = qm.matmul_blocked(&[0.0; 18]).unwrap();
         assert!(y.iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn accessors() {
-        let (qm, _) = matrix(6, 18, 4);
+        let qm = matrix(6, 18, 4);
         assert_eq!(qm.rows(), 6);
         assert_eq!(qm.cols(), 18);
         assert_eq!(qm.layer().bits(), 4);

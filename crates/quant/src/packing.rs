@@ -6,12 +6,11 @@
 //!
 //! Both directions move a **64-bit word per memory operation**. Packing
 //! absorbs values into a u128 bit accumulator and emits a full
-//! little-endian u64 each time one fills; unpacking loads the u64 word
-//! containing each element's bit window directly (`bit % 8 + bits <= 15`
-//! always fits in one word) and shifts it into place, with a bytewise
-//! fallback only for the final elements near the end of the stream.
-//! The byte layout is identical — the bytewise formulation is preserved
-//! in [`crate::reference`] as the equivalence oracle.
+//! little-endian u64 each time one fills; unpacking loads a u64 at the
+//! byte holding the next element and shifts every whole value out of it
+//! before loading again. The byte layout is that of the bytewise
+//! formulation preserved in [`crate::reference`] as the equivalence
+//! oracle.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -75,45 +74,8 @@ pub fn pack(values: &[u8], bits: u8) -> Result<Bytes, QuantError> {
 /// [`QuantError::CorruptPayload`] when `packed` is too short for
 /// `count` values.
 pub fn unpack(packed: &[u8], bits: u8, count: usize) -> Result<Vec<u8>, QuantError> {
-    if !(1..=8).contains(&bits) {
-        return Err(QuantError::UnsupportedBits { bits });
-    }
-    if packed.len() < packed_len(count, bits) {
-        return Err(QuantError::CorruptPayload { what: "packed payload too short" });
-    }
-    let mask = u64::from(mask_for(bits));
-    let bits = usize::from(bits);
     let mut out = vec![0u8; count];
-    // Fast path: load the u64 word containing each element's bit window
-    // and shift it into place. `bit % 8 + bits <= 15`, so a single word
-    // always covers the window; all that's needed is 8 readable bytes
-    // from the word base.
-    let limit = packed.len().saturating_sub(7);
-    let mut bit = 0usize;
-    let mut done = 0usize;
-    for slot in out.iter_mut() {
-        let base = bit >> 3;
-        if base >= limit {
-            break;
-        }
-        let word = u64::from_le_bytes(packed[base..base + 8].try_into().expect("8 bytes"));
-        *slot = ((word >> (bit & 7)) & mask) as u8;
-        bit += bits;
-        done += 1;
-    }
-    // Bytewise tail: the last few elements whose containing word would
-    // read past the end of the stream. The length check above guarantees
-    // every byte the window itself needs is present.
-    for slot in out.iter_mut().skip(done) {
-        let base = bit >> 3;
-        let end = (bit + bits).div_ceil(8);
-        let mut acc = 0u32;
-        for (off, &b) in packed[base..end].iter().enumerate() {
-            acc |= u32::from(b) << (8 * off);
-        }
-        *slot = ((acc >> (bit & 7)) as u64 & mask) as u8;
-        bit += bits;
-    }
+    unpack_run(packed, bits, 0, &mut out)?;
     Ok(out)
 }
 
@@ -123,10 +85,11 @@ pub fn unpack(packed: &[u8], bits: u8, count: usize) -> Result<Vec<u8>, QuantErr
 /// This is the streaming workhorse behind compute-on-compressed
 /// products: a kernel walking a weight matrix tile by tile asks for
 /// exactly the index run it needs, at an arbitrary (non-byte-aligned)
-/// element offset, and the word-at-a-time fast path of [`unpack`] is
-/// reused verbatim — load the u64 containing each element's bit window
-/// (`bit % 8 + bits <= 15` always fits), shift, mask — with the same
-/// bytewise fallback near the end of the stream.
+/// element offset. Each u64 load yields a word's worth of values: after
+/// the sub-byte shift (at most 7 bits) 57 bits of the word are valid,
+/// so `57 / bits` whole values are shifted out of it before the next
+/// load. The last loads of a stream, with fewer than 8 bytes left, are
+/// zero-extended.
 ///
 /// # Errors
 ///
@@ -134,6 +97,33 @@ pub fn unpack(packed: &[u8], bits: u8, count: usize) -> Result<Vec<u8>, QuantErr
 /// [`QuantError::CorruptPayload`] when `packed` is too short for
 /// elements `start .. start + out.len()`.
 pub fn unpack_run(packed: &[u8], bits: u8, start: usize, out: &mut [u8]) -> Result<(), QuantError> {
+    unpack_map(packed, bits, start, out, |index| index)
+}
+
+/// [`unpack_run`] with every index looked up in `lut` on its way out:
+/// `out[i] = lut[index(start + i)]`, without an intermediate index
+/// buffer. This is the tile decode of the compute-on-compressed GEMM.
+///
+/// # Errors
+///
+/// As [`unpack_run`].
+pub fn unpack_run_lut(
+    packed: &[u8],
+    bits: u8,
+    start: usize,
+    lut: &[f32; 256],
+    out: &mut [f32],
+) -> Result<(), QuantError> {
+    unpack_map(packed, bits, start, out, |index| lut[usize::from(index)])
+}
+
+fn unpack_map<T>(
+    packed: &[u8],
+    bits: u8,
+    start: usize,
+    out: &mut [T],
+    map: impl Fn(u8) -> T,
+) -> Result<(), QuantError> {
     if !(1..=8).contains(&bits) {
         return Err(QuantError::UnsupportedBits { bits });
     }
@@ -143,35 +133,45 @@ pub fn unpack_run(packed: &[u8], bits: u8, start: usize, out: &mut [u8]) -> Resu
     if packed.len() < packed_len(end, bits) {
         return Err(QuantError::CorruptPayload { what: "packed payload too short" });
     }
-    let mask = u64::from(mask_for(bits));
-    let bits = usize::from(bits);
-    // Fast path: whole-word loads while 8 bytes are readable from the
-    // word base (see `unpack`).
-    let limit = packed.len().saturating_sub(7);
-    let mut bit = start * bits;
-    let mut done = 0usize;
-    for slot in out.iter_mut() {
-        let base = bit >> 3;
-        if base >= limit {
-            break;
-        }
-        let word = u64::from_le_bytes(packed[base..base + 8].try_into().expect("8 bytes"));
-        *slot = ((word >> (bit & 7)) & mask) as u8;
-        bit += bits;
-        done += 1;
-    }
-    // Bytewise tail, identical to `unpack`'s.
-    for slot in out.iter_mut().skip(done) {
-        let base = bit >> 3;
-        let end = (bit + bits).div_ceil(8);
-        let mut acc = 0u32;
-        for (off, &b) in packed[base..end].iter().enumerate() {
-            acc |= u32::from(b) << (8 * off);
-        }
-        *slot = ((acc >> (bit & 7)) as u64 & mask) as u8;
-        bit += bits;
+    match bits {
+        1 => unpack_words::<1, T>(packed, start, out, map),
+        2 => unpack_words::<2, T>(packed, start, out, map),
+        3 => unpack_words::<3, T>(packed, start, out, map),
+        4 => unpack_words::<4, T>(packed, start, out, map),
+        5 => unpack_words::<5, T>(packed, start, out, map),
+        6 => unpack_words::<6, T>(packed, start, out, map),
+        7 => unpack_words::<7, T>(packed, start, out, map),
+        _ => unpack_words::<8, T>(packed, start, out, map),
     }
     Ok(())
+}
+
+/// The unpack loop for one width, so every shift is a constant and the
+/// per-word loop unrolls.
+fn unpack_words<const BITS: usize, T>(
+    packed: &[u8],
+    start: usize,
+    out: &mut [T],
+    map: impl Fn(u8) -> T,
+) {
+    let mask = (1u64 << BITS) - 1;
+    let mut bit = start * BITS;
+    for run in out.chunks_mut(57 / BITS) {
+        let tail = &packed[bit >> 3..];
+        let mut word = match tail.first_chunk::<8>() {
+            Some(bytes) => u64::from_le_bytes(*bytes),
+            None => {
+                let mut bytes = [0u8; 8];
+                bytes[..tail.len()].copy_from_slice(tail);
+                u64::from_le_bytes(bytes)
+            }
+        } >> (bit & 7);
+        for slot in run.iter_mut() {
+            *slot = map((word & mask) as u8);
+            word >>= BITS;
+        }
+        bit += run.len() * BITS;
+    }
 }
 
 /// Number of bytes needed to pack `count` values of `bits` width.
@@ -247,11 +247,13 @@ mod tests {
 
     #[test]
     fn unpack_run_matches_full_unpack_at_every_offset() {
+        let lut: [f32; 256] = std::array::from_fn(|i| i as f32 * 0.5 - 3.0);
         for bits in 1u8..=8 {
             let max = if bits == 8 { 255u16 } else { (1u16 << bits) - 1 };
             let values: Vec<u8> = (0..300u16).map(|i| ((i * 11) % (max + 1)) as u8).collect();
             let packed = pack(&values, bits).unwrap();
-            for start in [0usize, 1, 7, 8, 63, 64, 65, 255, 299] {
+            // Every start: all 64 phases of a word, several times over.
+            for start in 0..values.len() {
                 for len in [0usize, 1, 5, 64, values.len() - start] {
                     if start + len > values.len() {
                         continue;
@@ -259,6 +261,10 @@ mod tests {
                     let mut out = vec![0u8; len];
                     unpack_run(&packed, bits, start, &mut out).unwrap();
                     assert_eq!(&out[..], &values[start..start + len], "bits {bits} @{start}+{len}");
+                    let mut mapped = vec![0.0f32; len];
+                    unpack_run_lut(&packed, bits, start, &lut, &mut mapped).unwrap();
+                    let want: Vec<f32> = out.iter().map(|&i| lut[usize::from(i)]).collect();
+                    assert_eq!(mapped, want, "lut, bits {bits} @{start}+{len}");
                 }
             }
         }

@@ -1,35 +1,31 @@
 //! Parity between compute-on-compressed and decode-then-matmul.
 //!
-//! [`QuantizedMatrix::matvec`] accumulates activations *per centroid*
-//! and multiplies each centroid once (the accelerator's schedule);
-//! decode-then-matmul performs the textbook dot product. Both consume
-//! the exact same quantized weights, so any disagreement beyond
-//! floating-point reassociation is a codec bug.
-//!
-//! ## Tolerance
-//!
-//! The two paths sum the same terms in different orders (bucketed by
-//! centroid vs. column order), so results are *not* bit-identical.
-//! Each output is a sum of `cols` products of magnitude ≤ `|x|∞·|w|∞`;
-//! reassociating an FP32 sum of `n` terms perturbs it by at most about
-//! `n · ε · Σ|terms|` with `ε = 2⁻²⁴ ≈ 6e-8`. For BERT-base geometry
-//! (`cols = 768`, weights ≲ 1.5 with outliers, activations ≤ 1) that
-//! bound is ~5e-5 per element; we assert a comfortably tight 1e-4
-//! combined absolute/relative epsilon.
+//! [`QuantizedMatrix::matmul_blocked`] and `Tensor::matmul_nt` on the
+//! decoded layer consume the same weight values through the same
+//! kernel (`gobo_tensor::linalg::gemm_nt`), one from decoded tiles and
+//! one from dense rows. They must agree **bit for bit** — at BERT
+//! geometry, at every batch size, and through the outlier path — so
+//! any difference at all is a codec bug.
 
 use gobo_model::config::ModelConfig;
 use gobo_model::spec::enumerate_fc_layers;
 use gobo_model::synth::{layer_distribution, synthesize_layer};
 use gobo_quant::{QuantConfig, QuantMethod, QuantizedLayer, QuantizedMatrix};
+use gobo_tensor::Tensor;
 use proptest::prelude::*;
 
-const EPS: f32 = 1e-4;
+/// `a × decode(matrix)ᵀ` through the dense kernel, for `a: (m, cols)`.
+fn decoded_product(matrix: &QuantizedMatrix, a: &[f32]) -> Vec<f32> {
+    let (rows, cols) = (matrix.rows(), matrix.cols());
+    let dense = Tensor::from_vec(matrix.to_dense(), &[rows, cols]).expect("dense shape");
+    let a = Tensor::from_vec(a.to_vec(), &[a.len() / cols, cols]).expect("panel shape");
+    a.matmul_nt(&dense).expect("dense product").as_slice().to_vec()
+}
 
-fn assert_close(got: &[f32], want: &[f32], what: &str) {
+fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: length mismatch");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        let tol = EPS * (1.0 + w.abs());
-        assert!((g - w).abs() <= tol, "{what}[{i}]: compressed {g} vs decoded {w} (tol {tol})");
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: compressed {g} vs decoded {w}");
     }
 }
 
@@ -43,10 +39,10 @@ fn activations(n: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Quantizes a synthetic BERT-base FC layer and checks matvec parity
-/// between the compressed schedule and the decoded dense product.
+/// Quantizes a synthetic BERT-base FC layer and checks the compressed
+/// product against the decoded dense one, for one row and for a panel.
 #[test]
-fn bert_layer_matvec_matches_decoded() {
+fn bert_layer_product_matches_decoded() {
     let config = ModelConfig::bert_base();
     let specs = enumerate_fc_layers(&config);
     // An attention projection: 768×768, the common FC shape.
@@ -61,28 +57,17 @@ fn bert_layer_matvec_matches_decoded() {
         )
         .expect("encode");
         let matrix = QuantizedMatrix::new(layer, spec.rows, spec.cols).expect("shape");
-
-        // Reference: decode to dense, then the textbook product.
-        let dense = matrix.to_dense();
-        let x = activations(spec.cols, 42);
-        let mut reference = vec![0.0f32; spec.rows];
-        for (r, y) in reference.iter_mut().enumerate() {
-            *y = dense[r * spec.cols..(r + 1) * spec.cols]
-                .iter()
-                .zip(&x)
-                .map(|(w, xv)| w * xv)
-                .sum();
+        for m in [1usize, 6] {
+            let a = activations(m * spec.cols, 42);
+            let got = matrix.matmul_blocked(&a).expect("matmul_blocked");
+            assert_same_bits(&got, &decoded_product(&matrix, &a), &format!("m={m}@{bits}b"));
         }
-
-        let got = matrix.matvec(&x).expect("matvec");
-        assert_close(&got, &reference, &format!("matvec@{bits}b"));
     }
 }
 
 /// Outliers must flow through the compressed product exactly: zeroing
 /// every activation except one that hits an outlier column isolates the
-/// outlier path, where both schedules multiply the same two floats and
-/// must agree bit-for-bit.
+/// outlier path: the output is that one product, exactly.
 #[test]
 fn outlier_path_is_exact() {
     let config = ModelConfig::bert_base();
@@ -102,7 +87,7 @@ fn outlier_path_is_exact() {
     let matrix = QuantizedMatrix::new(layer, spec.rows, spec.cols).expect("shape");
     let mut x = vec![0.0f32; spec.cols];
     x[col] = 0.8125; // exactly representable
-    let y = matrix.matvec(&x).expect("matvec");
+    let y = matrix.matmul_blocked(&x).expect("matmul_blocked");
     assert_eq!(y[row].to_bits(), (0.8125f32 * outlier_value).to_bits());
 }
 
@@ -137,13 +122,12 @@ fn quantized(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The cache-blocked batched GEMM and the per-centroid matvec
-    /// applied row by row sum the same terms in different orders, so
-    /// they must agree within the documented 1e-4 reassociation
-    /// tolerance — across bit widths 2/3/4, ragged batch sizes
-    /// (including 1) and outlier-heavy layers.
+    /// A request's rows must not depend on what it was coalesced with:
+    /// row `i` of a batched product has the bits of the one-row product
+    /// — across bit widths 2/3/4, ragged batch sizes (crossing the
+    /// kernel's 4-row pass) and outlier-heavy layers.
     #[test]
-    fn matmul_blocked_matches_matvec_per_row(
+    fn matmul_blocked_rows_do_not_depend_on_the_batch(
         bits_i in 0usize..3,
         batch_i in 0usize..5,
         outliers_i in 0usize..3,
@@ -156,38 +140,28 @@ proptest! {
         let matrix = quantized(rows, cols, bits, outlier_every, seed);
         let a = activations(batch * cols, seed ^ 0xABCD);
         let batched = matrix.matmul_blocked(&a).expect("matmul_blocked");
-        let mut reference = Vec::with_capacity(batch * rows);
+        let mut alone = Vec::with_capacity(batch * rows);
         for row in a.chunks(cols) {
-            reference.extend(matrix.matvec(row).expect("matvec"));
+            alone.extend(matrix.matmul_blocked(row).expect("one row"));
         }
-        assert_close(&batched, &reference, &format!("batch={batch}@{bits}b"));
+        assert_same_bits(&batched, &alone, &format!("batch={batch}@{bits}b"));
     }
 
-    /// The always-blocked serving kernel must match decode-then-dense
-    /// bit for bit at every batch size — this is the invariant that
-    /// makes served outputs independent of how requests were coalesced.
+    /// The serving kernel must match decode-then-dense bit for bit at
+    /// every batch size, with a `cols % 8` tail and `cols = 256 + k`.
     #[test]
     fn matmul_blocked_bitwise_matches_decoded(
         bits_i in 0usize..3,
         batch_i in 0usize..3,
+        cols_i in 0usize..3,
         seed in 0u64..1000,
     ) {
         let bits = [2u8, 3, 4][bits_i];
         let batch = [1usize, 7, 33][batch_i];
-        let (rows, cols) = (32, 300);
+        let (rows, cols) = (32, [300usize, 256, 61][cols_i]);
         let matrix = quantized(rows, cols, bits, 61, seed);
-        let dense = matrix.to_dense();
         let a = activations(batch * cols, seed ^ 0x5A5A);
         let got = matrix.matmul_blocked(&a).expect("matmul_blocked");
-        for (i, row) in a.chunks(cols).enumerate() {
-            for r in 0..rows {
-                let want: f32 = dense[r * cols..(r + 1) * cols]
-                    .iter()
-                    .zip(row)
-                    .map(|(w, xv)| w * xv)
-                    .sum();
-                assert_eq!(got[i * rows + r].to_bits(), want.to_bits(), "row {i} out {r}");
-            }
-        }
+        assert_same_bits(&got, &decoded_product(&matrix, &a), &format!("{cols} cols m={batch}"));
     }
 }

@@ -6,6 +6,7 @@ use gobo_quant::layer::QuantizedLayer;
 use gobo_quant::outlier::OutlierSplit;
 use gobo_quant::packing::{pack, packed_len, unpack};
 use gobo_quant::{gobo, init, kmeans, QuantConfig, QuantMethod};
+use gobo_tensor::Tensor;
 use proptest::prelude::*;
 
 /// Weights that look like a real layer: Gaussian bulk plus occasional
@@ -138,7 +139,7 @@ proptest! {
     }
 
     #[test]
-    fn compressed_matvec_equals_dense(w in layer_weights(), x_seed in 0u32..1000) {
+    fn compressed_product_equals_dense(w in layer_weights(), x_seed in 0u32..1000) {
         // Shape the weights into a matrix (pad-free: trim to a multiple
         // of a small column count).
         let cols = 16usize;
@@ -152,12 +153,11 @@ proptest! {
         };
         let qm = QuantizedMatrix::new(layer, rows, cols).unwrap();
         let x: Vec<f32> = (0..cols).map(|i| ((i as u32 + x_seed) as f32 * 0.37).sin()).collect();
-        let fast = qm.matvec(&x).unwrap();
-        let dense = qm.to_dense();
-        for (r, &got) in fast.iter().enumerate() {
-            let expected: f32 = (0..cols).map(|c| dense[r * cols + c] * x[c]).sum();
-            prop_assert!((got - expected).abs() < 1e-3 + expected.abs() * 1e-4,
-                "row {r}: {got} vs {expected}");
+        let fast = qm.matmul_blocked(&x).unwrap();
+        let dense = Tensor::from_vec(qm.to_dense(), &[rows, cols]).unwrap();
+        let expected = Tensor::from_vec(x, &[1, cols]).unwrap().matmul_nt(&dense).unwrap();
+        for (r, (got, want)) in fast.iter().zip(expected.as_slice()).enumerate() {
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "row {}: {} vs {}", r, got, want);
         }
     }
 

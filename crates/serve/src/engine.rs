@@ -5,7 +5,7 @@
 //! and the compressed archive itself. [`QuantizedEngine`] wires the
 //! second into the forward pass: it implements
 //! [`WeightCompute`], routing every archived FC product to
-//! [`QuantizedMatrix::matmul_blocked`] — the cache-blocked batched GEMM
+//! [`QuantizedMatrix::matmul_blocked`] — the tiled batched GEMM
 //! that decodes each weight tile **once** per batch instead of once per
 //! request. Embedding tables are consumed by row gathers, not matrix
 //! products, so they stay on the dense path regardless of whether they

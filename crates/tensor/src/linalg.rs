@@ -4,6 +4,27 @@
 //! module provides a cache-blocked 2-D matmul, a transposed variant that
 //! avoids materializing `Wᵀ`, and a batched form used by multi-head
 //! attention.
+//!
+//! # The canonical dot product
+//!
+//! Every `activation × weightᵀ` product in the workspace — dense
+//! ([`Tensor::matmul_nt`]), packed (`gobo-quant`'s `matmul_blocked`) and
+//! [`Tensor::dot`] — is one function, [`gemm_nt`], and therefore one
+//! summation order, fixed here so that it can be vectorized without
+//! changing a bit of the result:
+//!
+//! 1. element `c` of the first `K − K % 8` belongs to lane `c % 8`; each
+//!    of the 8 lanes starts at `+0.0` and accumulates its products in
+//!    column order, as a rounded multiply followed by a rounded add
+//!    (never a fused multiply-add);
+//! 2. the lanes reduce as `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`;
+//! 3. the `K % 8` tail products are then added one by one, in column
+//!    order.
+//!
+//! The order is a property of the source, not of the target: safe Rust
+//! never reassociates or contracts float arithmetic, so the scalar,
+//! SSE2, AVX2 and AVX-512 code the compiler emits for the inner loop all
+//! produce the same bits (pinned by the golden-bits test below).
 
 use crate::error::TensorError;
 use crate::tensor::Tensor;
@@ -43,6 +64,9 @@ impl Tensor {
     /// natural layout for FC layers whose weights are stored as
     /// `(out_features, in_features)`.
     ///
+    /// Each output element is the canonical dot product of the [module
+    /// docs](self) — this is [`gemm_nt`] over the dense weight rows.
+    ///
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] unless both operands are rank
@@ -50,22 +74,7 @@ impl Tensor {
     /// same number of columns.
     pub fn matmul_nt(&self, rhs: &Tensor) -> Result<Tensor, TensorError> {
         let (m, k, n) = check_matmul_dims("matmul_nt", self, rhs, true)?;
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        let mut out = vec![0.0f32; m * n];
-        // Row-times-row dot products are already cache friendly: both
-        // operands stream contiguously.
-        for i in 0..m {
-            let ar = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                let br = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for p in 0..k {
-                    acc += ar[p] * br[p];
-                }
-                out[i * n + j] = acc;
-            }
-        }
+        let out = gemm_nt(self.as_slice(), m, k, n, &mut DenseRows { w: rhs.as_slice(), k });
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -120,7 +129,8 @@ impl Tensor {
         Ok(Tensor::from_vec(out, &[b, m, n]).expect("sized above"))
     }
 
-    /// Dot product of two rank-1 tensors of equal length.
+    /// Dot product of two rank-1 tensors of equal length, in the
+    /// canonical order of the [module docs](self).
     ///
     /// # Errors
     ///
@@ -133,8 +143,119 @@ impl Tensor {
                 rhs: rhs.dims().to_vec(),
             });
         }
-        Ok(self.as_slice().iter().zip(rhs.as_slice()).map(|(&a, &b)| a * b).sum())
+        let (a, b) = (self.as_slice(), rhs.as_slice());
+        Ok(gemm_nt(a, 1, a.len(), 1, &mut DenseRows { w: b, k: a.len() })[0])
     }
+}
+
+/// Lanes of the canonical dot product (see the [module docs](self)).
+const LANES: usize = 8;
+
+/// Activation rows whose lanes one pass over a weight tile keeps in
+/// registers: 4 × 8 lanes is 8 SSE2 vectors, leaving room for the
+/// weight chunk and the products.
+const PANEL_ROWS: usize = 4;
+
+/// Widest tile [`gemm_nt`] asks a [`WeightTiles`] source for. A multiple
+/// of [`LANES`], so tiling never moves an element to another lane.
+pub const TILE_COLS: usize = 256;
+
+/// Row-major `(n, k)` weights, handed to [`gemm_nt`] one tile at a time.
+pub trait WeightTiles {
+    /// Columns `col .. col + width` of weight row `row`, with
+    /// `width <= TILE_COLS`. The slice may live in scratch space that
+    /// the next call overwrites.
+    fn tile(&mut self, row: usize, col: usize, width: usize) -> &[f32];
+}
+
+/// Dense weights: a tile is a slice of the row itself.
+struct DenseRows<'a> {
+    w: &'a [f32],
+    k: usize,
+}
+
+impl WeightTiles for DenseRows<'_> {
+    fn tile(&mut self, row: usize, col: usize, width: usize) -> &[f32] {
+        &self.w[row * self.k + col..][..width]
+    }
+}
+
+/// `A × Wᵀ` for row-major `a: (m, k)` and `weights: (n, k)`, giving
+/// row-major `(m, n)` — the one kernel under every FC product. Each
+/// output is the canonical dot product of the [module docs](self); a
+/// row's lanes are carried from tile to tile, so neither the tiling nor
+/// the number of rows in `a` shows in the result.
+///
+/// # Panics
+///
+/// Panics unless `a.len() == m * k`.
+pub fn gemm_nt(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    weights: &mut impl WeightTiles,
+) -> Vec<f32> {
+    assert_eq!(a.len(), m * k, "activation panel is not (m, k)");
+    let mut out = vec![0.0f32; m * n];
+    let mut lanes = vec![[0.0f32; LANES]; m];
+    let tail = k % LANES;
+    for j in 0..n {
+        lanes.fill([0.0; LANES]);
+        for col in (0..k).step_by(TILE_COLS) {
+            let width = TILE_COLS.min(k - col);
+            let tile = weights.tile(j, col, width);
+            accumulate(&mut lanes, a, k, col, tile);
+            if col + width == k {
+                let w_tail = &tile[width - tail..];
+                for (i, l) in lanes.iter().enumerate() {
+                    let mut sum = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
+                    for (&x, &w) in a[(i + 1) * k - tail..(i + 1) * k].iter().zip(w_tail) {
+                        sum += x * w;
+                    }
+                    out[i * n + j] = sum;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Adds the whole [`LANES`]-wide chunks of `tile` times columns
+/// `col ..` of every row of `a` (row stride `k`) into that row's lanes,
+/// [`PANEL_ROWS`] rows per pass over the tile.
+fn accumulate(lanes: &mut [[f32; LANES]], a: &[f32], k: usize, col: usize, tile: &[f32]) {
+    let (w, _) = tile.as_chunks::<LANES>();
+    let row = |i: usize| a[i * k + col..][..w.len() * LANES].as_chunks::<LANES>().0;
+    let (quads, singles) = lanes.as_chunks_mut::<PANEL_ROWS>();
+    for (q, quad) in quads.iter_mut().enumerate() {
+        let i = q * PANEL_ROWS;
+        panel(quad, [row(i), row(i + 1), row(i + 2), row(i + 3)], w);
+    }
+    let first = quads.len() * PANEL_ROWS;
+    for (i, single) in singles.iter_mut().enumerate() {
+        panel(std::array::from_mut(single), [row(first + i)], w);
+    }
+}
+
+/// The inner loop: `lanes[r][l] += a[r][c][l] * w[c][l]` for every chunk
+/// `c`, with the `R × 8` lanes held in locals across the pass.
+#[inline(always)]
+fn panel<const R: usize>(
+    lanes: &mut [[f32; LANES]; R],
+    a: [&[[f32; LANES]]; R],
+    w: &[[f32; LANES]],
+) {
+    let a = a.map(|row| &row[..w.len()]);
+    let mut acc = *lanes;
+    for (c, wc) in w.iter().enumerate() {
+        for (acc_r, a_r) in acc.iter_mut().zip(a) {
+            for ((s, &x), &y) in acc_r.iter_mut().zip(&a_r[c]).zip(wc) {
+                *s += x * y;
+            }
+        }
+    }
+    *lanes = acc;
 }
 
 fn check_matmul_dims(
@@ -352,6 +473,80 @@ mod tests {
         let via_nt = a.matmul_nt(&w).unwrap();
         let via_t = a.matmul(&w.transpose().unwrap()).unwrap();
         assert_eq!(via_nt, via_t);
+    }
+
+    /// Deterministic values in `[-1, 1)` with full 24-bit mantissas, so
+    /// any reordering of a sum shows in its low bits. Integer hashing
+    /// and a power-of-two scale only: the same floats on every target.
+    fn noise(n: usize, seed: u32) -> Vec<f32> {
+        (0..n as u32)
+            .map(|i| {
+                let h = (i ^ seed.wrapping_mul(0x9E37_79B9)).wrapping_mul(0x85EB_CA6B);
+                ((h ^ (h >> 13)).wrapping_mul(0xC2B2_AE35) >> 8) as f32 / (1 << 23) as f32 - 1.0
+            })
+            .collect()
+    }
+
+    /// The canonical order of the module docs, written the slow way.
+    fn spec_dot(a: &[f32], b: &[f32]) -> f32 {
+        let body = a.len() - a.len() % 8;
+        let mut lanes: Vec<Vec<f32>> = vec![Vec::new(); 8];
+        for c in 0..body {
+            lanes[c % 8].push(a[c] * b[c]);
+        }
+        let l: Vec<f32> =
+            lanes.iter().map(|products| products.iter().fold(0.0, |s, p| s + p)).collect();
+        let mut sum = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
+        for c in body..a.len() {
+            sum += a[c] * b[c];
+        }
+        sum
+    }
+
+    #[test]
+    fn kernel_matches_the_written_summation_order() {
+        for k in [0usize, 1, 7, 8, 9, 255, 256, 257, 300, 513] {
+            let (m, n) = (5, 3);
+            let (a, w) = (noise(m * k, 1), noise(n * k, 2));
+            let got = gemm_nt(&a, m, k, n, &mut DenseRows { w: &w, k });
+            for i in 0..m {
+                for j in 0..n {
+                    let want = spec_dot(&a[i * k..(i + 1) * k], &w[j * k..(j + 1) * k]);
+                    assert_eq!(got[i * n + j].to_bits(), want.to_bits(), "k={k} ({i},{j})");
+                }
+            }
+            if k > 0 {
+                let dot = t(a[..k].to_vec(), &[k]).dot(&t(w[..k].to_vec(), &[k])).unwrap();
+                assert_eq!(dot.to_bits(), got[0].to_bits(), "dot k={k}");
+            }
+        }
+    }
+
+    /// Row `i` of a product does not depend on how many rows ride along:
+    /// `m` from 1 to 9 crosses the 4-row pass and every remainder.
+    #[test]
+    fn rows_are_invariant_to_row_blocking() {
+        let (k, n) = (300, 7);
+        let (a, w) = (noise(9 * k, 3), t(noise(n * k, 4), &[n, k]));
+        let full = t(a.clone(), &[9, k]).matmul_nt(&w).unwrap();
+        for m in 1..=9 {
+            let part = t(a[..m * k].to_vec(), &[m, k]).matmul_nt(&w).unwrap();
+            let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(part.as_slice()), bits(&full.as_slice()[..m * n]), "m={m}");
+        }
+    }
+
+    /// Served bytes are a function of this source alone: a target whose
+    /// code generation reassociates or fuses would change these bits.
+    #[test]
+    fn golden_bits() {
+        let k = 269; // one full tile, whole chunks of a second, a 5-wide tail
+        let a = t(noise(2 * k, 5), &[2, k]);
+        let w = t(noise(3 * k, 6), &[3, k]);
+        let got: Vec<u32> =
+            a.matmul_nt(&w).unwrap().as_slice().iter().map(|v| v.to_bits()).collect();
+        let golden = [0x410a_22a0, 0xc104_9fa1, 0xc0a8_685b, 0x410a_ceaa, 0xbf9a_a6e6, 0xc014_034b];
+        assert_eq!(got, golden, "{got:#x?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Compute directly on the compressed weights — the software rendition
-//! of the GOBO accelerator's core trick: activations are accumulated
-//! per centroid bucket, each centroid is multiplied once, and outliers
-//! are corrected individually. No FP32 decode in the product path.
+//! Compute directly on the compressed weights: the packed indices are
+//! decoded one 256-column tile at a time inside the product, so no FP32
+//! copy of the layer ever exists — and because the packed and the dense
+//! product are one kernel, the results agree bit for bit.
 //!
 //! Run with `cargo run --release -p gobo-examples --bin compressed_inference`.
 
@@ -9,6 +9,7 @@ use std::time::Instant;
 
 use gobo_quant::compute::QuantizedMatrix;
 use gobo_quant::{QuantConfig, QuantMethod, QuantizedLayer};
+use gobo_tensor::Tensor;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A BERT-Base-sized intermediate layer: 3072 × 768.
@@ -29,27 +30,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let qm = QuantizedMatrix::new(layer, rows, cols)?;
 
-    let x: Vec<f32> = (0..cols).map(|i| (i as f32 * 0.05).cos()).collect();
+    // One request's worth of activations: 8 token rows.
+    let tokens = 8usize;
+    let x: Vec<f32> = (0..tokens * cols).map(|i| (i as f32 * 0.05).cos()).collect();
 
     // Compressed-domain product.
     let t0 = Instant::now();
-    let y_compressed = qm.matvec(&x)?;
+    let y_compressed = qm.matmul_blocked(&x)?;
     let t_compressed = t0.elapsed();
 
     // Conventional path: decode to FP32, dense product.
     let t0 = Instant::now();
-    let dense = qm.to_dense();
+    let dense = Tensor::from_vec(qm.to_dense(), &[rows, cols])?;
     let t_decode = t0.elapsed();
     let t0 = Instant::now();
-    let y_dense: Vec<f32> =
-        (0..rows).map(|r| (0..cols).map(|c| dense[r * cols + c] * x[c]).sum()).collect();
+    let y_dense = Tensor::from_vec(x, &[tokens, cols])?.matmul_nt(&dense)?;
     let t_dense = t0.elapsed();
 
-    let max_diff =
-        y_compressed.iter().zip(&y_dense).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
-    println!("max |compressed - dense| = {max_diff:.2e} (identical math, different order)");
-    println!("compressed-domain matvec: {t_compressed:?}");
-    println!("decode ({t_decode:?}) + dense matvec ({t_dense:?})");
+    let identical =
+        y_compressed.iter().zip(y_dense.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits());
+    assert!(identical, "packed and dense products must agree bit for bit");
+    println!("compressed == dense, bit for bit ({} outputs)", y_compressed.len());
+    println!("compressed-domain product: {t_compressed:?}");
+    println!("decode ({t_decode:?}) + dense product ({t_dense:?})");
     println!(
         "\nthe compressed path reads {} bytes of weights instead of {} — \
          the bandwidth story behind the paper's energy claims",

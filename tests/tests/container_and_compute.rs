@@ -40,21 +40,23 @@ fn compressed_domain_fc_matches_decoded_model_layer() {
     let outcome =
         quantize_model(&zoo.model, &QuantizeOptions::gobo(3).expect("opts")).expect("quantize");
 
-    // Pick the intermediate FC of encoder 0 and compare compressed-domain
-    // matvec against the decoded weight matrix.
+    // Pick the intermediate FC of encoder 0 and compare the
+    // compressed-domain product against the decoded weight matrix.
     let name = "encoder.0.intermediate";
     let spec = zoo.model.fc_layers().into_iter().find(|s| s.name == name).expect("layer spec");
     let layer = outcome.archive.get(name).expect("archived layer").clone();
     let qm = QuantizedMatrix::new(layer, spec.rows, spec.cols).expect("matrix");
 
-    let x: Vec<f32> = (0..spec.cols).map(|i| (i as f32 * 0.21).sin()).collect();
-    let compressed = qm.matvec(&x).expect("matvec");
+    let rows = 3;
+    let x: Vec<f32> = (0..rows * spec.cols).map(|i| (i as f32 * 0.21).sin()).collect();
+    let compressed = qm.matmul_blocked(&x).expect("matmul_blocked");
 
     let decoded = outcome.model.weight(name).expect("decoded");
-    let w = decoded.as_slice();
-    for (r, &got) in compressed.iter().enumerate() {
-        let expect: f32 = (0..spec.cols).map(|c| w[r * spec.cols + c] * x[c]).sum();
-        assert!((got - expect).abs() < 1e-3, "row {r}: {got} vs {expect}");
+    let expect = Tensor::from_vec(x, &[rows, spec.cols]).expect("panel").matmul_nt(decoded);
+    let expect = expect.expect("dense product");
+    assert_eq!(compressed.len(), expect.len());
+    for (i, (got, want)) in compressed.iter().zip(expect.as_slice()).enumerate() {
+        assert_eq!(got.to_bits(), want.to_bits(), "output {i}: {got} vs {want}");
     }
 }
 
