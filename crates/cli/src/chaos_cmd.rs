@@ -111,28 +111,11 @@ pub(crate) fn chaos(args: &Args) -> Result<String, CliError> {
 fn build_compressed(seed: u64) -> Result<CompressedModel, CliError> {
     let config = ModelConfig::tiny("Chaos", 2, 48, 4, 256, 64)
         .map_err(|e| CliError::Failed(format!("invalid chaos geometry: {e}")))?;
-    compress(config, seed)
-}
-
-fn compress(config: ModelConfig, seed: u64) -> Result<CompressedModel, CliError> {
     let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(seed))
         .map_err(|e| CliError::Failed(e.to_string()))?;
     let options = QuantizeOptions::gobo(3).map_err(|e| CliError::Failed(e.to_string()))?;
     let outcome = quantize_model(&model, &options).map_err(|e| CliError::Failed(e.to_string()))?;
     Ok(CompressedModel::new(&model, outcome.archive))
-}
-
-/// A format-v1 (checksum-less) `.gobom` written by the last release that
-/// could write one; nothing in the tree produces v1 any more, but old
-/// artifacts must keep loading.
-const V1_FIXTURE: &[u8] = include_bytes!("../../core/tests/fixtures/model_v1.gobom");
-
-/// The model [`V1_FIXTURE`] was written from (the `gobo::format` tests
-/// build the same one).
-fn v1_fixture_model() -> Result<CompressedModel, CliError> {
-    let config = ModelConfig::tiny("CliFmt", 2, 24, 2, 40, 12)
-        .map_err(|e| CliError::Failed(format!("invalid fixture geometry: {e}")))?;
-    compress(config, 5)
 }
 
 /// Workers panic on every 5th `serve.encode`. The run must complete
@@ -243,8 +226,7 @@ fn worker_panic(requests: usize, seed: u64) -> Result<Scenario, CliError> {
 
 /// Seeded single-byte corruptions and truncations of a `.gobom` file:
 /// every mutation must be rejected or parse to byte-identical content
-/// — never panic, never yield different weights. A v1 (checksum-free)
-/// file must still load, counted as unverified.
+/// — never panic, never yield different weights.
 fn corrupt_model(corruptions: usize, seed: u64) -> Result<Scenario, CliError> {
     let compressed = build_compressed(seed)?;
     let reference = compressed.to_bytes();
@@ -264,9 +246,8 @@ fn corrupt_model(corruptions: usize, seed: u64) -> Result<Scenario, CliError> {
         match outcome {
             Err(_) => panics += 1,
             Ok(Err(_)) => rejected += 1,
-            // Re-encoding to the canonical v2 bytes proves the parse
-            // saw exactly the original content (e.g. a version-byte
-            // flip downgrading to an equivalent v1 parse).
+            // Re-encoding to the canonical bytes proves the parse saw
+            // exactly the original content.
             Ok(Ok(reencoded)) if reencoded == reference => benign += 1,
             Ok(Ok(_)) => silent += 1,
         }
@@ -291,17 +272,7 @@ fn corrupt_model(corruptions: usize, seed: u64) -> Result<Scenario, CliError> {
         core.shutdown();
         ok
     };
-    // A legacy v1 file loads (warned, counted) with identical content:
-    // the checked-in v1 artifact re-encodes to the v2 bytes of the
-    // model it was written from.
-    let unverified_before = gobo_quant::container::unverified_loads();
-    let v1_roundtrip = match CompressedModel::from_bytes(V1_FIXTURE) {
-        Ok(loaded) => loaded.to_bytes() == v1_fixture_model()?.to_bytes(),
-        Err(_) => false,
-    };
-    let v1_counted = gobo_quant::container::unverified_loads() > unverified_before;
-    let passed =
-        panics == 0 && silent == 0 && truncations_ok && serves && v1_roundtrip && v1_counted;
+    let passed = panics == 0 && silent == 0 && truncations_ok && serves;
     Ok(Scenario {
         name: "corrupt-model",
         passed,
@@ -312,9 +283,6 @@ fn corrupt_model(corruptions: usize, seed: u64) -> Result<Scenario, CliError> {
             ),
             format!("truncations rejected: {truncations_ok}"),
             format!("intact v2 model still serves: {serves}"),
-            format!(
-                "v1 file loads content-identical: {v1_roundtrip}, counted unverified: {v1_counted}"
-            ),
         ],
     })
 }

@@ -81,9 +81,11 @@ FORMATS:
   .gobom  compressed model (config + FP32 aux + quantized layers)
 
 SERVING:
-  `serve` decodes each .gobom once, then answers POST /v1/encode with
-  dynamic batching; GET /v1/models lists model revisions with
-  lifecycle state and resident bytes, GET /metrics is Prometheus text
+  `serve` keeps each .gobom compressed in memory (FC layers are never
+  decoded; --max-bytes budgets the bytes a model really occupies, not
+  its FP32 size), then answers POST /v1/encode with dynamic batching;
+  GET /v1/models lists model revisions with lifecycle state and
+  resident bytes, GET /metrics is Prometheus text
   (counters, gauges, and latency histograms), POST /v1/shutdown drains
   and exits. `reload` (or POST /v1/reload) publishes a new revision of
   a named model into a running server with zero downtime: the file's

@@ -223,7 +223,7 @@ fn heartbeat_ack(shared: &NodeShared, seq: u64) -> Frame {
             name: status.key.name,
             bits: status.key.bits,
             resident: status.resident,
-            decoded_bytes: status.decoded_bytes as u64,
+            resident_bytes: status.resident_bytes as u64,
         })
         .collect();
     Frame::HeartbeatAck(HeartbeatAckFrame {

@@ -62,17 +62,6 @@ pub struct RouterConfig {
     /// Fixed hedge delay; `None` derives it per request from the p95
     /// of the router's route-latency histogram.
     pub hedge_after: Option<Duration>,
-    /// Lower bound on the derived hedge delay.
-    pub hedge_floor: Duration,
-    /// Hedge delay used until the latency histogram has enough
-    /// samples to derive a p95.
-    pub hedge_initial: Duration,
-    /// Overall per-request budget across all attempts.
-    pub request_timeout: Duration,
-    /// Connect timeout of one encode attempt.
-    pub connect_timeout: Duration,
-    /// Transient-connect retry policy of one encode attempt.
-    pub retry: RetryPolicy,
     /// Canary trial policy: traffic share, window size, and the p95
     /// regression threshold — same semantics as a single node's
     /// in-process canary.
@@ -88,13 +77,6 @@ impl Default for RouterConfig {
             heartbeat_timeout: Duration::from_secs(1),
             dead_after: 3,
             hedge_after: None,
-            hedge_floor: Duration::from_millis(2),
-            hedge_initial: Duration::from_millis(50),
-            request_timeout: Duration::from_secs(10),
-            connect_timeout: Duration::from_secs(1),
-            // No connect retries by default: a dead replica should
-            // fail over to the next one immediately, not be retried.
-            retry: RetryPolicy::none(),
             canary: CanaryPolicy::default(),
         }
     }
@@ -115,6 +97,16 @@ const SLOW_SCORE_CAP: u32 = 8;
 const HEDGE_MIN_SAMPLES: u64 = 20;
 /// Multiplier on the p95 when deriving the hedge delay.
 const HEDGE_P95_FACTOR: f64 = 1.5;
+/// Lower bound on the derived hedge delay.
+const HEDGE_FLOOR: Duration = Duration::from_millis(2);
+/// Hedge delay used until the latency histogram has enough samples to
+/// derive a p95.
+const HEDGE_INITIAL: Duration = Duration::from_millis(50);
+/// Overall per-request budget across all attempts.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
+/// Connect timeout of one encode attempt. Connects are not retried: a
+/// dead replica should fail over to the next one immediately.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Live state of one member, updated by heartbeats and request
 /// outcomes.
@@ -532,10 +524,10 @@ impl Router {
         }
         let hist = &self.shared.metrics.route_us;
         if hist.count() < HEDGE_MIN_SAMPLES {
-            return self.shared.config.hedge_initial;
+            return HEDGE_INITIAL;
         }
         let p95_us = hist.quantile(0.95) * HEDGE_P95_FACTOR;
-        Duration::from_micros(p95_us as u64).max(self.shared.config.hedge_floor)
+        Duration::from_micros(p95_us as u64).max(HEDGE_FLOOR)
     }
 
     /// Routes one encode: picks the replica set for `model@bits`,
@@ -601,21 +593,16 @@ impl Router {
         let (tx, rx) = mpsc::channel::<(usize, Result<EncodeOkFrame, AttemptError>)>();
         let streams: Arc<SanMutex<Vec<(usize, TcpStream)>>> =
             Arc::new(SanMutex::new("cluster.router.hedge_streams", 58, Vec::new()));
-        let config = &self.shared.config;
         let launch = |attempt: usize| {
             let Some(node) = ordered.get(attempt) else { return };
             let addr = node.addr.clone();
             let frame = Frame::EncodeRequest(request.clone());
             let tx = tx.clone();
             let streams = Arc::clone(&streams);
-            let connect_timeout = config.connect_timeout;
-            let request_timeout = config.request_timeout;
-            let retry = config.retry;
             std::thread::spawn(move || {
-                let result =
-                    attempt_once(&addr, &frame, connect_timeout, request_timeout, &retry, |s| {
-                        streams.lock().push((attempt, s));
-                    });
+                let result = attempt_once(&addr, &frame, |s| {
+                    streams.lock().push((attempt, s));
+                });
                 let _ = tx.send((attempt, result));
             });
         };
@@ -625,7 +612,7 @@ impl Router {
         let mut finished = 0usize;
         let hedge_at = start + self.hedge_delay();
         let mut hedge_idx: Option<usize> = None;
-        let deadline = start + config.request_timeout;
+        let deadline = start + REQUEST_TIMEOUT;
         let mut last_err: Option<RouterError> = None;
         let mut canary_failed = false;
 
@@ -633,8 +620,7 @@ impl Router {
             let now = Instant::now();
             if now >= deadline {
                 break Err(RouterError::Timeout(format!(
-                    "no replica answered `{key}` within {:?}",
-                    config.request_timeout
+                    "no replica answered `{key}` within {REQUEST_TIMEOUT:?}"
                 )));
             }
             let wait_until = if launched < ordered.len() && hedge_idx.is_none() {
@@ -792,16 +778,13 @@ fn rebuild_ring(shared: &Shared) {
 fn attempt_once(
     addr: &str,
     frame: &Frame,
-    connect_timeout: Duration,
-    request_timeout: Duration,
-    retry: &RetryPolicy,
     register: impl FnOnce(TcpStream),
 ) -> Result<EncodeOkFrame, AttemptError> {
     gobo_sanitize::blocking_io("cluster.router.attempt_connect");
-    let stream = connect_retry(addr, connect_timeout, retry)
+    let stream = connect_retry(addr, CONNECT_TIMEOUT, &RetryPolicy::none())
         .map_err(|e| AttemptError::Transport(format!("connect {addr}: {e}")))?;
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(request_timeout));
+    let _ = stream.set_read_timeout(Some(REQUEST_TIMEOUT));
     let mut writer = match stream.try_clone() {
         Ok(clone) => clone,
         Err(e) => return Err(AttemptError::Transport(format!("clone {addr}: {e}"))),

@@ -2,27 +2,27 @@
 //!
 //! ```text
 //! file := magic:u32 "GOBM" | version:u8 | pad:[u8;3]
-//!       | raw_config_model_len:u32 | raw_config_model (gobo-model io format,
-//!             carrying config + aux tensors + placeholder weights of length 0? —
-//!             see below)
+//!       | skeleton_len:u32 | skeleton (gobo-model io format: config,
+//!             aux tensors, and the weights the archive does not carry)
 //!       | archive_len:u32 | archive (gobo-quant container format)
-//!       | crc:u32            (v2: CRC32 of every preceding byte)
+//!       | crc:u32            (CRC32 of every preceding byte)
 //! ```
 //!
-//! Format **v2** seals the whole file with a trailing CRC32 (on top of
-//! the per-layer and per-entry checksums inside the archive), so any
-//! single-byte corruption of a `.gobom` on disk is rejected before a
-//! single weight is interpreted. v1 files (no checksum) still load,
-//! with a warning on stderr.
+//! The trailing CRC32 seals the whole file (on top of the per-layer and
+//! per-entry checksums inside the archive), so any single-byte
+//! corruption of a `.gobom` on disk is rejected before a single weight
+//! is interpreted.
 //!
-//! To avoid duplicating tensor serialization, the "configuration and
-//! auxiliary parameters" section is a *partial* raw model in
-//! `gobo-model::io` format: it carries the config, the FP32 auxiliary
-//! parameters (biases, LayerNorms), and only those quantizable weights
-//! the archive does NOT cover (e.g. embeddings when only FC weights
-//! were quantized). The archive carries the compressed weights.
+//! Every quantizable weight lives on exactly one side. The skeleton is
+//! a [`TransformerModel`] that *holds* the config, the FP32 auxiliary
+//! parameters (biases, LayerNorms) and only those weights the archive
+//! does not cover (e.g. embeddings when only FC weights were
+//! quantized); an archived weight is absent from it, not zeroed. The
+//! archive carries the compressed weights.
 
-use gobo_model::io::{load_model_partial, save_model_with};
+use std::collections::BTreeSet;
+
+use gobo_model::io::{load_model_partial, save_model, save_model_len};
 use gobo_model::{ModelError, TransformerModel};
 use gobo_quant::container::ModelArchive;
 use gobo_quant::QuantError;
@@ -30,10 +30,11 @@ use gobo_tensor::Tensor;
 
 /// Magic prefix of a compressed model file.
 pub const COMPRESSED_MAGIC: u32 = u32::from_le_bytes(*b"GOBM");
-/// Current compressed-model format version: whole-file trailing CRC32.
+/// Compressed-model format version: whole-file trailing CRC32.
 pub const COMPRESSED_FORMAT_VERSION: u8 = 2;
-/// The pre-checksum compressed-model format, still readable.
-pub const COMPRESSED_LEGACY_VERSION: u8 = 1;
+/// Bytes of a `.gobom` outside its two sections: magic, version, pad,
+/// the two section lengths and the trailing CRC32.
+const FRAMING_BYTES: usize = 4 + 1 + 3 + 4 + 4 + 4;
 
 /// Error raised by compressed-model (de)serialization.
 #[derive(Debug)]
@@ -74,9 +75,9 @@ impl From<QuantError> for FormatError {
 /// quantized layers.
 #[derive(Debug, Clone)]
 pub struct CompressedModel {
-    /// Skeleton model carrying the configuration and the auxiliary
-    /// (bias / LayerNorm) parameters; its quantizable weights are
-    /// placeholders.
+    /// Skeleton model holding the configuration, the auxiliary (bias /
+    /// LayerNorm) parameters and the weights the archive does not
+    /// carry. Archived weights are absent from it.
     pub skeleton: TransformerModel,
     /// The quantized layers, named as in the skeleton.
     pub archive: ModelArchive,
@@ -84,45 +85,56 @@ pub struct CompressedModel {
 
 impl CompressedModel {
     /// Builds the compressed form of `model` from its quantization
-    /// archive: the skeleton keeps config + aux, with archived weights
-    /// zeroed (they are not serialized; see [`CompressedModel::to_bytes`]).
+    /// archive: the skeleton keeps config + aux and gives up every
+    /// archived weight.
     ///
     /// Layers missing from the archive (e.g. embeddings when only FC
     /// weights were quantized) keep their FP32 values in the skeleton.
     pub fn new(model: &TransformerModel, archive: ModelArchive) -> Self {
         let mut skeleton = model.clone();
         for (name, _) in archive.iter() {
-            if let Ok(t) = skeleton.weight(name) {
-                let dims = t.dims().to_vec();
-                skeleton.set_weight(name, Tensor::zeros(&dims)).expect("same shape");
-            }
+            skeleton.remove_weight(name);
         }
         CompressedModel { skeleton, archive }
     }
 
     /// Reconstructs the FP32 model: skeleton + decoded archive layers.
+    /// This is the reference the served bytes are checked against; the
+    /// server itself never calls it.
     ///
     /// # Errors
     ///
-    /// Propagates shape mismatches between archive entries and the
-    /// skeleton.
+    /// As [`CompressedModel::decode_layers`].
     pub fn decode(&self) -> Result<TransformerModel, FormatError> {
+        self.decode_layers(|_| true)
+    }
+
+    /// The skeleton plus the archived layers whose name `wanted`
+    /// accepts, decoded to FP32; every other archived weight stays
+    /// absent.
+    ///
+    /// # Errors
+    ///
+    /// Propagates wanted archive entries the configuration does not
+    /// define or whose element count disagrees with it.
+    pub fn decode_layers(
+        &self,
+        wanted: impl Fn(&str) -> bool,
+    ) -> Result<TransformerModel, FormatError> {
         let mut model = self.skeleton.clone();
-        for (name, layer) in self.archive.iter() {
-            let dims = model.weight(name)?.dims().to_vec();
+        for (name, layer) in self.archive.iter().filter(|(name, _)| wanted(name)) {
+            let dims = model.weight_dims(name)?;
             let tensor = Tensor::from_vec(layer.decode(), &dims).map_err(ModelError::from)?;
             model.set_weight(name, tensor)?;
         }
         Ok(model)
     }
 
-    /// Serializes the compressed model (v2: whole-file trailing CRC32).
-    /// Weights present in the archive are omitted from the skeleton
-    /// section entirely.
+    /// Serializes the compressed model, sealed by a trailing CRC32.
     pub fn to_bytes(&self) -> Vec<u8> {
         let archive = self.archive.to_bytes();
-        let raw = save_model_with(&self.skeleton, |name| self.archive.get(name).is_none());
-        let mut out = Vec::with_capacity(raw.len() + archive.len() + 20);
+        let raw = save_model(&self.skeleton);
+        let mut out = Vec::with_capacity(raw.len() + archive.len() + FRAMING_BYTES);
         out.extend_from_slice(&COMPRESSED_MAGIC.to_le_bytes());
         out.push(COMPRESSED_FORMAT_VERSION);
         out.extend_from_slice(&[0u8; 3]);
@@ -135,13 +147,14 @@ impl CompressedModel {
         out
     }
 
-    /// Deserializes a compressed model. v2 files are rejected on
+    /// Deserializes a compressed model. The file is rejected on
     /// checksum mismatch before any field past the version byte is
-    /// interpreted; v1 files load with a warning on stderr.
+    /// interpreted.
     ///
     /// # Errors
     ///
-    /// Returns [`FormatError::Corrupt`] for structural problems and
+    /// Returns [`FormatError::Corrupt`] for structural problems —
+    /// including a weight supplied by neither or by both sides — and
     /// propagates model/container failures.
     pub fn from_bytes(data: &[u8]) -> Result<Self, FormatError> {
         if data.len() < 5 {
@@ -151,26 +164,17 @@ impl CompressedModel {
         if magic != COMPRESSED_MAGIC {
             return Err(FormatError::Corrupt("bad magic"));
         }
-        let data = match data[4] {
-            COMPRESSED_LEGACY_VERSION => {
-                eprintln!(
-                    "gobo: warning: compressed model is format v1 (no checksum); \
-                     integrity unverified"
-                );
-                data
-            }
-            COMPRESSED_FORMAT_VERSION => {
-                let Some(body_len) = data.len().checked_sub(4).filter(|&n| n >= 5) else {
-                    return Err(FormatError::Corrupt("truncated file"));
-                };
-                let stored = u32::from_le_bytes(data[body_len..].try_into().expect("4 bytes"));
-                if gobo_quant::integrity::crc32(&data[..body_len]) != stored {
-                    return Err(FormatError::Corrupt("file checksum mismatch"));
-                }
-                &data[..body_len]
-            }
-            _ => return Err(FormatError::Corrupt("unsupported version")),
+        if data[4] != COMPRESSED_FORMAT_VERSION {
+            return Err(FormatError::Corrupt("unsupported version"));
+        }
+        let Some(body_len) = data.len().checked_sub(4).filter(|&n| n >= 5) else {
+            return Err(FormatError::Corrupt("truncated file"));
         };
+        let stored = u32::from_le_bytes(data[body_len..].try_into().expect("4 bytes"));
+        if gobo_quant::integrity::crc32(&data[..body_len]) != stored {
+            return Err(FormatError::Corrupt("file checksum mismatch"));
+        }
+        let data = &data[..body_len];
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], FormatError> {
             let end = pos
                 .checked_add(n)
@@ -183,7 +187,7 @@ impl CompressedModel {
         let mut pos = 5usize; // magic + version, already checked
         let _pad = take(&mut pos, 3)?;
         let raw_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-        let (skeleton, provided) = load_model_partial(take(&mut pos, raw_len)?)?;
+        let skeleton = load_model_partial(take(&mut pos, raw_len)?)?;
         let archive_len =
             u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
         let archive = ModelArchive::from_bytes(take(&mut pos, archive_len)?)?;
@@ -191,19 +195,25 @@ impl CompressedModel {
             return Err(FormatError::Corrupt("trailing bytes"));
         }
         // Every quantizable weight must come from exactly one side.
+        let held: BTreeSet<&str> = skeleton.iter().map(|(name, _)| name).collect();
         for spec in skeleton.fc_layers().iter().chain(&skeleton.embedding_tables()) {
-            let in_skeleton = provided.contains(&spec.name);
-            let in_archive = archive.get(&spec.name).is_some();
-            if !in_skeleton && !in_archive {
-                return Err(FormatError::Corrupt("weight missing from skeleton and archive"));
+            match (held.contains(spec.name.as_str()), archive.get(&spec.name).is_some()) {
+                (false, false) => {
+                    return Err(FormatError::Corrupt("weight missing from skeleton and archive"))
+                }
+                (true, true) => {
+                    return Err(FormatError::Corrupt("weight in both skeleton and archive"))
+                }
+                _ => {}
             }
         }
         Ok(CompressedModel { skeleton, archive })
     }
 
-    /// Total serialized size in bytes.
+    /// Length of [`CompressedModel::to_bytes`]'s output, computed from
+    /// tensor shapes and layer size breakdowns without serializing.
     pub fn serialized_bytes(&self) -> usize {
-        self.to_bytes().len()
+        FRAMING_BYTES + save_model_len(&self.skeleton) + self.archive.serialized_bytes()
     }
 }
 
@@ -250,9 +260,63 @@ mod tests {
         // Embeddings were not quantized: the skeleton keeps them FP32.
         let word = compressed.skeleton.weight("embeddings.word").unwrap();
         assert!(word.as_slice().iter().any(|&v| v != 0.0));
-        // FC weights are zeroed placeholders.
-        let pooler = compressed.skeleton.weight("pooler").unwrap();
-        assert!(pooler.as_slice().iter().all(|&v| v == 0.0));
+        // FC weights live in the archive only.
+        assert_eq!(
+            compressed.skeleton.weight("pooler"),
+            Err(ModelError::AbsentWeight { name: "pooler".into() })
+        );
+    }
+
+    #[test]
+    fn skeleton_forward_fails_loudly_naming_the_absent_layer() {
+        let (_, compressed) = quantized();
+        let err = compressed.skeleton.encode(&[1, 2, 3], &[]).unwrap_err();
+        assert_eq!(err, ModelError::AbsentWeight { name: "encoder.0.attention.query".into() });
+        let input = gobo_model::batch::EncodeInput { ids: &[1, 2, 3], type_ids: &[] };
+        let err = compressed.skeleton.encode_batch(&[input]).unwrap_err();
+        assert_eq!(err, ModelError::AbsentWeight { name: "encoder.0.attention.query".into() });
+    }
+
+    /// Re-frames `compressed` with a hand-edited skeleton, as a buggy
+    /// or hostile writer would (valid CRC, wrong weight ownership).
+    fn reframed(compressed: &CompressedModel, skeleton: TransformerModel) -> Vec<u8> {
+        CompressedModel { skeleton, archive: compressed.archive.clone() }.to_bytes()
+    }
+
+    #[test]
+    fn rejects_weight_on_both_sides_and_on_neither() {
+        let (decoded, compressed) = quantized();
+        let mut both = compressed.skeleton.clone();
+        both.set_weight("pooler", decoded.weight("pooler").unwrap().clone()).unwrap();
+        assert!(matches!(
+            CompressedModel::from_bytes(&reframed(&compressed, both)),
+            Err(FormatError::Corrupt("weight in both skeleton and archive"))
+        ));
+        let mut neither = compressed.skeleton.clone();
+        neither.remove_weight("embeddings.position").unwrap();
+        assert!(matches!(
+            CompressedModel::from_bytes(&reframed(&compressed, neither)),
+            Err(FormatError::Corrupt("weight missing from skeleton and archive"))
+        ));
+    }
+
+    #[test]
+    fn serialized_bytes_is_computed_not_serialized() {
+        let config = ModelConfig::tiny("Sizes", 2, 24, 2, 40, 12).unwrap();
+        let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(9)).unwrap();
+        for bits in [2u8, 3, 4] {
+            let fc_only = QuantizeOptions::gobo(bits).unwrap();
+            let with_embeddings = fc_only.clone().with_embedding_bits(4).unwrap();
+            for options in [fc_only, with_embeddings] {
+                let archive = quantize_model(&model, &options).unwrap().archive;
+                for (name, layer) in archive.iter() {
+                    assert_eq!(layer.serialized_bytes(), layer.to_bytes().len(), "{name}");
+                }
+                assert_eq!(archive.serialized_bytes(), archive.to_bytes().len());
+                let compressed = CompressedModel::new(&model, archive);
+                assert_eq!(compressed.serialized_bytes(), compressed.to_bytes().len());
+            }
+        }
     }
 
     #[test]
@@ -295,16 +359,19 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_file_still_loads() {
-        // `quantized()` as the last v1 writer serialized it.
+    fn version_1_is_unsupported_and_no_downgrade_skips_the_checksum() {
         let (_, compressed) = quantized();
-        let v1 = include_bytes!("../tests/fixtures/model_v1.gobom");
-        let restored = CompressedModel::from_bytes(v1).unwrap();
-        assert_eq!(restored.to_bytes(), compressed.to_bytes());
-        let decoded = restored.decode().unwrap();
-        let reference = compressed.decode().unwrap();
-        for spec in reference.fc_layers() {
-            assert_eq!(decoded.weight(&spec.name).unwrap(), reference.weight(&spec.name).unwrap());
+        let mut bytes = compressed.to_bytes();
+        bytes[4] = 1;
+        assert!(matches!(
+            CompressedModel::from_bytes(&bytes),
+            Err(FormatError::Corrupt("unsupported version"))
+        ));
+        // A forged version byte must not buy a second, unchecked flip.
+        for pos in (5..bytes.len()).step_by(bytes.len() / 64 + 1) {
+            let mut bad = bytes.clone();
+            bad[pos] ^= 0x40;
+            assert!(CompressedModel::from_bytes(&bad).is_err(), "flip at byte {pos} accepted");
         }
     }
 }

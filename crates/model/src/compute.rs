@@ -3,9 +3,10 @@
 //! The encoder's FC layers are pure `activation × weightᵀ` products
 //! against *named* weight matrices, so the forward pass can be made
 //! generic over how that product is computed: the dense FP32 path
-//! multiplies against the decoded tensor, while a serving engine can
-//! route archived layers to a compute-on-compressed kernel that never
-//! materializes the dense matrix. Everything else about the forward
+//! multiplies against the tensor the model holds, while a serving
+//! engine can route archived layers to a compute-on-compressed kernel
+//! that never materializes the dense matrix — `model` may then be a
+//! skeleton from which those weights are absent. Everything else about the forward
 //! pass (embeddings, attention shape-shuffling, LayerNorms, biases) is
 //! shared.
 //!
@@ -25,12 +26,13 @@ use crate::weights::TransformerModel;
 /// A backend computing `input × W(name)ᵀ` for the forward pass.
 pub trait WeightCompute {
     /// Computes `input.matmul_nt(W)` for the named weight, bit-for-bit
-    /// equal to the dense product against `model.weight(name)`.
+    /// equal to the dense product against the FP32 weight.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::UnknownLayer`] for unknown names and
-    /// propagates tensor failures.
+    /// Returns [`ModelError::UnknownLayer`] for unknown names,
+    /// [`ModelError::AbsentWeight`] when neither the backend nor
+    /// `model` holds the weight, and propagates tensor failures.
     fn matmul_nt(
         &self,
         model: &TransformerModel,
@@ -40,7 +42,8 @@ pub trait WeightCompute {
 }
 
 /// The default backend: multiply against the model's dense FP32
-/// weights.
+/// weights. Over a skeleton it fails with [`ModelError::AbsentWeight`]
+/// on the first archived layer.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DenseCompute;
 

@@ -17,6 +17,13 @@ pub enum ModelError {
         /// The requested layer name.
         name: String,
     },
+    /// A layer the configuration defines was requested from a model that
+    /// does not hold its weight: a skeleton whose weight lives in a
+    /// compressed archive. Nothing was multiplied by a stand-in.
+    AbsentWeight {
+        /// The layer whose weight is absent.
+        name: String,
+    },
     /// A weight tensor's shape disagrees with the configuration.
     WeightShape {
         /// The layer whose weights were malformed.
@@ -43,6 +50,9 @@ impl fmt::Display for ModelError {
                 write!(f, "invalid model configuration: field `{name}`")
             }
             ModelError::UnknownLayer { name } => write!(f, "unknown layer `{name}`"),
+            ModelError::AbsentWeight { name } => {
+                write!(f, "layer `{name}` has no FP32 weight in this model (absent, not zero)")
+            }
             ModelError::WeightShape { layer, expected, got } => {
                 write!(f, "layer `{layer}`: expected shape {expected:?}, got {got:?}")
             }

@@ -12,8 +12,9 @@
 //! tensor := name_len:u16 | name:utf8 | rank:u8 | dims:[u32; rank] | data:[f32]
 //! ```
 //!
-//! Both the quantizable weights and the auxiliary parameters (biases,
-//! LayerNorm) are stored, so a round trip reproduces the model exactly.
+//! Both the quantizable weights the model holds and the auxiliary
+//! parameters (biases, LayerNorm) are stored, so a round trip
+//! reproduces the model exactly — including which weights are absent.
 
 use gobo_tensor::Tensor;
 
@@ -114,22 +115,12 @@ fn read_tensor(r: &mut Reader<'_>) -> Result<(String, Tensor), ModelError> {
     Ok((name, tensor))
 }
 
-/// Serializes a model (weights + auxiliary parameters) to the raw
-/// format.
+/// Serializes a model to the raw format: the quantizable weights it
+/// holds plus every auxiliary parameter. A skeleton therefore writes
+/// only what its archive does not carry.
 pub fn save_model(model: &TransformerModel) -> Vec<u8> {
-    save_model_with(model, |_| true)
-}
-
-/// Serializes a model, including only the quantizable weights for
-/// which `include_weight` returns `true` (auxiliary parameters are
-/// always included). Used by compressed containers whose archive
-/// carries the excluded weights.
-pub fn save_model_with(
-    model: &TransformerModel,
-    mut include_weight: impl FnMut(&str) -> bool,
-) -> Vec<u8> {
     let config = model.config();
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(save_model_len(model));
     out.extend_from_slice(&MODEL_MAGIC.to_le_bytes());
     out.push(MODEL_FORMAT_VERSION);
     out.push(u8::from(config.has_pooler));
@@ -146,17 +137,27 @@ pub fn save_model_with(
     ] {
         out.extend_from_slice(&(v as u32).to_le_bytes());
     }
-    let weights: Vec<(&str, &Tensor)> =
-        model.iter().filter(|(name, _)| include_weight(name)).collect();
-    let aux: Vec<(String, &Tensor)> = aux_entries(model);
-    out.extend_from_slice(&((weights.len() + aux.len()) as u32).to_le_bytes());
-    for (name, tensor) in weights {
+    let aux = aux_entries(model);
+    out.extend_from_slice(&((model.iter().count() + aux.len()) as u32).to_le_bytes());
+    for (name, tensor) in model.iter() {
         put_tensor(&mut out, name, tensor);
     }
     for (name, tensor) in aux {
         put_tensor(&mut out, &name, tensor);
     }
     out
+}
+
+/// Length of [`save_model`]'s output, computed from the tensor shapes
+/// without serializing anything.
+pub fn save_model_len(model: &TransformerModel) -> usize {
+    // magic + version + flags + pad, name, seven u32 config fields,
+    // tensor count.
+    let header = 8 + 2 + model.config().name.len() + 7 * 4 + 4;
+    let tensor = |name: &str, t: &Tensor| 2 + name.len() + 1 + 4 * t.shape().rank() + 4 * t.len();
+    let weights: usize = model.iter().map(|(name, t)| tensor(name, t)).sum();
+    let aux: usize = aux_entries(model).iter().map(|(name, t)| tensor(name, t)).sum();
+    header + weights + aux
 }
 
 /// Enumerates the auxiliary parameters by the naming convention.
@@ -184,28 +185,24 @@ fn aux_entries(model: &TransformerModel) -> Vec<(String, &Tensor)> {
 /// truncation, malformed or missing tensors, and shape errors when a
 /// stored tensor disagrees with the configuration.
 pub fn load_model(data: &[u8]) -> Result<TransformerModel, ModelError> {
-    let (model, provided) = load_model_partial(data)?;
+    let model = load_model_partial(data)?;
     let expected = model.fc_layers().len() + model.embedding_tables().len();
-    let provided_weights =
-        provided.iter().filter(|n| !(n.ends_with(".bias") || n.contains(".ln."))).count();
-    if provided_weights < expected {
+    if model.iter().count() < expected {
         return Err(ModelError::InvalidInput { what: "model file missing weight tensors" });
     }
     Ok(model)
 }
 
-/// Deserializes a possibly partial model, returning the names of the
-/// tensors that were actually provided. Weights absent from the file
-/// keep zeroed placeholders; callers are expected to fill them (e.g.
-/// from a quantized archive).
+/// Deserializes a possibly partial model: a skeleton of the stored
+/// configuration holding exactly the tensors the file supplies.
+/// Weights absent from the file stay absent; callers own them in some
+/// other form (e.g. a quantized archive).
 ///
 /// # Errors
 ///
 /// Same structural conditions as [`load_model`], minus the
 /// completeness check.
-pub fn load_model_partial(
-    data: &[u8],
-) -> Result<(TransformerModel, std::collections::BTreeSet<String>), ModelError> {
+pub fn load_model_partial(data: &[u8]) -> Result<TransformerModel, ModelError> {
     gobo_fault::fail_point!(
         "model.io.load",
         ModelError::InvalidInput { what: "injected model.io.load fault" }
@@ -227,7 +224,7 @@ pub fn load_model_partial(
     let vocab = r.u32()? as usize;
     let max_position = r.u32()? as usize;
     let type_vocab = r.u32()? as usize;
-    let config = ModelConfig {
+    let mut model = TransformerModel::skeleton(ModelConfig {
         name,
         encoder_layers,
         hidden,
@@ -237,19 +234,7 @@ pub fn load_model_partial(
         max_position,
         type_vocab,
         has_pooler,
-    };
-    config.validate()?;
-
-    // Weights default to zeros so absent tensors are inert
-    // placeholders rather than random values.
-    let mut model = TransformerModel::new(
-        config.clone(),
-        &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0),
-    )?;
-    for spec in model.fc_layers().iter().chain(&model.embedding_tables()) {
-        let dims = [spec.rows, spec.cols];
-        model.set_weight(&spec.name, Tensor::zeros(&dims))?;
-    }
+    })?;
     let count = r.u32()? as usize;
     let mut seen: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
     for _ in 0..count {
@@ -266,7 +251,7 @@ pub fn load_model_partial(
     if r.pos != data.len() {
         return Err(ModelError::InvalidInput { what: "trailing bytes in model file" });
     }
-    Ok((model, seen))
+    Ok(model)
 }
 
 /// Writes `bytes` to `path` atomically: the data goes to a sibling
@@ -333,6 +318,21 @@ mod tests {
         let bytes = save_model(&m);
         let restored = load_model(&bytes).unwrap();
         assert_eq!(restored, m);
+    }
+
+    #[test]
+    fn partial_round_trip_keeps_absent_weights_absent() {
+        let mut m = model();
+        m.remove_weight("pooler").unwrap();
+        m.remove_weight("embeddings.word").unwrap();
+        let bytes = save_model(&m);
+        assert_eq!(bytes.len(), save_model_len(&m));
+        assert_eq!(save_model(&model()).len(), save_model_len(&model()));
+        let restored = load_model_partial(&bytes).unwrap();
+        assert_eq!(restored, m);
+        assert!(matches!(restored.weight("pooler"), Err(ModelError::AbsentWeight { .. })));
+        // The complete loader refuses a file that lacks weights.
+        assert!(load_model(&bytes).is_err());
     }
 
     #[test]

@@ -20,7 +20,9 @@ use crate::spec::{enumerate_embedding_tables, enumerate_fc_layers, FcLayerSpec};
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransformerModel {
     config: ModelConfig,
-    /// Quantizable weight matrices: FC layers + embedding tables.
+    /// The quantizable weight matrices (FC layers + embedding tables)
+    /// this model holds. A weight the map lacks is *absent* — carried
+    /// in compressed form by whoever owns the model — not zero.
     weights: BTreeMap<String, Tensor>,
     /// Non-quantized parameters: biases and LayerNorm gamma/beta.
     aux: BTreeMap<String, Tensor>,
@@ -36,14 +38,29 @@ impl TransformerModel {
     /// Returns [`ModelError::InvalidConfig`] when the configuration is
     /// inconsistent.
     pub fn new(config: ModelConfig, rng: &mut impl Rng) -> Result<Self, ModelError> {
+        let mut model = Self::skeleton(config)?;
+        for spec in model.fc_layers() {
+            model.weights.insert(spec.name, xavier_normal(rng, spec.rows, spec.cols));
+        }
+        for spec in model.embedding_tables() {
+            model.weights.insert(spec.name, randn(rng, &[spec.rows, spec.cols], 0.0, 0.02));
+        }
+        Ok(model)
+    }
+
+    /// Builds a model that holds **no** quantizable weight: the
+    /// configuration plus default auxiliary parameters (zero biases,
+    /// unit LayerNorm gains). Weights are supplied one by one through
+    /// [`TransformerModel::set_weight`]; until then
+    /// [`TransformerModel::weight`] — and therefore every forward pass
+    /// that needs the layer — fails with [`ModelError::AbsentWeight`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidConfig`] when the configuration is
+    /// inconsistent.
+    pub fn skeleton(config: ModelConfig) -> Result<Self, ModelError> {
         config.validate()?;
-        let mut weights = BTreeMap::new();
-        for spec in enumerate_fc_layers(&config) {
-            weights.insert(spec.name.clone(), xavier_normal(rng, spec.rows, spec.cols));
-        }
-        for spec in enumerate_embedding_tables(&config) {
-            weights.insert(spec.name.clone(), randn(rng, &[spec.rows, spec.cols], 0.0, 0.02));
-        }
         let mut aux = BTreeMap::new();
         let h = config.hidden;
         let mut ln = |name: String| {
@@ -58,7 +75,7 @@ impl TransformerModel {
         for spec in enumerate_fc_layers(&config) {
             aux.insert(format!("{}.bias", spec.name), Tensor::zeros(&[spec.rows]));
         }
-        Ok(TransformerModel { config, weights, aux })
+        Ok(TransformerModel { config, weights: BTreeMap::new(), aux })
     }
 
     /// The model's configuration.
@@ -66,35 +83,64 @@ impl TransformerModel {
         &self.config
     }
 
+    /// `[rows, cols]` the configuration prescribes for a quantizable
+    /// weight, whether or not the model holds it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::UnknownLayer`] for names the configuration
+    /// does not define.
+    pub fn weight_dims(&self, name: &str) -> Result<[usize; 2], ModelError> {
+        self.fc_layers()
+            .into_iter()
+            .chain(self.embedding_tables())
+            .find(|spec| spec.name == name)
+            .map(|spec| [spec.rows, spec.cols])
+            .ok_or_else(|| ModelError::UnknownLayer { name: name.into() })
+    }
+
     /// Borrows a quantizable weight matrix by name.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::UnknownLayer`] for unknown names.
+    /// Returns [`ModelError::AbsentWeight`] when the model does not
+    /// hold the weight (a skeleton whose archive carries it), and
+    /// [`ModelError::UnknownLayer`] for names the configuration does
+    /// not define.
     pub fn weight(&self, name: &str) -> Result<&Tensor, ModelError> {
-        self.weights.get(name).ok_or_else(|| ModelError::UnknownLayer { name: name.into() })
+        match self.weights.get(name) {
+            Some(tensor) => Ok(tensor),
+            None => {
+                self.weight_dims(name)?;
+                Err(ModelError::AbsentWeight { name: name.into() })
+            }
+        }
     }
 
-    /// Replaces a quantizable weight matrix, enforcing shape equality.
+    /// Supplies or replaces a quantizable weight matrix, enforcing the
+    /// shape the configuration prescribes for it.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::UnknownLayer`] for unknown names and
     /// [`ModelError::WeightShape`] when the shapes differ.
     pub fn set_weight(&mut self, name: &str, tensor: Tensor) -> Result<(), ModelError> {
-        let slot = self
-            .weights
-            .get_mut(name)
-            .ok_or_else(|| ModelError::UnknownLayer { name: name.into() })?;
-        if slot.dims() != tensor.dims() {
+        let expected = self.weight_dims(name)?;
+        if tensor.dims() != expected {
             return Err(ModelError::WeightShape {
                 layer: name.into(),
-                expected: slot.dims().to_vec(),
+                expected: expected.to_vec(),
                 got: tensor.dims().to_vec(),
             });
         }
-        *slot = tensor;
+        self.weights.insert(name.into(), tensor);
         Ok(())
+    }
+
+    /// Takes a quantizable weight out of the model, leaving the layer
+    /// absent; `None` when it already was.
+    pub fn remove_weight(&mut self, name: &str) -> Option<Tensor> {
+        self.weights.remove(name)
     }
 
     /// Borrows an auxiliary (bias / LayerNorm) parameter by name.
@@ -125,8 +171,8 @@ impl TransformerModel {
         Ok(())
     }
 
-    /// Iterates over `(name, tensor)` for all quantizable weights in
-    /// name order.
+    /// Iterates over `(name, tensor)` for the quantizable weights the
+    /// model holds, in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Tensor)> {
         self.weights.iter().map(|(k, v)| (k.as_str(), v))
     }
@@ -144,6 +190,12 @@ impl TransformerModel {
     /// Total FP32 bytes held in quantizable weights.
     pub fn weight_bytes(&self) -> usize {
         self.weights.values().map(|t| t.len() * 4).sum()
+    }
+
+    /// FP32 bytes of every tensor the model holds: the quantizable
+    /// weights that are present plus the auxiliary parameters.
+    pub fn resident_bytes(&self) -> usize {
+        self.weight_bytes() + self.aux.values().map(|t| t.len() * 4).sum::<usize>()
     }
 }
 
@@ -190,6 +242,32 @@ mod tests {
             Err(ModelError::WeightShape { .. })
         ));
         assert!(m.set_weight("missing", Tensor::zeros(&[2, 2])).is_err());
+    }
+
+    #[test]
+    fn skeleton_holds_aux_but_no_weight() {
+        let full = tiny();
+        let mut m = TransformerModel::skeleton(full.config().clone()).unwrap();
+        assert_eq!(m.iter().count(), 0);
+        assert_eq!(m.weight_bytes(), 0);
+        assert!(m.aux("pooler.bias").is_ok());
+        assert!(m.resident_bytes() > 0);
+        assert_eq!(
+            m.weight("pooler"),
+            Err(ModelError::AbsentWeight { name: "pooler".into() }),
+            "an absent weight is an error, never zeros"
+        );
+        // The forward pass fails on the first layer it needs.
+        let err = m.encode(&[1, 2, 3], &[]).unwrap_err();
+        assert_eq!(err, ModelError::AbsentWeight { name: "embeddings.word".into() });
+        // Supplying every weight makes it the full model again.
+        for (name, tensor) in full.iter() {
+            m.set_weight(name, tensor.clone()).unwrap();
+        }
+        assert_eq!(m, full);
+        assert_eq!(m.remove_weight("pooler").as_ref(), Some(full.weight("pooler").unwrap()));
+        assert_eq!(m.remove_weight("pooler"), None);
+        assert_eq!(m.resident_bytes(), full.resident_bytes() - 32 * 32 * 4);
     }
 
     #[test]

@@ -133,10 +133,10 @@ pub struct ModelStatusFrame {
     pub name: String,
     /// Bit width of this entry.
     pub bits: u8,
-    /// Whether the decoded form is resident in the node's LRU.
+    /// Whether the model is resident in the node's LRU.
     pub resident: bool,
-    /// Decoded size in bytes (0 when evicted).
-    pub decoded_bytes: u64,
+    /// Bytes the model occupies in the node's memory (0 when evicted).
+    pub resident_bytes: u64,
 }
 
 /// A node's answer to a heartbeat: liveness plus load.
@@ -396,7 +396,7 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
                 w.str(&m.name);
                 w.u8(m.bits);
                 w.bool(m.resident);
-                w.u64(m.decoded_bytes);
+                w.u64(m.resident_bytes);
             }
         }
         Frame::Drain | Frame::DrainAck => {}
@@ -453,7 +453,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
                     name: r.str("model name")?,
                     bits: r.u8("bits")?,
                     resident: r.bool("resident flag")?,
-                    decoded_bytes: r.u64("decoded bytes")?,
+                    resident_bytes: r.u64("resident bytes")?,
                 });
             }
             Frame::HeartbeatAck(HeartbeatAckFrame { seq, queue_depth, draining, models })
@@ -608,13 +608,13 @@ mod tests {
                         name: "MiniBert".to_string(),
                         bits: 3,
                         resident: true,
-                        decoded_bytes: 1 << 20,
+                        resident_bytes: 1 << 20,
                     },
                     ModelStatusFrame {
                         name: "Tiny".to_string(),
                         bits: 4,
                         resident: false,
-                        decoded_bytes: 0,
+                        resident_bytes: 0,
                     },
                 ],
             }),
@@ -627,6 +627,25 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, frame).unwrap();
         buf
+    }
+
+    #[test]
+    fn model_status_wire_layout_is_unchanged_by_the_field_rename() {
+        // The heartbeat ack of `sample_frames()` as written before the
+        // size field was renamed `resident_bytes`: same bytes, same
+        // protocol version.
+        const BEFORE_RENAME: &str = "474f42500104390000006300000000000000110000000002000000\
+            080000004d696e6942657274030100001000000000000400000054696e7904000000000000000000\
+            276e6ae8";
+        let before: Vec<u8> = (0..BEFORE_RENAME.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&BEFORE_RENAME[i..i + 2], 16).unwrap())
+            .collect();
+        let ack = sample_frames().into_iter().find(|f| matches!(f, Frame::HeartbeatAck(_)));
+        let ack = ack.unwrap();
+        assert_eq!(encode(&ack), before);
+        let got = read_frame(&mut Cursor::new(before), MAX_PAYLOAD).unwrap().unwrap();
+        assert_eq!(got, ack);
     }
 
     #[test]

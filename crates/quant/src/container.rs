@@ -16,22 +16,20 @@
 //!          | outlier_positions:[u32; outliers]
 //!          | outlier_values:[f32; outliers]
 //!          | packed_indices:[u8; ceil((total-outliers)*bits/8)]
-//!          | crc:u32                       (v2: CRC32 of all preceding bytes)
+//!          | crc:u32                       (CRC32 of all preceding bytes)
 //! archive := magic:u32 "GOBa" | version:u8 | pad:[u8;3] | entries:u32
-//!          | header_crc:u32                (v2: CRC32 of the 12 header bytes)
+//!          | header_crc:u32                (CRC32 of the 12 header bytes)
 //!          | entry*
 //! entry   := name_len:u16 | name:utf8 | layer_len:u32 | layer
-//!          | crc:u32                       (v2: CRC32 of the entry's bytes)
+//!          | crc:u32                       (CRC32 of the entry's bytes)
 //! ```
 //!
-//! Format **v2** seals each layer and each archive entry with a CRC32
+//! Each layer and each archive entry is sealed with a CRC32
 //! ([`crate::integrity`]) verified *before* any field is interpreted,
-//! so a bit-flip in `packed_indices` or the codebook can no longer
-//! decode to silently-wrong weights. Writers always emit v2; v1
-//! payloads (no checksum) remain readable but are counted by
-//! [`unverified_loads`] and warned about at archive granularity.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! so a bit-flip in `packed_indices` or the codebook cannot decode to
+//! silently-wrong weights. Version 2 is the only version read or
+//! written: the checksum-less version 1 is rejected as unsupported, so
+//! rewriting the version byte cannot switch verification off.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -46,27 +44,14 @@ use crate::packing;
 pub const LAYER_MAGIC: u32 = u32::from_le_bytes(*b"GOBq");
 /// Magic prefix of a serialized archive.
 pub const ARCHIVE_MAGIC: u32 = u32::from_le_bytes(*b"GOBa");
-/// Current format version: CRC32 per layer and per archive entry.
+/// The format version: CRC32 per layer and per archive entry.
 pub const FORMAT_VERSION: u8 = 2;
-/// The pre-checksum format, still readable (but unverifiable).
-pub const LEGACY_FORMAT_VERSION: u8 = 1;
-
-/// Count of v1 (checksum-less) objects loaded by this process.
-static UNVERIFIED: AtomicU64 = AtomicU64::new(0);
-
-/// Number of legacy v1 layers/archives this process has deserialized.
-/// v1 payloads carry no checksum, so their integrity cannot be
-/// verified; re-encode with a current writer to upgrade them.
-pub fn unverified_loads() -> u64 {
-    UNVERIFIED.load(Ordering::Relaxed)
-}
-
-fn note_unverified(what: &str, warn: bool) {
-    UNVERIFIED.fetch_add(1, Ordering::Relaxed);
-    if warn {
-        eprintln!("gobo-quant: warning: {what} is format v1 (no checksum); integrity unverified");
-    }
-}
+/// Bytes of a serialized layer outside its variable-length sections:
+/// the 20-byte wire header plus the 4-byte trailing CRC32.
+const LAYER_FRAMING_BYTES: usize = 24;
+/// Bytes of a serialized archive before its first entry: magic,
+/// version, pad, entry count and the header CRC32.
+const ARCHIVE_HEADER_BYTES: usize = 16;
 
 fn method_tag(method: QuantMethod) -> u8 {
     match method {
@@ -139,10 +124,25 @@ fn array<const N: usize>(bytes: &[u8]) -> Result<[u8; N], QuantError> {
 }
 
 impl QuantizedLayer {
-    /// Serializes the layer to the container format (v2: trailing CRC32
+    /// Length of [`QuantizedLayer::to_bytes`]'s output, computed from
+    /// the size breakdown without serializing.
+    pub fn serialized_bytes(&self) -> usize {
+        let sizes = self.size_breakdown();
+        [
+            LAYER_FRAMING_BYTES,
+            sizes.codebook_bytes,
+            sizes.outlier_position_bytes,
+            sizes.outlier_value_bytes,
+            sizes.index_bytes,
+        ]
+        .iter()
+        .sum()
+    }
+
+    /// Serializes the layer to the container format (trailing CRC32
     /// over everything preceding it).
     pub fn to_bytes(&self) -> Bytes {
-        let mut out = BytesMut::with_capacity(self.compressed_bytes().saturating_add(24));
+        let mut out = BytesMut::with_capacity(self.serialized_bytes());
         out.put_u32_le(LAYER_MAGIC);
         out.put_u8(FORMAT_VERSION);
         out.put_u8(method_tag(self.method()));
@@ -167,11 +167,8 @@ impl QuantizedLayer {
         out.freeze()
     }
 
-    /// Deserializes a layer from the container format.
-    ///
-    /// v2 payloads are checksum-verified before any field is
-    /// interpreted; v1 payloads parse as before but count toward
-    /// [`unverified_loads`].
+    /// Deserializes a layer from the container format. The payload is
+    /// checksum-verified before any field is interpreted.
     ///
     /// The convergence trace is a quantization-time artifact and is not
     /// stored; deserialized layers carry an empty trace.
@@ -190,34 +187,27 @@ impl QuantizedLayer {
         if r.u32()? != LAYER_MAGIC {
             return Err(QuantError::CorruptPayload { what: "bad layer magic" });
         }
-        match r.u8()? {
-            LEGACY_FORMAT_VERSION => {
-                // v1 historically tolerated trailing bytes; keep that.
-                note_unverified("layer", false);
-                Self::parse_body(&mut r)
-            }
-            FORMAT_VERSION => {
-                let Some(body_len) = data.len().checked_sub(4).filter(|&n| n >= 5) else {
-                    return Err(QuantError::CorruptPayload { what: "truncated payload" });
-                };
-                let (body, tail) = (data.get(..body_len), data.get(body_len..));
-                let (Some(body), Some(tail)) = (body, tail) else {
-                    return Err(QuantError::CorruptPayload { what: "truncated payload" });
-                };
-                let stored = u32::from_le_bytes(array(tail)?);
-                if crc32(body) != stored {
-                    return Err(QuantError::CorruptPayload { what: "layer checksum mismatch" });
-                }
-                let mut r = Reader::new(body);
-                let _header = r.take(5)?; // magic + version, already checked
-                let layer = Self::parse_body(&mut r)?;
-                if r.remaining() != 0 {
-                    return Err(QuantError::CorruptPayload { what: "trailing bytes after layer" });
-                }
-                Ok(layer)
-            }
-            _ => Err(QuantError::CorruptPayload { what: "unsupported version" }),
+        if r.u8()? != FORMAT_VERSION {
+            return Err(QuantError::CorruptPayload { what: "unsupported version" });
         }
+        let Some(body_len) = data.len().checked_sub(4).filter(|&n| n >= 5) else {
+            return Err(QuantError::CorruptPayload { what: "truncated payload" });
+        };
+        let (body, tail) = (data.get(..body_len), data.get(body_len..));
+        let (Some(body), Some(tail)) = (body, tail) else {
+            return Err(QuantError::CorruptPayload { what: "truncated payload" });
+        };
+        let stored = u32::from_le_bytes(array(tail)?);
+        if crc32(body) != stored {
+            return Err(QuantError::CorruptPayload { what: "layer checksum mismatch" });
+        }
+        let mut r = Reader::new(body);
+        let _header = r.take(5)?; // magic + version, already checked
+        let layer = Self::parse_body(&mut r)?;
+        if r.remaining() != 0 {
+            return Err(QuantError::CorruptPayload { what: "trailing bytes after layer" });
+        }
+        Ok(layer)
     }
 
     /// Parses the layer fields following the magic+version prefix.
@@ -343,18 +333,19 @@ impl ModelArchive {
         self.entries.iter().map(|(n, l)| (n.as_str(), l))
     }
 
-    /// Total serialized size in bytes (v2 layout: each entry carries a
-    /// trailing CRC32).
+    /// Length of [`ModelArchive::to_bytes`]'s output, computed from the
+    /// layers' size breakdowns without serializing: each entry frames
+    /// its layer with a name, a length and a trailing CRC32.
     pub fn serialized_bytes(&self) -> usize {
         let entries: usize = self
             .entries
             .iter()
-            .map(|(n, l)| 2 + n.len() + 4 + l.to_bytes().len() + 4) // ARITH: live buffer lengths
+            .map(|(n, l)| 2 + n.len() + 4 + l.serialized_bytes() + 4) // ARITH: live buffer lengths
             .sum();
-        16 + entries // ARITH: sums lengths of live in-memory entries, < isize::MAX
+        ARCHIVE_HEADER_BYTES + entries // ARITH: sums lengths of live in-memory entries, < isize::MAX
     }
 
-    /// Serializes the archive (v2: a CRC32 seals every entry).
+    /// Serializes the archive (a CRC32 seals every entry).
     pub fn to_bytes(&self) -> Bytes {
         let mut out = BytesMut::with_capacity(self.serialized_bytes());
         out.put_u32_le(ARCHIVE_MAGIC);
@@ -376,9 +367,8 @@ impl ModelArchive {
         out.freeze()
     }
 
-    /// Deserializes an archive. v2 entries are checksum-verified before
-    /// their layer payloads are parsed; v1 archives load with a warning
-    /// on stderr and count toward [`unverified_loads`].
+    /// Deserializes an archive. The header and every entry are
+    /// checksum-verified before the layer payloads are parsed.
     ///
     /// # Errors
     ///
@@ -394,17 +384,12 @@ impl ModelArchive {
         if r.u32()? != ARCHIVE_MAGIC {
             return Err(QuantError::CorruptPayload { what: "bad archive magic" });
         }
-        let verified = match r.u8()? {
-            LEGACY_FORMAT_VERSION => {
-                note_unverified("archive", true);
-                false
-            }
-            FORMAT_VERSION => true,
-            _ => return Err(QuantError::CorruptPayload { what: "unsupported version" }),
-        };
+        if r.u8()? != FORMAT_VERSION {
+            return Err(QuantError::CorruptPayload { what: "unsupported version" });
+        }
         let _pad = r.take(3)?;
         let count = r.u32()? as usize;
-        if verified && r.u32()? != crc32(data.get(..12).unwrap_or_default()) {
+        if r.u32()? != crc32(data.get(..12).unwrap_or_default()) {
             return Err(QuantError::CorruptPayload { what: "archive header checksum mismatch" });
         }
         let mut archive = ModelArchive::new();
@@ -417,12 +402,10 @@ impl ModelArchive {
             let layer_len = r.u32()? as usize;
             let layer_bytes = r.take(layer_len)?;
             let entry_end = r.pos;
-            if verified {
-                let stored = r.u32()?;
-                let entry = data.get(entry_start..entry_end).unwrap_or_default();
-                if crc32(entry) != stored {
-                    return Err(QuantError::CorruptPayload { what: "entry checksum mismatch" });
-                }
+            let stored = r.u32()?;
+            let entry = data.get(entry_start..entry_end).unwrap_or_default();
+            if crc32(entry) != stored {
+                return Err(QuantError::CorruptPayload { what: "entry checksum mismatch" });
             }
             let layer = QuantizedLayer::from_bytes(layer_bytes)?;
             archive.push(name, layer)?;
@@ -477,15 +460,10 @@ mod tests {
     fn serialized_size_tracks_accounting() {
         let layer = sample_layer(10_000, 3);
         let bytes = layer.to_bytes();
+        assert_eq!(bytes.len(), layer.serialized_bytes());
         // The wire format differs from the accounting only by the header
-        // representation (12-byte logical header vs 20 bytes on wire).
-        let accounted = layer.compressed_bytes();
-        assert!(
-            (bytes.len() as i64 - accounted as i64).unsigned_abs() < 16,
-            "wire {} vs accounted {}",
-            bytes.len(),
-            accounted
-        );
+        // representation (12-byte logical header vs 20 bytes + CRC on wire).
+        assert_eq!(bytes.len(), layer.compressed_bytes() + 12);
     }
 
     #[test]
@@ -567,22 +545,33 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_payloads_still_load_and_are_counted() {
-        // Nothing writes v1 any more: the fixtures are `sample_layer(300, 4)`
-        // and a three-entry archive as the last v1 writer serialized them
-        // (the same pair `tests/corruption.rs` checks from outside).
-        let layer = sample_layer(300, 4);
-        let before = unverified_loads();
-        let restored =
-            QuantizedLayer::from_bytes(include_bytes!("../tests/fixtures/layer_v1.bin")).unwrap();
-        assert_eq!(restored.to_bytes(), layer.to_bytes());
-
-        let restored =
-            ModelArchive::from_bytes(include_bytes!("../tests/fixtures/archive_v1.bin")).unwrap();
-        assert_eq!(restored.len(), 3);
-        assert_eq!(restored.get("pooler").unwrap().decode(), sample_layer(123, 2).decode());
-        // 1 standalone layer + 1 archive + 3 layers inside it.
-        assert!(unverified_loads() >= before + 5);
+    fn version_1_is_unsupported_and_no_downgrade_skips_the_checksum() {
+        let mut archive = ModelArchive::new();
+        archive.push("x", sample_layer(90, 3)).unwrap();
+        let layer = sample_layer(120, 3).to_bytes().to_vec();
+        let archive = archive.to_bytes().to_vec();
+        type Parse = fn(&[u8]) -> bool;
+        let cases: [(&str, Vec<u8>, Parse); 2] = [
+            ("layer", layer, |b| QuantizedLayer::from_bytes(b).is_ok()),
+            ("archive", archive, |b| ModelArchive::from_bytes(b).is_ok()),
+        ];
+        for (what, mut bytes, parses) in cases {
+            assert!(parses(&bytes));
+            bytes[4] = 1;
+            assert!(!parses(&bytes), "{what}: version 1 must be unsupported");
+            // A forged version byte must not buy a second, unchecked flip.
+            for pos in 5..bytes.len() {
+                let mut bad = bytes.clone();
+                bad[pos] ^= 0x40;
+                assert!(!parses(&bad), "{what}: downgrade + flip at byte {pos} accepted");
+            }
+        }
+        let mut bytes = sample_layer(120, 3).to_bytes().to_vec();
+        bytes[4] = 1;
+        assert!(matches!(
+            QuantizedLayer::from_bytes(&bytes),
+            Err(QuantError::CorruptPayload { what: "unsupported version" })
+        ));
     }
 
     #[test]

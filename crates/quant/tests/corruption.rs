@@ -155,20 +155,3 @@ fn crc_round_trip_golden() {
     let restored = ModelArchive::from_bytes(&archive_bytes).unwrap();
     assert_eq!(restored.to_bytes(), archive_bytes, "archive round-trip is byte-stable");
 }
-
-/// v1 (checksum-free) payloads still parse, decode identically to
-/// their v2 siblings, and are counted as unverified loads. The v1
-/// bytes are checked-in fixtures — `sample_layer(300, 4)` and
-/// `sample_archive()` as the last v1 writer serialized them.
-#[test]
-fn v1_payloads_parse_and_are_counted() {
-    let layer = sample_layer(300, 4);
-    let archive = sample_archive();
-    let before = gobo_quant::container::unverified_loads();
-    let from_v1 = QuantizedLayer::from_bytes(include_bytes!("fixtures/layer_v1.bin")).unwrap();
-    assert_eq!(from_v1.decode(), layer.decode());
-    let archive_from_v1 =
-        ModelArchive::from_bytes(include_bytes!("fixtures/archive_v1.bin")).unwrap();
-    assert_eq!(archive_from_v1.to_bytes(), archive.to_bytes());
-    assert!(gobo_quant::container::unverified_loads() > before);
-}

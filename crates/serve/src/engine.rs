@@ -1,15 +1,17 @@
 //! The compute-on-compressed serving engine.
 //!
-//! A registered model keeps two representations: the decoded FP32
-//! [`TransformerModel`] (embeddings, aux parameters, dense fallback)
-//! and the compressed archive itself. [`QuantizedEngine`] wires the
-//! second into the forward pass: it implements
-//! [`WeightCompute`], routing every archived FC product to
-//! [`QuantizedMatrix::matmul_blocked`] — the tiled batched GEMM
-//! that decodes each weight tile **once** per batch instead of once per
-//! request. Embedding tables are consumed by row gathers, not matrix
-//! products, so they stay on the dense path regardless of whether they
-//! were archived.
+//! A served model has one weight representation. Every FC layer the
+//! archive carries stays packed — a [`QuantizedMatrix`] over the
+//! archive's own index bytes, codebook and outliers — and
+//! [`QuantizedEngine`] wires it into the forward pass: it implements
+//! [`WeightCompute`], routing each archived FC product to
+//! [`QuantizedMatrix::matmul_blocked`], the tiled batched GEMM that
+//! decodes each weight tile **once** per batch into a scratch tile and
+//! never materializes the matrix. The [`TransformerModel`] beside it
+//! holds only what that leaves: the configuration, the auxiliary
+//! parameters, the embedding tables (consumed by row gathers, not
+//! matrix products, so they are dense whether or not they were
+//! archived) and any FC weight the archive does not cover.
 //!
 //! The blocked kernel is bit-identical to decoding the layer and
 //! multiplying dense, so an engine-served output is byte-identical to
@@ -31,8 +33,8 @@ use gobo_tensor::Tensor;
 
 use crate::error::ServeError;
 
-/// A decoded model paired with its compressed FC layers, executing
-/// batched forwards directly on the packed representation.
+/// A model paired with its compressed FC layers, executing batched
+/// forwards directly on the packed representation.
 #[derive(Debug)]
 pub struct QuantizedEngine {
     model: Arc<TransformerModel>,
@@ -40,40 +42,38 @@ pub struct QuantizedEngine {
 }
 
 impl QuantizedEngine {
-    /// Builds an engine over `model` (already decoded from
-    /// `compressed`), wrapping every archived rank-2 FC weight as a
-    /// [`QuantizedMatrix`]. Archived embedding tables are skipped —
-    /// they are read by row gathers, which the dense skeleton serves.
+    /// Builds an engine over `model`, wrapping every FC layer of its
+    /// configuration that `compressed` archives as a
+    /// [`QuantizedMatrix`] of the configured shape. `model` must hold
+    /// the embedding tables and every FC weight the archive does not
+    /// carry; archived FC weights it also holds are never read.
+    /// Archived embedding tables are not FC layers — they are read by
+    /// row gathers, which `model` serves.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Internal`] when an archive entry's element
-    /// count disagrees with the model's weight shape (the container
-    /// would have failed to decode first, so this guards an internal
+    /// count disagrees with the configured shape (the container would
+    /// have failed to decode first, so this guards an internal
     /// invariant, not user input).
     pub fn new(
         model: Arc<TransformerModel>,
         compressed: &CompressedModel,
     ) -> Result<Self, ServeError> {
         let mut fc = HashMap::new();
-        for (name, layer) in compressed.archive.iter() {
-            if name.starts_with("embeddings.") {
-                continue;
-            }
-            let Ok(weight) = model.weight(name) else {
+        for spec in model.fc_layers() {
+            let Some(layer) = compressed.archive.get(&spec.name) else {
                 continue;
             };
-            let &[rows, cols] = weight.dims() else {
-                continue;
-            };
-            let matrix = QuantizedMatrix::new(layer.clone(), rows, cols)
+            let matrix = QuantizedMatrix::new(layer.clone(), spec.rows, spec.cols)
                 .map_err(|_| ServeError::Internal("archive layer shape mismatch"))?;
-            fc.insert(name.to_owned(), matrix);
+            fc.insert(spec.name, matrix);
         }
         Ok(QuantizedEngine { model, fc })
     }
 
-    /// The decoded model this engine computes for.
+    /// The model this engine computes for: configuration, auxiliary
+    /// parameters and the weights that are not served packed.
     pub fn model(&self) -> &Arc<TransformerModel> {
         &self.model
     }
@@ -81,6 +81,13 @@ impl QuantizedEngine {
     /// Number of FC layers served from the compressed representation.
     pub fn compressed_fc_layers(&self) -> usize {
         self.fc.len()
+    }
+
+    /// Bytes this engine keeps in memory: every FP32 tensor of its
+    /// model plus the packed form of every compressed-served layer.
+    pub fn resident_bytes(&self) -> usize {
+        let packed: usize = self.fc.values().map(|m| m.layer().compressed_bytes()).sum();
+        self.model.resident_bytes() + packed
     }
 
     /// Runs the ragged batched forward pass with archived FC products
@@ -106,7 +113,7 @@ impl WeightCompute for QuantizedEngine {
     ) -> Result<Tensor, ModelError> {
         let Some(matrix) = self.fc.get(name) else {
             // Not archived (FP32 container, or a partially-quantized
-            // model): dense product against the skeleton weight.
+            // model): dense product against the weight the model holds.
             return Ok(input.matmul_nt(model.weight(name)?)?);
         };
         let &[m, cols] = input.dims() else {
@@ -125,56 +132,101 @@ impl WeightCompute for QuantizedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::serving_model;
     use gobo::pipeline::{quantize_model, QuantizeOptions};
     use gobo_model::config::ModelConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn compressed(bits: u8) -> CompressedModel {
+    fn compressed_with(options: &QuantizeOptions) -> CompressedModel {
         let config = ModelConfig::tiny("Eng", 2, 16, 2, 40, 12).unwrap();
         let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(7)).unwrap();
-        let outcome = quantize_model(&model, &QuantizeOptions::gobo(bits).unwrap()).unwrap();
+        let outcome = quantize_model(&model, options).unwrap();
         CompressedModel::new(&model, outcome.archive)
+    }
+
+    fn compressed(bits: u8) -> CompressedModel {
+        compressed_with(&QuantizeOptions::gobo(bits).unwrap())
+    }
+
+    /// The engine exactly as the registry builds it: no decoded FC copy.
+    fn served(c: &CompressedModel) -> QuantizedEngine {
+        QuantizedEngine::new(Arc::new(serving_model(c).unwrap()), c).unwrap()
     }
 
     #[test]
     fn engine_output_is_byte_identical_to_decoded_model() {
-        let c = compressed(3);
-        let model = Arc::new(c.decode().unwrap());
-        let engine = QuantizedEngine::new(Arc::clone(&model), &c).unwrap();
-        assert!(engine.compressed_fc_layers() > 0);
-
-        let seqs: Vec<Vec<usize>> = vec![vec![1, 2, 3], vec![8], vec![4, 5, 6, 7, 9, 10]];
-        let inputs: Vec<EncodeInput<'_>> =
-            seqs.iter().map(|ids| EncodeInput { ids, type_ids: &[] }).collect();
-        let served = engine.encode_batch(&inputs).unwrap();
-        for (ids, got) in seqs.iter().zip(&served) {
-            let direct = model.encode(ids, &[]).unwrap();
-            assert_eq!(got, &direct, "engine must match dense decode bit for bit");
+        // bits × {FC only, FC + embeddings} × batch, against the FP32
+        // oracle: decode the container, run the dense forward per
+        // sequence.
+        for bits in [2u8, 3, 4] {
+            let fc_only = QuantizeOptions::gobo(bits).unwrap();
+            let with_embeddings = fc_only.clone().with_embedding_bits(4).unwrap();
+            for (what, options) in [("fc", fc_only), ("fc+emb", with_embeddings)] {
+                let c = compressed_with(&options);
+                let oracle = c.decode().unwrap();
+                let engine = served(&c);
+                assert!(engine.compressed_fc_layers() > 0);
+                for batch in [1usize, 7, 32] {
+                    let seqs: Vec<Vec<usize>> = (0..batch)
+                        .map(|b| (0..1 + b % 12).map(|t| (3 * b + 5 * t + 1) % 40).collect())
+                        .collect();
+                    let inputs: Vec<EncodeInput<'_>> =
+                        seqs.iter().map(|ids| EncodeInput { ids, type_ids: &[] }).collect();
+                    let got = engine.encode_batch(&inputs).unwrap();
+                    for (ids, got) in seqs.iter().zip(&got) {
+                        let want = oracle.encode(ids, &[]).unwrap();
+                        assert_eq!(got, &want, "{bits}-bit {what} batch {batch}: {ids:?}");
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn every_fc_layer_is_served_compressed() {
         let c = compressed(4);
-        let model = Arc::new(c.decode().unwrap());
-        let engine = QuantizedEngine::new(Arc::clone(&model), &c).unwrap();
+        let engine = served(&c);
         // Everything archived except embedding tables is compressed-served.
         let archived_fc = c.archive.iter().filter(|(n, _)| !n.starts_with("embeddings.")).count();
         assert_eq!(engine.compressed_fc_layers(), archived_fc);
+        // …and none of it is also held dense.
+        let model = engine.model();
+        assert!(model.iter().all(|(name, _)| name.starts_with("embeddings.")));
+        let packed: usize = c.archive.iter().map(|(_, l)| l.compressed_bytes()).sum();
+        assert_eq!(engine.resident_bytes(), model.resident_bytes() + packed);
     }
 
     #[test]
     fn unarchived_weight_falls_back_to_dense() {
         let c = compressed(3);
-        let model = Arc::new(c.decode().unwrap());
-        let engine = QuantizedEngine::new(Arc::clone(&model), &c).unwrap();
+        let engine = served(&c);
+        let model = engine.model();
         // Ask for a product against a weight the archive does not hold:
         // the embedding table (rank 2, never in `fc`).
         let emb = model.weight("embeddings.word").unwrap();
         let x = Tensor::from_vec(vec![0.5; emb.dims()[1]], &[1, emb.dims()[1]]).unwrap();
         let dense = x.matmul_nt(emb).unwrap();
-        let via_engine = engine.matmul_nt(&model, "embeddings.word", &x).unwrap();
+        let via_engine = engine.matmul_nt(model, "embeddings.word", &x).unwrap();
         assert_eq!(dense, via_engine);
+    }
+
+    #[test]
+    fn dense_compute_over_a_skeleton_names_the_absent_layer() {
+        use gobo_model::compute::DenseCompute;
+        let c = compressed(3);
+        let x = Tensor::from_vec(vec![0.5; 16], &[1, 16]).unwrap();
+        assert_eq!(
+            DenseCompute.matmul_nt(&c.skeleton, "pooler", &x),
+            Err(ModelError::AbsentWeight { name: "pooler".into() })
+        );
+        // The engine's dense fallback is the same lookup: a layer that
+        // is neither packed nor held is an error, never a zero product.
+        let empty = CompressedModel { skeleton: c.skeleton.clone(), archive: Default::default() };
+        let engine = QuantizedEngine::new(Arc::new(c.skeleton.clone()), &empty).unwrap();
+        assert_eq!(
+            engine.matmul_nt(&c.skeleton, "pooler", &x),
+            Err(ModelError::AbsentWeight { name: "pooler".into() })
+        );
     }
 }

@@ -568,9 +568,8 @@ fn models_body(core: &ServeCore) -> String {
                 ("rev", Json::Num(status.rev as f64)),
                 ("state", Json::Str(status.state.as_str().to_owned())),
                 ("resident", Json::Bool(status.resident)),
-                ("resident_bytes", Json::Num(status.decoded_bytes as f64)),
+                ("resident_bytes", Json::Num(status.resident_bytes as f64)),
                 ("quantized_layers", Json::Num(status.quantized_layers as f64)),
-                ("decoded_bytes", Json::Num(status.decoded_bytes as f64)),
                 ("compressed_bytes", Json::Num(status.compressed_bytes as f64)),
             ])
         })

@@ -1,13 +1,15 @@
 //! `gobo-serve`: batched quantized-inference serving.
 //!
 //! GOBO's decoded models are plug-in compatible with any FP32 engine;
-//! this crate is that engine's front door. It loads `.gobom` compressed
-//! containers ([`gobo::format::CompressedModel`]), decodes each **once**
-//! into a [`gobo_model::TransformerModel`], and serves encode requests
-//! over HTTP/1.1 with dynamic batching:
+//! this crate serves them without decoding them. It loads `.gobom`
+//! compressed containers ([`gobo::format::CompressedModel`]), keeps each
+//! resident in one representation — the archive's packed FC layers
+//! beside a [`gobo_model::TransformerModel`] holding only what the
+//! archive does not — and serves encode requests over HTTP/1.1 with
+//! dynamic batching:
 //!
 //! * [`registry`] — named, *versioned* model cache keyed by
-//!   *name/bits*, LRU-evicted under a decoded-byte budget, with an
+//!   *name/bits*, LRU-evicted under a resident-byte budget, with an
 //!   atomic publish/promote/rollback revision lifecycle (in-flight
 //!   batches drain on the old revision before it is retired);
 //! * [`lifecycle`] — the canary controller: routes a configurable
@@ -36,7 +38,7 @@
 //!
 //! The forward pass is deterministic, so a served response is
 //! byte-identical to a direct [`TransformerModel::encode`] call on the
-//! same decoded model, at every batch size.
+//! decoded container, at every batch size.
 //!
 //! [`TransformerModel::encode`]: gobo_model::TransformerModel::encode
 //!

@@ -53,7 +53,7 @@ pub struct Metrics {
     pub queue_wait_us: Histogram,
     /// Models currently resident in the registry (gauge).
     pub registry_models: AtomicU64,
-    /// Decoded bytes currently resident in the registry (gauge).
+    /// Bytes the registry's models occupy in memory (gauge).
     pub registry_bytes: AtomicU64,
     /// Models evicted from the registry under the byte budget.
     pub registry_evictions: AtomicU64,
@@ -150,7 +150,7 @@ impl Metrics {
             (Gauge, "gobo_batch_size_max", "largest batch executed", v(&self.batch_size_max)),
             (Gauge, "gobo_queue_depth_peak", "admission queue high-water mark", v(&self.queue_depth_peak)),
             (Gauge, "gobo_registry_models", "models resident in the registry", v(&self.registry_models)),
-            (Gauge, "gobo_registry_bytes", "decoded bytes resident in the registry", v(&self.registry_bytes)),
+            (Gauge, "gobo_registry_bytes", "bytes resident in the registry (packed layers + FP32 tensors)", v(&self.registry_bytes)),
             (Gauge, "gobo_registry_draining", "model revisions draining behind in-flight batches", v(&self.registry_draining)),
         ];
         let mut out = String::with_capacity(1600);

@@ -1,20 +1,23 @@
-//! The model registry: named, decoded-once, LRU-bounded, *versioned*
-//! model cache.
+//! The model registry: named, LRU-bounded, *versioned* cache of
+//! compressed-resident models.
 //!
-//! A `.gobom` container is loaded from disk (or handed over in memory),
-//! decoded **once** into a plug-in-compatible FP32
-//! [`TransformerModel`], and cached under a *name/bits* slot — the same
-//! logical model quantized at different widths serves side by side.
-//! Residency is bounded by a decoded-byte budget with LRU eviction;
-//! handles already held by in-flight batches stay valid after eviction
-//! because entries are reference counted (`Arc`).
+//! A `.gobom` container is loaded from disk (or handed over in memory)
+//! and becomes a [`QuantizedEngine`] under a *name/bits* slot — the
+//! same logical model quantized at different widths serves side by
+//! side. No FC layer is ever decoded: the engine multiplies against the
+//! archive's packed layers, beside a [`TransformerModel`] holding only
+//! what the archive leaves (see [`serving_model`]). Residency is
+//! bounded by a budget on the bytes that representation really
+//! occupies, with LRU eviction; handles already held by in-flight
+//! batches stay valid after eviction because entries are reference
+//! counted (`Arc`).
 //!
 //! # Revisions and the swap protocol
 //!
 //! Every entry carries a monotone per-slot revision (`name@bits@rN`),
 //! so a redeploy never mutates a served model in place:
 //!
-//! 1. [`ModelRegistry::publish`] decodes the incoming container
+//! 1. [`ModelRegistry::publish`] builds the incoming container's engine
 //!    **outside** the registry lock, fires the `registry.swap`
 //!    failpoint *before any mutation* (an injected rejection leaves the
 //!    registry untouched), and installs the new revision as the slot's
@@ -42,7 +45,7 @@ use std::sync::Arc;
 
 use gobo_sanitize::{SanMutex, SanMutexGuard};
 
-use gobo::format::CompressedModel;
+use gobo::format::{CompressedModel, FormatError};
 use gobo_model::TransformerModel;
 
 use crate::engine::QuantizedEngine;
@@ -100,22 +103,20 @@ impl std::fmt::Display for RevState {
     }
 }
 
-/// A resident decoded model revision plus its accounting.
+/// A resident model revision plus its accounting.
 #[derive(Debug)]
 pub struct ModelEntry {
     /// The slot key.
     pub key: ModelKey,
     /// Monotone per-slot revision number (1 for the first install).
     pub rev: u64,
-    /// The decoded FP32 model, shared with in-flight batches.
-    pub model: Arc<TransformerModel>,
-    /// The compute-on-compressed engine over the same model: archived
-    /// FC layers run the blocked batched GEMM straight on the packed
-    /// indices, everything else falls back to the dense weights.
+    /// The compute-on-compressed engine, shared with in-flight batches:
+    /// archived FC layers run the blocked batched GEMM straight on the
+    /// packed indices; its model holds the rest (see [`serving_model`]).
     pub engine: Arc<QuantizedEngine>,
-    /// Decoded FP32 bytes charged against the registry budget
-    /// (quantizable weights + auxiliary parameters).
-    pub decoded_bytes: usize,
+    /// Bytes this revision occupies in memory, charged against the
+    /// registry budget: [`QuantizedEngine::resident_bytes`].
+    pub resident_bytes: usize,
     /// Serialized size of the compressed container.
     pub compressed_bytes: usize,
     /// Number of quantized layers in the archive.
@@ -132,9 +133,12 @@ impl ModelEntry {
 /// Registry residency limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegistryConfig {
-    /// Decoded-byte budget. The most recently inserted model is always
-    /// kept, even if it alone exceeds the budget; everything beyond the
-    /// budget is evicted least-recently-used first.
+    /// Budget on resident bytes (each revision's
+    /// [`ModelEntry::resident_bytes`]: FP32 tensors it holds plus its
+    /// packed layers — what it costs in RAM, not its decoded size). The
+    /// most recently inserted model is always kept, even if it alone
+    /// exceeds the budget; everything beyond the budget is evicted
+    /// least-recently-used first.
     pub max_bytes: usize,
     /// Hard cap on resident models.
     pub max_models: usize,
@@ -146,7 +150,7 @@ impl Default for RegistryConfig {
     }
 }
 
-/// Sizes remembered for a model after its decoded form was evicted.
+/// Sizes remembered for a model after it was evicted.
 #[derive(Debug, Clone, Copy)]
 struct EvictedInfo {
     rev: u64,
@@ -167,11 +171,10 @@ pub struct ModelStatus {
     pub rev: u64,
     /// Lifecycle state of this revision.
     pub state: RevState,
-    /// Whether the decoded model currently occupies memory.
+    /// Whether the revision currently occupies memory.
     pub resident: bool,
-    /// Decoded FP32 bytes resident for this revision (0 when not
-    /// resident).
-    pub decoded_bytes: usize,
+    /// Bytes this revision occupies in memory (0 when not resident).
+    pub resident_bytes: usize,
     /// Serialized size of the compressed container.
     pub compressed_bytes: usize,
     /// Number of quantized layers in the archive.
@@ -207,15 +210,14 @@ pub struct ModelRegistry {
 }
 
 /// Everything [`ModelRegistry::insert`]/[`publish`] need that can be
-/// computed *outside* the registry lock: the decode and engine build
-/// dominate a swap, so the lock is held only for pointer flips.
+/// computed *outside* the registry lock: the engine build dominates a
+/// swap, so the lock is held only for pointer flips.
 ///
 /// [`publish`]: ModelRegistry::publish
-struct DecodedParts {
+struct RevisionParts {
     key: ModelKey,
-    model: Arc<TransformerModel>,
     engine: Arc<QuantizedEngine>,
-    decoded_bytes: usize,
+    resident_bytes: usize,
     compressed_bytes: usize,
     quantized_layers: usize,
 }
@@ -281,25 +283,23 @@ impl ModelRegistry {
         self.publish(name, &read_container(path)?)
     }
 
-    /// Decodes `compressed` and the serving engine, outside the lock.
-    fn decode_parts(
+    /// Builds the serving engine for `compressed`, outside the lock.
+    fn build_parts(
         &self,
         name: &str,
         compressed: &CompressedModel,
-    ) -> Result<DecodedParts, ServeError> {
+    ) -> Result<RevisionParts, ServeError> {
         gobo_fault::fail_point!(
             "registry.decode",
             ServeError::Internal("injected registry.decode fault")
         );
-        let model = Arc::new(compressed.decode()?);
-        let engine = Arc::new(QuantizedEngine::new(Arc::clone(&model), compressed)?);
+        let model = Arc::new(serving_model(compressed)?);
+        let engine = Arc::new(QuantizedEngine::new(model, compressed)?);
         let bits = compressed.archive.iter().map(|(_, l)| l.bits()).max().unwrap_or(32);
-        let decoded_bytes = model_bytes(&model);
-        Ok(DecodedParts {
+        Ok(RevisionParts {
             key: ModelKey { name: name.to_owned(), bits },
-            model,
+            resident_bytes: engine.resident_bytes(),
             engine,
-            decoded_bytes,
             compressed_bytes: compressed.serialized_bytes(),
             quantized_layers: compressed.archive.len(),
         })
@@ -307,7 +307,7 @@ impl ModelRegistry {
 
     /// Assembles the entry under the lock, assigning the slot's next
     /// revision number.
-    fn next_entry(inner: &mut Inner, parts: DecodedParts) -> Arc<ModelEntry> {
+    fn next_entry(inner: &mut Inner, parts: RevisionParts) -> Arc<ModelEntry> {
         let rev = inner
             .revs
             .entry(parts.key.clone())
@@ -316,28 +316,27 @@ impl ModelRegistry {
         Arc::new(ModelEntry {
             key: parts.key,
             rev: *rev,
-            model: parts.model,
             engine: parts.engine,
-            decoded_bytes: parts.decoded_bytes,
+            resident_bytes: parts.resident_bytes,
             compressed_bytes: parts.compressed_bytes,
             quantized_layers: parts.quantized_layers,
         })
     }
 
-    /// Decodes `compressed` once and registers it under `name` as the
-    /// immediately-active revision — a prior active revision for the
+    /// Builds the engine for `compressed` and registers it under `name`
+    /// as the immediately-active revision — a prior active revision for the
     /// slot moves to draining — evicting LRU entries beyond the
     /// configured budget.
     ///
     /// # Errors
     ///
-    /// Propagates decode failures ([`ServeError::Format`]).
+    /// Propagates engine-build failures ([`ServeError::Format`]).
     pub fn insert(
         &self,
         name: &str,
         compressed: &CompressedModel,
     ) -> Result<Arc<ModelEntry>, ServeError> {
-        let parts = self.decode_parts(name, compressed)?;
+        let parts = self.build_parts(name, compressed)?;
         let mut inner = self.lock_inner();
         let entry = Self::next_entry(&mut inner, parts);
         inner.tick += 1;
@@ -354,7 +353,7 @@ impl ModelRegistry {
     }
 
     /// Publishes a new revision of `name` through the canary lifecycle:
-    /// the container is decoded outside the lock, the `registry.swap`
+    /// the engine is built outside the lock, the `registry.swap`
     /// failpoint fires *before any mutation* (an injected rejection
     /// leaves the registry exactly as it was), and the revision is
     /// installed as the slot's canary — or directly as active when the
@@ -363,7 +362,7 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// Propagates decode failures and injected `registry.swap` /
+    /// Propagates engine-build failures and injected `registry.swap` /
     /// `registry.decode` faults; on any error the registry is
     /// untouched.
     pub fn publish(
@@ -371,7 +370,7 @@ impl ModelRegistry {
         name: &str,
         compressed: &CompressedModel,
     ) -> Result<(Arc<ModelEntry>, RevState), ServeError> {
-        let parts = self.decode_parts(name, compressed)?;
+        let parts = self.build_parts(name, compressed)?;
         gobo_fault::fail_point!(
             "registry.swap",
             ServeError::Internal("injected registry.swap fault")
@@ -486,7 +485,7 @@ impl ModelRegistry {
             rev: e.rev,
             state,
             resident: true,
-            decoded_bytes: e.decoded_bytes,
+            resident_bytes: e.resident_bytes,
             compressed_bytes: e.compressed_bytes,
             quantized_layers: e.quantized_layers,
         };
@@ -507,7 +506,7 @@ impl ModelRegistry {
             rev: *rev,
             state: RevState::Retired,
             resident: false,
-            decoded_bytes: 0,
+            resident_bytes: 0,
             compressed_bytes: 0,
             quantized_layers: 0,
         }));
@@ -519,7 +518,7 @@ impl ModelRegistry {
                 rev: info.rev,
                 state: RevState::Evicted,
                 resident: false,
-                decoded_bytes: 0,
+                resident_bytes: 0,
                 compressed_bytes: info.compressed_bytes,
                 quantized_layers: info.quantized_layers,
             })
@@ -529,8 +528,9 @@ impl ModelRegistry {
         out
     }
 
-    /// Total decoded bytes currently occupying memory: active plus
-    /// canary plus draining revisions.
+    /// Total bytes the registry's models occupy: active plus canary
+    /// plus draining revisions, each at its
+    /// [`ModelEntry::resident_bytes`].
     pub fn resident_bytes(&self) -> usize {
         let inner = self.lock_inner();
         Self::memory_bytes(&inner)
@@ -565,7 +565,7 @@ impl ModelRegistry {
 
     fn evict_beyond_budget(&self, inner: &mut Inner, keep: &ModelKey) {
         loop {
-            let total: usize = inner.entries.values().map(|e| e.decoded_bytes).sum();
+            let total: usize = inner.entries.values().map(|e| e.resident_bytes).sum();
             let over_bytes = total > self.config.max_bytes;
             let over_count = inner.entries.len() > self.config.max_models;
             if (!over_bytes && !over_count) || inner.entries.len() <= 1 {
@@ -631,7 +631,7 @@ impl ModelRegistry {
             .values()
             .chain(inner.canaries.values())
             .chain(inner.draining.iter())
-            .map(|e| e.decoded_bytes)
+            .map(|e| e.resident_bytes)
             .sum()
     }
 
@@ -654,18 +654,22 @@ fn read_container(path: &str) -> Result<CompressedModel, ServeError> {
     Ok(CompressedModel::from_bytes(&bytes)?)
 }
 
-/// FP32 bytes of every tensor the decoded model holds (quantizable
-/// weights plus auxiliary parameters, approximated as weights only —
-/// aux tensors are biases/LayerNorms, a negligible fraction).
-fn model_bytes(model: &TransformerModel) -> usize {
-    model.weight_bytes()
+/// The FP32 side of a served model: the container's skeleton (config,
+/// aux, unarchived weights) plus the archive's `embeddings.*` tables
+/// decoded once — rows are gathered from them, not multiplied, so they
+/// stay dense. Archived FC weights stay absent; the engine serves them
+/// packed.
+pub(crate) fn serving_model(compressed: &CompressedModel) -> Result<TransformerModel, FormatError> {
+    compressed.decode_layers(|name| name.starts_with("embeddings."))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gobo::pipeline::{quantize_model, QuantizeOptions};
+    use gobo_model::batch::EncodeInput;
     use gobo_model::config::ModelConfig;
+    use gobo_model::forward::EncoderOutput;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -678,6 +682,18 @@ mod tests {
 
     fn registry(max_bytes: usize, max_models: usize) -> ModelRegistry {
         ModelRegistry::new(RegistryConfig { max_bytes, max_models }, Arc::new(Metrics::new()))
+    }
+
+    /// One sequence through the entry's engine — what a batch of one
+    /// is served.
+    fn serve_one(entry: &ModelEntry, ids: &[usize]) -> EncoderOutput {
+        let input = EncodeInput { ids, type_ids: &[] };
+        entry.engine.encode_batch(&[input]).expect("engine encode failed").remove(0)
+    }
+
+    /// The FP32 oracle: decode the container, run the dense forward.
+    fn oracle(c: &CompressedModel, ids: &[usize]) -> EncoderOutput {
+        c.decode().unwrap().encode(ids, &[]).unwrap()
     }
 
     #[test]
@@ -699,30 +715,31 @@ mod tests {
         let c = compressed(9, 3);
         let r = registry(usize::MAX, 4);
         let entry = r.insert("m", &c).unwrap();
-        let direct = c.decode().unwrap();
-        let a = entry.model.encode(&[1, 2, 3], &[]).unwrap();
-        let b = direct.encode(&[1, 2, 3], &[]).unwrap();
-        assert_eq!(a, b);
-        assert!(entry.decoded_bytes > 0);
+        assert_eq!(serve_one(&entry, &[1, 2, 3]), oracle(&c, &[1, 2, 3]));
+        assert_eq!(entry.resident_bytes, entry.engine.resident_bytes());
         assert!(entry.compressed_bytes > 0);
         assert!(entry.quantized_layers > 0);
     }
 
     #[test]
     fn lru_eviction_under_byte_budget() {
-        let one = compressed(1, 3);
-        let r = registry(usize::MAX, 16);
-        let bytes = r.insert("probe", &one).unwrap().decoded_bytes;
-        // Budget for two models; the third insert evicts the LRU.
-        let r = registry(bytes * 2, 16);
-        r.insert("a", &compressed(1, 3)).unwrap();
-        r.insert("b", &compressed(2, 3)).unwrap();
+        let models: Vec<CompressedModel> = (1..=3u64).map(|s| compressed(s, 3)).collect();
+        // True bytes differ a little per model (outlier counts), so size
+        // the budget from the models themselves: room for any two of
+        // them, never for all three.
+        let probe = registry(usize::MAX, 16);
+        let bytes: Vec<usize> =
+            models.iter().map(|c| probe.insert("probe", c).unwrap().resident_bytes).collect();
+        let r = registry(bytes.iter().sum::<usize>() - bytes.iter().min().unwrap(), 16);
+        r.insert("a", &models[0]).unwrap();
+        r.insert("b", &models[1]).unwrap();
         r.get("a", None).unwrap(); // touch `a`: now `b` is LRU
-        r.insert("c", &compressed(3, 3)).unwrap();
+        r.insert("c", &models[2]).unwrap();
         assert_eq!(r.len(), 2);
         assert!(r.get("a", None).is_ok());
         assert!(r.get("b", None).is_err(), "LRU entry should be evicted");
-        assert!(r.get("c", None).is_ok());
+        let c = r.get("c", None).unwrap();
+        assert_eq!(serve_one(&c, &[4, 5]), oracle(&models[2], &[4, 5]));
     }
 
     #[test]
@@ -747,11 +764,12 @@ mod tests {
     #[test]
     fn held_handle_survives_eviction() {
         let r = registry(1, 16);
-        let held = r.insert("a", &compressed(1, 3)).unwrap();
+        let a = compressed(1, 3);
+        let held = r.insert("a", &a).unwrap();
         r.insert("b", &compressed(2, 3)).unwrap(); // evicts `a`
         assert!(r.get("a", None).is_err());
-        // The Arc keeps the decoded model alive for in-flight work.
-        assert!(held.model.encode(&[1, 2], &[]).is_ok());
+        // The Arc keeps the engine alive for in-flight work.
+        assert_eq!(serve_one(&held, &[1, 2]), oracle(&a, &[1, 2]));
     }
 
     #[test]
@@ -762,8 +780,7 @@ mod tests {
         // handle, byte-identical, until the handle drops.
         use std::sync::atomic::AtomicBool;
         let models: Vec<CompressedModel> = (0..4u64).map(|s| compressed(s, 3)).collect();
-        let reference: Vec<_> =
-            models.iter().map(|c| c.decode().unwrap().encode(&[1, 2, 3], &[]).unwrap()).collect();
+        let reference: Vec<_> = models.iter().map(|c| oracle(c, &[1, 2, 3])).collect();
         let r = Arc::new(registry(1, 16));
         r.insert("m0", &models[0]).unwrap();
         let stop = Arc::new(AtomicBool::new(false));
@@ -781,7 +798,7 @@ mod tests {
                     // `entry` is now a pin. The inserter may evict the
                     // slot at any point from here on; the encode must
                     // still see the right weights.
-                    let out = entry.model.encode(&[1, 2, 3], &[]).expect("pinned encode failed");
+                    let out = serve_one(&entry, &[1, 2, 3]);
                     assert_eq!(out, reference[j], "pinned handle served wrong weights");
                     served += 1;
                 }
@@ -818,12 +835,12 @@ mod tests {
         assert_eq!(status.len(), 2);
         let b = status.iter().find(|s| s.key.name == "b").unwrap();
         assert!(b.resident);
-        assert!(b.decoded_bytes > 0);
+        assert!(b.resident_bytes > 0);
         assert_eq!(b.state, RevState::Active);
         assert_eq!(b.rev, 1);
         let a = status.iter().find(|s| s.key.name == "a").unwrap();
         assert!(!a.resident);
-        assert_eq!(a.decoded_bytes, 0);
+        assert_eq!(a.resident_bytes, 0);
         assert!(a.compressed_bytes > 0);
         assert_eq!(a.state, RevState::Evicted);
         // Re-inserting clears the evicted record.
@@ -839,10 +856,12 @@ mod tests {
         let dir = std::env::temp_dir().join("gobo-serve-registry");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.gobom");
-        std::fs::write(&path, compressed(4, 3).to_bytes()).unwrap();
+        let file = compressed(4, 3).to_bytes();
+        std::fs::write(&path, &file).unwrap();
         let r = registry(usize::MAX, 4);
         let entry = r.load_file("disk", path.to_str().unwrap()).unwrap();
         assert_eq!(entry.key.name, "disk");
+        assert_eq!(entry.compressed_bytes, file.len(), "compressed_bytes is the file length");
         assert!(matches!(r.load_file("x", "/nonexistent/file.gobom"), Err(ServeError::Io(_))));
         std::fs::write(&path, b"garbage").unwrap();
         assert!(matches!(r.load_file("x", path.to_str().unwrap()), Err(ServeError::Format(_))));
@@ -851,9 +870,10 @@ mod tests {
     #[test]
     fn publish_promote_flips_active_and_drains_old_rev() {
         let r = registry(usize::MAX, 16);
-        let first = r.insert("m", &compressed(1, 3)).unwrap();
+        let (c1, c2) = (compressed(1, 3), compressed(2, 3));
+        let first = r.insert("m", &c1).unwrap();
         assert_eq!(first.rev, 1);
-        let (second, state) = r.publish("m", &compressed(2, 3)).unwrap();
+        let (second, state) = r.publish("m", &c2).unwrap();
         assert_eq!(state, RevState::Canary);
         assert_eq!(second.rev, 2);
         assert_eq!(second.rev_id(), "m@3b@r2");
@@ -866,13 +886,14 @@ mod tests {
         let promoted = r.promote(&first.key).unwrap();
         assert_eq!(promoted.rev, 2);
         assert_eq!(r.get("m", None).unwrap().rev, 2);
+        assert_eq!(serve_one(&promoted, &[1, 2]), oracle(&c2, &[1, 2]));
         assert!(r.canary_for(&first.key).is_none());
         drop(first);
         drop(second);
         drop(promoted);
         r.sweep();
         assert_eq!(r.draining_len(), 1, "rev 1 still pinned by in_flight");
-        assert!(in_flight.model.encode(&[1, 2], &[]).is_ok());
+        assert_eq!(serve_one(&in_flight, &[1, 2]), oracle(&c1, &[1, 2]));
         drop(in_flight);
         r.sweep();
         assert_eq!(r.draining_len(), 0, "rev 1 retired once its refcount drained");
@@ -925,6 +946,51 @@ mod tests {
         assert_eq!(r.canary_for(&first.key).unwrap().rev, 3);
     }
 
+    #[test]
+    fn resident_bytes_are_conserved_across_the_lifecycle() {
+        // What one revision must cost, from the container alone: the
+        // decoded model's tensors, with every archived FC layer charged
+        // at its packed size instead of its FP32 size.
+        fn expected(c: &CompressedModel) -> usize {
+            let decoded = c.decode().unwrap();
+            let fc = c.archive.iter().filter(|(n, _)| !n.starts_with("embeddings."));
+            fc.fold(decoded.resident_bytes(), |bytes, (name, layer)| {
+                bytes - decoded.weight(name).unwrap().len() * 4 + layer.compressed_bytes()
+            })
+        }
+        let models: Vec<CompressedModel> = (1..=4u64).map(|s| compressed(s, 3)).collect();
+        let r = registry(usize::MAX, 2);
+        let check = |live: &[usize], what: &str| {
+            r.sweep();
+            let want: usize = live.iter().map(|&i| expected(&models[i])).sum();
+            assert_eq!(r.resident_bytes(), want, "{what}: registry total");
+            let rows: usize = r.status().iter().map(|s| s.resident_bytes).sum();
+            assert_eq!(rows, want, "{what}: sum over status rows");
+        };
+        let key = r.insert("m", &models[0]).unwrap().key.clone();
+        check(&[0], "insert");
+        r.publish("m", &models[1]).unwrap();
+        check(&[0, 1], "publish (canary)");
+        r.publish("m", &models[2]).unwrap();
+        check(&[0, 2], "supersede (old canary retired)");
+        r.rollback(&key).unwrap();
+        check(&[0], "rollback");
+        r.publish("m", &models[3]).unwrap();
+        let pin = r.get("m", None).unwrap();
+        r.promote(&key).unwrap();
+        check(&[0, 3], "promote (old active pinned, draining)");
+        drop(pin);
+        check(&[3], "drained");
+        r.insert("n", &models[1]).unwrap();
+        r.insert("o", &models[2]).unwrap(); // third slot: evicts LRU `m`
+        assert!(r.status().iter().any(|s| s.state == RevState::Evicted && s.key.name == "m"));
+        check(&[1, 2], "eviction");
+        // One representation: the 3-bit model costs well under half of
+        // its own decoded weights.
+        let decoded_weights = models[0].decode().unwrap().weight_bytes();
+        assert!(expected(&models[0]) * 2 < decoded_weights, "{decoded_weights}");
+    }
+
     // The `registry.swap` / `registry.retire` failpoint tests live in
     // `tests/chaos.rs`: configuring process-global failpoints from unit
     // tests would race the other lib tests running in parallel.
@@ -945,6 +1011,6 @@ mod tests {
         // Revision bytes are charged while draining.
         let draining_row = status.iter().find(|s| s.state == RevState::Draining).unwrap();
         assert!(draining_row.resident);
-        assert!(draining_row.decoded_bytes > 0);
+        assert!(draining_row.resident_bytes > 0);
     }
 }

@@ -629,7 +629,7 @@ fn execute_batch(shared: &Shared, model: &str, bits: Option<u8>, batch: &mut Vec
             reject_expired(shared, p);
             continue;
         }
-        if let Err(e) = entry.model.validate_input(&p.req.ids, &p.req.type_ids) {
+        if let Err(e) = entry.engine.model().validate_input(&p.req.ids, &p.req.type_ids) {
             let p = batch.remove(i);
             shared.metrics.encode_failed.fetch_add(1, Ordering::Relaxed);
             let _ = p.tx.send(Err(ServeError::Model(e)));
