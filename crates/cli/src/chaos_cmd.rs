@@ -12,6 +12,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gobo::format::reseal_compressed;
 use gobo::pipeline::{quantize_model, QuantizeOptions};
 use gobo_model::config::ModelConfig;
 use gobo_model::TransformerModel;
@@ -226,32 +227,53 @@ fn worker_panic(requests: usize, seed: u64) -> Result<Scenario, CliError> {
 
 /// Seeded single-byte corruptions and truncations of a `.gobom` file:
 /// every mutation must be rejected or parse to byte-identical content
-/// — never panic, never yield different weights.
+/// — never panic, never yield different weights. Half of the
+/// corruptions are then re-sealed (every CRC covering the flipped byte
+/// recomputed), so they get past the checksums and reach the field
+/// parsers: those must be rejected or parse *stably* — writing the
+/// parse back and reading it again gives the same bytes.
 fn corrupt_model(corruptions: usize, seed: u64) -> Result<Scenario, CliError> {
     let compressed = build_compressed(seed)?;
     let reference = compressed.to_bytes();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xC0DE);
-    let mut rejected = 0usize;
-    let mut benign = 0usize;
-    let mut silent = 0usize;
+    let resealed_runs = corruptions / 2;
+    let unsealed_runs = corruptions - resealed_runs;
+    // Per half (as flipped, re-sealed): rejected, faithful, wrong.
+    let mut tally = [[0usize; 3]; 2];
     let mut panics = 0usize;
-    for _ in 0..corruptions {
+    let rewrite = |bytes: &[u8]| {
+        catch_unwind(AssertUnwindSafe(|| CompressedModel::from_bytes(bytes).map(|m| m.to_bytes())))
+    };
+    for run in 0..corruptions {
+        let resealed = run >= unsealed_runs;
         let mut bytes = reference.clone();
         let pos = rng.gen_range(0..bytes.len());
         let mask = rng.gen_range(1..=255u8);
         bytes[pos] ^= mask;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            CompressedModel::from_bytes(&bytes).map(|m| m.to_bytes())
-        }));
-        match outcome {
-            Err(_) => panics += 1,
-            Ok(Err(_)) => rejected += 1,
-            // Re-encoding to the canonical bytes proves the parse saw
-            // exactly the original content.
-            Ok(Ok(reencoded)) if reencoded == reference => benign += 1,
-            Ok(Ok(_)) => silent += 1,
+        if resealed {
+            reseal_compressed(&mut bytes);
         }
+        let outcome = match rewrite(&bytes) {
+            Err(_) => {
+                panics += 1;
+                continue;
+            }
+            Ok(Err(_)) => 0,
+            // As flipped, re-encoding to the canonical bytes proves the
+            // parse saw exactly the original content.
+            Ok(Ok(rewritten)) if !resealed => 1 + usize::from(rewritten != reference),
+            // Re-sealed, pad and reserved bytes are sealed in too, so
+            // byte equality with the input cannot be asked; a fixed
+            // point of parse-then-write can.
+            Ok(Ok(rewritten)) => match rewrite(&rewritten) {
+                Ok(Ok(twice)) if twice == rewritten => 1,
+                _ => 2,
+            },
+        };
+        tally[usize::from(resealed)][outcome] += 1;
     }
+    let [[rejected, benign, silent], [resealed_rejected, resealed_stable, resealed_unstable]] =
+        tally;
     let mut truncations_ok = true;
     for cut in [0usize, 1, 4, 5, reference.len() / 2, reference.len() - 1] {
         match catch_unwind(AssertUnwindSafe(|| CompressedModel::from_bytes(&reference[..cut]))) {
@@ -272,14 +294,19 @@ fn corrupt_model(corruptions: usize, seed: u64) -> Result<Scenario, CliError> {
         core.shutdown();
         ok
     };
-    let passed = panics == 0 && silent == 0 && truncations_ok && serves;
+    let passed = panics == 0 && silent == 0 && resealed_unstable == 0 && truncations_ok && serves;
     Ok(Scenario {
         name: "corrupt-model",
         passed,
         lines: vec![
             format!(
-                "{corruptions} single-byte corruptions: {rejected} rejected, {benign} benign, \
+                "{unsealed_runs} single-byte corruptions: {rejected} rejected, {benign} benign, \
                  {silent} silently wrong (must be 0), {panics} panics (must be 0)"
+            ),
+            format!(
+                "{resealed_runs} re-sealed corruptions (past every checksum): \
+                 {resealed_rejected} rejected by a field parser, {resealed_stable} parsed stably, \
+                 {resealed_unstable} unstable (must be 0)"
             ),
             format!("truncations rejected: {truncations_ok}"),
             format!("intact v2 model still serves: {serves}"),

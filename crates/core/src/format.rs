@@ -11,7 +11,10 @@
 //! The trailing CRC32 seals the whole file (on top of the per-layer and
 //! per-entry checksums inside the archive), so any single-byte
 //! corruption of a `.gobom` on disk is rejected before a single weight
-//! is interpreted.
+//! is interpreted. Framing, seal and section lengths go through
+//! [`gobo_proto::codec`] like the two formats nested inside; what
+//! answers a *crafted*, correctly sealed file is that module's count
+//! rule, applied by each section's own parser.
 //!
 //! Every quantizable weight lives on exactly one side. The skeleton is
 //! a [`TransformerModel`] that *holds* the config, the FP32 auxiliary
@@ -22,9 +25,11 @@
 
 use std::collections::BTreeSet;
 
+use bytes::BufMut;
 use gobo_model::io::{load_model_partial, save_model, save_model_len};
 use gobo_model::{ModelError, TransformerModel};
-use gobo_quant::container::ModelArchive;
+use gobo_proto::codec::{put_len32, reseal, seal, unseal, ByteReader, CodecError};
+use gobo_quant::container::{reseal_archive, ModelArchive};
 use gobo_quant::QuantError;
 use gobo_tensor::Tensor;
 
@@ -32,9 +37,10 @@ use gobo_tensor::Tensor;
 pub const COMPRESSED_MAGIC: u32 = u32::from_le_bytes(*b"GOBM");
 /// Compressed-model format version: whole-file trailing CRC32.
 pub const COMPRESSED_FORMAT_VERSION: u8 = 2;
-/// Bytes of a `.gobom` outside its two sections: magic, version, pad,
-/// the two section lengths and the trailing CRC32.
-const FRAMING_BYTES: usize = 4 + 1 + 3 + 4 + 4 + 4;
+/// Bytes of a `.gobom` outside its two sections: magic (4), version
+/// (1), pad (3), the two section lengths (4 each) and the trailing
+/// CRC32 (4).
+const FRAMING_BYTES: usize = 20;
 
 /// Error raised by compressed-model (de)serialization.
 #[derive(Debug)]
@@ -58,6 +64,12 @@ impl std::fmt::Display for FormatError {
 }
 
 impl std::error::Error for FormatError {}
+
+impl From<CodecError> for FormatError {
+    fn from(e: CodecError) -> Self {
+        FormatError::Corrupt(e.what())
+    }
+}
 
 impl From<ModelError> for FormatError {
     fn from(e: ModelError) -> Self {
@@ -134,16 +146,16 @@ impl CompressedModel {
     pub fn to_bytes(&self) -> Vec<u8> {
         let archive = self.archive.to_bytes();
         let raw = save_model(&self.skeleton);
+        // ARITH: lengths of live in-memory buffers
         let mut out = Vec::with_capacity(raw.len() + archive.len() + FRAMING_BYTES);
-        out.extend_from_slice(&COMPRESSED_MAGIC.to_le_bytes());
-        out.push(COMPRESSED_FORMAT_VERSION);
-        out.extend_from_slice(&[0u8; 3]);
-        out.extend_from_slice(&(raw.len() as u32).to_le_bytes());
-        out.extend_from_slice(&raw);
-        out.extend_from_slice(&(archive.len() as u32).to_le_bytes());
-        out.extend_from_slice(&archive);
-        let crc = gobo_quant::integrity::crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        out.put_u32_le(COMPRESSED_MAGIC);
+        out.put_u8(COMPRESSED_FORMAT_VERSION);
+        out.put_slice(&[0u8; 3]);
+        put_len32(&mut out, raw.len());
+        out.put_slice(&raw);
+        put_len32(&mut out, archive.len());
+        out.put_slice(&archive);
+        seal(&mut out, 0);
         out
     }
 
@@ -157,43 +169,20 @@ impl CompressedModel {
     /// including a weight supplied by neither or by both sides — and
     /// propagates model/container failures.
     pub fn from_bytes(data: &[u8]) -> Result<Self, FormatError> {
-        if data.len() < 5 {
-            return Err(FormatError::Corrupt("truncated file"));
-        }
-        let magic = u32::from_le_bytes(data[..4].try_into().expect("4 bytes"));
-        if magic != COMPRESSED_MAGIC {
+        let mut r = ByteReader::new(data);
+        if r.u32()? != COMPRESSED_MAGIC {
             return Err(FormatError::Corrupt("bad magic"));
         }
-        if data[4] != COMPRESSED_FORMAT_VERSION {
+        if r.u8()? != COMPRESSED_FORMAT_VERSION {
             return Err(FormatError::Corrupt("unsupported version"));
         }
-        let Some(body_len) = data.len().checked_sub(4).filter(|&n| n >= 5) else {
-            return Err(FormatError::Corrupt("truncated file"));
-        };
-        let stored = u32::from_le_bytes(data[body_len..].try_into().expect("4 bytes"));
-        if gobo_quant::integrity::crc32(&data[..body_len]) != stored {
-            return Err(FormatError::Corrupt("file checksum mismatch"));
-        }
-        let data = &data[..body_len];
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], FormatError> {
-            let end = pos
-                .checked_add(n)
-                .filter(|&e| e <= data.len())
-                .ok_or(FormatError::Corrupt("truncated file"))?;
-            let out = &data[*pos..end];
-            *pos = end;
-            Ok(out)
-        };
-        let mut pos = 5usize; // magic + version, already checked
-        let _pad = take(&mut pos, 3)?;
-        let raw_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-        let skeleton = load_model_partial(take(&mut pos, raw_len)?)?;
-        let archive_len =
-            u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-        let archive = ModelArchive::from_bytes(take(&mut pos, archive_len)?)?;
-        if pos != data.len() {
-            return Err(FormatError::Corrupt("trailing bytes"));
-        }
+        let mut r = ByteReader::new(unseal(data)?);
+        let _header = r.take(8)?; // magic + version (already checked) + pad
+        let raw_len = r.len32()?;
+        let skeleton = load_model_partial(r.take(raw_len)?)?;
+        let archive_len = r.len32()?;
+        let archive = ModelArchive::from_bytes(r.take(archive_len)?)?;
+        r.finish()?;
         // Every quantizable weight must come from exactly one side.
         let held: BTreeSet<&str> = skeleton.iter().map(|(name, _)| name).collect();
         for spec in skeleton.fc_layers().iter().chain(&skeleton.embedding_tables()) {
@@ -213,8 +202,29 @@ impl CompressedModel {
     /// Length of [`CompressedModel::to_bytes`]'s output, computed from
     /// tensor shapes and layer size breakdowns without serializing.
     pub fn serialized_bytes(&self) -> usize {
+        // ARITH: lengths of live in-memory buffers
         FRAMING_BYTES + save_model_len(&self.skeleton) + self.archive.serialized_bytes()
     }
+}
+
+/// Recomputes every CRC-32 that covers an edit to a serialized `.gobom`
+/// in place, innermost first (layer, archive entry, file), walking the
+/// framing as far as it parses. `gobo chaos` and the parser fuzz tests
+/// call it so that a mutation reaches the field parsers instead of
+/// dying at a checksum.
+pub fn reseal_compressed(bytes: &mut [u8]) {
+    let mut r = ByteReader::new(bytes);
+    let archive = (|| {
+        r.take(8).ok()?;
+        let raw_len = r.len32().ok()?;
+        r.take(raw_len).ok()?;
+        let archive_len = r.len32().ok()?;
+        Some(r.position()..r.position().checked_add(archive_len)?)
+    })();
+    if let Some(archive) = archive.and_then(|range| bytes.get_mut(range)) {
+        reseal_archive(archive);
+    }
+    reseal(bytes);
 }
 
 #[cfg(test)]
@@ -224,6 +234,22 @@ mod tests {
     use gobo_model::config::ModelConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// FNV-1a/64 of `bytes`, the digest of every format pin (see
+    /// `gobo_quant::container`'s for why not a CRC-32).
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Format pin: the `.gobom`'s bytes must not move. Digest computed
+    /// at the commit before the byte codec was unified (`ca0882a`).
+    #[test]
+    fn gobom_bytes_are_pinned() {
+        let (_, compressed) = quantized();
+        assert_eq!(fnv1a(&compressed.to_bytes()), 0xdcb9_52d6_0790_f838);
+    }
 
     fn quantized() -> (TransformerModel, CompressedModel) {
         let config = ModelConfig::tiny("CliFmt", 2, 24, 2, 40, 12).unwrap();

@@ -1,7 +1,5 @@
 //! Energy and bandwidth-bound latency estimation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::traffic::InferenceTraffic;
 
 /// Technology constants for the first-order model.
@@ -11,7 +9,7 @@ use crate::traffic::InferenceTraffic;
 /// bandwidth, with on-chip SRAM two orders of magnitude cheaper —
 /// matching the paper's "off-chip accesses are two orders of magnitude
 /// more expensive" framing. Every constant is overridable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// DRAM transfer energy per byte, picojoules.
     pub dram_pj_per_byte: f64,

@@ -8,14 +8,12 @@
 //! crossover happens and the steady-state energy per inference on
 //! either side of it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::energy::EnergyModel;
 use crate::traffic::InferenceTraffic;
 
 /// Whether a model's weights are DRAM-streamed or SRAM-resident for a
 /// given on-chip capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Residency {
     /// Weights exceed on-chip capacity: streamed from DRAM every
     /// inference.
@@ -26,7 +24,7 @@ pub enum Residency {
 }
 
 /// Residency analysis of one model at one compression ratio.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResidencyReport {
     /// Weight + embedding bytes after compression.
     pub compressed_weight_bytes: f64,

@@ -1,7 +1,6 @@
 //! Per-inference off-chip traffic accounting.
 
 use gobo_model::footprint::Footprint;
-use serde::{Deserialize, Serialize};
 
 /// Bytes moved across the off-chip interface for one inference.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// embedding rows actually touched are streamed from DRAM once per
 /// inference (they exceed any realistic on-chip capacity), while
 /// activations are small enough to count once in and once out.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceTraffic {
     /// FC weight bytes streamed.
     pub weight_bytes: f64,

@@ -1,7 +1,5 @@
 //! Model geometry for the BERT family (Table I of the paper).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelError;
 
 /// Complete architectural description of a BERT-style encoder.
@@ -10,7 +8,7 @@ use crate::error::ModelError;
 /// reproduce Table I exactly; [`ModelConfig::tiny`] builds small
 /// trainable variants with the same topology for the accuracy
 /// experiments.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ModelConfig {
     /// Human-readable model name (e.g. `"BERT-Base"`).
     pub name: String,
@@ -164,6 +162,12 @@ impl ModelConfig {
         if self.max_position == 0 {
             return Err(ModelError::InvalidConfig { name: "max_position" });
         }
+        // The raw-model format carries the name behind a `u16` length:
+        // bounded here, where the value is created, so
+        // `io::save_model` never writes a length it had to clamp.
+        if self.name.len() > usize::from(u16::MAX) {
+            return Err(ModelError::InvalidConfig { name: "name" });
+        }
         Ok(())
     }
 
@@ -282,6 +286,15 @@ mod tests {
         let mut c = ModelConfig::bert_base();
         c.max_position = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_bounds_what_the_model_file_can_carry() {
+        let mut c = ModelConfig::bert_base();
+        c.name = "n".repeat(usize::from(u16::MAX));
+        assert!(c.validate().is_ok());
+        c.name.push('n');
+        assert_eq!(c.validate(), Err(ModelError::InvalidConfig { name: "name" }));
     }
 
     #[test]

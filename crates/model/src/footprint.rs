@@ -5,15 +5,13 @@
 //! and per-word activations of 3 KB (one 768-wide FP32 vector ≈ 3 KiB).
 //! These functions reproduce those rows exactly from the geometry.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::ModelConfig;
 
 /// Bytes per mebibyte (the paper's "MB").
 pub const MIB: f64 = 1024.0 * 1024.0;
 
 /// One model's memory footprint, mirroring Table II's rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Footprint {
     /// Model name.
     pub model: String,

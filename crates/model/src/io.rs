@@ -15,7 +15,17 @@
 //! Both the quantizable weights the model holds and the auxiliary
 //! parameters (biases, LayerNorm) are stored, so a round trip
 //! reproduces the model exactly — including which weights are absent.
+//!
+//! The file carries no checksum (inside a `.gobom` the file's CRC
+//! covers it): it is read raw through the workspace's one checked cursor
+//! ([`gobo_proto::codec::ByteReader`]) under its count rule. Two fields
+//! size allocations and are treated as counts: the **geometry** — a file
+//! carries every auxiliary tensor its header declares, so their bytes
+//! must remain before the skeleton that allocates them is built — and a
+//! tensor's **dims**, whose element count is a checked fold.
 
+use bytes::BufMut;
+use gobo_proto::codec::{put_f32s, put_len16, put_len32, ByteReader, CodecError};
 use gobo_tensor::Tensor;
 
 use crate::config::ModelConfig;
@@ -27,92 +37,75 @@ pub const MODEL_MAGIC: u32 = u32::from_le_bytes(*b"GOBm");
 /// Current raw-model format version.
 pub const MODEL_FORMAT_VERSION: u8 = 1;
 
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
+/// Bytes of the smallest stored auxiliary tensor besides its data: the
+/// name's length prefix, the shortest auxiliary name (`pooler.bias`),
+/// the rank byte and one dim.
+const MIN_AUX_FRAMING_BYTES: usize = 18;
+
+/// A lower bound on the bytes the auxiliary tensors of `config` occupy
+/// in a file — each tensor's framing plus four per parameter — or
+/// `None` when that overflows: a header no file can honour.
+fn min_aux_bytes(config: &ModelConfig) -> Option<usize> {
+    let (layers, h) = (config.encoder_layers, config.hidden);
+    // Per encoder layer ten tensors: two LayerNorms (gain and bias, 4h),
+    // the four attention biases and the output bias (5h), the
+    // intermediate bias. Outside the layers, tensors of width h: the
+    // embedding LayerNorm's two and the pooler bias.
+    let per_layer = h.checked_mul(9)?.checked_add(config.intermediate)?;
+    let outside = if config.has_pooler { 3 } else { 2 };
+    let tensors = layers.checked_mul(10)?.checked_add(outside)?;
+    let params = layers.checked_mul(per_layer)?.checked_add(h.checked_mul(outside)?)?;
+    tensors.checked_mul(MIN_AUX_FRAMING_BYTES)?.checked_add(params.checked_mul(4)?)
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ModelError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(ModelError::InvalidInput { what: "truncated model file" })?;
-        let out = self
-            .data
-            .get(self.pos..end)
-            .ok_or(ModelError::InvalidInput { what: "truncated model file" })?;
-        self.pos = end;
-        Ok(out)
-    }
+fn invalid(what: &'static str) -> ModelError {
+    ModelError::InvalidInput { what }
+}
 
-    fn u8(&mut self) -> Result<u8, ModelError> {
-        self.take(1)?
-            .first()
-            .copied()
-            .ok_or(ModelError::InvalidInput { what: "truncated model file" })
-    }
-
-    fn u16(&mut self) -> Result<u16, ModelError> {
-        Ok(u16::from_le_bytes(array(self.take(2)?)?))
-    }
-
-    fn u32(&mut self) -> Result<u32, ModelError> {
-        Ok(u32::from_le_bytes(array(self.take(4)?)?))
-    }
-
-    fn string(&mut self) -> Result<String, ModelError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ModelError::InvalidInput { what: "non-utf8 name in model file" })
+impl From<CodecError> for ModelError {
+    fn from(e: CodecError) -> Self {
+        invalid(e.what())
     }
 }
 
-/// Checked fixed-size conversion for multi-byte reads.
-fn array<const N: usize>(bytes: &[u8]) -> Result<[u8; N], ModelError> {
-    <[u8; N]>::try_from(bytes)
-        .map_err(|_| ModelError::InvalidInput { what: "truncated model file" })
+fn read_name(r: &mut ByteReader<'_>) -> Result<String, ModelError> {
+    let len = r.len16()?;
+    Ok(r.utf8(len)?.to_owned())
 }
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// Names are bounded where they are created: the model's by
+/// [`ModelConfig::validate`], tensor names by the naming convention.
+fn put_name(out: &mut Vec<u8>, s: &str) {
+    put_len16(out, s.len());
+    out.put_slice(s.as_bytes());
 }
 
 fn put_tensor(out: &mut Vec<u8>, name: &str, tensor: &Tensor) {
-    put_string(out, name);
-    out.push(tensor.shape().rank() as u8);
+    put_name(out, name);
+    out.put_u8(u8::try_from(tensor.shape().rank()).unwrap_or(u8::MAX));
     for &d in tensor.dims() {
-        out.extend_from_slice(&(d as u32).to_le_bytes());
+        put_len32(out, d);
     }
-    for &v in tensor.as_slice() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    put_f32s(out, tensor.as_slice());
 }
 
-fn read_tensor(r: &mut Reader<'_>) -> Result<(String, Tensor), ModelError> {
-    let name = r.string()?;
-    let rank = r.u8()? as usize;
+fn read_tensor(r: &mut ByteReader<'_>) -> Result<(String, Tensor), ModelError> {
+    let name = read_name(r)?;
+    let rank = usize::from(r.u8()?);
     if rank > 4 {
-        return Err(ModelError::InvalidInput { what: "tensor rank too large" });
+        return Err(invalid("tensor rank too large"));
     }
-    let mut dims = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        dims.push(r.u32()? as usize);
+    let dims = (0..rank).map(|_| r.len32()).collect::<Result<Vec<_>, _>>()?;
+    // A checked fold, never `.product()`: four dims of 65 536 overflow.
+    let len = dims
+        .iter()
+        .try_fold(1usize, |len, &d| len.checked_mul(d))
+        .ok_or(invalid("tensor too large for this platform"))?;
+    let data = r.f32s(len)?;
+    if !data.iter().all(|v| v.is_finite()) {
+        return Err(invalid("non-finite weight in model file"));
     }
-    let len: usize = dims.iter().product();
-    let raw = r.take(len * 4)?;
-    let mut data = Vec::with_capacity(len);
-    for chunk in raw.chunks_exact(4) {
-        let v = f32::from_le_bytes(array(chunk)?);
-        if !v.is_finite() {
-            return Err(ModelError::InvalidInput { what: "non-finite weight in model file" });
-        }
-        data.push(v);
-    }
-    let tensor = Tensor::from_vec(data, &dims)?;
-    Ok((name, tensor))
+    Ok((name, Tensor::from_vec(data, &dims)?))
 }
 
 /// Serializes a model to the raw format: the quantizable weights it
@@ -121,11 +114,11 @@ fn read_tensor(r: &mut Reader<'_>) -> Result<(String, Tensor), ModelError> {
 pub fn save_model(model: &TransformerModel) -> Vec<u8> {
     let config = model.config();
     let mut out = Vec::with_capacity(save_model_len(model));
-    out.extend_from_slice(&MODEL_MAGIC.to_le_bytes());
-    out.push(MODEL_FORMAT_VERSION);
-    out.push(u8::from(config.has_pooler));
-    out.extend_from_slice(&[0u8; 2]);
-    put_string(&mut out, &config.name);
+    out.put_u32_le(MODEL_MAGIC);
+    out.put_u8(MODEL_FORMAT_VERSION);
+    out.put_u8(u8::from(config.has_pooler));
+    out.put_slice(&[0u8; 2]);
+    put_name(&mut out, &config.name);
     for v in [
         config.encoder_layers,
         config.hidden,
@@ -135,10 +128,11 @@ pub fn save_model(model: &TransformerModel) -> Vec<u8> {
         config.max_position,
         config.type_vocab,
     ] {
-        out.extend_from_slice(&(v as u32).to_le_bytes());
+        put_len32(&mut out, v);
     }
     let aux = aux_entries(model);
-    out.extend_from_slice(&((model.iter().count() + aux.len()) as u32).to_le_bytes());
+    // ARITH: counts of live in-memory tensors
+    put_len32(&mut out, model.iter().count() + aux.len());
     for (name, tensor) in model.iter() {
         put_tensor(&mut out, name, tensor);
     }
@@ -153,11 +147,13 @@ pub fn save_model(model: &TransformerModel) -> Vec<u8> {
 pub fn save_model_len(model: &TransformerModel) -> usize {
     // magic + version + flags + pad, name, seven u32 config fields,
     // tensor count.
+    // ARITH: here and below, lengths of live in-memory buffers.
     let header = 8 + 2 + model.config().name.len() + 7 * 4 + 4;
+    // ARITH: live buffer lengths
     let tensor = |name: &str, t: &Tensor| 2 + name.len() + 1 + 4 * t.shape().rank() + 4 * t.len();
     let weights: usize = model.iter().map(|(name, t)| tensor(name, t)).sum();
     let aux: usize = aux_entries(model).iter().map(|(name, t)| tensor(name, t)).sum();
-    header + weights + aux
+    header + weights + aux // ARITH: live buffer lengths
 }
 
 /// Enumerates the auxiliary parameters by the naming convention.
@@ -186,9 +182,10 @@ fn aux_entries(model: &TransformerModel) -> Vec<(String, &Tensor)> {
 /// stored tensor disagrees with the configuration.
 pub fn load_model(data: &[u8]) -> Result<TransformerModel, ModelError> {
     let model = load_model_partial(data)?;
+    // ARITH: counts of live layer specs
     let expected = model.fc_layers().len() + model.embedding_tables().len();
     if model.iter().count() < expected {
-        return Err(ModelError::InvalidInput { what: "model file missing weight tensors" });
+        return Err(invalid("model file missing weight tensors"));
     }
     Ok(model)
 }
@@ -203,44 +200,40 @@ pub fn load_model(data: &[u8]) -> Result<TransformerModel, ModelError> {
 /// Same structural conditions as [`load_model`], minus the
 /// completeness check.
 pub fn load_model_partial(data: &[u8]) -> Result<TransformerModel, ModelError> {
-    gobo_fault::fail_point!(
-        "model.io.load",
-        ModelError::InvalidInput { what: "injected model.io.load fault" }
-    );
-    let mut r = Reader { data, pos: 0 };
+    gobo_fault::fail_point!("model.io.load", invalid("injected model.io.load fault"));
+    let mut r = ByteReader::new(data);
     if r.u32()? != MODEL_MAGIC {
-        return Err(ModelError::InvalidInput { what: "bad model magic" });
+        return Err(invalid("bad model magic"));
     }
     if r.u8()? != MODEL_FORMAT_VERSION {
-        return Err(ModelError::InvalidInput { what: "unsupported model version" });
+        return Err(invalid("unsupported model version"));
     }
     let has_pooler = r.u8()? != 0;
     let _pad = r.take(2)?;
-    let name = r.string()?;
-    let encoder_layers = r.u32()? as usize;
-    let hidden = r.u32()? as usize;
-    let intermediate = r.u32()? as usize;
-    let heads = r.u32()? as usize;
-    let vocab = r.u32()? as usize;
-    let max_position = r.u32()? as usize;
-    let type_vocab = r.u32()? as usize;
-    let mut model = TransformerModel::skeleton(ModelConfig {
-        name,
-        encoder_layers,
-        hidden,
-        intermediate,
-        heads,
-        vocab,
-        max_position,
-        type_vocab,
+    let config = ModelConfig {
+        name: read_name(&mut r)?,
+        encoder_layers: r.len32()?,
+        hidden: r.len32()?,
+        intermediate: r.len32()?,
+        heads: r.len32()?,
+        vocab: r.len32()?,
+        max_position: r.len32()?,
+        type_vocab: r.len32()?,
         has_pooler,
-    })?;
-    let count = r.u32()? as usize;
+    };
+    let count = r.len32()?;
+    // The geometry is a count like any other: a file carries every
+    // auxiliary tensor its header declares (`save_model` always writes
+    // them), so their bytes must be there before the skeleton — which
+    // allocates them — is built.
+    let aux_bytes = min_aux_bytes(&config).ok_or(invalid("model geometry too large"))?;
+    r.counted(aux_bytes, 1)?;
+    let mut model = TransformerModel::skeleton(config)?;
     let mut seen: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
     for _ in 0..count {
         let (tname, tensor) = read_tensor(&mut r)?;
         if !seen.insert(tname.clone()) {
-            return Err(ModelError::InvalidInput { what: "duplicate tensor in model file" });
+            return Err(invalid("duplicate tensor in model file"));
         }
         if tname.ends_with(".bias") || tname.contains(".ln.") {
             model.set_aux(&tname, tensor)?;
@@ -248,9 +241,7 @@ pub fn load_model_partial(data: &[u8]) -> Result<TransformerModel, ModelError> {
             model.set_weight(&tname, tensor)?;
         }
     }
-    if r.pos != data.len() {
-        return Err(ModelError::InvalidInput { what: "trailing bytes in model file" });
-    }
+    r.finish()?;
     Ok(model)
 }
 
@@ -307,9 +298,47 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// FNV-1a/64 of `bytes`, the digest of every format pin (see
+    /// `gobo_quant::container`'s for why not a CRC-32).
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Format pin: the raw model file's bytes must not move. Digests
+    /// computed at the commit before the byte codec was unified
+    /// (`ca0882a`).
+    #[test]
+    fn model_file_bytes_are_pinned() {
+        assert_eq!(fnv1a(&save_model(&model())), 0x8331_bb98_8548_78f1);
+        let mut partial = model();
+        partial.remove_weight("pooler").unwrap();
+        partial.remove_weight("embeddings.word").unwrap();
+        assert_eq!(fnv1a(&save_model(&partial)), 0x05f3_b197_f5ec_b1d0);
+    }
+
     fn model() -> TransformerModel {
         let config = ModelConfig::tiny("IoTest", 2, 24, 2, 40, 12).unwrap();
         TransformerModel::new(config, &mut StdRng::seed_from_u64(3)).unwrap()
+    }
+
+    #[test]
+    fn min_aux_bytes_is_a_lower_bound_that_counts_every_aux_tensor() {
+        let mut no_pooler = ModelConfig::tiny("NoPooler", 3, 24, 2, 40, 12).unwrap();
+        no_pooler.has_pooler = false;
+        no_pooler.intermediate = 50;
+        for config in [model().config().clone(), no_pooler] {
+            let skeleton = TransformerModel::skeleton(config.clone()).unwrap();
+            let aux = aux_entries(&skeleton);
+            let exact: usize = aux.iter().map(|(_, t)| MIN_AUX_FRAMING_BYTES + 4 * t.len()).sum();
+            assert_eq!(min_aux_bytes(&config), Some(exact), "{config}");
+            assert_eq!(skeleton.resident_bytes(), exact - MIN_AUX_FRAMING_BYTES * aux.len());
+            assert!(aux.iter().all(|(name, _)| 2 + name.len() + 1 + 4 >= MIN_AUX_FRAMING_BYTES));
+        }
+        let mut huge = ModelConfig::bert_base();
+        huge.encoder_layers = usize::MAX / 2;
+        assert_eq!(min_aux_bytes(&huge), None);
     }
 
     #[test]

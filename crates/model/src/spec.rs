@@ -7,12 +7,10 @@
 //! with stable names consumed by the mixed-precision rules in
 //! `gobo-quant`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::ModelConfig;
 
 /// What role a weight matrix plays, mirroring Figure 1a's blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Self-attention query projection.
     Query,
@@ -47,7 +45,7 @@ impl LayerKind {
 }
 
 /// Name and geometry of one weight matrix.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FcLayerSpec {
     /// Stable name, e.g. `encoder.3.attention.value` or
     /// `embeddings.word`.

@@ -2,15 +2,20 @@
 //!
 //! Layout (see the crate docs): `"GOBP"` magic, version byte, kind
 //! byte, little-endian payload length, payload, and a trailing CRC-32
-//! over `version|kind|payload`. Decoding never panics and never
-//! allocates more than the caller's payload cap: every length read
-//! from the wire is validated against the bytes actually present
+//! over `version|kind|payload`. Payloads are read and written through
+//! [`crate::codec`] like every other binary format, so decoding never
+//! panics and obeys the count rule: the frame body is capped by the
+//! caller's `max_payload` while it is still on the wire, and every
+//! length inside it is checked against the bytes actually present
 //! before a buffer is reserved.
 
 use std::io::{self, Read, Write};
 
+use bytes::BufMut;
 use gobo_fault::fail_point;
-use gobo_quant::integrity::crc32;
+
+use crate::codec::{put_f32s, put_len32, put_u32s, ByteReader, CodecError};
+use crate::integrity::Crc32;
 
 /// Protocol version emitted and accepted by this build.
 pub const PROTOCOL_VERSION: u8 = 1;
@@ -187,273 +192,153 @@ impl Frame {
 }
 
 // ---------------------------------------------------------------------------
-// Payload writer
+// Payload encode/decode (through `crate::codec`)
 // ---------------------------------------------------------------------------
 
-struct PayloadWriter {
-    buf: Vec<u8>,
-}
-
-impl PayloadWriter {
-    fn new() -> Self {
-        PayloadWriter { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn u32s(&mut self, v: &[u32]) {
-        self.u32(v.len() as u32);
-        for x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
-    fn f32s(&mut self, v: &[f32]) {
-        self.u32(v.len() as u32);
-        for x in v {
-            // f32 travels as its exact bit pattern: byte-identity with a
-            // direct in-process encode is a cluster invariant.
-            self.buf.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
+impl From<CodecError> for ProtoError {
+    fn from(e: CodecError) -> Self {
+        ProtoError::Corrupt(format!("payload {}", e.what()))
     }
 }
 
-// ---------------------------------------------------------------------------
-// Payload reader
-// ---------------------------------------------------------------------------
-
-struct PayloadReader<'a> {
-    data: &'a [u8],
-    pos: usize,
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_len32(out, s.len());
+    out.put_slice(s.as_bytes());
 }
 
-fn truncated(what: &str) -> ProtoError {
-    ProtoError::Corrupt(format!("truncated payload while reading {what}"))
+fn put_counted_u32s(out: &mut Vec<u8>, v: &[u32]) {
+    put_len32(out, v.len());
+    put_u32s(out, v);
 }
 
-impl<'a> PayloadReader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        PayloadReader { data, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], ProtoError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| truncated(what))?;
-        let slice = self.data.get(self.pos..end).ok_or_else(|| truncated(what))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn remaining(&self) -> usize {
-        self.data.len().saturating_sub(self.pos)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, ProtoError> {
-        let b = self.take(1, what)?;
-        b.first().copied().ok_or_else(|| truncated(what))
-    }
-
-    fn bool(&mut self, what: &str) -> Result<bool, ProtoError> {
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(ProtoError::Corrupt(format!("invalid boolean {v} while reading {what}"))),
-        }
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, ProtoError> {
-        let b = self.take(4, what)?;
-        let arr: [u8; 4] = b.try_into().map_err(|_| truncated(what))?;
-        Ok(u32::from_le_bytes(arr))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, ProtoError> {
-        let b = self.take(8, what)?;
-        let arr: [u8; 8] = b.try_into().map_err(|_| truncated(what))?;
-        Ok(u64::from_le_bytes(arr))
-    }
-
-    /// Read a length prefix for elements of `elem_size` bytes, checking
-    /// it against the bytes actually remaining so a corrupt length can
-    /// never drive a huge allocation.
-    fn len_prefix(&mut self, elem_size: usize, what: &str) -> Result<usize, ProtoError> {
-        let n = self.u32(what)? as usize;
-        let need = n.checked_mul(elem_size).ok_or_else(|| truncated(what))?;
-        if need > self.remaining() {
-            return Err(ProtoError::Corrupt(format!(
-                "declared length {n} for {what} exceeds remaining {} bytes",
-                self.remaining()
-            )));
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self, what: &str) -> Result<String, ProtoError> {
-        let n = self.len_prefix(1, what)?;
-        let bytes = self.take(n, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ProtoError::Corrupt(format!("invalid utf-8 in {what}")))
-    }
-
-    fn u32s(&mut self, what: &str) -> Result<Vec<u32>, ProtoError> {
-        let n = self.len_prefix(4, what)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u32(what)?);
-        }
-        Ok(out)
-    }
-
-    fn f32s(&mut self, what: &str) -> Result<Vec<f32>, ProtoError> {
-        let n = self.len_prefix(4, what)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(f32::from_bits(self.u32(what)?));
-        }
-        Ok(out)
-    }
-
-    fn finish(&self) -> Result<(), ProtoError> {
-        if self.remaining() != 0 {
-            return Err(ProtoError::Corrupt(format!(
-                "{} trailing bytes after payload",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
+fn put_counted_f32s(out: &mut Vec<u8>, v: &[f32]) {
+    put_len32(out, v.len());
+    put_f32s(out, v);
 }
 
-// ---------------------------------------------------------------------------
-// Frame encode/decode
-// ---------------------------------------------------------------------------
-
-fn encode_payload(frame: &Frame) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
+fn encode_payload(out: &mut Vec<u8>, frame: &Frame) {
     match frame {
         Frame::EncodeRequest(req) => {
-            w.u64(req.id);
-            w.str(&req.model);
-            w.u8(req.bits);
-            w.u64(req.deadline_ms);
-            w.u32s(&req.ids);
-            w.u32s(&req.type_ids);
+            out.put_u64_le(req.id);
+            put_str(out, &req.model);
+            out.put_u8(req.bits);
+            out.put_u64_le(req.deadline_ms);
+            put_counted_u32s(out, &req.ids);
+            put_counted_u32s(out, &req.type_ids);
         }
         Frame::EncodeResponse(resp) => {
-            w.u64(resp.id);
+            out.put_u64_le(resp.id);
             match &resp.result {
                 Ok(ok) => {
-                    w.u8(1);
-                    w.str(&ok.model);
-                    w.u8(ok.bits);
-                    w.u32s(&ok.dims);
-                    w.f32s(&ok.hidden);
+                    out.put_u8(1);
+                    put_str(out, &ok.model);
+                    out.put_u8(ok.bits);
+                    put_counted_u32s(out, &ok.dims);
+                    put_counted_f32s(out, &ok.hidden);
                     match &ok.pooled {
                         Some(p) => {
-                            w.u8(1);
-                            w.f32s(p);
+                            out.put_u8(1);
+                            put_counted_f32s(out, p);
                         }
-                        None => w.u8(0),
+                        None => out.put_u8(0),
                     }
-                    w.u32(ok.batch_size);
-                    w.u64(ok.queue_us);
-                    w.u64(ok.compute_us);
+                    out.put_u32_le(ok.batch_size);
+                    out.put_u64_le(ok.queue_us);
+                    out.put_u64_le(ok.compute_us);
                 }
                 Err(err) => {
-                    w.u8(0);
-                    w.str(&err.code);
-                    w.str(&err.message);
+                    out.put_u8(0);
+                    put_str(out, &err.code);
+                    put_str(out, &err.message);
                 }
             }
         }
-        Frame::Heartbeat { seq } => {
-            w.u64(*seq);
-        }
+        Frame::Heartbeat { seq } => out.put_u64_le(*seq),
         Frame::HeartbeatAck(ack) => {
-            w.u64(ack.seq);
-            w.u32(ack.queue_depth);
-            w.bool(ack.draining);
-            w.u32(ack.models.len() as u32);
+            out.put_u64_le(ack.seq);
+            out.put_u32_le(ack.queue_depth);
+            out.put_u8(u8::from(ack.draining));
+            put_len32(out, ack.models.len());
             for m in &ack.models {
-                w.str(&m.name);
-                w.u8(m.bits);
-                w.bool(m.resident);
-                w.u64(m.resident_bytes);
+                put_str(out, &m.name);
+                out.put_u8(m.bits);
+                out.put_u8(u8::from(m.resident));
+                out.put_u64_le(m.resident_bytes);
             }
         }
         Frame::Drain | Frame::DrainAck => {}
     }
-    w.buf
 }
 
+fn read_bool(r: &mut ByteReader<'_>) -> Result<bool, ProtoError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        v => Err(ProtoError::Corrupt(format!("invalid boolean {v}"))),
+    }
+}
+
+fn read_str(r: &mut ByteReader<'_>) -> Result<String, ProtoError> {
+    let n = r.len32()?;
+    Ok(r.utf8(n)?.to_owned())
+}
+
+fn read_u32s(r: &mut ByteReader<'_>) -> Result<Vec<u32>, ProtoError> {
+    let n = r.len32()?;
+    Ok(r.u32s(n)?)
+}
+
+fn read_f32s(r: &mut ByteReader<'_>) -> Result<Vec<f32>, ProtoError> {
+    let n = r.len32()?;
+    Ok(r.f32s(n)?)
+}
+
+/// Bytes of the smallest model status: an empty name's length prefix,
+/// bits, the resident flag and the resident size.
+const MIN_MODEL_STATUS_BYTES: usize = 14;
+
 fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
-    let mut r = PayloadReader::new(payload);
+    let r = &mut ByteReader::new(payload);
     let frame = match kind {
         KIND_ENCODE_REQUEST => Frame::EncodeRequest(EncodeRequestFrame {
-            id: r.u64("request id")?,
-            model: r.str("model name")?,
-            bits: r.u8("bits")?,
-            deadline_ms: r.u64("deadline")?,
-            ids: r.u32s("token ids")?,
-            type_ids: r.u32s("type ids")?,
+            id: r.u64()?,
+            model: read_str(r)?,
+            bits: r.u8()?,
+            deadline_ms: r.u64()?,
+            ids: read_u32s(r)?,
+            type_ids: read_u32s(r)?,
         }),
         KIND_ENCODE_RESPONSE => {
-            let id = r.u64("response id")?;
-            let ok_flag = r.bool("result flag")?;
-            let result = if ok_flag {
-                let model = r.str("model name")?;
-                let bits = r.u8("bits")?;
-                let dims = r.u32s("dims")?;
-                let hidden = r.f32s("hidden")?;
-                let pooled = if r.bool("pooled flag")? { Some(r.f32s("pooled")?) } else { None };
+            let id = r.u64()?;
+            let result = if read_bool(r)? {
                 Ok(EncodeOkFrame {
-                    model,
-                    bits,
-                    dims,
-                    hidden,
-                    pooled,
-                    batch_size: r.u32("batch size")?,
-                    queue_us: r.u64("queue us")?,
-                    compute_us: r.u64("compute us")?,
+                    model: read_str(r)?,
+                    bits: r.u8()?,
+                    dims: read_u32s(r)?,
+                    hidden: read_f32s(r)?,
+                    pooled: if read_bool(r)? { Some(read_f32s(r)?) } else { None },
+                    batch_size: r.u32()?,
+                    queue_us: r.u64()?,
+                    compute_us: r.u64()?,
                 })
             } else {
-                Err(EncodeErrFrame { code: r.str("error code")?, message: r.str("error message")? })
+                Err(EncodeErrFrame { code: read_str(r)?, message: read_str(r)? })
             };
             Frame::EncodeResponse(EncodeResponseFrame { id, result })
         }
-        KIND_HEARTBEAT => Frame::Heartbeat { seq: r.u64("heartbeat seq")? },
+        KIND_HEARTBEAT => Frame::Heartbeat { seq: r.u64()? },
         KIND_HEARTBEAT_ACK => {
-            let seq = r.u64("heartbeat seq")?;
-            let queue_depth = r.u32("queue depth")?;
-            let draining = r.bool("draining flag")?;
-            // A model status is at least 14 bytes on the wire; the
-            // cheaper per-byte bound of 1 still blocks absurd lengths.
-            let n = r.len_prefix(1, "model list")?;
-            let mut models = Vec::new();
+            let seq = r.u64()?;
+            let queue_depth = r.u32()?;
+            let draining = read_bool(r)?;
+            let n = r.len32()?;
+            let mut models = Vec::with_capacity(r.counted(n, MIN_MODEL_STATUS_BYTES)?);
             for _ in 0..n {
                 models.push(ModelStatusFrame {
-                    name: r.str("model name")?,
-                    bits: r.u8("bits")?,
-                    resident: r.bool("resident flag")?,
-                    resident_bytes: r.u64("resident bytes")?,
+                    name: read_str(r)?,
+                    bits: r.u8()?,
+                    resident: read_bool(r)?,
+                    resident_bytes: r.u64()?,
                 });
             }
             Frame::HeartbeatAck(HeartbeatAckFrame { seq, queue_depth, draining, models })
@@ -468,25 +353,38 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
     Ok(frame)
 }
 
+// ---------------------------------------------------------------------------
+// Frame write/read
+// ---------------------------------------------------------------------------
+
+/// Bytes of a frame before its payload: magic, version, kind, length.
+const HEADER_BYTES: usize = 10;
+
+/// CRC-32 over `version|kind|payload` — not the length prefix between
+/// them: a bad length already shows up as truncation or a shifted CRC.
+/// Fed incrementally, so no frame is copied to be checksummed.
+fn frame_crc(version: u8, kind: u8, payload: &[u8]) -> u32 {
+    let mut crc = Crc32::default();
+    crc.update(&[version, kind]);
+    crc.update(payload);
+    crc.finish()
+}
+
 /// Serialize one frame to `w`. The write is a single buffered flush so
 /// a frame is never interleaved with another writer on the same stream
 /// as long as callers hold the stream exclusively.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
-    let payload = encode_payload(frame);
+    let mut payload = Vec::new();
+    encode_payload(&mut payload, frame);
     let kind = frame.kind();
-    let mut out = Vec::with_capacity(payload.len().saturating_add(14));
-    out.extend_from_slice(&MAGIC);
-    out.push(PROTOCOL_VERSION);
-    out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    // CRC covers version|kind|payload (not the length prefix: a bad
-    // length already shows up as truncation or a shifted CRC).
-    let mut covered = Vec::with_capacity(payload.len().saturating_add(2));
-    covered.push(PROTOCOL_VERSION);
-    covered.push(kind);
-    covered.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32(&covered).to_le_bytes());
+    // ARITH: header + CRC of a live in-memory payload, < isize::MAX
+    let mut out = Vec::with_capacity(HEADER_BYTES + payload.len() + 4);
+    out.put_slice(&MAGIC);
+    out.put_u8(PROTOCOL_VERSION);
+    out.put_u8(kind);
+    put_len32(&mut out, payload.len());
+    out.put_slice(&payload);
+    out.put_u32_le(frame_crc(PROTOCOL_VERSION, kind, &payload));
     w.write_all(&out)?;
     w.flush()
 }
@@ -518,28 +416,25 @@ pub fn read_frame<R: Read>(r: &mut R, max_payload: u32) -> Result<Option<Frame>,
 
     let mut header = [0u8; 6];
     read_exact_frame(r, &mut header, "header")?;
-    let version = header.first().copied().unwrap_or(0);
+    let mut fields = ByteReader::new(&header);
+    let version = fields.u8()?;
     if version != PROTOCOL_VERSION {
         return Err(ProtoError::Version(version));
     }
-    let kind = header.get(1).copied().unwrap_or(0);
-    let len_bytes: [u8; 4] = header.get(2..6).and_then(|s| s.try_into().ok()).unwrap_or([0; 4]);
-    let len = u32::from_le_bytes(len_bytes);
+    let kind = fields.u8()?;
+    let len = fields.u32()?;
     if len > max_payload {
         return Err(ProtoError::TooLarge { declared: len, limit: max_payload });
     }
 
+    // The one reservation the count rule cannot cover — these bytes are
+    // still on the wire — is bounded by the caller's cap instead.
     let mut payload = vec![0u8; len as usize];
     read_exact_frame(r, &mut payload, "payload")?;
     let mut crc_bytes = [0u8; 4];
     read_exact_frame(r, &mut crc_bytes, "crc")?;
     let got_crc = u32::from_le_bytes(crc_bytes);
-
-    let mut covered = Vec::with_capacity(payload.len().saturating_add(2));
-    covered.push(version);
-    covered.push(kind);
-    covered.extend_from_slice(&payload);
-    let want_crc = crc32(&covered);
+    let want_crc = frame_crc(version, kind, &payload);
     if got_crc != want_crc {
         return Err(ProtoError::Corrupt(format!(
             "crc mismatch: frame says {got_crc:#010x}, computed {want_crc:#010x}"
@@ -629,6 +524,14 @@ mod tests {
         buf
     }
 
+    /// Recomputes the CRC of an edited frame, so that only the check
+    /// under test can fire.
+    fn reseal_frame(bytes: &mut [u8]) {
+        let crc_at = bytes.len() - 4;
+        let crc = frame_crc(bytes[4], bytes[5], &bytes[HEADER_BYTES..crc_at]);
+        bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
+    }
+
     #[test]
     fn model_status_wire_layout_is_unchanged_by_the_field_rename() {
         // The heartbeat ack of `sample_frames()` as written before the
@@ -646,6 +549,37 @@ mod tests {
         assert_eq!(encode(&ack), before);
         let got = read_frame(&mut Cursor::new(before), MAX_PAYLOAD).unwrap().unwrap();
         assert_eq!(got, ack);
+    }
+
+    /// FNV-1a/64 of `bytes`, the digest of every format pin (see
+    /// `gobo_quant::container`'s for why not a CRC-32).
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Format pin next to the hex one above: every frame kind's bytes
+    /// must not move. Digests computed at the commit before the byte
+    /// codec was unified (`ca0882a`).
+    #[test]
+    fn every_frame_kind_is_pinned() {
+        const PINS: [(u8, u64); 7] = [
+            (1, 0xe439_b83f_2204_f95e),
+            (2, 0x32f2_de69_971b_9057),
+            (2, 0x7d7b_0aed_134e_cc66),
+            (3, 0x1e73_639e_07fe_654b),
+            (4, 0xa9b4_c2e2_d957_1c46),
+            (5, 0x127e_d917_273a_a1df),
+            (6, 0x5043_2953_e1cc_d1b9),
+        ];
+        let frames = sample_frames();
+        assert_eq!(frames.len(), PINS.len());
+        for (frame, (kind, pin)) in frames.iter().zip(PINS) {
+            assert_eq!(frame.kind(), kind);
+            let got = fnv1a(&encode(frame));
+            assert_eq!(got, pin, "kind {kind}: {got:#018x}");
+        }
     }
 
     #[test]
@@ -778,12 +712,7 @@ mod tests {
     fn unknown_version_rejected() {
         let mut bytes = encode(&Frame::Drain);
         bytes[4] = 9; // version byte
-                      // Fix up the CRC so only the version check can fire.
-        let len = bytes.len();
-        let mut covered = vec![bytes[4], bytes[5]];
-        covered.extend_from_slice(&bytes[10..len - 4]);
-        let crc = crc32(&covered);
-        bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
+        reseal_frame(&mut bytes); // so only the version check can fire
         let res = read_frame(&mut Cursor::new(bytes), MAX_PAYLOAD);
         assert!(matches!(res, Err(ProtoError::Version(9))), "{res:?}");
     }
@@ -792,11 +721,7 @@ mod tests {
     fn unknown_kind_rejected() {
         let mut bytes = encode(&Frame::Drain);
         bytes[5] = 200; // kind byte
-        let len = bytes.len();
-        let mut covered = vec![bytes[4], bytes[5]];
-        covered.extend_from_slice(&bytes[10..len - 4]);
-        let crc = crc32(&covered);
-        bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
+        reseal_frame(&mut bytes);
         let res = read_frame(&mut Cursor::new(bytes), MAX_PAYLOAD);
         assert!(matches!(res, Err(ProtoError::Corrupt(_))), "{res:?}");
     }
@@ -814,10 +739,7 @@ mod tests {
         bytes.push(3); // heartbeat
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&payload);
-        let mut covered = vec![PROTOCOL_VERSION, 3];
-        covered.extend_from_slice(&payload);
-        let crc = crc32(&covered);
-        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes.extend_from_slice(&frame_crc(PROTOCOL_VERSION, 3, &payload).to_le_bytes());
         let res = read_frame(&mut Cursor::new(bytes), MAX_PAYLOAD);
         assert!(matches!(res, Err(ProtoError::Corrupt(_))), "{res:?}");
     }

@@ -1,10 +1,16 @@
-//! `gobo-proto`: the versioned wire protocol of the `gobo-cluster`
-//! serving tier.
+//! `gobo-proto`: bytes that cross a boundary.
 //!
-//! The router and the nodes live in different processes (often on
-//! different hosts), so the protocol is its own crate: both sides stay
-//! independently testable against the same frame codec, and neither
-//! drags the other's dependencies along.
+//! [`codec`] and [`integrity`] are the one byte codec of the workspace —
+//! the checked cursor, the length writers and the CRC-32 seal under the
+//! layer/archive container, the raw model file, the `.gobom` and the
+//! wire frame — with the rule every parser of outside bytes obeys (a
+//! declared count is checked against the bytes remaining before anything
+//! is reserved). [`frame`] and [`net`] are the versioned wire protocol
+//! of the `gobo-cluster` serving tier, that codec's first user. The
+//! crate depends only on `gobo-fault` and `bytes` — the format crates
+//! depend on it, not the other way round — so router and node, which
+//! live in different processes, stay independently testable against the
+//! same frame codec.
 //!
 //! # Frame format
 //!
@@ -19,12 +25,12 @@
 //! crc32   4 B   CRC-32 (IEEE, reflected) over version|kind|payload
 //! ```
 //!
-//! The trailing CRC reuses [`gobo_quant::integrity::crc32`] — the same
-//! polynomial that seals `.gobom` containers — so a bit flip anywhere
-//! between the version byte and the last payload byte is detected
-//! before a single field is interpreted. Decoding is panic-free and
-//! bounded: payloads larger than the caller's limit are rejected from
-//! the length prefix alone, before any allocation.
+//! The trailing CRC is [`integrity::Crc32`] — the checksum that also
+//! seals `.gobom` containers — so a bit flip anywhere between the
+//! version byte and the last payload byte is detected before a single
+//! field is interpreted. Decoding is panic-free and bounded: payloads
+//! larger than the caller's limit are rejected from the length prefix
+//! alone, before any allocation.
 //!
 //! The [`net`] module carries the client-side connection discipline
 //! (capped jittered retry of *transient* connect failures) that the
@@ -32,7 +38,9 @@
 
 #![deny(missing_docs)]
 
+pub mod codec;
 pub mod frame;
+pub mod integrity;
 pub mod net;
 
 pub use frame::{

@@ -1,8 +1,6 @@
 //! Codebooks (representative values) and assignment machinery shared by
 //! every centroid-selection policy.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::QuantError;
 
 /// A sorted table of representative values ("centroids") for one layer.
@@ -10,7 +8,7 @@ use crate::error::QuantError;
 /// Invariant: centroids are finite and ascending. Nearest-centroid
 /// assignment for a sorted codebook only needs a binary search over the
 /// midpoints between adjacent centroids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Codebook {
     centroids: Vec<f32>,
 }
@@ -163,7 +161,7 @@ impl Codebook {
 
 /// Per-iteration L1/L2 norms recorded while clustering, regenerating the
 /// paper's Figure 2 (GOBO vs K-Means convergence).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ConvergenceTrace {
     /// Summed L1 norm after each iteration (index 0 = initialization).
     pub l1: Vec<f64>,

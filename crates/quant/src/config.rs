@@ -1,7 +1,5 @@
 //! Quantization configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::QuantError;
 use crate::outlier::DEFAULT_LOG_PDF_THRESHOLD;
 
@@ -10,7 +8,7 @@ use crate::outlier::DEFAULT_LOG_PDF_THRESHOLD;
 /// All three share the same outlier handling; they differ only in how
 /// the non-outlier representative values are chosen, exactly as in the
 /// paper's Table IV comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QuantMethod {
     /// The paper's proposal: equal-population init, mean updates,
     /// stop at minimal L1 norm.
@@ -62,7 +60,7 @@ impl std::fmt::Display for QuantMethod {
 /// assert_eq!(config.clusters(), 8);
 /// # Ok::<(), gobo_quant::QuantError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantConfig {
     method: QuantMethod,
     bits: u8,

@@ -30,13 +30,24 @@
 //! silently-wrong weights. Version 2 is the only version read or
 //! written: the checksum-less version 1 is rejected as unsupported, so
 //! rewriting the version byte cannot switch verification off.
+//!
+//! The checksum answers *accidental* corruption. A crafted payload
+//! seals itself correctly, so the fields behind the seal are read
+//! through the workspace's one checked cursor
+//! ([`gobo_proto::codec::ByteReader`]) under its count rule: `outliers`
+//! and `codebook_len` are checked against the bytes that remain before
+//! anything is reserved for them (a 28-byte layer declaring four billion
+//! outliers is refused, not allocated for). Writing goes through the
+//! same module: `BufMut` puts, one length cast, one `seal`.
 
 use bytes::{BufMut, Bytes, BytesMut};
+use gobo_proto::codec::{
+    put_f32s, put_len16, put_len32, put_u32s, reseal, seal, unseal, ByteReader, CodecError,
+};
 
 use crate::codebook::{Codebook, ConvergenceTrace};
 use crate::config::QuantMethod;
 use crate::error::QuantError;
-use crate::integrity::crc32;
 use crate::layer::QuantizedLayer;
 use crate::packing;
 
@@ -53,6 +64,16 @@ const LAYER_FRAMING_BYTES: usize = 24;
 /// version, pad, entry count and the header CRC32.
 const ARCHIVE_HEADER_BYTES: usize = 16;
 
+fn corrupt(what: &'static str) -> QuantError {
+    QuantError::CorruptPayload { what }
+}
+
+impl From<CodecError> for QuantError {
+    fn from(e: CodecError) -> Self {
+        corrupt(e.what())
+    }
+}
+
 fn method_tag(method: QuantMethod) -> u8 {
     match method {
         QuantMethod::Gobo => 0,
@@ -66,61 +87,8 @@ fn method_from_tag(tag: u8) -> Result<QuantMethod, QuantError> {
         0 => QuantMethod::Gobo,
         1 => QuantMethod::KMeans,
         2 => QuantMethod::Linear,
-        _ => return Err(QuantError::CorruptPayload { what: "unknown method tag" }),
+        _ => return Err(corrupt("unknown method tag")),
     })
-}
-
-/// Cursor over a byte slice with checked reads.
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Reader { data, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], QuantError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(QuantError::CorruptPayload { what: "truncated payload" })?;
-        let out = self
-            .data
-            .get(self.pos..end)
-            .ok_or(QuantError::CorruptPayload { what: "truncated payload" })?;
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, QuantError> {
-        self.take(1)?
-            .first()
-            .copied()
-            .ok_or(QuantError::CorruptPayload { what: "truncated payload" })
-    }
-
-    fn u16(&mut self) -> Result<u16, QuantError> {
-        Ok(u16::from_le_bytes(array(self.take(2)?)?))
-    }
-
-    fn u32(&mut self) -> Result<u32, QuantError> {
-        Ok(u32::from_le_bytes(array(self.take(4)?)?))
-    }
-
-    fn f32(&mut self) -> Result<f32, QuantError> {
-        Ok(f32::from_le_bytes(array(self.take(4)?)?))
-    }
-
-    fn remaining(&self) -> usize {
-        self.data.len().saturating_sub(self.pos)
-    }
-}
-
-/// Checked fixed-size conversion for multi-byte reads.
-fn array<const N: usize>(bytes: &[u8]) -> Result<[u8; N], QuantError> {
-    <[u8; N]>::try_from(bytes).map_err(|_| QuantError::CorruptPayload { what: "truncated payload" })
 }
 
 impl QuantizedLayer {
@@ -148,27 +116,22 @@ impl QuantizedLayer {
         out.put_u8(method_tag(self.method()));
         out.put_u8(self.bits());
         out.put_u8(0); // padding / reserved
-        out.put_u32_le(self.total() as u32);
-        out.put_u32_le(self.outlier_count() as u32);
-        out.put_u32_le(self.codebook().len() as u32);
-        for &c in self.codebook().centroids() {
-            out.put_f32_le(c);
-        }
+        put_len32(&mut out, self.total());
+        put_len32(&mut out, self.outlier_count());
+        put_len32(&mut out, self.codebook().len());
+        put_f32s(&mut out, self.codebook().centroids());
         let (positions, values) = self.outliers();
-        for &p in positions {
-            out.put_u32_le(p);
-        }
-        for &v in values {
-            out.put_f32_le(v);
-        }
+        put_u32s(&mut out, positions);
+        put_f32s(&mut out, values);
         out.put_slice(self.packed_indices());
-        let crc = crc32(&out);
-        out.put_u32_le(crc);
+        seal(&mut out, 0);
         out.freeze()
     }
 
     /// Deserializes a layer from the container format. The payload is
-    /// checksum-verified before any field is interpreted.
+    /// checksum-verified before any field is interpreted, and every
+    /// count it declares is checked against the bytes that remain
+    /// before anything is reserved for it.
     ///
     /// The convergence trace is a quantization-time artifact and is not
     /// stored; deserialized layers carry an empty trace.
@@ -181,89 +144,65 @@ impl QuantizedLayer {
     pub fn from_bytes(data: &[u8]) -> Result<Self, QuantError> {
         gobo_fault::fail_point!(
             "container.layer.parse",
-            QuantError::CorruptPayload { what: "injected container.layer.parse fault" }
+            corrupt("injected container.layer.parse fault")
         );
-        let mut r = Reader::new(data);
+        let mut r = ByteReader::new(data);
         if r.u32()? != LAYER_MAGIC {
-            return Err(QuantError::CorruptPayload { what: "bad layer magic" });
+            return Err(corrupt("bad layer magic"));
         }
         if r.u8()? != FORMAT_VERSION {
-            return Err(QuantError::CorruptPayload { what: "unsupported version" });
+            return Err(corrupt("unsupported version"));
         }
-        let Some(body_len) = data.len().checked_sub(4).filter(|&n| n >= 5) else {
-            return Err(QuantError::CorruptPayload { what: "truncated payload" });
-        };
-        let (body, tail) = (data.get(..body_len), data.get(body_len..));
-        let (Some(body), Some(tail)) = (body, tail) else {
-            return Err(QuantError::CorruptPayload { what: "truncated payload" });
-        };
-        let stored = u32::from_le_bytes(array(tail)?);
-        if crc32(body) != stored {
-            return Err(QuantError::CorruptPayload { what: "layer checksum mismatch" });
-        }
-        let mut r = Reader::new(body);
+        let body = unseal(data).map_err(|_| corrupt("layer checksum mismatch"))?;
+        let mut r = ByteReader::new(body);
         let _header = r.take(5)?; // magic + version, already checked
         let layer = Self::parse_body(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(QuantError::CorruptPayload { what: "trailing bytes after layer" });
-        }
+        r.finish().map_err(|_| corrupt("trailing bytes after layer"))?;
         Ok(layer)
     }
 
     /// Parses the layer fields following the magic+version prefix.
-    fn parse_body(r: &mut Reader<'_>) -> Result<Self, QuantError> {
+    fn parse_body(r: &mut ByteReader<'_>) -> Result<Self, QuantError> {
         let method = method_from_tag(r.u8()?)?;
         let bits = r.u8()?;
         if !(1..=8).contains(&bits) {
-            return Err(QuantError::CorruptPayload { what: "bits out of range" });
+            return Err(corrupt("bits out of range"));
         }
         let _pad = r.u8()?;
-        let total = r.u32()? as usize;
-        let outliers = r.u32()? as usize;
+        let total = r.len32()?;
+        let outliers = r.len32()?;
         if outliers > total {
-            return Err(QuantError::CorruptPayload { what: "more outliers than weights" });
+            return Err(corrupt("more outliers than weights"));
         }
-        let codebook_len = r.u32()? as usize;
+        let codebook_len = r.len32()?;
         // ARITH: `bits` is validated to 1..=8 above, so the shift is
         // at most 1 << 8 = 256.
         if codebook_len == 0 || codebook_len > 1 << bits {
-            return Err(QuantError::CorruptPayload {
-                what: "codebook size inconsistent with bits",
-            });
+            return Err(corrupt("codebook size inconsistent with bits"));
         }
-        let mut centroids = Vec::with_capacity(codebook_len);
-        for _ in 0..codebook_len {
-            let c = r.f32()?;
-            if !c.is_finite() {
-                return Err(QuantError::CorruptPayload { what: "non-finite centroid" });
-            }
-            centroids.push(c);
+        let centroids = r.f32s(codebook_len)?;
+        if !centroids.iter().all(|c| c.is_finite()) {
+            return Err(corrupt("non-finite centroid"));
         }
-        let mut positions = Vec::with_capacity(outliers);
-        for _ in 0..outliers {
-            positions.push(r.u32()?);
-        }
+        let positions = r.u32s(outliers)?;
         if positions.iter().zip(positions.iter().skip(1)).any(|(a, b)| a >= b) {
-            return Err(QuantError::CorruptPayload { what: "outlier positions not ascending" });
+            return Err(corrupt("outlier positions not ascending"));
         }
         if positions.last().is_some_and(|&p| p as usize >= total) {
-            return Err(QuantError::CorruptPayload { what: "outlier position out of range" });
+            return Err(corrupt("outlier position out of range"));
         }
-        let mut values = Vec::with_capacity(outliers);
-        for _ in 0..outliers {
-            let v = r.f32()?;
-            if !v.is_finite() {
-                return Err(QuantError::CorruptPayload { what: "non-finite outlier" });
-            }
-            values.push(v);
+        let values = r.f32s(outliers)?;
+        if !values.iter().all(|v| v.is_finite()) {
+            return Err(corrupt("non-finite outlier"));
         }
         let g_count = total - outliers;
-        let packed_len = packing::packed_len(g_count, bits);
-        let packed = r.take(packed_len)?;
+        // The packed run is taken before it is unpacked, so the index
+        // buffer below is at most 8x the bytes actually present.
+        let packed = r.take(packing::packed_len(g_count, bits))?;
         // Validate that every index decodes inside the codebook.
         let assignments = packing::unpack(packed, bits, g_count)?;
         if assignments.iter().any(|&a| a as usize >= codebook_len) {
-            return Err(QuantError::CorruptPayload { what: "index outside codebook" });
+            return Err(corrupt("index outside codebook"));
         }
         let codebook = Codebook::new(centroids)?;
         Ok(QuantizedLayer::from_parts(
@@ -351,18 +290,16 @@ impl ModelArchive {
         out.put_u32_le(ARCHIVE_MAGIC);
         out.put_u8(FORMAT_VERSION);
         out.put_slice(&[0u8; 3]);
-        out.put_u32_le(self.entries.len() as u32);
-        let header_crc = crc32(&out);
-        out.put_u32_le(header_crc);
+        put_len32(&mut out, self.entries.len());
+        seal(&mut out, 0);
         for (name, layer) in &self.entries {
             let entry_start = out.len();
             let payload = layer.to_bytes();
-            out.put_u16_le(name.len() as u16);
+            put_len16(&mut out, name.len()); // bounded by `push`
             out.put_slice(name.as_bytes());
-            out.put_u32_le(payload.len() as u32);
+            put_len32(&mut out, payload.len());
             out.put_slice(&payload);
-            let crc = crc32(out.get(entry_start..).unwrap_or_default());
-            out.put_u32_le(crc);
+            seal(&mut out, entry_start);
         }
         out.freeze()
     }
@@ -378,53 +315,61 @@ impl ModelArchive {
     pub fn from_bytes(data: &[u8]) -> Result<Self, QuantError> {
         gobo_fault::fail_point!(
             "container.archive.parse",
-            QuantError::CorruptPayload { what: "injected container.archive.parse fault" }
+            corrupt("injected container.archive.parse fault")
         );
-        let mut r = Reader::new(data);
+        let mut r = ByteReader::new(data);
         if r.u32()? != ARCHIVE_MAGIC {
-            return Err(QuantError::CorruptPayload { what: "bad archive magic" });
+            return Err(corrupt("bad archive magic"));
         }
         if r.u8()? != FORMAT_VERSION {
-            return Err(QuantError::CorruptPayload { what: "unsupported version" });
+            return Err(corrupt("unsupported version"));
         }
         let _pad = r.take(3)?;
-        let count = r.u32()? as usize;
-        if r.u32()? != crc32(data.get(..12).unwrap_or_default()) {
-            return Err(QuantError::CorruptPayload { what: "archive header checksum mismatch" });
-        }
+        let count = r.len32()?;
+        r.unseal_since(0).map_err(|_| corrupt("archive header checksum mismatch"))?;
         let mut archive = ModelArchive::new();
         for _ in 0..count {
-            let entry_start = r.pos;
-            let name_len = r.u16()? as usize;
-            let name = std::str::from_utf8(r.take(name_len)?)
-                .map_err(|_| QuantError::CorruptPayload { what: "layer name not utf-8" })?
-                .to_owned();
-            let layer_len = r.u32()? as usize;
-            let layer_bytes = r.take(layer_len)?;
-            let entry_end = r.pos;
-            let stored = r.u32()?;
-            let entry = data.get(entry_start..entry_end).unwrap_or_default();
-            if crc32(entry) != stored {
-                return Err(QuantError::CorruptPayload { what: "entry checksum mismatch" });
-            }
-            let layer = QuantizedLayer::from_bytes(layer_bytes)?;
-            archive.push(name, layer)?;
+            let entry_start = r.position();
+            let (name, layer_bytes) = entry_fields(&mut r)?;
+            r.unseal_since(entry_start).map_err(|_| corrupt("entry checksum mismatch"))?;
+            let name = std::str::from_utf8(name).map_err(|_| CodecError::Utf8)?;
+            archive.push(name, QuantizedLayer::from_bytes(layer_bytes)?)?;
         }
-        if r.remaining() != 0 {
-            return Err(QuantError::CorruptPayload { what: "trailing bytes after archive" });
-        }
+        r.finish().map_err(|_| corrupt("trailing bytes after archive"))?;
         Ok(archive)
     }
 }
 
-impl FromIterator<(String, QuantizedLayer)> for ModelArchive {
-    /// Collects named layers; later duplicates are dropped.
-    fn from_iter<I: IntoIterator<Item = (String, QuantizedLayer)>>(iter: I) -> Self {
-        let mut archive = ModelArchive::new();
-        for (name, layer) in iter {
-            let _ = archive.push(name, layer);
+/// The name and layer bytes of the archive entry at the cursor.
+fn entry_fields<'a>(r: &mut ByteReader<'a>) -> Result<(&'a [u8], &'a [u8]), CodecError> {
+    let name_len = r.len16()?;
+    let name = r.take(name_len)?;
+    let layer_len = r.len32()?;
+    Ok((name, r.take(layer_len)?))
+}
+
+/// Recomputes every CRC-32 of a serialized archive in place, innermost
+/// first (layer, then entry), walking the framing as far as it parses —
+/// the fuzzers' door past the seal, so that an edited byte reaches the
+/// field parsers instead of dying at a checksum.
+pub fn reseal_archive(bytes: &mut [u8]) {
+    if let Some(header) = bytes.get_mut(..ARCHIVE_HEADER_BYTES) {
+        reseal(header);
+    }
+    let mut at = ARCHIVE_HEADER_BYTES;
+    loop {
+        let mut r = ByteReader::new(bytes);
+        let Some(Ok((_, layer))) = r.take(at).ok().map(|_| entry_fields(&mut r)) else {
+            return;
+        };
+        let (layer_end, entry_end) = (r.position(), r.position().saturating_add(4));
+        for sealed in [layer_end - layer.len()..layer_end, at..entry_end] {
+            match bytes.get_mut(sealed) {
+                Some(sealed) => reseal(sealed),
+                None => return,
+            }
         }
-        archive
+        at = entry_end;
     }
 }
 
@@ -432,6 +377,52 @@ impl FromIterator<(String, QuantizedLayer)> for ModelArchive {
 mod tests {
     use super::*;
     use crate::config::QuantConfig;
+    use crate::integrity::crc32;
+
+    /// FNV-1a/64 of `bytes`: the digest of the format pins. Not the
+    /// CRC-32 the formats are sealed with — a CRC over bytes that end in
+    /// their own CRC is the constant residue `0x2144DF1C` whatever the
+    /// content, so it would pin nothing.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Format pin: the layer's bytes must not move. Digests computed at
+    /// the commit before the byte codec was unified (`ca0882a`).
+    #[test]
+    fn layer_bytes_are_pinned_at_every_width() {
+        const PINS: [u64; 8] = [
+            0xcaea_b93f_bb38_1665,
+            0x6a3b_a1db_749d_15a8,
+            0xa492_1445_e792_5db9,
+            0x8b83_ca47_16bc_250a,
+            0x2480_a0c1_b237_09d7,
+            0x3a08_7367_902e_89a8,
+            0x1010_bd66_b00d_a082,
+            0x0757_bd6e_8383_4f98,
+        ];
+        for (bits, pin) in (1u8..=8).zip(PINS) {
+            let got = fnv1a(&sample_layer(997, bits).to_bytes());
+            assert_eq!(got, pin, "width {bits}: {got:#018x}");
+        }
+    }
+
+    /// Format pin for the archive framing (same parent commit).
+    #[test]
+    fn archive_bytes_are_pinned() {
+        let mut archive = ModelArchive::new();
+        archive.push("encoder.0.attention.query", sample_layer(600, 3)).unwrap();
+        archive.push("encoder.0.intermediate", sample_layer(900, 4)).unwrap();
+        archive.push("pooler", sample_layer(400, 2)).unwrap();
+        assert_eq!(fnv1a(&archive.to_bytes()), 0x852c_5306_f0b1_f168);
+        assert_eq!(fnv1a(&ModelArchive::new().to_bytes()), 0x75f9_81e4_7d33_3999);
+        // Why the pins are not CRC-32s: sealed bytes always check to the
+        // same residue.
+        assert_eq!(crc32(&archive.to_bytes()[..16]), 0x2144_DF1C);
+        assert_eq!(crc32(&sample_layer(64, 3).to_bytes()), 0x2144_DF1C);
+    }
 
     fn sample_layer(n: usize, bits: u8) -> QuantizedLayer {
         let mut w: Vec<f32> = (0..n)

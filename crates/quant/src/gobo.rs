@@ -12,8 +12,6 @@
 //! preserved as a test oracle in [`crate::reference`], and property
 //! tests assert the two produce bit-identical results.
 
-use serde::{Deserialize, Serialize};
-
 use crate::codebook::{Codebook, ConvergenceTrace};
 use crate::error::QuantError;
 use crate::init;
@@ -21,7 +19,7 @@ use crate::kernel::{self, ClusterScratch, SweepMode};
 
 /// Result of clustering a layer's G group: the final codebook, one index
 /// per weight, and the per-iteration convergence trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Clustering {
     /// The selected representative values.
     pub codebook: Codebook,

@@ -6,8 +6,6 @@
 //! produces an FP32 weight vector of the original length, so the result
 //! is plug-in compatible with any FP32 execution engine.
 
-use serde::{Deserialize, Serialize};
-
 use crate::codebook::{Codebook, ConvergenceTrace};
 use crate::config::{QuantConfig, QuantMethod};
 use crate::error::QuantError;
@@ -21,7 +19,7 @@ use crate::{gobo, kmeans, linear};
 pub const LAYER_HEADER_BYTES: usize = 12;
 
 /// Exact storage cost of a quantized layer, split by component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SizeBreakdown {
     /// Packed G-group index bytes.
     pub index_bytes: usize,

@@ -54,7 +54,6 @@ pub mod entropy;
 pub mod error;
 pub mod gobo;
 pub mod init;
-pub mod integrity;
 pub mod kernel;
 pub mod kmeans;
 pub mod layer;
@@ -64,6 +63,9 @@ pub mod outlier;
 pub mod packing;
 pub mod reference;
 pub mod report;
+
+/// CRC-32, re-exported from the byte-codec crate that owns it.
+pub use gobo_proto::integrity;
 
 pub use codebook::{Codebook, ConvergenceTrace};
 pub use compute::QuantizedMatrix;

@@ -10,13 +10,11 @@
 //! `encoder.<index>.<component>` (e.g. `encoder.3.attention.value`),
 //! plus `pooler` and `embeddings.<table>`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::QuantError;
 
 /// One override rule: layers whose name contains `component` and whose
 /// encoder index (if any) falls within the rule's range get `bits`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerRule {
     /// Substring matched against the layer name (e.g. `"value"`).
     pub component: String,
@@ -59,7 +57,7 @@ impl LayerRule {
 /// assert_eq!(plan.bits_for("encoder.7.attention.value"), 3);
 /// # Ok::<(), gobo_quant::QuantError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MixedPrecisionPlan {
     default_bits: u8,
     rules: Vec<LayerRule>,

@@ -18,8 +18,6 @@
 //! produce bit-identical output, and the benchmarks use them as the
 //! before-side of the speedup measurements.
 
-use serde::{Deserialize, Serialize};
-
 use crate::codebook::{Codebook, ConvergenceTrace};
 use crate::error::QuantError;
 use crate::gobo::{Clustering, L1_PATIENCE};
@@ -179,7 +177,7 @@ pub fn unpack_bytewise(packed: &[u8], bits: u8, count: usize) -> Result<Vec<u8>,
 ///
 /// Weights map to `round(w / scale)` clamped to `[-127, 127]` with
 /// `scale = max|w| / 127`; storage is 1 byte per weight plus the scale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SymmetricQuantizedLayer {
     scale: f32,
     values: Vec<i8>,

@@ -1,6 +1,6 @@
 //! A minimal JSON value, parser, and writer.
 //!
-//! The workspace vendors `serde` but not `serde_json`, and the serving
+//! The workspace vendors no JSON library, and the serving
 //! front end only needs a small, predictable subset: finite numbers,
 //! strings, booleans, null, arrays, and objects. Numbers are carried as
 //! `f64`; an `f32` widened to `f64`, written with Rust's shortest
