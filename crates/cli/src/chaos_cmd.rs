@@ -8,7 +8,7 @@
 //! silently served with wrong weights.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -138,7 +138,6 @@ fn worker_panic(requests: usize, seed: u64) -> Result<Scenario, CliError> {
                 // Generous deadline: the scenario proves requests fail
                 // *fast* via WorkerPanic, not via deadline expiry.
                 default_deadline: Duration::from_secs(60),
-                ..SchedulerConfig::default()
             },
             ..ServeOptions::default()
         });
@@ -458,15 +457,16 @@ fn build_cluster(
     Ok((nodes, router, patterns))
 }
 
-/// Drives `total` routed encodes across 4 threads, cycling the
-/// reference patterns, and returns `(ok, errors, mismatches)`. The
-/// `completed` counter is shared so a caller can trigger faults
-/// mid-load.
+/// Drives `total` routed encodes across 4 threads — and goes on past
+/// `total` for as long as `hold_open` is set — cycling the reference
+/// patterns, and returns `(ok, errors, mismatches)`. The `completed`
+/// counter is shared so a caller can trigger faults mid-load.
 fn drive_routed(
     router: &Arc<gobo_cluster::Router>,
     patterns: &[(Vec<usize>, Vec<f32>)],
     total: usize,
-    completed: &Arc<std::sync::atomic::AtomicUsize>,
+    completed: &Arc<AtomicUsize>,
+    hold_open: &Arc<AtomicBool>,
 ) -> Result<(usize, Vec<String>, usize), CliError> {
     let threads = 4usize;
     let per_thread = (total / threads).max(1);
@@ -475,11 +475,13 @@ fn drive_routed(
         let router = Arc::clone(router);
         let patterns = patterns.to_vec();
         let completed = Arc::clone(completed);
+        let hold_open = Arc::clone(hold_open);
         joins.push(std::thread::spawn(move || {
             let mut ok = 0usize;
             let mut errors: Vec<String> = Vec::new();
             let mut mismatches = 0usize;
-            for r in 0..per_thread {
+            let mut r = 0usize;
+            while r < per_thread || hold_open.load(Ordering::Relaxed) {
                 let (ids, want) = &patterns[(t * per_thread + r) % patterns.len()];
                 let ids_u32: Vec<u32> = ids.iter().map(|&v| v as u32).collect();
                 match router.encode("chaos", None, &ids_u32, &[], 0) {
@@ -499,6 +501,7 @@ fn drive_routed(
                     Err(e) => errors.push(format!("{}: {e}", e.code())),
                 }
                 completed.fetch_add(1, Ordering::Relaxed);
+                r += 1;
             }
             (ok, errors, mismatches)
         }));
@@ -539,43 +542,40 @@ fn poll_router(
 fn node_kill(requests: usize, seed: u64) -> Result<Scenario, CliError> {
     let (mut nodes, router, patterns) = build_cluster(seed)?;
     let total = requests.clamp(64, 400);
-    let completed = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-
-    // Kill the primary once a third of the load has gone through.
+    let completed = Arc::new(AtomicUsize::new(0));
+    let hold_open = Arc::new(AtomicBool::new(true));
+    let driver = {
+        let router = Arc::clone(&router);
+        let patterns = patterns.clone();
+        let completed = Arc::clone(&completed);
+        let hold_open = Arc::clone(&hold_open);
+        std::thread::spawn(move || drive_routed(&router, &patterns, total, &completed, &hold_open))
+    };
+    // Kill once a third of the nominal load has gone through.
+    let patience = Instant::now() + Duration::from_secs(30);
+    while completed.load(Ordering::Relaxed) < total / 3 && Instant::now() < patience {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The victim is whoever is first *now*: `replicas_for` re-ranks the
+    // replicas by heartbeat-reported queue depth, so a primary picked
+    // before the load started need not be the node taking the traffic.
     let victim = {
         let ordered = router.replicas_for("chaos", None);
         let primary = ordered.first().map(|n| n.id.clone()).unwrap_or_default();
         nodes.iter().position(|n| n.id == primary).unwrap_or(0)
     };
-    let killer = {
-        let completed = Arc::clone(&completed);
-        let threshold = total / 3;
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let handle = std::thread::spawn(move || {
-            while completed.load(Ordering::Relaxed) < threshold {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let _ = tx.send(());
-        });
-        (handle, rx)
-    };
-    let driver = {
-        let router = Arc::clone(&router);
-        let patterns = patterns.clone();
-        let completed = Arc::clone(&completed);
-        std::thread::spawn(move || drive_routed(&router, &patterns, total, &completed))
-    };
-    // The kill happens on the main thread, mid-load.
-    let _ = killer.1.recv_timeout(Duration::from_secs(30));
     nodes[victim].node.shutdown();
     nodes[victim].core.shutdown();
     let victim_id = nodes[victim].id.clone();
-    let (ok, errors, mismatches) =
-        driver.join().map_err(|_| CliError::Failed("chaos driver panicked".into()))??;
-    let _ = killer.0.join();
-
+    // The load stays on until the heartbeat has noticed, so requests
+    // meet the dead node however fast they are served.
     let marked_dead =
         poll_router(&router, |r| r.membership().iter().filter(|n| !n.healthy).count() == 1);
+    hold_open.store(false, Ordering::Relaxed);
+    let (ok, errors, mismatches) =
+        driver.join().map_err(|_| CliError::Failed("chaos driver panicked".into()))??;
+    let sent = completed.load(Ordering::Relaxed);
+
     let metrics_text = router.render_metrics();
     let node_down = metrics_text.contains("gobo_cluster_node_down 1");
     let m = router.metrics();
@@ -587,7 +587,8 @@ fn node_kill(requests: usize, seed: u64) -> Result<Scenario, CliError> {
 
     let passed = errors.is_empty()
         && mismatches == 0
-        && ok == total / 4 * 4
+        && ok == sent
+        && sent >= total / 4 * 4
         && (failovers + hedge_fires) >= 1
         && marked_dead
         && node_down
@@ -598,7 +599,7 @@ fn node_kill(requests: usize, seed: u64) -> Result<Scenario, CliError> {
         passed,
         lines: vec![
             format!(
-                "{ok} routed encodes ok, {} errors (must be 0), {mismatches} \
+                "{ok}/{sent} routed encodes ok, {} errors (must be 0), {mismatches} \
                  byte-mismatches (must be 0); primary `{victim_id}` killed mid-load",
                 errors.len()
             ),
@@ -620,7 +621,8 @@ fn node_kill(requests: usize, seed: u64) -> Result<Scenario, CliError> {
 fn network_partition(requests: usize, seed: u64) -> Result<Scenario, CliError> {
     let (nodes, router, patterns) = build_cluster(seed)?;
     let total = requests.clamp(64, 400);
-    let completed = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let completed = Arc::new(AtomicUsize::new(0));
+    let fixed_load = Arc::new(AtomicBool::new(false));
 
     let victim = {
         let ordered = router.replicas_for("chaos", None);
@@ -629,15 +631,16 @@ fn network_partition(requests: usize, seed: u64) -> Result<Scenario, CliError> {
     };
     nodes[victim].node.set_partitioned(true);
 
-    let (ok, errors, mismatches) = drive_routed(&router, &patterns, total, &completed)?;
+    let (ok, errors, mismatches) =
+        drive_routed(&router, &patterns, total, &completed, &fixed_load)?;
     let marked_dead =
         poll_router(&router, |r| r.membership().iter().filter(|n| !n.healthy).count() == 1);
 
     // Heal: the node must rejoin and serve again.
     nodes[victim].node.set_partitioned(false);
     let marked_alive = poll_router(&router, |r| r.membership().iter().all(|n| n.healthy));
-    let completed2 = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    let (ok2, errors2, mismatches2) = drive_routed(&router, &patterns, 32, &completed2)?;
+    let (ok2, errors2, mismatches2) =
+        drive_routed(&router, &patterns, 32, &completed, &fixed_load)?;
 
     let m = router.metrics();
     let hedge_wins = m.hedge_wins.load(Ordering::Relaxed);

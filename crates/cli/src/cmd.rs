@@ -55,7 +55,7 @@ USAGE:
   gobo decode   --input <model.gobom> --output <model.gobor>
   gobo serve    --model <model.gobom> [--model <more.gobom> ...]
                 [--name NAME ...] [--addr HOST:PORT] [--port-file PATH]
-                [--workers N] [--max-batch N] [--max-wait-us N]
+                [--workers N] [--max-batch N]
                 [--queue-capacity N] [--max-bytes N] [--max-models N]
                 [--max-body-bytes N] [--failpoints SPEC]
                 [--canary-pct N] [--canary-window N]

@@ -12,13 +12,19 @@ use gobo_serve::{
 use crate::cmd::{Args, CliError};
 
 pub(crate) fn scheduler_config(args: &Args) -> Result<SchedulerConfig, CliError> {
+    // Unknown flags are ignored, so the removed knob is refused by name.
+    if args.get("max-wait-us").is_some() {
+        return Err(CliError::Usage(
+            "--max-wait-us was removed: batching no longer waits for a configurable window — a \
+             free worker takes its share of what is queued (up to --max-batch), and only a \
+             share short of --max-batch is held, for a fixed 1 ms from its oldest arrival"
+                .into(),
+        ));
+    }
     let defaults = SchedulerConfig::default();
     Ok(SchedulerConfig {
         workers: args.parse_num("workers", defaults.workers)?,
         max_batch: args.parse_num("max-batch", defaults.max_batch)?,
-        max_wait: Duration::from_micros(
-            args.parse_num("max-wait-us", defaults.max_wait.as_micros() as u64)?,
-        ),
         queue_capacity: args.parse_num("queue-capacity", defaults.queue_capacity)?,
         default_deadline: Duration::from_millis(
             args.parse_num("deadline-ms", defaults.default_deadline.as_millis() as u64)?,
@@ -168,6 +174,24 @@ mod tests {
     fn serve_requires_model_flag() {
         let err = run_str(&["serve"]).unwrap_err();
         assert!(err.to_string().contains("--model"), "{err}");
+    }
+
+    /// The parser ignores flags it does not know, so the removed
+    /// batching window has to be refused by name — on both commands
+    /// that build a scheduler — before anything is loaded or bound.
+    #[test]
+    fn removed_max_wait_flag_is_a_usage_error() {
+        for command in ["serve", "cluster-node"] {
+            let err = run_str(&[command, "--model", "/nonexistent.gobom", "--max-wait-us", "0"])
+                .unwrap_err();
+            assert!(matches!(err, crate::cmd::CliError::Usage(_)), "{command}: {err:?}");
+            let text = err.to_string();
+            assert!(text.contains("--max-wait-us was removed"), "{command}: {text}");
+            assert!(
+                text.contains("no longer waits for a configurable window"),
+                "{command}: {text}"
+            );
+        }
     }
 
     /// End-to-end CLI test: quantize a model to disk, `gobo serve` it on

@@ -147,27 +147,30 @@ fn handle_conn(shared: &NodeShared, stream: TcpStream) -> Result<(), ProtoError>
         if shared.stop.load(Ordering::Acquire) {
             return Ok(());
         }
+        let drain = matches!(frame, Frame::Drain);
         let reply = match frame {
             Frame::EncodeRequest(request) => Some(handle_encode(shared, request)),
             Frame::Heartbeat { seq } => Some(heartbeat_ack(shared, seq)),
             Frame::Drain => {
                 shared.draining.store(true, Ordering::Release);
-                shared.drain_signal.request();
                 Some(Frame::DrainAck)
             }
             // Responses/acks arriving at a node are protocol misuse;
             // drop the connection rather than guess.
             Frame::EncodeResponse(_) | Frame::HeartbeatAck(_) | Frame::DrainAck => None,
         };
-        match reply {
-            Some(frame) => {
-                gobo_sanitize::blocking_io("cluster.node.write_frame");
-                write_frame(&mut writer, &frame).map_err(ProtoError::Io)?
-            }
-            None => {
-                return Err(ProtoError::Corrupt("unexpected frame kind for a node".to_string()))
-            }
+        let Some(reply) = reply else {
+            return Err(ProtoError::Corrupt("unexpected frame kind for a node".to_string()));
+        };
+        gobo_sanitize::blocking_io("cluster.node.write_frame");
+        let written = write_frame(&mut writer, &reply).map_err(ProtoError::Io);
+        if drain {
+            // Signalled only once the ack is on the wire: whoever waits
+            // for the drain goes on to hard-stop this listener, which
+            // shuts this socket down under anything still unwritten.
+            shared.drain_signal.request();
         }
+        written?;
     }
 }
 

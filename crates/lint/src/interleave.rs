@@ -14,7 +14,11 @@
 //! state should expose exactly the operations that are atomic in the
 //! real implementation (for example, one `fetch_add` or one store — not
 //! a whole read-modify-write sequence, which must be split across
-//! steps to model the race).
+//! steps to model the race). A thread may also declare itself *blocked*
+//! on the shared state ([`Program::is_blocked`]) — asleep on a condition
+//! variable, say: it is skipped until another thread's step unblocks
+//! it, and a state in which every unfinished thread is blocked is
+//! terminal, so lost wake-ups and deadlocks reach the check too.
 //!
 //! Two enumeration strategies share the same [`Program`] model:
 //!
@@ -39,10 +43,21 @@ use std::rc::Rc;
 /// the thread has finished. Programs are cloned at every branch point,
 /// so keep per-thread state small.
 pub trait Program<S>: Clone {
-    /// Executes the next atomic step. Called only while `!is_done()`.
+    /// Executes the next atomic step. Called only while `!is_done()`
+    /// and `!is_blocked(shared)`.
     fn step(&mut self, shared: &mut S);
     /// Whether this thread has no more steps.
     fn is_done(&self) -> bool;
+    /// Whether the thread's next step has to wait for another thread —
+    /// it sleeps on a condition variable nobody has notified, say. A
+    /// blocked thread is not scheduled, and a schedule is complete when
+    /// every thread is done *or blocked*, so `on_final` is also shown
+    /// the states a protocol can get stuck in (a lost wake-up is one)
+    /// and a thread that waits for ever needs no artificial last step.
+    /// Never blocked by default.
+    fn is_blocked(&self, _shared: &S) -> bool {
+        false
+    }
 }
 
 /// Exhaustively explores every interleaving of `threads` from the
@@ -80,7 +95,7 @@ fn dfs<S, P>(
 {
     let mut any_runnable = false;
     for (i, thread) in threads.iter().enumerate() {
-        if thread.is_done() {
+        if thread.is_done() || thread.is_blocked(shared) {
             continue;
         }
         any_runnable = true;
@@ -154,7 +169,9 @@ fn overlap(a: &[u32], b: &[u32]) -> bool {
 /// A [`Program`] that also declares the footprint of its *next* step,
 /// enabling partial-order reduction. The footprint must depend only on
 /// the thread's local state (not on the shared state), so that it
-/// stays valid while other threads run.
+/// stays valid while other threads run, and it must read whatever
+/// [`Program::is_blocked`] reads, so that a step which unblocks or
+/// blocks the thread is seen to conflict with it.
 pub trait DporProgram<S>: Program<S> {
     /// Footprint of the step `step` would execute next. Called only
     /// while `!is_done()`.
@@ -210,7 +227,7 @@ fn dpor_dfs<S, P>(
     let mut sleep = sleep;
     let mut any_runnable = false;
     for (i, thread) in threads.iter().enumerate() {
-        if thread.is_done() {
+        if thread.is_done() || thread.is_blocked(shared) {
             continue;
         }
         any_runnable = true;
@@ -271,8 +288,12 @@ where
         let mut live = threads.to_vec();
         let mut schedule = Vec::new();
         loop {
-            let runnable: Vec<usize> =
-                live.iter().enumerate().filter(|(_, t)| !t.is_done()).map(|(i, _)| i).collect();
+            let runnable: Vec<usize> = live
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| !t.is_done() && !t.is_blocked(&state))
+                .map(|(i, _)| i)
+                .collect();
             if runnable.is_empty() {
                 break;
             }
@@ -525,5 +546,76 @@ mod tests {
         assert!(write0.conflicts(&write0));
         assert!(!read0.conflicts(&write1));
         assert!(!write0.conflicts(&write1));
+    }
+
+    /// A thread parked until `flag` is raised: its one step lowers it
+    /// again and counts the wake.
+    #[derive(Clone)]
+    enum Gate {
+        Waiter { woke: bool },
+        Raiser { raised: bool },
+    }
+
+    impl Program<(bool, u64)> for Gate {
+        fn step(&mut self, shared: &mut (bool, u64)) {
+            match self {
+                Gate::Waiter { woke } => {
+                    shared.0 = false;
+                    shared.1 += 1;
+                    *woke = true;
+                }
+                Gate::Raiser { raised } => {
+                    shared.0 = true;
+                    *raised = true;
+                }
+            }
+        }
+
+        fn is_done(&self) -> bool {
+            match self {
+                Gate::Waiter { woke } => *woke,
+                Gate::Raiser { raised } => *raised,
+            }
+        }
+
+        fn is_blocked(&self, shared: &(bool, u64)) -> bool {
+            matches!(self, Gate::Waiter { .. }) && !shared.0
+        }
+    }
+
+    impl DporProgram<(bool, u64)> for Gate {
+        fn next_footprint(&self) -> Footprint {
+            Footprint::new(&[0], &[0])
+        }
+    }
+
+    #[test]
+    fn blocked_threads_wait_and_stuck_states_are_reported() {
+        let waiter = || Gate::Waiter { woke: false };
+        // One raiser, one waiter: the waiter cannot go first, so there
+        // is exactly one schedule, in every explorer.
+        let threads = [waiter(), Gate::Raiser { raised: false }];
+        let mut schedules = Vec::new();
+        let count = explore_exhaustive(&(false, 0), &threads, |s, sched| {
+            assert_eq!(*s, (false, 1));
+            schedules.push(sched.to_vec());
+        });
+        assert_eq!((count, schedules), (1, vec![vec![1, 0]]));
+        let stats = explore_dpor(&(false, 0), &threads, |s, _| assert_eq!(*s, (false, 1)));
+        assert_eq!(stats.schedules, 1);
+        explore_sampled(&(false, 0), &threads, 7, 16, |s, sched| {
+            assert_eq!((*s, sched), ((false, 1), &[1, 0][..]));
+        });
+
+        // One raise, two waiters: whoever wakes lowers the flag, and
+        // the other is stuck for good — a terminal state with a thread
+        // still blocked, which `on_final` must be shown.
+        let threads = [waiter(), waiter(), Gate::Raiser { raised: false }];
+        let mut stuck = 0;
+        let stats = explore_dpor(&(false, 0), &threads, |s, sched| {
+            assert_eq!((*s, sched.len()), ((false, 1), 2));
+            stuck += 1;
+        });
+        assert_eq!((stats.schedules, stuck), (2, 2));
     }
 }

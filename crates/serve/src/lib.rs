@@ -19,11 +19,14 @@
 //! * [`engine`] — the compute-on-compressed engine: archived FC layers
 //!   run the cache-blocked batched GEMM straight on the packed 3/4-bit
 //!   indices, decoding each weight tile once per batch;
-//! * [`scheduler`] — bounded admission queue, worker pool, batch
-//!   coalescing up to `max_batch`/`max_wait` (one worker claims a
-//!   model key and sweeps the whole queue for it), per-request
-//!   deadlines that reject (never hang) on overload, graceful drain;
-//! * [`listener`] — the one thread-per-connection TCP accept loop with
+//! * [`scheduler`] — bounded admission queue, worker pool, fair-share
+//!   batching (a free worker takes its share of what is queued for the
+//!   oldest model key, up to `max_batch`; a share short of `max_batch`
+//!   is held until its oldest request is 1 ms old, never longer),
+//!   per-request deadlines that reject (never hang) on overload,
+//!   graceful drain;
+//! * [`listener`] — the one thread-per-connection TCP accept loop
+//!   (blocking accept, woken by a self-connect on stop) with
 //!   tracked-socket teardown, shared with the cluster node;
 //! * [`http`] — a dependency-free HTTP/1.1 front end on that listener
 //!   (`POST /v1/encode`, `GET /v1/models`, `GET /metrics`,

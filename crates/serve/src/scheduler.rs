@@ -1,19 +1,29 @@
-//! Request scheduling: bounded admission, worker pool, dynamic
-//! batching, deadlines, graceful drain.
+//! Request scheduling: bounded admission, worker pool, fair-share
+//! batching behind a short coalescing hold, deadlines, graceful drain.
 //!
 //! Requests enter a bounded FIFO admission queue (overflow is
-//! *rejected*, never blocked on). A pool of worker threads pops the
-//! oldest request, **claims** its model/bits key, and coalesces every
-//! queued request for that key into one batch, waiting up to
-//! [`SchedulerConfig::max_wait`] for stragglers or until
-//! [`SchedulerConfig::max_batch`] is reached — re-sweeping the queue
-//! after every wake-up so a straggler arriving late in the window still
-//! joins. The claim makes coalescing single-owner: without it,
-//! concurrent workers raced each other popping the same key and split
-//! what should have been one batch into per-worker fragments, capping
-//! the observed batch size at roughly the worker count. Unclaimed keys
-//! are still served fully in parallel, and a claim is held only for the
-//! coalesce window, so singleton traffic keeps the whole pool.
+//! *rejected*, never blocked on). A worker that finds work takes, in one
+//! sweep under the state lock, the oldest live request plus the oldest
+//! requests of the same model/bits key, up to
+//! `min(max_batch, ⌈R / workers⌉)` where `R` is how many requests are
+//! queued for that key at that moment (`share` below). The take is one
+//! atomic sweep, so there is nothing to own between two lock
+//! acquisitions and no per-key claim.
+//!
+//! A share smaller than `max_batch` is **held for company** until its
+//! oldest request is `COALESCE_HOLD` (1 ms) old: the worker sleeps out
+//! what is left of that on the condition variable and sweeps again. A
+//! request that already waited that long behind busy workers, a share
+//! that is a full `max_batch`, and everything during drain go at once,
+//! so the hold adds at most 1 ms to a request and nothing to a backlog.
+//! Company is the lesser reason for it. The hold is the one term of a
+//! round trip that the host does not move: without it a closed loop is
+//! nothing but CPU time and thread hand-offs, and on a shared two-core
+//! host those vary by ±15 % from one second to the next (DESIGN §7).
+//! A worker sleeps *without* a timer only after a sweep under the lock
+//! found the queue empty, so a push (which notifies after it unlocks)
+//! is never missed (`tests/interleave.rs` checks that protocol over
+//! every interleaving of up to four submitters and two workers).
 //!
 //! The batch resolves its model handle from the registry once, then
 //! runs the **whole batch as one fused forward** through the
@@ -58,7 +68,7 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 
-use gobo_sanitize::{SanCondvar, SanMutex, SanMutexGuard};
+use gobo_sanitize::{SanCondvar, SanMutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -74,11 +84,11 @@ use crate::registry::{ModelEntry, ModelKey, ModelRegistry};
 pub struct SchedulerConfig {
     /// Worker threads executing batches.
     pub workers: usize,
-    /// Largest batch a worker will coalesce.
+    /// Largest batch a worker will take in one sweep: the bound on the
+    /// activation panel one forward runs (and on how long the requests
+    /// behind it wait for that worker). A share this large is never
+    /// held for company.
     pub max_batch: usize,
-    /// How long a worker waits for stragglers after the first request
-    /// of a batch.
-    pub max_wait: Duration,
     /// Admission-queue capacity; submissions beyond it are rejected
     /// with [`ServeError::QueueFull`].
     pub queue_capacity: usize,
@@ -91,7 +101,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             workers: std::thread::available_parallelism().map_or(2, |n| n.get().min(8)),
             max_batch: 8,
-            max_wait: Duration::from_micros(2000),
             queue_capacity: 256,
             default_deadline: Duration::from_secs(5),
         }
@@ -137,7 +146,8 @@ pub struct EncodeResponse {
     pub pooled: Option<Vec<f32>>,
     /// Size of the batch this request was executed in.
     pub batch_size: usize,
-    /// Time spent queued before execution, microseconds.
+    /// Time spent queued before execution, microseconds: the wait for
+    /// a free worker, or the coalescing hold, whichever was longer.
     pub queue_us: u64,
     /// Forward-pass time of the fused batch this request rode in,
     /// microseconds (shared by every request in the batch).
@@ -155,11 +165,6 @@ struct Pending {
 
 struct State {
     queue: VecDeque<Pending>,
-    /// Model/bits keys currently being coalesced by a worker. A worker
-    /// scanning for work skips requests whose key is claimed — the
-    /// claiming worker's sweep will batch them — so one key's queued
-    /// requests form one batch instead of per-worker fragments.
-    claimed: Vec<BatchKey>,
     shutdown: bool,
 }
 
@@ -168,19 +173,11 @@ struct Shared {
     registry: Arc<ModelRegistry>,
     lifecycle: Arc<LifecycleController>,
     metrics: Arc<Metrics>,
+    /// Poisoning is recovered from, not propagated: a worker that
+    /// panicked holding the lock leaves the queue popped-or-not, both
+    /// valid, so one panic cannot wedge the whole scheduler.
     state: SanMutex<State>,
     cvar: SanCondvar,
-}
-
-impl Shared {
-    /// Locks the scheduler state, recovering from poisoning: a worker
-    /// that panicked while holding the lock only ever leaves the queue
-    /// in a popped-or-not state, both of which are valid, so the
-    /// recovered guard is safe to use and one panic cannot wedge the
-    /// whole scheduler.
-    fn lock_state(&self) -> SanMutexGuard<'_, State> {
-        self.state.lock()
-    }
 }
 
 /// How a worker thread ended.
@@ -226,6 +223,13 @@ const RESPAWN_BACKOFF_CAP: Duration = Duration::from_millis(250);
 const RESPAWN_HEALTHY_AFTER: Duration = Duration::from_secs(1);
 /// Supervisor poll interval while workers are healthy.
 const SUPERVISOR_POLL: Duration = Duration::from_millis(2);
+/// How far past its deadline a blocking submitter still listens:
+/// workers answer every request they take (expired ones included), so
+/// this only covers scheduling noise between their reply and our wake.
+const REPLY_GRACE: Duration = Duration::from_millis(250);
+/// How long a share smaller than `max_batch` is held for company,
+/// counted from the arrival of its oldest request (see [`hold_left`]).
+const COALESCE_HOLD: Duration = Duration::from_millis(1);
 
 /// The admission queue + worker pool + supervisor.
 pub struct Scheduler {
@@ -249,7 +253,7 @@ impl Scheduler {
             state: SanMutex::new(
                 "serve.scheduler.state",
                 20,
-                State { queue: VecDeque::new(), claimed: Vec::new(), shutdown: false },
+                State { queue: VecDeque::new(), shutdown: false },
             ),
             cvar: SanCondvar::new("serve.scheduler.cvar"),
         });
@@ -290,7 +294,7 @@ impl Scheduler {
         let deadline = now + req.deadline.unwrap_or(self.shared.config.default_deadline);
         let (tx, rx) = sync_channel(1);
         {
-            let mut state = self.shared.lock_state();
+            let mut state = self.shared.state.lock();
             if state.shutdown {
                 metrics.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
                 return Err(ServeError::ShuttingDown);
@@ -316,10 +320,7 @@ impl Scheduler {
     pub fn encode_blocking(&self, req: EncodeRequest) -> Result<EncodeResponse, ServeError> {
         let deadline = req.deadline.unwrap_or(self.shared.config.default_deadline);
         let rx = self.submit(req)?;
-        // Workers reply to every popped request (including expired
-        // ones), so the grace period only covers scheduling noise.
-        let grace = self.shared.config.max_wait + Duration::from_millis(250);
-        match rx.recv_timeout(deadline + grace) {
+        match rx.recv_timeout(deadline + REPLY_GRACE) {
             Ok(reply) => reply,
             Err(RecvTimeoutError::Timeout) => {
                 self.shared.metrics.rejected_deadline.fetch_add(1, Ordering::Relaxed);
@@ -331,14 +332,14 @@ impl Scheduler {
 
     /// Current queue depth.
     pub fn queue_depth(&self) -> usize {
-        self.shared.lock_state().queue.len()
+        self.shared.state.lock().queue.len()
     }
 
     /// Begins a graceful shutdown: stop admitting, let workers drain
     /// every queued request (expired ones are rejected, live ones
     /// served), then join the pool via the supervisor. Idempotent.
     pub fn shutdown(&self) {
-        self.shared.lock_state().shutdown = true;
+        self.shared.state.lock().shutdown = true;
         self.shared.cvar.notify_all();
         let handle = self.supervisor.lock().take();
         if let Some(handle) = handle {
@@ -378,7 +379,7 @@ fn supervisor_loop(shared: &Arc<Shared>) {
         })
         .collect();
     loop {
-        let draining = shared.lock_state().shutdown;
+        let draining = shared.state.lock().shutdown;
         for (i, slot) in slots.iter_mut().enumerate() {
             match slot {
                 Slot::Done => {}
@@ -445,7 +446,7 @@ fn supervisor_loop(shared: &Arc<Shared>) {
     }
     // Safety net: if workers died during drain, requests may still be
     // queued. Reject them explicitly rather than dropping the senders.
-    let mut state = shared.lock_state();
+    let mut state = shared.state.lock();
     while let Some(p) = state.queue.pop_front() {
         shared.metrics.queue_pop();
         shared.metrics.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
@@ -461,12 +462,12 @@ fn supervisor_loop(shared: &Arc<Shared>) {
 fn worker_main(shared: &Shared) -> WorkerExit {
     let mut answered: usize = 0;
     loop {
-        let Some((key, mut batch)) = next_batch(shared) else {
+        let Some(mut batch) = next_batch(shared) else {
             return WorkerExit::Shutdown;
         };
         let before = batch.len();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_batch(shared, &key.0, key.1, &mut batch);
+            execute_batch(shared, &mut batch);
         }));
         if result.is_err() {
             // `execute_batch` keeps each request in the batch until its
@@ -483,103 +484,99 @@ fn worker_main(shared: &Shared) -> WorkerExit {
     }
 }
 
-type BatchKey = (String, Option<u8>);
-
-/// Blocks until there is work this worker may take, then pops the
-/// oldest live request whose model/bits key no other worker has
-/// claimed, claims that key, and coalesces same-key requests up to
-/// `max_batch`/`max_wait` — re-sweeping the queue after every wake-up
-/// so stragglers arriving late in the window still join the batch. The
-/// claim is released (and sleepers notified) before dispatch, so
-/// same-key requests beyond `max_batch` are immediately claimable by
-/// another worker. Returns `None` when shutdown is requested and the
-/// queue is drained.
-///
-/// A claim can leak only if a worker dies *inside* this function (an
-/// allocation failure — `execute_batch` panics are caught after the
-/// claim is released). Leaked-key requests are still expiry-rejected by
-/// other workers' scans, so they degrade to `DeadlineExceeded` rather
-/// than hanging.
-fn next_batch(shared: &Shared) -> Option<(BatchKey, Vec<Pending>)> {
-    let mut state = shared.lock_state();
-    // Find the oldest live request of an unclaimed key, rejecting
-    // expired requests in place (claimed or not); sleep when the queue
-    // holds nothing for this worker. The scan runs inside the wait
-    // predicate, so it re-runs after every wake-up (spurious or not).
-    let mut found: Option<Pending> = None;
-    state = shared.cvar.wait_while(state, |s| {
-        found = pop_oldest_unclaimed(shared, s);
-        // Drain fully before honouring shutdown; a non-empty queue here
-        // is all claimed keys, and the claim owner's dispatch (or the
-        // supervisor's final sweep) wakes us again.
-        found.is_none() && !(s.shutdown && s.queue.is_empty())
-    });
-    let first = found?;
-
-    // Claim the key, then coalesce queued requests for it, waiting up
-    // to max_wait for stragglers.
-    let key = (first.req.model.clone(), first.req.bits);
-    state.claimed.push(key.clone());
-    let mut batch = vec![first];
-    // The predicate sweeps same-key stragglers into the batch before
-    // every wait (and once more on the final, timed-out wake-up), so
-    // requests arriving late in the window still join.
-    let (next, _timed_out) = shared.cvar.wait_timeout_while(state, shared.config.max_wait, |s| {
-        let mut i = 0;
-        while i < s.queue.len() && batch.len() < shared.config.max_batch {
-            let same_key =
-                s.queue.get(i).is_some_and(|p| p.req.model == key.0 && p.req.bits == key.1);
-            if same_key {
-                if let Some(p) = s.queue.remove(i) {
-                    shared.metrics.queue_pop();
-                    batch.push(p);
-                }
-            } else {
-                i += 1;
-            }
-        }
-        batch.len() < shared.config.max_batch && !s.shutdown
-    });
-    let mut state = next;
-    state.claimed.retain(|k| k != &key);
-    drop(state);
-    // Same-key requests left behind (past max_batch, or enqueued after
-    // the final sweep) are claimable again — wake the pool.
-    shared.cvar.notify_all();
-    Some((key, batch))
+/// How many of the `queued` requests of one key a worker takes in one
+/// sweep: an equal split of what is queued *now* over the pool, capped
+/// at `max_batch` (guided self-scheduling). A lone request goes alone,
+/// `workers * max_batch` or more go in full batches, and in between
+/// every worker that comes back finds a piece left — one worker taking
+/// everything would idle the other cores for an oversized forward whose
+/// per-token cost stopped falling long before `max_batch`.
+fn share(queued: usize, workers: usize, max_batch: usize) -> usize {
+    queued.div_ceil(workers.max(1)).min(max_batch.max(1))
 }
 
-/// One scan of the admission queue: rejects expired requests in
-/// place, then pops (and returns) the oldest live request whose
-/// model/bits key no other worker has claimed.
-fn pop_oldest_unclaimed(shared: &Shared, s: &mut State) -> Option<Pending> {
-    let mut i = 0;
-    while i < s.queue.len() {
-        if s.queue.get(i).is_some_and(|p| Instant::now() >= p.deadline) {
-            if let Some(p) = s.queue.remove(i) {
-                shared.metrics.queue_pop();
-                reject_expired(shared, p);
-            }
-            continue;
-        }
-        let is_claimed = s
-            .queue
-            .get(i)
-            .is_some_and(|p| s.claimed.iter().any(|(m, b)| *m == p.req.model && *b == p.req.bits));
-        if is_claimed {
-            i += 1;
-            continue;
-        }
-        let popped = s.queue.remove(i);
-        if popped.is_some() {
-            shared.metrics.queue_pop();
-        }
-        return popped;
+/// How much longer a share of `take` requests, whose oldest has been
+/// queued for `waited`, is held for company: not at all once it is a
+/// full `max_batch` (nobody else could join) or the oldest request is
+/// [`COALESCE_HOLD`] old.
+fn hold_left(waited: Duration, take: usize, max_batch: usize) -> Option<Duration> {
+    if take >= max_batch.max(1) {
+        return None;
     }
-    None
+    COALESCE_HOLD.checked_sub(waited).filter(|left| !left.is_zero())
 }
 
-fn reject_expired(shared: &Shared, p: Pending) {
+/// What one sweep of the admission queue found.
+enum Sweep {
+    /// This worker's share, removed from the queue.
+    Batch(Vec<Pending>),
+    /// Live work whose oldest request stays in its hold for this long.
+    Held(Duration),
+    /// Nothing queued.
+    Empty,
+}
+
+/// Blocks until the queue holds work whose hold is over, then returns
+/// this worker's [`share`] of it. Every decision is a [`sweep`] under
+/// the lock, repeated after every wake-up: the worker sleeps without a
+/// timer only out of a sweep that found the queue empty, and for no
+/// longer than the hold's remainder out of one that found held work.
+/// Returns `None` when shutdown is requested and the queue is drained.
+fn next_batch(shared: &Shared) -> Option<Vec<Pending>> {
+    let mut state = shared.state.lock();
+    loop {
+        state = match sweep(shared, &mut state) {
+            Sweep::Batch(batch) => return Some(batch),
+            Sweep::Empty if state.shutdown => return None,
+            Sweep::Empty => shared.cvar.wait_while(state, |s| s.queue.is_empty() && !s.shutdown),
+            // Pushes wake this wait too, and it goes back to sleep for
+            // the rest of `left`: only the clock or a drain ends a hold.
+            Sweep::Held(left) => shared.cvar.wait_timeout_while(state, left, |s| !s.shutdown).0,
+        };
+    }
+}
+
+/// One atomic sweep of the admission queue: answers expired requests
+/// where they sit, then — unless the oldest live request is still
+/// [held](hold_left) — removes and returns it together with the oldest
+/// requests of the same model/bits key, [`share`] of them in all, in
+/// arrival order. Nothing is held once shutdown began.
+fn sweep(shared: &Shared, s: &mut State) -> Sweep {
+    let now = Instant::now();
+    s.queue.retain(|p| {
+        let live = now < p.deadline;
+        if !live {
+            shared.metrics.queue_pop();
+            reject_expired(shared, p);
+        }
+        live
+    });
+    let same_key =
+        |a: &Pending, b: &Pending| a.req.model == b.req.model && a.req.bits == b.req.bits;
+    let Some(oldest) = s.queue.front() else {
+        return Sweep::Empty;
+    };
+    let queued = s.queue.iter().filter(|p| same_key(p, oldest)).count();
+    let take = share(queued, shared.config.workers, shared.config.max_batch);
+    let waited = now.saturating_duration_since(oldest.enqueued);
+    if let Some(left) = hold_left(waited, take, shared.config.max_batch).filter(|_| !s.shutdown) {
+        return Sweep::Held(left);
+    }
+    let mut batch = Vec::with_capacity(take);
+    let mut i = 0;
+    while batch.len() < take {
+        let Some(p) = s.queue.get(i) else { break };
+        if batch.first().is_none_or(|oldest| same_key(oldest, p)) {
+            batch.extend(s.queue.remove(i));
+            shared.metrics.queue_pop();
+        } else {
+            i += 1;
+        }
+    }
+    Sweep::Batch(batch)
+}
+
+fn reject_expired(shared: &Shared, p: &Pending) {
     // Count before sending so the counter is visible by the time the
     // receiver observes the reply; a failed send means the submitting
     // side gave up (and counted its own timeout), so roll back to keep
@@ -604,11 +601,18 @@ fn reject_expired(shared: &Shared, p: Pending) {
 /// packed-tile decode across the whole batch.
 ///
 /// [`QuantizedEngine::encode_batch`]: crate::engine::QuantizedEngine::encode_batch
-fn execute_batch(shared: &Shared, model: &str, bits: Option<u8>, batch: &mut Vec<Pending>) {
+fn execute_batch(shared: &Shared, batch: &mut Vec<Pending>) {
+    // A batch is one key by construction; its first request names it.
+    let Some((model, bits)) = batch.first().map(|p| (p.req.model.clone(), p.req.bits)) else {
+        return;
+    };
+    let model = model.as_str();
     let size = batch.len();
     let _batch_span = gobo_obs::span!("serve.batch", model = model, size = size);
-    gobo_fault::fail_point!("serve.batch");
+    // Counted on dispatch, before anything can fail, so
+    // `batched_requests` is exactly the sum of the batch sizes taken.
     shared.metrics.record_batch(size);
+    gobo_fault::fail_point!("serve.batch");
     let entry = match shared.registry.get(model, bits) {
         Ok(entry) => entry,
         Err(_) => {
@@ -626,7 +630,7 @@ fn execute_batch(shared: &Shared, model: &str, bits: Option<u8>, batch: &mut Vec
     while let Some(p) = batch.get(i) {
         if Instant::now() >= p.deadline {
             let p = batch.remove(i);
-            reject_expired(shared, p);
+            reject_expired(shared, &p);
             continue;
         }
         if let Err(e) = entry.engine.model().validate_input(&p.req.ids, &p.req.type_ids) {
@@ -746,4 +750,82 @@ fn canary_encode(
         gobo_model::ModelError::InvalidInput { what: "injected serve.canary fault" }
     );
     canary.engine.encode_batch(inputs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{hold_left, share, COALESCE_HOLD};
+    use std::time::Duration;
+
+    /// The split rule over its whole operating range: a non-empty
+    /// backlog always yields a non-empty batch no larger than the
+    /// backlog or `max_batch`, and taking shares repeatedly off the
+    /// front drains any backlog, oldest first, without skipping or
+    /// repeating a request.
+    #[test]
+    fn share_is_bounded_and_drains_every_backlog_in_arrival_order() {
+        for workers in [1usize, 2, 8] {
+            for max_batch in [1usize, 8, 32] {
+                assert_eq!(share(0, workers, max_batch), 0);
+                for queued in 1..=70usize {
+                    let first = share(queued, workers, max_batch);
+                    assert!(
+                        (1..=queued.min(max_batch)).contains(&first),
+                        "share({queued}, {workers}, {max_batch}) = {first}"
+                    );
+                    let mut backlog: std::collections::VecDeque<usize> = (0..queued).collect();
+                    let mut drained = Vec::new();
+                    let mut sizes = Vec::new();
+                    while !backlog.is_empty() {
+                        let take = share(backlog.len(), workers, max_batch);
+                        assert!(take >= 1, "a non-empty backlog must shrink");
+                        drained.extend(backlog.drain(..take));
+                        sizes.push(take);
+                    }
+                    assert_eq!(drained, (0..queued).collect::<Vec<_>>());
+                    // Guided self-scheduling: pieces never grow while
+                    // nothing new arrives.
+                    assert!(sizes.windows(2).all(|w| w[0] >= w[1]), "{sizes:?}");
+                }
+            }
+        }
+    }
+
+    /// The three regimes the rule is chosen for.
+    #[test]
+    fn share_dispatches_alone_splits_evenly_and_saturates() {
+        assert_eq!(share(1, 2, 32), 1, "a lone request goes alone");
+        assert_eq!(share(1, 8, 8), 1);
+        assert_eq!(share(32, 1, 32), 32, "one worker takes the whole backlog up to max_batch");
+        assert_eq!(share(32, 2, 32), 16, "two workers halve it");
+        assert_eq!(share(64, 2, 32), 32, "workers * max_batch queued: full batches");
+        assert_eq!(share(1000, 2, 32), 32);
+        // A zero in the config degrades to one, never to a division by
+        // zero or an empty batch.
+        assert_eq!(share(5, 0, 0), 1);
+    }
+
+    /// The hold over its whole domain: a partial share waits out what
+    /// is left of [`COALESCE_HOLD`] since its oldest request arrived and
+    /// not a microsecond more; a full `max_batch`, or a request that
+    /// already waited that long behind busy workers, is never held.
+    #[test]
+    fn hold_runs_from_arrival_and_never_covers_a_full_share() {
+        let us = Duration::from_micros;
+        assert_eq!(hold_left(us(0), 1, 8), Some(COALESCE_HOLD), "a fresh lone request waits");
+        assert_eq!(hold_left(us(400), 1, 8), Some(COALESCE_HOLD - us(400)));
+        assert_eq!(hold_left(us(400), 7, 8), Some(COALESCE_HOLD - us(400)), "7 of 8 can grow");
+        assert_eq!(hold_left(COALESCE_HOLD, 1, 8), None, "the hold ends on the dot");
+        assert_eq!(hold_left(us(300_000), 1, 8), None, "a backlog is not held again");
+        assert_eq!(hold_left(us(0), 8, 8), None, "a full share goes at once");
+        assert_eq!(hold_left(us(0), 1, 1), None, "max_batch 1 has no company to wait for");
+        assert_eq!(hold_left(us(0), 1, 0), None, "a zero max_batch degrades to one");
+        for waited in (0..=1_500).step_by(50).map(us) {
+            for take in 1..=8usize {
+                let left = hold_left(waited, take, 8).unwrap_or_default();
+                assert!(waited + left <= COALESCE_HOLD.max(waited), "{waited:?} + {left:?}");
+                assert_eq!(left.is_zero(), take == 8 || waited >= COALESCE_HOLD);
+            }
+        }
+    }
 }

@@ -1,14 +1,16 @@
 //! Fault-injection integration tests for the serve stack.
 //!
 //! `gobo-fault`'s failpoint registry is process-global, so every test
-//! here serializes on one mutex and resets the registry on entry and
-//! exit — a panicking test cannot leave faults armed for its
-//! neighbours.
+//! here holds `common::FaultGuard`; every test that ran a core ends on
+//! the counter laws (`common::shutdown_and_check_counters`).
+
+mod common;
 
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{shutdown_and_check_counters, FaultGuard};
 use gobo::format::CompressedModel;
 use gobo::pipeline::{quantize_model, QuantizeOptions};
 use gobo_model::config::ModelConfig;
@@ -19,27 +21,6 @@ use gobo_serve::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-/// Serializes failpoint use across tests and guarantees a clean
-/// registry on both entry and exit (even if the test panics).
-struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl FaultGuard {
-    fn lock() -> Self {
-        gobo_fault::install_panic_silencer();
-        let guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        gobo_fault::reset();
-        FaultGuard(guard)
-    }
-}
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        gobo_fault::reset();
-    }
-}
 
 fn compressed(seed: u64) -> CompressedModel {
     let config = ModelConfig::tiny("Chaos", 1, 16, 2, 40, 12).unwrap();
@@ -95,7 +76,7 @@ fn panic_every_fifth_encode_fails_only_injected_requests() {
     }
     gobo_fault::reset();
     client.encode(EncodeRequest::new("chaos", vec![4, 5, 6])).unwrap();
-    core.shutdown();
+    shutdown_and_check_counters(&core);
 }
 
 /// An armed `serve.admission` failpoint rejects at submit time without
@@ -114,7 +95,7 @@ fn admission_failpoint_rejects_before_queueing() {
 
     gobo_fault::reset();
     client.encode(EncodeRequest::new("chaos", vec![1, 2, 3])).unwrap();
-    core.shutdown();
+    shutdown_and_check_counters(&core);
 }
 
 /// `registry.decode=error` turns model registration into a clean
@@ -133,7 +114,7 @@ fn registry_decode_failpoint_fails_registration() {
     gobo_fault::reset();
     client.register("chaos", &compressed(5)).unwrap();
     client.encode(EncodeRequest::new("chaos", vec![1, 2, 3])).unwrap();
-    core.shutdown();
+    shutdown_and_check_counters(&core);
 }
 
 /// A `delay` failpoint slows the batch path without failing anything.
@@ -149,7 +130,7 @@ fn delay_failpoint_slows_but_serves() {
     let started = Instant::now();
     client.encode(EncodeRequest::new("chaos", vec![1, 2, 3])).unwrap();
     assert!(started.elapsed() >= Duration::from_millis(30));
-    core.shutdown();
+    shutdown_and_check_counters(&core);
 }
 
 /// An armed `registry.swap` failpoint rejects `publish` mid-flight,
@@ -235,7 +216,7 @@ fn canary_error_falls_back_and_rolls_back() {
         let resp = client.encode(EncodeRequest::new("chaos", vec![1 + r % 30, 2, 3])).unwrap();
         assert_eq!(resp.rev, 1);
     }
-    core.shutdown();
+    shutdown_and_check_counters(&core);
 }
 
 /// A slow canary (3x artificial delay via `serve.canary=delay`) is
@@ -275,7 +256,7 @@ fn slow_canary_rolled_back_on_p95_regression() {
     assert_eq!(core.metrics().canary_rollbacks.load(Ordering::Relaxed), 1);
     assert_eq!(core.metrics().canary_promotions.load(Ordering::Relaxed), 0);
     assert_eq!(core.registry().get("chaos", None).unwrap().rev, 1, "active keeps serving");
-    core.shutdown();
+    shutdown_and_check_counters(&core);
 }
 
 /// A panicking worker never takes an unrelated queued batch with it:
@@ -318,5 +299,5 @@ fn concurrent_load_under_panics_degrades_cleanly() {
     assert!(ok > 0, "some requests must succeed");
     assert!(panicked > 0, "the failpoint must have fired");
     assert!(core.metrics().worker_panics.load(Ordering::Relaxed) > 0, "panics must be counted");
-    core.shutdown();
+    shutdown_and_check_counters(&core);
 }

@@ -1,7 +1,8 @@
 //! Concurrency audit: exhaustive interleaving checks for the model
-//! registry's pin/evict protocol.
+//! registry's pin/evict protocol and, at the end of the file, for the
+//! scheduler's push / notify / sweep / sleep protocol.
 //!
-//! The real protocol (`crates/serve/src/registry.rs`) is: `get` takes
+//! The registry protocol (`crates/serve/src/registry.rs`) is: `get` takes
 //! the registry mutex, clones the entry `Arc` (the *pin*), and releases
 //! the lock; eviction takes the same mutex and removes the entry from
 //! the map, dropping the registry's own `Arc`. The decoded weights are
@@ -24,6 +25,8 @@
 //! A deliberately broken variant — an evictor that frees the decoded
 //! weights in place instead of deferring to the refcount — proves the
 //! explorer actually catches the bug these invariants guard against.
+
+use std::collections::HashSet;
 
 use gobo_lint::interleave::{
     explore_dpor, explore_exhaustive, explore_sampled, DporProgram, Footprint, Program,
@@ -333,4 +336,310 @@ fn interleave_explorer_catches_eager_free_bug() {
     });
     assert!(total >= 4);
     assert!(bad > 0, "explorer failed to find the eager-free use-after-free");
+}
+
+// ---------------------------------------------------------------------
+// The scheduler's queue protocol (`crates/serve/src/scheduler.rs`).
+//
+// `Scheduler::submit` pushes under the state lock and calls
+// `notify_all` after unlocking; a worker's `next_batch` sweeps the
+// queue under the lock, takes its share if the share is a full
+// `max_batch` or its oldest request is past the coalescing hold,
+// otherwise sleeps out the rest of the hold on a timer and sweeps
+// again, and sleeps without a timer only when the sweep found the queue
+// empty, the lock being released and the sleeper registered in one
+// atomic step (that is what a condition variable's `wait` is). The
+// model has exactly those steps: `push`, `notify`, and
+// `sweep → take | nap | sleep`. A nap is a sleep the clock always ends,
+// so a napping worker stays schedulable, and all the model keeps of
+// time is that the request it napped on is *ripe* afterwards. Workers
+// never finish; a schedule ends when every submitter is done and every
+// worker is blocked asleep, and that is where the invariants are
+// checked:
+//
+// * **work conservation / no lost wake-up** — no worker is asleep
+//   while a request is queued, held or not;
+// * **exactly once** — every request submitted is in exactly one batch;
+// * **batch shape** — every batch is one key, at most `max_batch`
+//   long, and each key's requests are dispatched in arrival order.
+//
+// One to four submitters over two keys against one and two workers:
+// schedule by schedule with `explore_dpor` where the schedules can be
+// counted, and state by state (`for_every_terminal_state`) for all of
+// them. A broken worker that tests the predicate *before* taking the
+// lock (peek, then sleep without looking again) must be caught losing a
+// wake-up by every explorer.
+// ---------------------------------------------------------------------
+
+const MAX_BATCH: usize = 2;
+
+/// The split rule of `scheduler::share`, restated (it is private, and
+/// pinned there by its own table test).
+fn share(queued: usize, workers: usize) -> usize {
+    queued.div_ceil(workers).min(MAX_BATCH)
+}
+
+/// A request: arrival number and model key.
+type Queued = (usize, u8);
+
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+struct Sched {
+    queue: Vec<Queued>,
+    /// Arrival number of the queued request whose coalescing hold has
+    /// run out (`scheduler::hold_left` is `None` for it). Only the
+    /// oldest request is ever waited on, so there is at most one.
+    ripe: Option<usize>,
+    arrivals: usize,
+    /// Worker `w` is registered on the condition variable.
+    asleep: [bool; 2],
+    batches: Vec<Vec<Queued>>,
+    workers: usize,
+}
+
+const V_QUEUE: u32 = 10;
+const V_BATCHES: u32 = 11;
+const V_ASLEEP: [u32; 2] = [12, 13];
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum SchedThread {
+    /// `submit`: push under the lock, then notify outside it.
+    Submitter { key: u8, pushed: bool, notified: bool },
+    /// `next_batch` in a loop.
+    Worker { w: usize },
+    /// The bug: the emptiness test runs without the lock, and a worker
+    /// that saw an empty queue goes to sleep on that stale answer.
+    PeekingWorker { w: usize, saw_empty: bool },
+}
+
+/// The share the oldest queued request would be dispatched in.
+fn oldest_share(s: &Sched) -> Option<(Queued, usize)> {
+    let &oldest = s.queue.first()?;
+    let queued = s.queue.iter().filter(|r| r.1 == oldest.1).count();
+    Some((oldest, share(queued, s.workers)))
+}
+
+/// The sweep under the lock. A share short of `MAX_BATCH` whose oldest
+/// request is not ripe is held: the worker naps, and all that is left of
+/// the nap when it ends is that the request is ripe. Otherwise the
+/// oldest request leaves with the oldest requests of its key, `share`
+/// of them in all.
+fn sweep(s: &mut Sched) {
+    match oldest_share(s) {
+        Some(((arrival, _), want)) if want < MAX_BATCH && s.ripe != Some(arrival) => {
+            s.ripe = Some(arrival);
+        }
+        Some(_) => take(s),
+        None => {}
+    }
+}
+
+/// Removes the oldest request's share from the queue as one batch.
+fn take(s: &mut Sched) {
+    let Some(((_, key), want)) = oldest_share(s) else { return };
+    let mut batch = Vec::new();
+    s.queue.retain(|r| {
+        let taken = r.1 == key && batch.len() < want;
+        if taken {
+            batch.push(*r);
+        }
+        !taken
+    });
+    s.ripe = s.ripe.filter(|arrival| batch.iter().all(|r| r.0 != *arrival));
+    s.batches.push(batch);
+}
+
+impl Program<Sched> for SchedThread {
+    fn step(&mut self, s: &mut Sched) {
+        match self {
+            SchedThread::Submitter { key, pushed, notified } => {
+                if !*pushed {
+                    s.queue.push((s.arrivals, *key));
+                    s.arrivals += 1;
+                    *pushed = true;
+                } else {
+                    s.asleep = [false; 2]; // notify_all
+                    *notified = true;
+                }
+            }
+            SchedThread::Worker { w } => {
+                if s.queue.is_empty() {
+                    s.asleep[*w] = true;
+                } else {
+                    sweep(s);
+                }
+            }
+            SchedThread::PeekingWorker { w, saw_empty } => {
+                if *saw_empty {
+                    s.asleep[*w] = true;
+                    *saw_empty = false;
+                } else if s.queue.is_empty() {
+                    *saw_empty = true;
+                } else {
+                    take(s);
+                }
+            }
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        matches!(self, SchedThread::Submitter { notified: true, .. })
+    }
+
+    fn is_blocked(&self, s: &Sched) -> bool {
+        match self {
+            SchedThread::Submitter { .. } => false,
+            SchedThread::Worker { w } | SchedThread::PeekingWorker { w, .. } => s.asleep[*w],
+        }
+    }
+}
+
+impl DporProgram<Sched> for SchedThread {
+    fn next_footprint(&self) -> Footprint {
+        match self {
+            SchedThread::Submitter { pushed: false, .. } => Footprint::new(&[V_QUEUE], &[V_QUEUE]),
+            SchedThread::Submitter { .. } => Footprint::new(&[], &V_ASLEEP),
+            SchedThread::Worker { w } | SchedThread::PeekingWorker { w, .. } => {
+                Footprint::new(&[V_QUEUE, V_ASLEEP[*w]], &[V_QUEUE, V_BATCHES, V_ASLEEP[*w]])
+            }
+        }
+    }
+}
+
+fn sched_threads(keys: &[u8], workers: usize, peeking: bool) -> (Sched, Vec<SchedThread>) {
+    let mut threads: Vec<SchedThread> = keys
+        .iter()
+        .map(|&key| SchedThread::Submitter { key, pushed: false, notified: false })
+        .collect();
+    threads.extend((0..workers).map(|w| match peeking {
+        false => SchedThread::Worker { w },
+        true => SchedThread::PeekingWorker { w, saw_empty: false },
+    }));
+    (Sched { workers, ..Sched::default() }, threads)
+}
+
+/// Whether a terminal state has a request queued under a sleeping
+/// worker — the lost wake-up.
+fn stranded(s: &Sched) -> bool {
+    !s.queue.is_empty() && s.asleep[..s.workers].iter().any(|&a| a)
+}
+
+fn assert_sched_clean(s: &Sched, submitted: usize, schedule: &[usize]) {
+    assert!(!stranded(s), "request queued under a sleeping worker in schedule {schedule:?}");
+    assert!(s.queue.is_empty(), "requests left queued in schedule {schedule:?}");
+    assert!(s.asleep[..s.workers].iter().all(|&a| a), "terminal with a worker awake");
+    let mut seen: Vec<usize> = s.batches.iter().flatten().map(|r| r.0).collect();
+    seen.sort_unstable();
+    assert_eq!(seen, (0..submitted).collect::<Vec<_>>(), "not exactly once in {schedule:?}");
+    for batch in &s.batches {
+        assert!((1..=MAX_BATCH).contains(&batch.len()), "batch {batch:?} in {schedule:?}");
+        assert!(batch.iter().all(|r| r.1 == batch[0].1), "mixed keys {batch:?} in {schedule:?}");
+    }
+    for key in [0u8, 1] {
+        let order: Vec<usize> =
+            s.batches.iter().flatten().filter(|r| r.1 == key).map(|r| r.0).collect();
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "key {key} out of order in {schedule:?}");
+    }
+}
+
+/// Closes the model over its reachable **states** instead of its
+/// schedules, and shows `check` every terminal one. `explore_dpor`
+/// walks schedules, and everything here meets on the one queue, so
+/// there is little for it to prune: 2.3 million schedules for three
+/// submitters and two workers, around 10⁹ for four — over a state graph
+/// of a few thousand nodes. Every schedule is a path in that graph, so
+/// a check of every reachable terminal state is a check of every
+/// schedule's outcome. Returns `(states, terminal states)`.
+fn for_every_terminal_state(
+    sched: &Sched,
+    threads: &[SchedThread],
+    mut check: impl FnMut(&Sched),
+) -> (usize, usize) {
+    let mut seen = HashSet::new();
+    let mut terminals = 0;
+    let mut stack = vec![(sched.clone(), threads.to_vec())];
+    while let Some((s, ts)) = stack.pop() {
+        if !seen.insert((s.clone(), ts.clone())) {
+            continue;
+        }
+        let runnable: Vec<usize> =
+            (0..ts.len()).filter(|&i| !ts[i].is_done() && !ts[i].is_blocked(&s)).collect();
+        if runnable.is_empty() {
+            terminals += 1;
+            check(&s);
+        }
+        for i in runnable {
+            let (mut next, mut next_ts) = (s.clone(), ts.clone());
+            next_ts[i].step(&mut next);
+            stack.push((next, next_ts));
+        }
+    }
+    (seen.len(), terminals)
+}
+
+/// Every mix of one to four submitters over two keys.
+const KEYSETS: [&[u8]; 6] = [&[0], &[0, 0], &[0, 1], &[0, 0, 1], &[0, 0, 0, 0], &[0, 0, 1, 0]];
+
+#[test]
+fn interleave_scheduler_every_schedule_conserves_work() {
+    // Schedule by schedule where that is affordable, and there the
+    // state closure must arrive at exactly the same outcomes — which is
+    // what entitles the next test to use it alone.
+    for workers in [1usize, 2] {
+        for keys in KEYSETS.into_iter().filter(|keys| keys.len() + workers <= 4) {
+            let (sched, threads) = sched_threads(keys, workers, false);
+            let mut by_schedule = HashSet::new();
+            let stats = explore_dpor(&sched, &threads, |s, schedule| {
+                assert_sched_clean(s, keys.len(), schedule);
+                by_schedule.insert(s.clone());
+            });
+            assert!(stats.schedules >= 1);
+            let mut by_state = HashSet::new();
+            for_every_terminal_state(&sched, &threads, |s| {
+                by_state.insert(s.clone());
+            });
+            assert!(by_schedule == by_state, "{keys:?} x {workers}: the two explorers disagree");
+        }
+    }
+    // DPOR must not have pruned anything the plain enumeration sees.
+    let (sched, threads) = sched_threads(&[0, 1], 2, false);
+    let naive = explore_exhaustive(&sched, &threads, |s, schedule| {
+        assert_sched_clean(s, 2, schedule);
+    });
+    assert!(naive >= 1);
+}
+
+#[test]
+fn interleave_scheduler_every_reachable_state_conserves_work() {
+    for workers in [1usize, 2] {
+        for keys in KEYSETS {
+            let (sched, threads) = sched_threads(keys, workers, false);
+            let (states, terminals) = for_every_terminal_state(&sched, &threads, |s| {
+                assert_sched_clean(s, keys.len(), &[]);
+            });
+            assert!(terminals >= 1);
+            if keys.len() == 4 {
+                println!(
+                    "scheduler {keys:?} x {workers} workers: {states} states, \
+                     {terminals} terminal"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn interleave_scheduler_catches_predicate_outside_the_lock() {
+    // One submitter, one peeking worker is enough: peek (empty), push,
+    // notify (nobody asleep yet), sleep — for ever, with work queued.
+    let (sched, threads) = sched_threads(&[0], 1, true);
+    let mut lost = 0u64;
+    let stats = explore_dpor(&sched, &threads, |s, _| lost += u64::from(stranded(s)));
+    assert!(stats.schedules >= 2);
+    assert!(lost > 0, "DPOR missed the lost wake-up of a predicate checked outside the lock");
+    let mut lost = 0u64;
+    explore_exhaustive(&sched, &threads, |s, _| lost += u64::from(stranded(s)));
+    assert!(lost > 0, "the explorer missed the lost wake-up");
+    let mut lost = 0u64;
+    for_every_terminal_state(&sched, &threads, |s| lost += u64::from(stranded(s)));
+    assert!(lost > 0, "the state closure missed the lost wake-up");
 }

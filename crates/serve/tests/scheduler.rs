@@ -1,21 +1,38 @@
-//! Scheduler behaviour: batch coalescing boundaries, deadline expiry
-//! under saturation, admission-control rejection, graceful drain, and
-//! byte-identical parity with direct `TransformerModel::encode` calls
-//! at every batch size.
+//! Scheduler behaviour: how a backlog is split into batches, deadline
+//! expiry under saturation, admission-control rejection, graceful drain,
+//! and byte-identical parity with direct `TransformerModel::encode`
+//! calls at every batch size.
+//!
+//! The scheduler holds a partial share for 1 ms at most — nothing a
+//! test could queue a backlog inside reliably — so a test that wants a
+//! backlog holds the workers itself: [`park_workers`] parks each one
+//! inside a `serve.batch=delay` failpoint, the test queues behind them
+//! (for far longer than the hold, so nothing queued is held again), and
+//! what the workers do with that queue when they come back is the
+//! assertion. Failpoints are process-global, so every test holds the
+//! [`FaultGuard`]; every test ends on the counter laws.
+
+mod common;
 
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use common::{shutdown_and_check_counters, FaultGuard};
 use gobo::format::CompressedModel;
 use gobo::pipeline::{quantize_model, QuantizeOptions};
+use gobo_fault::{FaultAction, Policy};
 use gobo_model::config::ModelConfig;
 use gobo_model::TransformerModel;
 use gobo_serve::{
-    Client, EncodeRequest, RegistryConfig, SchedulerConfig, ServeCore, ServeError, ServeOptions,
+    Client, EncodeRequest, EncodeResponse, RegistryConfig, SchedulerConfig, ServeCore, ServeError,
+    ServeOptions,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+type Reply = Receiver<Result<EncodeResponse, ServeError>>;
 
 fn compressed(seed: u64) -> CompressedModel {
     let config = ModelConfig::tiny("Sched", 1, 16, 2, 40, 12).unwrap();
@@ -35,111 +52,232 @@ fn core_with(scheduler: SchedulerConfig) -> (Arc<ServeCore>, Client) {
     (core, client)
 }
 
-#[test]
-fn coalesces_up_to_max_batch() {
-    let (core, client) = core_with(SchedulerConfig {
-        workers: 1,
-        max_batch: 4,
-        max_wait: Duration::from_millis(300),
-        queue_capacity: 64,
-        default_deadline: Duration::from_secs(10),
-    });
-    // Six quick submissions against one worker with a generous
-    // coalescing window: the worker must form batches of at most 4 and
-    // at least one multi-request batch.
-    let rxs: Vec<_> = (0..6)
-        .map(|i| core.scheduler().submit(EncodeRequest::new("m", vec![1 + i % 3, 2, 3])).unwrap())
-        .collect();
-    let mut sizes = Vec::new();
-    for rx in rxs {
-        let response = rx.recv().unwrap().unwrap();
-        assert!(response.batch_size <= 4, "batch {} exceeds max_batch", response.batch_size);
-        sizes.push(response.batch_size);
-    }
-    assert!(sizes.iter().any(|&s| s > 1), "no coalescing happened: {sizes:?}");
-    let metrics = core.metrics();
-    assert!(metrics.batches.load(Ordering::Relaxed) >= 2);
-    assert_eq!(metrics.batched_requests.load(Ordering::Relaxed), 6);
-    assert!(metrics.batch_size_max.load(Ordering::Relaxed) <= 4);
-    drop(client);
-    core.shutdown();
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// A pipelined window fills `max_batch` exactly. One worker and a
-/// coalescing window far longer than 32 submissions take: the worker
-/// that claims the first request keeps sweeping the queue until the
-/// batch is full, so all 32 ride one batch — the regression where
-/// coalescing fragmented at 4 would show up as `batch_size_max <= 4`.
-/// Every reply must still be byte-identical to a direct encode.
-#[test]
-fn pipelined_window_coalesces_to_max_batch_32() {
-    let container = compressed(1);
-    let direct = container.decode().unwrap();
-    let (core, client) = core_with(SchedulerConfig {
-        workers: 1,
-        max_batch: 32,
-        max_wait: Duration::from_secs(5),
-        queue_capacity: 64,
-        default_deadline: Duration::from_secs(30),
-    });
-    // Submit the whole window before reading any reply.
-    let pending: Vec<_> = (0..32usize)
+/// How long [`park_workers`] holds the pool — ample for queueing a few
+/// dozen requests behind it; [`queue_behind`] checks that it was.
+const HOLD: Duration = Duration::from_millis(300);
+
+/// Parks every one of `core`'s `workers` workers inside a batch for
+/// [`HOLD`]: with `serve.batch=delay` armed, a lone plug request is
+/// dispatched to an idle worker a millisecond later, and the failpoint's
+/// fire count says when that worker has gone to sleep in it — so the
+/// plugs go in one at a time, each to a worker of its own. The failpoint is then
+/// disarmed (a sleeper keeps sleeping), so batches taken after the hold
+/// run undelayed. Returns the plugs' reply channels.
+fn park_workers(core: &ServeCore, workers: usize) -> Vec<Reply> {
+    gobo_fault::configure("serve.batch", Policy::always(FaultAction::Delay(HOLD)));
+    let patience = Instant::now() + Duration::from_secs(10);
+    let plugs = (1..=workers as u64)
+        .map(|parked| {
+            let plug = core.scheduler().submit(EncodeRequest::new("m", vec![1])).unwrap();
+            while gobo_fault::fires("serve.batch") < parked {
+                assert!(Instant::now() < patience, "worker {parked} never took its plug");
+                std::thread::yield_now();
+            }
+            plug
+        })
+        .collect();
+    gobo_fault::clear("serve.batch");
+    plugs
+}
+
+/// Queues `n` requests for "m" behind parked workers and returns their
+/// token ids and reply channels, in submission order.
+fn queue_behind(core: &ServeCore, n: usize) -> Vec<(Vec<usize>, Reply)> {
+    let queued: Vec<_> = (0..n)
         .map(|i| {
             let ids = vec![1 + i % 7, 2 + i % 3, 3];
             let rx = core.scheduler().submit(EncodeRequest::new("m", ids.clone())).unwrap();
             (ids, rx)
         })
         .collect();
-    for (ids, rx) in pending {
-        let response = rx.recv().unwrap().unwrap();
-        assert_eq!(response.batch_size, 32);
-        let reference = direct.encode(&ids, &[]).unwrap();
-        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-        assert_eq!(bits(&response.hidden), bits(reference.hidden.as_slice()));
-        assert_eq!(bits(&response.pooled.unwrap()), bits(reference.pooled.unwrap().as_slice()));
+    assert_eq!(core.scheduler().queue_depth(), n, "the hold ended before the backlog was queued");
+    queued
+}
+
+/// Collects every reply of a gated backlog, checks each against a
+/// direct encode on the decoded container bit for bit, and returns the
+/// batch sizes in submission order.
+fn batch_sizes_checked(queued: Vec<(Vec<usize>, Reply)>) -> Vec<usize> {
+    let direct = compressed(1).decode().unwrap();
+    queued
+        .into_iter()
+        .map(|(ids, rx)| {
+            let response = rx.recv().unwrap().unwrap();
+            let reference = direct.encode(&ids, &[]).unwrap();
+            assert_eq!(bits(&response.hidden), bits(reference.hidden.as_slice()));
+            assert_eq!(bits(&response.pooled.unwrap()), bits(reference.pooled.unwrap().as_slice()));
+            response.batch_size
+        })
+        .collect()
+}
+
+/// `[4, 4, 4, 4, 2, 2]` for batches `[4, 2]`: what requests answered in
+/// submission order report when the backlog was cut into those batches,
+/// oldest first.
+fn per_request(batches: &[usize]) -> Vec<usize> {
+    batches.iter().flat_map(|&size| std::iter::repeat_n(size, size)).collect()
+}
+
+fn drain_plugs(plugs: Vec<Reply>) {
+    for plug in plugs {
+        assert_eq!(plug.recv().unwrap().unwrap().batch_size, 1, "a plug was dispatched alone");
     }
+}
+
+#[test]
+fn coalesces_up_to_max_batch() {
+    let _guard = FaultGuard::lock();
+    let (core, _client) = core_with(SchedulerConfig {
+        workers: 1,
+        max_batch: 4,
+        queue_capacity: 64,
+        default_deadline: Duration::from_secs(10),
+    });
+    // Six requests queued behind the one worker: it takes `max_batch`
+    // of them, oldest first, and comes back for the other two.
+    let plugs = park_workers(&core, 1);
+    let queued = queue_behind(&core, 6);
+    drain_plugs(plugs);
+    assert_eq!(batch_sizes_checked(queued), per_request(&[4, 2]));
+    let metrics = core.metrics();
+    assert_eq!(metrics.batches.load(Ordering::Relaxed), 3);
+    assert_eq!(metrics.batched_requests.load(Ordering::Relaxed), 7);
+    assert_eq!(metrics.batch_size_max.load(Ordering::Relaxed), 4);
+    shutdown_and_check_counters(&core);
+}
+
+/// A pipelined window fills `max_batch` exactly. One worker, and all 32
+/// submissions queued while it is held: it takes the whole window in
+/// one sweep, so all 32 ride one batch — a sweep that fragmented would
+/// show up as more batches and a smaller `batch_size_max`. Every reply
+/// must still be byte-identical to a direct encode.
+#[test]
+fn pipelined_window_coalesces_to_max_batch_32() {
+    let _guard = FaultGuard::lock();
+    let (core, _client) = core_with(SchedulerConfig {
+        workers: 1,
+        max_batch: 32,
+        queue_capacity: 64,
+        default_deadline: Duration::from_secs(30),
+    });
+    let plugs = park_workers(&core, 1);
+    let queued = queue_behind(&core, 32);
+    drain_plugs(plugs);
+    assert_eq!(batch_sizes_checked(queued), per_request(&[32]));
     let metrics = core.metrics();
     assert_eq!(metrics.batch_size_max.load(Ordering::Relaxed), 32);
-    assert_eq!(metrics.batches.load(Ordering::Relaxed), 1);
-    drop(client);
-    core.shutdown();
+    assert_eq!(metrics.batches.load(Ordering::Relaxed), 2);
+    shutdown_and_check_counters(&core);
+}
+
+/// Two workers and the same window of 32: whichever worker comes back
+/// takes half of what is queued *then* — 16 of 32, 8 of the 16 left, and
+/// so on — so the other always finds a piece waiting instead of one
+/// worker computing a 32-row panel while its neighbour idles. Each take
+/// is one atomic sweep, so the sequence of sizes does not depend on
+/// which worker made it, and the split is invisible in the bytes.
+#[test]
+fn two_workers_split_a_backlog_into_fair_shares() {
+    let _guard = FaultGuard::lock();
+    let (core, _client) = core_with(SchedulerConfig {
+        workers: 2,
+        max_batch: 32,
+        queue_capacity: 64,
+        default_deadline: Duration::from_secs(30),
+    });
+    let plugs = park_workers(&core, 2);
+    let queued = queue_behind(&core, 32);
+    drain_plugs(plugs);
+    assert_eq!(batch_sizes_checked(queued), per_request(&[16, 8, 4, 2, 1, 1]));
+    let metrics = core.metrics();
+    assert_eq!(metrics.batch_size_max.load(Ordering::Relaxed), 16);
+    assert_eq!(metrics.batches.load(Ordering::Relaxed), 2 + 6);
+    assert_eq!(metrics.batched_requests.load(Ordering::Relaxed), 2 + 32);
+    shutdown_and_check_counters(&core);
+}
+
+/// One request behind two held workers has outwaited its hold by the
+/// time they return: it is not kept waiting for company again.
+#[test]
+fn two_workers_dispatch_a_lone_request_alone() {
+    let _guard = FaultGuard::lock();
+    let (core, _client) = core_with(SchedulerConfig {
+        workers: 2,
+        max_batch: 32,
+        queue_capacity: 64,
+        default_deadline: Duration::from_secs(30),
+    });
+    let plugs = park_workers(&core, 2);
+    let queued = queue_behind(&core, 1);
+    drain_plugs(plugs);
+    assert_eq!(batch_sizes_checked(queued), [1]);
+    shutdown_and_check_counters(&core);
+}
+
+/// Two models interleaved in one backlog: a sweep takes the oldest
+/// request and only requests of *its* key, sized by that key's own
+/// count, and leaves the other key's requests queued in order.
+#[test]
+fn a_batch_never_mixes_keys() {
+    let _guard = FaultGuard::lock();
+    let (core, client) = core_with(SchedulerConfig {
+        workers: 1,
+        max_batch: 8,
+        queue_capacity: 64,
+        default_deadline: Duration::from_secs(30),
+    });
+    client.register("other", &compressed(2)).unwrap();
+    let direct = [compressed(1).decode().unwrap(), compressed(2).decode().unwrap()];
+    let plugs = park_workers(&core, 1);
+    // m, other, m, other, m — three of one key and two of the other.
+    let queued: Vec<_> = (0..5usize)
+        .map(|i| {
+            let name = ["m", "other"][i % 2];
+            let ids = vec![1 + i, 2, 3];
+            (i % 2, ids.clone(), core.scheduler().submit(EncodeRequest::new(name, ids)).unwrap())
+        })
+        .collect();
+    drain_plugs(plugs);
+    for (which, ids, rx) in queued {
+        let response = rx.recv().unwrap().unwrap();
+        assert_eq!(response.model.name, ["m", "other"][which]);
+        assert_eq!(response.batch_size, [3, 2][which]);
+        let reference = direct[which].encode(&ids, &[]).unwrap();
+        assert_eq!(bits(&response.hidden), bits(reference.hidden.as_slice()));
+    }
+    assert_eq!(core.metrics().batches.load(Ordering::Relaxed), 1 + 2);
+    shutdown_and_check_counters(&core);
 }
 
 #[test]
 fn zero_wait_executes_singletons() {
-    let (core, client) = core_with(SchedulerConfig {
-        workers: 1,
-        max_batch: 8,
-        max_wait: Duration::ZERO,
-        queue_capacity: 64,
-        default_deadline: Duration::from_secs(10),
-    });
-    // Sequential round trips with max_wait == 0: nothing to coalesce,
-    // every batch is size 1.
+    let _guard = FaultGuard::lock();
+    let (core, client) = core_with(SchedulerConfig::default());
+    // Sequential round trips against an idle pool: nothing arrives
+    // while a request sits out its hold, so every batch is size 1.
     for _ in 0..4 {
         let response = client.encode(EncodeRequest::new("m", vec![1, 2])).unwrap();
         assert_eq!(response.batch_size, 1);
     }
     assert_eq!(core.metrics().batches.load(Ordering::Relaxed), 4);
-    core.shutdown();
+    shutdown_and_check_counters(&core);
 }
 
 #[test]
 fn saturated_queue_rejects_and_expires() {
-    let (core, client) = core_with(SchedulerConfig {
+    let _guard = FaultGuard::lock();
+    let (core, _client) = core_with(SchedulerConfig {
         workers: 1,
         max_batch: 8,
-        max_wait: Duration::from_millis(400),
         queue_capacity: 3,
         default_deadline: Duration::from_secs(10),
     });
-    // Occupy the single worker with a *different* model: it pops this
-    // request immediately and then coalesce-waits 400ms for more
-    // "plug" traffic, so queued "m" requests cannot be absorbed into
-    // its batch.
-    client.register("plug", &compressed(2)).unwrap();
-    let plug = core.scheduler().submit(EncodeRequest::new("plug", vec![1])).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    // Hold the single worker so nothing queued below can be reached.
+    let plugs = park_workers(&core, 1);
 
     // Saturate the queue with requests the busy worker cannot reach.
     let mut queued = Vec::new();
@@ -159,11 +297,11 @@ fn saturated_queue_rejects_and_expires() {
 
     // The worker eventually reaches everything; the doomed request is
     // rejected with DeadlineExceeded, the rest are served.
-    plug.recv().unwrap().unwrap();
+    drain_plugs(plugs);
     let replies: Vec<_> = queued.into_iter().map(|rx| rx.recv().unwrap()).collect();
-    // The worker was pinned on "plug" for ~400ms, well past the doomed
-    // request's 100ms deadline: it must be rejected, not hung or
-    // silently dropped, while the live requests still succeed.
+    // The worker was held for HOLD, well past the doomed request's
+    // 100ms deadline: it must be rejected, not hung or silently
+    // dropped, while the live requests still succeed.
     match &replies[0] {
         Err(ServeError::DeadlineExceeded) => {}
         other => panic!("expected DeadlineExceeded, got {other:?}"),
@@ -171,16 +309,15 @@ fn saturated_queue_rejects_and_expires() {
     assert!(replies[1].is_ok());
     assert!(replies[2].is_ok());
     assert!(core.metrics().rejected_deadline.load(Ordering::Relaxed) >= 1);
-    drop(client);
-    core.shutdown();
+    shutdown_and_check_counters(&core);
 }
 
 #[test]
 fn zero_deadline_is_rejected_not_hung() {
+    let _guard = FaultGuard::lock();
     let (core, client) = core_with(SchedulerConfig {
         workers: 1,
         max_batch: 1,
-        max_wait: Duration::ZERO,
         queue_capacity: 64,
         default_deadline: Duration::from_secs(10),
     });
@@ -191,11 +328,12 @@ fn zero_deadline_is_rejected_not_hung() {
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
     assert!(core.metrics().rejected_deadline.load(Ordering::Relaxed) >= 1);
-    core.shutdown();
+    shutdown_and_check_counters(&core);
 }
 
 #[test]
 fn unknown_model_fails_cleanly() {
+    let _guard = FaultGuard::lock();
     let (core, client) = core_with(SchedulerConfig::default());
     match client.encode(EncodeRequest::new("ghost", vec![1])) {
         Err(ServeError::ModelNotFound { name }) => assert_eq!(name, "ghost"),
@@ -206,15 +344,15 @@ fn unknown_model_fails_cleanly() {
         Err(ServeError::Model(_)) => {}
         other => panic!("expected Model error, got {other:?}"),
     }
-    core.shutdown();
+    shutdown_and_check_counters(&core);
 }
 
 #[test]
 fn shutdown_drains_queue_and_rejects_new_work() {
+    let _guard = FaultGuard::lock();
     let (core, client) = core_with(SchedulerConfig {
         workers: 2,
         max_batch: 4,
-        max_wait: Duration::from_millis(5),
         queue_capacity: 128,
         default_deadline: Duration::from_secs(10),
     });
@@ -231,31 +369,33 @@ fn shutdown_drains_queue_and_rejects_new_work() {
     }
     assert_eq!(core.metrics().encode_ok.load(Ordering::Relaxed), 20);
     assert_eq!(core.metrics().queue_depth.load(Ordering::Relaxed), 0);
+    shutdown_and_check_counters(&core);
 }
 
 /// Served outputs must be byte-identical to direct
 /// `TransformerModel::encode` calls for the same token ids, at every
-/// batch size.
+/// batch size: first over a backlog of 40 queued behind two held
+/// workers (so batches really reach `max_batch`, or the fair share of
+/// 20 where that is smaller), then under four concurrent closed-loop
+/// clients racing the workers ungated.
 #[test]
 fn served_outputs_byte_identical_at_every_batch_size() {
-    let container = compressed(7);
-    let direct = container.decode().unwrap();
+    let _guard = FaultGuard::lock();
+    let direct = compressed(1).decode().unwrap();
     for max_batch in [1usize, 8, 32] {
-        let core = ServeCore::start(ServeOptions {
-            registry: RegistryConfig::default(),
-            scheduler: SchedulerConfig {
-                workers: 2,
-                max_batch,
-                max_wait: Duration::from_millis(20),
-                queue_capacity: 256,
-                default_deadline: Duration::from_secs(30),
-            },
-            ..ServeOptions::default()
+        let (core, client) = core_with(SchedulerConfig {
+            workers: 2,
+            max_batch,
+            queue_capacity: 256,
+            default_deadline: Duration::from_secs(30),
         });
-        let client = Client::new(Arc::clone(&core));
-        client.register("m", &container).unwrap();
+        let plugs = park_workers(&core, 2);
+        let queued = queue_behind(&core, 40);
+        drain_plugs(plugs);
+        let sizes = batch_sizes_checked(queued);
+        assert_eq!(sizes.iter().max(), Some(&max_batch.min(20)), "max_batch {max_batch}");
+        assert!(sizes.iter().all(|size| (1..=max_batch).contains(size)), "{sizes:?}");
 
-        // Concurrent clients so coalescing actually happens.
         let mut joins = Vec::new();
         for t in 0..4usize {
             let client = client.clone();
@@ -272,20 +412,16 @@ fn served_outputs_byte_identical_at_every_batch_size() {
         for join in joins {
             for (ids, response) in join.join().unwrap() {
                 let reference = direct.encode(&ids, &[]).unwrap();
-                let ref_hidden = reference.hidden.as_slice();
-                assert_eq!(response.hidden.len(), ref_hidden.len());
-                for (a, b) in response.hidden.iter().zip(ref_hidden) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "max_batch {max_batch}");
-                }
-                let ref_pooled = reference.pooled.unwrap();
-                let got_pooled = response.pooled.unwrap();
-                for (a, b) in got_pooled.iter().zip(ref_pooled.as_slice()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "max_batch {max_batch}");
-                }
+                assert_eq!(bits(&response.hidden), bits(reference.hidden.as_slice()));
+                assert_eq!(
+                    bits(&response.pooled.unwrap()),
+                    bits(reference.pooled.unwrap().as_slice()),
+                    "max_batch {max_batch}"
+                );
                 assert!(response.batch_size >= 1 && response.batch_size <= max_batch);
             }
         }
-        core.shutdown();
+        shutdown_and_check_counters(&core);
     }
 }
 
@@ -293,6 +429,7 @@ fn served_outputs_byte_identical_at_every_batch_size() {
 /// `bits` and are answered by the matching registration.
 #[test]
 fn bits_pinning_selects_registration() {
+    let _guard = FaultGuard::lock();
     let core = ServeCore::start(ServeOptions::default());
     let client = Client::new(Arc::clone(&core));
     let config = ModelConfig::tiny("Sched", 1, 16, 2, 40, 12).unwrap();
@@ -311,5 +448,5 @@ fn bits_pinning_selects_registration() {
     assert_eq!(high.model.bits, 4);
     // Different widths genuinely produce different hidden states.
     assert_ne!(low.hidden, high.hidden);
-    core.shutdown();
+    shutdown_and_check_counters(&core);
 }
