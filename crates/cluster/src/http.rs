@@ -1,18 +1,19 @@
 //! The router's HTTP front door.
 //!
-//! Speaks the exact JSON dialect of a single `gobo-serve` node —
-//! `POST /v1/encode` request and response bodies are shaped
-//! identically — so clients cannot tell a router from a node, and the
-//! serving tier can grow from one process to a cluster without a
-//! client change. Adds `GET /v1/cluster` (membership snapshot,
-//! including any canary trial in flight), `POST /v1/canary` (start a
-//! canary trial on a member), and serves the cluster metrics on
-//! `GET /metrics`.
+//! Speaks the JSON dialect of a single `gobo-serve` node, with the
+//! node's own code: the `POST /v1/encode` request is parsed and the
+//! response rendered by `gobo_serve::http`, so the serving tier can grow
+//! from one process to a cluster without a client change. The bodies
+//! agree field for field except for `rev`, which wire frame v1 does not
+//! carry back from the node and a routed response therefore lacks. Adds
+//! `GET /v1/cluster` (membership snapshot, including any canary trial in
+//! flight), `POST /v1/canary` (start a canary trial on a member), and
+//! serves the cluster metrics on `GET /metrics`.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use gobo_serve::http::error_body;
+use gobo_serve::http::{common_route, encode_body, error_body};
 use gobo_serve::json::{parse, Json};
 use gobo_serve::{
     parse_encode_body, HttpHandler, HttpListener, HttpOptions, HttpResponse, ParsedRequest,
@@ -39,22 +40,7 @@ impl HttpHandler for RouterHandler {
             ("POST", "/v1/encode") => encode(&self.router, &request.body),
             ("GET", "/v1/cluster") => HttpResponse::json(200, membership_body(&self.router)),
             ("POST", "/v1/canary") => canary(&self.router, &request.body),
-            ("GET", "/metrics") => HttpResponse {
-                status: 200,
-                content_type: "text/plain; version=0.0.4",
-                body: self.router.render_metrics(),
-                close: false,
-            },
-            ("POST", "/v1/shutdown") => {
-                self.signal.request();
-                HttpResponse {
-                    status: 200,
-                    content_type: "application/json",
-                    body: "{\"status\":\"draining\"}".to_owned(),
-                    close: true,
-                }
-            }
-            _ => HttpResponse::json(404, error_body(404, "not_found", "no such route")),
+            _ => common_route(request, &self.signal, || self.router.render_metrics()),
         }
     }
 }
@@ -73,31 +59,7 @@ fn encode(router: &Router, body: &[u8]) -> HttpResponse {
     let type_ids: Vec<u32> = request.type_ids.iter().map(|&v| v as u32).collect();
     let deadline_ms = request.deadline.map_or(0, |d| d.as_millis() as u64);
     match router.encode(&request.model, request.bits, &ids, &type_ids, deadline_ms) {
-        Ok(ok) => {
-            let pooled = match &ok.pooled {
-                Some(values) => Json::f32_array(values),
-                None => Json::Null,
-            };
-            let dims: Vec<usize> = ok.dims.iter().map(|&d| d as usize).collect();
-            // Field order matches a node's own /v1/encode response.
-            let body = Json::obj(vec![
-                ("model", Json::Str(ok.model.clone())),
-                ("bits", Json::Num(f64::from(ok.bits))),
-                ("batch_size", Json::Num(f64::from(ok.batch_size))),
-                ("queue_us", Json::Num(ok.queue_us as f64)),
-                ("compute_us", Json::Num(ok.compute_us as f64)),
-                (
-                    "hidden",
-                    Json::obj(vec![
-                        ("dims", Json::usize_array(&dims)),
-                        ("data", Json::f32_array(&ok.hidden)),
-                    ]),
-                ),
-                ("pooled", pooled),
-            ])
-            .to_string();
-            HttpResponse::json(200, body)
-        }
+        Ok(ok) => HttpResponse::json(200, encode_body(&ok, None)),
         Err(e) => HttpResponse::json(
             e.http_status(),
             error_body(e.http_status(), e.code(), &e.to_string()),

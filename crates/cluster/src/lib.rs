@@ -23,8 +23,9 @@
 //!   an attempt failure or p95 regression;
 //! * [`metrics`] — `gobo_cluster_*` Prometheus counters and the
 //!   route-latency histogram;
-//! * [`http`] — the router's HTTP front door, speaking the exact JSON
-//!   dialect of a single node plus `GET /v1/cluster`.
+//! * [`http`] — the router's HTTP front door, speaking the JSON
+//!   dialect of a single node (a routed encode has no `rev`) plus
+//!   `GET /v1/cluster` and `POST /v1/canary`.
 //!
 //! Failpoints: `cluster.route`, `cluster.node.recv`,
 //! `cluster.heartbeat` (plus `proto.frame.parse` in the wire layer).

@@ -22,8 +22,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gobo_proto::frame::{
-    read_frame, write_frame, EncodeErrFrame, EncodeOkFrame, EncodeRequestFrame,
-    EncodeResponseFrame, Frame, HeartbeatAckFrame, ModelStatusFrame, ProtoError, MAX_PAYLOAD,
+    read_frame, write_frame, EncodeErrFrame, EncodeRequestFrame, EncodeResponseFrame, Frame,
+    HeartbeatAckFrame, ModelStatusFrame, ProtoError, MAX_PAYLOAD,
 };
 use gobo_serve::{EncodeRequest, Listener, ServeCore, ShutdownSignal};
 
@@ -201,16 +201,7 @@ fn handle_encode(shared: &NodeShared, request: EncodeRequestFrame) -> Frame {
         },
     };
     let result = match shared.core.scheduler().encode_blocking(encode) {
-        Ok(response) => Ok(EncodeOkFrame {
-            model: response.model.name.clone(),
-            bits: response.model.bits,
-            dims: response.hidden_dims.iter().map(|&d| d as u32).collect(),
-            hidden: response.hidden,
-            pooled: response.pooled,
-            batch_size: response.batch_size as u32,
-            queue_us: response.queue_us,
-            compute_us: response.compute_us,
-        }),
+        Ok(response) => Ok(response.into()),
         Err(e) => Err(EncodeErrFrame { code: e.code().to_string(), message: e.to_string() }),
     };
     Frame::EncodeResponse(EncodeResponseFrame { id, result })

@@ -85,9 +85,20 @@ impl Default for RouterConfig {
 /// A canary trial in flight: one node receiving a preferential traffic
 /// slice while its latency is judged against the rest of the cluster.
 struct CanaryTrial {
+    /// Identity of this trial. A request captures it when it is fronted
+    /// and reports under it, so what it measured can only be judged
+    /// with — and can only settle — the trial it ran under.
+    id: u64,
     node_id: String,
-    ticket: AtomicU64,
-    window: SanMutex<VerdictWindow>,
+    trial: VerdictWindow,
+}
+
+/// The member list and the ring built from it, under one lock: a ring
+/// is always built from, and installed beside, the list it describes.
+#[derive(Default)]
+struct Membership {
+    nodes: Vec<Arc<NodeState>>,
+    ring: Ring,
 }
 
 /// Saturating cap on a node's slow score (how far hedging can demote
@@ -225,12 +236,11 @@ impl std::error::Error for RouterError {}
 
 struct Shared {
     config: RouterConfig,
-    nodes: SanRwLock<Vec<Arc<NodeState>>>,
-    ring: SanRwLock<Ring>,
+    membership: SanRwLock<Membership>,
     metrics: ClusterMetrics,
     stop: AtomicBool,
     seq: AtomicU64,
-    canary: SanRwLock<Option<CanaryTrial>>,
+    canary: SanMutex<Option<CanaryTrial>>,
 }
 
 /// The consistent-hash router over a set of [`NodeState`] members.
@@ -244,6 +254,14 @@ enum AttemptError {
     App(EncodeErrFrame),
 }
 
+/// What an attempt thread sends the routing thread.
+enum Leg {
+    /// A clone of its connected socket, for cancellation.
+    Connected(TcpStream),
+    /// Its outcome; nothing follows.
+    Done(Result<EncodeOkFrame, AttemptError>),
+}
+
 fn is_terminal(code: &str) -> bool {
     matches!(
         code,
@@ -255,16 +273,6 @@ fn is_terminal(code: &str) -> bool {
     )
 }
 
-#[track_caller]
-fn lock_write<T>(lock: &SanRwLock<T>) -> gobo_sanitize::SanRwLockWriteGuard<'_, T> {
-    lock.write()
-}
-
-#[track_caller]
-fn lock_read<T>(lock: &SanRwLock<T>) -> gobo_sanitize::SanRwLockReadGuard<'_, T> {
-    lock.read()
-}
-
 impl Router {
     /// A router with no members and no heartbeat thread yet.
     pub fn new(config: RouterConfig) -> Router {
@@ -272,16 +280,13 @@ impl Router {
             shared: Arc::new(Shared {
                 config,
                 // Documented acquisition order (ranks enforced by
-                // gobo-sanitize): canary(50) -> nodes(52) -> ring(54);
-                // the trial window(56) nests under a canary guard.
+                // gobo-sanitize): canary(50) -> membership(52).
                 // ACQUIRES-AFTER: cluster.router.canary
-                nodes: SanRwLock::new("cluster.router.nodes", 52, Vec::new()),
-                // ACQUIRES-AFTER: cluster.router.nodes
-                ring: SanRwLock::new("cluster.router.ring", 54, Ring::default()),
+                membership: SanRwLock::new("cluster.router.membership", 52, Membership::default()),
                 metrics: ClusterMetrics::new(),
                 stop: AtomicBool::new(false),
                 seq: AtomicU64::new(1),
-                canary: SanRwLock::new("cluster.router.canary", 50, None),
+                canary: SanMutex::new("cluster.router.canary", 50, None),
             }),
             heartbeat_thread: SanMutex::new("cluster.router.heartbeat", 13, None),
         }
@@ -301,12 +306,10 @@ impl Router {
             draining: AtomicBool::new(false),
             slow_score: AtomicU32::new(0),
         });
-        {
-            let mut nodes = lock_write(&self.shared.nodes);
-            nodes.retain(|n| n.id != state.id);
-            nodes.push(state);
-        }
-        rebuild_ring(&self.shared);
+        let mut membership = self.shared.membership.write();
+        membership.nodes.retain(|n| n.id != state.id);
+        membership.nodes.push(state);
+        rebuild_ring(&self.shared, &mut membership);
     }
 
     /// Starts the heartbeat/membership thread. Idempotent.
@@ -355,17 +358,16 @@ impl Router {
 
     /// Snapshot of the membership, in registration order.
     pub fn membership(&self) -> Vec<NodeInfo> {
-        lock_read(&self.shared.nodes)
-            .iter()
-            .map(|n| NodeInfo {
-                id: n.id.clone(),
-                addr: n.addr.clone(),
-                healthy: n.is_healthy(),
-                draining: n.is_draining(),
-                queue_depth: n.queue_depth(),
-                slow_score: n.slow_score(),
-            })
-            .collect()
+        let membership = self.shared.membership.read();
+        let rows = membership.nodes.iter().map(|n| NodeInfo {
+            id: n.id.clone(),
+            addr: n.addr.clone(),
+            healthy: n.is_healthy(),
+            draining: n.is_draining(),
+            queue_depth: n.queue_depth(),
+            slow_score: n.slow_score(),
+        });
+        rows.collect()
     }
 
     /// The ordered replica set the router would use for `model@bits`
@@ -373,17 +375,13 @@ impl Router {
     /// first (lowest slow score, then lowest reported queue depth).
     pub fn replicas_for(&self, model: &str, bits: Option<u8>) -> Vec<Arc<NodeState>> {
         let key = ring_key(model, bits);
-        let nodes = lock_read(&self.shared.nodes);
-        let ids: Vec<String> = {
-            let ring = lock_read(&self.shared.ring);
-            ring.replicas(&key, self.shared.config.replication)
-                .into_iter()
-                .map(str::to_owned)
-                .collect()
-        };
-        let mut ordered: Vec<Arc<NodeState>> = ids
-            .iter()
-            .filter_map(|id| nodes.iter().find(|n| &n.id == id).cloned())
+        let membership = self.shared.membership.read();
+        let nodes = &membership.nodes;
+        let mut ordered: Vec<Arc<NodeState>> = membership
+            .ring
+            .replicas(&key, self.shared.config.replication)
+            .into_iter()
+            .filter_map(|id| nodes.iter().find(|n| n.id == id).cloned())
             .filter(|n| n.is_healthy())
             .collect();
         if ordered.is_empty() {
@@ -408,30 +406,32 @@ impl Router {
     /// flight. Returns `false`, starting nothing, when the id is not a
     /// member.
     pub fn set_canary(&self, node_id: &str) -> bool {
-        if !lock_read(&self.shared.nodes).iter().any(|n| n.id == node_id) {
+        if !self.shared.membership.read().nodes.iter().any(|n| n.id == node_id) {
             return false;
         }
-        *lock_write(&self.shared.canary) = Some(CanaryTrial {
+        *self.shared.canary.lock() = Some(CanaryTrial {
+            id: self.shared.seq.fetch_add(1, Ordering::Relaxed),
             node_id: node_id.to_owned(),
-            ticket: AtomicU64::new(0),
-            window: SanMutex::new("cluster.router.trial_window", 56, VerdictWindow::default()),
+            trial: VerdictWindow::default(),
         });
         true
     }
 
     /// The node under canary trial right now, if any.
     pub fn canary_node(&self) -> Option<String> {
-        lock_read(&self.shared.canary).as_ref().map(|t| t.node_id.clone())
+        self.shared.canary.lock().as_ref().map(|t| t.node_id.clone())
     }
 
     /// Ends any trial in flight without a verdict (no counter moves,
     /// no demotion).
     pub fn clear_canary(&self) {
-        *lock_write(&self.shared.canary) = None;
+        *self.shared.canary.lock() = None;
     }
 
-    /// Reorders `ordered` for an active canary trial and says whether
-    /// this request is a canary attempt.
+    /// Takes one of the trial's tickets for this request, if a trial is
+    /// in flight, and reorders `ordered` for it. Returns the trial's
+    /// identity — what [`Router::report_trial`] must be called with —
+    /// and whether this request is a canary attempt.
     ///
     /// On a canary ticket the trial node moves (or is inserted) at the
     /// front — a canary sees its slice of *all* traffic, not only the
@@ -439,76 +439,56 @@ impl Router {
     /// trial node is steered *away* from the primary slot when a
     /// fallback exists, so the comparison window keeps filling even
     /// when the canary would be the natural first pick.
-    fn maybe_front_canary(&self, ordered: &mut Vec<Arc<NodeState>>) -> bool {
-        let guard = lock_read(&self.shared.canary);
-        let Some(trial) = guard.as_ref() else { return false };
-        let pct = u64::from(self.shared.config.canary.traffic_pct.min(100));
-        if pct == 0 {
-            return false;
+    fn front_canary(&self, ordered: &mut Vec<Arc<NodeState>>) -> Option<(u64, bool)> {
+        let policy = &self.shared.config.canary;
+        if policy.traffic_pct == 0 {
+            return None;
         }
-        let ticket = trial.ticket.fetch_add(1, Ordering::Relaxed);
-        if (ticket * pct) % 100 >= pct {
+        let mut guard = self.shared.canary.lock();
+        let trial = guard.as_mut()?;
+        if !trial.trial.take_ticket(policy) {
             if ordered.len() > 1 && ordered.first().is_some_and(|n| n.id == trial.node_id) {
                 ordered.swap(0, 1);
             }
-            return false;
+            return Some((trial.id, false));
         }
-        match ordered.iter().position(|n| n.id == trial.node_id) {
-            Some(0) => true,
-            Some(i) => {
-                let node = ordered.remove(i);
-                ordered.insert(0, node);
-                true
-            }
+        let node = match ordered.iter().position(|n| n.id == trial.node_id) {
+            Some(i) => Some(ordered.remove(i)),
             None => {
-                let node = lock_read(&self.shared.nodes)
-                    .iter()
-                    .find(|n| n.id == trial.node_id && n.is_healthy())
-                    .cloned();
-                match node {
-                    Some(node) => {
-                        ordered.insert(0, node);
-                        true
-                    }
-                    None => false,
-                }
+                let membership = self.shared.membership.read();
+                let mut nodes = membership.nodes.iter();
+                nodes.find(|n| n.id == trial.node_id && n.is_healthy()).cloned()
             }
+        };
+        let fronted = node.is_some();
+        if let Some(node) = node {
+            ordered.insert(0, node);
         }
+        Some((trial.id, fronted))
     }
 
-    /// Feeds one successful request latency to the trial's
-    /// [`VerdictWindow`] — same rule as a single node's in-process
-    /// canary. Only a canary-side sample can complete the window.
-    fn record_trial_sample(&self, us: u64, canary: bool) -> WindowVerdict {
-        let policy = &self.shared.config.canary;
-        let guard = lock_read(&self.shared.canary);
-        let Some(trial) = guard.as_ref() else { return WindowVerdict::Pending };
-        let mut window = trial.window.lock();
-        if canary {
-            window.record_canary(policy, us)
-        } else {
-            window.record_baseline(policy, us);
-            WindowVerdict::Pending
-        }
-    }
-
-    /// Applies a trial verdict (a failed canary attempt is applied as
-    /// `Regressed` without waiting for the window). Counters move only
-    /// when the trial was still in flight — two racing verdicts resolve
-    /// to one transition.
-    fn apply_verdict(&self, verdict: WindowVerdict) {
+    /// Reports one routed request to trial `trial_id` — its latency as
+    /// a `canary` attempt or as baseline, `None` for a failed canary
+    /// attempt — and records, judges and applies in this one critical
+    /// section: same rule as a single node's in-process canary. A trial
+    /// that was replaced or settled since the request was fronted is
+    /// left alone: no sample, no transition, no demotion.
+    fn report_trial(&self, trial_id: u64, canary: bool, latency_us: Option<u64>) {
+        let mut guard = self.shared.canary.lock();
+        let Some(trial) = guard.as_mut().filter(|t| t.id == trial_id) else { return };
+        let verdict = trial.trial.record(&self.shared.config.canary, canary, latency_us);
         if verdict == WindowVerdict::Pending {
             return;
         }
-        let Some(trial) = lock_write(&self.shared.canary).take() else { return };
+        let Some(trial) = guard.take() else { return };
         if verdict == WindowVerdict::Clean {
             self.shared.metrics.canary_promotions.fetch_add(1, Ordering::Relaxed);
         } else {
             self.shared.metrics.canary_rollbacks.fetch_add(1, Ordering::Relaxed);
             // Demote the failed node to last pick; the slow-score
             // walk-back lets it earn its way forward again.
-            let nodes = lock_read(&self.shared.nodes);
-            if let Some(node) = nodes.iter().find(|n| n.id == trial.node_id) {
+            let membership = self.shared.membership.read();
+            if let Some(node) = membership.nodes.iter().find(|n| n.id == trial.node_id) {
                 node.slow_score.store(SLOW_SCORE_CAP, Ordering::Relaxed);
             }
         }
@@ -573,7 +553,8 @@ impl Router {
         if ordered.is_empty() {
             return Err(RouterError::NoReplica(key));
         }
-        let canary_attempt = self.maybe_front_canary(&mut ordered);
+        let trial = self.front_canary(&mut ordered);
+        let canary_attempt = matches!(trial, Some((_, true)));
         let _canary_span = if canary_attempt {
             self.shared.metrics.canary_requests.fetch_add(1, Ordering::Relaxed);
             ordered.first().map(|n| gobo_obs::span!("gobo.cluster.canary", node = n.id))
@@ -590,20 +571,21 @@ impl Router {
             type_ids: type_ids.to_vec(),
         };
 
-        let (tx, rx) = mpsc::channel::<(usize, Result<EncodeOkFrame, AttemptError>)>();
-        let streams: Arc<SanMutex<Vec<(usize, TcpStream)>>> =
-            Arc::new(SanMutex::new("cluster.router.hedge_streams", 58, Vec::new()));
+        // Each attempt thread reports twice on the one channel: its
+        // socket once connected (so a loser can be cancelled by shutting
+        // it down), then its outcome.
+        let (tx, rx) = mpsc::channel::<(usize, Leg)>();
+        let mut streams: Vec<(usize, TcpStream)> = Vec::new();
         let launch = |attempt: usize| {
             let Some(node) = ordered.get(attempt) else { return };
             let addr = node.addr.clone();
             let frame = Frame::EncodeRequest(request.clone());
             let tx = tx.clone();
-            let streams = Arc::clone(&streams);
             std::thread::spawn(move || {
                 let result = attempt_once(&addr, &frame, |s| {
-                    streams.lock().push((attempt, s));
+                    let _ = tx.send((attempt, Leg::Connected(s)));
                 });
-                let _ = tx.send((attempt, result));
+                let _ = tx.send((attempt, Leg::Done(result)));
             });
         };
 
@@ -630,11 +612,12 @@ impl Router {
             };
             let wait = wait_until.saturating_duration_since(now).max(Duration::from_millis(1));
             match rx.recv_timeout(wait) {
-                Ok((idx, Ok(ok))) => break Ok((idx, ok)),
-                Ok((_, Err(AttemptError::App(err)))) if is_terminal(&err.code) => {
+                Ok((idx, Leg::Connected(stream))) => streams.push((idx, stream)),
+                Ok((idx, Leg::Done(Ok(ok)))) => break Ok((idx, ok)),
+                Ok((_, Leg::Done(Err(AttemptError::App(err))))) if is_terminal(&err.code) => {
                     break Err(RouterError::Upstream(err));
                 }
-                Ok((idx, Err(err))) => {
+                Ok((idx, Leg::Done(Err(err)))) => {
                     finished += 1;
                     if canary_attempt && idx == 0 {
                         // The canary attempt itself failed with a
@@ -683,19 +666,20 @@ impl Router {
             Ok((idx, _)) => Some(*idx),
             Err(_) => None,
         };
-        {
-            let streams = streams.lock();
-            for (idx, stream) in streams.iter() {
-                if Some(*idx) != winner {
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                }
+        let connected = rx.try_iter().filter_map(|(idx, leg)| match leg {
+            Leg::Connected(stream) => Some((idx, stream)),
+            Leg::Done(_) => None,
+        });
+        for (idx, stream) in streams.into_iter().chain(connected) {
+            if Some(idx) != winner {
+                let _ = stream.shutdown(std::net::Shutdown::Both);
             }
         }
 
-        if canary_failed {
+        if let (Some((trial_id, _)), true) = (trial, canary_failed) {
             // Roll back even when the whole request later failed: the
             // trial node already proved unreliable.
-            self.apply_verdict(WindowVerdict::Regressed);
+            self.report_trial(trial_id, true, None);
         }
         let (winner_idx, ok) = outcome?;
         if winner_idx == 0 {
@@ -728,16 +712,11 @@ impl Router {
             }
         }
         let elapsed_us = start.elapsed().as_micros() as u64;
-        if !canary_failed {
-            if canary_attempt {
-                // A hedge win over the canary still charges the full
-                // elapsed time to the canary window — a slow canary
-                // must not hide behind its backups.
-                let verdict = self.record_trial_sample(elapsed_us, true);
-                self.apply_verdict(verdict);
-            } else {
-                let _ = self.record_trial_sample(elapsed_us, false);
-            }
+        if let (Some((trial_id, canary)), false) = (trial, canary_failed) {
+            // A hedge win over the canary still charges the full
+            // elapsed time to the canary window — a slow canary must
+            // not hide behind its backups.
+            self.report_trial(trial_id, canary, Some(elapsed_us));
         }
         self.shared.metrics.route_us.observe(elapsed_us);
         Ok(ok)
@@ -754,24 +733,20 @@ fn ring_key(model: &str, bits: Option<u8>) -> String {
     format!("{model}@{}b", bits.unwrap_or(0))
 }
 
-fn rebuild_ring(shared: &Shared) {
-    let members: Vec<String> = {
-        let nodes = lock_read(&shared.nodes);
-        let live: Vec<String> = nodes
-            .iter()
-            .filter(|n| n.is_healthy() && !n.is_draining())
-            .map(|n| n.id.clone())
-            .collect();
-        if live.is_empty() {
-            // Everything dead or draining: route to all members rather
-            // than to nobody.
-            nodes.iter().map(|n| n.id.clone()).collect()
-        } else {
-            live
-        }
-    };
-    let ring = Ring::new(&members, shared.config.virtual_nodes);
-    *lock_write(&shared.ring) = ring;
+/// Rebuilds the ring from the member list it sits beside, under that
+/// list's write lock, so concurrent rebuilds serialize and the one
+/// installed last was built from the newest members and health.
+fn rebuild_ring(shared: &Shared, membership: &mut Membership) {
+    let id = |n: &Arc<NodeState>| n.id.clone();
+    let nodes = &membership.nodes;
+    let mut members: Vec<String> =
+        nodes.iter().filter(|n| n.is_healthy() && !n.is_draining()).map(id).collect();
+    if members.is_empty() {
+        // Everything dead or draining: route to all members rather
+        // than to nobody.
+        members = nodes.iter().map(id).collect();
+    }
+    membership.ring = Ring::new(&members, shared.config.virtual_nodes);
     shared.metrics.ring_rebuilds.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -833,7 +808,7 @@ fn heartbeat_loop(shared: &Shared) {
             std::thread::sleep(slice);
             slept += slice;
         }
-        let nodes: Vec<Arc<NodeState>> = lock_read(&shared.nodes).clone();
+        let nodes = shared.membership.read().nodes.clone();
         for node in nodes {
             if shared.stop.load(Ordering::Acquire) {
                 return;
@@ -856,7 +831,7 @@ fn heartbeat_node(shared: &Shared, node: &NodeState) {
                 shared.metrics.mark_alive.fetch_add(1, Ordering::Relaxed);
             }
             if was_dead || was_draining != ack.draining {
-                rebuild_ring(shared);
+                rebuild_ring(shared, &mut shared.membership.write());
             }
         }
         Err(_) => {
@@ -864,7 +839,7 @@ fn heartbeat_node(shared: &Shared, node: &NodeState) {
             let misses = node.misses.fetch_add(1, Ordering::Relaxed) + 1;
             if misses >= shared.config.dead_after && node.healthy.swap(false, Ordering::AcqRel) {
                 shared.metrics.mark_dead.fetch_add(1, Ordering::Relaxed);
-                rebuild_ring(shared);
+                rebuild_ring(shared, &mut shared.membership.write());
             }
         }
     }

@@ -359,6 +359,73 @@ fn canary_rolls_back_when_the_trial_node_dies() {
     assert!(m.failovers.load(std::sync::atomic::Ordering::Relaxed) >= 1);
 }
 
+/// The ring is rebuilt from two sides at once — `add_node` on several
+/// threads, health flips on the heartbeat thread — and whichever
+/// rebuild lands last must have been built from the newest member
+/// list and health. Asked for more replicas than there are members,
+/// `replicas_for` returns the ring's members that are alive, and once
+/// a round is quiet that must be every live member.
+#[test]
+fn ring_matches_membership_after_concurrent_adds_and_health_flips() {
+    use std::collections::BTreeSet;
+    let node = || {
+        let core = ServeCore::start(ServeOptions::default());
+        (ClusterNode::start(Arc::clone(&core), "127.0.0.1:0").unwrap(), core)
+    };
+    let (anchor, _anchor_core) = node();
+    let (flapper, _flapper_core) = node();
+    let anchor_addr = anchor.local_addr().to_string();
+    let router = Router::new(RouterConfig {
+        replication: usize::MAX,
+        virtual_nodes: 256,
+        heartbeat_interval: Duration::from_millis(1),
+        heartbeat_timeout: Duration::from_millis(50),
+        dead_after: 1,
+        ..RouterConfig::default()
+    });
+    router.add_node("anchor", anchor_addr.clone());
+    router.add_node("flapper", flapper.local_addr().to_string());
+    router.start();
+
+    for round in 0..10 {
+        // A partitioned node reads the heartbeat and never acks it.
+        let partitioned = round % 2 == 0;
+        flapper.set_partitioned(partitioned);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (router, addr) = (&router, &anchor_addr);
+                scope.spawn(move || {
+                    for i in 0..3 {
+                        router.add_node(format!("m{round}-{t}-{i}"), addr.clone());
+                    }
+                });
+            }
+        });
+        // Nothing rebuilds the ring again in this round once the adds
+        // are in and the heartbeat thread has flipped the flapper, so a
+        // ring a stale rebuild overwrote stays wrong until the deadline.
+        let expected = 2 + 12 * (round + 1) - usize::from(partitioned);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let live: BTreeSet<String> =
+                router.membership().into_iter().filter(|n| n.healthy).map(|n| n.id).collect();
+            let on_ring: BTreeSet<String> =
+                router.replicas_for("demo", None).iter().map(|n| n.id.clone()).collect();
+            if live.len() == expected && live.contains("flapper") != partitioned && on_ring == live
+            {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "round {round}: the ring never came to describe its {expected} live members\n \
+                 ring: {on_ring:?}\n live: {live:?}"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+    router.shutdown();
+}
+
 fn http_request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();

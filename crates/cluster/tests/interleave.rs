@@ -1,125 +1,145 @@
 //! Concurrency audit: exhaustive interleaving checks for the router's
-//! canary verdict-window accounting.
+//! canary trial.
 //!
-//! The real protocol (`crates/cluster/src/router.rs`) is:
-//! `record_trial_sample` takes the canary read lock, then the trial
-//! window mutex, and hands one latency sample to the workspace's one
-//! window implementation — `gobo_serve::lifecycle::VerdictWindow`, the
-//! same record-and-judge step the serve tier's `LifecycleController`
-//! runs under its own mutex — which answers `Pending` until the canary
-//! window is full. `apply_verdict` takes
-//! the canary *write* lock and `Option::take`s the trial; counters
-//! move only when the take wins, so two racing verdicts resolve to one
-//! transition. A failure path (`route` on canary error) force-applies
-//! `Rollback` without recording.
+//! The real protocol (`crates/cluster/src/router.rs`) keeps a trial —
+//! its identity, its node, its tickets and its verdict window — as one
+//! value behind one mutex, `cluster.router.canary`, and touches it in
+//! two critical sections per routed request:
 //!
-//! These tests model exactly the operations that are atomic in the
-//! real implementation — one record-and-judge under both locks, one
-//! take-and-count under the write lock — and enumerate every schedule
-//! of two sampling workers against a forced-rollback path. Invariants
-//! proved across all schedules:
+//! * `front_canary`, before the request goes out: take a ticket and
+//!   capture the trial's **identity**;
+//! * `report_trial`, after it came back: if the trial in flight still
+//!   has that identity, record the sample (or the failure), judge the
+//!   window and — when that completes a verdict — take the trial, count
+//!   the transition and demote the node on a rollback, all before the
+//!   lock is released. Any other trial is left alone.
 //!
-//! * **exactly-one transition** — promotions + rollbacks move exactly
-//!   once no matter how verdicts race;
-//! * **no ghost trial** — the trial is always gone once any verdict
-//!   lands; late appliers see `None` and move nothing;
-//! * **full-window verdicts only** — a worker only decides with a
-//!   full canary window at record time;
-//! * **frozen window** — samples stop counting the moment the trial
-//!   is taken.
+//! `set_canary` replaces whatever trial is in flight with a fresh one
+//! (new identity, empty window) under the same mutex.
+//!
+//! The model below has exactly those atomic steps. A routing worker is
+//! two steps — front-and-encode (the encode itself is thread-local),
+//! then record-judge-apply — and a *replacer* thread calls `set_canary`
+//! at every possible point in between. Invariants proved over every
+//! schedule:
+//!
+//! * **a sample names its trial** — no sample, verdict or demotion ever
+//!   lands on a trial other than the one the request was fronted under,
+//!   so a new trial starts, and stays, free of its predecessor's samples;
+//! * **exactly one transition per judged trial** — a trial whose own
+//!   requests filled its window (or failed on its node) transitions
+//!   once, however the reports race;
+//! * **a replaced trial never transitions** — and never demotes its
+//!   node: stragglers fronted under it find another identity and drop
+//!   what they measured;
+//! * **no full window left unjudged** — the verdict is applied in the
+//!   step that completes it.
 //!
 //! The sleep-set DPOR explorer re-proves the same invariants with the
-//! schedule count logged against naive DFS — the 3-thread
-//! configuration this crate leans on in CI.
+//! schedule count logged against naive DFS. The protocol this replaced
+//! — record under one lock, apply under another, no trial identity —
+//! is kept as the mutant the explorer must reject.
 
 use gobo_lint::interleave::{explore_dpor, explore_exhaustive, DporProgram, Footprint, Program};
 
 /// Canary window size in the model: two samples fill it.
 const WINDOW: u32 = 2;
+/// Trials a run can see: the one in flight at the start (identity 1)
+/// and the replacer's (identity 2). Index 0 is unused.
+const TRIALS: usize = 3;
 
-/// Abstract variable ids for DPOR footprints. `TRIAL` is the
-/// `Option<CanaryTrial>` behind the canary rwlock, `WINDOW_VAR` the
-/// sample vectors behind the trial window mutex, `COUNTERS` the
-/// promotion/rollback metrics.
+/// Abstract variable ids for DPOR footprints. `V_TRIAL` is everything
+/// behind the canary mutex, `V_COUNTERS` the promotion/rollback metrics
+/// and the node's slow score.
 const V_TRIAL: u32 = 0;
-const V_WINDOW: u32 = 1;
-const V_COUNTERS: u32 = 2;
+const V_COUNTERS: u32 = 1;
 
-/// The modeled canary state.
+/// The `Option<CanaryTrial>` behind the mutex.
 #[derive(Clone)]
-struct Canary {
-    /// Whether the trial is still in flight (`Some` in the real code).
-    trial: bool,
-    /// Canary samples recorded into the window.
+struct Trial {
+    id: usize,
     samples: u32,
-    /// Promotions + rollbacks counted — must end at exactly 1.
-    transitions: u32,
-    /// Set if any worker decided a verdict with a partial window.
-    partial_verdict: bool,
-    /// Set if a sample landed after the trial was taken.
-    ghost_sample: bool,
 }
 
-impl Canary {
-    fn new() -> Canary {
-        Canary {
-            trial: true,
-            samples: 0,
-            transitions: 0,
-            partial_verdict: false,
-            ghost_sample: false,
+/// The modeled router state, plus the bookkeeping the invariants read.
+#[derive(Clone)]
+struct Router {
+    trial: Option<Trial>,
+    /// Identities handed out so far.
+    started: usize,
+    /// Per identity: promotions + rollbacks counted.
+    transitions: [u32; TRIALS],
+    /// Per identity: times the trial's node was demoted.
+    demotions: [u32; TRIALS],
+    /// Per identity: a request fronted under the trial completed its
+    /// window, or failed on its node, while it was still in flight.
+    judged: [bool; TRIALS],
+    /// Per identity: `set_canary` replaced the trial before a verdict.
+    replaced: [bool; TRIALS],
+    /// A sample, verdict or demotion landed on a trial other than the
+    /// one the request that measured it was fronted under.
+    foreign: bool,
+}
+
+impl Router {
+    /// A router with trial 1 in flight and nothing recorded.
+    fn new() -> Router {
+        Router {
+            trial: Some(Trial { id: 1, samples: 0 }),
+            started: 1,
+            transitions: [0; TRIALS],
+            demotions: [0; TRIALS],
+            judged: [false; TRIALS],
+            replaced: [false; TRIALS],
+            foreign: false,
         }
+    }
+
+    /// Takes the trial in flight and counts its transition, as the tail
+    /// of `report_trial` does under the mutex.
+    fn settle(&mut self, rollback: bool) {
+        let Some(trial) = self.trial.take() else { return };
+        self.transitions[trial.id] += 1;
+        self.demotions[trial.id] += u32::from(rollback);
     }
 }
 
-/// A routing worker on the canary path: (1) the encode completes —
-/// purely local latency measurement, no shared state; (2) the
-/// record-and-judge step under canary read + window locks; (3) the
-/// apply step under the canary write lock.
+/// A routed request on the canary path. `fails` makes its canary
+/// attempt fail, which is an immediate rollback verdict.
 #[derive(Clone)]
 struct Worker {
-    encoded: bool,
-    recorded: bool,
-    /// Local verdict from the record step (`Some(true)` = decided).
-    decided: Option<bool>,
+    fails: bool,
+    /// `None` until fronted; then the identity captured, if a trial was
+    /// in flight.
+    fronted: Option<Option<usize>>,
     done: bool,
 }
 
 impl Worker {
-    fn new() -> Worker {
-        Worker { encoded: false, recorded: false, decided: None, done: false }
+    fn new(fails: bool) -> Worker {
+        Worker { fails, fronted: None, done: false }
     }
 }
 
-impl Program<Canary> for Worker {
-    fn step(&mut self, canary: &mut Canary) {
-        if !self.encoded {
-            // Step 1: the request finishes; elapsed time is thread-local.
-            self.encoded = true;
-        } else if !self.recorded {
-            // Step 2: record_trial_sample → VerdictWindow::record_canary
-            // — push one sample, judge.
-            // When the trial is already taken the real code returns
-            // Pending without touching the window (the freeze).
-            if canary.trial {
-                canary.samples += 1;
-                if canary.samples >= WINDOW {
-                    self.decided = Some(true);
-                }
-            } else {
-                canary.ghost_sample |= self.decided.is_some();
-            }
-            if self.decided.is_some() && canary.samples < WINDOW {
-                canary.partial_verdict = true;
-            }
-            self.recorded = true;
-        } else {
-            // Step 3: apply_verdict — only the winning take counts.
-            if self.decided.is_some() && canary.trial {
-                canary.trial = false;
-                canary.transitions += 1;
-            }
-            self.done = true;
+impl Program<Router> for Worker {
+    fn step(&mut self, router: &mut Router) {
+        let Some(fronted) = self.fronted else {
+            // Step 1, `front_canary`: capture the identity. The encode
+            // that follows touches nothing shared.
+            self.fronted = Some(router.trial.as_ref().map(|t| t.id));
+            return;
+        };
+        // Step 2, `report_trial`: record, judge and apply under one
+        // lock — but only on the trial this request was fronted under.
+        self.done = true;
+        let Some(id) = fronted else { return };
+        let Some(trial) = router.trial.as_mut().filter(|t| t.id == id) else { return };
+        if !self.fails {
+            trial.samples += 1;
+        }
+        if self.fails || trial.samples >= WINDOW {
+            router.judged[id] = true;
+            router.settle(self.fails);
         }
     }
 
@@ -128,32 +148,29 @@ impl Program<Canary> for Worker {
     }
 }
 
-impl DporProgram<Canary> for Worker {
+impl DporProgram<Router> for Worker {
     fn next_footprint(&self) -> Footprint {
-        if !self.encoded {
-            // Local step: independent of everything.
-            Footprint::new(&[], &[])
-        } else if !self.recorded {
-            Footprint::new(&[V_TRIAL, V_WINDOW], &[V_WINDOW])
+        if self.fronted.is_none() {
+            Footprint::new(&[V_TRIAL], &[])
         } else {
             Footprint::new(&[V_TRIAL], &[V_TRIAL, V_COUNTERS])
         }
     }
 }
 
-/// The failure path: `apply_verdict(Rollback)` forced by a canary
-/// error, one atomic take-and-count under the canary write lock.
+/// `set_canary` on another node: one step under the canary mutex.
 #[derive(Clone)]
-struct ForcedRollback {
+struct Replacer {
     done: bool,
 }
 
-impl Program<Canary> for ForcedRollback {
-    fn step(&mut self, canary: &mut Canary) {
-        if canary.trial {
-            canary.trial = false;
-            canary.transitions += 1;
+impl Program<Router> for Replacer {
+    fn step(&mut self, router: &mut Router) {
+        if let Some(old) = &router.trial {
+            router.replaced[old.id] = true;
         }
+        router.started += 1;
+        router.trial = Some(Trial { id: router.started, samples: 0 });
         self.done = true;
     }
 
@@ -162,92 +179,123 @@ impl Program<Canary> for ForcedRollback {
     }
 }
 
-impl DporProgram<Canary> for ForcedRollback {
+impl DporProgram<Router> for Replacer {
     fn next_footprint(&self) -> Footprint {
-        Footprint::new(&[V_TRIAL], &[V_TRIAL, V_COUNTERS])
+        Footprint::new(&[V_TRIAL], &[V_TRIAL])
     }
 }
 
-/// Mixed programs so one explorer run can hold workers and the
-/// failure path.
+/// Mixed programs so one explorer run can hold workers, the replacer
+/// and the mutant.
 #[derive(Clone)]
 enum Thread {
     Work(Worker),
-    Fail(ForcedRollback),
+    Replace(Replacer),
+    SplitLock(SplitLockWorker),
 }
 
-impl Program<Canary> for Thread {
-    fn step(&mut self, canary: &mut Canary) {
+impl Program<Router> for Thread {
+    fn step(&mut self, router: &mut Router) {
         match self {
-            Thread::Work(w) => w.step(canary),
-            Thread::Fail(f) => f.step(canary),
+            Thread::Work(w) => w.step(router),
+            Thread::Replace(r) => r.step(router),
+            Thread::SplitLock(w) => w.step(router),
         }
     }
 
     fn is_done(&self) -> bool {
         match self {
             Thread::Work(w) => w.is_done(),
-            Thread::Fail(f) => f.is_done(),
+            Thread::Replace(r) => r.is_done(),
+            Thread::SplitLock(w) => w.is_done(),
         }
     }
 }
 
-impl DporProgram<Canary> for Thread {
+impl DporProgram<Router> for Thread {
     fn next_footprint(&self) -> Footprint {
         match self {
             Thread::Work(w) => w.next_footprint(),
-            Thread::Fail(f) => f.next_footprint(),
+            Thread::Replace(r) => r.next_footprint(),
+            // The mutant is only ever explored exhaustively.
+            Thread::SplitLock(_) => Footprint::new(&[V_TRIAL], &[V_TRIAL, V_COUNTERS]),
         }
     }
 }
 
-/// Shared terminal-state check.
-fn assert_canary_clean(canary: &Canary, schedule: &[usize]) {
-    assert_eq!(
-        canary.transitions, 1,
-        "verdict applied {} times in schedule {schedule:?}",
-        canary.transitions
-    );
-    assert!(!canary.trial, "trial still in flight after all threads finished: {schedule:?}");
-    assert!(!canary.partial_verdict, "verdict decided on a partial window in {schedule:?}");
-    assert!(!canary.ghost_sample, "sample judged after the trial was taken in {schedule:?}");
-    assert!(canary.samples <= WINDOW, "window overfilled in schedule {schedule:?}");
+/// What is wrong with a terminal state, if anything.
+fn violation(router: &Router) -> Option<String> {
+    if router.foreign {
+        return Some("a sample or verdict landed on a trial it did not measure".to_owned());
+    }
+    for id in 1..TRIALS {
+        let (transitions, judged) = (router.transitions[id], router.judged[id]);
+        if transitions != u32::from(judged) {
+            return Some(format!("trial {id}: {transitions} transitions, judged: {judged}"));
+        }
+        if router.replaced[id] && (transitions > 0 || router.demotions[id] > 0) {
+            return Some(format!("trial {id} was replaced and still transitioned or demoted"));
+        }
+        if router.demotions[id] > transitions {
+            return Some(format!("trial {id}: its node was demoted without a rollback"));
+        }
+    }
+    if router.trial.as_ref().is_some_and(|t| t.samples >= WINDOW) {
+        return Some("a full window was left unjudged".to_owned());
+    }
+    None
 }
 
-fn threads() -> [Thread; 3] {
+fn assert_trials_clean(router: &Router, schedule: &[usize]) {
+    if let Some(what) = violation(router) {
+        panic!("{what} in schedule {schedule:?}");
+    }
+}
+
+/// Two requests whose samples fill a window, one whose canary attempt
+/// fails, and `set_canary` racing all of them.
+fn threads() -> [Thread; 4] {
     [
-        Thread::Work(Worker::new()),
-        Thread::Work(Worker::new()),
-        Thread::Fail(ForcedRollback { done: false }),
+        Thread::Work(Worker::new(false)),
+        Thread::Work(Worker::new(false)),
+        Thread::Work(Worker::new(true)),
+        Thread::Replace(Replacer { done: false }),
     ]
 }
 
 #[test]
 fn interleave_canary_verdict_every_schedule_transitions_once() {
-    let count = explore_exhaustive(&Canary::new(), &threads(), |canary, schedule| {
-        assert_canary_clean(canary, schedule);
+    let mut replaced_mid_flight = 0u64;
+    let mut both_judged = 0u64;
+    let count = explore_exhaustive(&Router::new(), &threads(), |router, schedule| {
+        assert_trials_clean(router, schedule);
+        replaced_mid_flight += u64::from(router.replaced[1]);
+        both_judged += u64::from(router.judged[1] && router.judged[2]);
     });
-    // 2 workers × 3 steps + 1 forced rollback = 7!/(3!3!1!) = 140.
-    assert_eq!(count, 140);
+    // 3 workers × 2 steps + 1 replacer step = 7!/(2!2!2!1!) = 630.
+    assert_eq!(count, 630);
+    // The schedules are not vacuous: some replace trial 1 before its
+    // verdict, and some judge both trials, each exactly once.
+    assert!(replaced_mid_flight > 0 && both_judged > 0, "{replaced_mid_flight} {both_judged}");
 }
 
 /// The same proof through sleep-set DPOR, with the reduction logged —
-/// the purely local encode steps and the already-applied tails
-/// collapse to one representative each.
+/// fronting steps only read the trial, so schedules that differ in
+/// their order collapse to one representative.
 #[test]
 fn interleave_canary_verdict_dpor_matches_naive_invariants() {
     let start = std::time::Instant::now();
-    let naive = explore_exhaustive(&Canary::new(), &threads(), |canary, schedule| {
-        assert_canary_clean(canary, schedule);
+    let naive = explore_exhaustive(&Router::new(), &threads(), |router, schedule| {
+        assert_trials_clean(router, schedule);
     });
     let naive_elapsed = start.elapsed();
     let start = std::time::Instant::now();
-    let stats = explore_dpor(&Canary::new(), &threads(), |canary, schedule| {
-        assert_canary_clean(canary, schedule);
+    let stats = explore_dpor(&Router::new(), &threads(), |router, schedule| {
+        assert_trials_clean(router, schedule);
     });
     let dpor_elapsed = start.elapsed();
     println!(
-        "canary verdict window: naive {} schedules in {:?}; \
+        "canary trial: naive {} schedules in {:?}; \
          dpor {} schedules, {} sleep prunes, {} steps in {:?}",
         naive, naive_elapsed, stats.schedules, stats.sleep_prunes, stats.steps, dpor_elapsed
     );
@@ -258,31 +306,55 @@ fn interleave_canary_verdict_dpor_matches_naive_invariants() {
     );
 }
 
-/// A broken apply that skips the take-wins check — the double-count
-/// bug the `Option::take` protocol exists to prevent. The explorer
-/// must surface a schedule where the verdict lands twice.
+/// The protocol the one-lock trial replaced, kept as the mutant: the
+/// sample is recorded under one lock (canary read + window mutex) and
+/// the verdict applied under another acquisition (canary write), and
+/// neither step knows which trial the request was fronted under — each
+/// acts on whatever trial is in flight when it runs.
 #[derive(Clone)]
-struct DoubleApply {
-    recorded: bool,
+struct SplitLockWorker {
+    fronted: Option<Option<usize>>,
+    /// Outcome of the record step: `Some(rollback)` once decided.
+    recorded: Option<Option<bool>>,
+    fails: bool,
     done: bool,
 }
 
-impl Program<Canary> for DoubleApply {
-    fn step(&mut self, canary: &mut Canary) {
-        if !self.recorded {
-            if canary.trial {
-                canary.samples += 1;
+impl SplitLockWorker {
+    fn new(fails: bool) -> SplitLockWorker {
+        SplitLockWorker { fronted: None, recorded: None, fails, done: false }
+    }
+}
+
+impl Program<Router> for SplitLockWorker {
+    fn step(&mut self, router: &mut Router) {
+        let Some(fronted) = self.fronted else {
+            // The identity is captured for the checker only; the mutant
+            // never compares it.
+            self.fronted = Some(router.trial.as_ref().map(|t| t.id));
+            return;
+        };
+        let Some(decided) = self.recorded else {
+            // Record-and-judge, on whatever trial is in flight.
+            let mut decided = self.fails.then_some(true);
+            if let (Some(trial), false) = (router.trial.as_mut(), self.fails) {
+                router.foreign |= fronted != Some(trial.id);
+                trial.samples += 1;
+                if trial.samples >= WINDOW {
+                    router.judged[trial.id] |= fronted == Some(trial.id);
+                    decided = Some(false);
+                }
             }
-            self.recorded = true;
-        } else {
-            // Bug: counts the transition without checking the trial is
-            // still present.
-            if canary.samples >= WINDOW {
-                canary.trial = false;
-                canary.transitions += 1;
-            }
-            self.done = true;
+            self.recorded = Some(decided);
+            return;
+        };
+        // Apply, under a later acquisition: takes whatever is in flight.
+        if let (Some(rollback), Some(trial)) = (decided, router.trial.as_ref()) {
+            router.foreign |= fronted != Some(trial.id);
+            router.judged[trial.id] |= self.fails && fronted == Some(trial.id);
+            router.settle(rollback);
         }
+        self.done = true;
     }
 
     fn is_done(&self) -> bool {
@@ -290,32 +362,27 @@ impl Program<Canary> for DoubleApply {
     }
 }
 
+/// The explorer must find what the split-lock protocol gets wrong once
+/// `set_canary` can run mid-flight: a verdict measured on trial 1 —
+/// its window-filling sample, or its failed attempt — applied to
+/// trial 2, which then transitions (and has its node demoted) without
+/// one sample of its own.
 #[test]
-fn interleave_explorer_catches_double_apply_bug() {
-    #[derive(Clone)]
-    enum T {
-        Broken(DoubleApply),
-    }
-    impl Program<Canary> for T {
-        fn step(&mut self, canary: &mut Canary) {
-            let T::Broken(b) = self;
-            b.step(canary);
-        }
-        fn is_done(&self) -> bool {
-            let T::Broken(b) = self;
-            b.is_done()
-        }
-    }
+fn interleave_explorer_rejects_the_split_lock_protocol() {
     let threads = [
-        T::Broken(DoubleApply { recorded: false, done: false }),
-        T::Broken(DoubleApply { recorded: false, done: false }),
+        Thread::SplitLock(SplitLockWorker::new(false)),
+        Thread::SplitLock(SplitLockWorker::new(false)),
+        Thread::SplitLock(SplitLockWorker::new(true)),
+        Thread::Replace(Replacer { done: false }),
     ];
-    let mut double_counted = 0u64;
-    let total = explore_exhaustive(&Canary::new(), &threads, |canary, _| {
-        if canary.transitions > 1 {
-            double_counted += 1;
-        }
+    let mut misjudged = 0u64;
+    let mut unsampled_demotion = 0u64;
+    let total = explore_exhaustive(&Router::new(), &threads, |router, _| {
+        misjudged += u64::from(violation(router).is_some());
+        unsampled_demotion += u64::from(router.demotions[2] > 0 && !router.judged[2]);
     });
-    assert_eq!(total, 6);
-    assert!(double_counted > 0, "explorer failed to find the double-apply race");
+    // 3 workers × 3 steps + 1 replacer step = 10!/(3!3!3!1!) = 16800.
+    assert_eq!(total, 16_800);
+    assert!(misjudged > 0, "explorer failed to find a verdict landing on a replaced trial");
+    assert!(unsampled_demotion > 0, "explorer failed to find trial 2 demoted on trial 1's failure");
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use gobo::format::CompressedModel;
 
 use crate::error::ServeError;
-use crate::lifecycle::{CanaryPolicy, LifecycleController};
+use crate::lifecycle::CanaryPolicy;
 use crate::metrics::Metrics;
 use crate::registry::{ModelEntry, ModelRegistry, RegistryConfig, RevState};
 use crate::scheduler::{EncodeRequest, EncodeResponse, Scheduler, SchedulerConfig};
@@ -24,13 +24,11 @@ pub struct ServeOptions {
     pub lifecycle: CanaryPolicy,
 }
 
-/// Registry, scheduler, lifecycle controller, and metrics wired
-/// together. The HTTP front end and the in-process [`Client`] are both
-/// thin layers over this.
+/// Registry, scheduler, and metrics wired together. The HTTP front end
+/// and the in-process [`Client`] are both thin layers over this.
 pub struct ServeCore {
     metrics: Arc<Metrics>,
     registry: Arc<ModelRegistry>,
-    lifecycle: Arc<LifecycleController>,
     scheduler: Scheduler,
 }
 
@@ -39,28 +37,18 @@ impl ServeCore {
     pub fn start(options: ServeOptions) -> Arc<ServeCore> {
         let metrics = Arc::new(Metrics::new());
         let registry = Arc::new(ModelRegistry::new(options.registry, Arc::clone(&metrics)));
-        let lifecycle = Arc::new(LifecycleController::new(
-            options.lifecycle,
-            Arc::clone(&registry),
-            Arc::clone(&metrics),
-        ));
         let scheduler = Scheduler::start(
             options.scheduler,
             Arc::clone(&registry),
-            Arc::clone(&lifecycle),
+            options.lifecycle,
             Arc::clone(&metrics),
         );
-        Arc::new(ServeCore { metrics, registry, lifecycle, scheduler })
+        Arc::new(ServeCore { metrics, registry, scheduler })
     }
 
     /// The model registry.
     pub fn registry(&self) -> &ModelRegistry {
         &self.registry
-    }
-
-    /// The canary lifecycle controller.
-    pub fn lifecycle(&self) -> &LifecycleController {
-        &self.lifecycle
     }
 
     /// Publishes a new revision of `name` from a `.gobom` file through
@@ -82,10 +70,6 @@ impl ServeCore {
         match self.registry.publish_file(name, path) {
             Ok(published) => {
                 self.metrics.reloads.fetch_add(1, Ordering::Relaxed);
-                // A fresh canary must be judged on its own samples,
-                // not ones left over from a superseded or out-of-band
-                // rolled-back predecessor.
-                self.lifecycle.reset_window(&published.0.key);
                 Ok(published)
             }
             Err(e) => {

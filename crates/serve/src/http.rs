@@ -30,6 +30,7 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use gobo_proto::frame::EncodeOkFrame;
 use gobo_sanitize::{SanCondvar, SanMutex};
 use std::time::Duration;
 
@@ -343,6 +344,35 @@ fn read_line<R: BufRead>(reader: &mut R) -> Result<Option<String>, HttpError> {
 // Serve-core server: the route handler behind the listener
 // ---------------------------------------------------------------------------
 
+/// The routes every front door answers the same way, for a handler to
+/// fall through to after its own: `GET /metrics` (the handler's
+/// Prometheus text), `POST /v1/shutdown` (raises `signal`, closes the
+/// connection), and 404 for anything else.
+pub fn common_route(
+    request: &ParsedRequest,
+    signal: &ShutdownSignal,
+    metrics: impl FnOnce() -> String,
+) -> HttpResponse {
+    match (request.method.as_str(), request.path.as_str()) {
+        ("GET", "/metrics") => HttpResponse {
+            status: 200,
+            content_type: "text/plain; version=0.0.4",
+            body: metrics(),
+            close: false,
+        },
+        ("POST", "/v1/shutdown") => {
+            signal.request();
+            HttpResponse {
+                status: 200,
+                content_type: "application/json",
+                body: "{\"status\":\"draining\"}".to_owned(),
+                close: true,
+            }
+        }
+        _ => HttpResponse::json(404, error_body(404, "not_found", "no such route")),
+    }
+}
+
 /// A bound, accepting HTTP server over a [`ServeCore`].
 pub struct Server {
     core: Arc<ServeCore>,
@@ -367,22 +397,7 @@ impl HttpHandler for ServeHandler {
                 Ok(body) => HttpResponse::json(200, body),
                 Err(e) => HttpResponse::json(e.http_status(), serve_error_body(&e)),
             },
-            ("GET", "/metrics") => HttpResponse {
-                status: 200,
-                content_type: "text/plain; version=0.0.4",
-                body: self.core.metrics().render(),
-                close: false,
-            },
-            ("POST", "/v1/shutdown") => {
-                self.signal.request();
-                HttpResponse {
-                    status: 200,
-                    content_type: "application/json",
-                    body: "{\"status\":\"draining\"}".to_owned(),
-                    close: true,
-                }
-            }
-            _ => HttpResponse::json(404, error_body(404, "not_found", "no such route")),
+            _ => common_route(request, &self.signal, || self.core.metrics().render()),
         }
     }
 
@@ -504,27 +519,32 @@ pub fn parse_encode_body(body: &[u8]) -> Result<EncodeRequest, ServeError> {
 fn encode(core: &ServeCore, body: &[u8]) -> Result<String, ServeError> {
     let request = parse_encode_body(body)?;
     let response = core.scheduler().encode_blocking(request)?;
-    let pooled = match &response.pooled {
-        Some(values) => Json::f32_array(values),
-        None => Json::Null,
-    };
-    Ok(Json::obj(vec![
-        ("model", Json::Str(response.model.name.clone())),
-        ("bits", Json::Num(response.model.bits as f64)),
-        ("rev", Json::Num(response.rev as f64)),
-        ("batch_size", Json::Num(response.batch_size as f64)),
-        ("queue_us", Json::Num(response.queue_us as f64)),
-        ("compute_us", Json::Num(response.compute_us as f64)),
+    let rev = response.rev;
+    Ok(encode_body(&response.into(), Some(rev)))
+}
+
+/// Renders the `POST /v1/encode` success body, the one both front doors
+/// answer with. `rev` is the revision that served the request; the
+/// router passes `None`, and the field is left out, because wire frame
+/// v1 does not carry it back from the node.
+pub fn encode_body(ok: &EncodeOkFrame, rev: Option<u64>) -> String {
+    let num = |v: u64| Json::Num(v as f64);
+    let mut fields = vec![("model", Json::Str(ok.model.clone())), ("bits", num(ok.bits.into()))];
+    fields.extend(rev.map(|rev| ("rev", num(rev))));
+    fields.extend([
+        ("batch_size", num(ok.batch_size.into())),
+        ("queue_us", num(ok.queue_us)),
+        ("compute_us", num(ok.compute_us)),
         (
             "hidden",
             Json::obj(vec![
-                ("dims", Json::usize_array(&response.hidden_dims)),
-                ("data", Json::f32_array(&response.hidden)),
+                ("dims", Json::Arr(ok.dims.iter().map(|&d| num(d.into())).collect())),
+                ("data", Json::f32_array(&ok.hidden)),
             ]),
         ),
-        ("pooled", pooled),
-    ])
-    .to_string())
+        ("pooled", ok.pooled.as_deref().map_or(Json::Null, Json::f32_array)),
+    ]);
+    Json::obj(fields).to_string()
 }
 
 /// Parses the `POST /v1/reload` body (`{name, path}`) and publishes the

@@ -12,10 +12,10 @@
 //!   *name/bits*, LRU-evicted under a resident-byte budget, with an
 //!   atomic publish/promote/rollback revision lifecycle (in-flight
 //!   batches drain on the old revision before it is retired);
-//! * [`lifecycle`] — the canary controller: routes a configurable
-//!   traffic slice to a freshly published revision, auto-promotes on a
-//!   clean latency window, auto-rolls-back on any canary error or p95
-//!   regression;
+//! * [`lifecycle`] — the canary rule: a freshly published revision is
+//!   routed a configurable traffic slice, auto-promoted on a clean
+//!   latency window, auto-rolled-back on any canary error or p95
+//!   regression — judged inside the registry slot that holds it;
 //! * [`engine`] — the compute-on-compressed engine: archived FC layers
 //!   run the cache-blocked batched GEMM straight on the packed 3/4-bit
 //!   indices, decoding each weight tile once per batch;
@@ -92,9 +92,7 @@ pub use http::{
     parse_encode_body, parse_request, HttpHandler, HttpListener, HttpOptions, HttpResponse,
     ParsedRequest, Server, ShutdownSignal,
 };
-pub use lifecycle::{
-    CanaryPolicy, CanaryVerdict, LifecycleController, VerdictWindow, WindowVerdict,
-};
+pub use lifecycle::{CanaryPolicy, VerdictWindow, WindowVerdict};
 pub use listener::Listener;
 pub use metrics::Metrics;
 pub use registry::{ModelEntry, ModelKey, ModelRegistry, ModelStatus, RegistryConfig, RevState};

@@ -1,40 +1,28 @@
-//! Canary lifecycle controller: routes a traffic slice to a pending
-//! revision, judges it against the active baseline, and auto-promotes
-//! or auto-rolls-back.
+//! The canary rule both serving tiers share: how a trial's traffic
+//! slice is picked and how its samples become a verdict.
 //!
-//! The controller owns no threads and takes no locks on the request
-//! path beyond one short mutex around the per-slot latency windows. The
-//! scheduler calls it at three points:
+//! A trial is one [`VerdictWindow`] — a ticket counter and two sliding
+//! latency windows — owned by whatever is on trial: the registry keeps
+//! one inside a slot's canary revision ([`crate::registry`]), the
+//! cluster router one inside its canary node trial. It is created with
+//! the trial and dropped with it, so a sample can only ever be judged
+//! with the samples of the trial it measured. The owner calls it at two
+//! points, under its own lock:
 //!
-//! * [`LifecycleController::should_try_canary`] — a ticket counter
-//!   spreads the configured traffic share evenly (Bresenham-style)
-//!   instead of front-loading it, so a canary sees steady load from the
-//!   first second;
-//! * [`LifecycleController::record_canary_ok`] /
-//!   [`LifecycleController::record_active`] — batch latencies feed a
-//!   sliding window per slot; once the canary window fills, its p95 is
-//!   compared against the active baseline and the revision is promoted
-//!   (clean window) or rolled back (p95 regression beyond the
-//!   configured factor);
-//! * [`LifecycleController::record_canary_error`] — any canary-side
-//!   error (decode/integrity failure, injected fault, panic) rolls the
-//!   revision back immediately; the batch itself is transparently
-//!   re-run on the active revision, so the client never sees the
-//!   failure.
+//! * [`VerdictWindow::take_ticket`] — a ticket counter spreads the
+//!   configured traffic share evenly (Bresenham-style) instead of
+//!   front-loading it, so a canary sees steady load from the first
+//!   second;
+//! * [`VerdictWindow::record`] — one finished batch or request: a
+//!   baseline latency, a canary latency, or a canary failure. Once the
+//!   canary window fills, its p95 is compared against the baseline and
+//!   the verdict is [`WindowVerdict::Clean`] (promote) or
+//!   [`WindowVerdict::Regressed`] (roll back); any canary-side failure
+//!   (decode/integrity failure, injected fault, dead node) is
+//!   `Regressed` at once.
 //!
-//! Promotion and rollback go through [`crate::registry::ModelRegistry`]
-//! and are counted only when the registry actually held the canary —
-//! two racing verdicts for one slot resolve to a single lifecycle
-//! transition.
-
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use gobo_sanitize::{SanMutex, SanMutexGuard};
-
-use crate::metrics::Metrics;
-use crate::registry::{ModelKey, ModelRegistry};
+//! Applying the verdict — and dropping the trial with it, in the same
+//! critical section that recorded the sample — is the owner's job.
 
 /// Canary routing and verdict policy.
 ///
@@ -64,53 +52,66 @@ impl Default for CanaryPolicy {
     }
 }
 
-/// Outcome of feeding one canary observation to the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CanaryVerdict {
-    /// The window is still filling; keep routing canary traffic.
-    Pending,
-    /// Clean window — the revision was promoted to active.
-    Promoted,
-    /// Error or latency regression — the revision was rolled back.
-    RolledBack,
-}
-
-/// What one canary sample did to a [`VerdictWindow`].
+/// What one sample did to a [`VerdictWindow`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowVerdict {
     /// The canary window is still filling.
     Pending,
     /// Full window without a p95 regression: promote.
     Clean,
-    /// Full window whose p95 regressed past the policy: roll back.
+    /// A canary failure, or a full window whose p95 regressed past the
+    /// policy: roll back.
     Regressed,
 }
 
-/// The one canary verdict window: sliding latency samples of a trial
-/// and of the baseline it is judged against. [`LifecycleController`]
-/// keeps one per model slot (canary vs. active revision), the cluster
-/// router one per trial (canary node vs. the rest); applying the
-/// verdict, and discarding the window with it, is the caller's job.
-/// Each side holds at most four verdict windows of samples, oldest
-/// dropped first, so a trial that never reaches a verdict stays bounded.
-#[derive(Debug, Default)]
+/// The state of one canary trial: its routing tickets and the sliding
+/// latency samples of the trial and of the baseline it is judged
+/// against. Each side holds at most four verdict windows of samples,
+/// oldest dropped first, so a trial that never reaches a verdict stays
+/// bounded.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct VerdictWindow {
+    tickets: u64,
     canary_us: Vec<u64>,
     baseline_us: Vec<u64>,
 }
 
 impl VerdictWindow {
-    /// Records one baseline-side latency.
-    pub fn record_baseline(&mut self, policy: &CanaryPolicy, us: u64) {
-        push_capped(&mut self.baseline_us, us, policy);
+    /// Consumes one routing ticket and reports whether its holder (a
+    /// batch, a routed request) trials the canary. Tickets spread the
+    /// `traffic_pct` share evenly: at 20% every 5th ticket is a canary
+    /// ticket, not the first 20 of every 100; at 0% none is.
+    pub fn take_ticket(&mut self, policy: &CanaryPolicy) -> bool {
+        let pct = u64::from(policy.traffic_pct.min(100));
+        let t = self.tickets;
+        self.tickets = t.wrapping_add(1);
+        // (t · pct) mod 100, with `t` reduced first so it cannot overflow.
+        (t % 100 * pct) % 100 < pct
     }
 
-    /// Records one successful canary-side latency and judges the
-    /// window: pending until `policy.window` (at least one) canary
-    /// samples are held, then the canary p95 against `p95_factor_pct`
-    /// of the baseline p95. With fewer than `min_baseline` baseline
-    /// samples a full window of successes is the best signal there is.
-    pub fn record_canary(&mut self, policy: &CanaryPolicy, us: u64) -> WindowVerdict {
+    /// Records what one ticket's holder observed — `latency_us` is
+    /// `None` when it failed — and judges the window.
+    ///
+    /// A baseline sample only builds the comparison (a baseline failure
+    /// says nothing about the canary). A canary failure is `Regressed`
+    /// at once, however the window looked. A canary latency is pending
+    /// until `policy.window` (at least one) canary samples are held,
+    /// then the canary p95 is judged against `p95_factor_pct` of the
+    /// baseline p95; with fewer than `min_baseline` baseline samples a
+    /// full window of successes is the best signal there is.
+    pub fn record(
+        &mut self,
+        policy: &CanaryPolicy,
+        canary: bool,
+        latency_us: Option<u64>,
+    ) -> WindowVerdict {
+        let Some(us) = latency_us else {
+            return if canary { WindowVerdict::Regressed } else { WindowVerdict::Pending };
+        };
+        if !canary {
+            push_capped(&mut self.baseline_us, us, policy);
+            return WindowVerdict::Pending;
+        }
         push_capped(&mut self.canary_us, us, policy);
         if (self.canary_us.len() as u64) < u64::from(policy.window.max(1)) {
             return WindowVerdict::Pending;
@@ -124,116 +125,6 @@ impl VerdictWindow {
             WindowVerdict::Regressed
         } else {
             WindowVerdict::Clean
-        }
-    }
-}
-
-/// Shared canary controller; one per [`crate::ServeCore`].
-pub struct LifecycleController {
-    policy: CanaryPolicy,
-    registry: Arc<ModelRegistry>,
-    metrics: Arc<Metrics>,
-    ticket: AtomicU64,
-    windows: SanMutex<HashMap<ModelKey, VerdictWindow>>,
-}
-
-impl LifecycleController {
-    /// Creates a controller applying `policy` to `registry`.
-    pub fn new(policy: CanaryPolicy, registry: Arc<ModelRegistry>, metrics: Arc<Metrics>) -> Self {
-        LifecycleController {
-            policy,
-            registry,
-            metrics,
-            ticket: AtomicU64::new(0),
-            windows: SanMutex::new("serve.lifecycle.windows", 30, HashMap::new()),
-        }
-    }
-
-    /// The policy this controller was built with.
-    pub fn policy(&self) -> CanaryPolicy {
-        self.policy
-    }
-
-    /// Windows hold plain latency samples; a poisoned lock at worst
-    /// loses part of one verdict window, so recover rather than take
-    /// the serving path down.
-    fn lock_windows(&self) -> SanMutexGuard<'_, HashMap<ModelKey, VerdictWindow>> {
-        self.windows.lock()
-    }
-
-    /// Consumes one routing ticket and reports whether this batch
-    /// should serve from the canary. Tickets spread the `traffic_pct`
-    /// share evenly: at 20% every 5th batch is a canary batch, not the
-    /// first 20 of every 100. Call only when a canary exists — tickets
-    /// consumed with no canary pending would skew the next window.
-    pub fn should_try_canary(&self) -> bool {
-        let pct = u64::from(self.policy.traffic_pct.min(100));
-        if pct == 0 {
-            return false;
-        }
-        let t = self.ticket.fetch_add(1, Ordering::Relaxed);
-        (t * pct) % 100 < pct
-    }
-
-    /// Drops any window state accumulated for `key`. Called when a new
-    /// canary is published into the slot: samples from a previous
-    /// trial (one that was rolled back out-of-band through the
-    /// registry, or superseded before reaching a verdict) must not
-    /// feed the fresh revision's verdict.
-    pub fn reset_window(&self, key: &ModelKey) {
-        self.lock_windows().remove(key);
-    }
-
-    /// Records one active-revision batch latency while a canary is
-    /// pending, building the comparison baseline.
-    pub fn record_active(&self, key: &ModelKey, micros: u64) {
-        self.lock_windows().entry(key.clone()).or_default().record_baseline(&self.policy, micros);
-    }
-
-    /// Records one successful canary batch. Returns the verdict: once
-    /// `window` canary samples have accumulated, the canary p95 is
-    /// judged against the active baseline and the revision is promoted
-    /// or rolled back through the registry; otherwise the window keeps
-    /// filling.
-    pub fn record_canary_ok(&self, key: &ModelKey, micros: u64) -> CanaryVerdict {
-        let mut windows = self.lock_windows();
-        let verdict = windows.entry(key.clone()).or_default().record_canary(&self.policy, micros);
-        if verdict == WindowVerdict::Pending {
-            return CanaryVerdict::Pending;
-        }
-        windows.remove(key);
-        drop(windows);
-        if verdict == WindowVerdict::Regressed {
-            self.do_rollback(key)
-        } else {
-            self.do_promote(key)
-        }
-    }
-
-    /// Records a canary-side error. The revision is rolled back
-    /// immediately — any decode or integrity failure disqualifies it,
-    /// regardless of how the latency window looked.
-    pub fn record_canary_error(&self, key: &ModelKey) -> CanaryVerdict {
-        self.lock_windows().remove(key);
-        self.do_rollback(key)
-    }
-
-    fn do_promote(&self, key: &ModelKey) -> CanaryVerdict {
-        if self.registry.promote(key).is_some() {
-            self.metrics.canary_promotions.fetch_add(1, Ordering::Relaxed);
-            CanaryVerdict::Promoted
-        } else {
-            // Lost a race against another verdict for the same slot.
-            CanaryVerdict::Pending
-        }
-    }
-
-    fn do_rollback(&self, key: &ModelKey) -> CanaryVerdict {
-        if self.registry.rollback(key).is_some() {
-            self.metrics.canary_rollbacks.fetch_add(1, Ordering::Relaxed);
-            CanaryVerdict::RolledBack
-        } else {
-            CanaryVerdict::Pending
         }
     }
 }
@@ -262,12 +153,15 @@ fn p95(samples: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{ModelRegistry, RegistryConfig, RevState};
+    use crate::metrics::Metrics;
+    use crate::registry::{ModelKey, ModelRegistry, RegistryConfig, RevState};
     use gobo::format::CompressedModel;
     use gobo::pipeline::{quantize_model, QuantizeOptions};
     use gobo_model::{config::ModelConfig, TransformerModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
 
     fn compressed(seed: u64) -> CompressedModel {
         let config = ModelConfig::tiny("Lc", 1, 16, 2, 40, 12).unwrap();
@@ -276,54 +170,66 @@ mod tests {
         CompressedModel::new(&model, outcome.archive)
     }
 
-    fn setup(
-        policy: CanaryPolicy,
-    ) -> (Arc<ModelRegistry>, Arc<Metrics>, LifecycleController, ModelKey) {
+    /// A registry serving rev 1 of `m` with rev 2 on trial beside it.
+    fn setup() -> (ModelRegistry, Arc<Metrics>, ModelKey) {
         let metrics = Arc::new(Metrics::new());
-        let registry =
-            Arc::new(ModelRegistry::new(RegistryConfig::default(), Arc::clone(&metrics)));
+        let registry = ModelRegistry::new(RegistryConfig::default(), Arc::clone(&metrics));
         registry.insert("m", &compressed(1)).unwrap();
         let (entry, state) = registry.publish("m", &compressed(2)).unwrap();
-        assert_eq!(state, RevState::Canary);
+        assert_eq!((entry.rev, state), (2, RevState::Canary));
         let key = entry.key.clone();
-        let controller =
-            LifecycleController::new(policy, Arc::clone(&registry), Arc::clone(&metrics));
-        (registry, metrics, controller, key)
+        (registry, metrics, key)
     }
 
     #[test]
     fn ticket_spread_matches_traffic_pct() {
-        let (_r, _m, c, _k) = setup(CanaryPolicy { traffic_pct: 20, ..Default::default() });
-        let hits = (0..100).filter(|_| c.should_try_canary()).count();
+        let policy = CanaryPolicy { traffic_pct: 20, ..Default::default() };
+        let mut trial = VerdictWindow::default();
+        let hits = (0..100).filter(|_| trial.take_ticket(&policy)).count();
         assert_eq!(hits, 20);
         // And the hits are spread, not front-loaded: no 2 adjacent.
-        let c2 = LifecycleController::new(
-            CanaryPolicy { traffic_pct: 20, ..Default::default() },
-            Arc::clone(&c.registry),
-            Arc::clone(&c.metrics),
-        );
-        let pattern: Vec<bool> = (0..10).map(|_| c2.should_try_canary()).collect();
+        let mut trial = VerdictWindow::default();
+        let pattern: Vec<bool> = (0..10).map(|_| trial.take_ticket(&policy)).collect();
         assert_eq!(pattern.iter().filter(|&&b| b).count(), 2);
         assert!(!pattern.windows(2).any(|w| w[0] && w[1]), "{pattern:?}");
+        // The share holds at every percentage, and reducing the ticket
+        // before the multiply keeps it exact past any ticket count.
+        for pct in [1, 33, 50, 99, 100, 250] {
+            let policy = CanaryPolicy { traffic_pct: pct, ..Default::default() };
+            let mut trial =
+                VerdictWindow { tickets: (u64::MAX / 100 - 1) * 100, ..Default::default() };
+            let hits = (0..100).filter(|_| trial.take_ticket(&policy)).count();
+            assert_eq!(hits, pct.min(100) as usize, "pct {pct}");
+        }
     }
 
     #[test]
     fn zero_pct_never_routes() {
-        let (_r, _m, c, _k) = setup(CanaryPolicy { traffic_pct: 0, ..Default::default() });
-        assert!((0..50).all(|_| !c.should_try_canary()));
+        let policy = CanaryPolicy { traffic_pct: 0, ..Default::default() };
+        let mut trial = VerdictWindow::default();
+        assert!((0..50).all(|_| !trial.take_ticket(&policy)));
+        // Through the registry: the canary waits, every batch resolves
+        // onto the active revision and still names the trial.
+        let (registry, _m, _key) = setup();
+        for _ in 0..50 {
+            let resolved = registry.resolve("m", None, &policy).unwrap();
+            assert_eq!((resolved.active.rev, resolved.trial_rev), (1, Some(2)));
+            assert!(resolved.canary.is_none());
+        }
     }
 
     #[test]
     fn clean_window_promotes() {
+        use super::WindowVerdict::{Clean, Pending};
         let policy = CanaryPolicy { window: 4, min_baseline: 2, ..Default::default() };
-        let (registry, metrics, c, key) = setup(policy);
+        let (registry, metrics, key) = setup();
         for _ in 0..8 {
-            c.record_active(&key, 100);
+            assert_eq!(registry.report(&key, 2, &policy, false, Some(100)), Pending);
         }
-        assert_eq!(c.record_canary_ok(&key, 110), CanaryVerdict::Pending);
-        assert_eq!(c.record_canary_ok(&key, 105), CanaryVerdict::Pending);
-        assert_eq!(c.record_canary_ok(&key, 95), CanaryVerdict::Pending);
-        assert_eq!(c.record_canary_ok(&key, 100), CanaryVerdict::Promoted);
+        assert_eq!(registry.report(&key, 2, &policy, true, Some(110)), Pending);
+        assert_eq!(registry.report(&key, 2, &policy, true, Some(105)), Pending);
+        assert_eq!(registry.report(&key, 2, &policy, true, Some(95)), Pending);
+        assert_eq!(registry.report(&key, 2, &policy, true, Some(100)), Clean);
         assert_eq!(registry.get("m", None).unwrap().rev, 2);
         assert!(registry.canary_for(&key).is_none());
         assert_eq!(metrics.canary_promotions.load(Ordering::Relaxed), 1);
@@ -332,17 +238,18 @@ mod tests {
 
     #[test]
     fn p95_regression_rolls_back() {
+        use super::WindowVerdict::{Pending, Regressed};
         let policy =
             CanaryPolicy { window: 4, min_baseline: 4, p95_factor_pct: 300, ..Default::default() };
-        let (registry, metrics, c, key) = setup(policy);
+        let (registry, metrics, key) = setup();
         for _ in 0..8 {
-            c.record_active(&key, 100);
+            registry.report(&key, 2, &policy, false, Some(100));
         }
         for i in 0..3 {
-            assert_eq!(c.record_canary_ok(&key, 400 + i), CanaryVerdict::Pending);
+            assert_eq!(registry.report(&key, 2, &policy, true, Some(400 + i)), Pending);
         }
         // 4th sample completes the window; canary p95 ≈ 400 > 3×100.
-        assert_eq!(c.record_canary_ok(&key, 400), CanaryVerdict::RolledBack);
+        assert_eq!(registry.report(&key, 2, &policy, true, Some(400)), Regressed);
         assert_eq!(registry.get("m", None).unwrap().rev, 1, "active must keep serving rev 1");
         assert!(registry.canary_for(&key).is_none());
         assert_eq!(metrics.canary_rollbacks.load(Ordering::Relaxed), 1);
@@ -350,27 +257,31 @@ mod tests {
 
     #[test]
     fn canary_error_rolls_back_immediately() {
-        let (registry, metrics, c, key) = setup(CanaryPolicy::default());
-        assert_eq!(c.record_canary_error(&key), CanaryVerdict::RolledBack);
+        let policy = CanaryPolicy::default();
+        let (registry, metrics, key) = setup();
+        // A failure on the active side says nothing about the canary.
+        assert_eq!(registry.report(&key, 2, &policy, false, None), WindowVerdict::Pending);
+        assert_eq!(registry.canary_for(&key).unwrap().rev, 2);
+        assert_eq!(registry.report(&key, 2, &policy, true, None), WindowVerdict::Regressed);
         assert!(registry.canary_for(&key).is_none());
         assert_eq!(registry.get("m", None).unwrap().rev, 1);
         assert_eq!(metrics.canary_rollbacks.load(Ordering::Relaxed), 1);
-        // A second verdict for the already-resolved slot is a no-op.
-        assert_eq!(c.record_canary_error(&key), CanaryVerdict::Pending);
+        // A second verdict for the already-settled trial is dropped.
+        assert_eq!(registry.report(&key, 2, &policy, true, None), WindowVerdict::Pending);
         assert_eq!(metrics.canary_rollbacks.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn thin_baseline_promotes_on_clean_window() {
         let policy = CanaryPolicy { window: 2, min_baseline: 8, ..Default::default() };
-        let (registry, _m, c, key) = setup(policy);
+        let (registry, _m, key) = setup();
         // No active samples at all: a clean window still promotes.
-        assert_eq!(c.record_canary_ok(&key, 500), CanaryVerdict::Pending);
-        assert_eq!(c.record_canary_ok(&key, 500), CanaryVerdict::Promoted);
+        assert_eq!(registry.report(&key, 2, &policy, true, Some(500)), WindowVerdict::Pending);
+        assert_eq!(registry.report(&key, 2, &policy, true, Some(500)), WindowVerdict::Clean);
         assert_eq!(registry.get("m", None).unwrap().rev, 2);
     }
 
-    /// The window rule by itself, on the cases the controller tests
+    /// The window rule by itself, on the cases the registry tests
     /// above do not reach: `(policy, baseline, canary) → verdict of the
     /// last canary sample`, every earlier one being `Pending`.
     #[test]
@@ -401,23 +312,28 @@ mod tests {
         for (name, policy, baseline, canary, want) in cases {
             let mut window = VerdictWindow::default();
             for &us in baseline {
-                window.record_baseline(&policy, us);
+                assert_eq!(window.record(&policy, false, Some(us)), Pending, "{name}");
             }
             let (last, filling) = canary.split_last().unwrap();
             for &us in filling {
-                assert_eq!(window.record_canary(&policy, us), Pending, "{name}");
+                assert_eq!(window.record(&policy, true, Some(us)), Pending, "{name}");
             }
-            assert_eq!(window.record_canary(&policy, *last), want, "{name}");
+            assert_eq!(window.record(&policy, true, Some(*last)), want, "{name}");
         }
 
-        // Canary cap: a window nobody consumes the verdict of (a lost
-        // race keeps feeding it) never outgrows 4 x window either.
+        // Canary cap: a window nobody applies the verdict of never
+        // outgrows 4 x window either.
         let policy = policy(2, 0);
         let mut window = VerdictWindow::default();
         for us in 0..20 {
-            window.record_canary(&policy, us);
+            window.record(&policy, true, Some(us));
         }
         assert_eq!(window.canary_us, (12..20).collect::<Vec<u64>>());
+        // Failures: the canary's is a verdict, the baseline's is not,
+        // and neither is stored as a sample.
+        assert_eq!(window.record(&policy, false, None), Pending);
+        assert_eq!(window.record(&policy, true, None), Regressed);
+        assert_eq!((window.canary_us.len(), window.baseline_us.len()), (8, 0));
     }
 
     #[test]

@@ -22,10 +22,19 @@
 //!    failpoint *before any mutation* (an injected rejection leaves the
 //!    registry untouched), and installs the new revision as the slot's
 //!    **canary** (or directly as **active** when the slot was empty).
-//! 2. The canary serves a configured slice of traffic (see
-//!    [`crate::lifecycle`]) until it is promoted —
-//!    [`ModelRegistry::promote`] flips the active pointer atomically
-//!    under the lock — or rolled back ([`ModelRegistry::rollback`]).
+//! 2. The canary is *one value* in its slot — the revision, its ticket
+//!    counter and its verdict window ([`crate::lifecycle`]), created
+//!    together by the publish and dropped together by whatever ends the
+//!    trial. A batch takes the lock twice: `resolve` hands it the
+//!    active revision and, on the trial's canary tickets, the canary;
+//!    `report` takes back what it observed, **named by the canary
+//!    revision it was resolved beside**, and records, judges and
+//!    applies — promote flips the active pointer, roll back removes
+//!    the canary — in that one critical section. A report whose
+//!    revision is no longer the slot's canary is dropped, so a verdict
+//!    can only land on the revision it measured.
+//!    [`ModelRegistry::promote`] / [`ModelRegistry::rollback`] are the
+//!    same two transitions for an operator.
 //! 3. The replaced revision moves to the **draining** list. Readers
 //!    never block: in-flight batches finish on the `Arc` handle they
 //!    already resolved. A draining revision is **retired** (dropped,
@@ -50,6 +59,7 @@ use gobo_model::TransformerModel;
 
 use crate::engine::QuantizedEngine;
 use crate::error::ServeError;
+use crate::lifecycle::{CanaryPolicy, VerdictWindow, WindowVerdict};
 use crate::metrics::Metrics;
 
 /// Cache key: model name plus the (maximum) quantization width of its
@@ -181,24 +191,102 @@ pub struct ModelStatus {
     pub quantized_layers: usize,
 }
 
+/// A revision on trial: the entry and the trial it is judged by, made
+/// together at publish and dropped together at the verdict.
+struct Canary {
+    entry: Arc<ModelEntry>,
+    trial: VerdictWindow,
+}
+
+/// Everything the registry holds about one `name/bits` key.
+#[derive(Default)]
+struct Slot {
+    /// The revision serving the slot's traffic; `None` once evicted.
+    active: Option<Arc<ModelEntry>>,
+    /// The incoming revision on trial beside it, at most one.
+    canary: Option<Canary>,
+    /// Last assigned revision (never reset, even across eviction, so a
+    /// re-published model is distinguishable).
+    last_rev: u64,
+    /// Logical-clock stamp of the last hit.
+    recency: u64,
+    /// Sizes of the revision the LRU evicted, remembered so
+    /// `/v1/models` can report it (cleared when the slot serves again).
+    evicted: Option<EvictedInfo>,
+}
+
+#[derive(Default)]
 struct Inner {
-    /// Active revision per slot.
-    entries: HashMap<ModelKey, Arc<ModelEntry>>,
-    /// Canary (incoming) revision per slot, at most one each.
-    canaries: HashMap<ModelKey, Arc<ModelEntry>>,
+    slots: HashMap<ModelKey, Slot>,
     /// Replaced revisions waiting for their in-flight handles to drain.
     draining: Vec<Arc<ModelEntry>>,
     /// Recently retired revisions, remembered for `/v1/models`.
     retired: VecDeque<(ModelKey, u64)>,
-    /// Last assigned revision per slot (never reset, even across
-    /// eviction, so a re-published model is distinguishable).
-    revs: HashMap<ModelKey, u64>,
-    /// Logical-clock recency stamps, bumped on every hit.
-    recency: HashMap<ModelKey, u64>,
-    /// Models evicted from the LRU, remembered so `/v1/models` can
-    /// report them (cleared if the model is re-inserted).
-    evicted: HashMap<ModelKey, EvictedInfo>,
     tick: u64,
+}
+
+impl Inner {
+    /// Resident active revisions.
+    fn active(&self) -> impl Iterator<Item = (&Slot, &Arc<ModelEntry>)> {
+        self.slots.values().filter_map(|s| s.active.as_ref().map(|e| (s, e)))
+    }
+
+    /// Makes `entry` its slot's active revision, most recently used;
+    /// the revision it replaces moves to draining.
+    fn activate(&mut self, entry: Arc<ModelEntry>) {
+        self.tick += 1;
+        let slot = self.slots.entry(entry.key.clone()).or_default();
+        slot.recency = self.tick;
+        slot.evicted = None;
+        self.draining.extend(slot.active.replace(entry));
+    }
+
+    /// Ends the slot's trial, if it has one: its canary becomes the
+    /// active revision (`promote`) or moves to draining.
+    fn end_trial(&mut self, key: &ModelKey, promote: bool) -> Option<Arc<ModelEntry>> {
+        let canary = self.slots.get_mut(key)?.canary.take()?;
+        if promote {
+            self.activate(Arc::clone(&canary.entry));
+        } else {
+            self.draining.push(Arc::clone(&canary.entry));
+        }
+        Some(canary.entry)
+    }
+
+    /// The most recently used serving slot under `name` (any bits, or
+    /// exactly `bits`), stamped as used now: its active revision and
+    /// its canary, if one is on trial.
+    fn touch(
+        &mut self,
+        name: &str,
+        bits: Option<u8>,
+    ) -> Result<(&Arc<ModelEntry>, Option<&mut Canary>), ServeError> {
+        let slot = self
+            .slots
+            .iter_mut()
+            .filter(|(k, s)| {
+                s.active.is_some() && k.name == name && bits.is_none_or(|b| k.bits == b)
+            })
+            .max_by_key(|(_, s)| s.recency)
+            .map(|(_, s)| s);
+        let Some(Slot { active: Some(active), canary, recency, .. }) = slot else {
+            return Err(ServeError::ModelNotFound { name: name.to_owned() });
+        };
+        self.tick += 1;
+        *recency = self.tick;
+        Ok((active, canary.as_mut()))
+    }
+}
+
+/// What one batch runs on: see [`ModelRegistry::resolve`].
+pub(crate) struct Resolved {
+    /// The slot's active revision.
+    pub active: Arc<ModelEntry>,
+    /// Revision of the canary on trial in the slot, if any — the trial
+    /// this batch reports to, whichever side it ran on.
+    pub trial_rev: Option<u64>,
+    /// That canary, iff this batch's ticket trials it.
+    pub canary: Option<Arc<ModelEntry>>,
 }
 
 /// Thread-safe versioned model cache with LRU eviction under a byte
@@ -228,27 +316,14 @@ impl ModelRegistry {
         ModelRegistry {
             config,
             metrics,
-            inner: SanMutex::new(
-                "serve.registry.inner",
-                40,
-                Inner {
-                    entries: HashMap::new(),
-                    canaries: HashMap::new(),
-                    draining: Vec::new(),
-                    retired: VecDeque::new(),
-                    revs: HashMap::new(),
-                    recency: HashMap::new(),
-                    evicted: HashMap::new(),
-                    tick: 0,
-                },
-            ),
+            inner: SanMutex::new("serve.registry.inner", 40, Inner::default()),
         }
     }
 
     /// Locks the cache state, recovering from poisoning: every mutation
-    /// of `Inner` is a sequence of individually-complete map operations
-    /// (a panic in between at worst loses a recency stamp, which reads
-    /// default to 0), so a poisoned lock must not take the registry —
+    /// of `Inner` is a sequence of individually-complete operations (a
+    /// panic in between at worst loses a recency stamp or part of one
+    /// verdict window), so a poisoned lock must not take the registry —
     /// and with it every model — out of service.
     fn lock_inner(&self) -> SanMutexGuard<'_, Inner> {
         self.inner.lock()
@@ -308,14 +383,11 @@ impl ModelRegistry {
     /// Assembles the entry under the lock, assigning the slot's next
     /// revision number.
     fn next_entry(inner: &mut Inner, parts: RevisionParts) -> Arc<ModelEntry> {
-        let rev = inner
-            .revs
-            .entry(parts.key.clone())
-            .and_modify(|r| *r = r.saturating_add(1))
-            .or_insert(1);
+        let slot = inner.slots.entry(parts.key.clone()).or_default();
+        slot.last_rev = slot.last_rev.saturating_add(1);
         Arc::new(ModelEntry {
             key: parts.key,
-            rev: *rev,
+            rev: slot.last_rev,
             engine: parts.engine,
             resident_bytes: parts.resident_bytes,
             compressed_bytes: parts.compressed_bytes,
@@ -339,16 +411,9 @@ impl ModelRegistry {
         let parts = self.build_parts(name, compressed)?;
         let mut inner = self.lock_inner();
         let entry = Self::next_entry(&mut inner, parts);
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(old) = inner.entries.insert(entry.key.clone(), Arc::clone(&entry)) {
-            inner.draining.push(old);
-        }
-        inner.recency.insert(entry.key.clone(), tick);
-        inner.evicted.remove(&entry.key);
+        inner.activate(Arc::clone(&entry));
         self.evict_beyond_budget(&mut inner, &entry.key);
-        self.sweep_draining(&mut inner);
-        self.refresh_gauges(&inner);
+        self.settle(&mut inner);
         Ok(entry)
     }
 
@@ -356,9 +421,10 @@ impl ModelRegistry {
     /// the engine is built outside the lock, the `registry.swap`
     /// failpoint fires *before any mutation* (an injected rejection
     /// leaves the registry exactly as it was), and the revision is
-    /// installed as the slot's canary — or directly as active when the
-    /// slot had no active revision. A previously-pending canary for the
-    /// slot is superseded and moves to draining.
+    /// installed as the slot's canary, with a fresh trial — or directly
+    /// as active when the slot had no active revision. A
+    /// previously-pending canary for the slot is superseded: it moves
+    /// to draining and its trial is dropped with it.
     ///
     /// # Errors
     ///
@@ -377,98 +443,130 @@ impl ModelRegistry {
         );
         let mut inner = self.lock_inner();
         let entry = Self::next_entry(&mut inner, parts);
-        let state = if inner.entries.contains_key(&entry.key) {
-            if let Some(superseded) = inner.canaries.insert(entry.key.clone(), Arc::clone(&entry)) {
-                inner.draining.push(superseded);
+        let state = match inner.slots.get_mut(&entry.key).filter(|s| s.active.is_some()) {
+            Some(slot) => {
+                let trial = Canary { entry: Arc::clone(&entry), trial: VerdictWindow::default() };
+                let superseded = slot.canary.replace(trial).map(|c| c.entry);
+                inner.draining.extend(superseded);
+                RevState::Canary
             }
-            RevState::Canary
-        } else {
-            inner.tick += 1;
-            let tick = inner.tick;
-            inner.entries.insert(entry.key.clone(), Arc::clone(&entry));
-            inner.recency.insert(entry.key.clone(), tick);
-            inner.evicted.remove(&entry.key);
-            self.evict_beyond_budget(&mut inner, &entry.key);
-            RevState::Active
+            None => {
+                inner.activate(Arc::clone(&entry));
+                self.evict_beyond_budget(&mut inner, &entry.key);
+                RevState::Active
+            }
         };
-        self.sweep_draining(&mut inner);
-        self.refresh_gauges(&inner);
+        self.settle(&mut inner);
         Ok((entry, state))
     }
 
-    /// Atomically flips the slot's canary to active. The replaced
-    /// active revision moves to draining; in-flight batches finish on
-    /// whichever revision they already resolved. Returns the newly
-    /// active entry, or `None` when the slot has no canary.
+    /// Atomically flips the slot's canary to active, ending its trial.
+    /// The replaced active revision moves to draining; in-flight
+    /// batches finish on whichever revision they already resolved.
+    /// Returns the newly active entry, or `None` when the slot has no
+    /// canary.
     pub fn promote(&self, key: &ModelKey) -> Option<Arc<ModelEntry>> {
         let mut inner = self.lock_inner();
-        let canary = inner.canaries.remove(key)?;
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(old) = inner.entries.insert(key.clone(), Arc::clone(&canary)) {
-            inner.draining.push(old);
-        }
-        inner.recency.insert(key.clone(), tick);
-        inner.evicted.remove(key);
-        self.sweep_draining(&mut inner);
-        self.refresh_gauges(&inner);
-        Some(canary)
+        let promoted = inner.end_trial(key, true)?;
+        self.settle(&mut inner);
+        Some(promoted)
     }
 
-    /// Removes the slot's canary, moving it to draining; the active
-    /// revision keeps serving untouched. Returns the rolled-back entry,
-    /// or `None` when the slot has no canary.
+    /// Removes the slot's canary, ending its trial and moving it to
+    /// draining; the active revision keeps serving untouched. Returns
+    /// the rolled-back entry, or `None` when the slot has no canary.
     pub fn rollback(&self, key: &ModelKey) -> Option<Arc<ModelEntry>> {
         let mut inner = self.lock_inner();
-        let canary = inner.canaries.remove(key)?;
-        inner.draining.push(Arc::clone(&canary));
-        self.sweep_draining(&mut inner);
-        self.refresh_gauges(&inner);
-        Some(canary)
+        let rolled_back = inner.end_trial(key, false)?;
+        self.settle(&mut inner);
+        Some(rolled_back)
     }
 
     /// The slot's pending canary revision, if any.
     pub fn canary_for(&self, key: &ModelKey) -> Option<Arc<ModelEntry>> {
-        self.lock_inner().canaries.get(key).cloned()
+        let inner = self.lock_inner();
+        inner.slots.get(key)?.canary.as_ref().map(|c| Arc::clone(&c.entry))
     }
 
     /// Looks a model up by name (any bits, most recently used wins) or
     /// by exact name/bits, bumping its recency. Only *active* revisions
-    /// are returned — canary traffic is routed explicitly by the
-    /// lifecycle controller.
+    /// are returned — a batch that may trial a canary goes through
+    /// `resolve` instead.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::ModelNotFound`] when nothing matches.
     pub fn get(&self, name: &str, bits: Option<u8>) -> Result<Arc<ModelEntry>, ServeError> {
         let mut inner = self.lock_inner();
-        let entry = inner
-            .entries
-            .iter()
-            .filter(|(k, _)| k.name == name && bits.is_none_or(|b| k.bits == b))
-            .max_by_key(|(k, _)| inner.recency.get(k).copied().unwrap_or(0))
-            .map(|(k, e)| (k.clone(), Arc::clone(e)))
-            .ok_or_else(|| ServeError::ModelNotFound { name: name.to_owned() })?;
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.recency.insert(entry.0, tick);
+        let active = Arc::clone(inner.touch(name, bits)?.0);
         // Piggyback the retirement sweep on the hot path: it is a cheap
         // scan of a near-always-empty list, and it is exactly the
         // moment in-flight handles get dropped (batch dispatch).
-        self.sweep_draining(&mut inner);
-        self.refresh_gauges(&inner);
-        Ok(entry.1)
+        self.settle(&mut inner);
+        Ok(active)
+    }
+
+    /// [`ModelRegistry::get`] for a batch about to run: when the slot
+    /// has a canary on trial, the batch also takes one of the trial's
+    /// tickets, which decides whether it runs on the canary. Whatever
+    /// it observes goes back through [`ModelRegistry::report`], named
+    /// by [`Resolved::trial_rev`].
+    pub(crate) fn resolve(
+        &self,
+        name: &str,
+        bits: Option<u8>,
+        policy: &CanaryPolicy,
+    ) -> Result<Resolved, ServeError> {
+        let mut inner = self.lock_inner();
+        let (active, canary) = inner.touch(name, bits)?;
+        let resolved = Resolved {
+            active: Arc::clone(active),
+            trial_rev: canary.as_ref().map(|c| c.entry.rev),
+            canary: canary.and_then(|c| c.trial.take_ticket(policy).then(|| Arc::clone(&c.entry))),
+        };
+        self.settle(&mut inner);
+        Ok(resolved)
+    }
+
+    /// Reports what one batch observed to the trial of canary revision
+    /// `rev` — its latency on the canary (`canary`) or beside it on the
+    /// active revision, `None` for a failure — and applies the verdict,
+    /// if that sample completes one, in the same critical section: a
+    /// clean window promotes the canary, a regression or any canary
+    /// failure rolls it back. A sample names the trial it measured:
+    /// when `rev` is no longer the slot's canary (superseded, settled
+    /// by another batch, evicted) it is dropped.
+    pub(crate) fn report(
+        &self,
+        key: &ModelKey,
+        rev: u64,
+        policy: &CanaryPolicy,
+        canary: bool,
+        latency_us: Option<u64>,
+    ) -> WindowVerdict {
+        let mut inner = self.lock_inner();
+        let trial = inner.slots.get_mut(key).and_then(|s| s.canary.as_mut());
+        let Some(trial) = trial.filter(|c| c.entry.rev == rev) else {
+            return WindowVerdict::Pending;
+        };
+        let verdict = trial.trial.record(policy, canary, latency_us);
+        let counter = match verdict {
+            WindowVerdict::Pending => return verdict,
+            WindowVerdict::Clean => &self.metrics.canary_promotions,
+            WindowVerdict::Regressed => &self.metrics.canary_rollbacks,
+        };
+        inner.end_trial(key, verdict == WindowVerdict::Clean);
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.settle(&mut inner);
+        verdict
     }
 
     /// Snapshot of the resident active entries, most recently used
     /// first.
     pub fn list(&self) -> Vec<Arc<ModelEntry>> {
         let inner = self.lock_inner();
-        let mut entries: Vec<(u64, Arc<ModelEntry>)> = inner
-            .entries
-            .iter()
-            .map(|(k, e)| (inner.recency.get(k).copied().unwrap_or(0), Arc::clone(e)))
-            .collect();
+        let mut entries: Vec<(u64, Arc<ModelEntry>)> =
+            inner.active().map(|(s, e)| (s.recency, Arc::clone(e))).collect();
         entries.sort_by_key(|(recency, _)| std::cmp::Reverse(*recency));
         entries.into_iter().map(|(_, e)| e).collect()
     }
@@ -489,16 +587,17 @@ impl ModelRegistry {
             compressed_bytes: e.compressed_bytes,
             quantized_layers: e.quantized_layers,
         };
-        let mut resident: Vec<(u64, ModelStatus)> = inner
-            .entries
-            .iter()
-            .map(|(k, e)| (inner.recency.get(k).copied().unwrap_or(0), row(e, RevState::Active)))
-            .collect();
+        let by_key = |a: &ModelStatus, b: &ModelStatus| {
+            (&a.key.name, a.key.bits).cmp(&(&b.key.name, b.key.bits))
+        };
+        let mut resident: Vec<(u64, ModelStatus)> =
+            inner.active().map(|(s, e)| (s.recency, row(e, RevState::Active))).collect();
         resident.sort_by_key(|(recency, _)| std::cmp::Reverse(*recency));
         let mut out: Vec<ModelStatus> = resident.into_iter().map(|(_, s)| s).collect();
+        let canaries = inner.slots.values().filter_map(|s| s.canary.as_ref());
         let mut canaries: Vec<ModelStatus> =
-            inner.canaries.values().map(|e| row(e, RevState::Canary)).collect();
-        canaries.sort_by(|a, b| (&a.key.name, a.key.bits).cmp(&(&b.key.name, b.key.bits)));
+            canaries.map(|c| row(&c.entry, RevState::Canary)).collect();
+        canaries.sort_by(by_key);
         out.extend(canaries);
         out.extend(inner.draining.iter().map(|e| row(e, RevState::Draining)));
         out.extend(inner.retired.iter().rev().map(|(k, rev)| ModelStatus {
@@ -510,9 +609,8 @@ impl ModelRegistry {
             compressed_bytes: 0,
             quantized_layers: 0,
         }));
-        let mut gone: Vec<ModelStatus> = inner
-            .evicted
-            .iter()
+        let gone = inner.slots.iter().filter_map(|(k, s)| Some((k, s.evicted.as_ref()?)));
+        let mut gone: Vec<ModelStatus> = gone
             .map(|(k, info)| ModelStatus {
                 key: k.clone(),
                 rev: info.rev,
@@ -523,7 +621,7 @@ impl ModelRegistry {
                 quantized_layers: info.quantized_layers,
             })
             .collect();
-        gone.sort_by(|a, b| (&a.key.name, a.key.bits).cmp(&(&b.key.name, b.key.bits)));
+        gone.sort_by(by_key);
         out.extend(gone);
         out
     }
@@ -538,7 +636,7 @@ impl ModelRegistry {
 
     /// Number of resident active models.
     pub fn len(&self) -> usize {
-        self.lock_inner().entries.len()
+        self.lock_inner().active().count()
     }
 
     /// Returns `true` when no model is resident.
@@ -558,49 +656,44 @@ impl ModelRegistry {
     /// exists for callers that want retirement to be observed without
     /// traffic (shutdown checks, chaos assertions).
     pub fn sweep(&self) {
-        let mut inner = self.lock_inner();
-        self.sweep_draining(&mut inner);
-        self.refresh_gauges(&inner);
+        self.settle(&mut self.lock_inner());
     }
 
     fn evict_beyond_budget(&self, inner: &mut Inner, keep: &ModelKey) {
         loop {
-            let total: usize = inner.entries.values().map(|e| e.resident_bytes).sum();
-            let over_bytes = total > self.config.max_bytes;
-            let over_count = inner.entries.len() > self.config.max_models;
-            if (!over_bytes && !over_count) || inner.entries.len() <= 1 {
+            let (count, total) = inner
+                .active()
+                .fold((0usize, 0usize), |(n, b), (_, e)| (n + 1, b + e.resident_bytes));
+            let over = total > self.config.max_bytes || count > self.config.max_models;
+            if !over || count <= 1 {
                 return;
             }
-            // Oldest entry other than the one just inserted.
+            // Oldest serving slot other than the one just inserted.
             let victim = inner
-                .entries
-                .keys()
-                .filter(|k| *k != keep)
-                .min_by_key(|k| inner.recency.get(*k).copied().unwrap_or(0))
-                .cloned();
-            match victim {
-                Some(key) => {
-                    if let Some(entry) = inner.entries.remove(&key) {
-                        inner.evicted.insert(
-                            key.clone(),
-                            EvictedInfo {
-                                rev: entry.rev,
-                                compressed_bytes: entry.compressed_bytes,
-                                quantized_layers: entry.quantized_layers,
-                            },
-                        );
-                    }
-                    // An orphaned canary cannot serve without its slot;
-                    // drain it with the eviction.
-                    if let Some(canary) = inner.canaries.remove(&key) {
-                        inner.draining.push(canary);
-                    }
-                    inner.recency.remove(&key);
-                    self.metrics.registry_evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => return,
-            }
+                .slots
+                .iter_mut()
+                .filter(|(k, s)| *k != keep && s.active.is_some())
+                .min_by_key(|(_, s)| s.recency);
+            let Some((_, slot)) = victim else { return };
+            slot.evicted = slot.active.take().map(|entry| EvictedInfo {
+                rev: entry.rev,
+                compressed_bytes: entry.compressed_bytes,
+                quantized_layers: entry.quantized_layers,
+            });
+            // An orphaned canary cannot serve without its slot; drain
+            // it, and its trial, with the eviction.
+            inner.draining.extend(slot.canary.take().map(|c| c.entry));
+            self.metrics.registry_evictions.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Closes every registry operation: retires what has drained and
+    /// refreshes the gauges.
+    fn settle(&self, inner: &mut Inner) {
+        self.sweep_draining(inner);
+        self.metrics.registry_models.store(inner.active().count() as u64, Ordering::Relaxed);
+        self.metrics.registry_bytes.store(Self::memory_bytes(inner) as u64, Ordering::Relaxed);
+        self.metrics.registry_draining.store(inner.draining.len() as u64, Ordering::Relaxed);
     }
 
     /// Retires every draining revision whose strong count shows no
@@ -626,19 +719,12 @@ impl ModelRegistry {
     }
 
     fn memory_bytes(inner: &Inner) -> usize {
-        inner
-            .entries
-            .values()
-            .chain(inner.canaries.values())
+        let slots = inner.slots.values();
+        slots
+            .flat_map(|s| s.active.iter().chain(s.canary.iter().map(|c| &c.entry)))
             .chain(inner.draining.iter())
             .map(|e| e.resident_bytes)
             .sum()
-    }
-
-    fn refresh_gauges(&self, inner: &Inner) {
-        self.metrics.registry_models.store(inner.entries.len() as u64, Ordering::Relaxed);
-        self.metrics.registry_bytes.store(Self::memory_bytes(inner) as u64, Ordering::Relaxed);
-        self.metrics.registry_draining.store(inner.draining.len() as u64, Ordering::Relaxed);
     }
 }
 
@@ -989,6 +1075,86 @@ mod tests {
         // its own decoded weights.
         let decoded_weights = models[0].decode().unwrap().weight_bytes();
         assert!(expected(&models[0]) * 2 < decoded_weights, "{decoded_weights}");
+    }
+
+    /// Whether the slot's canary is `rev` with a trial nothing has
+    /// touched yet: no ticket taken, no sample on either side.
+    fn trial_is_fresh(r: &ModelRegistry, key: &ModelKey, rev: u64) -> bool {
+        let inner = r.lock_inner();
+        let canary = inner.slots.get(key).and_then(|s| s.canary.as_ref());
+        canary.is_some_and(|c| c.entry.rev == rev && c.trial == VerdictWindow::default())
+    }
+
+    /// A sample names the trial it measured. A batch resolved onto
+    /// canary rev 2 that comes back after rev 3 superseded it — with a
+    /// latency or with a failure — must not touch rev 3's trial: not
+    /// its window, not its place in the slot, not the rollback counter.
+    #[test]
+    fn a_superseded_canarys_batch_cannot_touch_its_successors_trial() {
+        use crate::lifecycle::WindowVerdict::{Clean, Pending};
+        let policy = CanaryPolicy { traffic_pct: 100, window: 3, ..Default::default() };
+        let r = registry(usize::MAX, 16);
+        let key = r.insert("m", &compressed(1, 3)).unwrap().key.clone();
+        r.publish("m", &compressed(2, 3)).unwrap();
+        // Two of the three samples rev 2 needs, then two batches in
+        // flight on it while rev 3 is published.
+        for _ in 0..2 {
+            let batch = r.resolve("m", None, &policy).unwrap();
+            assert_eq!(batch.canary.map(|c| c.rev), Some(2));
+            assert_eq!(r.report(&key, 2, &policy, true, Some(100)), Pending);
+        }
+        let ok_batch = r.resolve("m", None, &policy).unwrap();
+        let failed_batch = r.resolve("m", None, &policy).unwrap();
+        assert_eq!((ok_batch.trial_rev, failed_batch.trial_rev), (Some(2), Some(2)));
+        r.publish("m", &compressed(3, 3)).unwrap();
+        assert!(trial_is_fresh(&r, &key, 3));
+
+        // Rev 2's third sample would have completed rev 2's window.
+        assert_eq!(r.report(&key, 2, &policy, true, Some(100)), Pending);
+        assert!(trial_is_fresh(&r, &key, 3), "rev 2's sample landed in rev 3's window");
+        // Rev 2's failure would have been an immediate rollback.
+        assert_eq!(r.report(&key, 2, &policy, true, None), Pending);
+        assert!(trial_is_fresh(&r, &key, 3), "rev 2's failure rolled rev 3 back");
+        // Nor does a baseline sample taken beside rev 2 count for rev 3.
+        assert_eq!(r.report(&key, 2, &policy, false, Some(100)), Pending);
+        assert!(trial_is_fresh(&r, &key, 3));
+        assert_eq!(r.metrics.canary_rollbacks.load(Ordering::Relaxed), 0);
+        assert_eq!(r.metrics.canary_promotions.load(Ordering::Relaxed), 0);
+        assert_eq!(r.get("m", None).unwrap().rev, 1);
+
+        // Rev 3 is judged on exactly its own three samples.
+        assert_eq!(r.report(&key, 3, &policy, true, Some(100)), Pending);
+        assert_eq!(r.report(&key, 3, &policy, true, Some(100)), Pending);
+        assert_eq!(r.report(&key, 3, &policy, true, Some(100)), Clean);
+        assert_eq!(r.get("m", None).unwrap().rev, 3);
+        assert_eq!(r.metrics.canary_promotions.load(Ordering::Relaxed), 1);
+        // And a straggler of the settled trial moves nothing either.
+        assert_eq!(r.report(&key, 3, &policy, true, None), Pending);
+        assert_eq!(r.metrics.canary_rollbacks.load(Ordering::Relaxed), 0);
+    }
+
+    /// `resolve` hands the canary out on exactly the trial's canary
+    /// tickets, names the trial on every batch while it pends, and the
+    /// ticket count starts over with each published revision.
+    #[test]
+    fn resolve_routes_the_trials_share_and_names_the_trial() {
+        let policy = CanaryPolicy { traffic_pct: 50, ..Default::default() };
+        let r = registry(usize::MAX, 16);
+        r.insert("m", &compressed(1, 3)).unwrap();
+        let plain = r.resolve("m", None, &policy).unwrap();
+        assert_eq!((plain.active.rev, plain.trial_rev, plain.canary.is_none()), (1, None, true));
+        for rev in [2u64, 3] {
+            r.publish("m", &compressed(rev, 3)).unwrap();
+            let routed: Vec<Option<u64>> = (0..4)
+                .map(|_| {
+                    let batch = r.resolve("m", None, &policy).unwrap();
+                    assert_eq!((batch.active.rev, batch.trial_rev), (1, Some(rev)));
+                    batch.canary.map(|c| c.rev)
+                })
+                .collect();
+            assert_eq!(routed, [Some(rev), None, Some(rev), None]);
+        }
+        assert!(matches!(r.resolve("nope", None, &policy), Err(ServeError::ModelNotFound { .. })));
     }
 
     // The `registry.swap` / `registry.retire` failpoint tests live in

@@ -75,9 +75,9 @@ use std::time::{Duration, Instant};
 use gobo_model::batch::EncodeInput;
 
 use crate::error::ServeError;
-use crate::lifecycle::LifecycleController;
+use crate::lifecycle::CanaryPolicy;
 use crate::metrics::Metrics;
-use crate::registry::{ModelEntry, ModelKey, ModelRegistry};
+use crate::registry::{ModelEntry, ModelKey, ModelRegistry, Resolved};
 
 /// Worker-pool and batching parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,6 +154,24 @@ pub struct EncodeResponse {
     pub compute_us: u64,
 }
 
+/// The response as the wire frame — and, field for field, the
+/// `/v1/encode` body — carries it: everything but `rev`.
+impl From<EncodeResponse> for gobo_proto::frame::EncodeOkFrame {
+    fn from(response: EncodeResponse) -> Self {
+        let wire = |v: usize| u32::try_from(v).unwrap_or(u32::MAX);
+        gobo_proto::frame::EncodeOkFrame {
+            model: response.model.name,
+            bits: response.model.bits,
+            dims: response.hidden_dims.iter().copied().map(wire).collect(),
+            hidden: response.hidden,
+            pooled: response.pooled,
+            batch_size: wire(response.batch_size),
+            queue_us: response.queue_us,
+            compute_us: response.compute_us,
+        }
+    }
+}
+
 type Reply = Result<EncodeResponse, ServeError>;
 
 struct Pending {
@@ -171,7 +189,8 @@ struct State {
 struct Shared {
     config: SchedulerConfig,
     registry: Arc<ModelRegistry>,
-    lifecycle: Arc<LifecycleController>,
+    /// How a slot's pending canary is routed to and judged.
+    canary_policy: CanaryPolicy,
     metrics: Arc<Metrics>,
     /// Poisoning is recovered from, not propagated: a worker that
     /// panicked holding the lock leaves the queue popped-or-not, both
@@ -242,13 +261,13 @@ impl Scheduler {
     pub fn start(
         config: SchedulerConfig,
         registry: Arc<ModelRegistry>,
-        lifecycle: Arc<LifecycleController>,
+        canary_policy: CanaryPolicy,
         metrics: Arc<Metrics>,
     ) -> Self {
         let shared = Arc::new(Shared {
             config,
             registry,
-            lifecycle,
+            canary_policy,
             metrics,
             state: SanMutex::new(
                 "serve.scheduler.state",
@@ -613,15 +632,16 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Pending>) {
     // `batched_requests` is exactly the sum of the batch sizes taken.
     shared.metrics.record_batch(size);
     gobo_fault::fail_point!("serve.batch");
-    let entry = match shared.registry.get(model, bits) {
-        Ok(entry) => entry,
-        Err(_) => {
-            for p in batch.drain(..) {
-                shared.metrics.encode_failed.fetch_add(1, Ordering::Relaxed);
-                let _ = p.tx.send(Err(ServeError::ModelNotFound { name: model.to_owned() }));
-            }
-            return;
+    // One lock for everything this batch needs from the registry: the
+    // active revision and, when the slot has a canary on trial, the
+    // trial's ticket — which decides whether this batch runs on it.
+    let resolved = shared.registry.resolve(model, bits, &shared.canary_policy);
+    let Ok(Resolved { active: entry, trial_rev, canary }) = resolved else {
+        for p in batch.drain(..) {
+            shared.metrics.encode_failed.fetch_add(1, Ordering::Relaxed);
+            let _ = p.tx.send(Err(ServeError::ModelNotFound { name: model.to_owned() }));
         }
+        return;
     };
 
     // Pre-pass: answer expired or invalid requests individually so the
@@ -655,15 +675,18 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Pending>) {
         gobo_fault::fail_point!("serve.encode");
     }
 
-    // Canary routing: when the slot has a pending revision, the
-    // lifecycle controller's ticket decides whether this batch trials
-    // it. A canary failure (real or injected) is *never*
-    // client-visible: the batch transparently re-runs on the active
-    // revision and the canary is rolled back.
-    let canary_pending = shared.registry.canary_for(&entry.key);
-    let canary = canary_pending.as_ref().filter(|_| shared.lifecycle.should_try_canary()).cloned();
-
+    // The second and last lock: what the batch observed goes back to
+    // the trial it was resolved under, named by `trial_rev`, and the
+    // registry judges and applies the verdict there. A canary failure
+    // (real or injected) is *never* client-visible: the batch
+    // transparently re-runs on the active revision and the canary is
+    // rolled back.
     let start = Instant::now();
+    let report = |canary: bool, ok: bool| {
+        let Some(rev) = trial_rev else { return };
+        let us = ok.then(|| start.elapsed().as_micros() as u64);
+        shared.registry.report(&entry.key, rev, &shared.canary_policy, canary, us);
+    };
     let inputs: Vec<EncodeInput<'_>> =
         batch.iter().map(|p| EncodeInput { ids: &p.req.ids, type_ids: &p.req.type_ids }).collect();
     let (result, served) = match canary {
@@ -672,7 +695,7 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Pending>) {
             let _canary_span = gobo_obs::span!("gobo.canary", model = model, rev = c.rev);
             match canary_encode(&c, &inputs) {
                 Ok(outputs) => {
-                    shared.lifecycle.record_canary_ok(&c.key, start.elapsed().as_micros() as u64);
+                    report(true, true);
                     (Ok(outputs), c)
                 }
                 Err(_) => {
@@ -680,16 +703,16 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Pending>) {
                     // immediately; the active revision absorbs the
                     // batch so the client never observes the failure.
                     shared.metrics.canary_errors.fetch_add(1, Ordering::Relaxed);
-                    shared.lifecycle.record_canary_error(&c.key);
+                    report(true, false);
                     (entry.engine.encode_batch(&inputs), Arc::clone(&entry))
                 }
             }
         }
         None => {
             let result = entry.engine.encode_batch(&inputs);
-            if canary_pending.is_some() && result.is_ok() {
-                // Feed the baseline only while a verdict is pending.
-                shared.lifecycle.record_active(&entry.key, start.elapsed().as_micros() as u64);
+            // Feeds the baseline, and only while a verdict is pending.
+            if result.is_ok() {
+                report(false, true);
             }
             (result, Arc::clone(&entry))
         }

@@ -259,6 +259,65 @@ fn slow_canary_rolled_back_on_p95_regression() {
     shutdown_and_check_counters(&core);
 }
 
+/// A canary that supersedes another is judged on its own batches. With
+/// one worker, one sequential client and `traffic_pct: 100` every
+/// request is one canary batch, so the run is deterministic: publish a
+/// canary, run `window - 1` batches on it, publish its successor, and
+/// no verdict may land until `window` batches ran on the *successor* —
+/// first through `registry().publish`, then through `ServeCore::reload`.
+#[test]
+fn superseding_canary_is_judged_on_its_own_samples() {
+    let _guard = FaultGuard::lock();
+    let window = 8u32;
+    let core = ServeCore::start(ServeOptions {
+        scheduler: SchedulerConfig { workers: 1, ..SchedulerConfig::default() },
+        lifecycle: CanaryPolicy { traffic_pct: 100, window, ..CanaryPolicy::default() },
+        ..ServeOptions::default()
+    });
+    let client = Client::new(Arc::clone(&core));
+    let key = client.register("chaos", &compressed(20)).unwrap().key.clone();
+    let promotions = || core.metrics().canary_promotions.load(Ordering::Relaxed);
+    let active_rev = || core.registry().list()[0].rev;
+    // `batches` sequential requests, each of which must be served by
+    // the canary `rev`.
+    let run_on = |rev: u64, batches: u32| {
+        for r in 0..batches as usize {
+            let resp = client.encode(EncodeRequest::new("chaos", vec![1 + r % 30, 2, 3])).unwrap();
+            assert_eq!(resp.rev, rev, "every batch trials the pending canary");
+        }
+    };
+    let dir = std::env::temp_dir().join(format!("gobo-serve-chaos-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |seed: u64| {
+        let path = dir.join(format!("rev{seed}.gobom"));
+        std::fs::write(&path, compressed(seed).to_bytes()).unwrap();
+        path.to_str().unwrap().to_owned()
+    };
+    // One round on a slot whose active revision is `active`: canaries
+    // `active + 1`, then `active + 2` superseding it.
+    let round = |how: &str, active: u64, publish: &dyn Fn(u64) -> RevState| {
+        let (first, second) = (active + 1, active + 2);
+        let settled = promotions();
+        assert_eq!(publish(20 + first), RevState::Canary, "{how}");
+        run_on(first, window - 1);
+        assert_eq!(publish(20 + second), RevState::Canary, "{how}");
+        run_on(second, window - 1);
+        assert_eq!(
+            (promotions(), active_rev(), core.registry().canary_for(&key).map(|c| c.rev)),
+            (settled, active, Some(second)),
+            "{how}: rev {second} was judged before {window} batches ran on it"
+        );
+        run_on(second, 1);
+        assert_eq!((promotions(), active_rev()), (settled + 1, second), "{how}");
+        assert!(core.registry().canary_for(&key).is_none(), "{how}");
+    };
+    round("publish", 1, &|seed| core.registry().publish("chaos", &compressed(seed)).unwrap().1);
+    round("reload", 3, &|seed| core.reload("chaos", &file(seed)).unwrap().1);
+    assert_eq!(core.metrics().canary_rollbacks.load(Ordering::Relaxed), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+    shutdown_and_check_counters(&core);
+}
+
 /// A panicking worker never takes an unrelated queued batch with it:
 /// concurrent requests against a panic-prone pool resolve as either
 /// success or `WorkerPanic` — no hangs, no other errors — and the
