@@ -16,8 +16,11 @@
 //!   model residency), and graceful drain;
 //! * [`router`] — replica selection by health and load, heartbeat
 //!   membership with mark-dead/mark-alive, failover on retryable
-//!   errors, hedged requests (a backup fires after a p95-derived
-//!   delay, the first answer wins, the loser is cancelled), and canary
+//!   errors, a per-node pool of persistent connections driven by the
+//!   calling thread (no connect, thread or socket teardown per
+//!   request), hedged requests (a backup fires after a p95-derived
+//!   delay, the first answer wins, the loser's outcome and connection
+//!   are dropped), and canary
 //!   trials: a designated node receives a configured traffic slice
 //!   and is auto-promoted on a clean latency window or auto-demoted on
 //!   an attempt failure or p95 regression;

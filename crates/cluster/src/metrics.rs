@@ -24,6 +24,9 @@ pub struct ClusterMetrics {
     pub hedge_wins: AtomicU64,
     /// Failovers to the next replica after a retryable failure.
     pub failovers: AtomicU64,
+    /// Connections opened to nodes: one per pool miss or stale-connection
+    /// retry, so it stays near the node count however many requests ran.
+    pub connects: AtomicU64,
     /// Consistent-hash ring rebuilds (membership/health transitions).
     pub ring_rebuilds: AtomicU64,
     /// Heartbeats sent.
@@ -82,6 +85,7 @@ impl ClusterMetrics {
             (Counter, "gobo_cluster_hedge_fires_total", "hedge backups fired after the hedge delay", v(&self.hedge_fires)),
             (Counter, "gobo_cluster_hedge_wins_total", "requests won by a hedge backup", v(&self.hedge_wins)),
             (Counter, "gobo_cluster_failovers_total", "failovers to the next replica after a retryable failure", v(&self.failovers)),
+            (Counter, "gobo_cluster_node_connects_total", "connections opened to nodes (pool misses and stale-connection retries)", v(&self.connects)),
             (Counter, "gobo_cluster_ring_rebuilds_total", "consistent-hash ring rebuilds", v(&self.ring_rebuilds)),
             (Counter, "gobo_cluster_heartbeats_total", "heartbeats sent", v(&self.heartbeats)),
             (Counter, "gobo_cluster_heartbeat_failures_total", "heartbeats that failed or timed out", v(&self.heartbeat_failures)),

@@ -64,7 +64,13 @@ impl ClusterNode {
         let listener = {
             let shared = Arc::clone(&shared);
             Listener::spawn(addr, "gobo-node-accept", move |stream| {
-                let _ = handle_conn(&shared, stream);
+                let _ = handle_conn(&shared, &stream);
+                // The listener tracks a clone of this socket, so dropping
+                // ours closes nothing. A router keeps its connections
+                // pooled: it must see EOF the moment this handler is gone
+                // (idle read timeout, bad frame), not write its next
+                // request into a socket nobody reads.
+                let _ = stream.shutdown(Shutdown::Both);
             })?
         };
         Ok(ClusterNode { shared, listener })
@@ -124,10 +130,10 @@ impl Drop for ClusterNode {
     }
 }
 
-fn handle_conn(shared: &NodeShared, stream: TcpStream) -> Result<(), ProtoError> {
+fn handle_conn(shared: &NodeShared, stream: &TcpStream) -> Result<(), ProtoError> {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
-    let mut reader = BufReader::new(stream.try_clone().map_err(ProtoError::Io)?);
+    let mut reader = BufReader::new(stream);
     let mut writer = stream;
     loop {
         gobo_sanitize::blocking_io("cluster.node.read_frame");

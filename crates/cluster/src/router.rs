@@ -12,11 +12,32 @@
 //! lowest queue depth). If no answer arrives within the hedge delay —
 //! configured, or derived from the p95 of the router's own latency
 //! histogram — a backup fires to the next replica and the first answer
-//! wins; the loser's connection is shut down. Every hedge loss bumps
-//! the primary's *slow score*, demoting it in future replica
-//! orderings, so a persistently slow node stops being picked first and
-//! steady-state latency returns to healthy levels instead of paying
-//! the hedge delay forever.
+//! wins; the loser's connection is dropped with its outcome. Every
+//! hedge loss bumps the primary's *slow score*, demoting it in future
+//! replica orderings, so a persistently slow node stops being picked
+//! first and steady-state latency returns to healthy levels instead of
+//! paying the hedge delay forever.
+//!
+//! # Connections: a pool per node, driven by the caller
+//!
+//! Every member keeps its idle connections (`cluster.router.pool`, a
+//! leaf lock held for one `Vec` push or pop). The thread that routes a
+//! request checks one out — connecting only on a miss — writes the
+//! frame, waits for the first reply byte until the hedge delay runs
+//! out, reads the reply under the request deadline and checks the
+//! connection back in. Only a connection whose last exchange ended in a
+//! whole reply to the very request it carried goes back; a timeout, a
+//! transport or frame error, a reply to another request and a hedge
+//! loser all close theirs, so a late reply can never reach a later
+//! request. Nothing is spawned, cloned or shut down on that path. Only
+//! when a hedge fires do the silent primary's connection and the backup
+//! leg move to helper threads that report on a channel; a leg that
+//! reports after the request settled finds the channel gone, and its
+//! connection is dropped with its outcome. A pooled connection the node
+//! closed meanwhile (its idle read timeout, a restart) fails before any
+//! reply byte; encode is pure, so that one case is retried once on a
+//! fresh connection instead of failing over. Heartbeats ride the same
+//! pool through the same exchange.
 //!
 //! # Failure model
 //!
@@ -27,9 +48,10 @@
 //! heartbeat: `dead_after` consecutive misses mark a node dead (ring
 //! rebuild without it), a single success marks it alive again.
 
+use std::io::{self, BufRead as _, BufReader};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 
 use gobo_sanitize::{SanMutex, SanRwLock};
@@ -115,9 +137,23 @@ const HEDGE_FLOOR: Duration = Duration::from_millis(2);
 const HEDGE_INITIAL: Duration = Duration::from_millis(50);
 /// Overall per-request budget across all attempts.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
-/// Connect timeout of one encode attempt. Connects are not retried: a
-/// dead replica should fail over to the next one immediately.
+/// Connect timeout on a pool miss. Connects are not retried: a dead
+/// replica should fail over to the next one immediately.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// Idle connections kept per node; one checked in beyond that is
+/// closed. Concurrency above it still works, it just reconnects.
+const POOL_IDLE_MAX: usize = 8;
+
+/// A persistent connection to one node. Replies are read through the
+/// buffer and requests written to the socket under it, so the one
+/// descriptor is never cloned and closing is dropping.
+#[derive(Debug)]
+struct Conn {
+    stream: BufReader<TcpStream>,
+    /// Came out of the pool rather than from a connect: the node may
+    /// have closed it since its last reply.
+    reused: bool,
+}
 
 /// Live state of one member, updated by heartbeats and request
 /// outcomes.
@@ -132,9 +168,35 @@ pub struct NodeState {
     queue_depth: AtomicU32,
     draining: AtomicBool,
     slow_score: AtomicU32,
+    /// Idle connections, most recently used last. A leaf lock: held for
+    /// one push, pop or take, never across I/O or another lock.
+    idle: SanMutex<Vec<Conn>>,
 }
 
 impl NodeState {
+    /// Takes the most recently used idle connection, if there is one.
+    fn checkout(&self) -> Option<Conn> {
+        self.idle.lock().pop()
+    }
+
+    /// Returns a connection whose last exchange ended in a whole reply
+    /// to the request it carried — the only state fit for reuse.
+    fn checkin(&self, mut conn: Conn) {
+        conn.reused = true;
+        let mut idle = self.idle.lock();
+        if idle.len() < POOL_IDLE_MAX {
+            idle.push(conn);
+        }
+        // One over the cap is closed as `conn` drops, after the guard.
+    }
+
+    /// Closes every idle connection (the node was marked dead).
+    fn drop_idle(&self) {
+        // Two statements: taken under the lock, closed after it.
+        let idle = std::mem::take(&mut *self.idle.lock());
+        drop(idle);
+    }
+
     /// Whether the router currently considers this node healthy.
     pub fn is_healthy(&self) -> bool {
         self.healthy.load(Ordering::Acquire)
@@ -238,7 +300,6 @@ struct Shared {
     config: RouterConfig,
     membership: SanRwLock<Membership>,
     metrics: ClusterMetrics,
-    stop: AtomicBool,
     seq: AtomicU64,
     canary: SanMutex<Option<CanaryTrial>>,
 }
@@ -246,21 +307,29 @@ struct Shared {
 /// The consistent-hash router over a set of [`NodeState`] members.
 pub struct Router {
     shared: Arc<Shared>,
-    heartbeat_thread: SanMutex<Option<JoinHandle<()>>>,
+    /// The heartbeat thread and the sender whose drop stops it.
+    heartbeat: SanMutex<Option<(mpsc::Sender<()>, JoinHandle<()>)>>,
 }
 
-enum AttemptError {
-    Transport(String),
-    App(EncodeErrFrame),
+/// What one request / reply exchange with a node came to.
+enum Attempt<T> {
+    /// A whole reply that answers the request, and the connection it
+    /// came on — in the one state fit for [`NodeState::checkin`].
+    Reply(T, Conn),
+    /// No reply byte by the time patience ran out. Nothing was consumed,
+    /// so the connection is still in step and can be waited on further.
+    Silent(Conn),
+    /// Connect, transport or frame failure, or a reply to some other
+    /// request; the connection is closed.
+    Failed(String),
 }
 
-/// What an attempt thread sends the routing thread.
-enum Leg {
-    /// A clone of its connected socket, for cancellation.
-    Connected(TcpStream),
-    /// Its outcome; nothing follows.
-    Done(Result<EncodeOkFrame, AttemptError>),
-}
+/// The node's verdict on an encode, as carried by its response frame.
+type EncodeResult = Result<EncodeOkFrame, EncodeErrFrame>;
+
+/// One leg of a request: which replica (index into the ordered replica
+/// set) and what its exchange came to.
+type Leg = (usize, Attempt<EncodeResult>);
 
 fn is_terminal(code: &str) -> bool {
     matches!(
@@ -284,11 +353,10 @@ impl Router {
                 // ACQUIRES-AFTER: cluster.router.canary
                 membership: SanRwLock::new("cluster.router.membership", 52, Membership::default()),
                 metrics: ClusterMetrics::new(),
-                stop: AtomicBool::new(false),
                 seq: AtomicU64::new(1),
                 canary: SanMutex::new("cluster.router.canary", 50, None),
             }),
-            heartbeat_thread: SanMutex::new("cluster.router.heartbeat", 13, None),
+            heartbeat: SanMutex::new("cluster.router.heartbeat", 13, None),
         }
     }
 
@@ -305,6 +373,7 @@ impl Router {
             queue_depth: AtomicU32::new(0),
             draining: AtomicBool::new(false),
             slow_score: AtomicU32::new(0),
+            idle: SanMutex::new("cluster.router.pool", 54, Vec::new()),
         });
         let mut membership = self.shared.membership.write();
         membership.nodes.retain(|n| n.id != state.id);
@@ -314,24 +383,26 @@ impl Router {
 
     /// Starts the heartbeat/membership thread. Idempotent.
     pub fn start(&self) {
-        let mut guard = self.heartbeat_thread.lock();
+        let mut guard = self.heartbeat.lock();
         if guard.is_some() {
             return;
         }
         let shared = Arc::clone(&self.shared);
+        let (stop, stopped) = mpsc::channel();
         let handle = std::thread::Builder::new()
             .name("gobo-router-heartbeat".into())
-            .spawn(move || heartbeat_loop(&shared));
+            .spawn(move || heartbeat_loop(&shared, &stopped));
         if let Ok(handle) = handle {
-            *guard = Some(handle);
+            *guard = Some((stop, handle));
         }
     }
 
-    /// Stops the heartbeat thread. Idempotent.
+    /// Stops the heartbeat thread: dropping the sender ends its wait at
+    /// once, whatever is left of the interval. Idempotent.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Release);
-        let handle = self.heartbeat_thread.lock().take();
-        if let Some(handle) = handle {
+        let running = self.heartbeat.lock().take();
+        if let Some((stop, handle)) = running {
+            drop(stop);
             let _ = handle.join();
         }
     }
@@ -562,119 +633,115 @@ impl Router {
             None
         };
 
-        let request = EncodeRequestFrame {
-            id: self.shared.seq.fetch_add(1, Ordering::Relaxed),
+        let id = self.shared.seq.fetch_add(1, Ordering::Relaxed);
+        let request = Arc::new(Frame::EncodeRequest(EncodeRequestFrame {
+            id,
             model: model.to_owned(),
             bits: bits.unwrap_or(0),
             deadline_ms,
             ids: ids.to_vec(),
             type_ids: type_ids.to_vec(),
-        };
-
-        // Each attempt thread reports twice on the one channel: its
-        // socket once connected (so a loser can be cancelled by shutting
-        // it down), then its outcome.
-        let (tx, rx) = mpsc::channel::<(usize, Leg)>();
-        let mut streams: Vec<(usize, TcpStream)> = Vec::new();
-        let launch = |attempt: usize| {
-            let Some(node) = ordered.get(attempt) else { return };
-            let addr = node.addr.clone();
-            let frame = Frame::EncodeRequest(request.clone());
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                let result = attempt_once(&addr, &frame, |s| {
-                    let _ = tx.send((attempt, Leg::Connected(s)));
-                });
-                let _ = tx.send((attempt, Leg::Done(result)));
-            });
-        };
-
-        launch(0);
-        let mut launched = 1usize;
-        let mut finished = 0usize;
+        }));
         let hedge_at = start + self.hedge_delay();
-        let mut hedge_idx: Option<usize> = None;
         let deadline = start + REQUEST_TIMEOUT;
-        let mut last_err: Option<RouterError> = None;
+        let timed_out = || {
+            RouterError::Timeout(format!("no replica answered `{key}` within {REQUEST_TIMEOUT:?}"))
+        };
+
+        // Legs run on this thread, one replica after another, until one
+        // stays silent past `hedge_at` with a replica left to hedge to.
+        // From then on they run on helper threads and report to `race`.
+        let mut race: Option<Race> = None;
+        let mut rest = ordered.iter().enumerate().peekable();
+        let mut launched = 0usize;
+        let mut finished = 0usize;
+        let mut hedge_idx: Option<usize> = None;
+        let mut last_err: Option<String> = None;
         let mut canary_failed = false;
 
         let outcome: Result<(usize, EncodeOkFrame), RouterError> = loop {
-            let now = Instant::now();
-            if now >= deadline {
-                break Err(RouterError::Timeout(format!(
-                    "no replica answered `{key}` within {REQUEST_TIMEOUT:?}"
-                )));
+            if Instant::now() >= deadline {
+                break Err(timed_out());
             }
-            let wait_until = if launched < ordered.len() && hedge_idx.is_none() {
-                hedge_at.min(deadline)
-            } else {
-                deadline
+            // The next leg to come in: the one still out, or — with
+            // nothing out — the next replica, tried right here.
+            let (idx, leg) = match &race {
+                Some(race) if finished < launched => {
+                    match race.legs.recv_timeout(time_left(deadline)) {
+                        Ok(leg) => leg,
+                        Err(_) => break Err(timed_out()),
+                    }
+                }
+                _ => {
+                    let Some((idx, node)) = rest.next() else {
+                        break Err(RouterError::Exhausted(
+                            last_err.unwrap_or_else(|| "no replica left to try".to_owned()),
+                        ));
+                    };
+                    launched += 1;
+                    let patience = if rest.peek().is_some() { hedge_at } else { deadline };
+                    let accept = encode_reply(id);
+                    (idx, attempt(&self.shared, node, &request, accept, patience, deadline))
+                }
             };
-            let wait = wait_until.saturating_duration_since(now).max(Duration::from_millis(1));
-            match rx.recv_timeout(wait) {
-                Ok((idx, Leg::Connected(stream))) => streams.push((idx, stream)),
-                Ok((idx, Leg::Done(Ok(ok)))) => break Ok((idx, ok)),
-                Ok((_, Leg::Done(Err(AttemptError::App(err))))) if is_terminal(&err.code) => {
-                    break Err(RouterError::Upstream(err));
-                }
-                Ok((idx, Leg::Done(Err(err)))) => {
-                    finished += 1;
-                    if canary_attempt && idx == 0 {
-                        // The canary attempt itself failed with a
-                        // retryable/transport error: that is the
-                        // node's fault, not the client's — roll the
-                        // trial back once the request settles.
-                        canary_failed = true;
+            let failure = match leg {
+                Attempt::Reply(result, conn) => {
+                    if let Some(node) = ordered.get(idx) {
+                        node.checkin(conn);
                     }
-                    last_err = Some(match err {
-                        AttemptError::Transport(msg) => RouterError::Exhausted(msg),
-                        AttemptError::App(app) => {
-                            RouterError::Exhausted(format!("{}: {}", app.code, app.message))
+                    match result {
+                        Ok(ok) => break Ok((idx, ok)),
+                        Err(err) if is_terminal(&err.code) => {
+                            break Err(RouterError::Upstream(err));
                         }
-                    });
-                    if launched < ordered.len() {
-                        self.shared.metrics.failovers.fetch_add(1, Ordering::Relaxed);
-                        launch(launched);
-                        launched += 1;
-                    } else if finished >= launched {
-                        break Err(last_err.unwrap_or_else(|| {
-                            RouterError::Exhausted("no attempt outcome recorded".to_owned())
-                        }));
+                        Err(err) => format!("{}: {}", err.code, err.message),
                     }
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    if launched < ordered.len() && hedge_idx.is_none() && Instant::now() >= hedge_at
-                    {
-                        let _hedge_span = gobo_obs::span!("gobo.hedge", key = key);
-                        self.shared.metrics.hedge_fires.fetch_add(1, Ordering::Relaxed);
-                        hedge_idx = Some(launched);
-                        launch(launched);
-                        launched += 1;
-                    }
+                Attempt::Failed(msg) => msg,
+                Attempt::Silent(conn) => {
+                    // Silent until `hedge_at` on this thread, with a
+                    // replica left: the hedge fires. (Silent until the
+                    // deadline — the last replica's leg, or a helper's —
+                    // is the request timing out.)
+                    let (None, Some(primary), Some((backup_idx, backup))) =
+                        (&race, ordered.get(idx), rest.next())
+                    else {
+                        break Err(timed_out());
+                    };
+                    let _hedge_span = gobo_obs::span!("gobo.hedge", key = key);
+                    self.shared.metrics.hedge_fires.fetch_add(1, Ordering::Relaxed);
+                    hedge_idx = Some(backup_idx);
+                    let race = race.insert(Race::new(&self.shared, &request, id, deadline));
+                    race.launch(idx, primary, Some(conn));
+                    race.launch(backup_idx, backup, None);
+                    launched += 1;
+                    continue;
                 }
-                Err(RecvTimeoutError::Disconnected) => {
-                    break Err(last_err.unwrap_or_else(|| {
-                        RouterError::Exhausted("all attempts vanished".to_owned())
-                    }));
-                }
+            };
+            // A transport failure or a retryable error from the node:
+            // on to the next replica, if there is one.
+            finished += 1;
+            last_err = Some(failure);
+            if canary_attempt && idx == 0 {
+                // The canary attempt itself failed: that is the node's
+                // fault, not the client's — roll the trial back once the
+                // request settles.
+                canary_failed = true;
+            }
+            if rest.peek().is_some() {
+                self.shared.metrics.failovers.fetch_add(1, Ordering::Relaxed);
+            }
+            // Once hedged, the next replica goes to a helper as well;
+            // unhedged, the loop tries it on this thread.
+            if let (Some(race), Some((next_idx, next))) = (&race, rest.peek()) {
+                race.launch(*next_idx, next, None);
+                launched += 1;
+                rest.next();
             }
         };
-
-        // Cancel losers: shutting their sockets down unblocks the
-        // attempt threads immediately.
-        let winner = match &outcome {
-            Ok((idx, _)) => Some(*idx),
-            Err(_) => None,
-        };
-        let connected = rx.try_iter().filter_map(|(idx, leg)| match leg {
-            Leg::Connected(stream) => Some((idx, stream)),
-            Leg::Done(_) => None,
-        });
-        for (idx, stream) in streams.into_iter().chain(connected) {
-            if Some(idx) != winner {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
+        // Whatever leg is still out is a loser: it finds the channel
+        // gone when it reports, and its connection drops with its outcome.
+        drop(race);
 
         if let (Some((trial_id, _)), true) = (trial, canary_failed) {
             // Roll back even when the whole request later failed: the
@@ -750,40 +817,153 @@ fn rebuild_ring(shared: &Shared, membership: &mut Membership) {
     shared.metrics.ring_rebuilds.fetch_add(1, Ordering::Relaxed);
 }
 
-fn attempt_once(
-    addr: &str,
-    frame: &Frame,
-    register: impl FnOnce(TcpStream),
-) -> Result<EncodeOkFrame, AttemptError> {
-    gobo_sanitize::blocking_io("cluster.router.attempt_connect");
-    let stream = connect_retry(addr, CONNECT_TIMEOUT, &RetryPolicy::none())
-        .map_err(|e| AttemptError::Transport(format!("connect {addr}: {e}")))?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(REQUEST_TIMEOUT));
-    let mut writer = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(e) => return Err(AttemptError::Transport(format!("clone {addr}: {e}"))),
-    };
-    register(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(e) => return Err(AttemptError::Transport(format!("clone {addr}: {e}"))),
-    });
-    use std::io::Write as _;
-    write_frame(&mut writer, frame)
-        .and_then(|()| writer.flush())
-        .map_err(|e| AttemptError::Transport(format!("write {addr}: {e}")))?;
-    let mut reader = std::io::BufReader::new(stream);
-    match read_frame(&mut reader, MAX_PAYLOAD) {
-        Ok(Some(Frame::EncodeResponse(response))) => match response.result {
-            Ok(ok) => Ok(ok),
-            Err(err) => Err(AttemptError::App(err)),
+/// What is left until `until`, never zero (a socket timeout of zero is
+/// an error, and a deadline that just passed still deserves one look).
+fn time_left(until: Instant) -> Duration {
+    until.saturating_duration_since(Instant::now()).max(Duration::from_millis(1))
+}
+
+/// The acceptance test of an encode exchange: the reply must be the
+/// response to request `id`, or the connection is out of step.
+fn encode_reply(id: u64) -> impl Fn(Frame) -> Option<EncodeResult> + Copy + Send + 'static {
+    move |reply| match reply {
+        Frame::EncodeResponse(response) if response.id == id => Some(response.result),
+        _ => None,
+    }
+}
+
+/// A hedged request's helper threads and the channel they report on.
+struct Race {
+    shared: Arc<Shared>,
+    request: Arc<Frame>,
+    id: u64,
+    deadline: Instant,
+    report: mpsc::Sender<Leg>,
+    legs: mpsc::Receiver<Leg>,
+}
+
+impl Race {
+    fn new(shared: &Arc<Shared>, request: &Arc<Frame>, id: u64, deadline: Instant) -> Race {
+        let (report, legs) = mpsc::channel();
+        Race {
+            shared: Arc::clone(shared),
+            request: Arc::clone(request),
+            id,
+            deadline,
+            report,
+            legs,
+        }
+    }
+
+    /// Runs leg `idx` against `node` on a thread of its own: the rest of
+    /// an exchange whose connection stayed `silent` so far, or a whole
+    /// one. The thread is not joined — a loser ends with its read, and
+    /// joining it would make the request as slow as its slowest leg.
+    fn launch(&self, idx: usize, node: &Arc<NodeState>, silent: Option<Conn>) {
+        let (shared, request, report) =
+            (Arc::clone(&self.shared), Arc::clone(&self.request), self.report.clone());
+        let (node, accept, deadline) = (Arc::clone(node), encode_reply(self.id), self.deadline);
+        std::thread::spawn(move || {
+            let leg = match silent {
+                Some(conn) => read_reply(conn, &node.addr, accept, deadline),
+                None => attempt(&shared, &node, &request, accept, deadline, deadline),
+            };
+            let _ = report.send((idx, leg));
+        });
+    }
+}
+
+/// One exchange with `node`, the only one the router has — routed
+/// encodes (inline and hedged) and heartbeats all go through it: check
+/// a connection out (connect on a miss), write `request`, wait until
+/// `patience` for the first reply byte, then read the reply under
+/// `deadline` and hand it to `accept`, which returns `None` unless it
+/// answers this very request. The caller checks the connection of a
+/// [`Attempt::Reply`] back in.
+fn attempt<T>(
+    shared: &Shared,
+    node: &NodeState,
+    request: &Frame,
+    accept: impl Fn(Frame) -> Option<T>,
+    patience: Instant,
+    deadline: Instant,
+) -> Attempt<T> {
+    let mut conn = match node.checkout() {
+        Some(conn) => conn,
+        None => match connect(shared, &node.addr, deadline) {
+            Ok(conn) => conn,
+            Err(msg) => return Attempt::Failed(msg),
         },
-        Ok(Some(other)) => Err(AttemptError::Transport(format!(
-            "unexpected frame kind {} from {addr}",
-            other.kind()
-        ))),
-        Ok(None) => Err(AttemptError::Transport(format!("{addr} closed without answering"))),
-        Err(e) => Err(AttemptError::Transport(format!("read {addr}: {e}"))),
+    };
+    loop {
+        gobo_sanitize::blocking_io("cluster.router.attempt_exchange");
+        let started = write_frame(conn.stream.get_mut(), request)
+            .and_then(|()| reply_started(&mut conn.stream, patience));
+        match started {
+            Ok(true) => return read_reply(conn, &node.addr, accept, deadline),
+            Ok(false) => return Attempt::Silent(conn),
+            // The node closed this connection while it sat in the pool
+            // (its idle read timeout, a restart). No byte of a reply was
+            // seen and encode is pure: once more, on a fresh one.
+            Err(_) if conn.reused => match connect(shared, &node.addr, deadline) {
+                Ok(fresh) => conn = fresh,
+                Err(msg) => return Attempt::Failed(msg),
+            },
+            Err(e) => return Attempt::Failed(format!("{}: {e}", node.addr)),
+        }
+    }
+}
+
+/// The pool's miss path, and the only place the router connects.
+fn connect(shared: &Shared, addr: &str, deadline: Instant) -> Result<Conn, String> {
+    gobo_sanitize::blocking_io("cluster.router.attempt_connect");
+    let timeout = CONNECT_TIMEOUT.min(time_left(deadline));
+    let stream = connect_retry(addr, timeout, &RetryPolicy::none())
+        .map_err(|e| format!("connect {addr}: {e}"))?;
+    shared.metrics.connects.fetch_add(1, Ordering::Relaxed);
+    let _ = stream.set_nodelay(true);
+    Ok(Conn { stream: BufReader::new(stream), reused: false })
+}
+
+/// Waits until `until` for the first byte of a reply: `Ok(false)` when
+/// none came. `fill_buf` consumes nothing, so a wait that timed out
+/// leaves the stream exactly where it was. A peer that closed instead
+/// of answering is an error.
+fn reply_started(stream: &mut BufReader<TcpStream>, until: Instant) -> io::Result<bool> {
+    stream.get_ref().set_read_timeout(Some(time_left(until)))?;
+    loop {
+        match stream.fill_buf() {
+            Ok([]) => return Err(io::Error::from(io::ErrorKind::UnexpectedEof)),
+            Ok(_) => return Ok(true),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                return Ok(false);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Reads one reply off `conn` under `deadline` and hands it to `accept`.
+fn read_reply<T>(
+    mut conn: Conn,
+    addr: &str,
+    accept: impl Fn(Frame) -> Option<T>,
+    deadline: Instant,
+) -> Attempt<T> {
+    let _ = conn.stream.get_ref().set_read_timeout(Some(time_left(deadline)));
+    match read_frame(&mut conn.stream, MAX_PAYLOAD) {
+        Ok(Some(reply)) => {
+            let kind = reply.kind();
+            match accept(reply) {
+                Some(answer) => Attempt::Reply(answer, conn),
+                None => Attempt::Failed(format!(
+                    "{addr} answered out of step with the request (frame kind {kind})"
+                )),
+            }
+        }
+        Ok(None) => Attempt::Failed(format!("{addr} closed without answering")),
+        Err(e) => Attempt::Failed(format!("read {addr}: {e}")),
     }
 }
 
@@ -791,26 +971,15 @@ fn attempt_once(
 // Heartbeats / membership
 // ---------------------------------------------------------------------------
 
-fn heartbeat_loop(shared: &Shared) {
-    while !shared.stop.load(Ordering::Acquire) {
-        // Sleep in short slices so shutdown does not wait a full
-        // interval.
-        let mut slept = Duration::ZERO;
-        while slept < shared.config.heartbeat_interval {
-            if shared.stop.load(Ordering::Acquire) {
-                return;
-            }
-            let slice = shared
-                .config
-                .heartbeat_interval
-                .saturating_sub(slept)
-                .min(Duration::from_millis(20));
-            std::thread::sleep(slice);
-            slept += slice;
-        }
+/// One round of heartbeats per interval until `stopped` reports its
+/// sender gone — which ends the wait at once, mid-interval.
+fn heartbeat_loop(shared: &Shared, stopped: &mpsc::Receiver<()>) {
+    while let Err(RecvTimeoutError::Timeout) =
+        stopped.recv_timeout(shared.config.heartbeat_interval)
+    {
         let nodes = shared.membership.read().nodes.clone();
         for node in nodes {
-            if shared.stop.load(Ordering::Acquire) {
+            if !matches!(stopped.try_recv(), Err(TryRecvError::Empty)) {
                 return;
             }
             heartbeat_node(shared, &node);
@@ -821,7 +990,7 @@ fn heartbeat_loop(shared: &Shared) {
 fn heartbeat_node(shared: &Shared, node: &NodeState) {
     shared.metrics.heartbeats.fetch_add(1, Ordering::Relaxed);
     let seq = shared.seq.fetch_add(1, Ordering::Relaxed);
-    match heartbeat_once(&node.addr, seq, shared.config.heartbeat_timeout) {
+    match heartbeat_once(shared, node, seq) {
         Ok(ack) => {
             node.misses.store(0, Ordering::Relaxed);
             node.queue_depth.store(ack.queue_depth, Ordering::Relaxed);
@@ -839,37 +1008,33 @@ fn heartbeat_node(shared: &Shared, node: &NodeState) {
             let misses = node.misses.fetch_add(1, Ordering::Relaxed) + 1;
             if misses >= shared.config.dead_after && node.healthy.swap(false, Ordering::AcqRel) {
                 shared.metrics.mark_dead.fetch_add(1, Ordering::Relaxed);
+                node.drop_idle();
                 rebuild_ring(shared, &mut shared.membership.write());
             }
         }
     }
 }
 
-fn heartbeat_once(addr: &str, seq: u64, timeout: Duration) -> Result<HeartbeatAckFrame, String> {
+/// One heartbeat on a pooled connection: the ack of this very `seq`,
+/// within the heartbeat timeout.
+fn heartbeat_once(
+    shared: &Shared,
+    node: &NodeState,
+    seq: u64,
+) -> Result<HeartbeatAckFrame, String> {
     gobo_fault::fail_point!("cluster.heartbeat", "injected cluster.heartbeat fault".to_owned());
-    let sockaddr = {
-        use std::net::ToSocketAddrs as _;
-        addr.to_socket_addrs()
-            .map_err(|e| format!("resolve {addr}: {e}"))?
-            .next()
-            .ok_or_else(|| format!("{addr} resolved to nothing"))?
+    let timeout = shared.config.heartbeat_timeout;
+    let deadline = Instant::now() + timeout;
+    let accept = |reply| match reply {
+        Frame::HeartbeatAck(ack) if ack.seq == seq => Some(ack),
+        _ => None,
     };
-    gobo_sanitize::blocking_io("cluster.router.heartbeat_connect");
-    let stream = TcpStream::connect_timeout(&sockaddr, timeout)
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(timeout));
-    let mut writer = stream.try_clone().map_err(|e| format!("clone {addr}: {e}"))?;
-    write_frame(&mut writer, &Frame::Heartbeat { seq })
-        .map_err(|e| format!("write {addr}: {e}"))?;
-    let mut reader = std::io::BufReader::new(stream);
-    match read_frame(&mut reader, MAX_PAYLOAD) {
-        Ok(Some(Frame::HeartbeatAck(ack))) if ack.seq == seq => Ok(ack),
-        Ok(Some(Frame::HeartbeatAck(ack))) => {
-            Err(format!("{addr} acked seq {} for {seq}", ack.seq))
+    match attempt(shared, node, &Frame::Heartbeat { seq }, accept, deadline, deadline) {
+        Attempt::Reply(ack, conn) => {
+            node.checkin(conn);
+            Ok(ack)
         }
-        Ok(Some(other)) => Err(format!("{addr} answered frame kind {}", other.kind())),
-        Ok(None) => Err(format!("{addr} closed without answering")),
-        Err(e) => Err(format!("read {addr}: {e}")),
+        Attempt::Silent(_) => Err(format!("{} did not ack within {timeout:?}", node.addr)),
+        Attempt::Failed(msg) => Err(msg),
     }
 }

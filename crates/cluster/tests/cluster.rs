@@ -1,10 +1,14 @@
 //! End-to-end cluster tests over real TCP: byte-identity of routed
 //! responses, failover when a replica dies, hedged rescue of a slow or
-//! partitioned primary, drain handling, and the HTTP front door.
+//! partitioned primary, drain handling, the HTTP front door — and the
+//! router's connection pool: one connect per node rather than per
+//! request, and no connection reused unless its last exchange ended in
+//! a whole reply to the request it carried.
 
 use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use gobo::format::CompressedModel;
@@ -12,6 +16,7 @@ use gobo::pipeline::{quantize_model, QuantizeOptions};
 use gobo_cluster::{ClusterNode, Router, RouterConfig, RouterServer};
 use gobo_model::config::ModelConfig;
 use gobo_model::TransformerModel;
+use gobo_proto::frame::{read_frame, write_frame, EncodeOkFrame, EncodeResponseFrame, Frame};
 use gobo_serve::json::{parse, Json};
 use gobo_serve::{CanaryPolicy, Client, EncodeRequest, ServeCore, ServeOptions};
 use rand::rngs::StdRng;
@@ -424,6 +429,260 @@ fn ring_matches_membership_after_concurrent_adds_and_health_flips() {
         }
     }
     router.shutdown();
+}
+
+/// A hedge delay no healthy request reaches: with it, every connect the
+/// router makes is a pool miss or a stale retry, never a hedge leg.
+const NO_HEDGE: Duration = Duration::from_secs(5);
+
+/// Eight threads of routed encodes over three nodes and three model
+/// keys: every response is the bits of `decode().encode()` on the same
+/// ids, and the router opened at most one connection per thread and
+/// node — not one per request.
+#[test]
+fn concurrent_routed_load_is_bit_identical_on_pooled_connections() {
+    let config = RouterConfig { hedge_after: Some(NO_HEDGE), ..RouterConfig::default() };
+    let (nodes, router) = start_cluster(3, config);
+    let container = compressed(7);
+    let names = ["demo", "demo-b", "demo-c"];
+    for node in &nodes {
+        for name in &names[1..] {
+            Client::new(Arc::clone(&node.core)).register(name, &container).unwrap();
+        }
+    }
+    let reference = container.decode().unwrap();
+    let (threads, per_thread) = (8usize, 200usize);
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let (router, reference) = (&router, &reference);
+            scope.spawn(move || {
+                for r in 0..per_thread {
+                    let len = 1 + (t + r) % 12;
+                    let ids: Vec<u32> =
+                        (0..len).map(|k| ((t * 7 + r * 3 + k) % 40) as u32).collect();
+                    let ok =
+                        router.encode(names[(t + r) % names.len()], None, &ids, &[], 0).unwrap();
+                    let ids: Vec<usize> = ids.iter().map(|&v| v as usize).collect();
+                    let want = reference.encode(&ids, &[]).unwrap();
+                    assert_eq!(ok.dims, vec![len as u32, 16]);
+                    assert_bits_identical(&ok.hidden, want.hidden.as_slice());
+                }
+            });
+        }
+    });
+    let m = router.metrics();
+    assert_eq!(m.requests.load(Relaxed), (threads * per_thread) as u64);
+    assert_eq!(m.errors.load(Relaxed), 0);
+    let connects = m.connects.load(Relaxed);
+    assert!(
+        (1..=(threads * nodes.len()) as u64).contains(&connects),
+        "{connects} connects for {} requests",
+        threads * per_thread
+    );
+}
+
+/// A node restarted on the same port between two requests: the pooled
+/// connection to its predecessor is dead, which shows before any reply
+/// byte — so the request is retried once on a fresh connection to the
+/// same node instead of failing over.
+#[test]
+fn a_stale_pooled_connection_is_retried_on_a_fresh_one() {
+    let config = RouterConfig { hedge_after: Some(NO_HEDGE), ..RouterConfig::default() };
+    let (mut nodes, router) = start_cluster(2, config);
+    let primary = primary_index(&nodes, &router);
+    let first = router.encode("demo", None, &[1, 2, 3], &[], 0).unwrap();
+    let m = router.metrics();
+    assert_eq!(m.connects.load(Relaxed), 1);
+
+    let addr = nodes[primary].node.local_addr().to_string();
+    nodes[primary].node.shutdown();
+    nodes[primary].node = ClusterNode::start(Arc::clone(&nodes[primary].core), &addr).unwrap();
+
+    let second = router.encode("demo", None, &[1, 2, 3], &[], 0).unwrap();
+    assert_bits_identical(&second.hidden, &first.hidden);
+    assert_eq!(m.failovers.load(Relaxed), 0, "a stale connection is not a failed replica");
+    assert_eq!(m.connects.load(Relaxed), 2, "one connect per incarnation of the node");
+}
+
+/// What [`fake_node`] tells the test about one connection.
+#[derive(Debug, PartialEq)]
+enum FakeEvent {
+    /// The peer closed it after the scripted reply.
+    ClosedByPeer,
+    /// The peer sent another request on it.
+    Reused,
+}
+
+/// A stand-in for a node that answers the first encode request on each
+/// connection with `reply(request id)`, then reports whether the router
+/// closed the connection or used it again.
+fn fake_node(
+    reply: impl Fn(u64) -> EncodeResponseFrame + Send + 'static,
+) -> (SocketAddr, mpsc::Receiver<FakeEvent>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (events, seen) = mpsc::channel();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { return };
+            let Ok(Some(Frame::EncodeRequest(request))) = read_frame(&mut stream, u32::MAX) else {
+                continue;
+            };
+            write_frame(&mut stream, &Frame::EncodeResponse(reply(request.id))).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let event = match read_frame(&mut stream, u32::MAX) {
+                Ok(None) => FakeEvent::ClosedByPeer,
+                _ => FakeEvent::Reused,
+            };
+            if events.send(event).is_err() {
+                return;
+            }
+        }
+    });
+    (addr, seen)
+}
+
+/// A reply that carries another request's id means the connection is
+/// out of step: it is a transport error, the connection is closed rather
+/// than pooled, and the next replica answers.
+#[test]
+fn a_reply_to_another_request_closes_the_connection_and_fails_over() {
+    let (fake, events) = fake_node(|id| EncodeResponseFrame {
+        id: id + 1,
+        result: Ok(EncodeOkFrame {
+            model: "demo".into(),
+            bits: 3,
+            dims: vec![1, 1],
+            hidden: vec![f32::NAN],
+            pooled: None,
+            batch_size: 1,
+            queue_us: 0,
+            compute_us: 0,
+        }),
+    });
+    // One real node beside the fake, under the first id that makes the
+    // fake the primary for "demo".
+    let (nodes, _) = start_cluster(1, RouterConfig::default());
+    let router = (0..64)
+        .map(|k| {
+            let router = Router::new(RouterConfig {
+                hedge_after: Some(NO_HEDGE),
+                ..RouterConfig::default()
+            });
+            router.add_node("n1", nodes[0].node.local_addr().to_string());
+            router.add_node(format!("fake-{k}"), fake.to_string());
+            router
+        })
+        .find(|router| router.replicas_for("demo", None)[0].id != "n1")
+        .expect("some id makes the fake node the primary");
+    let direct = Client::new(Arc::clone(&nodes[0].core))
+        .encode(EncodeRequest::new("demo", vec![5, 6]))
+        .unwrap();
+
+    let ok = router.encode("demo", None, &[5, 6], &[], 0).unwrap();
+    assert_bits_identical(&ok.hidden, &direct.hidden);
+    assert_eq!(router.metrics().failovers.load(Relaxed), 1);
+    assert_eq!(
+        events.recv_timeout(Duration::from_secs(5)),
+        Ok(FakeEvent::ClosedByPeer),
+        "a connection that answered out of step must not be pooled"
+    );
+}
+
+/// The connection a hedge abandoned on a partitioned primary is never
+/// used again: when the partition heals and the old request's reply
+/// finally arrives, nobody routes on that connection — the next request
+/// to that node opens a new one and gets the answer to its own ids.
+#[test]
+fn a_hedge_loser_connection_is_never_reused() {
+    let config =
+        RouterConfig { hedge_after: Some(Duration::from_millis(10)), ..RouterConfig::default() };
+    let (nodes, router) = start_cluster(2, config);
+    let victim = primary_index(&nodes, &router);
+    let other = 1 - victim;
+    let m = router.metrics();
+    // Warm the victim's pool, so the partition meets a pooled connection.
+    router.encode("demo", None, &[1], &[], 0).unwrap();
+    assert_eq!(m.connects.load(Relaxed), 1);
+
+    // Partitioned, the primary reads the request and never answers: the
+    // hedge wins on the other node and the primary's connection is left
+    // to the loser's helper thread.
+    nodes[victim].node.set_partitioned(true);
+    let ok = router.encode("demo", None, &[1, 2], &[], 0).unwrap();
+    assert_eq!(ok.dims, vec![2, 16]);
+    assert_eq!((m.hedge_wins.load(Relaxed), m.connects.load(Relaxed)), (1, 2));
+    // Healed, it answers that two-token request late.
+    nodes[victim].node.set_partitioned(false);
+
+    // Now the other node goes silent, so every request ends on the
+    // victim — which has no idle connection: the one it had was
+    // abandoned, not pooled. Each answer is the answer to its own ids.
+    nodes[other].node.set_partitioned(true);
+    for (i, len) in [5usize, 3, 7].into_iter().enumerate() {
+        let ids: Vec<u32> = (1..=len as u32).collect();
+        let ok = router.encode("demo", None, &ids, &[], 0).unwrap();
+        assert_eq!(ok.dims, vec![len as u32, 16], "a late reply reached a later request");
+        if i == 0 {
+            assert_eq!(m.connects.load(Relaxed), 3, "the abandoned connection was pooled");
+        }
+    }
+    nodes[other].node.set_partitioned(false);
+}
+
+/// A node killed while it holds a request: the router is parked on that
+/// connection with no hedge in sight, sees it close, and fails over at
+/// once — on EOF, not on a timeout.
+#[test]
+fn a_node_killed_mid_request_fails_over_on_eof() {
+    let config = RouterConfig { hedge_after: Some(NO_HEDGE), ..RouterConfig::default() };
+    let (mut nodes, router) = start_cluster(2, config);
+    let direct = Client::new(Arc::clone(&nodes[0].core))
+        .encode(EncodeRequest::new("demo", vec![9, 8, 7]))
+        .unwrap();
+    let victim = primary_index(&nodes, &router);
+    router.encode("demo", None, &[1], &[], 0).unwrap();
+    let held = Duration::from_secs(2);
+    nodes[victim].node.set_artificial_delay(held);
+
+    let m = router.metrics();
+    let (ok, elapsed) = std::thread::scope(|scope| {
+        let request = scope.spawn(|| {
+            let start = Instant::now();
+            (router.encode("demo", None, &[9, 8, 7], &[], 0), start.elapsed())
+        });
+        while m.requests.load(Relaxed) < 2 {
+            std::thread::yield_now();
+        }
+        // The request is counted just before it is written; give the
+        // write its few microseconds, then kill the node under it.
+        std::thread::sleep(Duration::from_millis(50));
+        nodes[victim].node.shutdown();
+        request.join().unwrap()
+    });
+    assert_bits_identical(&ok.unwrap().hidden, &direct.hidden);
+    assert!(elapsed < held, "failover waited out the node instead of its EOF: {elapsed:?}");
+    assert_eq!((m.failovers.load(Relaxed), m.hedge_fires.load(Relaxed)), (1, 0));
+}
+
+/// The node's test knobs act per request, not per connection: a delay
+/// set (and cleared) between two requests on the one pooled connection
+/// applies to exactly the requests sent while it was set.
+#[test]
+fn artificial_delay_applies_per_request_on_a_pooled_connection() {
+    let config = RouterConfig { hedge_after: Some(NO_HEDGE), ..RouterConfig::default() };
+    let (nodes, router) = start_cluster(1, config);
+    let delay = Duration::from_millis(120);
+    let timed = |delayed: bool| {
+        nodes[0].node.set_artificial_delay(if delayed { delay } else { Duration::ZERO });
+        let start = Instant::now();
+        router.encode("demo", None, &[1, 2], &[], 0).unwrap();
+        start.elapsed()
+    };
+    assert!(timed(false) < delay);
+    assert!(timed(true) >= delay);
+    assert!(timed(false) < delay);
+    assert_eq!(router.metrics().connects.load(Relaxed), 1);
 }
 
 fn http_request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {

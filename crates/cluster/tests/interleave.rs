@@ -1,5 +1,6 @@
 //! Concurrency audit: exhaustive interleaving checks for the router's
-//! canary trial.
+//! canary trial and, in `mod pool` at the end of the file, for its
+//! per-node connection pool (that module's comment has its protocol).
 //!
 //! The real protocol (`crates/cluster/src/router.rs`) keeps a trial —
 //! its identity, its node, its tickets and its verdict window — as one
@@ -385,4 +386,359 @@ fn interleave_explorer_rejects_the_split_lock_protocol() {
     assert_eq!(total, 16_800);
     assert!(misjudged > 0, "explorer failed to find a verdict landing on a replaced trial");
     assert!(unsampled_demotion > 0, "explorer failed to find trial 2 demoted on trial 1's failure");
+}
+
+// ---------------------------------------------------------------------
+// The router's connection pool (`crates/cluster/src/router.rs`:
+// `NodeState::{checkout, checkin, drop_idle}` around `attempt`).
+//
+// A node's idle connections sit in a `Vec` behind one leaf mutex,
+// `cluster.router.pool`. A routed request (or a heartbeat) is, in atomic
+// steps: **checkout** — pop under the lock; on a miss, **connect** — a
+// new connection nobody else has seen; **exchange** — write the request
+// and read the reply, touching nothing but that connection; then either
+// **check-in** — push under the lock, or close when the pool is full —
+// if the exchange ended in a whole reply to the very request written,
+// or **close** for every other ending (silence until the deadline, a
+// hedge loser, a transport or frame error, another request's id). The
+// heartbeat thread's mark-dead runs `drop_idle` against all of that:
+// **take** the whole `Vec` under the lock, then **close** what it took,
+// outside it.
+//
+// Invariants, over every schedule of requests that end every way, with
+// mark-dead racing them:
+//
+// * **one holder** — a connection is held by at most one request, and
+//   mark-dead never closes one that is held;
+// * **pooled means in step** — a connection enters the pool only in the
+//   "answered whole, id matched" state, so whoever checks it out reads
+//   the reply to its own request first;
+// * **closed is final** — nothing closed is pooled, held or written to;
+// * **no leak** — once every thread is done each connection is idle in
+//   the pool (at most `POOL_IDLE_MAX` of them) or closed.
+//
+// The mutant checks a connection in as soon as the request is written,
+// before its reply was read — the shortcut a multiplexed socket would
+// make legal and a pool must not take: the explorer must find a second
+// request holding the connection while the first still reads from it.
+// ---------------------------------------------------------------------
+mod pool {
+    use gobo_lint::interleave::{
+        explore_dpor, explore_exhaustive, DporProgram, Footprint, Program,
+    };
+
+    /// Connections a run can open: the one idle at the start plus one
+    /// miss per request.
+    const CONNS: usize = 4;
+    /// `POOL_IDLE_MAX` in the model: small enough that a check-in meets a
+    /// full pool in some schedule.
+    const IDLE_MAX: usize = 1;
+
+    /// Footprint variables: the `Vec` behind the pool lock, the count of
+    /// connections opened, and one per connection.
+    const V_IDLE: u32 = 20;
+    const V_OPENED: u32 = 21;
+    const fn v_conn(c: usize) -> u32 {
+        30 + c as u32
+    }
+    const V_ALL_CONNS: [u32; CONNS] = [v_conn(0), v_conn(1), v_conn(2), v_conn(3)];
+
+    #[derive(Clone, Default)]
+    struct Pool {
+        /// Behind the pool lock: idle connection ids, most recent last.
+        idle: Vec<usize>,
+        opened: usize,
+        /// Requests holding connection `c` right now.
+        holders: [u8; CONNS],
+        /// A request was written on `c` whose reply has not been read
+        /// whole: the next reply on `c` belongs to somebody.
+        owes_reply: [bool; CONNS],
+        closed: [bool; CONNS],
+        /// Sticky: what went wrong, if anything did.
+        violation: Option<&'static str>,
+    }
+
+    impl Pool {
+        /// One connection idle in the pool, as after a first request.
+        fn warm() -> Pool {
+            Pool { idle: vec![0], opened: 1, ..Pool::default() }
+        }
+
+        fn flag(&mut self, what: &'static str) {
+            self.violation.get_or_insert(what);
+        }
+
+        fn hold(&mut self, c: usize) {
+            if self.holders[c] > 0 {
+                self.flag("a connection is held by two requests at once");
+            }
+            if self.closed[c] {
+                self.flag("a closed connection was handed to a request");
+            }
+            self.holders[c] += 1;
+        }
+
+        fn close(&mut self, c: usize) {
+            if self.holders[c] > 0 {
+                self.flag("a connection was closed under the request holding it");
+            }
+            self.closed[c] = true;
+        }
+
+        /// `NodeState::checkin`, the pool-lock part and the drop after it.
+        fn checkin(&mut self, c: usize) {
+            if self.owes_reply[c] {
+                self.flag("a connection was pooled with a reply still owed on it");
+            }
+            if self.closed[c] {
+                self.flag("a closed connection was pooled");
+            }
+            if self.idle.len() < IDLE_MAX {
+                self.idle.push(c);
+            } else {
+                self.close(c);
+            }
+        }
+    }
+
+    #[derive(Clone, Copy, PartialEq)]
+    enum At {
+        Checkout,
+        Connect,
+        Exchange,
+        /// The mutant only: written and pooled, reply still to be read.
+        ReadReply,
+        Release,
+        Done,
+    }
+
+    /// One routed request. `answered`: its exchange ends in a whole reply
+    /// with its own id; otherwise in any of the endings that close.
+    #[derive(Clone)]
+    struct Request {
+        answered: bool,
+        /// The mutant: pool the connection once the request is written.
+        pools_early: bool,
+        at: At,
+        conn: usize,
+    }
+
+    impl Request {
+        fn new(answered: bool) -> Request {
+            Request { answered, pools_early: false, at: At::Checkout, conn: usize::MAX }
+        }
+    }
+
+    impl Program<Pool> for Request {
+        fn step(&mut self, pool: &mut Pool) {
+            match self.at {
+                At::Checkout => match pool.idle.pop() {
+                    Some(c) => {
+                        pool.hold(c);
+                        (self.conn, self.at) = (c, At::Exchange);
+                    }
+                    None => self.at = At::Connect,
+                },
+                At::Connect => {
+                    let c = pool.opened;
+                    pool.opened += 1;
+                    pool.hold(c);
+                    (self.conn, self.at) = (c, At::Exchange);
+                }
+                At::Exchange if self.pools_early => {
+                    pool.owes_reply[self.conn] = true;
+                    pool.idle.push(self.conn);
+                    self.at = At::ReadReply;
+                }
+                At::Exchange | At::ReadReply => {
+                    if pool.closed[self.conn] {
+                        pool.flag("a request was exchanged on a closed connection");
+                    }
+                    // Written and read in one step: the connection is
+                    // this request's alone in between — the invariant.
+                    pool.owes_reply[self.conn] = !self.answered;
+                    self.at = At::Release;
+                }
+                At::Release => {
+                    pool.holders[self.conn] -= 1;
+                    if self.pools_early {
+                        // Already in the pool.
+                    } else if self.answered {
+                        pool.checkin(self.conn);
+                    } else {
+                        pool.close(self.conn);
+                    }
+                    self.at = At::Done;
+                }
+                At::Done => {}
+            }
+        }
+
+        fn is_done(&self) -> bool {
+            self.at == At::Done
+        }
+    }
+
+    impl DporProgram<Pool> for Request {
+        fn next_footprint(&self) -> Footprint {
+            match self.at {
+                // Which connection comes out is not known beforehand.
+                At::Checkout => Footprint::new(&[], &[&[V_IDLE][..], &V_ALL_CONNS].concat()),
+                At::Connect => Footprint::new(&[], &[&[V_OPENED][..], &V_ALL_CONNS].concat()),
+                At::Exchange if self.pools_early => {
+                    Footprint::new(&[], &[V_IDLE, v_conn(self.conn)])
+                }
+                At::Exchange | At::ReadReply => Footprint::new(&[], &[v_conn(self.conn)]),
+                At::Release | At::Done => Footprint::new(&[], &[V_IDLE, v_conn(self.conn)]),
+            }
+        }
+    }
+
+    /// `drop_idle` on mark-dead: take under the lock, close outside it.
+    #[derive(Clone, Default)]
+    struct MarkDead {
+        taken: Option<Vec<usize>>,
+        done: bool,
+    }
+
+    impl Program<Pool> for MarkDead {
+        fn step(&mut self, pool: &mut Pool) {
+            match self.taken.take() {
+                None => self.taken = Some(std::mem::take(&mut pool.idle)),
+                Some(taken) => {
+                    for c in taken {
+                        pool.close(c);
+                    }
+                    self.done = true;
+                }
+            }
+        }
+
+        fn is_done(&self) -> bool {
+            self.done
+        }
+    }
+
+    impl DporProgram<Pool> for MarkDead {
+        fn next_footprint(&self) -> Footprint {
+            match &self.taken {
+                None => Footprint::new(&[], &[V_IDLE]),
+                Some(taken) => {
+                    let conns: Vec<u32> = taken.iter().map(|&c| v_conn(c)).collect();
+                    Footprint::new(&[], &conns)
+                }
+            }
+        }
+    }
+
+    #[derive(Clone)]
+    enum Thread {
+        Request(Request),
+        MarkDead(MarkDead),
+    }
+
+    impl Program<Pool> for Thread {
+        fn step(&mut self, pool: &mut Pool) {
+            match self {
+                Thread::Request(r) => r.step(pool),
+                Thread::MarkDead(m) => m.step(pool),
+            }
+        }
+
+        fn is_done(&self) -> bool {
+            match self {
+                Thread::Request(r) => r.is_done(),
+                Thread::MarkDead(m) => m.is_done(),
+            }
+        }
+    }
+
+    impl DporProgram<Pool> for Thread {
+        fn next_footprint(&self) -> Footprint {
+            match self {
+                Thread::Request(r) => r.next_footprint(),
+                Thread::MarkDead(m) => m.next_footprint(),
+            }
+        }
+    }
+
+    /// What is wrong with a terminal state, if anything.
+    fn violation(pool: &Pool) -> Option<String> {
+        if let Some(what) = pool.violation {
+            return Some(what.to_owned());
+        }
+        if pool.idle.len() > IDLE_MAX {
+            return Some(format!("{} idle connections, cap {IDLE_MAX}", pool.idle.len()));
+        }
+        for c in 0..pool.opened {
+            let pooled = pool.idle.iter().filter(|&&i| i == c).count();
+            if pool.holders[c] != 0 || pooled + usize::from(pool.closed[c]) != 1 {
+                return Some(format!(
+                    "connection {c} leaked: {} holders, pooled {pooled}×, closed: {}",
+                    pool.holders[c], pool.closed[c]
+                ));
+            }
+        }
+        None
+    }
+
+    /// Two requests that are answered, one that is not, and mark-dead.
+    fn threads() -> [Thread; 4] {
+        [
+            Thread::Request(Request::new(true)),
+            Thread::Request(Request::new(true)),
+            Thread::Request(Request::new(false)),
+            Thread::MarkDead(MarkDead::default()),
+        ]
+    }
+
+    #[test]
+    fn interleave_pool_every_schedule_keeps_one_holder_and_pools_only_in_step() {
+        let (mut reused, mut dropped_idle, mut overflowed) = (0u64, 0u64, 0u64);
+        // Exhaustively with two requests (one of each ending)…
+        let small = [threads()[1].clone(), threads()[2].clone(), threads()[3].clone()];
+        let naive = explore_exhaustive(&Pool::warm(), &small, |pool, schedule| {
+            assert_eq!(violation(pool), None, "schedule {schedule:?}");
+        });
+        // …and all three through DPOR: exchanges touch one connection
+        // each, so schedules that only reorder them collapse.
+        let stats = explore_dpor(&Pool::warm(), &threads(), |pool, schedule| {
+            assert_eq!(violation(pool), None, "schedule {schedule:?}");
+            reused += u64::from(pool.opened < 4);
+            dropped_idle += u64::from(pool.closed[0] && pool.opened == 4);
+            overflowed += u64::from(
+                pool.idle.len() == IDLE_MAX && pool.closed[1..].iter().filter(|&&c| c).count() > 1,
+            );
+        });
+        println!(
+            "pool: naive {naive} schedules (2 requests); dpor {} schedules, {} sleep prunes, \
+             {} steps (3 requests)",
+            stats.schedules, stats.sleep_prunes, stats.steps
+        );
+        // Not vacuous: some schedules reuse the warm connection, some
+        // lose it to mark-dead first, some check in to a full pool.
+        assert!(
+            reused > 0 && dropped_idle > 0 && overflowed > 0,
+            "{reused} {dropped_idle} {overflowed}"
+        );
+    }
+
+    /// Pooling a connection once its request is written — before the
+    /// reply is read — lets a second request check it out while the first
+    /// still holds it (its first read would be the other's reply), and
+    /// lets mark-dead close it under the request still reading from it.
+    #[test]
+    fn interleave_explorer_rejects_pooling_before_the_reply_is_read() {
+        let early =
+            |answered| Thread::Request(Request { pools_early: true, ..Request::new(answered) });
+        let threads = [early(true), early(true), Thread::MarkDead(MarkDead::default())];
+        let (mut two_holders, mut closed_under_holder) = (0u64, 0u64);
+        explore_exhaustive(&Pool::warm(), &threads, |pool, _| {
+            let what = pool.violation.unwrap_or_default();
+            two_holders += u64::from(what.contains("two requests"));
+            closed_under_holder += u64::from(what.contains("under the request"));
+        });
+        assert!(two_holders > 0, "explorer failed to find two requests on one connection");
+        assert!(closed_under_holder > 0, "explorer failed to find mark-dead closing a held one");
+    }
 }

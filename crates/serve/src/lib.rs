@@ -22,7 +22,7 @@
 //! * [`scheduler`] — bounded admission queue, worker pool, fair-share
 //!   batching (a free worker takes its share of what is queued for the
 //!   oldest model key, up to `max_batch`; a share short of `max_batch`
-//!   is held until its oldest request is 1 ms old, never longer),
+//!   is held until its oldest request is 0.5 ms old, never longer),
 //!   per-request deadlines that reject (never hang) on overload,
 //!   graceful drain;
 //! * [`listener`] — the one thread-per-connection TCP accept loop

@@ -11,11 +11,11 @@
 //! acquisitions and no per-key claim.
 //!
 //! A share smaller than `max_batch` is **held for company** until its
-//! oldest request is `COALESCE_HOLD` (1 ms) old: the worker sleeps out
+//! oldest request is `COALESCE_HOLD` (0.5 ms) old: the worker sleeps out
 //! what is left of that on the condition variable and sweeps again. A
 //! request that already waited that long behind busy workers, a share
 //! that is a full `max_batch`, and everything during drain go at once,
-//! so the hold adds at most 1 ms to a request and nothing to a backlog.
+//! so the hold adds at most 0.5 ms to a request and nothing to a backlog.
 //! Company is the lesser reason for it. The hold is the one term of a
 //! round trip that the host does not move: without it a closed loop is
 //! nothing but CPU time and thread hand-offs, and on a shared two-core
@@ -248,7 +248,7 @@ const SUPERVISOR_POLL: Duration = Duration::from_millis(2);
 const REPLY_GRACE: Duration = Duration::from_millis(250);
 /// How long a share smaller than `max_batch` is held for company,
 /// counted from the arrival of its oldest request (see [`hold_left`]).
-const COALESCE_HOLD: Duration = Duration::from_millis(1);
+const COALESCE_HOLD: Duration = Duration::from_micros(500);
 
 /// The admission queue + worker pool + supervisor.
 pub struct Scheduler {

@@ -344,9 +344,9 @@ fn interleave_explorer_catches_eager_free_bug() {
 // `Scheduler::submit` pushes under the state lock and calls
 // `notify_all` after unlocking; a worker's `next_batch` sweeps the
 // queue under the lock, takes its share if the share is a full
-// `max_batch` or its oldest request is past the coalescing hold,
-// otherwise sleeps out the rest of the hold on a timer and sweeps
-// again, and sleeps without a timer only when the sweep found the queue
+// `max_batch` or its oldest request is past the coalescing hold
+// (`COALESCE_HOLD`, 0.5 ms), otherwise sleeps out the rest of the hold
+// on a timer and sweeps again, and sleeps without a timer only when the sweep found the queue
 // empty, the lock being released and the sleeper registered in one
 // atomic step (that is what a condition variable's `wait` is). The
 // model has exactly those steps: `push`, `notify`, and

@@ -3,7 +3,7 @@
 //! and byte-identical parity with direct `TransformerModel::encode`
 //! calls at every batch size.
 //!
-//! The scheduler holds a partial share for 1 ms at most — nothing a
+//! The scheduler holds a partial share for 0.5 ms at most — nothing a
 //! test could queue a backlog inside reliably — so a test that wants a
 //! backlog holds the workers itself: [`park_workers`] parks each one
 //! inside a `serve.batch=delay` failpoint, the test queues behind them
@@ -62,7 +62,7 @@ const HOLD: Duration = Duration::from_millis(300);
 
 /// Parks every one of `core`'s `workers` workers inside a batch for
 /// [`HOLD`]: with `serve.batch=delay` armed, a lone plug request is
-/// dispatched to an idle worker a millisecond later, and the failpoint's
+/// dispatched to an idle worker half a millisecond later, and the failpoint's
 /// fire count says when that worker has gone to sleep in it — so the
 /// plugs go in one at a time, each to a worker of its own. The failpoint is then
 /// disarmed (a sleeper keeps sleeping), so batches taken after the hold
