@@ -80,6 +80,10 @@ fn main() {
             Ok(t) => println!("{t}"),
             Err(e) => eprintln!("ablation table failed: {e}"),
         }
+        match ablation::layer(&options) {
+            Ok(t) => println!("{t}"),
+            Err(e) => eprintln!("layer-level ablation failed: {e}"),
+        }
         ran = true;
     }
     if want("headline") {

@@ -1,5 +1,5 @@
-//! Shared helpers for the GOBO benchmark harness.
+//! The GOBO table and figure harness.
 //!
-//! The actual paper tables and figures are regenerated by the `regen-tables`
-//! and `regen-figures` binaries; Criterion benches measure the wall-clock
-//! claims (quantization speed, convergence).
+//! The paper's tables, the ablations and the figure series are
+//! regenerated by the `regen-tables` and `regen-figures` binaries; wall-clock
+//! numbers come from `stackbench` (`benchmark/`), not from here.

@@ -6,99 +6,140 @@
 //! fail their own requests, but nothing hangs, nothing takes the
 //! process down, and a corrupted model is rejected rather than
 //! silently served with wrong weights.
+//!
+//! A scenario is a row of [`SCENARIOS`]. Its function only says what is
+//! particular to it — the fault, the load's shape, what must hold; the
+//! load loop, the model, the reference outputs, the cores and the
+//! cluster come from [`crate::harness`], and it reports through a
+//! [`Verdict`], which is also what decides PASS.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 use gobo::format::reseal_compressed;
-use gobo::pipeline::{quantize_model, QuantizeOptions};
-use gobo_model::config::ModelConfig;
-use gobo_model::TransformerModel;
-use gobo_serve::{
-    CanaryPolicy, Client, EncodeRequest, RegistryConfig, SchedulerConfig, ServeCore, ServeOptions,
-};
+use gobo_serve::{CanaryPolicy, SchedulerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cmd::{Args, CliError};
+use crate::cmd::{failed, Args, CliError};
 use crate::format::CompressedModel;
+use crate::harness::{
+    build_model, drains, drive, drive_during, primary, routed, served, start_core, two_workers,
+    unhealthy, wait_until, Cluster, Load, Patterns, Tally, Verdict, MODEL, QUICK_CANARY,
+};
 
-const ALL_SCENARIOS: [&str; 6] = [
-    "worker-panic",
-    "corrupt-model",
-    "queue-overload",
-    "node-kill",
-    "network-partition",
-    "reload-under-load",
-];
-
-/// Outcome of one scenario: pass/fail plus human-readable evidence.
-struct Scenario {
-    name: &'static str,
-    passed: bool,
-    lines: Vec<String>,
+/// What the command line gives every scenario.
+struct Knobs {
+    requests: usize,
+    corruptions: usize,
+    seed: u64,
 }
+
+/// One row of the table.
+struct Scenario {
+    /// The `--scenario` value.
+    name: &'static str,
+    /// What it does and proves — the one sentence the usage error,
+    /// README and DESIGN §9 describe it by.
+    about: &'static str,
+    run: fn(&Knobs, &mut Verdict) -> Result<(), CliError>,
+}
+
+const SCENARIOS: [Scenario; 6] = [
+    Scenario {
+        name: "worker-panic",
+        about: "workers panic on every 5th encode: only the hit requests fail (as worker_panic), \
+                the pool respawns, and the run stays within 2x of fault-free",
+        run: worker_panic,
+    },
+    Scenario {
+        name: "corrupt-model",
+        about: "seeded byte flips and truncations of a .gobom, half re-sealed past every \
+                checksum: each is rejected or parses to the same content, none panics",
+        run: corrupt_model,
+    },
+    Scenario {
+        name: "queue-overload",
+        about: "an 8-slot queue behind slowed batches: every request ends ok, queue_full or \
+                deadline_exceeded within its deadline, and service resumes with the fault gone",
+        run: queue_overload,
+    },
+    Scenario {
+        name: "node-kill",
+        about: "the primary of a 3-node RF=2 cluster is killed mid-load: every request still \
+                succeeds bit-identically, the heartbeat marks it dead, traffic re-routes",
+        run: node_kill,
+    },
+    Scenario {
+        name: "network-partition",
+        about: "the primary goes silent (no resets): hedges rescue every request, the \
+                heartbeat marks it dead, and once healed it rejoins and serves",
+        run: network_partition,
+    },
+    Scenario {
+        name: "reload-under-load",
+        about: "a publish storm with registry faults under load, then an erroring and a slow \
+                canary: every reply is one revision's bytes, both roll back, p99 recovers",
+        run: reload_under_load,
+    },
+];
 
 /// `gobo chaos`: run the requested scenarios, report, and exit
 /// non-zero if any scenario saw a hang, a process-level crash, or a
-/// silently-wrong result.
+/// silently-wrong result. Every `--scenario` is looked up before
+/// anything runs.
 pub(crate) fn chaos(args: &Args) -> Result<String, CliError> {
-    let mut scenarios = args.get_all("scenario");
-    if scenarios.is_empty() {
-        scenarios = ALL_SCENARIOS.to_vec();
-    }
-    let requests: usize = args.parse_num("requests", 500)?.max(16);
-    let corruptions: usize = args.parse_num("corruptions", 10_000)?.max(1);
-    let seed: u64 = args.parse_num("seed", 0)?;
+    let names = args.get_all("scenario");
+    let find = |name: &&str| {
+        SCENARIOS.iter().find(|row| row.name == *name).ok_or_else(|| {
+            let table: String =
+                SCENARIOS.iter().map(|row| format!("\n  {}: {}", row.name, row.about)).collect();
+            CliError::Usage(format!("unknown scenario `{name}`; the scenarios are:{table}"))
+        })
+    };
+    let rows: Vec<&Scenario> = if names.is_empty() {
+        SCENARIOS.iter().collect()
+    } else {
+        names.iter().map(find).collect::<Result<_, _>>()?
+    };
+    let knobs = Knobs {
+        requests: args.parse_num("requests", 500)?.max(16),
+        corruptions: args.parse_num("corruptions", 10_000)?.max(1),
+        seed: args.parse_num("seed", 0)?,
+    };
+    run_rows(&rows, &knobs)
+}
+
+fn run_rows(rows: &[&Scenario], knobs: &Knobs) -> Result<String, CliError> {
     gobo_fault::install_panic_silencer();
+    let width = SCENARIOS.iter().map(|row| row.name.len()).max().unwrap_or(0);
     let mut out = String::new();
     let mut failures = 0usize;
-    for name in scenarios {
+    for row in rows {
         gobo_fault::reset();
-        let result = match name {
-            "worker-panic" => worker_panic(requests, seed),
-            "corrupt-model" => corrupt_model(corruptions, seed),
-            "queue-overload" => queue_overload(requests, seed),
-            "node-kill" => node_kill(requests, seed),
-            "network-partition" => network_partition(requests, seed),
-            "reload-under-load" => reload_under_load(requests, seed),
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown scenario `{other}` (have: {})",
-                    ALL_SCENARIOS.join(", ")
-                )))
-            }
-        };
+        let mut verdict = Verdict::default();
+        let ran = (row.run)(knobs, &mut verdict);
         gobo_fault::reset();
-        let mut scenario = result?;
+        ran?;
         // With the concurrency sanitizer recording (GOBO_SANITIZE=1),
         // a failure-class report during the scenario — a potential
         // deadlock cycle, condvar misuse, blocking I/O under a lock —
         // fails the scenario even if the workload itself degraded
         // gracefully.
         if gobo_sanitize::enabled() {
-            let failures: Vec<_> =
-                gobo_sanitize::take_reports().into_iter().filter(|r| r.kind.is_failure()).collect();
-            if !failures.is_empty() {
-                scenario.passed = false;
-                for r in failures {
-                    scenario.lines.push(format!("sanitizer: {r}"));
-                }
-            }
+            let reports: Vec<String> = gobo_sanitize::take_reports()
+                .iter()
+                .filter(|r| r.kind.is_failure())
+                .map(ToString::to_string)
+                .collect();
+            let label = "no failure-class sanitizer report";
+            verdict.must(label, reports.is_empty(), format!("{reports:?}"));
         }
-        out.push_str(&format!(
-            "scenario {:<14} {}\n",
-            scenario.name,
-            if scenario.passed { "PASS (degraded, not failed)" } else { "FAIL" }
-        ));
-        for line in &scenario.lines {
-            out.push_str(&format!("  {line}\n"));
-        }
-        if !scenario.passed {
-            failures += 1;
-        }
+        let outcome = if verdict.passed() { "PASS (degraded, not failed)" } else { "FAIL" };
+        out.push_str(&format!("scenario {:<width$} {outcome}\n{}", row.name, verdict.render()));
+        failures += usize::from(!verdict.passed());
     }
     if failures > 0 {
         Err(CliError::Failed(format!("{out}{failures} chaos scenario(s) FAILED")))
@@ -108,142 +149,80 @@ pub(crate) fn chaos(args: &Args) -> Result<String, CliError> {
     }
 }
 
-/// A small but non-trivial quantized model shared by the scenarios.
-fn build_compressed(seed: u64) -> Result<CompressedModel, CliError> {
-    let config = ModelConfig::tiny("Chaos", 2, 48, 4, 256, 64)
-        .map_err(|e| CliError::Failed(format!("invalid chaos geometry: {e}")))?;
-    let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(seed))
-        .map_err(|e| CliError::Failed(e.to_string()))?;
-    let options = QuantizeOptions::gobo(3).map_err(|e| CliError::Failed(e.to_string()))?;
-    let outcome = quantize_model(&model, &options).map_err(|e| CliError::Failed(e.to_string()))?;
-    Ok(CompressedModel::new(&model, outcome.archive))
+fn arm(spec: &str) -> Result<(), CliError> {
+    gobo_fault::configure_str(spec).map(drop).map_err(failed)
 }
 
-/// Workers panic on every 5th `serve.encode`. The run must complete
-/// with only panic-hit batches failing (as `worker_panic`), the pool
-/// must respawn, and throughput must stay within 2x of fault-free.
-fn worker_panic(requests: usize, seed: u64) -> Result<Scenario, CliError> {
-    let compressed = build_compressed(seed)?;
-    let run = |faulted: bool| -> Result<(usize, Vec<&'static str>, u64, Duration), CliError> {
-        let core = ServeCore::start(ServeOptions {
-            registry: RegistryConfig::default(),
-            scheduler: SchedulerConfig {
-                workers: 2,
-                // A batch fires `serve.encode` once per request, so a
-                // batch of 5 would always hold a whole `every=5` period
-                // and every batch would panic. 4 leaves batches between
-                // the injected ones to succeed.
-                max_batch: 4,
-                queue_capacity: requests + 64,
-                // Generous deadline: the scenario proves requests fail
-                // *fast* via WorkerPanic, not via deadline expiry.
-                default_deadline: Duration::from_secs(60),
-            },
-            ..ServeOptions::default()
-        });
-        let client = Client::new(Arc::clone(&core));
-        client.register("chaos", &compressed).map_err(|e| CliError::Failed(e.to_string()))?;
-        client
-            .encode(EncodeRequest::new("chaos", vec![1, 2, 3]))
-            .map_err(|e| CliError::Failed(e.to_string()))?;
-        if faulted {
-            gobo_fault::configure_str("serve.encode=panic(every=5)")
-                .map_err(|e| CliError::Failed(e.to_string()))?;
-        }
-        let threads = 8usize;
-        let per_thread = requests / threads;
-        let started = Instant::now();
-        let mut joins = Vec::new();
-        for t in 0..threads {
-            let client = client.clone();
-            joins.push(std::thread::spawn(move || {
-                let mut ok = 0usize;
-                let mut failed: Vec<&'static str> = Vec::new();
-                for r in 0..per_thread {
-                    let ids: Vec<usize> = (0..16).map(|k| 1 + (t * 31 + r * 7 + k) % 250).collect();
-                    match client.encode(EncodeRequest::new("chaos", ids)) {
-                        Ok(_) => ok += 1,
-                        Err(e) => failed.push(e.code()),
-                    }
-                }
-                (ok, failed)
-            }));
-        }
-        let mut ok = 0usize;
-        let mut failed = Vec::new();
-        for join in joins {
-            let (o, f) =
-                join.join().map_err(|_| CliError::Failed("chaos client panicked".into()))?;
-            ok += o;
-            failed.extend(f);
-        }
-        let elapsed = started.elapsed();
+fn worker_panic(knobs: &Knobs, verdict: &mut Verdict) -> Result<(), CliError> {
+    let model = build_model(knobs.seed)?;
+    let patterns = Patterns::new(&[&model])?;
+    let mut run = |who: &str, fault: Option<&str>| -> Result<(Tally, u64), CliError> {
+        let scheduler = SchedulerConfig {
+            // A batch fires `serve.encode` once per request, so a
+            // batch of 5 would always hold a whole `every=5` period
+            // and every batch would panic. 4 leaves batches between
+            // the injected ones to succeed.
+            max_batch: 4,
+            queue_capacity: knobs.requests + 64,
+            // Generous deadline: the scenario proves requests fail
+            // *fast* via WorkerPanic, not via deadline expiry.
+            default_deadline: Duration::from_secs(60),
+            ..two_workers()
+        };
+        let client = start_core(&model, scheduler, CanaryPolicy::default())?;
+        fault.map_or(Ok(()), arm)?;
+        let tally = drive(Load::fixed(8, knobs.requests), &patterns, |ids| served(&client, ids));
         gobo_fault::reset();
-        let respawns = core.metrics().worker_respawns.load(Ordering::Relaxed);
-        core.shutdown();
-        Ok((ok, failed, respawns, elapsed))
+        let respawns = client.core().metrics().worker_respawns.load(Ordering::Relaxed);
+        verdict.settle(who, client.core());
+        Ok((tally, respawns))
     };
+    let (base, _) = run("fault-free core", None)?;
+    let (hit, respawns) = run("faulted core", Some("serve.encode=panic(every=5)"))?;
 
-    let (base_ok, base_failed, _, base_elapsed) = run(false)?;
-    let (ok, failed, respawns, elapsed) = run(true)?;
-    let non_injected: Vec<&str> =
-        failed.iter().copied().filter(|code| *code != "worker_panic").collect();
+    let summary =
+        |t: &Tally| format!("{}/{} ok, {} in {:?}", t.ok, t.sent(), t.errors(), t.elapsed);
+    verdict.must("fault-free run has no failures", base.failed() == 0, summary(&base));
+    verdict.note(format!("serve.encode=panic(every=5): {}", summary(&hit)));
+    verdict.must("faulted run still answers", hit.ok > 0, format!("{} ok", hit.ok));
+    verdict.must(
+        "the fault fails some requests",
+        hit.failed() > 0,
+        format!("{} failed", hit.failed()),
+    );
+    let other = hit.failed() - hit.failed_with("worker_panic");
+    verdict.must("every failure is worker_panic", other == 0, format!("{other} other"));
+    let mismatches = base.mismatches + hit.mismatches;
+    verdict.must("no byte-mismatches in either run", mismatches == 0, mismatches);
+    verdict.must("workers respawned", respawns > 0, respawns);
     // 2x the fault-free run, plus fixed slack for respawn backoff
     // quantisation on fast baselines.
-    let budget = base_elapsed * 2 + Duration::from_millis(500);
-    let passed = base_failed.is_empty()
-        && ok > 0
-        && !failed.is_empty()
-        && non_injected.is_empty()
-        && respawns > 0
-        && elapsed <= budget;
-    Ok(Scenario {
-        name: "worker-panic",
-        passed,
-        lines: vec![
-            format!(
-                "fault-free: {base_ok}/{} ok, {} failed, {:?}",
-                base_ok + base_failed.len(),
-                base_failed.len(),
-                base_elapsed
-            ),
-            format!(
-                "serve.encode=panic(every=5): {ok} ok, {} failed (all worker_panic: {}), {:?}",
-                failed.len(),
-                non_injected.is_empty(),
-                elapsed
-            ),
-            format!("worker respawns: {respawns} (must be > 0)"),
-            format!(
-                "throughput budget 2x+slack: {:?} <= {:?}: {}",
-                elapsed,
-                budget,
-                elapsed <= budget
-            ),
-        ],
-    })
+    let budget = base.elapsed * 2 + Duration::from_millis(500);
+    verdict.must(
+        "faulted run within 2x fault-free + 500ms",
+        hit.elapsed <= budget,
+        format!("{:?} <= {budget:?}", hit.elapsed),
+    );
+    Ok(())
 }
 
-/// Seeded single-byte corruptions and truncations of a `.gobom` file:
-/// every mutation must be rejected or parse to byte-identical content
-/// — never panic, never yield different weights. Half of the
-/// corruptions are then re-sealed (every CRC covering the flipped byte
-/// recomputed), so they get past the checksums and reach the field
-/// parsers: those must be rejected or parse *stably* — writing the
-/// parse back and reading it again gives the same bytes.
-fn corrupt_model(corruptions: usize, seed: u64) -> Result<Scenario, CliError> {
-    let compressed = build_compressed(seed)?;
+/// Half of the corruptions are re-sealed (every CRC covering the
+/// flipped byte recomputed), so they get past the checksums and reach
+/// the field parsers: those must be rejected or parse *stably* —
+/// writing the parse back and reading it again gives the same bytes.
+fn corrupt_model(knobs: &Knobs, verdict: &mut Verdict) -> Result<(), CliError> {
+    let compressed = build_model(knobs.seed)?;
     let reference = compressed.to_bytes();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xC0DE);
-    let resealed_runs = corruptions / 2;
-    let unsealed_runs = corruptions - resealed_runs;
+    let mut rng = StdRng::seed_from_u64(knobs.seed ^ 0xC0DE);
+    let resealed_runs = knobs.corruptions / 2;
+    let unsealed_runs = knobs.corruptions - resealed_runs;
     // Per half (as flipped, re-sealed): rejected, faithful, wrong.
     let mut tally = [[0usize; 3]; 2];
     let mut panics = 0usize;
     let rewrite = |bytes: &[u8]| {
         catch_unwind(AssertUnwindSafe(|| CompressedModel::from_bytes(bytes).map(|m| m.to_bytes())))
     };
-    for run in 0..corruptions {
+    for run in 0..knobs.corruptions {
         let resealed = run >= unsealed_runs;
         let mut bytes = reference.clone();
         let pos = rng.gen_range(0..bytes.len());
@@ -273,779 +252,328 @@ fn corrupt_model(corruptions: usize, seed: u64) -> Result<Scenario, CliError> {
     }
     let [[rejected, benign, silent], [resealed_rejected, resealed_stable, resealed_unstable]] =
         tally;
-    let mut truncations_ok = true;
-    for cut in [0usize, 1, 4, 5, reference.len() / 2, reference.len() - 1] {
+    let cuts = [0usize, 1, 4, 5, reference.len() / 2, reference.len() - 1];
+    let mut truncations_rejected = 0usize;
+    for cut in cuts {
         match catch_unwind(AssertUnwindSafe(|| CompressedModel::from_bytes(&reference[..cut]))) {
-            Ok(Err(_)) => {}
-            Ok(Ok(_)) => truncations_ok = false,
-            Err(_) => {
-                panics += 1;
-                truncations_ok = false;
-            }
+            Ok(Err(_)) => truncations_rejected += 1,
+            Ok(Ok(_)) => {}
+            Err(_) => panics += 1,
         }
     }
+    verdict.must("no parse panics", panics == 0, format!("{panics} panics"));
+    verdict.must(
+        "a flipped byte never parses to other content",
+        silent == 0,
+        format!(
+            "{silent} silently wrong of {unsealed_runs} single-byte corruptions \
+             ({rejected} rejected, {benign} benign)"
+        ),
+    );
+    verdict.must(
+        "a re-sealed flip is rejected or parses stably",
+        resealed_unstable == 0,
+        format!(
+            "{resealed_unstable} unstable of {resealed_runs} past every checksum \
+             ({resealed_rejected} rejected by a field parser, {resealed_stable} parsed stably)"
+        ),
+    );
+    verdict.must(
+        "every truncation is rejected",
+        truncations_rejected == cuts.len(),
+        format!("{truncations_rejected}/{}", cuts.len()),
+    );
     // The untouched v2 file still loads and serves.
-    let serves = {
-        let core = ServeCore::start(ServeOptions::default());
-        let client = Client::new(Arc::clone(&core));
-        let ok = client.register("intact", &compressed).is_ok()
-            && client.encode(EncodeRequest::new("intact", vec![1, 2, 3])).is_ok();
-        core.shutdown();
-        ok
-    };
-    let passed = panics == 0 && silent == 0 && resealed_unstable == 0 && truncations_ok && serves;
-    Ok(Scenario {
-        name: "corrupt-model",
-        passed,
-        lines: vec![
-            format!(
-                "{unsealed_runs} single-byte corruptions: {rejected} rejected, {benign} benign, \
-                 {silent} silently wrong (must be 0), {panics} panics (must be 0)"
-            ),
-            format!(
-                "{resealed_runs} re-sealed corruptions (past every checksum): \
-                 {resealed_rejected} rejected by a field parser, {resealed_stable} parsed stably, \
-                 {resealed_unstable} unstable (must be 0)"
-            ),
-            format!("truncations rejected: {truncations_ok}"),
-            format!("intact v2 model still serves: {serves}"),
-        ],
-    })
+    let intact = start_core(&compressed, SchedulerConfig::default(), CanaryPolicy::default());
+    verdict.must("the intact model still serves", intact.is_ok(), intact.is_ok());
+    if let Ok(client) = intact {
+        verdict.settle("serving core", client.core());
+    }
+    Ok(())
 }
 
-/// A tiny queue plus slowed batches under concurrent load: every
-/// request must resolve as ok, queue_full, or deadline_exceeded — no
-/// hangs, no other failures — and the server must serve normally once
-/// the fault is cleared.
-fn queue_overload(requests: usize, seed: u64) -> Result<Scenario, CliError> {
-    let compressed = build_compressed(seed)?;
-    let core = ServeCore::start(ServeOptions {
-        registry: RegistryConfig::default(),
-        scheduler: SchedulerConfig {
-            workers: 2,
-            queue_capacity: 8,
-            default_deadline: Duration::from_millis(250),
-            ..SchedulerConfig::default()
-        },
-        ..ServeOptions::default()
-    });
-    let client = Client::new(Arc::clone(&core));
-    client.register("chaos", &compressed).map_err(|e| CliError::Failed(e.to_string()))?;
-    client
-        .encode(EncodeRequest::new("chaos", vec![1, 2, 3]))
-        .map_err(|e| CliError::Failed(e.to_string()))?;
-    gobo_fault::configure_str("serve.batch=delay(ms=20)")
-        .map_err(|e| CliError::Failed(e.to_string()))?;
-    let total = requests.min(200);
-    let threads = 16usize;
-    let per_thread = (total / threads).max(1);
-    let started = Instant::now();
-    let mut joins = Vec::new();
-    for t in 0..threads {
-        let client = client.clone();
-        joins.push(std::thread::spawn(move || {
-            let mut codes: Vec<&'static str> = Vec::new();
-            for r in 0..per_thread {
-                let ids: Vec<usize> = (0..8).map(|k| 1 + (t * 13 + r * 5 + k) % 250).collect();
-                codes.push(match client.encode(EncodeRequest::new("chaos", ids)) {
-                    Ok(_) => "ok",
-                    Err(e) => e.code(),
-                });
-            }
-            codes
-        }));
-    }
-    let mut ok = 0usize;
-    let mut shed = 0usize;
-    let mut other: Vec<&'static str> = Vec::new();
-    for join in joins {
-        for code in join.join().map_err(|_| CliError::Failed("chaos client panicked".into()))? {
-            match code {
-                "ok" => ok += 1,
-                "queue_full" | "deadline_exceeded" => shed += 1,
-                unexpected => other.push(unexpected),
-            }
-        }
-    }
-    let elapsed = started.elapsed();
+fn queue_overload(knobs: &Knobs, verdict: &mut Verdict) -> Result<(), CliError> {
+    let model = build_model(knobs.seed)?;
+    let patterns = Patterns::new(&[&model])?;
+    let deadline = Duration::from_millis(250);
+    let scheduler =
+        SchedulerConfig { queue_capacity: 8, default_deadline: deadline, ..two_workers() };
+    let client = start_core(&model, scheduler, CanaryPolicy::default())?;
+    arm("serve.batch=delay(ms=20)")?;
+    let load = Load::fixed(16, knobs.requests.min(200));
+    let tally = drive(load, &patterns, |ids| served(&client, ids));
     gobo_fault::reset();
-    let recovered = client.encode(EncodeRequest::new("chaos", vec![1, 2, 3])).is_ok();
-    core.shutdown();
-    let passed = other.is_empty() && ok > 0 && recovered;
-    Ok(Scenario {
-        name: "queue-overload",
-        passed,
-        lines: vec![
-            format!(
-                "{} requests through an 8-slot queue with serve.batch=delay(ms=20): \
-                 {ok} ok, {shed} shed (queue_full/deadline_exceeded), {} unexpected ({:?})",
-                per_thread * threads,
-                other.len(),
-                other
-            ),
-            format!("elapsed {elapsed:?}, no request hung past its deadline"),
-            format!("serves normally after faults cleared: {recovered}"),
-        ],
-    })
+
+    let shed = tally.failed_with("queue_full") + tally.failed_with("deadline_exceeded");
+    verdict.note(format!(
+        "{} requests through an 8-slot queue with serve.batch=delay(ms=20): {} ok, {shed} shed",
+        tally.sent(),
+        tally.ok
+    ));
+    verdict.must(
+        "every failure is queue_full or deadline_exceeded",
+        tally.failed() == shed,
+        tally.errors(),
+    );
+    verdict.must("some requests are served", tally.ok > 0, format!("{} ok", tally.ok));
+    verdict.must("no byte-mismatches", tally.mismatches == 0, tally.mismatches);
+    // A blocking submitter gives up at its deadline plus the
+    // scheduler's 250 ms reply grace, so no client thread can take
+    // longer than that per request; the second is slack for starting
+    // 16 threads on a busy box.
+    let per_request = deadline + Duration::from_millis(250);
+    let bound = per_request.saturating_mul(load.per_thread.try_into().unwrap_or(u32::MAX))
+        + Duration::from_secs(1);
+    verdict.must(
+        "no request hung past its deadline",
+        tally.elapsed <= bound,
+        format!("{:?} <= {bound:?} for {} per thread", tally.elapsed, load.per_thread),
+    );
+    let recovered = served(&client, &[1, 2, 3]);
+    verdict.must("serves normally once the fault is cleared", recovered.is_ok(), recovered.is_ok());
+    verdict.settle("core", client.core());
+    Ok(())
 }
 
-/// One in-process cluster member for the cluster scenarios.
-struct ChaosNode {
-    id: String,
-    core: Arc<ServeCore>,
-    node: gobo_cluster::ClusterNode,
-}
+fn node_kill(knobs: &Knobs, verdict: &mut Verdict) -> Result<(), CliError> {
+    let model = build_model(knobs.seed)?;
+    let patterns = Patterns::new(&[&model])?;
+    let mut cluster = Cluster::start(&model)?;
+    let total = knobs.requests.clamp(64, 400);
+    let completed = AtomicUsize::new(0);
+    let load = Load { hold_open: true, completed: Some(&completed), ..Load::fixed(4, total) };
+    let (mut victim, mut marked_dead) = (0, false);
+    let tally = drive_during(
+        load,
+        &patterns,
+        |ids| routed(&cluster.router, ids),
+        || {
+            // Kill once a third of the nominal load has gone through.
+            wait_until(Duration::from_secs(30), || completed.load(Ordering::Relaxed) >= total / 3);
+            victim = primary(&cluster.router, &cluster.members);
+            cluster.members[victim].node.shutdown();
+            cluster.members[victim].core.shutdown();
+            // The load is held open until the heartbeat has noticed, so
+            // requests meet the dead node however fast they are served.
+            marked_dead = wait_until(Duration::from_secs(5), || unhealthy(&cluster.router) == 1);
+        },
+    );
 
-/// Deterministic request patterns paired with their direct-encode
-/// reference hiddens, for byte-identity checks against routed replies.
-type ReferencePatterns = Vec<(Vec<usize>, Vec<f32>)>;
-
-/// Three nodes serving the same model as "chaos", fronted by a router
-/// with RF=2, fast heartbeats (25ms, dead after 2 misses), and a fixed
-/// 10ms hedge delay, plus per-pattern direct-encode references for
-/// byte-identity checks.
-fn build_cluster(
-    seed: u64,
-) -> Result<(Vec<ChaosNode>, Arc<gobo_cluster::Router>, ReferencePatterns), CliError> {
-    let compressed = build_compressed(seed)?;
-    let mut nodes = Vec::new();
-    for i in 0..3 {
-        let core = ServeCore::start(ServeOptions {
-            registry: RegistryConfig::default(),
-            scheduler: SchedulerConfig {
-                workers: 2,
-                queue_capacity: 4096,
-                ..SchedulerConfig::default()
-            },
-            ..ServeOptions::default()
-        });
-        Client::new(Arc::clone(&core))
-            .register("chaos", &compressed)
-            .map_err(|e| CliError::Failed(e.to_string()))?;
-        let node = gobo_cluster::ClusterNode::start(Arc::clone(&core), "127.0.0.1:0")
-            .map_err(|e| CliError::Failed(format!("cluster node bind: {e}")))?;
-        nodes.push(ChaosNode { id: format!("n{}", i + 1), core, node });
-    }
-    let config = gobo_cluster::RouterConfig {
-        heartbeat_interval: Duration::from_millis(25),
-        heartbeat_timeout: Duration::from_millis(250),
-        dead_after: 2,
-        // Generous fixed hedge: debug-build compute alone can take
-        // ~10ms, and a healthy-path hedge storm would drown the
-        // signal. The partitioned primary never answers at all, so
-        // 25ms still rescues those requests quickly.
-        hedge_after: Some(Duration::from_millis(25)),
-        ..gobo_cluster::RouterConfig::default()
-    };
-    let router = Arc::new(gobo_cluster::Router::new(config));
-    for n in &nodes {
-        router.add_node(n.id.clone(), n.node.local_addr().to_string());
-    }
-    router.start();
-    // Deterministic request patterns with direct-encode references:
-    // routed responses must be bit-identical to these, whichever
-    // replica answers.
-    let reference_client = Client::new(Arc::clone(&nodes[0].core));
-    let mut patterns = Vec::new();
-    for p in 0..8usize {
-        let ids: Vec<usize> = (0..12).map(|k| 1 + (p * 37 + k * 11) % 250).collect();
-        let direct = reference_client
-            .encode(EncodeRequest::new("chaos", ids.clone()))
-            .map_err(|e| CliError::Failed(e.to_string()))?;
-        patterns.push((ids, direct.hidden));
-    }
-    Ok((nodes, router, patterns))
-}
-
-/// Drives `total` routed encodes across 4 threads — and goes on past
-/// `total` for as long as `hold_open` is set — cycling the reference
-/// patterns, and returns `(ok, errors, mismatches)`. The `completed`
-/// counter is shared so a caller can trigger faults mid-load.
-fn drive_routed(
-    router: &Arc<gobo_cluster::Router>,
-    patterns: &[(Vec<usize>, Vec<f32>)],
-    total: usize,
-    completed: &Arc<AtomicUsize>,
-    hold_open: &Arc<AtomicBool>,
-) -> Result<(usize, Vec<String>, usize), CliError> {
-    let threads = 4usize;
-    let per_thread = (total / threads).max(1);
-    let mut joins = Vec::new();
-    for t in 0..threads {
-        let router = Arc::clone(router);
-        let patterns = patterns.to_vec();
-        let completed = Arc::clone(completed);
-        let hold_open = Arc::clone(hold_open);
-        joins.push(std::thread::spawn(move || {
-            let mut ok = 0usize;
-            let mut errors: Vec<String> = Vec::new();
-            let mut mismatches = 0usize;
-            let mut r = 0usize;
-            while r < per_thread || hold_open.load(Ordering::Relaxed) {
-                let (ids, want) = &patterns[(t * per_thread + r) % patterns.len()];
-                let ids_u32: Vec<u32> = ids.iter().map(|&v| v as u32).collect();
-                match router.encode("chaos", None, &ids_u32, &[], 0) {
-                    Ok(response) => {
-                        let identical = response.hidden.len() == want.len()
-                            && response
-                                .hidden
-                                .iter()
-                                .zip(want.iter())
-                                .all(|(a, b)| a.to_bits() == b.to_bits());
-                        if identical {
-                            ok += 1;
-                        } else {
-                            mismatches += 1;
-                        }
-                    }
-                    Err(e) => errors.push(format!("{}: {e}", e.code())),
-                }
-                completed.fetch_add(1, Ordering::Relaxed);
-                r += 1;
-            }
-            (ok, errors, mismatches)
-        }));
-    }
-    let mut ok = 0usize;
-    let mut errors = Vec::new();
-    let mut mismatches = 0usize;
-    for join in joins {
-        let (o, e, m) =
-            join.join().map_err(|_| CliError::Failed("chaos cluster client panicked".into()))?;
-        ok += o;
-        errors.extend(e);
-        mismatches += m;
-    }
-    Ok((ok, errors, mismatches))
-}
-
-/// Waits until `predicate` holds on the router, up to 5 seconds.
-fn poll_router(
-    router: &gobo_cluster::Router,
-    predicate: impl Fn(&gobo_cluster::Router) -> bool,
-) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while Instant::now() < deadline {
-        if predicate(router) {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
-}
-
-/// Kills the primary replica for the model key mid-load (process gone,
-/// connections reset). With RF=2 over 3 nodes, every request must
-/// still succeed byte-identically: in-flight requests fail over, the
-/// heartbeat marks the node dead (`gobo_cluster_node_down 1`), and
-/// later requests route straight to the survivors.
-fn node_kill(requests: usize, seed: u64) -> Result<Scenario, CliError> {
-    let (mut nodes, router, patterns) = build_cluster(seed)?;
-    let total = requests.clamp(64, 400);
-    let completed = Arc::new(AtomicUsize::new(0));
-    let hold_open = Arc::new(AtomicBool::new(true));
-    let driver = {
-        let router = Arc::clone(&router);
-        let patterns = patterns.clone();
-        let completed = Arc::clone(&completed);
-        let hold_open = Arc::clone(&hold_open);
-        std::thread::spawn(move || drive_routed(&router, &patterns, total, &completed, &hold_open))
-    };
-    // Kill once a third of the nominal load has gone through.
-    let patience = Instant::now() + Duration::from_secs(30);
-    while completed.load(Ordering::Relaxed) < total / 3 && Instant::now() < patience {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    // The victim is whoever is first *now*: `replicas_for` re-ranks the
-    // replicas by heartbeat-reported queue depth, so a primary picked
-    // before the load started need not be the node taking the traffic.
-    let victim = {
-        let ordered = router.replicas_for("chaos", None);
-        let primary = ordered.first().map(|n| n.id.clone()).unwrap_or_default();
-        nodes.iter().position(|n| n.id == primary).unwrap_or(0)
-    };
-    nodes[victim].node.shutdown();
-    nodes[victim].core.shutdown();
-    let victim_id = nodes[victim].id.clone();
-    // The load stays on until the heartbeat has noticed, so requests
-    // meet the dead node however fast they are served.
-    let marked_dead =
-        poll_router(&router, |r| r.membership().iter().filter(|n| !n.healthy).count() == 1);
-    hold_open.store(false, Ordering::Relaxed);
-    let (ok, errors, mismatches) =
-        driver.join().map_err(|_| CliError::Failed("chaos driver panicked".into()))??;
-    let sent = completed.load(Ordering::Relaxed);
-
-    let metrics_text = router.render_metrics();
-    let node_down = metrics_text.contains("gobo_cluster_node_down 1");
-    let m = router.metrics();
+    let victim_id = &cluster.members[victim].id;
+    let node_down = cluster.router.render_metrics().contains("gobo_cluster_node_down 1");
+    let m = cluster.router.metrics();
     let failovers = m.failovers.load(Ordering::Relaxed);
     let hedge_fires = m.hedge_fires.load(Ordering::Relaxed);
     let mark_dead = m.mark_dead.load(Ordering::Relaxed);
-    let rerouted = router.replicas_for("chaos", None).iter().all(|n| n.id != victim_id);
-    router.shutdown();
+    let rerouted = cluster.router.replicas_for(MODEL, None).iter().all(|n| n.id != *victim_id);
 
-    let passed = errors.is_empty()
-        && mismatches == 0
-        && ok == sent
-        && sent >= total / 4 * 4
-        && (failovers + hedge_fires) >= 1
-        && marked_dead
-        && node_down
-        && mark_dead >= 1
-        && rerouted;
-    Ok(Scenario {
-        name: "node-kill",
-        passed,
-        lines: vec![
-            format!(
-                "{ok}/{sent} routed encodes ok, {} errors (must be 0), {mismatches} \
-                 byte-mismatches (must be 0); primary `{victim_id}` killed mid-load",
-                errors.len()
-            ),
-            format!("failovers {failovers} + hedge fires {hedge_fires} (sum must be >= 1)"),
-            format!(
-                "heartbeat marked victim dead: {marked_dead}, \
-                 gobo_cluster_node_down 1: {node_down}, mark_dead_total {mark_dead}"
-            ),
-            format!("victim out of the replica set after rebalance: {rerouted}"),
-        ],
-    })
+    verdict.note(format!("primary `{victim_id}` killed mid-load"));
+    verdict.must("no routed encode fails", tally.failed() == 0, tally.errors());
+    verdict.must("no byte-mismatches", tally.mismatches == 0, tally.mismatches);
+    let sent = tally.sent();
+    verdict.must("every routed encode is ok", tally.ok == sent, format!("{}/{sent}", tally.ok));
+    verdict.must(
+        "the whole nominal load was sent",
+        sent >= total / 4 * 4,
+        format!("{sent} >= {}", total / 4 * 4),
+    );
+    verdict.must(
+        "a failover or a hedge met the dead node",
+        failovers + hedge_fires >= 1,
+        format!("failovers {failovers} + hedge fires {hedge_fires}"),
+    );
+    verdict.must("the heartbeat marked the victim dead", marked_dead, marked_dead);
+    verdict.must("/metrics says gobo_cluster_node_down 1", node_down, node_down);
+    verdict.must("mark_dead_total counted it", mark_dead >= 1, mark_dead);
+    verdict.must("the victim left the replica set", rerouted, rerouted);
+    cluster.finish(verdict);
+    Ok(())
 }
 
-/// Partitions the primary asymmetrically (requests are received but
-/// never answered — no resets, just silence). Hedged requests must
-/// rescue every in-flight encode, the heartbeat must mark the node
-/// dead, and after the partition heals the node must be marked alive
-/// and serve again.
-fn network_partition(requests: usize, seed: u64) -> Result<Scenario, CliError> {
-    let (nodes, router, patterns) = build_cluster(seed)?;
-    let total = requests.clamp(64, 400);
-    let completed = Arc::new(AtomicUsize::new(0));
-    let fixed_load = Arc::new(AtomicBool::new(false));
+/// The partition is asymmetric: the victim still receives requests and
+/// never answers them, so its peers see silence, not resets.
+fn network_partition(knobs: &Knobs, verdict: &mut Verdict) -> Result<(), CliError> {
+    let model = build_model(knobs.seed)?;
+    let patterns = Patterns::new(&[&model])?;
+    let cluster = Cluster::start(&model)?;
+    let router = &cluster.router;
+    let victim = &cluster.members[primary(router, &cluster.members)];
 
-    let victim = {
-        let ordered = router.replicas_for("chaos", None);
-        let primary = ordered.first().map(|n| n.id.clone()).unwrap_or_default();
-        nodes.iter().position(|n| n.id == primary).unwrap_or(0)
-    };
-    nodes[victim].node.set_partitioned(true);
-
-    let (ok, errors, mismatches) =
-        drive_routed(&router, &patterns, total, &completed, &fixed_load)?;
-    let marked_dead =
-        poll_router(&router, |r| r.membership().iter().filter(|n| !n.healthy).count() == 1);
-
+    victim.node.set_partitioned(true);
+    let total = knobs.requests.clamp(64, 400);
+    let cut = drive(Load::fixed(4, total), &patterns, |ids| routed(router, ids));
+    let marked_dead = wait_until(Duration::from_secs(5), || unhealthy(router) == 1);
     // Heal: the node must rejoin and serve again.
-    nodes[victim].node.set_partitioned(false);
-    let marked_alive = poll_router(&router, |r| r.membership().iter().all(|n| n.healthy));
-    let (ok2, errors2, mismatches2) =
-        drive_routed(&router, &patterns, 32, &completed, &fixed_load)?;
+    victim.node.set_partitioned(false);
+    let marked_alive = wait_until(Duration::from_secs(5), || unhealthy(router) == 0);
+    let healed = drive(Load::fixed(4, 32), &patterns, |ids| routed(router, ids));
 
     let m = router.metrics();
     let hedge_wins = m.hedge_wins.load(Ordering::Relaxed);
     let mark_dead = m.mark_dead.load(Ordering::Relaxed);
     let mark_alive = m.mark_alive.load(Ordering::Relaxed);
-    router.shutdown();
-
-    let passed = errors.is_empty()
-        && errors2.is_empty()
-        && mismatches + mismatches2 == 0
-        && ok + ok2 > 0
-        && hedge_wins >= 1
-        && marked_dead
-        && mark_dead >= 1
-        && marked_alive
-        && mark_alive >= 1;
-    Ok(Scenario {
-        name: "network-partition",
-        passed,
-        lines: vec![
-            format!(
-                "partitioned: {ok} ok, {} errors (must be 0), {mismatches} byte-mismatches; \
-                 hedge wins {hedge_wins} (must be >= 1)",
-                errors.len()
-            ),
-            format!("heartbeat marked partitioned node dead: {marked_dead} (mark_dead_total {mark_dead})"),
-            format!(
-                "healed: marked alive again {marked_alive} (mark_alive_total {mark_alive}); \
-                 {ok2} ok, {} errors after heal",
-                errors2.len()
-            ),
-        ],
-    })
+    verdict.note(format!("primary `{}` partitioned", victim.id));
+    verdict.must("no routed encode fails while partitioned", cut.failed() == 0, cut.errors());
+    verdict.must("no routed encode fails after the heal", healed.failed() == 0, healed.errors());
+    let mismatches = cut.mismatches + healed.mismatches;
+    verdict.must("no byte-mismatches", mismatches == 0, mismatches);
+    verdict.must(
+        "routed encodes are answered",
+        cut.ok + healed.ok > 0,
+        format!("{} ok partitioned, {} ok healed", cut.ok, healed.ok),
+    );
+    verdict.must("a hedge won against the silent primary", hedge_wins >= 1, hedge_wins);
+    verdict.must("the heartbeat marked the victim dead", marked_dead, marked_dead);
+    verdict.must("mark_dead_total counted it", mark_dead >= 1, mark_dead);
+    verdict.must("the healed node was marked alive again", marked_alive, marked_alive);
+    verdict.must("mark_alive_total counted it", mark_alive >= 1, mark_alive);
+    cluster.finish(verdict);
+    Ok(())
 }
 
-/// Bit-exact comparison of a served hidden tensor against a reference.
-fn bits_match(got: &[f32], want: &[f32]) -> bool {
-    got.len() == want.len() && got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits())
-}
-
-/// Nearest-rank p99 of a latency sample set, microseconds.
-fn p99_us(samples: &[u64]) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    sorted[(sorted.len() * 99 / 100).min(sorted.len() - 1)]
-}
-
-/// Drives `total` encodes of the reference patterns across 4 threads.
-/// Every response must be byte-identical to one of the two published
-/// revisions; returns `(ok, errors, mismatches, latencies_us)`.
-fn drive_lifecycle_load(
-    client: &Client,
-    patterns: &[Vec<usize>],
-    ref_a: &[Vec<f32>],
-    ref_b: &[Vec<f32>],
-    total: usize,
-) -> Result<(usize, Vec<String>, usize, Vec<u64>), CliError> {
-    let threads = 4usize;
-    let per_thread = (total / threads).max(1);
-    let mut joins = Vec::new();
-    for t in 0..threads {
-        let client = client.clone();
-        let patterns = patterns.to_vec();
-        let ref_a = ref_a.to_vec();
-        let ref_b = ref_b.to_vec();
-        joins.push(std::thread::spawn(move || {
-            let mut ok = 0usize;
-            let mut errors: Vec<String> = Vec::new();
-            let mut mismatches = 0usize;
-            let mut latencies = Vec::with_capacity(per_thread);
-            for r in 0..per_thread {
-                let p = (t * per_thread + r) % patterns.len();
-                let started = Instant::now();
-                match client.encode(EncodeRequest::new("chaos", patterns[p].clone())) {
-                    Ok(response) => {
-                        latencies.push(started.elapsed().as_micros() as u64);
-                        if bits_match(&response.hidden, &ref_a[p])
-                            || bits_match(&response.hidden, &ref_b[p])
-                        {
-                            ok += 1;
-                        } else {
-                            mismatches += 1;
-                        }
-                    }
-                    Err(e) => errors.push(e.code().to_owned()),
-                }
-            }
-            (ok, errors, mismatches, latencies)
-        }));
-    }
-    let mut ok = 0usize;
-    let mut errors = Vec::new();
-    let mut mismatches = 0usize;
-    let mut latencies = Vec::new();
-    for join in joins {
-        let (o, e, m, l) =
-            join.join().map_err(|_| CliError::Failed("chaos lifecycle client panicked".into()))?;
-        ok += o;
-        errors.extend(e);
-        mismatches += m;
-        latencies.extend(l);
-    }
-    Ok((ok, errors, mismatches, latencies))
-}
-
-/// Hot-reload storm under continuous load, in two phases.
-///
-/// Phase 1: two revisions of the "chaos" slot are published
-/// alternately through the CRC-validated `reload` path at least 50
-/// times while 4 client threads hammer the slot, with `registry.swap`
-/// and `registry.load` failpoints armed probabilistically. Rejected
-/// publishes must leave the registry untouched; every client response
-/// must be byte-identical to one of the two revisions; after the storm
-/// the draining list must drain to empty (no refcount leaks).
-///
-/// Phase 2: canary auto-rollback. An erroring canary
-/// (`serve.canary=error`) must roll back immediately with the failed
-/// batches transparently re-run on the active revision; a slow canary
-/// (`serve.canary=delay`) must roll back on the p95 comparison; and
-/// once rolled back, active-path p99 must return to within 2x the
-/// fault-free baseline.
-fn reload_under_load(requests: usize, seed: u64) -> Result<Scenario, CliError> {
-    let model_a = build_compressed(seed ^ 0xA)?;
-    let model_b = build_compressed(seed ^ 0xB)?;
-
-    // On-disk artifacts: reloads go through the CRC-validated path.
-    let dir = std::env::temp_dir().join("gobo-chaos-reload");
+/// Reloads go through the CRC-validated file path, so the two
+/// revisions live on disk for the scenario's duration — in a
+/// per-process directory, so two runs on one host cannot overwrite each
+/// other's files mid-storm, removed on the way out, pass or fail.
+fn reload_under_load(knobs: &Knobs, verdict: &mut Verdict) -> Result<(), CliError> {
+    let dir = std::env::temp_dir().join(format!("gobo-chaos-reload-{}", std::process::id()));
     std::fs::create_dir_all(&dir)?;
-    let path_a = dir.join("a.gobom");
-    let path_b = dir.join("b.gobom");
-    std::fs::write(&path_a, model_a.to_bytes())?;
-    std::fs::write(&path_b, model_b.to_bytes())?;
-    let path_a = path_a.to_string_lossy().into_owned();
-    let path_b = path_b.to_string_lossy().into_owned();
+    let outcome = reload_storm(knobs, verdict, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    outcome
+}
 
-    // Reference outputs for every pattern from both revisions, served
-    // through the same scheduler path the load threads use.
-    let patterns: Vec<Vec<usize>> =
-        (0..8usize).map(|p| (0..12).map(|k| 1 + (p * 37 + k * 11) % 250).collect()).collect();
-    let (ref_a, ref_b) = {
-        let core = ServeCore::start(ServeOptions::default());
-        let client = Client::new(Arc::clone(&core));
-        client.register("a", &model_a).map_err(|e| CliError::Failed(e.to_string()))?;
-        client.register("b", &model_b).map_err(|e| CliError::Failed(e.to_string()))?;
-        let refs = |name: &str| -> Result<Vec<Vec<f32>>, CliError> {
-            patterns
-                .iter()
-                .map(|ids| {
-                    client
-                        .encode(EncodeRequest::new(name, ids.clone()))
-                        .map(|r| r.hidden)
-                        .map_err(|e| CliError::Failed(e.to_string()))
-                })
-                .collect()
-        };
-        let a = refs("a")?;
-        let b = refs("b")?;
-        core.shutdown();
-        (a, b)
+/// Phase 1: two revisions are published alternately at least 50 times
+/// while 4 clients hammer the slot, with `registry.swap` and
+/// `registry.load` failpoints armed probabilistically; rejected
+/// publishes must leave the registry untouched, and afterwards the
+/// draining list must empty (no refcount leaks).
+///
+/// Phase 2: an erroring canary (`serve.canary=error`) must roll back
+/// at once with the failed batches transparently re-run on the active
+/// revision; a slow canary (`serve.canary=delay`) must roll back on the
+/// p95 comparison; and once rolled back, active-path p99 must return to
+/// within 2x the fault-free baseline.
+fn reload_storm(knobs: &Knobs, verdict: &mut Verdict, dir: &Path) -> Result<(), CliError> {
+    let model_a = build_model(knobs.seed ^ 0xA)?;
+    let model_b = build_model(knobs.seed ^ 0xB)?;
+    let patterns = Patterns::new(&[&model_a, &model_b])?;
+    let on_disk = |file: &str, model: &CompressedModel| -> Result<String, CliError> {
+        let path = dir.join(file);
+        std::fs::write(&path, model.to_bytes())?;
+        Ok(path.to_string_lossy().into_owned())
     };
-
-    let core = ServeCore::start(ServeOptions {
-        registry: RegistryConfig::default(),
-        scheduler: SchedulerConfig {
-            workers: 2,
-            queue_capacity: 4096,
-            default_deadline: Duration::from_secs(60),
-            ..SchedulerConfig::default()
-        },
-        lifecycle: CanaryPolicy {
-            traffic_pct: 50,
-            window: 4,
-            p95_factor_pct: 300,
-            min_baseline: 2,
-        },
-    });
-    let client = Client::new(Arc::clone(&core));
-    client.register("chaos", &model_a).map_err(|e| CliError::Failed(e.to_string()))?;
-    client
-        .encode(EncodeRequest::new("chaos", patterns[0].clone()))
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+    let path_a = on_disk("a.gobom", &model_a)?;
+    let path_b = on_disk("b.gobom", &model_b)?;
+    let scheduler = SchedulerConfig { default_deadline: Duration::from_secs(60), ..two_workers() };
+    let client = start_core(&model_a, scheduler, QUICK_CANARY)?;
+    let core = client.core();
+    let registry = core.registry();
+    let call = |ids: &[usize]| served(&client, ids);
 
     // ---- Phase 1: publish storm under continuous load ----
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let mut loaders = Vec::new();
-    for t in 0..4usize {
-        let client = client.clone();
-        let patterns = patterns.clone();
-        let ref_a = ref_a.clone();
-        let ref_b = ref_b.clone();
-        let stop = Arc::clone(&stop);
-        loaders.push(std::thread::spawn(move || {
-            let mut ok = 0usize;
-            let mut errors: Vec<String> = Vec::new();
-            let mut mismatches = 0usize;
-            let mut r = 0usize;
-            while !stop.load(Ordering::Relaxed) {
-                let p = (t * 31 + r) % patterns.len();
-                r += 1;
-                match client.encode(EncodeRequest::new("chaos", patterns[p].clone())) {
-                    Ok(response) => {
-                        if bits_match(&response.hidden, &ref_a[p])
-                            || bits_match(&response.hidden, &ref_b[p])
-                        {
-                            ok += 1;
-                        } else {
-                            mismatches += 1;
-                        }
-                    }
-                    Err(e) => errors.push(e.code().to_owned()),
-                }
+    arm("registry.swap=error(p=0.3,seed=11)")?;
+    arm("registry.load=error(p=0.15,seed=13)")?;
+    let mut rng = StdRng::seed_from_u64(knobs.seed ^ 0x5EED);
+    let (mut attempts, mut published, mut rejected) = (0usize, 0usize, 0usize);
+    let (mut forced_rollbacks, mut verdict_waits, mut stuck) = (0usize, 0usize, 0usize);
+    let mut swap_fires = 0;
+    let load = Load { threads: 4, per_thread: 0, hold_open: true, completed: None };
+    let storm = drive_during(load, &patterns, call, || {
+        while attempts < 200 && (attempts < 50 || published < 25) {
+            attempts += 1;
+            let path = if attempts.is_multiple_of(2) { &path_a } else { &path_b };
+            let Ok((entry, _)) = core.reload(MODEL, path) else {
+                rejected += 1;
+                continue;
+            };
+            published += 1;
+            if rng.gen_bool(0.5) {
+                // Operator-style rollback of a pending canary.
+                registry.rollback(&entry.key);
+                forced_rollbacks += 1;
+            } else if wait_until(Duration::from_secs(10), || {
+                registry.canary_for(&entry.key).is_none()
+            }) {
+                // Live traffic drove the canary to a verdict.
+                verdict_waits += 1;
+            } else {
+                stuck += 1;
+                registry.rollback(&entry.key);
             }
-            (ok, errors, mismatches)
-        }));
-    }
-
-    gobo_fault::configure_str("registry.swap=error(p=0.3,seed=11)")
-        .map_err(|e| CliError::Failed(e.to_string()))?;
-    gobo_fault::configure_str("registry.load=error(p=0.15,seed=13)")
-        .map_err(|e| CliError::Failed(e.to_string()))?;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-    let mut attempts = 0usize;
-    let mut published = 0usize;
-    let mut rejected = 0usize;
-    let mut forced_rollbacks = 0usize;
-    let mut verdict_waits = 0usize;
-    let mut stuck = 0usize;
-    while attempts < 200 && (attempts < 50 || published < 25) {
-        attempts += 1;
-        let path = if attempts.is_multiple_of(2) { &path_a } else { &path_b };
-        match core.reload("chaos", path) {
-            Ok((entry, _)) => {
-                published += 1;
-                let key = entry.key.clone();
-                if rng.gen_bool(0.5) {
-                    // Operator-style rollback of a pending canary.
-                    core.registry().rollback(&key);
-                    forced_rollbacks += 1;
-                } else {
-                    // Let live traffic drive the canary to a verdict.
-                    let deadline = Instant::now() + Duration::from_secs(10);
-                    while core.registry().canary_for(&key).is_some() && Instant::now() < deadline {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    if core.registry().canary_for(&key).is_some() {
-                        stuck += 1;
-                        core.registry().rollback(&key);
-                    } else {
-                        verdict_waits += 1;
-                    }
-                }
-            }
-            Err(_) => rejected += 1,
         }
-    }
-    let swap_fires = gobo_fault::fires("registry.swap");
-    gobo_fault::reset();
-
-    stop.store(true, Ordering::Relaxed);
-    let mut storm_ok = 0usize;
-    let mut storm_errors: Vec<String> = Vec::new();
-    let mut storm_mismatches = 0usize;
-    for join in loaders {
-        let (o, e, m) =
-            join.join().map_err(|_| CliError::Failed("chaos lifecycle loader panicked".into()))?;
-        storm_ok += o;
-        storm_errors.extend(e);
-        storm_mismatches += m;
-    }
-
-    // Refcount proof: with the load gone, every superseded revision
-    // must retire — the draining list drains to empty.
-    let drain_deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        core.registry().sweep();
-        if core.registry().draining_len() == 0 || Instant::now() > drain_deadline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let drained = core.registry().draining_len() == 0;
+        swap_fires = gobo_fault::fires("registry.swap");
+        gobo_fault::reset();
+    });
+    let drained = drains(core);
 
     // ---- Phase 2: canary auto-rollback and post-rollback latency ----
-    let phase_total = requests.clamp(64, 400);
-    let (base_ok, base_errors, base_mismatches, base_lat) =
-        drive_lifecycle_load(&client, &patterns, &ref_a, &ref_b, phase_total)?;
-    let p99_base = p99_us(&base_lat);
-
-    // (a) An erroring canary rolls back immediately; its batches are
-    // transparently re-run on the active revision.
-    let rollbacks_before = core.metrics().canary_rollbacks.load(Ordering::Relaxed);
-    gobo_fault::configure_str("serve.canary=error").map_err(|e| CliError::Failed(e.to_string()))?;
-    let (entry, _) = core.reload("chaos", &path_b).map_err(|e| CliError::Failed(e.to_string()))?;
-    let error_key = entry.key.clone();
-    let mut error_phase_errors: Vec<String> = Vec::new();
-    let mut error_rounds = 0usize;
-    while core.registry().canary_for(&error_key).is_some() && error_rounds < 20 {
-        error_rounds += 1;
-        let (_, e, m, _) = drive_lifecycle_load(&client, &patterns, &ref_a, &ref_b, 16)?;
-        error_phase_errors.extend(e);
-        if m > 0 {
-            error_phase_errors.push(format!("{m} byte-mismatches under erroring canary"));
+    let phase = Load::fixed(4, knobs.requests.clamp(64, 400));
+    let base = drive(phase, &patterns, call);
+    let rollbacks = || core.metrics().canary_rollbacks.load(Ordering::Relaxed);
+    // Publishes `path` as a canary with `fault` armed and drives load
+    // until the trial ends: did it end in a rollback, and what did the
+    // clients see meanwhile?
+    let canary_rolls_back = |fault: &str, path: &str| -> Result<(bool, Tally), CliError> {
+        let before = rollbacks();
+        arm(fault)?;
+        let (entry, _) = core.reload(MODEL, path).map_err(failed)?;
+        let mut seen = Tally::default();
+        let mut rounds = 0usize;
+        while registry.canary_for(&entry.key).is_some() && rounds < 20 {
+            rounds += 1;
+            seen.absorb(drive(Load::fixed(4, 16), &patterns, call));
         }
-    }
+        Ok((rollbacks() > before && registry.canary_for(&entry.key).is_none(), seen))
+    };
+    let (error_rollback, under_error) = canary_rolls_back("serve.canary=error", &path_b)?;
     gobo_fault::reset();
-    let error_rollback = core.metrics().canary_rollbacks.load(Ordering::Relaxed) > rollbacks_before
-        && core.registry().canary_for(&error_key).is_none();
-
-    // (b) A slow canary rolls back on the p95 comparison...
-    let rollbacks_before_slow = core.metrics().canary_rollbacks.load(Ordering::Relaxed);
     // 250ms dwarfs any debug-build batch compute time, so the canary
     // p95 lands well past the 3x policy factor regardless of batch
     // size.
-    gobo_fault::configure_str("serve.canary=delay(ms=250)")
-        .map_err(|e| CliError::Failed(e.to_string()))?;
-    let (entry, _) = core.reload("chaos", &path_a).map_err(|e| CliError::Failed(e.to_string()))?;
-    let slow_key = entry.key.clone();
-    let mut slow_phase_errors: Vec<String> = Vec::new();
-    let mut slow_rounds = 0usize;
-    while core.registry().canary_for(&slow_key).is_some() && slow_rounds < 20 {
-        slow_rounds += 1;
-        let (_, e, m, _) = drive_lifecycle_load(&client, &patterns, &ref_a, &ref_b, 16)?;
-        slow_phase_errors.extend(e);
-        if m > 0 {
-            slow_phase_errors.push(format!("{m} byte-mismatches under slow canary"));
-        }
-    }
-    let slow_rollback = core.metrics().canary_rollbacks.load(Ordering::Relaxed)
-        > rollbacks_before_slow
-        && core.registry().canary_for(&slow_key).is_none();
-
-    // ...and with the canary gone the armed delay is unreachable:
-    // active-path p99 must return to within 2x the fault-free
-    // baseline (plus fixed slack for debug-build scheduler jitter).
-    let (after_ok, after_errors, after_mismatches, after_lat) =
-        drive_lifecycle_load(&client, &patterns, &ref_a, &ref_b, phase_total)?;
+    let (slow_rollback, under_slow) = canary_rolls_back("serve.canary=delay(ms=250)", &path_a)?;
+    // With the canary gone the armed delay is unreachable: active-path
+    // p99 must return to within 2x the fault-free baseline (plus fixed
+    // slack for debug-build scheduler jitter).
+    let after = drive(phase, &patterns, call);
     gobo_fault::reset();
-    let p99_after = p99_us(&after_lat);
-    let p99_budget = p99_base.saturating_mul(2) + 10_000;
-    let p99_ok = p99_after <= p99_budget;
+    let p99_budget = base.p99_us().saturating_mul(2) + 10_000;
 
-    core.shutdown();
-
-    let passed = storm_errors.is_empty()
-        && storm_mismatches == 0
-        && storm_ok > 0
-        && attempts >= 50
-        && published >= 25
-        && rejected >= 1
-        && swap_fires >= 1
-        && stuck == 0
-        && drained
-        && base_errors.is_empty()
-        && base_mismatches == 0
-        && base_ok > 0
-        && error_phase_errors.is_empty()
-        && error_rollback
-        && slow_phase_errors.is_empty()
-        && slow_rollback
-        && after_errors.is_empty()
-        && after_mismatches == 0
-        && after_ok > 0
-        && p99_ok;
-    Ok(Scenario {
-        name: "reload-under-load",
-        passed,
-        lines: vec![
-            format!(
-                "publish storm: {attempts} attempts, {published} published, {rejected} rejected \
-                 (registry.swap fired {swap_fires}x), {forced_rollbacks} operator rollbacks, \
-                 {verdict_waits} canary verdicts, {stuck} stuck (must be 0)"
-            ),
-            format!(
-                "under load: {storm_ok} ok, {} errors (must be 0), {storm_mismatches} \
-                 byte-mismatches (must be 0, every response identical to rev A or rev B)",
-                storm_errors.len()
-            ),
-            format!("draining list empty after storm (no refcount leaks): {drained}"),
-            format!(
-                "erroring canary rolled back with transparent fallback: {error_rollback}, \
-                 {} client errors (must be 0)",
-                error_phase_errors.len()
-            ),
-            format!(
-                "slow canary rolled back on p95 regression: {slow_rollback}, \
-                 {} client errors (must be 0)",
-                slow_phase_errors.len()
-            ),
-            format!(
-                "post-rollback p99 {p99_after}us <= 2x baseline {p99_base}us (+10ms slack): {p99_ok}"
-            ),
-        ],
-    })
+    verdict.note(format!(
+        "publish storm: {forced_rollbacks} operator rollbacks, {verdict_waits} canary verdicts"
+    ));
+    verdict.clean_load("storm", &storm);
+    verdict.must("the storm made >= 50 attempts", attempts >= 50, attempts);
+    verdict.must("the storm published >= 25 revisions", published >= 25, published);
+    verdict.must("a publish was rejected", rejected >= 1, rejected);
+    verdict.must("registry.swap fired", swap_fires >= 1, swap_fires);
+    verdict.must("no canary was stuck without a verdict", stuck == 0, stuck);
+    verdict.must("draining list empty after the storm", drained, registry.draining_len());
+    verdict.clean_load("baseline", &base);
+    let unseen = |t: &Tally| t.failed() == 0 && t.mismatches == 0;
+    let seen = |t: &Tally| format!("{}, {} byte-mismatches", t.errors(), t.mismatches);
+    verdict.must("clients never see the erroring canary", unseen(&under_error), seen(&under_error));
+    verdict.must("the erroring canary rolled back", error_rollback, error_rollback);
+    verdict.must("clients never see the slow canary fail", unseen(&under_slow), seen(&under_slow));
+    verdict.must("the slow canary rolled back on p95", slow_rollback, slow_rollback);
+    verdict.clean_load("post-rollback", &after);
+    verdict.must(
+        "post-rollback p99 within 2x baseline + 10ms",
+        after.p99_us() <= p99_budget,
+        format!("{}us <= 2 x {}us + 10000us", after.p99_us(), base.p99_us()),
+    );
+    verdict.settle("core", core);
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::cmd::run_str;
 
     /// Only the corruption scenario runs in unit tests: it arms no
     /// global failpoints, so it cannot interfere with other tests
-    /// sharing this process.
+    /// sharing this process. The other five run in `tests/chaos.rs`.
     #[test]
     fn chaos_corrupt_model_scenario_passes() {
         let msg = run_str(&[
@@ -1063,9 +591,73 @@ mod tests {
         assert!(msg.contains("0 silently wrong"), "{msg}");
     }
 
+    /// A bad name is refused before anything runs, wherever it stands:
+    /// 4 000 requests through `worker-panic` take many seconds; the
+    /// lookup takes none. The usage error lists the table.
     #[test]
     fn chaos_rejects_unknown_scenario() {
         let err = run_str(&["chaos", "--scenario", "meteor-strike"]).unwrap_err();
         assert!(err.to_string().contains("unknown scenario"), "{err}");
+
+        let started = std::time::Instant::now();
+        let line = ["chaos", "--requests", "4000", "--scenario", "worker-panic"];
+        let err = run_str(&[&line[..], &["--scenario", "meteor-strike"]].concat()).unwrap_err();
+        assert!(started.elapsed() < Duration::from_secs(1), "{:?}", started.elapsed());
+        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+        for row in &SCENARIOS {
+            assert!(err.to_string().contains(row.about), "{err}");
+        }
+    }
+
+    #[test]
+    fn one_failed_must_fails_the_scenario_and_the_command() {
+        let fine = Scenario {
+            name: "fine",
+            about: "",
+            run: |_, verdict| {
+                verdict.must("water is wet", true, 1);
+                Ok(())
+            },
+        };
+        let broken = Scenario {
+            name: "broken",
+            about: "",
+            run: |_, verdict| {
+                verdict.must("the sky is up", true, "up");
+                verdict.must("the sky is green", false, "blue");
+                verdict.note("looked once".into());
+                Ok(())
+            },
+        };
+        let knobs = Knobs { requests: 16, corruptions: 1, seed: 0 };
+        let Err(CliError::Failed(report)) = run_rows(&[&fine, &broken], &knobs) else {
+            panic!("a failed must has to fail the command")
+        };
+        let heading = |name, outcome| format!("scenario {name:<17} {outcome}\n");
+        assert!(report.contains(&heading("fine", "PASS (degraded, not failed)")), "{report}");
+        assert!(report.contains(&heading("broken", "FAIL")), "{report}");
+        assert!(report.contains("  [FAIL] the sky is green: blue\n"), "{report}");
+        assert!(report.contains("  [ok]   the sky is up: up\n"), "{report}");
+        assert!(report.contains("  looked once\n"), "{report}");
+        assert!(report.ends_with("1 chaos scenario(s) FAILED"), "{report}");
+    }
+
+    /// `USAGE` is a constant, so it cannot be built from the table; this
+    /// keeps its scenario list — and the two documents that describe
+    /// the scenarios — in step with it.
+    #[test]
+    fn usage_and_docs_name_exactly_the_tables_scenarios() {
+        let usage = crate::cmd::USAGE;
+        let listed = usage.split("--scenario ").nth(1).and_then(|rest| rest.split(']').next());
+        let listed: Vec<String> =
+            listed.unwrap().split('|').map(|name| name.trim().to_owned()).collect();
+        let table: Vec<&str> = SCENARIOS.iter().map(|row| row.name).collect();
+        assert_eq!(listed, table);
+        let readme = include_str!("../../../README.md");
+        let design = include_str!("../../../DESIGN.md");
+        for name in table {
+            assert!(readme.contains(&format!("`{name}`")), "README lacks `{name}`");
+            assert!(design.contains(&format!("`{name}`")), "DESIGN lacks `{name}`");
+        }
     }
 }

@@ -10,70 +10,20 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use gobo_cluster::{ClusterNode, Router, RouterConfig, RouterServer};
-use gobo_serve::{HttpOptions, RegistryConfig, ServeCore, ServeOptions};
-
 use crate::cmd::{Args, CliError};
-
-/// Arms failpoints from the environment and `--failpoints`, like
-/// `gobo serve` does.
-fn arm_failpoints(args: &Args) -> Result<(), CliError> {
-    let mut armed = gobo_fault::configure_from_env()
-        .map_err(|e| CliError::Usage(format!("{}: {e}", gobo_fault::ENV_VAR)))?;
-    if let Some(spec) = args.get("failpoints") {
-        armed += gobo_fault::configure_str(spec)
-            .map_err(|e| CliError::Usage(format!("--failpoints: {e}")))?;
-    }
-    if armed > 0 {
-        gobo_fault::install_panic_silencer();
-        eprintln!("gobo-cluster: {armed} failpoint(s) armed");
-    }
-    Ok(())
-}
+use crate::serve_cmd::{arm_failpoints, boot_core, http_options, write_port_file};
+use gobo_cluster::{ClusterNode, Router, RouterConfig, RouterServer};
 
 /// `gobo cluster-node`: load `.gobom` files, bind the cluster
 /// protocol, serve until drained.
 pub(crate) fn cluster_node(args: &Args) -> Result<String, CliError> {
-    let models = args.get_all("model");
-    if models.is_empty() {
-        return Err(CliError::Usage("cluster-node needs at least one --model <file.gobom>".into()));
-    }
-    let names = args.get_all("name");
     let addr = args.get("addr").unwrap_or("127.0.0.1:7080");
-    arm_failpoints(args)?;
-    let registry_defaults = RegistryConfig::default();
-    let options = ServeOptions {
-        registry: RegistryConfig {
-            max_bytes: args.parse_num("max-bytes", registry_defaults.max_bytes)?,
-            max_models: args.parse_num("max-models", registry_defaults.max_models)?,
-        },
-        scheduler: crate::serve_cmd::scheduler_config(args)?,
-        lifecycle: crate::serve_cmd::canary_policy(args)?,
-    };
-
-    let core = ServeCore::start(options);
-    let mut loaded = Vec::new();
-    for (i, path) in models.iter().enumerate() {
-        let name = match names.get(i) {
-            Some(name) => (*name).to_owned(),
-            None => std::path::Path::new(path)
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .ok_or_else(|| CliError::Usage(format!("cannot derive a name from `{path}`")))?,
-        };
-        let entry = core
-            .registry()
-            .load_file(&name, path)
-            .map_err(|e| CliError::Failed(format!("loading `{path}`: {e}")))?;
-        loaded.push(entry.key.to_string());
-    }
+    let (core, loaded) = boot_core(args, "gobo-cluster-node")?;
 
     let mut node = ClusterNode::start(Arc::clone(&core), addr)
         .map_err(|e| CliError::Failed(format!("cannot bind `{addr}`: {e}")))?;
     let local = node.local_addr();
-    if let Some(port_file) = args.get("port-file") {
-        std::fs::write(port_file, format!("{}\n", local.port()))?;
-    }
+    write_port_file(args, local)?;
     println!("gobo-cluster-node listening on {local} (models: {})", loaded.join(", "));
     node.wait_drain();
     node.shutdown();
@@ -102,7 +52,7 @@ pub(crate) fn cluster_router(args: &Args) -> Result<String, CliError> {
         ));
     }
     let addr = args.get("addr").unwrap_or("127.0.0.1:7090");
-    arm_failpoints(args)?;
+    arm_failpoints(args, "gobo-cluster-router")?;
     let defaults = RouterConfig::default();
     let hedge_us: u64 = args.parse_num("hedge-us", 0)?;
     let config = RouterConfig {
@@ -125,15 +75,10 @@ pub(crate) fn cluster_router(args: &Args) -> Result<String, CliError> {
     }
     router.start();
 
-    let http_options = HttpOptions {
-        max_body: args.parse_num("max-body-bytes", HttpOptions::default().max_body)?,
-    };
-    let front = RouterServer::bind_with(Arc::clone(&router), addr, http_options)
+    let front = RouterServer::bind_with(Arc::clone(&router), addr, http_options(args)?)
         .map_err(|e| CliError::Failed(format!("cannot bind `{addr}`: {e}")))?;
     let local = front.local_addr();
-    if let Some(port_file) = args.get("port-file") {
-        std::fs::write(port_file, format!("{}\n", local.port()))?;
-    }
+    write_port_file(args, local)?;
     println!(
         "gobo-cluster-router listening on http://{local} (rf={replication}, nodes: {})",
         members.join(", ")
@@ -146,12 +91,7 @@ pub(crate) fn cluster_router(args: &Args) -> Result<String, CliError> {
 mod tests {
     use super::*;
     use crate::cmd::run_str;
-
-    fn tmp(name: &str) -> String {
-        let dir = std::env::temp_dir().join("gobo-cluster-cli-tests");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        dir.join(name).to_string_lossy().into_owned()
-    }
+    use crate::cmd::testing::{demo_gobom, post, spawn_verb};
 
     #[test]
     fn node_spec_parsing() {
@@ -173,112 +113,37 @@ mod tests {
     /// HTTP door, then shutdown — the CI smoke job's exact shape.
     #[test]
     fn router_and_nodes_round_trip_over_http() {
-        use std::io::{Read, Write};
         use std::net::TcpStream;
 
-        let raw = tmp("cluster.gobor");
-        let packed = tmp("cluster.gobom");
-        run_str(&["demo", "--output", &raw, "--layers", "1", "--hidden", "16"]).unwrap();
-        run_str(&["quantize", "--input", &raw, "--output", &packed, "--bits", "3"]).unwrap();
+        let suite = "gobo-cluster-cli-tests";
+        let packed = demo_gobom(suite);
+        let node = ["cluster-node", "--model", &packed, "--name", "smoke"];
+        let (node_a, port_a) = spawn_verb(suite, "node-a", &node);
+        let (node_b, port_b) = spawn_verb(suite, "node-b", &node);
+        let (members_a, members_b) =
+            (format!("a=127.0.0.1:{port_a}"), format!("b=127.0.0.1:{port_b}"));
+        let router =
+            ["cluster-router", "--node", &members_a, "--node", &members_b, "--heartbeat-ms", "25"];
+        let (router, port) = spawn_verb(suite, "router", &router);
 
-        let mut node_ports = Vec::new();
-        let mut node_threads = Vec::new();
-        for i in 0..2 {
-            let port_file = tmp(&format!("node{i}.port"));
-            let _ = std::fs::remove_file(&port_file);
-            let node_args: Vec<String> = [
-                "cluster-node",
-                "--model",
-                &packed,
-                "--name",
-                "smoke",
-                "--addr",
-                "127.0.0.1:0",
-                "--port-file",
-                &port_file,
-            ]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-            node_threads.push(std::thread::spawn(move || crate::cmd::run(&node_args)));
-            let mut port = None;
-            for _ in 0..200 {
-                if let Ok(text) = std::fs::read_to_string(&port_file) {
-                    if let Ok(p) = text.trim().parse::<u16>() {
-                        port = Some(p);
-                        break;
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            node_ports.push(port.expect("node never wrote its port file"));
-        }
-
-        let router_port_file = tmp("router.port");
-        let _ = std::fs::remove_file(&router_port_file);
-        let router_args: Vec<String> = [
-            "cluster-router".to_owned(),
-            "--node".to_owned(),
-            format!("a=127.0.0.1:{}", node_ports[0]),
-            "--node".to_owned(),
-            format!("b=127.0.0.1:{}", node_ports[1]),
-            "--addr".to_owned(),
-            "127.0.0.1:0".to_owned(),
-            "--port-file".to_owned(),
-            router_port_file.clone(),
-            "--heartbeat-ms".to_owned(),
-            "25".to_owned(),
-        ]
-        .to_vec();
-        let router_thread = std::thread::spawn(move || crate::cmd::run(&router_args));
-        let mut port = None;
-        for _ in 0..200 {
-            if let Ok(text) = std::fs::read_to_string(&router_port_file) {
-                if let Ok(p) = text.trim().parse::<u16>() {
-                    port = Some(p);
-                    break;
-                }
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let port = port.expect("router never wrote its port file");
-
-        let send = |path: &str, body: &str| -> String {
-            let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-            stream
-                .write_all(
-                    format!(
-                        "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                        body.len()
-                    )
-                    .as_bytes(),
-                )
-                .unwrap();
-            let mut response = String::new();
-            stream.read_to_string(&mut response).unwrap();
-            response
-        };
-
-        let response = send("/v1/encode", "{\"model\":\"smoke\",\"ids\":[1,2,3]}");
+        let response = post(port, "/v1/encode", "{\"model\":\"smoke\",\"ids\":[1,2,3]}");
         assert!(response.starts_with("HTTP/1.1 200"), "{response}");
         assert!(response.contains("\"hidden\""), "{response}");
 
-        let response = send("/v1/shutdown", "");
+        let response = post(port, "/v1/shutdown", "");
         assert!(response.contains("draining"), "{response}");
-        let msg = router_thread.join().unwrap().unwrap();
+        let msg = router.join().unwrap().unwrap();
         assert!(msg.contains("shut down"), "{msg}");
 
         // Drain the nodes over the protocol so their verbs return too.
-        for port in node_ports {
+        for (node, port) in [(node_a, port_a), (node_b, port_b)] {
             let stream = TcpStream::connect(("127.0.0.1", port)).expect("connect node");
             let mut writer = stream.try_clone().unwrap();
             gobo_proto::write_frame(&mut writer, &gobo_proto::Frame::Drain).unwrap();
             let mut reader = std::io::BufReader::new(stream);
             let ack = gobo_proto::read_frame(&mut reader, gobo_proto::MAX_PAYLOAD).unwrap();
             assert!(matches!(ack, Some(gobo_proto::Frame::DrainAck)));
-        }
-        for thread in node_threads {
-            let msg = thread.join().unwrap().unwrap();
+            let msg = node.join().unwrap().unwrap();
             assert!(msg.contains("shut down after draining"), "{msg}");
         }
     }

@@ -41,6 +41,11 @@ impl From<std::io::Error> for CliError {
     }
 }
 
+/// A pipeline failure, rendered: `.map_err(failed)`.
+pub(crate) fn failed(e: impl fmt::Display) -> CliError {
+    CliError::Failed(e.to_string())
+}
+
 /// The tool's usage text.
 pub const USAGE: &str = "\
 gobo — post-training quantization for transformer models (GOBO, MICRO 2020)
@@ -55,19 +60,22 @@ USAGE:
   gobo decode   --input <model.gobom> --output <model.gobor>
   gobo serve    --model <model.gobom> [--model <more.gobom> ...]
                 [--name NAME ...] [--addr HOST:PORT] [--port-file PATH]
-                [--workers N] [--max-batch N]
-                [--queue-capacity N] [--max-bytes N] [--max-models N]
-                [--max-body-bytes N] [--failpoints SPEC]
-                [--canary-pct N] [--canary-window N]
+                [--workers N] [--max-batch N] [--queue-capacity N]
+                [--deadline-ms N] [--max-bytes N] [--max-models N]
+                [--failpoints SPEC] [--canary-pct N] [--canary-window N]
                 [--canary-p95-factor-pct N] [--canary-min-baseline N]
+                [--max-body-bytes N] [--trace-out trace.json]
   gobo reload   --name NAME --path <model.gobom> [--addr HOST:PORT]
-  gobo cluster-node   --model <model.gobom> [--name NAME ...]
-                [--addr HOST:PORT] [--port-file PATH] [--failpoints SPEC]
-                [--workers N] [--max-batch N] [--max-bytes N]
+  gobo cluster-node   --model <model.gobom> [--model <more.gobom> ...]
+                [--name NAME ...] [--addr HOST:PORT] [--port-file PATH]
+                [--workers N] [--max-batch N] [--queue-capacity N]
+                [--deadline-ms N] [--max-bytes N] [--max-models N]
+                [--failpoints SPEC] [--canary-pct N] [--canary-window N]
+                [--canary-p95-factor-pct N] [--canary-min-baseline N]
   gobo cluster-router --node [ID=]HOST:PORT [--node ...]
                 [--addr HOST:PORT] [--port-file PATH] [--replication N]
                 [--virtual-nodes N] [--heartbeat-ms N] [--dead-after N]
-                [--hedge-us N] [--failpoints SPEC]
+                [--hedge-us N] [--failpoints SPEC] [--max-body-bytes N]
   gobo chaos    [--scenario worker-panic|corrupt-model|queue-overload
                  |node-kill|network-partition|reload-under-load]...
                 [--requests N] [--corruptions N] [--seed N]
@@ -115,9 +123,12 @@ CLUSTER:
 FAULT INJECTION:
   `chaos` runs scripted fault scenarios against an in-process server
   (workers panicking mid-batch, corrupt models on disk, queue
-  overload, killed and partitioned cluster nodes) and reports
-  degraded-but-correct vs failed behaviour;
-  `--scenario` repeats, default is all scenarios. `serve` accepts
+  overload, killed and partitioned cluster nodes, a reload storm with
+  failing canaries) and reports degraded-but-correct vs failed
+  behaviour: a scenario passes iff every `[ok]` line of its report
+  held, and a `[FAIL]` line names what did not. `--scenario` repeats
+  (an unknown name is refused, with the list, before anything runs);
+  default is all scenarios. `serve` accepts
   `--failpoints \"name=action(args)[;...]\"` (or the GOBO_FAILPOINTS
   environment variable) to arm deterministic failpoints, e.g.
   `serve.encode=panic(every=5)`, and `--max-body-bytes` to cap request
@@ -227,8 +238,7 @@ fn demo(args: &Args) -> Result<String, CliError> {
     let seed: u64 = args.parse_num("seed", 0)?;
     let config = ModelConfig::tiny("Demo", layers, hidden, 4, 256, 64)
         .map_err(|e| CliError::Failed(format!("invalid demo geometry: {e}")))?;
-    let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(seed))
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+    let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(seed)).map_err(failed)?;
     let bytes = save_model(&model);
     atomic_write(std::path::Path::new(output), &bytes)?;
     Ok(format!("wrote demo model `{output}`: {} ({} bytes)", model.config(), bytes.len()))
@@ -253,13 +263,13 @@ fn quantize(args: &Args) -> Result<String, CliError> {
 
     let model = read_raw(input)?;
     let mut options = QuantizeOptions::with_method(method, bits)
-        .map_err(|e| CliError::Failed(e.to_string()))?
+        .map_err(failed)?
         .with_outlier_threshold(threshold);
     if let Some(embedding_bits) = args.get("embedding-bits") {
         let eb: u8 = embedding_bits
             .parse()
             .map_err(|_| CliError::Usage("flag --embedding-bits: not a number".into()))?;
-        options = options.with_embedding_bits(eb).map_err(|e| CliError::Failed(e.to_string()))?;
+        options = options.with_embedding_bits(eb).map_err(failed)?;
     }
     let trace_out = args.get("trace-out");
     if trace_out.is_some() {
@@ -270,7 +280,7 @@ fn quantize(args: &Args) -> Result<String, CliError> {
     if trace_out.is_some() {
         gobo_obs::trace::disable();
     }
-    let outcome = outcome.map_err(|e| CliError::Failed(e.to_string()))?;
+    let outcome = outcome.map_err(failed)?;
     let mut extras = String::new();
     if let Some(path) = trace_out {
         std::fs::write(path, gobo_obs::trace::export_chrome_trace())?;
@@ -347,7 +357,7 @@ fn decode(args: &Args) -> Result<String, CliError> {
     let bytes = std::fs::read(input)?;
     let compressed = CompressedModel::from_bytes(&bytes)
         .map_err(|e| CliError::Failed(format!("{input}: {e}")))?;
-    let model = compressed.decode().map_err(|e| CliError::Failed(e.to_string()))?;
+    let model = compressed.decode().map_err(failed)?;
     let raw = save_model(&model);
     atomic_write(std::path::Path::new(output), &raw)?;
     Ok(format!(
@@ -363,14 +373,73 @@ pub fn run_str(args: &[&str]) -> Result<String, CliError> {
     run(&owned)
 }
 
+/// What the tests of the long-running verbs share.
+#[cfg(test)]
+pub(crate) mod testing {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::thread::JoinHandle;
+
+    use super::{run, run_str, CliError};
+
+    /// `name` under the temp directory of the test suite `suite`.
+    pub(crate) fn tmp(suite: &str, name: &str) -> String {
+        let dir = std::env::temp_dir().join(suite);
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        dir.join(name).to_string_lossy().into_owned()
+    }
+
+    /// A one-layer demo model quantized to 3 bits; the `.gobom` path.
+    pub(crate) fn demo_gobom(suite: &str) -> String {
+        let (raw, packed) = (tmp(suite, "demo.gobor"), tmp(suite, "demo.gobom"));
+        run_str(&["demo", "--output", &raw, "--layers", "1", "--hidden", "16"]).unwrap();
+        run_str(&["quantize", "--input", &raw, "--output", &packed, "--bits", "3"]).unwrap();
+        packed
+    }
+
+    /// Runs `verb` on a thread, bound to an ephemeral port it reports
+    /// through `--port-file`; returns once that file names the port.
+    pub(crate) fn spawn_verb(
+        suite: &str,
+        tag: &str,
+        verb: &[&str],
+    ) -> (JoinHandle<Result<String, CliError>>, u16) {
+        let port_file = tmp(suite, &format!("{tag}.port"));
+        let _ = std::fs::remove_file(&port_file);
+        let line: Vec<String> = [verb, &["--addr", "127.0.0.1:0", "--port-file", &port_file]]
+            .concat()
+            .iter()
+            .map(|s| (*s).to_owned())
+            .collect();
+        let thread = std::thread::spawn(move || run(&line));
+        for _ in 0..200 {
+            if let Some(port) =
+                std::fs::read_to_string(&port_file).ok().and_then(|text| text.trim().parse().ok())
+            {
+                return (thread, port);
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        panic!("`{tag}` never wrote its port file");
+    }
+
+    /// One `POST` on a fresh connection; the whole response.
+    pub(crate) fn post(port: u16, path: &str, body: &str) -> String {
+        let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+        let head = format!("POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}", body.len());
+        write!(stream, "{head}\r\nConnection: close\r\n\r\n{body}").unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn tmp(name: &str) -> String {
-        let dir = std::env::temp_dir().join("gobo-cli-tests");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        dir.join(name).to_string_lossy().into_owned()
+        testing::tmp("gobo-cli-tests", name)
     }
 
     #[test]

@@ -19,6 +19,7 @@ mod chaos_cmd;
 mod cluster_cmd;
 pub mod cmd;
 pub mod format;
+mod harness;
 mod lint_cmd;
 mod obs_cmd;
 mod sanitize_cmd;

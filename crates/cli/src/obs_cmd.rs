@@ -16,7 +16,7 @@ use gobo_serve::json::{parse, Json};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::cmd::{Args, CliError};
+use crate::cmd::{failed, Args, CliError};
 
 /// `gobo trace`: quantize a synthetic model under tracing and write the
 /// Chrome trace.
@@ -32,15 +32,14 @@ pub(crate) fn trace(args: &Args) -> Result<String, CliError> {
 
     let config = ModelConfig::tiny("TraceBert", layers, hidden, heads, 1000, 128)
         .map_err(|e| CliError::Failed(format!("invalid trace geometry: {e}")))?;
-    let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(seed))
-        .map_err(|e| CliError::Failed(e.to_string()))?;
-    let options = QuantizeOptions::gobo(bits).map_err(|e| CliError::Failed(e.to_string()))?;
+    let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(seed)).map_err(failed)?;
+    let options = QuantizeOptions::gobo(bits).map_err(failed)?;
 
     gobo_obs::trace::reset();
     gobo_obs::trace::enable();
     let outcome = quantize_model(&model, &options);
     gobo_obs::trace::disable();
-    let outcome = outcome.map_err(|e| CliError::Failed(e.to_string()))?;
+    let outcome = outcome.map_err(failed)?;
     let json = gobo_obs::trace::export_chrome_trace();
     let events = gobo_obs::trace::take_events();
     let dropped = gobo_obs::trace::dropped_events();

@@ -6,20 +6,15 @@
 //! (cycle, recursive acquisition, condvar misuse, blocking I/O under
 //! a lock) was recorded, so the command doubles as a CI smoke check.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use gobo::pipeline::{quantize_model, QuantizeOptions};
-use gobo_model::config::ModelConfig;
-use gobo_model::TransformerModel;
-use gobo_serve::{
-    CanaryPolicy, Client, EncodeRequest, RegistryConfig, SchedulerConfig, ServeCore, ServeOptions,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use gobo_serve::SchedulerConfig;
 
 use crate::cmd::{Args, CliError};
-use crate::format::CompressedModel;
+use crate::harness::{
+    build_model, drive_during, served, start_core, two_workers, Load, Patterns, Verdict, MODEL,
+    QUICK_CANARY,
+};
 
 /// `gobo sanitize-report`: run the exercise, render the evidence.
 pub(crate) fn sanitize_report(args: &Args) -> Result<String, CliError> {
@@ -33,11 +28,11 @@ pub(crate) fn sanitize_report(args: &Args) -> Result<String, CliError> {
     }
     gobo_sanitize::reset();
 
-    let publishes = exercise(requests, seed)?;
+    let (sent, publishes) = exercise(requests, seed)?;
 
     let mut out = format!(
         "gobo-sanitize report — mode record\n\
-         exercise: {requests} encode requests across 4 client threads, \
+         exercise: {sent} encode requests across 4 client threads, \
          {publishes} hot republishes, scheduler with 2 workers\n\n"
     );
 
@@ -97,49 +92,14 @@ pub(crate) fn sanitize_report(args: &Args) -> Result<String, CliError> {
 /// The built-in workload: four client threads hammer one model slot
 /// through the real scheduler while new revisions are hot-republished
 /// into the registry — together they take every serve-side lock on
-/// both the fast path and the publish path.
-fn exercise(requests: usize, seed: u64) -> Result<usize, CliError> {
-    let model_a = build(seed ^ 0xA)?;
-    let model_b = build(seed ^ 0xB)?;
-
-    let core = ServeCore::start(ServeOptions {
-        registry: RegistryConfig::default(),
-        scheduler: SchedulerConfig {
-            workers: 2,
-            queue_capacity: 4096,
-            default_deadline: Duration::from_secs(60),
-            ..SchedulerConfig::default()
-        },
-        lifecycle: CanaryPolicy {
-            traffic_pct: 50,
-            window: 4,
-            p95_factor_pct: 300,
-            min_baseline: 2,
-        },
-    });
-    let client = Client::new(Arc::clone(&core));
-    client.register("primary", &model_a).map_err(|e| CliError::Failed(e.to_string()))?;
-
-    let patterns: Vec<Vec<usize>> =
-        (0..8usize).map(|p| (0..12).map(|k| 1 + (p * 37 + k * 11) % 250).collect()).collect();
-
-    let threads = 4usize;
-    let per_thread = (requests / threads).max(1);
-    let mut joins = Vec::new();
-    for t in 0..threads {
-        let client = client.clone();
-        let patterns = patterns.clone();
-        joins.push(std::thread::spawn(move || {
-            let mut failed = 0usize;
-            for r in 0..per_thread {
-                let p = (t * 31 + r) % patterns.len();
-                if client.encode(EncodeRequest::new("primary", patterns[p].clone())).is_err() {
-                    failed += 1;
-                }
-            }
-            failed
-        }));
-    }
+/// both the fast path and the publish path. Returns the requests sent
+/// and the revisions published.
+fn exercise(requests: usize, seed: u64) -> Result<(usize, usize), CliError> {
+    let model_a = build_model(seed ^ 0xA)?;
+    let model_b = build_model(seed ^ 0xB)?;
+    let patterns = Patterns::new(&[&model_a, &model_b])?;
+    let scheduler = SchedulerConfig { default_deadline: Duration::from_secs(60), ..two_workers() };
+    let client = start_core(&model_a, scheduler, QUICK_CANARY)?;
 
     // Publish alternating canary revisions while the load runs, so the
     // canary verdict path (lifecycle windows, registry promote) runs
@@ -148,35 +108,30 @@ fn exercise(requests: usize, seed: u64) -> Result<usize, CliError> {
     // locks at once (e.g. the lifecycle drops its window lock before
     // promoting through the registry).
     let mut publishes = 0usize;
-    for i in 0..8usize {
-        let model = if i.is_multiple_of(2) { &model_b } else { &model_a };
-        core.registry().publish("primary", model).map_err(|e| CliError::Failed(e.to_string()))?;
-        publishes += 1;
-        std::thread::sleep(Duration::from_millis(5));
+    let mut refused = None;
+    let tally = drive_during(
+        Load::fixed(4, requests),
+        &patterns,
+        |ids| served(&client, ids),
+        || {
+            for i in 0..8usize {
+                let model = if i.is_multiple_of(2) { &model_b } else { &model_a };
+                match client.core().registry().publish(MODEL, model) {
+                    Ok(_) => publishes += 1,
+                    Err(e) => refused = Some(e),
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        },
+    );
+    let mut verdict = Verdict::default();
+    verdict.must("every publish is accepted", refused.is_none(), format!("{refused:?}"));
+    verdict.clean_load("exercise", &tally);
+    verdict.settle("core", client.core());
+    if !verdict.passed() {
+        return Err(CliError::Failed(format!("the exercise itself failed:\n{}", verdict.render())));
     }
-
-    let mut failed = 0usize;
-    for join in joins {
-        failed += join
-            .join()
-            .map_err(|_| CliError::Failed("sanitize exercise client panicked".into()))?;
-    }
-    core.shutdown();
-    if failed > 0 {
-        return Err(CliError::Failed(format!("{failed} exercise request(s) failed")));
-    }
-    Ok(publishes)
-}
-
-/// A small quantized model for the exercise.
-fn build(seed: u64) -> Result<CompressedModel, CliError> {
-    let config = ModelConfig::tiny("Sanitize", 2, 48, 4, 256, 64)
-        .map_err(|e| CliError::Failed(format!("invalid exercise geometry: {e}")))?;
-    let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(seed))
-        .map_err(|e| CliError::Failed(e.to_string()))?;
-    let options = QuantizeOptions::gobo(3).map_err(|e| CliError::Failed(e.to_string()))?;
-    let outcome = quantize_model(&model, &options).map_err(|e| CliError::Failed(e.to_string()))?;
-    Ok(CompressedModel::new(&model, outcome.archive))
+    Ok((tally.sent(), publishes))
 }
 
 #[cfg(test)]

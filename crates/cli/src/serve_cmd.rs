@@ -1,5 +1,6 @@
 //! `gobo serve` and `gobo reload`: the CLI face of `gobo-serve`.
 
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -11,7 +12,7 @@ use gobo_serve::{
 
 use crate::cmd::{Args, CliError};
 
-pub(crate) fn scheduler_config(args: &Args) -> Result<SchedulerConfig, CliError> {
+fn scheduler_config(args: &Args) -> Result<SchedulerConfig, CliError> {
     // Unknown flags are ignored, so the removed knob is refused by name.
     if args.get("max-wait-us").is_some() {
         return Err(CliError::Usage(
@@ -32,7 +33,7 @@ pub(crate) fn scheduler_config(args: &Args) -> Result<SchedulerConfig, CliError>
     })
 }
 
-pub(crate) fn canary_policy(args: &Args) -> Result<CanaryPolicy, CliError> {
+fn canary_policy(args: &Args) -> Result<CanaryPolicy, CliError> {
     let defaults = CanaryPolicy::default();
     let policy = CanaryPolicy {
         traffic_pct: args.parse_num("canary-pct", defaults.traffic_pct)?,
@@ -46,39 +47,51 @@ pub(crate) fn canary_policy(args: &Args) -> Result<CanaryPolicy, CliError> {
     Ok(policy)
 }
 
-/// `gobo serve`: load `.gobom` files, bind, and serve until shutdown.
-pub(crate) fn serve(args: &Args) -> Result<String, CliError> {
-    let models = args.get_all("model");
-    if models.is_empty() {
-        return Err(CliError::Usage("serve needs at least one --model <file.gobom>".into()));
-    }
-    let names = args.get_all("name");
-    let addr = args.get("addr").unwrap_or("127.0.0.1:7070");
-    // Arm failpoints before any model is loaded so `registry.load` /
-    // `registry.decode` faults cover the startup path too. The
-    // environment variable applies first; `--failpoints` overrides.
-    let env_failpoints = gobo_fault::configure_from_env()
+/// Arms failpoints from the environment, then from `--failpoints`
+/// (which overrides). Called before any model is loaded, so
+/// `registry.load` / `registry.decode` faults cover the startup path.
+pub(crate) fn arm_failpoints(args: &Args, who: &str) -> Result<(), CliError> {
+    let mut armed = gobo_fault::configure_from_env()
         .map_err(|e| CliError::Usage(format!("{}: {e}", gobo_fault::ENV_VAR)))?;
-    let mut armed = env_failpoints;
     if let Some(spec) = args.get("failpoints") {
         armed += gobo_fault::configure_str(spec)
             .map_err(|e| CliError::Usage(format!("--failpoints: {e}")))?;
     }
     if armed > 0 {
         gobo_fault::install_panic_silencer();
-        eprintln!("gobo-serve: {armed} failpoint(s) armed");
+        eprintln!("{who}: {armed} failpoint(s) armed");
     }
+    Ok(())
+}
+
+/// Tells whoever started this process which port it got.
+pub(crate) fn write_port_file(args: &Args, local: SocketAddr) -> Result<(), CliError> {
+    match args.get("port-file") {
+        Some(port_file) => Ok(std::fs::write(port_file, format!("{}\n", local.port()))?),
+        None => Ok(()),
+    }
+}
+
+/// What `serve` and `cluster-node` do before they bind: arm failpoints,
+/// start a core from the flags, and load every `--model` under its
+/// `--name` (or, past the names given, its file stem). Returns the core
+/// and the keys it serves.
+pub(crate) fn boot_core(args: &Args, who: &str) -> Result<(Arc<ServeCore>, Vec<String>), CliError> {
+    let models = args.get_all("model");
+    if models.is_empty() {
+        return Err(CliError::Usage(format!("{who} needs at least one --model <file.gobom>")));
+    }
+    let names = args.get_all("name");
+    arm_failpoints(args, who)?;
     let registry_defaults = RegistryConfig::default();
-    let options = ServeOptions {
+    let core = ServeCore::start(ServeOptions {
         registry: RegistryConfig {
             max_bytes: args.parse_num("max-bytes", registry_defaults.max_bytes)?,
             max_models: args.parse_num("max-models", registry_defaults.max_models)?,
         },
         scheduler: scheduler_config(args)?,
         lifecycle: canary_policy(args)?,
-    };
-
-    let core = ServeCore::start(options);
+    });
     let mut loaded = Vec::new();
     for (i, path) in models.iter().enumerate() {
         let name = match names.get(i) {
@@ -94,16 +107,22 @@ pub(crate) fn serve(args: &Args) -> Result<String, CliError> {
             .map_err(|e| CliError::Failed(format!("loading `{path}`: {e}")))?;
         loaded.push(entry.key.to_string());
     }
+    Ok((core, loaded))
+}
 
-    let http_options = HttpOptions {
-        max_body: args.parse_num("max-body-bytes", HttpOptions::default().max_body)?,
-    };
-    let server = Server::bind_with(Arc::clone(&core), addr, http_options)
+/// The HTTP front's options, for `serve` and `cluster-router`.
+pub(crate) fn http_options(args: &Args) -> Result<HttpOptions, CliError> {
+    Ok(HttpOptions { max_body: args.parse_num("max-body-bytes", HttpOptions::default().max_body)? })
+}
+
+/// `gobo serve`: load `.gobom` files, bind, and serve until shutdown.
+pub(crate) fn serve(args: &Args) -> Result<String, CliError> {
+    let addr = args.get("addr").unwrap_or("127.0.0.1:7070");
+    let (core, loaded) = boot_core(args, "gobo-serve")?;
+    let server = Server::bind_with(core, addr, http_options(args)?)
         .map_err(|e| CliError::Failed(format!("cannot bind `{addr}`: {e}")))?;
     let local = server.local_addr();
-    if let Some(port_file) = args.get("port-file") {
-        std::fs::write(port_file, format!("{}\n", local.port()))?;
-    }
+    write_port_file(args, local)?;
     let trace_out = args.get("trace-out");
     if trace_out.is_some() {
         gobo_obs::trace::reset();
@@ -159,16 +178,8 @@ pub(crate) fn reload(args: &Args) -> Result<String, CliError> {
 
 #[cfg(test)]
 mod tests {
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
-
     use crate::cmd::run_str;
-
-    fn tmp(name: &str) -> String {
-        let dir = std::env::temp_dir().join("gobo-serve-cli-tests");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        dir.join(name).to_string_lossy().into_owned()
-    }
+    use crate::cmd::testing::{demo_gobom, post, spawn_verb};
 
     #[test]
     fn serve_requires_model_flag() {
@@ -199,63 +210,16 @@ mod tests {
     /// down gracefully — the same flow the CI smoke job scripts.
     #[test]
     fn serve_round_trip_over_http() {
-        let raw = tmp("serve.gobor");
-        let packed = tmp("serve.gobom");
-        let port_file = tmp("serve.port");
-        let _ = std::fs::remove_file(&port_file);
-        run_str(&["demo", "--output", &raw, "--layers", "1", "--hidden", "16"]).unwrap();
-        run_str(&["quantize", "--input", &raw, "--output", &packed, "--bits", "3"]).unwrap();
+        let suite = "gobo-serve-cli-tests";
+        let packed = demo_gobom(suite);
+        let (server, port) =
+            spawn_verb(suite, "serve", &["serve", "--model", &packed, "--name", "smoke"]);
 
-        let serve_args: Vec<String> = [
-            "serve",
-            "--model",
-            &packed,
-            "--name",
-            "smoke",
-            "--addr",
-            "127.0.0.1:0",
-            "--port-file",
-            &port_file,
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-        let server = std::thread::spawn(move || crate::cmd::run(&serve_args));
-
-        // Wait for the port file to appear.
-        let mut port = None;
-        for _ in 0..200 {
-            if let Ok(text) = std::fs::read_to_string(&port_file) {
-                if let Ok(p) = text.trim().parse::<u16>() {
-                    port = Some(p);
-                    break;
-                }
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        let port = port.expect("server never wrote its port file");
-
-        let send = |path: &str, body: &str| -> String {
-            let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-            stream
-                .write_all(
-                    format!(
-                        "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                        body.len()
-                    )
-                    .as_bytes(),
-                )
-                .unwrap();
-            let mut response = String::new();
-            stream.read_to_string(&mut response).unwrap();
-            response
-        };
-
-        let response = send("/v1/encode", "{\"model\":\"smoke\",\"ids\":[1,2,3]}");
+        let response = post(port, "/v1/encode", "{\"model\":\"smoke\",\"ids\":[1,2,3]}");
         assert!(response.starts_with("HTTP/1.1 200"), "{response}");
         assert!(response.contains("\"hidden\""), "{response}");
 
-        let response = send("/v1/shutdown", "");
+        let response = post(port, "/v1/shutdown", "");
         assert!(response.contains("draining"), "{response}");
         let msg = server.join().unwrap().unwrap();
         assert!(msg.contains("shut down after draining"), "{msg}");

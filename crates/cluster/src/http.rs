@@ -10,60 +10,42 @@
 //! flight), `POST /v1/canary` (start a canary trial on a member), and
 //! serves the cluster metrics on `GET /metrics`.
 
-use std::net::SocketAddr;
-use std::sync::Arc;
-
-use gobo_serve::http::{common_route, encode_body, error_body};
+use gobo_serve::http::{common_route, encode_body, Front};
 use gobo_serve::json::{parse, Json};
-use gobo_serve::{
-    parse_encode_body, HttpHandler, HttpListener, HttpOptions, HttpResponse, ParsedRequest,
-    ShutdownSignal,
-};
+use gobo_serve::{parse_encode_body, HttpHandler, HttpResponse, ParsedRequest, ShutdownSignal};
 
 use crate::router::Router;
 
-/// A bound, accepting HTTP front over a [`Router`].
-pub struct RouterServer {
-    router: Arc<Router>,
-    listener: HttpListener,
-    signal: Arc<ShutdownSignal>,
-}
+/// A bound, accepting HTTP front over a [`Router`]; teardown stops the
+/// router's heartbeat thread after the listener.
+pub type RouterServer = Front<Router>;
 
-struct RouterHandler {
-    router: Arc<Router>,
-    signal: Arc<ShutdownSignal>,
-}
-
-impl HttpHandler for RouterHandler {
-    fn handle(&self, request: &ParsedRequest) -> HttpResponse {
+impl HttpHandler for Router {
+    fn handle(&self, request: &ParsedRequest, signal: &ShutdownSignal) -> HttpResponse {
         match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/v1/encode") => encode(&self.router, &request.body),
-            ("GET", "/v1/cluster") => HttpResponse::json(200, membership_body(&self.router)),
-            ("POST", "/v1/canary") => canary(&self.router, &request.body),
-            _ => common_route(request, &self.signal, || self.router.render_metrics()),
+            ("POST", "/v1/encode") => encode(self, &request.body),
+            ("GET", "/v1/cluster") => HttpResponse::json(200, membership_body(self)),
+            ("POST", "/v1/canary") => canary(self, &request.body),
+            _ => common_route(request, signal, || self.render_metrics()),
         }
+    }
+
+    fn stop(&self) {
+        self.shutdown();
     }
 }
 
 fn encode(router: &Router, body: &[u8]) -> HttpResponse {
     let request = match parse_encode_body(body) {
         Ok(request) => request,
-        Err(e) => {
-            return HttpResponse::json(
-                e.http_status(),
-                error_body(e.http_status(), e.code(), &e.to_string()),
-            )
-        }
+        Err(e) => return e.into(),
     };
     let ids: Vec<u32> = request.ids.iter().map(|&v| v as u32).collect();
     let type_ids: Vec<u32> = request.type_ids.iter().map(|&v| v as u32).collect();
     let deadline_ms = request.deadline.map_or(0, |d| d.as_millis() as u64);
     match router.encode(&request.model, request.bits, &ids, &type_ids, deadline_ms) {
         Ok(ok) => HttpResponse::json(200, encode_body(&ok, None)),
-        Err(e) => HttpResponse::json(
-            e.http_status(),
-            error_body(e.http_status(), e.code(), &e.to_string()),
-        ),
+        Err(e) => HttpResponse::error(e.http_status(), e.code(), &e.to_string()),
     }
 }
 
@@ -72,7 +54,7 @@ fn encode(router: &Router, body: &[u8]) -> HttpResponse {
 /// the node and auto-promotes or auto-rolls-back on the latency
 /// verdict.
 fn canary(router: &Router, body: &[u8]) -> HttpResponse {
-    let bad = |message: &str| HttpResponse::json(400, error_body(400, "bad_request", message));
+    let bad = |message: &str| HttpResponse::error(400, "bad_request", message);
     let Ok(text) = std::str::from_utf8(body) else { return bad("body not utf-8") };
     let value = match parse(text) {
         Ok(value) => value,
@@ -82,9 +64,10 @@ fn canary(router: &Router, body: &[u8]) -> HttpResponse {
         return bad("missing string field `node`");
     };
     if !router.set_canary(node) {
-        return HttpResponse::json(
+        return HttpResponse::error(
             404,
-            error_body(404, "node_not_found", &format!("`{node}` is not a cluster member")),
+            "node_not_found",
+            &format!("`{node}` is not a cluster member"),
         );
     }
     HttpResponse::json(
@@ -122,62 +105,4 @@ fn membership_body(router: &Router) -> String {
         ("hedge_delay_us", Json::Num(router.hedge_delay().as_micros() as f64)),
     ])
     .to_string()
-}
-
-impl RouterServer {
-    /// Binds `addr` (port 0 for ephemeral) with default
-    /// [`HttpOptions`] and starts accepting on behalf of `router`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket failures.
-    pub fn bind(router: Arc<Router>, addr: &str) -> std::io::Result<RouterServer> {
-        Self::bind_with(router, addr, HttpOptions::default())
-    }
-
-    /// Binds `addr` with explicit [`HttpOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket failures.
-    pub fn bind_with(
-        router: Arc<Router>,
-        addr: &str,
-        options: HttpOptions,
-    ) -> std::io::Result<RouterServer> {
-        let signal = Arc::new(ShutdownSignal::new());
-        let handler: Arc<dyn HttpHandler> =
-            Arc::new(RouterHandler { router: Arc::clone(&router), signal: Arc::clone(&signal) });
-        let listener = HttpListener::bind(addr, options, handler)?;
-        Ok(RouterServer { router, listener, signal })
-    }
-
-    /// The bound address (with the resolved ephemeral port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.listener.local_addr()
-    }
-
-    /// Asks the front to shut down, as `POST /v1/shutdown` does.
-    pub fn request_shutdown(&self) {
-        self.signal.request();
-    }
-
-    /// Blocks until shutdown is requested, then stops the listener and
-    /// the router's heartbeat thread.
-    pub fn serve_until_shutdown(mut self) {
-        self.signal.wait();
-        self.teardown();
-    }
-
-    fn teardown(&mut self) {
-        self.signal.request();
-        self.listener.stop();
-        self.router.shutdown();
-    }
-}
-
-impl Drop for RouterServer {
-    fn drop(&mut self) {
-        self.teardown();
-    }
 }

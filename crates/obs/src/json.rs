@@ -2,24 +2,33 @@
 //! exporters: string escaping per RFC 8259 and float formatting that
 //! never produces `NaN`/`Infinity` literals (both invalid JSON).
 
+/// Writes `s` as a quoted JSON string with all mandatory escapes — the
+/// one escape table every JSON writer in the workspace goes through.
+///
+/// # Errors
+///
+/// Whatever `out` returns.
+pub fn write_string(out: &mut impl std::fmt::Write, s: &str) -> std::fmt::Result {
+    out.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    out.write_char('"')
+}
+
 /// Renders `s` as a quoted JSON string with all mandatory escapes.
 pub fn string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    // Writing into a `String` cannot fail.
+    let _ = write_string(&mut out, s);
     out
 }
 

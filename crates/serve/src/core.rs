@@ -2,7 +2,7 @@
 //! plus the in-process [`Client`] that tests and benchmarks use to
 //! bypass the socket entirely.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gobo::format::CompressedModel;
@@ -92,6 +92,52 @@ impl ServeCore {
     /// Drains the queue and stops the worker pool (idempotent).
     pub fn shutdown(&self) {
         self.scheduler.shutdown();
+    }
+
+    /// The laws the counters obey once nothing is in flight, so call it
+    /// after [`ServeCore::shutdown`]:
+    ///
+    /// * every admitted request was answered exactly once —
+    ///   `encode_requests = encode_ok + encode_failed + Σ rejected_*`;
+    /// * `batched_requests` is the sum of the batch sizes workers took: a
+    ///   request taken in a batch ends as ok, failed, or (expired between
+    ///   the take and the forward) a deadline rejection, so the sum lies
+    ///   between `ok + failed` and `ok + failed + rejected_deadline` — an
+    ///   equality whenever no deadline expired;
+    /// * no batch exceeded `max_batch`, and none was empty;
+    /// * the queue is empty, by the gauge and by the queue itself.
+    ///
+    /// # Errors
+    ///
+    /// The first law that does not hold, with the numbers that break it.
+    pub fn check_counter_laws(&self) -> Result<(), String> {
+        let m = &self.metrics;
+        let v = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let (ok, failed, expired) = (v(&m.encode_ok), v(&m.encode_failed), v(&m.rejected_deadline));
+        let (requests, batched) = (v(&m.encode_requests), v(&m.batched_requests));
+        let answered = ok + failed + expired + v(&m.rejected_queue_full) + v(&m.rejected_shutdown);
+        let max_batch = self.scheduler.config().max_batch.max(1) as u64;
+        let broken = if requests != answered {
+            format!("requests in {requests} != answers out {answered}:\n{}", m.render())
+        } else if !(ok + failed..=ok + failed + expired).contains(&batched) {
+            format!("batched_requests {batched} vs ok {ok} + failed {failed} (+ up to {expired} expired)")
+        } else if v(&m.batches) > batched {
+            format!(
+                "an empty batch was dispatched: {} batches of {batched} requests",
+                v(&m.batches)
+            )
+        } else if v(&m.batch_size_max) > max_batch {
+            format!("batch_size_max {} > max_batch {max_batch}", v(&m.batch_size_max))
+        } else if v(&m.queue_depth) != 0 || self.scheduler.queue_depth() != 0 {
+            format!(
+                "queue not empty: gauge {}, queue {}",
+                v(&m.queue_depth),
+                self.scheduler.queue_depth()
+            )
+        } else {
+            return Ok(());
+        };
+        Err(broken)
     }
 }
 

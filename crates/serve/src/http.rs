@@ -6,11 +6,12 @@
 //! sends `Connection: close`, or an error forces the server side shut.
 //!
 //! The transport is split from the routes so the cluster router can
-//! reuse it: [`HttpListener`] runs the keep-alive request loop on the
-//! crate's one accept loop ([`crate::listener::Listener`] — accept
-//! thread, per-connection threads, teardown); anything implementing
-//! [`HttpHandler`] plugs in behind it. [`Server`] is the serve-core
-//! handler with routes:
+//! reuse it: [`Front`] runs the keep-alive request loop on the crate's
+//! one accept loop ([`crate::listener::Listener`] — accept thread,
+//! per-connection threads, teardown) and owns the shutdown signal;
+//! anything implementing [`HttpHandler`] — a route table plus what to
+//! stop on the way out — plugs in behind it. [`Server`] is the front
+//! over a [`ServeCore`], with routes:
 //!
 //! * `POST /v1/encode` — run one sequence through a registered model;
 //! * `GET  /v1/models` — list model revisions with lifecycle state
@@ -74,7 +75,7 @@ pub enum HttpError {
 }
 
 /// A condition variable a thread can park on until shutdown is asked
-/// for. Shared by [`Server`] and the cluster router front end.
+/// for. Owned by every [`Front`]; the cluster node drains on one too.
 pub struct ShutdownSignal {
     requested: SanMutex<bool>,
     cvar: SanCondvar,
@@ -140,44 +141,82 @@ impl HttpResponse {
     pub fn json(status: u16, body: String) -> Self {
         HttpResponse { status, content_type: "application/json", body, close: false }
     }
+
+    /// The uniform `{status, error, message}` JSON error response.
+    pub fn error(status: u16, code: &str, message: &str) -> Self {
+        let body = Json::obj(vec![
+            ("status", Json::Num(status as f64)),
+            ("error", Json::Str(code.to_owned())),
+            ("message", Json::Str(message.to_owned())),
+        ]);
+        Self::json(status, body.to_string())
+    }
 }
 
-/// The application side of [`HttpListener`]: maps one parsed request
-/// to one response. Called from per-connection threads.
+impl From<ServeError> for HttpResponse {
+    fn from(e: ServeError) -> Self {
+        Self::error(e.http_status(), e.code(), &e.to_string())
+    }
+}
+
+/// The application behind a [`Front`]: a route table mapping one parsed
+/// request to one response, called from per-connection threads, plus
+/// what teardown stops once the listener is down.
 pub trait HttpHandler: Send + Sync + 'static {
-    /// Handle one request.
-    fn handle(&self, request: &ParsedRequest) -> HttpResponse;
+    /// Handle one request. `signal` is the front's shutdown signal, for
+    /// [`common_route`] to raise on `POST /v1/shutdown`.
+    fn handle(&self, request: &ParsedRequest, signal: &ShutdownSignal) -> HttpResponse;
 
     /// Called once per successfully parsed request, before `handle`.
     fn on_request(&self) {}
 
     /// Called when a request is rejected for an oversized body.
     fn on_reject_too_large(&self) {}
+
+    /// Stops what the front was serving, after the listener has
+    /// stopped. Must be idempotent.
+    fn stop(&self);
 }
 
-/// A bound, accepting HTTP/1.1 listener delegating to an
-/// [`HttpHandler`]: the shared [`Listener`] accept loop with the
-/// keep-alive request loop plugged in per connection. Dropping it (or
-/// calling [`HttpListener::stop`]) stops gracefully.
-pub struct HttpListener {
+/// A bound, accepting HTTP/1.1 front over an [`HttpHandler`]: the
+/// shared [`Listener`] accept loop with the keep-alive request loop
+/// plugged in per connection. [`Server`] and the cluster's
+/// `RouterServer` are this type over their handler. Dropping it tears
+/// down gracefully.
+pub struct Front<H: HttpHandler> {
+    handler: Arc<H>,
     listener: Listener,
+    signal: Arc<ShutdownSignal>,
 }
 
-impl HttpListener {
-    /// Binds `addr` (port 0 for ephemeral) and starts accepting.
+/// A bound, accepting HTTP server over a [`ServeCore`].
+pub type Server = Front<ServeCore>;
+
+impl<H: HttpHandler> Front<H> {
+    /// Binds `addr` (use port 0 for an ephemeral port) with default
+    /// [`HttpOptions`] and starts accepting.
     ///
     /// # Errors
     ///
     /// Propagates socket failures.
-    pub fn bind(
-        addr: &str,
-        options: HttpOptions,
-        handler: Arc<dyn HttpHandler>,
-    ) -> std::io::Result<HttpListener> {
-        let listener = Listener::spawn(addr, "gobo-http-accept", move |stream| {
-            handle_connection(handler.as_ref(), options, stream);
-        })?;
-        Ok(HttpListener { listener })
+    pub fn bind(handler: Arc<H>, addr: &str) -> std::io::Result<Self> {
+        Self::bind_with(handler, addr, HttpOptions::default())
+    }
+
+    /// Binds `addr` with explicit [`HttpOptions`] and starts accepting.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket failures.
+    pub fn bind_with(handler: Arc<H>, addr: &str, options: HttpOptions) -> std::io::Result<Self> {
+        let signal = Arc::new(ShutdownSignal::new());
+        let listener = {
+            let (handler, signal) = (Arc::clone(&handler), Arc::clone(&signal));
+            Listener::spawn(addr, "gobo-http-accept", move |stream| {
+                handle_connection(handler.as_ref(), &signal, options, stream);
+            })?
+        };
+        Ok(Front { handler, listener, signal })
     }
 
     /// The bound address (with the resolved ephemeral port).
@@ -185,21 +224,42 @@ impl HttpListener {
         self.listener.local_addr()
     }
 
-    /// Stops accepting, unblocks keep-alive reads while letting an
-    /// in-flight response finish ([`Shutdown::Read`] first), and joins
-    /// all threads. Idempotent.
-    pub fn stop(&mut self) {
+    /// Asks the front to shut down, as `POST /v1/shutdown` does.
+    pub fn request_shutdown(&self) {
+        self.signal.request();
+    }
+
+    /// Blocks until shutdown is requested (via
+    /// [`Front::request_shutdown`] or `POST /v1/shutdown`), then tears
+    /// down gracefully: stop accepting, unblock and join in-flight
+    /// connections, then [`HttpHandler::stop`] — for a [`Server`], drain
+    /// the scheduler queue and stop the workers.
+    pub fn serve_until_shutdown(mut self) {
+        self.signal.wait();
+        self.teardown();
+    }
+
+    /// [`Shutdown::Read`] first, so keep-alive reads unblock while an
+    /// in-flight response still finishes. Idempotent.
+    fn teardown(&mut self) {
+        self.signal.request();
         self.listener.stop(Shutdown::Read);
+        self.handler.stop();
     }
 }
 
-impl Drop for HttpListener {
+impl<H: HttpHandler> Drop for Front<H> {
     fn drop(&mut self) {
-        self.stop();
+        self.teardown();
     }
 }
 
-fn handle_connection(handler: &dyn HttpHandler, options: HttpOptions, stream: TcpStream) {
+fn handle_connection(
+    handler: &impl HttpHandler,
+    signal: &ShutdownSignal,
+    options: HttpOptions,
+    stream: TcpStream,
+) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let mut reader = BufReader::new(match stream.try_clone() {
@@ -216,37 +276,28 @@ fn handle_connection(handler: &dyn HttpHandler, options: HttpOptions, stream: Tc
                 handler.on_request();
                 let _span =
                     gobo_obs::span!("http.request", method = request.method, path = request.path);
-                let mut response = handler.handle(&request);
+                let mut response = handler.handle(&request, signal);
                 response.close = response.close || !request.keep_alive;
                 if write_response(&mut stream, &response).is_err() || response.close {
                     break;
                 }
             }
             Ok(None) => break, // clean close between requests
-            Err(HttpError::TooLarge { declared, limit }) => {
-                handler.on_reject_too_large();
-                let body = error_body(
-                    413,
-                    "body_too_large",
-                    &format!("request body of {declared} bytes exceeds the {limit}-byte limit"),
-                );
-                let response = HttpResponse {
-                    status: 413,
-                    content_type: "application/json",
-                    body,
-                    close: true,
+            Err(rejected) => {
+                let mut response = match rejected {
+                    HttpError::TooLarge { declared, limit } => {
+                        handler.on_reject_too_large();
+                        HttpResponse::error(
+                            413,
+                            "body_too_large",
+                            &format!(
+                                "request body of {declared} bytes exceeds the {limit}-byte limit"
+                            ),
+                        )
+                    }
+                    HttpError::Bad(msg) => HttpResponse::error(400, "bad_request", &msg),
                 };
-                let _ = write_response(&mut stream, &response);
-                break;
-            }
-            Err(HttpError::Bad(msg)) => {
-                let body = error_body(400, "bad_request", &msg);
-                let response = HttpResponse {
-                    status: 400,
-                    content_type: "application/json",
-                    body,
-                    close: true,
-                };
+                response.close = true;
                 let _ = write_response(&mut stream, &response);
                 break;
             }
@@ -369,104 +420,34 @@ pub fn common_route(
                 close: true,
             }
         }
-        _ => HttpResponse::json(404, error_body(404, "not_found", "no such route")),
+        _ => HttpResponse::error(404, "not_found", "no such route"),
     }
 }
 
-/// A bound, accepting HTTP server over a [`ServeCore`].
-pub struct Server {
-    core: Arc<ServeCore>,
-    listener: HttpListener,
-    signal: Arc<ShutdownSignal>,
-}
-
-struct ServeHandler {
-    core: Arc<ServeCore>,
-    signal: Arc<ShutdownSignal>,
-}
-
-impl HttpHandler for ServeHandler {
-    fn handle(&self, request: &ParsedRequest) -> HttpResponse {
+impl HttpHandler for ServeCore {
+    fn handle(&self, request: &ParsedRequest, signal: &ShutdownSignal) -> HttpResponse {
+        let served = |body: Result<String, ServeError>| match body {
+            Ok(body) => HttpResponse::json(200, body),
+            Err(e) => e.into(),
+        };
         match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/v1/encode") => match encode(&self.core, &request.body) {
-                Ok(body) => HttpResponse::json(200, body),
-                Err(e) => HttpResponse::json(e.http_status(), serve_error_body(&e)),
-            },
-            ("GET", "/v1/models") => HttpResponse::json(200, models_body(&self.core)),
-            ("POST", "/v1/reload") => match reload(&self.core, &request.body) {
-                Ok(body) => HttpResponse::json(200, body),
-                Err(e) => HttpResponse::json(e.http_status(), serve_error_body(&e)),
-            },
-            _ => common_route(request, &self.signal, || self.core.metrics().render()),
+            ("POST", "/v1/encode") => served(encode(self, &request.body)),
+            ("GET", "/v1/models") => HttpResponse::json(200, models_body(self)),
+            ("POST", "/v1/reload") => served(reload(self, &request.body)),
+            _ => common_route(request, signal, || self.metrics().render()),
         }
     }
 
     fn on_request(&self) {
-        self.core.metrics().http_requests.fetch_add(1, Ordering::Relaxed);
+        self.metrics().http_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     fn on_reject_too_large(&self) {
-        self.core.metrics().rejected_body_too_large.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl Server {
-    /// Binds `addr` (use port 0 for an ephemeral port) with default
-    /// [`HttpOptions`] and starts accepting.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket failures.
-    pub fn bind(core: Arc<ServeCore>, addr: &str) -> std::io::Result<Server> {
-        Self::bind_with(core, addr, HttpOptions::default())
+        self.metrics().rejected_body_too_large.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Binds `addr` with explicit [`HttpOptions`] and starts accepting.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket failures.
-    pub fn bind_with(
-        core: Arc<ServeCore>,
-        addr: &str,
-        options: HttpOptions,
-    ) -> std::io::Result<Server> {
-        let signal = Arc::new(ShutdownSignal::new());
-        let handler: Arc<dyn HttpHandler> =
-            Arc::new(ServeHandler { core: Arc::clone(&core), signal: Arc::clone(&signal) });
-        let listener = HttpListener::bind(addr, options, handler)?;
-        Ok(Server { core, listener, signal })
-    }
-
-    /// The bound address (with the resolved ephemeral port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.listener.local_addr()
-    }
-
-    /// Asks the server to shut down, as `POST /v1/shutdown` does.
-    pub fn request_shutdown(&self) {
-        self.signal.request();
-    }
-
-    /// Blocks until shutdown is requested (via
-    /// [`Server::request_shutdown`] or `POST /v1/shutdown`), then tears
-    /// down gracefully: stop accepting, unblock and join in-flight
-    /// connections, drain the scheduler queue, stop the workers.
-    pub fn serve_until_shutdown(mut self) {
-        self.signal.wait();
-        self.teardown();
-    }
-
-    fn teardown(&mut self) {
-        self.signal.request();
-        self.listener.stop();
-        self.core.shutdown();
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.teardown();
+    fn stop(&self) {
+        self.shutdown();
     }
 }
 
@@ -595,20 +576,6 @@ fn models_body(core: &ServeCore) -> String {
         })
         .collect();
     Json::obj(vec![("models", Json::Arr(models))]).to_string()
-}
-
-fn serve_error_body(e: &ServeError) -> String {
-    error_body(e.http_status(), e.code(), &e.to_string())
-}
-
-/// Renders the uniform `{status, error, message}` JSON error body.
-pub fn error_body(status: u16, code: &str, message: &str) -> String {
-    Json::obj(vec![
-        ("status", Json::Num(status as f64)),
-        ("error", Json::Str(code.to_owned())),
-        ("message", Json::Str(message.to_owned())),
-    ])
-    .to_string()
 }
 
 fn write_response(stream: &mut TcpStream, response: &HttpResponse) -> std::io::Result<()> {

@@ -107,8 +107,10 @@ impl fmt::Display for Json {
             Json::Num(v) => {
                 if v.is_finite() {
                     // Shortest round-trip representation; integers
-                    // print without a fractional part.
-                    if v.fract() == 0.0 && v.abs() < 1e15 {
+                    // print without a fractional part — except negative
+                    // zero, whose sign `as i64` would drop (`{v}` writes
+                    // `-0`, which parses back to the same bits).
+                    if v.fract() == 0.0 && v.abs() < 1e15 && !(*v == 0.0 && v.is_sign_negative()) {
                         write!(f, "{}", *v as i64)
                     } else {
                         write!(f, "{v}")
@@ -118,7 +120,7 @@ impl fmt::Display for Json {
                     write!(f, "null")
                 }
             }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Str(s) => gobo_obs::json::write_string(f, s),
             Json::Arr(items) => {
                 write!(f, "[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -135,29 +137,13 @@ impl fmt::Display for Json {
                     if i > 0 {
                         write!(f, ",")?;
                     }
-                    write_escaped(f, k)?;
+                    gobo_obs::json::write_string(f, k)?;
                     write!(f, ":{v}")?;
                 }
                 write!(f, "}}")
             }
         }
     }
-}
-
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    write!(f, "\"")
 }
 
 /// Maximum nesting depth accepted by [`parse`].
@@ -426,8 +412,9 @@ mod tests {
 
     #[test]
     fn f32_values_survive_bit_exactly() {
-        let values: Vec<f32> =
+        let mut values: Vec<f32> =
             (0..200).map(|i| ((i as f32) * 0.1234567).sin() * 10f32.powi((i % 11) - 5)).collect();
+        values.extend([-0.0, f32::MIN_POSITIVE, f32::from_bits(1), -f32::from_bits(0x0040_0001)]);
         let text = Json::f32_array(&values).to_string();
         let parsed = parse(&text).unwrap();
         let back: Vec<f32> =

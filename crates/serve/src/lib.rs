@@ -89,8 +89,8 @@ pub use client::HttpClient;
 pub use engine::QuantizedEngine;
 pub use error::ServeError;
 pub use http::{
-    parse_encode_body, parse_request, HttpHandler, HttpListener, HttpOptions, HttpResponse,
-    ParsedRequest, Server, ShutdownSignal,
+    parse_encode_body, parse_request, HttpHandler, HttpOptions, HttpResponse, ParsedRequest,
+    Server, ShutdownSignal,
 };
 pub use lifecycle::{CanaryPolicy, VerdictWindow, WindowVerdict};
 pub use listener::Listener;

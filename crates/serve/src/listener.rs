@@ -1,5 +1,5 @@
 //! The one TCP accept loop, shared by the HTTP front ends
-//! ([`crate::HttpListener`]) and the cluster node's protocol port.
+//! ([`crate::http::Front`]) and the cluster node's protocol port.
 //!
 //! The accept thread blocks in `accept`, so a fresh connection reaches
 //! its handler the moment the kernel has it. `stop` gets the thread out

@@ -3,7 +3,6 @@
 
 #![allow(dead_code)] // each suite uses its own subset
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use gobo_serve::ServeCore;
@@ -32,35 +31,8 @@ impl Drop for FaultGuard {
 }
 
 /// Drains `core` and asserts the laws its counters obey once nothing is
-/// in flight:
-///
-/// * every admitted request was answered exactly once —
-///   `encode_requests = encode_ok + encode_failed + Σ rejected_*`;
-/// * `batched_requests` is the sum of the batch sizes workers took: a
-///   request taken in a batch ends as ok, failed, or (expired between
-///   the take and the forward) a deadline rejection, so the sum lies
-///   between `ok + failed` and `ok + failed + rejected_deadline` — an
-///   equality whenever no deadline expired;
-/// * no batch exceeded `max_batch`, and none was empty;
-/// * the queue is empty, by the gauge and by the queue itself.
+/// in flight ([`ServeCore::check_counter_laws`]).
 pub fn shutdown_and_check_counters(core: &ServeCore) {
     core.shutdown();
-    let m = core.metrics();
-    let v = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-    let (ok, failed, expired) = (v(&m.encode_ok), v(&m.encode_failed), v(&m.rejected_deadline));
-    assert_eq!(
-        v(&m.encode_requests),
-        ok + failed + expired + v(&m.rejected_queue_full) + v(&m.rejected_shutdown),
-        "requests in != answers out:\n{}",
-        m.render()
-    );
-    let batched = v(&m.batched_requests);
-    assert!(
-        (ok + failed..=ok + failed + expired).contains(&batched),
-        "batched_requests {batched} vs ok {ok} + failed {failed} (+ up to {expired} expired)"
-    );
-    assert!(v(&m.batches) <= batched, "an empty batch was dispatched");
-    assert!(v(&m.batch_size_max) <= core.scheduler().config().max_batch.max(1) as u64);
-    assert_eq!(v(&m.queue_depth), 0, "queue-depth gauge after shutdown");
-    assert_eq!(core.scheduler().queue_depth(), 0, "queue after shutdown");
+    core.check_counter_laws().unwrap();
 }
