@@ -123,16 +123,21 @@ pub fn embedding_compression(
     bits: u8,
     seed: u64,
 ) -> Result<CompressionReport, GoboError> {
-    let mut report = CompressionReport::new();
     // Table VII counts the word table; position/type tables are
-    // negligible but included for completeness.
-    for spec in enumerate_embedding_tables(config) {
-        let weights = synthesize_embedding(&spec, seed);
-        let quant_config = QuantConfig::new(QuantMethod::Gobo, bits)?;
-        let layer = QuantizedLayer::encode(&weights, &quant_config)?;
-        report.push(LayerReport::from_layer(spec.name.clone(), &layer));
-    }
-    Ok(report)
+    // negligible but included for completeness (and overlap the word
+    // table on a second core).
+    let specs = enumerate_embedding_tables(config);
+    let results: Vec<Result<LayerReport, GoboError>> = crate::par::par_map_largest_first(
+        &specs,
+        |spec| spec.params(),
+        |spec| -> Result<LayerReport, GoboError> {
+            let weights = synthesize_embedding(spec, seed);
+            let quant_config = QuantConfig::new(QuantMethod::Gobo, bits)?;
+            let layer = QuantizedLayer::encode(&weights, &quant_config)?;
+            Ok(LayerReport::from_layer(spec.name.clone(), &layer))
+        },
+    );
+    results.into_iter().collect::<Result<CompressionReport, GoboError>>()
 }
 
 /// Convergence traces of GOBO vs K-Means on one representative layer

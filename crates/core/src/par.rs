@@ -1,16 +1,25 @@
-//! Bounded-pool parallel mapping for per-layer work.
+//! Bounded parallel mapping for per-layer work.
 //!
 //! Model quantization used to spawn one OS thread per layer, which on
 //! BERT-scale models means 70+ threads fighting over a handful of
-//! cores. Everything here runs on rayon's global pool instead, so the
-//! thread count is bounded by the pool size regardless of layer count.
+//! cores. Here the thread count is the host's available parallelism at
+//! most, whatever the layer count, and the threads live only as long as
+//! the call: this is the one level at which quantization uses the
+//! cores — a layer itself is swept serially (`gobo_quant::kernel`).
 
-/// Maps `work` over `items` on the global rayon pool and returns the
-/// results **in input order**.
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
+
+/// Maps `work` over `items` on up to `available_parallelism` scoped
+/// threads — the caller is one of them, so a one-core host or a single
+/// item runs inline — and returns the results **in input order**. A
+/// panicking task's payload is re-raised here once every thread has
+/// stopped.
 ///
-/// Items are scheduled largest-first (by `size_of`): with a bounded
-/// pool, starting the long-pole layers first minimizes the tail where
-/// one worker grinds through a big FFN layer while the rest sit idle.
+/// Items are handed out largest-first (by `size_of`): with a bounded
+/// number of workers, starting the long-pole layers first minimizes the
+/// tail where one worker grinds through a big FFN layer while the rest
+/// sit idle.
 pub(crate) fn par_map_largest_first<T, R, F>(
     items: &[T],
     size_of: impl Fn(&T) -> usize,
@@ -24,26 +33,45 @@ where
     let mut order: Vec<usize> = (0..items.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(size_of(&items[i])));
 
-    // The map span lives on the calling thread and covers scheduling,
-    // the pool's execution, and the caller's help-first waiting; each
-    // task records its own span on whichever worker thread ran it, so a
-    // trace shows the work-stealing schedule laid out per thread.
+    // The map span lives on the calling thread and covers the spawns,
+    // the caller's own share and the joins; each task records its own
+    // span on whichever thread ran it, so a trace shows the schedule
+    // laid out per thread.
     let _map_span = gobo_obs::span!("gobo.par.map", tasks = items.len());
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    rayon::scope(|s| {
-        let mut refs: Vec<Option<&mut Option<R>>> = slots.iter_mut().map(Some).collect();
-        for &i in &order {
-            let slot = refs[i].take().expect("each slot claimed once");
-            let item = &items[i];
-            let work = &work;
-            s.spawn(move |_| {
-                let _task_span = gobo_obs::span!("gobo.par.task", index = i);
-                *slot = Some(work(item));
-            });
+    let cursor = AtomicUsize::new(0);
+    let drain = || {
+        let mut done: Vec<(usize, R)> = Vec::new();
+        // ORDERING: Relaxed — the cursor only hands out distinct
+        // positions of `order`; results travel back through `join`.
+        while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let _task_span = gobo_obs::span!("gobo.par.task", index = i);
+            done.push((i, work(&items[i])));
         }
+        done
+    };
+
+    let workers = thread::available_parallelism().map_or(1, usize::from).min(items.len());
+    let mut done = thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers)
+            .map(|w| {
+                thread::Builder::new()
+                    .name(format!("gobo-par-{w}"))
+                    .spawn_scoped(s, drain)
+                    .expect("failed to spawn a quantization worker")
+            })
+            .collect();
+        let mut done = drain();
+        for helper in helpers {
+            match helper.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        done
     });
-    slots.into_iter().map(|r| r.expect("worker filled slot")).collect()
+    // Every index was handed out exactly once; back to input order.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
@@ -58,6 +86,16 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_task_propagates_its_payload() {
+        let items: Vec<usize> = (0..20).collect();
+        let caught = std::panic::catch_unwind(|| {
+            par_map_largest_first(&items, |&n| n, |&n| assert!(n != 7, "task {n} failed"))
+        });
+        let payload = caught.expect_err("the panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("task 7 failed"));
+    }
+
+    #[test]
     fn runs_on_bounded_pool() {
         use std::collections::HashSet;
         use std::sync::Mutex;
@@ -67,10 +105,10 @@ mod tests {
             &items,
             |_| 1,
             |_| {
-                seen.lock().unwrap().insert(std::thread::current().id());
+                seen.lock().unwrap().insert(thread::current().id());
             },
         );
-        // Pool workers plus the helping caller thread.
-        assert!(seen.lock().unwrap().len() <= rayon::current_num_threads() + 1);
+        let bound = thread::available_parallelism().map_or(1, usize::from);
+        assert!(seen.lock().unwrap().len() <= bound);
     }
 }

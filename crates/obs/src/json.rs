@@ -32,16 +32,32 @@ pub fn string(s: &str) -> String {
     out
 }
 
-/// Renders a finite `f64` as a JSON number; non-finite values become
-/// `null` (JSON has no NaN/Infinity).
-pub fn number(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_owned();
+/// Writes a finite `f64` as a JSON number; non-finite values become
+/// `null` (JSON has no NaN/Infinity) — the one place every JSON writer
+/// in the workspace turns a number into text.
+///
+/// `{}` on an `f64` is Rust's shortest round-trip form without an
+/// exponent: a whole number prints with no fractional part (`3`), and
+/// negative zero keeps its sign (`-0`, which parses back to the same
+/// bits). All of that is valid JSON.
+///
+/// # Errors
+///
+/// Whatever `out` returns.
+pub fn write_number(out: &mut impl std::fmt::Write, v: f64) -> std::fmt::Result {
+    if v.is_finite() {
+        write!(out, "{v}")
+    } else {
+        out.write_str("null")
     }
-    // `{}` on f64 is shortest-round-trip in Rust, which is valid JSON
-    // except that it can omit a fractional part — that is still a valid
-    // JSON number.
-    format!("{v}")
+}
+
+/// Renders `v` as [`write_number`] writes it.
+pub fn number(v: f64) -> String {
+    let mut out = String::new();
+    // Writing into a `String` cannot fail.
+    let _ = write_number(&mut out, v);
+    out
 }
 
 #[cfg(test)]
@@ -60,7 +76,10 @@ mod tests {
     #[test]
     fn numbers_round_trip_and_nonfinite_is_null() {
         assert_eq!(number(3.0), "3");
+        assert_eq!(number(-17.0), "-17");
         assert_eq!(number(0.25), "0.25");
+        assert_eq!(number(-0.0), "-0");
+        assert_eq!(number(1e15), "1000000000000000");
         assert_eq!(number(f64::NAN), "null");
         assert_eq!(number(f64::INFINITY), "null");
     }

@@ -54,7 +54,7 @@ impl Codebook {
     /// [`crate::kernel::nearest_sorted`], which is exactly equivalent (the
     /// kernel-equivalence proptests compare the two bit-for-bit) but takes
     /// a branchless counting path for small codebooks. Keeping this body
-    /// verbatim lets the scalar oracle in [`crate::reference`] measure the
+    /// verbatim lets the scalar oracle in [`crate::oracle`] measure the
     /// pre-kernel implementation unchanged.
     pub fn nearest(&self, x: f32) -> usize {
         let cs = &self.centroids;

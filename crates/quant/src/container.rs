@@ -184,6 +184,11 @@ impl QuantizedLayer {
         if !centroids.iter().all(|c| c.is_finite()) {
             return Err(corrupt("non-finite centroid"));
         }
+        // Refused rather than left for `Codebook::new` to sort: sorting
+        // the table under its indices would give every index a new value.
+        if centroids.iter().zip(centroids.iter().skip(1)).any(|(a, b)| a > b) {
+            return Err(corrupt("codebook not ascending"));
+        }
         let positions = r.u32s(outliers)?;
         if positions.iter().zip(positions.iter().skip(1)).any(|(a, b)| a >= b) {
             return Err(corrupt("outlier positions not ascending"));

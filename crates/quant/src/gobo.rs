@@ -9,13 +9,13 @@
 //!
 //! Each iteration runs as one fused pass over the values
 //! ([`crate::kernel`]); the separate-pass formulation this replaces is
-//! preserved as a test oracle in [`crate::reference`], and property
+//! preserved as a test oracle in [`crate::oracle`], and property
 //! tests assert the two produce bit-identical results.
 
 use crate::codebook::{Codebook, ConvergenceTrace};
 use crate::error::QuantError;
 use crate::init;
-use crate::kernel::{self, ClusterScratch, SweepMode};
+use crate::kernel::{self, ClusterScratch};
 
 /// Result of clustering a layer's G group: the final codebook, one index
 /// per weight, and the per-iteration convergence trace.
@@ -71,9 +71,8 @@ pub fn quantize_g(
 ) -> Result<Clustering, QuantError> {
     kernel::check_max_iterations(max_iterations)?;
     let init_codebook = init::equal_population(values, clusters)?;
-    let mode = SweepMode::choose(values);
     let mut scratch = ClusterScratch::new();
-    scratch.load(values.len(), init_codebook.centroids(), mode);
+    scratch.load(values.len(), init_codebook.centroids());
     let mut trace = ConvergenceTrace::default();
 
     let mut best_l1 = f64::INFINITY;
@@ -81,7 +80,7 @@ pub fn quantize_g(
     let mut have_prev = false;
     let mut stale = 0usize;
     for iteration in 0..max_iterations {
-        let stats = scratch.sweep(values, mode);
+        let stats = scratch.sweep(values);
         trace.l1.push(stats.l1);
         trace.l2.push(stats.l2);
 

@@ -9,32 +9,20 @@
 //! caller-owned scratch ([`ClusterScratch`]) so the steady state
 //! allocates nothing.
 //!
-//! Bit-exactness contract: for identical inputs, [`fused_sweep`] (and
-//! [`fused_sweep_sorted`] on ascending inputs) produces bit-identical
-//! assignments, norms, and per-cluster sums to the separate-pass
-//! reference implementations preserved in [`crate::reference`]. This
-//! holds because the fused sweep visits values in input order and
-//! performs the exact same sequence of f32/f64 operations per element;
-//! it is enforced by the property tests in `tests/kernel_equivalence.rs`.
+//! Bit-exactness contract: for identical inputs, [`fused_sweep`]
+//! produces bit-identical assignments, norms, and per-cluster sums to
+//! the separate-pass reference implementations preserved in
+//! [`crate::oracle`]. This holds because the fused sweep visits
+//! values in input order and performs the exact same sequence of
+//! f32/f64 operations per element; it is enforced by the tests in
+//! `tests/kernel_equivalence.rs`, up to the paper's 768 × 768 layer.
 //!
-//! The chunked parallel sweep ([`SweepMode::Chunked`]) trades that
-//! bit-identity for parallelism: each fixed 64 Ki chunk accumulates
-//! independently and partials combine in chunk order, so results are
-//! deterministic for any worker count but may differ from the flat
-//! sweep in final-ulp rounding of the f64 accumulators (assignments
-//! are still bit-identical). It is only selected for layers of at
-//! least [`PAR_MIN_LEN`] values on a multi-threaded pool.
+//! [`fused_sweep`] is the sweep at every layer size and it is serial: a
+//! layer's bytes are a function of its values alone, never of the host's
+//! core count. Cores are used one level up, across the layers of a model
+//! (`gobo::quantize_model`).
 
 use crate::error::QuantError;
-
-/// Chunk width of the parallel sweep. Fixed (not derived from the
-/// thread count) so chunked results do not depend on the pool size.
-pub const PAR_CHUNK: usize = 64 * 1024;
-
-/// Minimum layer size for the chunked parallel sweep; below this the
-/// flat sweep wins on overhead and keeps bit-identity with the
-/// reference path.
-pub const PAR_MIN_LEN: usize = 4 * PAR_CHUNK;
 
 /// Codebooks up to this size use the branchless counting search in
 /// [`nearest_sorted`]; GOBO's production widths (2–4 bits → 4–16
@@ -142,62 +130,6 @@ pub fn fused_sweep(
     SweepStats { l1, l2, changed }
 }
 
-/// The fused pass for **ascending** values: an O(n + k) boundary merge
-/// instead of an O(n log k) binary search per value.
-///
-/// Because `nearest_sorted` is monotone non-decreasing in `x` (for a
-/// fixed ascending centroid table), the partition point only moves
-/// forward as the values ascend; the merge tracks it with a single
-/// pointer and replicates the tie-break comparison exactly, so the
-/// output is bit-identical to [`fused_sweep`] on the same (sorted)
-/// input.
-pub fn fused_sweep_sorted(
-    values: &[f32],
-    centroids: &[f32],
-    assignments: &mut [u8],
-    sums: &mut [f64],
-    counts: &mut [u64],
-) -> SweepStats {
-    debug_assert!(values.windows(2).all(|w| w[0] <= w[1]), "values must ascend");
-    debug_assert_eq!(values.len(), assignments.len());
-    debug_assert_eq!(centroids.len(), sums.len());
-    debug_assert_eq!(centroids.len(), counts.len());
-    sums.fill(0.0);
-    counts.fill(0);
-    let k = centroids.len();
-    let mut l1 = 0.0f64;
-    let mut l2 = 0.0f64;
-    let mut changed = 0usize;
-    // `hi` tracks partition_point(|c| c <= x): monotone in x, so it
-    // only ever advances.
-    let mut hi = 0usize;
-    for (&v, slot) in values.iter().zip(assignments.iter_mut()) {
-        while hi < k && centroids[hi] <= v {
-            hi += 1;
-        }
-        let a = if k == 1 || hi == 0 {
-            0
-        } else if hi == k {
-            k - 1
-        } else {
-            let lo = hi - 1;
-            if (v - centroids[lo]).abs() <= (centroids[hi] - v).abs() {
-                lo
-            } else {
-                hi
-            }
-        } as u8;
-        changed += usize::from(*slot != a);
-        *slot = a;
-        let d = f64::from(v - centroids[a as usize]);
-        l1 += d.abs();
-        l2 += d * d;
-        sums[a as usize] += f64::from(v);
-        counts[a as usize] += 1;
-    }
-    SweepStats { l1, l2, changed }
-}
-
 /// Recomputes centroids as the means of their clusters from the
 /// sums/counts a fused sweep produced; clusters with no members keep
 /// their previous centroid. Restores the ascending invariant with the
@@ -215,40 +147,10 @@ pub fn update_centroids(centroids: &mut [f32], sums: &[f64], counts: &[u64]) {
     centroids.sort_by(|a, b| a.partial_cmp(b).expect("finite centroids"));
 }
 
-/// Which sweep implementation a clustering run uses, chosen **once**
-/// per layer so the per-iteration loop stays branch-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepMode {
-    /// Input-order single pass (bit-identical to the reference path).
-    Flat,
-    /// Boundary-merge pass for ascending inputs (bit-identical to
-    /// [`SweepMode::Flat`] on such inputs).
-    Sorted,
-    /// Fixed-chunk parallel pass for large layers on a multi-threaded
-    /// pool (deterministic; assignments bit-identical; norm/sum
-    /// accumulators may differ from Flat in final-ulp rounding).
-    Chunked,
-}
-
-impl SweepMode {
-    /// Picks the sweep for a layer: chunked for big layers when the
-    /// pool is actually parallel, the O(n + k) merge when the values
-    /// happen to be ascending, the flat pass otherwise.
-    pub fn choose(values: &[f32]) -> SweepMode {
-        if values.len() >= PAR_MIN_LEN && rayon::current_num_threads() > 1 {
-            SweepMode::Chunked
-        } else if values.len() >= 2 && values.windows(2).all(|w| w[0] <= w[1]) {
-            SweepMode::Sorted
-        } else {
-            SweepMode::Flat
-        }
-    }
-}
-
 /// Reusable buffers for an iterative clustering run: the working
-/// centroid table, the current and best-so-far assignment buffers, the
-/// per-cluster accumulators, and the chunked sweep's partials. All
-/// sizing happens in [`ClusterScratch::load`]; the per-iteration path
+/// centroid table, the current and best-so-far assignment buffers and
+/// the per-cluster accumulators. All sizing happens in
+/// [`ClusterScratch::load`]; the per-iteration path
 /// ([`ClusterScratch::sweep`], [`ClusterScratch::update_centroids`],
 /// [`ClusterScratch::snapshot_best`]) allocates nothing.
 #[derive(Debug, Default)]
@@ -267,12 +169,6 @@ pub struct ClusterScratch {
     sums: Vec<f64>,
     /// Per-cluster populations from the latest sweep.
     counts: Vec<u64>,
-    /// Per-chunk (l1, l2, changed) partials for the chunked sweep.
-    chunk_stats: Vec<SweepStats>,
-    /// Per-chunk × per-cluster sums for the chunked sweep.
-    chunk_sums: Vec<f64>,
-    /// Per-chunk × per-cluster counts for the chunked sweep.
-    chunk_counts: Vec<u64>,
 }
 
 impl ClusterScratch {
@@ -283,7 +179,7 @@ impl ClusterScratch {
 
     /// Sizes every buffer for a run over `n` values with the given
     /// initial centroid table, reusing existing capacity.
-    pub fn load(&mut self, n: usize, initial_centroids: &[f32], mode: SweepMode) {
+    pub fn load(&mut self, n: usize, initial_centroids: &[f32]) {
         let k = initial_centroids.len();
         self.centroids.clear();
         self.centroids.extend_from_slice(initial_centroids);
@@ -297,15 +193,6 @@ impl ClusterScratch {
         self.sums.resize(k, 0.0);
         self.counts.clear();
         self.counts.resize(k, 0);
-        if mode == SweepMode::Chunked {
-            let nchunks = n.div_ceil(PAR_CHUNK);
-            self.chunk_stats.clear();
-            self.chunk_stats.resize(nchunks, SweepStats { l1: 0.0, l2: 0.0, changed: 0 });
-            self.chunk_sums.clear();
-            self.chunk_sums.resize(nchunks * k, 0.0);
-            self.chunk_counts.clear();
-            self.chunk_counts.resize(nchunks * k, 0);
-        }
     }
 
     /// The working centroid table.
@@ -319,61 +206,8 @@ impl ClusterScratch {
     }
 
     /// Runs one fused sweep of `values` against the working centroids.
-    pub fn sweep(&mut self, values: &[f32], mode: SweepMode) -> SweepStats {
-        match mode {
-            SweepMode::Flat => fused_sweep(
-                values,
-                &self.centroids,
-                &mut self.cur,
-                &mut self.sums,
-                &mut self.counts,
-            ),
-            SweepMode::Sorted => fused_sweep_sorted(
-                values,
-                &self.centroids,
-                &mut self.cur,
-                &mut self.sums,
-                &mut self.counts,
-            ),
-            SweepMode::Chunked => self.sweep_chunked(values),
-        }
-    }
-
-    fn sweep_chunked(&mut self, values: &[f32]) -> SweepStats {
-        let k = self.centroids.len();
-        let nchunks = values.len().div_ceil(PAR_CHUNK);
-        debug_assert!(self.chunk_stats.len() >= nchunks, "load() before sweep");
-        let cs: &[f32] = &self.centroids;
-        {
-            let chunk_iter = values
-                .chunks(PAR_CHUNK)
-                .zip(self.cur.chunks_mut(PAR_CHUNK))
-                .zip(self.chunk_sums.chunks_mut(k))
-                .zip(self.chunk_counts.chunks_mut(k))
-                .zip(self.chunk_stats.iter_mut());
-            rayon::scope(|s| {
-                for ((((vals, asg), csums), ccounts), stat) in chunk_iter {
-                    s.spawn(move |_| {
-                        *stat = fused_sweep(vals, cs, asg, csums, ccounts);
-                    });
-                }
-            });
-        }
-        // Combine partials in chunk order: deterministic regardless of
-        // which worker ran which chunk.
-        self.sums.fill(0.0);
-        self.counts.fill(0);
-        let mut total = SweepStats { l1: 0.0, l2: 0.0, changed: 0 };
-        for c in 0..nchunks {
-            total.l1 += self.chunk_stats[c].l1;
-            total.l2 += self.chunk_stats[c].l2;
-            total.changed += self.chunk_stats[c].changed;
-            for j in 0..k {
-                self.sums[j] += self.chunk_sums[c * k + j];
-                self.counts[j] += self.chunk_counts[c * k + j];
-            }
-        }
-        total
+    pub fn sweep(&mut self, values: &[f32]) -> SweepStats {
+        fused_sweep(values, &self.centroids, &mut self.cur, &mut self.sums, &mut self.counts)
     }
 
     /// Applies the mean update to the working centroids from the latest
@@ -465,30 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn sorted_sweep_matches_flat_on_ascending_input() {
-        let mut values = wavy(2048);
-        values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        // Duplicated centroids exercise the partition_point emulation.
-        let centroids = [-0.05f32, 0.0, 0.0, 0.02, 0.09];
-        let mut a1 = vec![0u8; values.len()];
-        let mut a2 = vec![0u8; values.len()];
-        let mut s1 = vec![0.0f64; centroids.len()];
-        let mut s2 = vec![0.0f64; centroids.len()];
-        let mut c1 = vec![0u64; centroids.len()];
-        let mut c2 = vec![0u64; centroids.len()];
-        let flat = fused_sweep(&values, &centroids, &mut a1, &mut s1, &mut c1);
-        let merged = fused_sweep_sorted(&values, &centroids, &mut a2, &mut s2, &mut c2);
-        assert_eq!(a1, a2);
-        assert_eq!(flat.l1.to_bits(), merged.l1.to_bits());
-        assert_eq!(flat.l2.to_bits(), merged.l2.to_bits());
-        assert_eq!(
-            s1.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            s2.iter().map(|s| s.to_bits()).collect::<Vec<_>>()
-        );
-        assert_eq!(c1, c2);
-    }
-
-    #[test]
     fn changed_counts_differences_from_previous_contents() {
         let values = [0.0f32, 1.0, 0.0, 1.0];
         let centroids = [0.0f32, 1.0];
@@ -522,44 +332,6 @@ mod tests {
         let counts = vec![3u64, 0];
         update_centroids(&mut centroids, &sums, &counts);
         assert_eq!(centroids, vec![2.0, 100.0]);
-    }
-
-    #[test]
-    fn chunked_sweep_is_deterministic_and_assignment_identical() {
-        let values = wavy(PAR_MIN_LEN + 1234);
-        let centroids = [-0.07f32, -0.02, 0.01, 0.06];
-        let mut scratch = ClusterScratch::new();
-        scratch.load(values.len(), &centroids, SweepMode::Chunked);
-        let a = scratch.sweep(&values, SweepMode::Chunked);
-        let first_assign = scratch.assignments().to_vec();
-        let first_sums = scratch.sums.clone();
-        let b = scratch.sweep(&values, SweepMode::Chunked);
-        assert_eq!(a.l1.to_bits(), b.l1.to_bits());
-        assert_eq!(a.l2.to_bits(), b.l2.to_bits());
-        assert_eq!(
-            first_sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            scratch.sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>()
-        );
-        assert_eq!(first_assign, scratch.assignments());
-        assert_eq!(b.changed, 0);
-        // Assignments agree exactly with the flat sweep; norms agree to
-        // accumulation-order tolerance.
-        let mut flat_assign = vec![0u8; values.len()];
-        let mut sums = vec![0.0f64; centroids.len()];
-        let mut counts = vec![0u64; centroids.len()];
-        let flat = fused_sweep(&values, &centroids, &mut flat_assign, &mut sums, &mut counts);
-        assert_eq!(flat_assign, scratch.assignments());
-        assert!((flat.l1 - a.l1).abs() <= flat.l1.abs() * 1e-12 + 1e-12);
-        assert!((flat.l2 - a.l2).abs() <= flat.l2.abs() * 1e-12 + 1e-12);
-    }
-
-    #[test]
-    fn mode_choice_prefers_sorted_for_ascending_small_inputs() {
-        let ascending: Vec<f32> = (0..100).map(|i| i as f32 * 0.01).collect();
-        assert_eq!(SweepMode::choose(&ascending), SweepMode::Sorted);
-        let mut shuffled = ascending.clone();
-        shuffled.swap(3, 97);
-        assert_eq!(SweepMode::choose(&shuffled), SweepMode::Flat);
     }
 
     #[test]

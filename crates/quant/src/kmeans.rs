@@ -10,7 +10,7 @@ use crate::codebook::{Codebook, ConvergenceTrace};
 use crate::error::QuantError;
 use crate::gobo::Clustering;
 use crate::init;
-use crate::kernel::{self, ClusterScratch, SweepMode};
+use crate::kernel::{self, ClusterScratch};
 
 /// Quantizes G-group values with K-Means run to assignment convergence.
 ///
@@ -25,14 +25,13 @@ pub fn quantize_g(
 ) -> Result<Clustering, QuantError> {
     kernel::check_max_iterations(max_iterations)?;
     let init_codebook = init::equal_population(values, clusters)?;
-    let mode = SweepMode::choose(values);
     let mut scratch = ClusterScratch::new();
-    scratch.load(values.len(), init_codebook.centroids(), mode);
+    scratch.load(values.len(), init_codebook.centroids());
     let mut trace = ConvergenceTrace::default();
 
     let mut have_prev = false;
     for iteration in 0..max_iterations {
-        let stats = scratch.sweep(values, mode);
+        let stats = scratch.sweep(values);
         trace.l1.push(stats.l1);
         trace.l2.push(stats.l2);
         trace.selected_iteration = iteration;

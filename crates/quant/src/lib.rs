@@ -16,7 +16,8 @@
 //! Baselines from the paper's evaluation are implemented alongside:
 //! K-Means run to assignment convergence ([`kmeans`]), linear
 //! quantization ([`linear`]), and the Q8BERT/Q-BERT-style reference
-//! schemes ([`reference`]).
+//! schemes ([`reference`]). The pre-kernel scalar loops the fused kernels
+//! are tested against live in [`oracle`]; production never calls them.
 //!
 //! [`layer::QuantizedLayer`] is the bit-exact storage format (packed
 //! indices + codebook + outliers) with exact size accounting, and
@@ -59,6 +60,7 @@ pub mod kmeans;
 pub mod layer;
 pub mod linear;
 pub mod mixed;
+pub mod oracle;
 pub mod outlier;
 pub mod packing;
 pub mod reference;

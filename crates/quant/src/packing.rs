@@ -9,7 +9,7 @@
 //! little-endian u64 each time one fills; unpacking loads a u64 at the
 //! byte holding the next element and shifts every whole value out of it
 //! before loading again. The byte layout is that of the bytewise
-//! formulation preserved in [`crate::reference`] as the equivalence
+//! formulation preserved in [`crate::oracle`] as the equivalence
 //! oracle.
 
 use bytes::{BufMut, Bytes, BytesMut};

@@ -10,10 +10,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use gobo_quant::container::ModelArchive;
+use gobo_proto::codec::reseal;
+use gobo_quant::container::{reseal_archive, ModelArchive};
 use gobo_quant::integrity::crc32;
 use gobo_quant::layer::QuantizedLayer;
-use gobo_quant::{QuantConfig, QuantMethod};
+use gobo_quant::{QuantConfig, QuantError, QuantMethod};
 use proptest::prelude::*;
 
 fn sample_layer(n: usize, bits: u8) -> QuantizedLayer {
@@ -135,6 +136,30 @@ fn archive_truncations_always_rejected() {
             Ok(parsed) => assert!(parsed.is_err(), "truncation to {cut} bytes accepted"),
         }
     }
+}
+
+/// Two centroids swapped behind a fresh seal: every checksum holds and
+/// every index would decode to a different value if the parser sorted
+/// the table back under them. The table must be refused as stored.
+#[test]
+fn a_resealed_codebook_that_does_not_ascend_is_refused() {
+    const CENTROIDS_AT: usize = 20; // the wire header; f32 centroids follow
+    let refused = QuantError::CorruptPayload { what: "codebook not ascending" };
+
+    let intact = sample_layer(700, 3).to_bytes();
+    let mut layer = intact.to_vec();
+    let (first, second) = layer[CENTROIDS_AT..CENTROIDS_AT + 8].split_at_mut(4);
+    assert_ne!(first, second, "the sample's first two centroids differ");
+    first.swap_with_slice(second);
+    reseal(&mut layer);
+    assert_eq!(QuantizedLayer::from_bytes(&layer).unwrap_err(), refused);
+
+    // The same layer as the first entry of an archive.
+    let mut archive = sample_archive().to_bytes().to_vec();
+    let at = archive.windows(intact.len()).position(|w| w == &intact[..]).expect("first entry");
+    archive[at..at + layer.len()].copy_from_slice(&layer);
+    reseal_archive(&mut archive);
+    assert_eq!(ModelArchive::from_bytes(&archive).unwrap_err(), refused);
 }
 
 /// The trailing CRC in a v2 layer is the IEEE CRC-32 of everything

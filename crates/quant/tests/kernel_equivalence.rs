@@ -3,13 +3,14 @@
 //! The single-pass kernels in `gobo_quant::kernel` and the
 //! word-at-a-time bit packer claim **bit-identical** output to the
 //! scalar separate-pass implementations preserved in
-//! `gobo_quant::reference`. These tests enforce that claim across
-//! random layers, every supported bit width, and degenerate inputs
-//! (constant layers, duplicate centroids, codebook-sized layers).
+//! `gobo_quant::oracle`. These tests enforce that claim across
+//! random layers, every supported bit width, degenerate inputs
+//! (constant layers, duplicate centroids, codebook-sized layers) and
+//! one G group of the paper's own layer size.
 
 use gobo_quant::gobo::{self, Clustering};
+use gobo_quant::oracle;
 use gobo_quant::packing;
-use gobo_quant::reference;
 use gobo_quant::{kmeans, linear, Codebook};
 use proptest::prelude::*;
 
@@ -40,15 +41,15 @@ fn assert_identical(fused: &Clustering, scalar: &Clustering) {
 
 fn compare_all_methods(values: &[f32], clusters: usize) {
     let fused = gobo::quantize_g(values, clusters, 60).unwrap();
-    let scalar = reference::scalar_gobo_quantize_g(values, clusters, 60).unwrap();
+    let scalar = oracle::scalar_gobo_quantize_g(values, clusters, 60).unwrap();
     assert_identical(&fused, &scalar);
 
     let fused = kmeans::quantize_g(values, clusters, 200).unwrap();
-    let scalar = reference::scalar_kmeans_quantize_g(values, clusters, 200).unwrap();
+    let scalar = oracle::scalar_kmeans_quantize_g(values, clusters, 200).unwrap();
     assert_identical(&fused, &scalar);
 
     let fused = linear::quantize_g(values, clusters).unwrap();
-    let scalar = reference::scalar_linear_quantize_g(values, clusters).unwrap();
+    let scalar = oracle::scalar_linear_quantize_g(values, clusters).unwrap();
     assert_identical(&fused, &scalar);
 }
 
@@ -68,9 +69,8 @@ proptest! {
 
     #[test]
     fn fused_quantizers_match_scalar_reference_on_sorted_input(w in g_values(), bits in 1u8..=8) {
-        // Ascending input routes the fused path through the O(n + k)
-        // boundary-merge sweep; the scalar reference still binary
-        // searches, so this pins the partition_point emulation.
+        // Ascending input makes the partition point monotone along the
+        // sweep: every centroid boundary is crossed exactly once, in order.
         let mut w = w;
         w.sort_by(|a, b| a.partial_cmp(b).unwrap());
         compare_all_methods(&w, 1usize << bits);
@@ -107,11 +107,37 @@ proptest! {
         let mask = if bits == 8 { 0xFF } else { (1u8 << bits) - 1 };
         let clipped: Vec<u8> = values.iter().map(|v| v & mask).collect();
         let word = packing::pack(&clipped, bits).unwrap();
-        let byte = reference::pack_bytewise(&clipped, bits).unwrap();
+        let byte = oracle::pack_bytewise(&clipped, bits).unwrap();
         prop_assert_eq!(word.to_vec(), byte.to_vec());
         // Both unpackers invert both packers.
         prop_assert_eq!(packing::unpack(&word, bits, clipped.len()).unwrap(), clipped.clone());
-        prop_assert_eq!(reference::unpack_bytewise(&word, bits, clipped.len()).unwrap(), clipped);
+        prop_assert_eq!(oracle::unpack_bytewise(&word, bits, clipped.len()).unwrap(), clipped);
+    }
+}
+
+/// A 768 × 768 G group — BERT-Base's attention matrices, 589 824
+/// values — at the paper's two widths: the sweep that quantizes a
+/// paper-scale layer is the one the oracle is compared with, at that
+/// size. Hash-seeded and bell-shaped (a sum of four uniforms); the
+/// iteration caps keep the K-Means leg short, not the comparison loose.
+#[test]
+fn a_paper_scale_g_group_matches_scalar_reference() {
+    let uniform = |i: u32| {
+        let h = (i ^ 0x9E37_79B9).wrapping_mul(0x85EB_CA6B);
+        ((h ^ (h >> 13)).wrapping_mul(0xC2B2_AE35) >> 8) as f32 / (1 << 23) as f32 - 1.0
+    };
+    let values: Vec<f32> = (0..768 * 768u32)
+        .map(|i| (0..4).map(|lane| uniform(4 * i + lane)).sum::<f32>() * 0.02)
+        .collect();
+    for clusters in [8, 16] {
+        let fused = gobo::quantize_g(&values, clusters, 8).unwrap();
+        let scalar = oracle::scalar_gobo_quantize_g(&values, clusters, 8).unwrap();
+        assert_identical(&fused, &scalar);
+        assert!(fused.trace.iterations() > 2, "the comparison covers mean updates");
+
+        let fused = kmeans::quantize_g(&values, clusters, 4).unwrap();
+        let scalar = oracle::scalar_kmeans_quantize_g(&values, clusters, 4).unwrap();
+        assert_identical(&fused, &scalar);
     }
 }
 
@@ -136,17 +162,15 @@ fn degenerate_layers_match_scalar_reference() {
 fn packing_error_cases_match_bytewise_oracle() {
     // Oversized value, bad widths, truncated payload: both
     // implementations must agree on every rejection.
-    assert!(packing::pack(&[8], 3).is_err() && reference::pack_bytewise(&[8], 3).is_err());
+    assert!(packing::pack(&[8], 3).is_err() && oracle::pack_bytewise(&[8], 3).is_err());
     for bits in [0u8, 9] {
-        assert!(
-            packing::pack(&[0], bits).is_err() && reference::pack_bytewise(&[0], bits).is_err()
-        );
+        assert!(packing::pack(&[0], bits).is_err() && oracle::pack_bytewise(&[0], bits).is_err());
         assert!(
             packing::unpack(&[0], bits, 1).is_err()
-                && reference::unpack_bytewise(&[0], bits, 1).is_err()
+                && oracle::unpack_bytewise(&[0], bits, 1).is_err()
         );
     }
     let packed = packing::pack(&[1, 2, 3, 4, 5], 4).unwrap();
     assert!(packing::unpack(&packed[..1], 4, 5).is_err());
-    assert!(reference::unpack_bytewise(&packed[..1], 4, 5).is_err());
+    assert!(oracle::unpack_bytewise(&packed[..1], 4, 5).is_err());
 }

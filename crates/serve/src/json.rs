@@ -104,22 +104,7 @@ impl fmt::Display for Json {
         match self {
             Json::Null => write!(f, "null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    // Shortest round-trip representation; integers
-                    // print without a fractional part — except negative
-                    // zero, whose sign `as i64` would drop (`{v}` writes
-                    // `-0`, which parses back to the same bits).
-                    if v.fract() == 0.0 && v.abs() < 1e15 && !(*v == 0.0 && v.is_sign_negative()) {
-                        write!(f, "{}", *v as i64)
-                    } else {
-                        write!(f, "{v}")
-                    }
-                } else {
-                    // JSON has no Inf/NaN; degrade to null explicitly.
-                    write!(f, "null")
-                }
-            }
+            Json::Num(v) => gobo_obs::json::write_number(f, *v),
             Json::Str(s) => gobo_obs::json::write_string(f, s),
             Json::Arr(items) => {
                 write!(f, "[")?;

@@ -220,6 +220,24 @@ fn crafted_layer() -> Vec<u8> {
     out
 }
 
+/// 33 bytes, valid CRC: two 1-bit weights over the centroid table
+/// `[1, -1]`. Sorting the table while parsing would read index 0 as -1
+/// where the writer meant 1.
+fn crafted_descending_codebook() -> Vec<u8> {
+    let mut out = Vec::new();
+    out.put_slice(b"GOBq");
+    out.put_slice(&[2, 0, 1, 0]); // version, method, bits, pad
+    out.put_u32_le(2); // total
+    out.put_u32_le(0); // outliers
+    out.put_u32_le(2); // codebook_len
+    out.put_f32_le(1.0);
+    out.put_f32_le(-1.0);
+    out.put_u8(0b10); // indices 0, 1
+    seal(&mut out, 0);
+    assert_eq!(out.len(), 33);
+    out
+}
+
 /// 42 bytes: a model-file header and nothing else, declaring `layers`
 /// encoder layers of width `width`. Before the count rule the 2 000 ×
 /// 65 536 instance returned `Ok` after allocating 1.1 GB of auxiliary
@@ -268,6 +286,15 @@ fn crafted_layer_is_refused_bounded_at_every_level() {
     let gobom = gobom_around(&skeleton, &archive);
     let err = bounded("gobom", &gobom, CompressedModel::from_bytes).unwrap_err();
     assert!(matches!(err, FormatError::Quant(QuantError::CorruptPayload { .. })), "{err}");
+}
+
+#[test]
+fn a_descending_codebook_is_refused_not_sorted_under_its_indices() {
+    let refused = QuantError::CorruptPayload { what: "codebook not ascending" };
+    let layer = crafted_descending_codebook();
+    assert_eq!(bounded("layer", &layer, QuantizedLayer::from_bytes).unwrap_err(), refused);
+    let archive = archive_around(&layer);
+    assert_eq!(bounded("archive", &archive, ModelArchive::from_bytes).unwrap_err(), refused);
 }
 
 #[test]
