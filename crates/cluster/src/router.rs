@@ -493,12 +493,6 @@ impl Router {
         self.shared.canary.lock().as_ref().map(|t| t.node_id.clone())
     }
 
-    /// Ends any trial in flight without a verdict (no counter moves,
-    /// no demotion).
-    pub fn clear_canary(&self) {
-        *self.shared.canary.lock() = None;
-    }
-
     /// Takes one of the trial's tickets for this request, if a trial is
     /// in flight, and reorders `ordered` for it. Returns the trial's
     /// identity — what [`Router::report_trial`] must be called with —

@@ -15,8 +15,6 @@ pub enum Value {
     Str(String),
     /// `42`
     Int(u64),
-    /// `true` / `false`
-    Bool(bool),
     /// `["a", "b"]`
     List(Vec<String>),
 }
@@ -84,14 +82,6 @@ impl Config {
         }
     }
 
-    /// Boolean value at `section.key`.
-    pub fn get_bool(&self, section: &str, key: &str) -> Option<bool> {
-        match self.sections.get(section)?.get(key)? {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// String-list value at `section.key`; missing keys yield `&[]`.
     pub fn get_list(&self, section: &str, key: &str) -> &[String] {
         match self.sections.get(section).and_then(|s| s.get(key)) {
@@ -138,12 +128,6 @@ fn balanced_array(s: &str) -> bool {
 }
 
 fn parse_value(value: &str) -> Result<Value, String> {
-    if value == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if value == "false" {
-        return Ok(Value::Bool(false));
-    }
     if let Some(inner) = value.strip_prefix('[').and_then(|v| v.strip_suffix(']')) {
         let mut items = Vec::new();
         for item in split_top_level(inner) {
@@ -228,7 +212,6 @@ mod tests {
             "# top comment\n\
              [panic_freedom]\n\
              budget = 12\n\
-             strict = true\n\
              paths = [\"crates/serve/src\", \"crates/model/src/io.rs\"]\n\
              \n\
              [naming]\n\
@@ -236,7 +219,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(config.get_int("panic_freedom", "budget"), Some(12));
-        assert_eq!(config.get_bool("panic_freedom", "strict"), Some(true));
         assert_eq!(
             config.get_list("panic_freedom", "paths"),
             ["crates/serve/src".to_owned(), "crates/model/src/io.rs".to_owned()]

@@ -1,16 +1,18 @@
 //! Concurrency audit: exhaustive interleaving checks for the serve
 //! scheduler's respawn-backoff accounting
-//! (`crates/serve/src/scheduler.rs::supervisor_loop`).
+//! (`crates/serve/src/scheduler.rs::worker_main`).
 //!
-//! The accounting under test: a worker that panics bumps
-//! `worker_panics` (inside its catch_unwind handler), the supervisor
-//! joins the dead thread, recomputes the slot's strike count and
-//! backoff, and bumps `worker_respawns` when it restarts the slot. All
-//! four operations are sequenced *within one slot's lifecycle* by the
-//! `join()` — so a slot is modeled as a single scripted thread — but
-//! nothing orders them against the metrics scraper or against other
-//! slots. Invariants proved across every 2-thread schedule (and seeded
-//! samples of 3-thread schedules):
+//! The accounting under test: a worker that panics heals in place. The
+//! same thread, after its `catch_unwind` returns, bumps `worker_panics`,
+//! answers what is left of its batch (every reply goes through the one
+//! `answer`, which touches neither counter modelled here), recomputes
+//! its strike count and waits out the backoff, then bumps
+//! `worker_respawns` and goes on. The four steps are one thread's
+//! program order — so a worker is a single scripted thread by
+//! construction, not by an argument about a `join()` — but nothing
+//! orders them against the metrics scraper or against other workers.
+//! Invariants proved across every 2-thread schedule (and seeded samples
+//! of 3-thread schedules):
 //!
 //! * **monotone counters** — `worker_panics` and `worker_respawns`
 //!   only ever grow, at every intermediate state;
@@ -20,10 +22,10 @@
 //!   read order demonstrably can — see
 //!   `interleave_respawn_reversed_read_order_is_racy`);
 //! * **deterministic strike accounting** — after any schedule, each
-//!   slot's strike count and backoff match the scheduler's formula:
-//!   strikes reset to 0 iff the worker progressed or lived past the
-//!   healthy threshold, else `saturating_add(1)`; backoff is
-//!   `base << strikes.min(8)`, capped.
+//!   worker's strike count and backoff match the scheduler's formula:
+//!   strikes reset to 0 iff the worker progressed or ran past the
+//!   healthy threshold since its last panic, else `saturating_add(1)`;
+//!   backoff is `base << strikes.min(8)`, capped.
 
 use gobo_lint::interleave::{explore_exhaustive, explore_sampled, Program};
 
@@ -38,8 +40,8 @@ fn respawn_backoff_ms(strikes: u32) -> u64 {
     (BACKOFF_BASE_MS << u64::from(strikes.min(8))).min(BACKOFF_CAP_MS)
 }
 
-/// Shared state: the two Relaxed metric counters plus per-slot
-/// supervisor bookkeeping (strike counts and the backoff history the
+/// Shared state: the two Relaxed metric counters plus each worker's
+/// own bookkeeping (strike counts and the backoff history the
 /// final-state checks compare against the formula).
 #[derive(Clone)]
 struct Metrics {
@@ -65,12 +67,12 @@ impl Metrics {
     }
 }
 
-/// One scripted worker death, as the supervisor classifies it.
+/// One scripted worker panic, as the worker classifies it afterwards.
 #[derive(Clone, Copy)]
 struct Exit {
-    /// The worker handled at least one request before dying.
+    /// The worker answered at least one request since its last panic.
     progressed: bool,
-    /// The worker outlived `RESPAWN_HEALTHY_AFTER`.
+    /// The worker ran for `RESPAWN_HEALTHY_AFTER` since its last panic.
     healthy: bool,
 }
 
@@ -80,23 +82,24 @@ impl Exit {
     }
 }
 
-/// Where a slot is within the current death's four-step lifecycle.
+/// Where a worker is within the current panic's four-step lifecycle.
 #[derive(Clone, Copy)]
 enum LifecycleStep {
-    /// Worker: `worker_panics.fetch_add(1)` in the panic handler.
+    /// `worker_panics.fetch_add(1)` once `catch_unwind` returned.
     CountPanic,
-    /// Supervisor: `join()` returns the exit (observes the slot dead).
-    Reap,
-    /// Supervisor: recompute strikes + backoff for the slot.
+    /// What is left of the batch is answered `WorkerPanic`.
+    Drain,
+    /// Recompute strikes, wait out the backoff.
     Account,
-    /// Supervisor: `worker_respawns.fetch_add(1)`, slot running again.
+    /// `worker_respawns.fetch_add(1)`, and on to the next batch.
     Respawn,
 }
 
-/// One worker slot's panic/respawn lifecycle, replayed over a script
-/// of exits. Each enum step is a single atomic (or join-sequenced)
-/// operation in the real scheduler; the explorer interleaves them
-/// freely against other slots and the observer.
+/// One worker's panic/heal lifecycle, replayed over a script of
+/// exits. Each enum step is a single atomic operation (or one the
+/// modelled counters cannot see) of the real worker, in its program
+/// order; the explorer interleaves them freely against other workers
+/// and the observer.
 #[derive(Clone)]
 struct SlotLifecycle {
     slot: usize,
@@ -117,11 +120,12 @@ impl Program<Metrics> for SlotLifecycle {
         match self.at {
             LifecycleStep::CountPanic => {
                 shared.panics += 1;
-                self.at = LifecycleStep::Reap;
+                self.at = LifecycleStep::Drain;
             }
-            LifecycleStep::Reap => {
-                // join() — no shared mutation, but a distinct schedule
-                // point: the observer may run between count and reap.
+            LifecycleStep::Drain => {
+                // `answer` per request left — no mutation of the two
+                // counters, but a distinct schedule point: the observer
+                // may run between the count and the accounting.
                 self.at = LifecycleStep::Account;
             }
             LifecycleStep::Account => {
@@ -143,7 +147,7 @@ impl Program<Metrics> for SlotLifecycle {
         }
         // Intermediate-state invariants, checked in EVERY reachable
         // state: counters are monotone and respawns never outrun
-        // panics (each slot respawns only after counting its panic).
+        // panics (a worker counts its respawn only after its panic).
         assert!(shared.panics >= before.0 && shared.respawns >= before.1, "counter went backwards");
         assert!(
             shared.respawns <= shared.panics,

@@ -59,11 +59,6 @@ impl Footprint {
     pub fn weight_mib(&self) -> f64 {
         self.weight_bytes as f64 / MIB
     }
-
-    /// Total parameter bytes (weights + embeddings).
-    pub fn total_param_bytes(&self) -> usize {
-        self.embedding_bytes + self.weight_bytes
-    }
 }
 
 #[cfg(test)]
@@ -98,11 +93,5 @@ mod tests {
         let distil = Footprint::of(&ModelConfig::distilbert(), 128);
         let ratio = base.weight_bytes as f64 / distil.weight_bytes as f64;
         assert!(ratio > 1.9 && ratio < 2.2, "ratio {ratio}");
-    }
-
-    #[test]
-    fn total_includes_both_components() {
-        let f = Footprint::of(&ModelConfig::roberta_base(), 128);
-        assert_eq!(f.total_param_bytes(), f.embedding_bytes + f.weight_bytes);
     }
 }

@@ -34,16 +34,6 @@ pub enum LayerKind {
     TokenTypeEmbedding,
 }
 
-impl LayerKind {
-    /// Returns `true` for the embedding-table kinds.
-    pub fn is_embedding(&self) -> bool {
-        matches!(
-            self,
-            LayerKind::WordEmbedding | LayerKind::PositionEmbedding | LayerKind::TokenTypeEmbedding
-        )
-    }
-}
-
 /// Name and geometry of one weight matrix.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FcLayerSpec {
@@ -195,7 +185,10 @@ mod tests {
     fn embedding_tables_enumerate() {
         let tables = enumerate_embedding_tables(&ModelConfig::bert_base());
         assert_eq!(tables.len(), 3);
-        assert!(tables.iter().all(|t| t.kind.is_embedding()));
+        let kinds: Vec<LayerKind> = tables.iter().map(|t| t.kind).collect();
+        let expected =
+            [LayerKind::WordEmbedding, LayerKind::PositionEmbedding, LayerKind::TokenTypeEmbedding];
+        assert_eq!(kinds, expected);
         assert_eq!(tables[0].params(), 30_522 * 768);
         // DistilBERT drops token-type embeddings.
         assert_eq!(enumerate_embedding_tables(&ModelConfig::distilbert()).len(), 2);

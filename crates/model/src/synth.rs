@@ -85,24 +85,6 @@ pub fn synthesize_layer(spec: &FcLayerSpec, dist: &LayerDistribution, seed: u64)
     out
 }
 
-/// Streams every FC layer of a full-scale model through `f`, one layer
-/// at a time (BERT-Large weights total 1.12 GiB — materializing them
-/// all at once is unnecessary for any experiment).
-///
-/// `f` receives the layer spec, its distribution, and the weights.
-pub fn for_each_fc_layer<F>(config: &ModelConfig, seed: u64, mut f: F)
-where
-    F: FnMut(&FcLayerSpec, &LayerDistribution, Vec<f32>),
-{
-    let specs = crate::spec::enumerate_fc_layers(config);
-    let count = specs.len();
-    for (i, spec) in specs.iter().enumerate() {
-        let dist = layer_distribution(config, i, count);
-        let weights = synthesize_layer(spec, &dist, seed);
-        f(spec, &dist, weights);
-    }
-}
-
 /// Synthesizes one embedding table (same tail structure; embeddings
 /// show slightly heavier tails in practice, hence the bump).
 pub fn synthesize_embedding(spec: &FcLayerSpec, seed: u64) -> Vec<f32> {
@@ -122,7 +104,6 @@ fn rng_for(seed: u64, name: &str) -> StdRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::enumerate_fc_layers;
     use gobo_stats::Gaussian;
 
     fn spec(rows: usize, cols: usize) -> FcLayerSpec {
@@ -184,17 +165,17 @@ mod tests {
         }
     }
 
+    /// Full-scale experiments stream a model one layer at a time (BERT-Large
+    /// weights total 1.12 GiB): every layer of the enumeration, in order,
+    /// synthesizes at its own size under its own distribution.
     #[test]
     fn streaming_visits_every_layer_in_order() {
         let config = ModelConfig::tiny("Tiny", 2, 16, 2, 30, 8).unwrap();
-        let mut names = Vec::new();
-        for_each_fc_layer(&config, 7, |spec, _, w| {
-            assert_eq!(w.len(), spec.params());
-            names.push(spec.name.clone());
-        });
-        let expected: Vec<String> =
-            enumerate_fc_layers(&config).iter().map(|s| s.name.clone()).collect();
-        assert_eq!(names, expected);
+        let specs = crate::spec::enumerate_fc_layers(&config);
+        for (i, spec) in specs.iter().enumerate() {
+            let dist = layer_distribution(&config, i, specs.len());
+            assert_eq!(synthesize_layer(spec, &dist, 7).len(), spec.params(), "{}", spec.name);
+        }
     }
 
     #[test]

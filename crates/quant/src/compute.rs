@@ -81,11 +81,6 @@ impl QuantizedMatrix {
         &self.layer
     }
 
-    /// Consumes the wrapper, returning the compressed layer.
-    pub fn into_layer(self) -> QuantizedLayer {
-        self.layer
-    }
-
     /// Batched `Y = A·Wᵀ` straight on the packed indices, for row-major
     /// `a: (m, cols)` producing `(m, rows)` — the one FC-layer product,
     /// at every batch size including 1.
@@ -273,7 +268,7 @@ mod tests {
         assert!(qm.matmul_blocked(&[0.0; 11]).is_err());
         // An empty batch is a valid zero-row product.
         assert!(qm.matmul_blocked(&[]).unwrap().is_empty());
-        let layer = qm.into_layer();
+        let layer = qm.layer().clone();
         assert!(QuantizedMatrix::new(layer, 3, 7).is_err());
     }
 

@@ -140,29 +140,6 @@ impl OutlierSplit {
     pub fn outlier_fraction(&self) -> f64 {
         self.outlier_count() as f64 / self.total as f64
     }
-
-    /// Reassembles the original layer from G-group values (after they
-    /// have been quantized and decoded) plus the stored outliers.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `g_decoded.len()` differs from the G-group size; the
-    /// caller controls both sides, so a mismatch is a programming error.
-    pub fn reassemble(&self, g_decoded: &[f32]) -> Vec<f32> {
-        assert_eq!(g_decoded.len(), self.g_values.len(), "decoded G group size mismatch");
-        let mut out = Vec::with_capacity(self.total);
-        let mut g_iter = g_decoded.iter();
-        let mut o_idx = 0usize;
-        for i in 0..self.total {
-            if o_idx < self.outlier_positions.len() && self.outlier_positions[o_idx] as usize == i {
-                out.push(self.outlier_values[o_idx]);
-                o_idx += 1;
-            } else {
-                out.push(*g_iter.next().expect("g group exhausted"));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -225,12 +202,20 @@ mod tests {
         assert!(split.outlier_positions().windows(2).all(|p| p[0] < p[1]));
     }
 
+    /// The two groups, merged back by position with the G group
+    /// untouched, are the layer: nothing lost, nothing moved.
     #[test]
     fn reassemble_round_trips_with_identity_g() {
         let mut w = gaussian_sample(1_000, 0.0, 0.02);
         w[3] = 5.0;
         let split = OutlierSplit::detect(&w, -4.0).unwrap();
-        let rebuilt = split.reassemble(split.g_values());
+        let (mut g, mut outliers) = (split.g_values().iter(), split.outlier_values().iter());
+        let rebuilt: Vec<f32> = (0..w.len() as u32)
+            .map(
+                |i| if split.outlier_positions().contains(&i) { outliers.next() } else { g.next() },
+            )
+            .map(|value| *value.unwrap())
+            .collect();
         assert_eq!(rebuilt, w);
     }
 

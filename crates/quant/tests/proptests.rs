@@ -46,8 +46,13 @@ proptest! {
         let split = OutlierSplit::detect(&w, thr).unwrap();
         prop_assert_eq!(split.g_values().len() + split.outlier_count(), w.len());
         prop_assert!(split.outlier_positions().windows(2).all(|p| p[0] < p[1]));
-        // Reassembly with the untouched G group reproduces the input.
-        prop_assert_eq!(split.reassemble(split.g_values()), w);
+        // Every weight is in exactly one group, in place and in order.
+        let (mut g, mut outliers) = (split.g_values().iter(), split.outlier_values().iter());
+        let mut positions = split.outlier_positions().iter().peekable();
+        for (i, weight) in w.iter().enumerate() {
+            let outlier = positions.next_if(|&&p| p as usize == i).is_some();
+            prop_assert_eq!(if outlier { outliers.next() } else { g.next() }, Some(weight));
+        }
     }
 
     #[test]

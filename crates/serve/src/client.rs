@@ -46,13 +46,6 @@ impl HttpClient {
         self
     }
 
-    /// Replaces the connect and read timeouts.
-    pub fn with_timeouts(mut self, connect: Duration, read: Duration) -> Self {
-        self.connect_timeout = connect;
-        self.read_timeout = read;
-        self
-    }
-
     /// The target address.
     pub fn addr(&self) -> &str {
         &self.addr

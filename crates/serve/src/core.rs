@@ -182,11 +182,6 @@ impl Client {
         self.core.registry.list()
     }
 
-    /// The Prometheus metrics text.
-    pub fn metrics_text(&self) -> String {
-        self.core.metrics.render()
-    }
-
     /// The underlying core handle.
     pub fn core(&self) -> &Arc<ServeCore> {
         &self.core

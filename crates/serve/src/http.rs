@@ -316,9 +316,11 @@ fn handle_connection(
 ///
 /// # Errors
 ///
-/// [`HttpError::Bad`] for malformed requests, [`HttpError::TooLarge`]
-/// when the declared `Content-Length` exceeds `max_body` (detected
-/// before the body is read).
+/// [`HttpError::Bad`] for malformed requests and for a body this
+/// parser cannot frame — any `Transfer-Encoding`, or two
+/// `Content-Length`s that disagree — and [`HttpError::TooLarge`] when
+/// the declared `Content-Length` exceeds `max_body`; all three before a
+/// body byte is read.
 pub fn parse_request<R: BufRead>(
     reader: &mut R,
     max_body: usize,
@@ -338,7 +340,7 @@ pub fn parse_request<R: BufRead>(
     // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
     let mut keep_alive = version != "HTTP/1.0";
 
-    let mut content_length = 0usize;
+    let mut content_length = None;
     loop {
         let line =
             read_line(reader)?.ok_or_else(|| bad("connection closed inside headers".into()))?;
@@ -349,14 +351,21 @@ pub fn parse_request<R: BufRead>(
             return Err(bad(format!("malformed header `{line}`")));
         };
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
+            let declared: usize = value
                 .trim()
                 .parse()
                 .map_err(|_| bad(format!("bad content-length `{}`", value.trim())))?;
             // Reject before allocating or reading a single body byte.
-            if content_length > max_body {
-                return Err(HttpError::TooLarge { declared: content_length, limit: max_body });
+            if declared > max_body {
+                return Err(HttpError::TooLarge { declared, limit: max_body });
             }
+            if content_length.replace(declared).is_some_and(|earlier| earlier != declared) {
+                return Err(bad("conflicting content-length headers".into()));
+            }
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            // Served as an empty body, its chunk lines would be parsed
+            // as the next request on the connection.
+            return Err(bad(format!("transfer-encoding `{}` is not supported", value.trim())));
         } else if name.eq_ignore_ascii_case("connection") {
             let value = value.trim();
             if value.eq_ignore_ascii_case("close") {
@@ -367,7 +376,7 @@ pub fn parse_request<R: BufRead>(
         }
     }
 
-    let mut body = vec![0u8; content_length];
+    let mut body = vec![0u8; content_length.unwrap_or(0)];
     reader.read_exact(&mut body).map_err(|e| bad(format!("truncated body: {e}")))?;
     Ok(Some(ParsedRequest { method, path, body, keep_alive }))
 }

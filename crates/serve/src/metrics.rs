@@ -30,9 +30,10 @@ pub struct Metrics {
     pub encode_failed: AtomicU64,
     /// HTTP requests rejected because their body exceeded the limit.
     pub rejected_body_too_large: AtomicU64,
-    /// Worker threads lost to a panic during batch execution.
+    /// Panics a worker caught while taking or executing a batch.
     pub worker_panics: AtomicU64,
-    /// Worker threads respawned by the supervisor after a panic.
+    /// Times a worker went on after a panic and its backoff (it heals
+    /// in place; the name is from when a fresh thread replaced it).
     pub worker_respawns: AtomicU64,
     /// Current admission-queue depth (gauge).
     pub queue_depth: AtomicU64,

@@ -45,21 +45,26 @@
 //!
 //! # Self-healing
 //!
-//! Workers run every batch under [`std::panic::catch_unwind`]: a panic
-//! mid-batch (a model bug, or an injected `serve.encode` /
-//! `serve.batch` failpoint) fails only that batch's requests with
-//! [`ServeError::WorkerPanic`] — clients get HTTP 500, never a hang.
-//! The panicked worker thread is treated as suspect and exits; a
-//! supervisor thread detects the death, counts it in
-//! `worker_panics_total`, and respawns the slot under a capped
-//! exponential backoff (5 ms doubling to 250 ms). The backoff resets
-//! when a worker made progress — answered at least one request, or
-//! survived a full second — so a data-dependent panic costs one base
-//! delay while a crash-looping worker (dies before answering anything)
-//! backs off exponentially. Every respawn records
-//! `worker_respawns_total` and a `serve.respawn` span. The pool
-//! therefore converges back to its configured size instead of silently
-//! shrinking.
+//! The scheduler is a queue, `workers` threads and one way out. A
+//! worker runs `loop { catch_unwind(next_batch + execute_batch) }` for
+//! its whole life. A panic anywhere in that — a model bug, an injected
+//! `serve.encode` / `serve.batch` failpoint, the sweep itself — fails
+//! only what is left of that worker's batch with
+//! [`ServeError::WorkerPanic`] (HTTP 500, never a hang) and counts
+//! `worker_panics_total`; the worker then **heals in place**:
+//! `catch_unwind` has unwound its stack and the workspace's only
+//! thread-locals (span stack, sanitizer held-lock list) are RAII
+//! guards, so no other thread has to watch it. It waits out a capped
+//! exponential backoff (5 ms doubling to 250 ms; a drain ends the wait)
+//! that resets when it made progress — answered at least one request,
+//! or ran a full second — so a data-dependent panic costs one base
+//! delay while a crash loop backs off, then counts
+//! `worker_respawns_total` under a `serve.respawn` span and goes on.
+//! The pool is exactly `workers` threads from [`Scheduler::start`] to
+//! [`Scheduler::shutdown`].
+//!
+//! Every request leaves through [`answer`], which keeps
+//! `ServeCore::check_counter_laws` true at every exit.
 //!
 //! [`TransformerModel::encode`]: gobo_model::TransformerModel::encode
 
@@ -184,6 +189,8 @@ struct Pending {
 struct State {
     queue: VecDeque<Pending>,
     shutdown: bool,
+    /// The pool, until [`Scheduler::shutdown`] takes it out to join it.
+    workers: Vec<JoinHandle<()>>,
 }
 
 struct Shared {
@@ -199,49 +206,12 @@ struct Shared {
     cvar: SanCondvar,
 }
 
-/// How a worker thread ended.
-enum WorkerExit {
-    /// Graceful: shutdown was requested and the queue is drained.
-    Shutdown,
-    /// The worker caught a panic in batch execution and exited so a
-    /// fresh thread can replace it.
-    Panicked {
-        /// Whether the worker answered at least one request in its
-        /// lifetime. A worker that made progress before panicking hit a
-        /// data-dependent fault and respawns at base backoff; one that
-        /// dies without answering anything is crash-looping and earns
-        /// escalating strikes.
-        progressed: bool,
-    },
-}
-
-struct WorkerSlot {
-    handle: JoinHandle<WorkerExit>,
-    spawned: Instant,
-    /// Consecutive short-lived respawns; drives the backoff.
-    strikes: u32,
-}
-
-/// Supervisor slot state.
-enum Slot {
-    Running(WorkerSlot),
-    /// Dead; respawn no earlier than `at`.
-    Pending {
-        at: Instant,
-        strikes: u32,
-    },
-    /// Exited for good (graceful shutdown).
-    Done,
-}
-
-/// Smallest delay before respawning a panicked worker.
+/// Smallest delay before a panicked worker goes on.
 const RESPAWN_BACKOFF_BASE: Duration = Duration::from_millis(5);
-/// Largest delay between respawn attempts.
+/// Largest delay before a panicked worker goes on.
 const RESPAWN_BACKOFF_CAP: Duration = Duration::from_millis(250);
-/// A worker surviving this long resets its backoff.
+/// A worker that ran this long since its last panic resets its backoff.
 const RESPAWN_HEALTHY_AFTER: Duration = Duration::from_secs(1);
-/// Supervisor poll interval while workers are healthy.
-const SUPERVISOR_POLL: Duration = Duration::from_millis(2);
 /// How far past its deadline a blocking submitter still listens:
 /// workers answer every request they take (expired ones included), so
 /// this only covers scheduling noise between their reply and our wake.
@@ -250,14 +220,13 @@ const REPLY_GRACE: Duration = Duration::from_millis(250);
 /// counted from the arrival of its oldest request (see [`hold_left`]).
 const COALESCE_HOLD: Duration = Duration::from_micros(500);
 
-/// The admission queue + worker pool + supervisor.
+/// The admission queue and its worker pool.
 pub struct Scheduler {
     shared: Arc<Shared>,
-    supervisor: SanMutex<Option<JoinHandle<()>>>,
 }
 
 impl Scheduler {
-    /// Starts the worker pool and its supervisor.
+    /// Starts the worker pool.
     pub fn start(
         config: SchedulerConfig,
         registry: Arc<ModelRegistry>,
@@ -272,21 +241,19 @@ impl Scheduler {
             state: SanMutex::new(
                 "serve.scheduler.state",
                 20,
-                State { queue: VecDeque::new(), shutdown: false },
+                State { queue: VecDeque::new(), shutdown: false, workers: Vec::new() },
             ),
             cvar: SanCondvar::new("serve.scheduler.cvar"),
         });
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("gobo-serve-supervisor".to_owned())
-                .spawn(move || supervisor_loop(&shared))
-                .ok()
-        };
-        Scheduler {
-            shared,
-            supervisor: SanMutex::new("serve.scheduler.supervisor", 14, supervisor),
-        }
+        let workers: Vec<_> =
+            (0..config.workers.max(1)).filter_map(|i| spawn_worker(&shared, i)).collect();
+        // A pool nobody works for is a pool that is shut: it refuses
+        // admission instead of queueing work nobody will take.
+        let mut state = shared.state.lock();
+        state.shutdown = workers.is_empty();
+        state.workers = workers;
+        drop(state);
+        Scheduler { shared }
     }
 
     /// The scheduler's configuration.
@@ -342,6 +309,7 @@ impl Scheduler {
         match rx.recv_timeout(deadline + REPLY_GRACE) {
             Ok(reply) => reply,
             Err(RecvTimeoutError::Timeout) => {
+                // Counted here: the worker finds the receiver gone.
                 self.shared.metrics.rejected_deadline.fetch_add(1, Ordering::Relaxed);
                 Err(ServeError::DeadlineExceeded)
             }
@@ -354,15 +322,28 @@ impl Scheduler {
         self.shared.state.lock().queue.len()
     }
 
-    /// Begins a graceful shutdown: stop admitting, let workers drain
-    /// every queued request (expired ones are rejected, live ones
-    /// served), then join the pool via the supervisor. Idempotent.
+    /// Graceful shutdown: stop admitting, let the workers drain the
+    /// queue (expired requests rejected, live ones served), join them,
+    /// and answer whatever a dead worker left queued with
+    /// [`ServeError::ShuttingDown`]. Idempotent: only the call that
+    /// took the pool joins it.
     pub fn shutdown(&self) {
-        self.shared.state.lock().shutdown = true;
+        let workers = {
+            let mut state = self.shared.state.lock();
+            state.shutdown = true;
+            std::mem::take(&mut state.workers)
+        };
         self.shared.cvar.notify_all();
-        let handle = self.supervisor.lock().take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
+        if workers.is_empty() {
+            return;
+        }
+        for worker in workers {
+            let _ = worker.join();
+        }
+        let mut state = self.shared.state.lock();
+        while let Some(p) = state.queue.pop_front() {
+            self.shared.metrics.queue_pop();
+            answer(&self.shared, p, Err(ServeError::ShuttingDown));
         }
     }
 }
@@ -373,133 +354,95 @@ impl Drop for Scheduler {
     }
 }
 
-fn spawn_worker(shared: &Arc<Shared>, index: usize, strikes: u32) -> std::io::Result<WorkerSlot> {
-    let shared = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name(format!("gobo-serve-worker-{index}"))
-        .spawn(move || worker_main(&shared))?;
-    Ok(WorkerSlot { handle, spawned: Instant::now(), strikes })
-}
-
 fn respawn_backoff(strikes: u32) -> Duration {
     RESPAWN_BACKOFF_BASE.saturating_mul(1u32 << strikes.min(8)).min(RESPAWN_BACKOFF_CAP)
 }
 
-/// Owns the worker pool: spawns the configured number of workers, polls
-/// for deaths, and respawns panicked slots with a capped exponential
-/// backoff. On shutdown it joins every worker, then drains whatever is
-/// left in the queue with [`ServeError::ShuttingDown`] so no submitter
-/// is ever left hanging — even if every worker died.
-fn supervisor_loop(shared: &Arc<Shared>) {
-    let mut slots: Vec<Slot> = (0..shared.config.workers.max(1))
-        .map(|i| match spawn_worker(shared, i, 0) {
-            Ok(slot) => Slot::Running(slot),
-            Err(_) => Slot::Pending { at: Instant::now() + RESPAWN_BACKOFF_BASE, strikes: 1 },
-        })
-        .collect();
-    loop {
-        let draining = shared.state.lock().shutdown;
-        for (i, slot) in slots.iter_mut().enumerate() {
-            match slot {
-                Slot::Done => {}
-                Slot::Running(ws) if draining || ws.handle.is_finished() => {
-                    // While draining, block on the worker instead of
-                    // polling: it exits once the queue is empty.
-                    let Slot::Running(ws) = std::mem::replace(slot, Slot::Done) else {
-                        // Guarded by the match arm; nothing to reap.
-                        continue;
-                    };
-                    let lifetime = ws.spawned.elapsed();
-                    let exit = match ws.handle.join() {
-                        Ok(exit) => exit,
-                        Err(_) => {
-                            // A panic that escaped catch_unwind (e.g.
-                            // inside the batching machinery itself).
-                            shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                            WorkerExit::Panicked { progressed: false }
-                        }
-                    };
-                    match exit {
-                        WorkerExit::Shutdown => {}
-                        WorkerExit::Panicked { progressed } if !draining => {
-                            let strikes = if progressed || lifetime >= RESPAWN_HEALTHY_AFTER {
-                                0
-                            } else {
-                                ws.strikes.saturating_add(1)
-                            };
-                            *slot = Slot::Pending {
-                                at: Instant::now() + respawn_backoff(strikes),
-                                strikes,
-                            };
-                        }
-                        // Draining: the final queue sweep below answers
-                        // anything the dead worker left behind.
-                        WorkerExit::Panicked { .. } => {}
-                    }
-                }
-                Slot::Running(_) => {}
-                Slot::Pending { .. } if draining => *slot = Slot::Done,
-                Slot::Pending { at, strikes } if *at <= Instant::now() => {
-                    let _span = gobo_obs::span!("serve.respawn", worker = i, strikes = *strikes);
-                    match spawn_worker(shared, i, *strikes) {
-                        Ok(ws) => {
-                            shared.metrics.worker_respawns.fetch_add(1, Ordering::Relaxed);
-                            *slot = Slot::Running(ws);
-                        }
-                        Err(_) => {
-                            let strikes = strikes.saturating_add(1);
-                            *slot = Slot::Pending {
-                                at: Instant::now() + respawn_backoff(strikes),
-                                strikes,
-                            };
-                        }
-                    }
-                }
-                Slot::Pending { .. } => {}
-            }
+/// Sleeps out the backoff for `strikes` where a drain ends it at once.
+fn back_off(shared: &Shared, strikes: u32) {
+    let state = shared.state.lock();
+    let _ = shared.cvar.wait_timeout_while(state, respawn_backoff(strikes), |s| !s.shutdown);
+}
+
+/// Spawns worker `index`, retrying a spawn the OS refuses under the
+/// respawn backoff up to its cap (seven attempts, ≈ 0.6 s in all).
+fn spawn_worker(shared: &Arc<Shared>, index: usize) -> Option<JoinHandle<()>> {
+    (0..=6).find_map(|strikes| {
+        if strikes > 0 {
+            back_off(shared, strikes);
         }
-        if slots.iter().all(|s| matches!(s, Slot::Done)) {
-            break;
-        }
-        std::thread::sleep(SUPERVISOR_POLL);
-    }
-    // Safety net: if workers died during drain, requests may still be
-    // queued. Reject them explicitly rather than dropping the senders.
-    let mut state = shared.state.lock();
-    while let Some(p) = state.queue.pop_front() {
-        shared.metrics.queue_pop();
-        shared.metrics.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
-        let _ = p.tx.send(Err(ServeError::ShuttingDown));
+        let worker = Arc::clone(shared);
+        let name = format!("gobo-serve-worker-{index}");
+        std::thread::Builder::new().name(name).spawn(move || worker_main(&worker, index)).ok()
+    })
+}
+
+/// The one way a request leaves the scheduler. Picks the counter from
+/// the reply and counts *before* sending, so the counters lead the
+/// reply; a receiver that is gone gave up at its deadline and counted
+/// itself, so the count is taken back: one count a request, always.
+fn answer(shared: &Shared, p: Pending, reply: Reply) {
+    let m = &shared.metrics;
+    // End-to-end and queue-wait microseconds of a served request.
+    let served = reply.as_ref().ok().map(|r| (r.queue_us + r.compute_us, r.queue_us));
+    let refused = match &reply {
+        Err(ServeError::DeadlineExceeded) => &m.rejected_deadline,
+        Err(ServeError::ShuttingDown) => &m.rejected_shutdown,
+        _ => &m.encode_failed,
+    };
+    let count = |undo: bool| match (served, undo) {
+        (Some((latency_us, queue_us)), false) => m.record_encode_ok(latency_us, queue_us),
+        (Some((latency_us, queue_us)), true) => m.unrecord_encode_ok(latency_us, queue_us),
+        (None, false) => _ = refused.fetch_add(1, Ordering::Relaxed),
+        (None, true) => _ = refused.fetch_sub(1, Ordering::Relaxed),
+    };
+    count(false);
+    if p.tx.send(reply).is_err() {
+        count(true);
     }
 }
 
-/// Worker body: pull a batch, execute it under `catch_unwind`. A caught
-/// panic fails the batch's remaining requests with
-/// [`ServeError::WorkerPanic`] and ends this thread — the thread's
-/// stack is suspect after an arbitrary panic, so the supervisor
-/// replaces it with a fresh one.
-fn worker_main(shared: &Shared) -> WorkerExit {
-    let mut answered: usize = 0;
+/// Worker body, for the worker's whole life: take a batch and execute
+/// it, both under `catch_unwind`. The batch lives outside that call, so
+/// after a panic — in the forward, a failpoint or the sweep — what is
+/// left of it is answered [`ServeError::WorkerPanic`], not dropped, and
+/// the worker backs off and goes on. Returns once the queue is drained.
+fn worker_main(shared: &Shared, index: usize) {
+    let mut batch: Vec<Pending> = Vec::new();
+    // Consecutive panics without progress, and the progress — requests
+    // answered, time run — since the last one.
+    let (mut strikes, mut answered, mut since) = (0u32, 0usize, Instant::now());
     loop {
-        let Some(mut batch) = next_batch(shared) else {
-            return WorkerExit::Shutdown;
-        };
-        let before = batch.len();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_batch(shared, &mut batch);
+        let mut taken = 0;
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let more = next_batch(shared, &mut batch);
+            taken = batch.len();
+            execute_batch(shared, &mut batch); // of nothing, when `!more`
+            more
         }));
-        if result.is_err() {
-            // `execute_batch` keeps each request in the batch until its
-            // reply is computed, so everything removed was answered.
-            answered += before - batch.len();
+        // `execute_batch` keeps each request in the batch until its
+        // reply is computed, so everything removed was answered.
+        answered += taken.saturating_sub(batch.len());
+        if ran.is_err() {
             shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-            for p in batch.drain(..) {
-                shared.metrics.encode_failed.fetch_add(1, Ordering::Relaxed);
-                let _ = p.tx.send(Err(ServeError::WorkerPanic));
-            }
-            return WorkerExit::Panicked { progressed: answered > 0 };
         }
-        answered += before;
+        // Only a panic leaves anything here; the next sweep starts empty.
+        for p in batch.drain(..) {
+            answer(shared, p, Err(ServeError::WorkerPanic));
+        }
+        match ran {
+            Ok(true) => continue,
+            Ok(false) => return,
+            Err(_) => {}
+        }
+        // Progress means a data-dependent fault: base delay. A panic
+        // before anything was answered is a crash loop: one more strike.
+        let progressed = answered > 0 || since.elapsed() >= RESPAWN_HEALTHY_AFTER;
+        strikes = if progressed { 0 } else { strikes.saturating_add(1) };
+        back_off(shared, strikes);
+        let _span = gobo_obs::span!("serve.respawn", worker = index, strikes = strikes);
+        shared.metrics.worker_respawns.fetch_add(1, Ordering::Relaxed);
+        (answered, since) = (0, Instant::now());
     }
 }
 
@@ -527,26 +470,27 @@ fn hold_left(waited: Duration, take: usize, max_batch: usize) -> Option<Duration
 
 /// What one sweep of the admission queue found.
 enum Sweep {
-    /// This worker's share, removed from the queue.
-    Batch(Vec<Pending>),
+    /// This worker's share, moved from the queue into its batch.
+    Taken,
     /// Live work whose oldest request stays in its hold for this long.
     Held(Duration),
     /// Nothing queued.
     Empty,
 }
 
-/// Blocks until the queue holds work whose hold is over, then returns
-/// this worker's [`share`] of it. Every decision is a [`sweep`] under
-/// the lock, repeated after every wake-up: the worker sleeps without a
-/// timer only out of a sweep that found the queue empty, and for no
-/// longer than the hold's remainder out of one that found held work.
-/// Returns `None` when shutdown is requested and the queue is drained.
-fn next_batch(shared: &Shared) -> Option<Vec<Pending>> {
+/// Blocks until the queue holds work whose hold is over, then moves
+/// this worker's [`share`] of it into `batch`. Every decision is a
+/// [`sweep`] under the lock, repeated after every wake-up: the worker
+/// sleeps without a timer only out of a sweep that found the queue
+/// empty, and for no longer than the hold's remainder out of one that
+/// found held work. Returns `false` when shutdown is requested and the
+/// queue is drained.
+fn next_batch(shared: &Shared, batch: &mut Vec<Pending>) -> bool {
     let mut state = shared.state.lock();
     loop {
-        state = match sweep(shared, &mut state) {
-            Sweep::Batch(batch) => return Some(batch),
-            Sweep::Empty if state.shutdown => return None,
+        state = match sweep(shared, &mut state, batch) {
+            Sweep::Taken => return true,
+            Sweep::Empty if state.shutdown => return false,
             Sweep::Empty => shared.cvar.wait_while(state, |s| s.queue.is_empty() && !s.shutdown),
             // Pushes wake this wait too, and it goes back to sleep for
             // the rest of `left`: only the clock or a drain ends a hold.
@@ -557,19 +501,20 @@ fn next_batch(shared: &Shared) -> Option<Vec<Pending>> {
 
 /// One atomic sweep of the admission queue: answers expired requests
 /// where they sit, then — unless the oldest live request is still
-/// [held](hold_left) — removes and returns it together with the oldest
+/// [held](hold_left) — moves it into `batch` together with the oldest
 /// requests of the same model/bits key, [`share`] of them in all, in
 /// arrival order. Nothing is held once shutdown began.
-fn sweep(shared: &Shared, s: &mut State) -> Sweep {
+fn sweep(shared: &Shared, s: &mut State, batch: &mut Vec<Pending>) -> Sweep {
     let now = Instant::now();
-    s.queue.retain(|p| {
-        let live = now < p.deadline;
-        if !live {
+    let mut i = 0;
+    while let Some(p) = s.queue.get(i) {
+        if now < p.deadline {
+            i += 1;
+        } else if let Some(p) = s.queue.remove(i) {
             shared.metrics.queue_pop();
-            reject_expired(shared, p);
+            answer(shared, p, Err(ServeError::DeadlineExceeded));
         }
-        live
-    });
+    }
     let same_key =
         |a: &Pending, b: &Pending| a.req.model == b.req.model && a.req.bits == b.req.bits;
     let Some(oldest) = s.queue.front() else {
@@ -581,7 +526,6 @@ fn sweep(shared: &Shared, s: &mut State) -> Sweep {
     if let Some(left) = hold_left(waited, take, shared.config.max_batch).filter(|_| !s.shutdown) {
         return Sweep::Held(left);
     }
-    let mut batch = Vec::with_capacity(take);
     let mut i = 0;
     while batch.len() < take {
         let Some(p) = s.queue.get(i) else { break };
@@ -592,26 +536,19 @@ fn sweep(shared: &Shared, s: &mut State) -> Sweep {
             i += 1;
         }
     }
-    Sweep::Batch(batch)
-}
-
-fn reject_expired(shared: &Shared, p: &Pending) {
-    // Count before sending so the counter is visible by the time the
-    // receiver observes the reply; a failed send means the submitting
-    // side gave up (and counted its own timeout), so roll back to keep
-    // exactly one count per rejection.
-    shared.metrics.rejected_deadline.fetch_add(1, Ordering::Relaxed);
-    if p.tx.send(Err(ServeError::DeadlineExceeded)).is_err() {
-        shared.metrics.rejected_deadline.fetch_sub(1, Ordering::Relaxed);
-    }
+    // Counted here, on dispatch, before anything can fail, so
+    // `batched_requests` is exactly the sum of the batch sizes taken.
+    shared.metrics.record_batch(batch.len());
+    #[cfg(test)]
+    assert!(batch.iter().all(|p| p.req.model != tests::SWEEP_PANICS), "gobo-fault: sweep panic");
+    Sweep::Taken
 }
 
 /// Executes a batch as **one fused forward**. Each request stays in
-/// `batch` until its reply is computed — the caller keeps ownership of
-/// `batch` so that, if this function panics (including via the
-/// `serve.batch` / `serve.encode` failpoints), every unanswered request
-/// can still be failed explicitly instead of its reply channel being
-/// silently dropped.
+/// `batch` until its reply is computed and leaves it into [`answer`]:
+/// the worker owns `batch`, so if this function panics (including via
+/// the `serve.batch` / `serve.encode` failpoints) every unanswered
+/// request is still answered.
 ///
 /// Expired and invalid requests are answered individually in a
 /// pre-pass, so one bad request never fails its batchmates; the
@@ -628,9 +565,6 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Pending>) {
     let model = model.as_str();
     let size = batch.len();
     let _batch_span = gobo_obs::span!("serve.batch", model = model, size = size);
-    // Counted on dispatch, before anything can fail, so
-    // `batched_requests` is exactly the sum of the batch sizes taken.
-    shared.metrics.record_batch(size);
     gobo_fault::fail_point!("serve.batch");
     // One lock for everything this batch needs from the registry: the
     // active revision and, when the slot has a canary on trial, the
@@ -638,8 +572,7 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Pending>) {
     let resolved = shared.registry.resolve(model, bits, &shared.canary_policy);
     let Ok(Resolved { active: entry, trial_rev, canary }) = resolved else {
         for p in batch.drain(..) {
-            shared.metrics.encode_failed.fetch_add(1, Ordering::Relaxed);
-            let _ = p.tx.send(Err(ServeError::ModelNotFound { name: model.to_owned() }));
+            answer(shared, p, Err(ServeError::ModelNotFound { name: model.to_owned() }));
         }
         return;
     };
@@ -648,18 +581,19 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Pending>) {
     // fused forward only sees sequences that will encode cleanly.
     let mut i = 0;
     while let Some(p) = batch.get(i) {
-        if Instant::now() >= p.deadline {
-            let p = batch.remove(i);
-            reject_expired(shared, &p);
-            continue;
+        let refusal = if Instant::now() >= p.deadline {
+            Err(ServeError::DeadlineExceeded)
+        } else {
+            entry
+                .engine
+                .model()
+                .validate_input(&p.req.ids, &p.req.type_ids)
+                .map_err(ServeError::Model)
+        };
+        match refusal {
+            Err(e) => answer(shared, batch.remove(i), Err(e)),
+            Ok(()) => i += 1,
         }
-        if let Err(e) = entry.engine.model().validate_input(&p.req.ids, &p.req.type_ids) {
-            let p = batch.remove(i);
-            shared.metrics.encode_failed.fetch_add(1, Ordering::Relaxed);
-            let _ = p.tx.send(Err(ServeError::Model(e)));
-            continue;
-        }
-        i += 1;
     }
     if batch.is_empty() {
         return;
@@ -667,9 +601,7 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Pending>) {
 
     // Per-request encode spans and failpoints fire before the fused
     // forward, preserving the one-firing-per-request fault contract. A
-    // panic here fails every request still in the batch (the worker
-    // drains them with WorkerPanic) — matching the old sequential path,
-    // where the panicking request and everything behind it failed.
+    // panic here fails every request still in the batch.
     for p in batch.iter() {
         let _encode_span = gobo_obs::span!("serve.encode", tokens = p.req.ids.len());
         gobo_fault::fail_point!("serve.encode");
@@ -725,36 +657,27 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Pending>) {
             for out in outputs {
                 let p = batch.remove(0);
                 let queue_us = start.duration_since(p.enqueued).as_micros() as u64;
-                let dims = out.hidden.dims().to_vec();
-                let &[d0, d1] = dims.as_slice() else {
-                    shared.metrics.encode_failed.fetch_add(1, Ordering::Relaxed);
-                    let _ = p.tx.send(Err(ServeError::Internal("hidden state is not rank 2")));
-                    continue;
+                let reply = match *out.hidden.dims() {
+                    [d0, d1] => Ok(EncodeResponse {
+                        model: served.key.clone(),
+                        rev: served.rev,
+                        hidden: out.hidden.into_vec(),
+                        hidden_dims: [d0, d1],
+                        pooled: out.pooled.map(|t| t.into_vec()),
+                        batch_size: size,
+                        queue_us,
+                        compute_us,
+                    }),
+                    _ => Err(ServeError::Internal("hidden state is not rank 2")),
                 };
-                let response = EncodeResponse {
-                    model: served.key.clone(),
-                    rev: served.rev,
-                    hidden: out.hidden.into_vec(),
-                    hidden_dims: [d0, d1],
-                    pooled: out.pooled.map(|t| t.into_vec()),
-                    batch_size: size,
-                    queue_us,
-                    compute_us,
-                };
-                // As in `reject_expired`: record before sending so the
-                // counters lead the reply, undo if the receiver is gone.
-                shared.metrics.record_encode_ok(queue_us + compute_us, queue_us);
-                if p.tx.send(Ok(response)).is_err() {
-                    shared.metrics.unrecord_encode_ok(queue_us + compute_us, queue_us);
-                }
+                answer(shared, p, reply);
             }
         }
         Err(e) => {
             // Inputs were pre-validated, so this is a model-level
             // failure that applies to the whole fused batch equally.
             for p in batch.drain(..) {
-                shared.metrics.encode_failed.fetch_add(1, Ordering::Relaxed);
-                let _ = p.tx.send(Err(ServeError::Model(e.clone())));
+                answer(shared, p, Err(ServeError::Model(e.clone())));
             }
         }
     }
@@ -777,8 +700,43 @@ fn canary_encode(
 
 #[cfg(test)]
 mod tests {
-    use super::{hold_left, share, COALESCE_HOLD};
+    use super::{hold_left, share, EncodeRequest, SchedulerConfig, COALESCE_HOLD};
+    use crate::core::{Client, ServeCore, ServeOptions};
+    use crate::error::ServeError;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
     use std::time::Duration;
+
+    /// Requests for this model make [`super::sweep`] panic once it has
+    /// moved them into the worker's batch (test builds only).
+    pub(super) const SWEEP_PANICS: &str = "the-sweep-panics";
+
+    /// A panic inside the batching machinery costs what a panic in the
+    /// forward costs: the batch the sweep had taken is answered
+    /// `WorkerPanic` and counted — not dropped with its reply channels,
+    /// "worker reply lost" — the worker heals and serves the next
+    /// request, and the laws hold.
+    #[test]
+    fn a_panic_inside_the_sweep_fails_its_batch_as_worker_panic() {
+        gobo_fault::install_panic_silencer();
+        let core = ServeCore::start(ServeOptions {
+            scheduler: SchedulerConfig { workers: 1, ..SchedulerConfig::default() },
+            ..ServeOptions::default()
+        });
+        let client = Client::new(Arc::clone(&core));
+        for _ in 0..3 {
+            let reply = client.encode(EncodeRequest::new(SWEEP_PANICS, vec![1]));
+            assert!(matches!(reply, Err(ServeError::WorkerPanic)), "{reply:?}");
+        }
+        let reply = client.encode(EncodeRequest::new("ghost", vec![1]));
+        assert!(matches!(reply, Err(ServeError::ModelNotFound { .. })), "{reply:?}");
+        core.shutdown();
+        core.check_counter_laws().unwrap();
+        let m = core.metrics();
+        assert_eq!(m.worker_panics.load(Ordering::Relaxed), 3);
+        assert_eq!(m.worker_respawns.load(Ordering::Relaxed), 3);
+        assert_eq!(m.encode_failed.load(Ordering::Relaxed), 4);
+    }
 
     /// The split rule over its whole operating range: a non-empty
     /// backlog always yields a non-empty batch no larger than the

@@ -67,8 +67,8 @@ fn panic_every_fifth_encode_fails_only_injected_requests() {
     assert_eq!(panicked, 20);
     assert_eq!(core.metrics().worker_panics.load(Ordering::Relaxed), 20);
 
-    // Respawns trail the panics (supervisor poll + backoff); wait
-    // bounded for the counter, then confirm the pool still serves.
+    // Respawns trail the panics (by the backoff); wait bounded for
+    // the counter, then confirm the pool still serves.
     let deadline = Instant::now() + Duration::from_secs(5);
     while core.metrics().worker_respawns.load(Ordering::Relaxed) == 0 {
         assert!(Instant::now() < deadline, "no worker respawn within 5s");
@@ -359,4 +359,48 @@ fn concurrent_load_under_panics_degrades_cleanly() {
     assert!(panicked > 0, "the failpoint must have fired");
     assert!(core.metrics().worker_panics.load(Ordering::Relaxed) > 0, "panics must be counted");
     shutdown_and_check_counters(&core);
+}
+
+/// The law at every exit: a submitter that gave up at its deadline has
+/// counted itself, so whatever the worker answers when it finally gets
+/// there — found behind a 400 ms delay, 130 ms after the submitter's
+/// 20 ms deadline and 250 ms grace ran out — must not count a second
+/// time. Three exits: `ModelNotFound`, expiry in the pre-pass (the
+/// armed `serve.encode=panic` behind it then has nothing left to fire
+/// on), and `WorkerPanic` out of the forward itself.
+#[test]
+fn an_answer_nobody_waits_for_is_not_counted_twice() {
+    let _guard = FaultGuard::lock();
+    let cases = [
+        ("ghost", "serve.batch=delay(ms=400)", 0),
+        ("chaos", "serve.batch=delay(ms=400);serve.encode=panic", 0),
+        // The delay sits behind the pre-pass here, so the request is
+        // still live when the forward — on the canary — panics.
+        ("chaos", "serve.encode=delay(ms=400);serve.canary=panic", 1),
+    ];
+    for (model, failpoints, panics) in cases {
+        let core = ServeCore::start(ServeOptions {
+            scheduler: SchedulerConfig { workers: 1, ..SchedulerConfig::default() },
+            lifecycle: CanaryPolicy { traffic_pct: 100, ..CanaryPolicy::default() },
+            ..ServeOptions::default()
+        });
+        let client = Client::new(Arc::clone(&core));
+        client.register("chaos", &compressed(8)).unwrap();
+        core.registry().publish("chaos", &compressed(9)).unwrap();
+
+        gobo_fault::configure_str(failpoints).unwrap();
+        let mut request = EncodeRequest::new(model, vec![1, 2, 3]);
+        request.deadline = Some(Duration::from_millis(20));
+        let reply = client.encode(request);
+        assert!(matches!(reply, Err(ServeError::DeadlineExceeded)), "{failpoints}: {reply:?}");
+        // The drain waits for the worker to come out of its delay and
+        // answer the request nobody listens for any more.
+        core.shutdown();
+        gobo_fault::reset();
+        core.check_counter_laws().unwrap_or_else(|broken| panic!("{failpoints}: {broken}"));
+        let metrics = core.metrics();
+        assert_eq!(metrics.rejected_deadline.load(Ordering::Relaxed), 1, "{failpoints}");
+        assert_eq!(metrics.encode_failed.load(Ordering::Relaxed), 0, "{failpoints}");
+        assert_eq!(metrics.worker_panics.load(Ordering::Relaxed), panics, "{failpoints}");
+    }
 }

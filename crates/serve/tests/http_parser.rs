@@ -96,6 +96,38 @@ fn split_at_every_byte_parses_identically() {
     }
 }
 
+/// A body the parser cannot frame is refused, not guessed at: a
+/// `Transfer-Encoding` (served as an empty body, its chunk lines would
+/// be parsed as the next request on the connection) and two
+/// `Content-Length`s that disagree (the second used to win silently) —
+/// wherever the reads split, and before a byte past the headers is read.
+#[test]
+fn unframeable_bodies_are_rejected_at_every_split() {
+    let chunk_lines = "4\r\nbody\r\n0\r\n\r\n";
+    for headers in [
+        "POST /v1/encode HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n",
+        "POST /v1/encode HTTP/1.1\r\ntransfer-encoding: gzip, chunked\r\nContent-Length: 4\r\n\r\n",
+        "POST /v1/encode HTTP/1.1\r\nContent-Length: 4\r\nTransfer-Encoding: identity\r\n\r\n",
+        "POST /v1/encode HTTP/1.1\r\nContent-Length: 4\r\nHost: t\r\nContent-Length: 19\r\n\r\n",
+        "POST /v1/encode HTTP/1.1\r\nContent-Length: 19\r\ncontent-length: 4\r\n\r\n",
+    ] {
+        let raw = format!("{headers}{chunk_lines}").into_bytes();
+        for split in 0..=raw.len() {
+            let reader = SplitReader { data: raw.clone(), pos: 0, split };
+            let mut buffered = BufReader::with_capacity(3, reader);
+            let result = parse_request(&mut buffered, MAX_BODY);
+            assert!(matches!(result, Err(HttpError::Bad(_))), "split={split} of {headers:?}");
+            // `SplitReader` hands out nothing past `split` at once, so
+            // for a split inside the headers this is the parser's doing.
+            let read = buffered.get_ref().pos;
+            assert!(read <= headers.len().max(split), "split={split}: read {read} of {headers:?}");
+        }
+    }
+    // The same length said twice is one length.
+    let twice = "POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nbody";
+    assert_eq!(parse_str(twice).unwrap().unwrap().body, b"body");
+}
+
 #[test]
 fn pipelined_requests_parse_in_sequence() {
     let raw = concat!(
@@ -227,6 +259,30 @@ fn keep_alive_serves_pipelined_requests_on_one_socket() {
     assert_eq!(oks, 3, "expected 3 responses on one connection:\n{raw}");
     let hiddens = raw.matches("\"hidden\"").count();
     assert_eq!(hiddens, 3, "{raw}");
+
+    drop(server);
+    core.shutdown();
+}
+
+/// Over a real socket a chunked request costs one `400` and the
+/// connection: its chunk lines are never answered as a second request.
+#[test]
+fn a_chunked_request_is_refused_and_the_connection_closed() {
+    let core = ServeCore::start(ServeOptions::default());
+    let server = Server::bind(Arc::clone(&core), "127.0.0.1:0").unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let wire = "POST /v1/encode HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n\
+                1b\r\n{\"model\":\"m\",\"ids\":[1,2,3]}\r\n0\r\n\r\n";
+    stream.write_all(wire.as_bytes()).unwrap();
+    let mut raw = String::new();
+    // The server closes with our chunk lines unread, which may reset
+    // the connection after the response: what arrived is what counts.
+    let _ = stream.read_to_string(&mut raw);
+    assert!(raw.starts_with("HTTP/1.1 400 Bad Request"), "{raw}");
+    assert_eq!(raw.matches("HTTP/1.1 ").count(), 1, "one request, one response:\n{raw}");
+    assert!(raw.contains("Connection: close") && raw.contains("bad_request"), "{raw}");
+    assert!(raw.contains("transfer-encoding"), "{raw}");
 
     drop(server);
     core.shutdown();

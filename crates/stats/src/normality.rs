@@ -88,10 +88,6 @@ pub fn jarque_bera_per_sample(sample: &[f32]) -> Result<f64, StatsError> {
     Ok(jarque_bera(sample)? / sample.len() as f64)
 }
 
-/// The χ²(2) critical value at the 5% level, for interpreting
-/// [`jarque_bera`] on small samples.
-pub const JB_CRITICAL_5PCT: f64 = 5.991;
-
 #[cfg(test)]
 mod tests {
     use super::*;

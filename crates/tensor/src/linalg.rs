@@ -318,29 +318,6 @@ fn matmul_blocked(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: 
     }
 }
 
-/// Stacks rank-1 tensors into a rank-2 matrix, one tensor per row.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] unless every row has the same
-/// length, and [`TensorError::EmptyDimension`] for an empty input.
-pub fn stack_rows(rows: &[Tensor]) -> Result<Tensor, TensorError> {
-    let first = rows.first().ok_or(TensorError::EmptyDimension { op: "stack_rows" })?;
-    let cols = first.len();
-    let mut data = Vec::with_capacity(rows.len() * cols);
-    for r in rows {
-        if r.len() != cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "stack_rows",
-                lhs: first.dims().to_vec(),
-                rhs: r.dims().to_vec(),
-            });
-        }
-        data.extend_from_slice(r.as_slice());
-    }
-    Ok(Tensor::from_vec(data, &[rows.len(), cols]).expect("sized above"))
-}
-
 /// Splits the columns of a `(rows, heads·head_dim)` matrix into
 /// `(heads, rows, head_dim)`, the layout used by multi-head attention.
 ///
@@ -430,11 +407,6 @@ pub fn transpose_batched(x: &Tensor) -> Result<Tensor, TensorError> {
         }
     }
     Ok(Tensor::from_vec(data, &[b, n, m]).expect("sized above"))
-}
-
-/// Frobenius (L2) norm of all elements.
-pub fn frobenius_norm(x: &Tensor) -> f32 {
-    x.as_slice().iter().map(|&v| v * v).sum::<f32>().sqrt()
 }
 
 #[cfg(test)]
@@ -602,17 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn stack_rows_builds_matrix() {
-        let rows = vec![t(vec![1.0, 2.0], &[2]), t(vec![3.0, 4.0], &[2])];
-        let m = stack_rows(&rows).unwrap();
-        assert_eq!(m.dims(), &[2, 2]);
-        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
-        assert!(stack_rows(&[]).is_err());
-        let ragged = vec![t(vec![1.0], &[1]), t(vec![1.0, 2.0], &[2])];
-        assert!(stack_rows(&ragged).is_err());
-    }
-
-    #[test]
     fn split_and_merge_heads_round_trip() {
         let x = t((0..24).map(|v| v as f32).collect(), &[3, 8]);
         let split = split_heads(&x, 2).unwrap();
@@ -637,11 +598,5 @@ mod tests {
         assert_eq!(tx.dims(), &[2, 3, 2]);
         assert_eq!(tx.get(&[0, 2, 1]).unwrap(), x.get(&[0, 1, 2]).unwrap());
         assert_eq!(tx.get(&[1, 0, 1]).unwrap(), x.get(&[1, 1, 0]).unwrap());
-    }
-
-    #[test]
-    fn frobenius_norm_known() {
-        let x = t(vec![3.0, 4.0], &[2]);
-        assert!((frobenius_norm(&x) - 5.0).abs() < 1e-6);
     }
 }

@@ -141,13 +141,6 @@ impl Tensor {
         Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&x| f(x)).collect() }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Combines two same-shaped tensors element-wise.
     ///
     /// # Errors
@@ -394,15 +387,6 @@ mod tests {
         let t: Tensor = (0..4).map(|x| x as f32).collect();
         assert_eq!(t.dims(), &[4]);
         assert_eq!(t.as_slice(), &[0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn map_and_map_inplace_agree() {
-        let a = Tensor::from_vec(vec![1.0, -2.0], &[2]).unwrap();
-        let mapped = a.map(f32::abs);
-        let mut b = a.clone();
-        b.map_inplace(f32::abs);
-        assert_eq!(mapped, b);
     }
 
     #[test]

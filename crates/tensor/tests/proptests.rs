@@ -1,6 +1,6 @@
 //! Property-based tests for the tensor substrate.
 
-use gobo_tensor::linalg::{merge_heads, split_heads, stack_rows, transpose_batched};
+use gobo_tensor::linalg::{merge_heads, split_heads, transpose_batched};
 use gobo_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -128,7 +128,8 @@ proptest! {
                 Tensor::from_vec(row, &[cols]).unwrap()
             })
             .collect();
-        let m = stack_rows(&rows).unwrap();
+        let stacked: Vec<f32> = rows.iter().flat_map(|row| row.as_slice().to_vec()).collect();
+        let m = Tensor::from_vec(stacked, &[n, cols]).unwrap();
         for (r, original) in rows.iter().enumerate() {
             prop_assert_eq!(&m.row(r).unwrap(), original);
         }

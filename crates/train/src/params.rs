@@ -62,11 +62,6 @@ impl ParamSet {
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Tensor)> {
         self.params.iter().map(|(k, v)| (k.as_str(), v))
     }
-
-    /// Total number of scalar parameters.
-    pub fn scalar_count(&self) -> usize {
-        self.params.values().map(Tensor::len).sum()
-    }
 }
 
 impl FromIterator<(String, Tensor)> for ParamSet {
@@ -126,7 +121,6 @@ mod tests {
         p.insert("b", Tensor::zeros(&[2]));
         p.insert("a", Tensor::ones(&[3]));
         assert_eq!(p.len(), 2);
-        assert_eq!(p.scalar_count(), 5);
         assert!(p.get("a").is_ok());
         assert!(p.get("missing").is_err());
         // Name-ordered iteration.

@@ -614,10 +614,21 @@ fn raw_mutations_of_the_text_parsers() {
         "POST /v1/encode HTTP/1.1\r\nHost: fuzz\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
         body.len()
     );
+    // A second seed the parser refuses whole — a chunked body behind two
+    // lengths that disagree — so mutations start from its refusal paths.
+    let chunked = format!(
+        "POST /v1/encode HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: {}\r\n\
+         Transfer-Encoding: chunked\r\n\r\n{:x}\r\n{body}\r\n0\r\n\r\n",
+        body.len(),
+        body.len()
+    );
+    let unmutated = gobo_serve::http::parse_request(&mut chunked.as_bytes(), MAX_BODY);
+    assert!(unmutated.is_err(), "the chunked seed parsed: {unmutated:?}");
+    let seeds = [request.as_bytes(), chunked.as_bytes()];
     let mut rng = StdRng::seed_from_u64(0xF3);
     let (mut parsed, mut refused) = (0usize, 0usize);
     for round in 0..3_000 {
-        let input = mutate(&mut rng, request.as_bytes());
+        let input = mutate(&mut rng, seeds[round % seeds.len()]);
         let what = format!("http (round {round})");
         match bounded(&what, &input, |mut b| gobo_serve::http::parse_request(&mut b, MAX_BODY)) {
             Ok(_) => parsed += 1,
