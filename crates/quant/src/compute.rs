@@ -31,7 +31,7 @@ use gobo_tensor::linalg::{gemm_nt, WeightTiles, TILE_COLS};
 
 use crate::error::QuantError;
 use crate::layer::QuantizedLayer;
-use crate::packing;
+use crate::packing::{self, GroupLut};
 
 /// A [`QuantizedLayer`] with matrix shape, supporting products without
 /// decompression.
@@ -98,7 +98,8 @@ impl QuantizedMatrix {
     /// # Errors
     ///
     /// Returns [`QuantError::InvalidConfig`] unless `a.len()` is a
-    /// multiple of `cols`.
+    /// multiple of `cols`, and [`QuantError::UnsupportedBits`] for an
+    /// index width outside 1–8 (which no encoded or parsed layer has).
     pub fn matmul_blocked(&self, a: &[f32]) -> Result<Vec<f32>, QuantError> {
         if self.cols == 0 || !a.len().is_multiple_of(self.cols) {
             return Err(QuantError::InvalidConfig { name: "a.len" });
@@ -106,17 +107,18 @@ impl QuantizedMatrix {
         let m = a.len() / self.cols;
         let _span =
             gobo_obs::span!("gobo.batch_gemm", rows = self.rows, cols = self.cols, batch = m);
-        let (positions, values) = self.layer.outliers();
-        let mut tiles = TileDecoder {
-            cols: self.cols,
-            lut: self.layer.codebook().lut(),
-            positions,
-            values,
-            packed: self.layer.packed_indices(),
-            bits: self.layer.bits(),
-            tile: [0.0; TILE_COLS],
-        };
-        Ok(gemm_nt(a, m, self.cols, self.rows, &mut tiles))
+        let (k, n) = (self.cols, self.rows);
+        Ok(match self.layer.bits() {
+            1 => gemm_nt(a, m, k, n, &mut self.tiles::<1>()),
+            2 => gemm_nt(a, m, k, n, &mut self.tiles::<2>()),
+            3 => gemm_nt(a, m, k, n, &mut self.tiles::<3>()),
+            4 => gemm_nt(a, m, k, n, &mut self.tiles::<4>()),
+            5 => gemm_nt(a, m, k, n, &mut self.tiles::<5>()),
+            6 => gemm_nt(a, m, k, n, &mut self.tiles::<6>()),
+            7 => gemm_nt(a, m, k, n, &mut self.tiles::<7>()),
+            8 => gemm_nt(a, m, k, n, &mut self.tiles::<8>()),
+            bits => return Err(QuantError::UnsupportedBits { bits }),
+        })
     }
 
     /// Decodes to a dense row-major weight matrix (for verification and
@@ -124,44 +126,72 @@ impl QuantizedMatrix {
     pub fn to_dense(&self) -> Vec<f32> {
         self.layer.decode()
     }
+
+    /// The packed tile source for a layer of width `BITS`.
+    fn tiles<const BITS: usize>(&self) -> TileDecoder<'_, BITS> {
+        let (positions, values) = self.layer.outliers();
+        TileDecoder {
+            cols: self.cols,
+            total: self.layer.total(),
+            lut: GroupLut::new(&self.layer.codebook().lut()),
+            positions,
+            values,
+            packed: self.layer.packed_indices(),
+            next: 0,
+            tile: [0.0; TILE_COLS],
+        }
+    }
 }
 
-/// Decodes weight tiles for [`gemm_nt`] from the packed layer.
-struct TileDecoder<'a> {
+/// Decodes weight tiles for [`gemm_nt`] from a packed layer of width
+/// `BITS`.
+struct TileDecoder<'a, const BITS: usize> {
     cols: usize,
-    /// [`Codebook::lut`](crate::codebook::Codebook::lut); indices are
-    /// validated against the codebook when a layer is parsed.
-    lut: [f32; 256],
+    total: usize,
+    /// The codebook; indices are validated against it when a layer is
+    /// parsed.
+    lut: GroupLut<BITS>,
     positions: &'a [u32],
     values: &'a [f32],
     packed: &'a [u8],
-    bits: u8,
+    /// The first outlier at or after the end of the last tile asked for:
+    /// where the next tile in row-major order starts.
+    next: usize,
     tile: [f32; TILE_COLS],
 }
 
-impl WeightTiles for TileDecoder<'_> {
+impl<const BITS: usize> WeightTiles for TileDecoder<'_, BITS> {
     /// Outlier positions are ascending, so the tile splits at the
     /// outliers it holds: the G-group runs between them are gathered
     /// through the codebook, the outlier values are written as stored.
+    /// [`gemm_nt`] asks in row-major order, so the outliers are found by
+    /// a cursor; a binary search only rewinds it for a tile asked out of
+    /// order.
     fn tile(&mut self, row: usize, col: usize, width: usize) -> &[f32] {
         let start = row * self.cols + col;
-        let first = self.positions.partition_point(|&p| (p as usize) < start);
-        let held = self.positions[first..].partition_point(|&p| (p as usize) < start + width);
-        // Every outlier before `start` is one G-group index not stored.
-        let mut g_at = start - first;
-        let mut at = 0;
-        let mut gather = |tile: &mut [f32]| {
-            packing::unpack_run_lut(self.packed, self.bits, g_at, &self.lut, tile)
-                .expect("QuantizedMatrix::new checked the payload covers every G-group index");
-            g_at += tile.len();
-        };
-        for (&p, &v) in self.positions[first..first + held].iter().zip(&self.values[first..]) {
-            let local = p as usize - start;
-            gather(&mut self.tile[at..local]);
-            self.tile[local] = v;
-            at = local + 1;
+        let end = start + width;
+        // `new` checked that the payload holds every G-group index of the
+        // matrix, so this one check covers every run of the tile.
+        assert!(end <= self.total, "tile {start}..{end} outside a {}-weight matrix", self.total);
+        let positions = self.positions;
+        let cursor_at_start =
+            self.next.checked_sub(1).is_none_or(|p| (positions[p] as usize) < start)
+                && positions.get(self.next).is_none_or(|&p| p as usize >= start);
+        if !cursor_at_start {
+            self.next = positions.partition_point(|&p| (p as usize) < start);
         }
-        gather(&mut self.tile[at..width]);
+        // Every outlier before `start` is one G-group index not stored.
+        let mut g_at = start - self.next;
+        let mut at = 0;
+        while let Some(&p) = positions.get(self.next).filter(|&&p| (p as usize) < end) {
+            let local = p as usize - start;
+            self.lut.unpack_run(self.packed, g_at, &mut self.tile[at..local]);
+            g_at += local - at;
+            self.tile[local] = self.values[self.next];
+            at = local + 1;
+            self.next += 1;
+        }
+        self.lut.unpack_run(self.packed, g_at, &mut self.tile[at..width]);
         &self.tile[..width]
     }
 }
@@ -169,8 +199,13 @@ impl WeightTiles for TileDecoder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codebook::{Codebook, ConvergenceTrace};
     use crate::config::{QuantConfig, QuantMethod};
+    use crate::oracle;
     use gobo_tensor::Tensor;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{RngCore, SeedableRng};
 
     /// Quantizes smooth weights with `outliers` planted at the given
     /// flat positions (far outside the bulk, so they are detected).
@@ -195,11 +230,60 @@ mod tests {
         matrix_with(rows, cols, bits, &[5, rows * cols - 9])
     }
 
+    /// A `bits`-wide matrix whose parts are chosen here, not by a
+    /// quantizer: seeded indices over the whole codebook, and outliers
+    /// placed so that G-group runs start at every position 0–7 of an
+    /// 8-index group with every length 0–9.
+    fn planted(cols: usize, bits: u8) -> QuantizedMatrix {
+        let mut is_outlier = Vec::new();
+        let mut g = 0usize;
+        for phase in 0..8 {
+            for len in 0..=9 {
+                while g % 8 != phase {
+                    is_outlier.push(false);
+                    g += 1;
+                }
+                is_outlier.push(true);
+                is_outlier.extend(std::iter::repeat_n(false, len));
+                g += len;
+                is_outlier.push(true);
+            }
+        }
+        let rows = is_outlier.len().div_ceil(cols) + 1;
+        is_outlier.resize(rows * cols, false);
+        let positions: Vec<u32> =
+            (0..rows * cols).filter(|&at| is_outlier[at]).map(|at| at as u32).collect();
+        let values: Vec<f32> = (0..positions.len())
+            .map(|j| if j % 2 == 0 { 1.0 + j as f32 * 0.01 } else { -1.0 - j as f32 * 0.01 })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(u64::from(bits) * 1000 + cols as u64);
+        let indices: Vec<u8> = (0..rows * cols - positions.len())
+            .map(|_| (rng.next_u64() % (1 << bits)) as u8)
+            .collect();
+        let codebook =
+            Codebook::new((0..1 << bits).map(|k| k as f32 * 0.003 - 0.2).collect()).unwrap();
+        let layer = QuantizedLayer::from_parts(
+            QuantMethod::Gobo,
+            bits,
+            rows * cols,
+            codebook,
+            packing::pack(&indices, bits).unwrap(),
+            positions,
+            values,
+            ConvergenceTrace::default(),
+        );
+        QuantizedMatrix::new(layer, rows, cols).unwrap()
+    }
+
     /// The packed product must equal `Tensor::matmul_nt` on the decoded
     /// layer **bit for bit**, at every batch size.
     fn assert_matches_decoded(qm: &QuantizedMatrix, what: &str) {
+        assert_matches_dense(qm, qm.to_dense(), what);
+    }
+
+    fn assert_matches_dense(qm: &QuantizedMatrix, dense: Vec<f32>, what: &str) {
         let (rows, cols) = (qm.rows(), qm.cols());
-        let dense = Tensor::from_vec(qm.to_dense(), &[rows, cols]).unwrap();
+        let dense = Tensor::from_vec(dense, &[rows, cols]).unwrap();
         for m in [1usize, 2, 5, 32] {
             let a: Vec<f32> = (0..m * cols).map(|i| (i as f32 * 0.11).sin()).collect();
             let got = qm.matmul_blocked(&a).unwrap();
@@ -241,6 +325,61 @@ mod tests {
             let qm = matrix_with(6, cols, 3, outliers);
             assert_eq!(qm.to_dense().len(), 6 * cols);
             assert_matches_decoded(&qm, what);
+        }
+    }
+
+    /// `decode()` and the tile decode share one unpack loop, so the
+    /// dense side here is rebuilt from the bytewise oracle instead: at
+    /// every width, with runs at every group position and length 0–9.
+    #[test]
+    fn matmul_blocked_matches_the_bytewise_oracle_at_every_width() {
+        for bits in 1u8..=8 {
+            for cols in [13, 256, 300] {
+                let qm = planted(cols, bits);
+                let layer = qm.layer();
+                let (positions, values) = layer.outliers();
+                let g_count = layer.total() - layer.outlier_count();
+                let indices =
+                    oracle::unpack_bytewise(layer.packed_indices(), bits, g_count).unwrap();
+                let centroids = layer.codebook().centroids();
+                let mut g = indices.iter().map(|&i| centroids[usize::from(i)]);
+                let mut outliers = positions.iter().zip(values).peekable();
+                let dense: Vec<f32> = (0..layer.total())
+                    .map(|at| match outliers.next_if(|(&p, _)| p as usize == at) {
+                        Some((_, &v)) => v,
+                        None => g.next().unwrap(),
+                    })
+                    .collect();
+                assert_matches_dense(&qm, dense, &format!("oracle {bits}b"));
+            }
+        }
+    }
+
+    /// `gemm_nt` asks for tiles in row-major order and the decoder's
+    /// outlier cursor relies on it, but `WeightTiles` promises no order:
+    /// asked backwards or shuffled, every tile still decodes bit for bit.
+    #[test]
+    fn tiles_asked_out_of_order_match_in_order() {
+        for cols in [13, 300] {
+            let qm = planted(cols, 3);
+            let spans: Vec<(usize, usize, usize)> = (0..qm.rows())
+                .flat_map(|r| {
+                    (0..cols).step_by(TILE_COLS).map(move |c| (r, c, TILE_COLS.min(cols - c)))
+                })
+                .collect();
+            let bits_of = |tile: &[f32]| tile.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            let mut tiles = qm.tiles::<3>();
+            let in_order: Vec<_> =
+                spans.iter().map(|&(r, c, w)| bits_of(tiles.tile(r, c, w))).collect();
+            let mut shuffled: Vec<usize> = (0..spans.len()).collect();
+            shuffled.shuffle(&mut StdRng::seed_from_u64(7));
+            for order in [(0..spans.len()).rev().collect(), shuffled] {
+                let mut tiles = qm.tiles::<3>();
+                for i in order {
+                    let (r, c, w) = spans[i];
+                    assert_eq!(bits_of(tiles.tile(r, c, w)), in_order[i], "{cols} cols, tile {i}");
+                }
+            }
         }
     }
 

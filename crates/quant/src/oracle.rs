@@ -5,9 +5,11 @@
 //! [`scalar_linear_quantize_g`]) and the bytewise bit packer
 //! ([`pack_bytewise`], [`unpack_bytewise`]), exactly as they were before
 //! [`crate::kernel`] and [`crate::packing`] replaced them. The tests in
-//! `tests/kernel_equivalence.rs` assert that the fused and
-//! word-at-a-time paths produce bit-identical output, up to a G group
-//! of the paper's 768 × 768 layer; nothing else calls this module.
+//! `tests/kernel_equivalence.rs` assert that the fused kernels, the
+//! word-at-a-time packer and the group-at-a-time unpacker produce
+//! bit-identical output, up to a G group of the paper's 768 × 768 layer;
+//! `compute`'s tests rebuild dense weights from [`unpack_bytewise`].
+//! Nothing else calls this module.
 
 use crate::codebook::{Codebook, ConvergenceTrace};
 use crate::error::QuantError;

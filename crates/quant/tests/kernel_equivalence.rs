@@ -113,6 +113,24 @@ proptest! {
         prop_assert_eq!(packing::unpack(&word, bits, clipped.len()).unwrap(), clipped.clone());
         prop_assert_eq!(oracle::unpack_bytewise(&word, bits, clipped.len()).unwrap(), clipped);
     }
+
+    #[test]
+    fn unpack_run_matches_bytewise_oracle_at_any_offset(
+        values in proptest::collection::vec(0u8..=255, 0..900),
+        bits in 1u8..=8,
+        start in 0usize..900,
+        len in 0usize..900,
+    ) {
+        let mask = if bits == 8 { 0xFF } else { (1u8 << bits) - 1 };
+        let clipped: Vec<u8> = values.iter().map(|v| v & mask).collect();
+        let packed = packing::pack(&clipped, bits).unwrap();
+        let start = start % (clipped.len() + 1);
+        let len = len % (clipped.len() - start + 1);
+        let mut run = vec![0u8; len];
+        packing::unpack_run(&packed, bits, start, &mut run).unwrap();
+        let all = oracle::unpack_bytewise(&packed, bits, clipped.len()).unwrap();
+        prop_assert_eq!(&run[..], &all[start..start + len]);
+    }
 }
 
 /// A 768 × 768 G group — BERT-Base's attention matrices, 589 824
