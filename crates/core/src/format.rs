@@ -116,25 +116,12 @@ impl CompressedModel {
     ///
     /// # Errors
     ///
-    /// As [`CompressedModel::decode_layers`].
+    /// Propagates archive entries the configuration does not define or
+    /// whose element count disagrees with it (a hand-built container;
+    /// [`CompressedModel::from_bytes`] refuses both).
     pub fn decode(&self) -> Result<TransformerModel, FormatError> {
-        self.decode_layers(|_| true)
-    }
-
-    /// The skeleton plus the archived layers whose name `wanted`
-    /// accepts, decoded to FP32; every other archived weight stays
-    /// absent.
-    ///
-    /// # Errors
-    ///
-    /// Propagates wanted archive entries the configuration does not
-    /// define or whose element count disagrees with it.
-    pub fn decode_layers(
-        &self,
-        wanted: impl Fn(&str) -> bool,
-    ) -> Result<TransformerModel, FormatError> {
         let mut model = self.skeleton.clone();
-        for (name, layer) in self.archive.iter().filter(|(name, _)| wanted(name)) {
+        for (name, layer) in self.archive.iter() {
             let dims = model.weight_dims(name)?;
             let tensor = Tensor::from_vec(layer.decode(), &dims).map_err(ModelError::from)?;
             model.set_weight(name, tensor)?;
@@ -166,8 +153,10 @@ impl CompressedModel {
     /// # Errors
     ///
     /// Returns [`FormatError::Corrupt`] for structural problems —
-    /// including a weight supplied by neither or by both sides — and
-    /// propagates model/container failures.
+    /// including a weight supplied by neither or by both sides, and an
+    /// archive entry the configuration does not define or of another
+    /// element count than it prescribes — and propagates model/container
+    /// failures.
     pub fn from_bytes(data: &[u8]) -> Result<Self, FormatError> {
         let mut r = ByteReader::new(data);
         if r.u32()? != COMPRESSED_MAGIC {
@@ -194,6 +183,16 @@ impl CompressedModel {
                     return Err(FormatError::Corrupt("weight in both skeleton and archive"))
                 }
                 _ => {}
+            }
+        }
+        for (name, layer) in archive.iter() {
+            let Ok([rows, cols]) = skeleton.weight_dims(name) else {
+                return Err(FormatError::Corrupt(
+                    "archive entry the configuration does not define",
+                ));
+            };
+            if rows.checked_mul(cols) != Some(layer.total()) {
+                return Err(FormatError::Corrupt("archive entry of the wrong size"));
             }
         }
         Ok(CompressedModel { skeleton, archive })
@@ -232,6 +231,7 @@ mod tests {
     use super::*;
     use crate::pipeline::{quantize_model, QuantizeOptions};
     use gobo_model::config::ModelConfig;
+    use gobo_quant::container::ModelArchive;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -303,27 +303,41 @@ mod tests {
         assert_eq!(err, ModelError::AbsentWeight { name: "encoder.0.attention.query".into() });
     }
 
-    /// Re-frames `compressed` with a hand-edited skeleton, as a buggy
-    /// or hostile writer would (valid CRC, wrong weight ownership).
-    fn reframed(compressed: &CompressedModel, skeleton: TransformerModel) -> Vec<u8> {
-        CompressedModel { skeleton, archive: compressed.archive.clone() }.to_bytes()
+    /// Frames a hand-edited skeleton and archive, as a buggy or hostile
+    /// writer would (valid CRC, wrong weight ownership or shape).
+    fn reframed(skeleton: TransformerModel, archive: ModelArchive) -> Vec<u8> {
+        CompressedModel { skeleton, archive }.to_bytes()
     }
 
     #[test]
     fn rejects_weight_on_both_sides_and_on_neither() {
         let (decoded, compressed) = quantized();
-        let mut both = compressed.skeleton.clone();
+        let (skeleton, archive) = (&compressed.skeleton, &compressed.archive);
+        let mut both = skeleton.clone();
         both.set_weight("pooler", decoded.weight("pooler").unwrap().clone()).unwrap();
-        assert!(matches!(
-            CompressedModel::from_bytes(&reframed(&compressed, both)),
-            Err(FormatError::Corrupt("weight in both skeleton and archive"))
-        ));
-        let mut neither = compressed.skeleton.clone();
+        let mut neither = skeleton.clone();
         neither.remove_weight("embeddings.position").unwrap();
-        assert!(matches!(
-            CompressedModel::from_bytes(&reframed(&compressed, neither)),
-            Err(FormatError::Corrupt("weight missing from skeleton and archive"))
-        ));
+        // The archive plus the pooler's layer once more, under `name`.
+        let plus = |name: &str| {
+            let mut out = archive.clone();
+            out.push(name, archive.get("pooler").unwrap().clone()).unwrap();
+            out
+        };
+        for (bytes, want) in [
+            (reframed(both, archive.clone()), "weight in both skeleton and archive"),
+            (
+                reframed(neither.clone(), archive.clone()),
+                "weight missing from skeleton and archive",
+            ),
+            (
+                reframed(skeleton.clone(), plus("encoder.9.output")),
+                "archive entry the configuration does not define",
+            ),
+            (reframed(neither, plus("embeddings.position")), "archive entry of the wrong size"),
+        ] {
+            let refusal = CompressedModel::from_bytes(&bytes).err().map(|e| e.to_string());
+            assert_eq!(refusal, Some(format!("corrupt compressed model: {want}")));
+        }
     }
 
     #[test]

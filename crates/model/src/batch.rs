@@ -17,7 +17,6 @@
 //! identical** to calling [`TransformerModel::encode`] once per
 //! sequence. The serve tier's byte-identical parity tests rely on this.
 
-use gobo_tensor::embed::gather_rows;
 use gobo_tensor::linalg::{merge_heads, split_heads, transpose_batched};
 use gobo_tensor::norm::LAYER_NORM_EPS;
 use gobo_tensor::Tensor;
@@ -56,7 +55,8 @@ impl TransformerModel {
     }
 
     /// [`TransformerModel::encode_batch`] with a pluggable
-    /// [`WeightCompute`] backend for the FC products.
+    /// [`WeightCompute`] backend for the embedding gathers and the FC
+    /// products.
     ///
     /// # Errors
     ///
@@ -88,9 +88,9 @@ impl TransformerModel {
         // --- Embeddings (stacked) -----------------------------------------
         let all_ids: Vec<usize> =
             inputs.iter().flat_map(|input| input.ids.iter().copied()).collect();
-        let word = gather_rows(self.weight("embeddings.word")?, &all_ids)?;
+        let word = compute.gather_rows(self, "embeddings.word", &all_ids)?;
         let positions: Vec<usize> = inputs.iter().flat_map(|input| 0..input.ids.len()).collect();
-        let pos = gather_rows(self.weight("embeddings.position")?, &positions)?;
+        let pos = compute.gather_rows(self, "embeddings.position", &positions)?;
         let mut x = word.add(&pos)?;
         if config.type_vocab > 0 {
             let mut types = Vec::with_capacity(total);
@@ -101,7 +101,7 @@ impl TransformerModel {
                     types.extend_from_slice(input.type_ids);
                 }
             }
-            let tt = gather_rows(self.weight("embeddings.token_type")?, &types)?;
+            let tt = compute.gather_rows(self, "embeddings.token_type", &types)?;
             x = x.add(&tt)?;
         }
         x = x.layer_norm(

@@ -22,16 +22,36 @@
 //! straight through the codebook, outlier values written between the
 //! runs) exactly once and reused across **all** rows of the activation
 //! batch, so the per-element decode cost — which dominates low-bit
-//! inference at small batches — is amortized by the batch size. No
-//! unpacked copy outlives a tile, so the resident footprint is the
-//! compressed layer itself, and because the dense product is the same
-//! kernel over the same values, the two agree bit for bit.
+//! inference at small batches — is amortized by the batch size;
+//! [`QuantizedMatrix::gather_rows`] decodes just the looked-up rows of an
+//! embedding table. No unpacked copy outlives a tile, so the resident
+//! footprint is the compressed layer itself, and because the dense
+//! product is the same kernel over the same values, the two agree bit
+//! for bit.
 
 use gobo_tensor::linalg::{gemm_nt, WeightTiles, TILE_COLS};
 
 use crate::error::QuantError;
 use crate::layer::QuantizedLayer;
 use crate::packing::{self, GroupLut};
+
+/// Evaluates `$body` with `$tiles` bound to `$qm`'s tile decoder at the
+/// layer's index width: the one width dispatch, for every consumer. A
+/// width outside 1–8 returns [`QuantError::UnsupportedBits`].
+macro_rules! with_tiles {
+    ($qm:expr, |$tiles:ident| $body:expr) => {
+        with_tiles!($qm, $tiles, $body, 1 2 3 4 5 6 7 8)
+    };
+    ($qm:expr, $tiles:ident, $body:expr, $($bits:literal)*) => {
+        match $qm.layer.bits() {
+            $($bits => {
+                let $tiles = &mut $qm.tiles::<$bits>();
+                $body
+            })*
+            bits => return Err(QuantError::UnsupportedBits { bits }),
+        }
+    };
+}
 
 /// A [`QuantizedLayer`] with matrix shape, supporting products without
 /// decompression.
@@ -108,17 +128,27 @@ impl QuantizedMatrix {
         let _span =
             gobo_obs::span!("gobo.batch_gemm", rows = self.rows, cols = self.cols, batch = m);
         let (k, n) = (self.cols, self.rows);
-        Ok(match self.layer.bits() {
-            1 => gemm_nt(a, m, k, n, &mut self.tiles::<1>()),
-            2 => gemm_nt(a, m, k, n, &mut self.tiles::<2>()),
-            3 => gemm_nt(a, m, k, n, &mut self.tiles::<3>()),
-            4 => gemm_nt(a, m, k, n, &mut self.tiles::<4>()),
-            5 => gemm_nt(a, m, k, n, &mut self.tiles::<5>()),
-            6 => gemm_nt(a, m, k, n, &mut self.tiles::<6>()),
-            7 => gemm_nt(a, m, k, n, &mut self.tiles::<7>()),
-            8 => gemm_nt(a, m, k, n, &mut self.tiles::<8>()),
-            bits => return Err(QuantError::UnsupportedBits { bits }),
-        })
+        Ok(with_tiles!(self, |tiles| gemm_nt(a, m, k, n, tiles)))
+    }
+
+    /// Rows `ids` (any order, repeats allowed) as a row-major
+    /// `(ids.len(), cols)` buffer, decoded by `matmul_blocked`'s tile
+    /// decoder: each row equals the decoded layer's row bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// [`QuantError::InvalidConfig`] for an id past the last row.
+    pub fn gather_rows(&self, ids: &[usize]) -> Result<Vec<f32>, QuantError> {
+        if ids.iter().any(|&id| id >= self.rows) {
+            return Err(QuantError::InvalidConfig { name: "row id" });
+        }
+        let mut out = Vec::with_capacity(ids.len() * self.cols);
+        with_tiles!(self, |tiles| for &id in ids {
+            for col in (0..self.cols).step_by(TILE_COLS) {
+                out.extend_from_slice(tiles.tile(id, col, TILE_COLS.min(self.cols - col)));
+            }
+        });
+        Ok(out)
     }
 
     /// Decodes to a dense row-major weight matrix (for verification and
@@ -330,7 +360,8 @@ mod tests {
 
     /// `decode()` and the tile decode share one unpack loop, so the
     /// dense side here is rebuilt from the bytewise oracle instead: at
-    /// every width, with runs at every group position and length 0–9.
+    /// every width, with runs at every group position and length 0–9,
+    /// for the product and for row gathers in any order.
     #[test]
     fn matmul_blocked_matches_the_bytewise_oracle_at_every_width() {
         for bits in 1u8..=8 {
@@ -350,6 +381,20 @@ mod tests {
                         None => g.next().unwrap(),
                     })
                     .collect();
+                let rows: Vec<usize> = (0..qm.rows()).collect();
+                let reversed: Vec<usize> = rows.iter().rev().copied().collect();
+                let repeated = [1, 1, 0, qm.rows() - 1, 1];
+                for ids in [&rows[..], &reversed, &repeated] {
+                    let want: Vec<u32> = ids
+                        .iter()
+                        .flat_map(|&r| &dense[r * cols..][..cols])
+                        .map(|w| w.to_bits())
+                        .collect();
+                    let got = qm.gather_rows(ids).unwrap();
+                    let got: Vec<u32> = got.iter().map(|w| w.to_bits()).collect();
+                    assert_eq!(got, want, "gather {bits}b {cols} cols {ids:?}");
+                }
+                assert!(qm.gather_rows(&[0, qm.rows()]).is_err(), "{bits}b {cols} cols");
                 assert_matches_dense(&qm, dense, &format!("oracle {bits}b"));
             }
         }

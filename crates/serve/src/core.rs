@@ -105,7 +105,10 @@ impl ServeCore {
     ///   between `ok + failed` and `ok + failed + rejected_deadline` — an
     ///   equality whenever no deadline expired;
     /// * no batch exceeded `max_batch`, and none was empty;
-    /// * the queue is empty, by the gauge and by the queue itself.
+    /// * the queue is empty, by the gauge and by the queue itself;
+    /// * the registry's bytes agree three ways: the `gobo_registry_bytes`
+    ///   gauge, [`ModelRegistry::resident_bytes`] and the sum of the
+    ///   resident rows of [`ModelRegistry::status`].
     ///
     /// # Errors
     ///
@@ -117,6 +120,8 @@ impl ServeCore {
         let (requests, batched) = (v(&m.encode_requests), v(&m.batched_requests));
         let answered = ok + failed + expired + v(&m.rejected_queue_full) + v(&m.rejected_shutdown);
         let max_batch = self.scheduler.config().max_batch.max(1) as u64;
+        let (gauge, total) = (v(&m.registry_bytes), self.registry.resident_bytes() as u64);
+        let rows: usize = self.registry.status().iter().map(|s| s.resident_bytes).sum();
         let broken = if requests != answered {
             format!("requests in {requests} != answers out {answered}:\n{}", m.render())
         } else if !(ok + failed..=ok + failed + expired).contains(&batched) {
@@ -134,6 +139,8 @@ impl ServeCore {
                 v(&m.queue_depth),
                 self.scheduler.queue_depth()
             )
+        } else if gauge != total || total != rows as u64 {
+            format!("registry bytes: gauge {gauge}, registry {total}, Σ status rows {rows}")
         } else {
             return Ok(());
         };

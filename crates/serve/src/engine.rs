@@ -1,20 +1,20 @@
 //! The compute-on-compressed serving engine.
 //!
-//! A served model has one weight representation. Every FC layer the
-//! archive carries stays packed — a [`QuantizedMatrix`] over the
-//! archive's own index bytes, codebook and outliers — and
-//! [`QuantizedEngine`] wires it into the forward pass: it implements
-//! [`WeightCompute`], routing each archived FC product to
-//! [`QuantizedMatrix::matmul_blocked`], the tiled batched GEMM that
-//! decodes each weight tile **once** per batch into a scratch tile and
-//! never materializes the matrix. The [`TransformerModel`] beside it
-//! holds only what that leaves: the configuration, the auxiliary
-//! parameters, the embedding tables (consumed by row gathers, not
-//! matrix products, so they are dense whether or not they were
-//! archived) and any FC weight the archive does not cover.
+//! A served model is its container. Every tensor the archive carries
+//! stays packed — a [`QuantizedMatrix`] over the archive's own index
+//! bytes, codebook and outliers — and [`QuantizedEngine`] wires it into
+//! the forward pass as its [`WeightCompute`] backend: an archived FC
+//! product runs [`QuantizedMatrix::matmul_blocked`], the tiled batched
+//! GEMM that decodes each weight tile **once** per batch into a scratch
+//! tile, and an archived embedding table answers the batch's lookups
+//! through [`QuantizedMatrix::gather_rows`], which decodes only the rows
+//! asked for. Neither materializes the matrix. The [`TransformerModel`]
+//! beside it is the container's skeleton as stored: the configuration,
+//! the auxiliary parameters and, in FP32, only the weights the archive
+//! does not carry.
 //!
-//! The blocked kernel is bit-identical to decoding the layer and
-//! multiplying dense, so an engine-served output is byte-identical to
+//! Both packed paths are bit-identical to decoding the layer and running
+//! the dense path, so an engine-served output is byte-identical to
 //! [`TransformerModel::encode`] on the decoded model — batching and
 //! compression are invisible to clients.
 //!
@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use gobo::format::CompressedModel;
 use gobo_model::batch::EncodeInput;
-use gobo_model::compute::WeightCompute;
+use gobo_model::compute::{DenseCompute, WeightCompute};
 use gobo_model::forward::EncoderOutput;
 use gobo_model::{ModelError, TransformerModel};
 use gobo_quant::QuantizedMatrix;
@@ -33,43 +33,42 @@ use gobo_tensor::Tensor;
 
 use crate::error::ServeError;
 
-/// A model paired with its compressed FC layers, executing batched
-/// forwards directly on the packed representation.
+/// A model paired with its packed archive, executing batched forwards
+/// directly on the compressed representation.
 #[derive(Debug)]
 pub struct QuantizedEngine {
     model: Arc<TransformerModel>,
-    fc: HashMap<String, QuantizedMatrix>,
+    packed: HashMap<String, QuantizedMatrix>,
 }
 
 impl QuantizedEngine {
-    /// Builds an engine over `model`, wrapping every FC layer of its
-    /// configuration that `compressed` archives as a
-    /// [`QuantizedMatrix`] of the configured shape. `model` must hold
-    /// the embedding tables and every FC weight the archive does not
-    /// carry; archived FC weights it also holds are never read.
-    /// Archived embedding tables are not FC layers — they are read by
-    /// row gathers, which `model` serves.
+    /// Builds an engine over `model`, wrapping every entry `compressed`
+    /// archives as a [`QuantizedMatrix`] of the shape `model`'s
+    /// configuration gives it. `model` must hold every weight the
+    /// archive does not carry; archived weights it also holds are never
+    /// read.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Internal`] when an archive entry's element
-    /// count disagrees with the configured shape (the container would
-    /// have failed to decode first, so this guards an internal
-    /// invariant, not user input).
+    /// Returns [`ServeError::Internal`] when an archive entry is not a
+    /// weight of the configuration or its element count disagrees with
+    /// the configured shape. A parsed container cannot have either
+    /// ([`CompressedModel::from_bytes`] refuses both), so this guards a
+    /// hand-built one.
     pub fn new(
         model: Arc<TransformerModel>,
         compressed: &CompressedModel,
     ) -> Result<Self, ServeError> {
-        let mut fc = HashMap::new();
-        for spec in model.fc_layers() {
-            let Some(layer) = compressed.archive.get(&spec.name) else {
-                continue;
-            };
-            let matrix = QuantizedMatrix::new(layer.clone(), spec.rows, spec.cols)
-                .map_err(|_| ServeError::Internal("archive layer shape mismatch"))?;
-            fc.insert(spec.name, matrix);
+        let mut packed = HashMap::new();
+        for (name, layer) in compressed.archive.iter() {
+            let matrix = model
+                .weight_dims(name)
+                .ok()
+                .and_then(|[rows, cols]| QuantizedMatrix::new(layer.clone(), rows, cols).ok())
+                .ok_or(ServeError::Internal("archive layer shape mismatch"))?;
+            packed.insert(name.to_owned(), matrix);
         }
-        Ok(QuantizedEngine { model, fc })
+        Ok(QuantizedEngine { model, packed })
     }
 
     /// The model this engine computes for: configuration, auxiliary
@@ -78,20 +77,20 @@ impl QuantizedEngine {
         &self.model
     }
 
-    /// Number of FC layers served from the compressed representation.
-    pub fn compressed_fc_layers(&self) -> usize {
-        self.fc.len()
+    /// Number of archived tensors served from their packed form.
+    pub fn packed_layers(&self) -> usize {
+        self.packed.len()
     }
 
     /// Bytes this engine keeps in memory: every FP32 tensor of its
-    /// model plus the packed form of every compressed-served layer.
+    /// model plus the packed form of every archived tensor.
     pub fn resident_bytes(&self) -> usize {
-        let packed: usize = self.fc.values().map(|m| m.layer().compressed_bytes()).sum();
+        let packed: usize = self.packed.values().map(|m| m.layer().compressed_bytes()).sum();
         self.model.resident_bytes() + packed
     }
 
-    /// Runs the ragged batched forward pass with archived FC products
-    /// computed on the compressed form.
+    /// Runs the ragged batched forward pass with every archived tensor
+    /// read in its packed form.
     ///
     /// # Errors
     ///
@@ -104,6 +103,7 @@ impl QuantizedEngine {
     }
 }
 
+/// A weight the archive does not carry takes the dense default.
 impl WeightCompute for QuantizedEngine {
     fn matmul_nt(
         &self,
@@ -111,10 +111,8 @@ impl WeightCompute for QuantizedEngine {
         name: &str,
         input: &Tensor,
     ) -> Result<Tensor, ModelError> {
-        let Some(matrix) = self.fc.get(name) else {
-            // Not archived (FP32 container, or a partially-quantized
-            // model): dense product against the weight the model holds.
-            return Ok(input.matmul_nt(model.weight(name)?)?);
+        let Some(matrix) = self.packed.get(name) else {
+            return DenseCompute.matmul_nt(model, name, input);
         };
         let &[m, cols] = input.dims() else {
             return Err(ModelError::InvalidInput { what: "activation panel is not rank 2" });
@@ -127,12 +125,26 @@ impl WeightCompute for QuantizedEngine {
             .map_err(|_| ModelError::InvalidInput { what: "compressed product failed" })?;
         Ok(Tensor::from_vec(out, &[m, matrix.rows()])?)
     }
+
+    fn gather_rows(
+        &self,
+        model: &TransformerModel,
+        name: &str,
+        ids: &[usize],
+    ) -> Result<Tensor, ModelError> {
+        let Some(matrix) = self.packed.get(name) else {
+            return DenseCompute.gather_rows(model, name, ids);
+        };
+        let rows = matrix
+            .gather_rows(ids)
+            .map_err(|_| ModelError::InvalidInput { what: "compressed row gather failed" })?;
+        Ok(Tensor::from_vec(rows, &[ids.len(), matrix.cols()])?)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::serving_model;
     use gobo::pipeline::{quantize_model, QuantizeOptions};
     use gobo_model::config::ModelConfig;
     use rand::rngs::StdRng;
@@ -149,9 +161,10 @@ mod tests {
         compressed_with(&QuantizeOptions::gobo(bits).unwrap())
     }
 
-    /// The engine exactly as the registry builds it: no decoded FC copy.
+    /// The engine exactly as the registry builds it: over the skeleton
+    /// as stored, with no decoded copy of anything the archive carries.
     fn served(c: &CompressedModel) -> QuantizedEngine {
-        QuantizedEngine::new(Arc::new(serving_model(c).unwrap()), c).unwrap()
+        QuantizedEngine::new(Arc::new(c.skeleton.clone()), c).unwrap()
     }
 
     #[test]
@@ -166,7 +179,7 @@ mod tests {
                 let c = compressed_with(&options);
                 let oracle = c.decode().unwrap();
                 let engine = served(&c);
-                assert!(engine.compressed_fc_layers() > 0);
+                assert!(engine.packed_layers() > 0);
                 for batch in [1usize, 7, 32] {
                     let seqs: Vec<Vec<usize>> = (0..batch)
                         .map(|b| (0..1 + b % 12).map(|t| (3 * b + 5 * t + 1) % 40).collect())
@@ -185,16 +198,20 @@ mod tests {
 
     #[test]
     fn every_fc_layer_is_served_compressed() {
-        let c = compressed(4);
-        let engine = served(&c);
-        // Everything archived except embedding tables is compressed-served.
-        let archived_fc = c.archive.iter().filter(|(n, _)| !n.starts_with("embeddings.")).count();
-        assert_eq!(engine.compressed_fc_layers(), archived_fc);
-        // …and none of it is also held dense.
-        let model = engine.model();
-        assert!(model.iter().all(|(name, _)| name.starts_with("embeddings.")));
-        let packed: usize = c.archive.iter().map(|(_, l)| l.compressed_bytes()).sum();
-        assert_eq!(engine.resident_bytes(), model.resident_bytes() + packed);
+        // Everything archived is served packed — FC layers, and the
+        // embedding tables when they were quantized — and none of it is
+        // also held dense.
+        let fc_only = QuantizeOptions::gobo(4).unwrap();
+        let with_embeddings = fc_only.clone().with_embedding_bits(4).unwrap();
+        for options in [fc_only, with_embeddings] {
+            let c = compressed_with(&options);
+            let engine = served(&c);
+            assert_eq!(engine.packed_layers(), c.archive.len());
+            let model = engine.model();
+            assert!(model.iter().all(|(name, _)| c.archive.get(name).is_none()));
+            let packed: usize = c.archive.iter().map(|(_, l)| l.compressed_bytes()).sum();
+            assert_eq!(engine.resident_bytes(), model.resident_bytes() + packed);
+        }
     }
 
     #[test]
@@ -203,7 +220,7 @@ mod tests {
         let engine = served(&c);
         let model = engine.model();
         // Ask for a product against a weight the archive does not hold:
-        // the embedding table (rank 2, never in `fc`).
+        // an FC-only container leaves the embedding tables FP32.
         let emb = model.weight("embeddings.word").unwrap();
         let x = Tensor::from_vec(vec![0.5; emb.dims()[1]], &[1, emb.dims()[1]]).unwrap();
         let dense = x.matmul_nt(emb).unwrap();

@@ -3,10 +3,10 @@
 //! GOBO's decoded models are plug-in compatible with any FP32 engine;
 //! this crate serves them without decoding them. It loads `.gobom`
 //! compressed containers ([`gobo::format::CompressedModel`]), keeps each
-//! resident in one representation — the archive's packed FC layers
-//! beside a [`gobo_model::TransformerModel`] holding only what the
-//! archive does not — and serves encode requests over HTTP/1.1 with
-//! dynamic batching:
+//! resident as its container — every archived tensor packed, beside a
+//! [`gobo_model::TransformerModel`] holding only what the archive does
+//! not — and serves encode requests over HTTP/1.1 with dynamic
+//! batching:
 //!
 //! * [`registry`] — named, *versioned* model cache keyed by
 //!   *name/bits*, LRU-evicted under a resident-byte budget, with an
@@ -17,8 +17,8 @@
 //!   latency window, auto-rolled-back on any canary error or p95
 //!   regression — judged inside the registry slot that holds it;
 //! * [`engine`] — the compute-on-compressed engine: archived FC layers
-//!   run the cache-blocked batched GEMM straight on the packed 3/4-bit
-//!   indices, decoding each weight tile once per batch;
+//!   run the cache-blocked batched GEMM straight on the packed indices,
+//!   archived embedding tables decode only the rows a batch looks up;
 //! * [`scheduler`] — bounded admission queue, worker pool, fair-share
 //!   batching (a free worker takes its share of what is queued for the
 //!   oldest model key, up to `max_batch`; a share short of `max_batch`

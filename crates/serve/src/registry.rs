@@ -4,13 +4,14 @@
 //! A `.gobom` container is loaded from disk (or handed over in memory)
 //! and becomes a [`QuantizedEngine`] under a *name/bits* slot — the
 //! same logical model quantized at different widths serves side by
-//! side. No FC layer is ever decoded: the engine multiplies against the
-//! archive's packed layers, beside a [`TransformerModel`] holding only
-//! what the archive leaves (see [`serving_model`]). Residency is
-//! bounded by a budget on the bytes that representation really
-//! occupies, with LRU eviction; handles already held by in-flight
-//! batches stay valid after eviction because entries are reference
-//! counted (`Arc`).
+//! side. A served model is its container: nothing the archive carries
+//! is decoded — the engine multiplies against its packed FC layers and
+//! gathers rows from its packed embedding tables — and the container's
+//! skeleton, as stored, holds the rest in FP32. Residency is bounded by
+//! a budget on the bytes that representation really occupies — no more
+//! than the container's own size — with LRU eviction; handles already
+//! held by in-flight batches stay valid after eviction because entries
+//! are reference counted (`Arc`).
 //!
 //! # Revisions and the swap protocol
 //!
@@ -54,8 +55,7 @@ use std::sync::Arc;
 
 use gobo_sanitize::{SanMutex, SanMutexGuard};
 
-use gobo::format::{CompressedModel, FormatError};
-use gobo_model::TransformerModel;
+use gobo::format::CompressedModel;
 
 use crate::engine::QuantizedEngine;
 use crate::error::ServeError;
@@ -121,8 +121,8 @@ pub struct ModelEntry {
     /// Monotone per-slot revision number (1 for the first install).
     pub rev: u64,
     /// The compute-on-compressed engine, shared with in-flight batches:
-    /// archived FC layers run the blocked batched GEMM straight on the
-    /// packed indices; its model holds the rest (see [`serving_model`]).
+    /// every archived tensor is read straight from its packed indices;
+    /// its model, the container's skeleton, holds the rest.
     pub engine: Arc<QuantizedEngine>,
     /// Bytes this revision occupies in memory, charged against the
     /// registry budget: [`QuantizedEngine::resident_bytes`].
@@ -358,17 +358,20 @@ impl ModelRegistry {
         self.publish(name, &read_container(path)?)
     }
 
-    /// Builds the serving engine for `compressed`, outside the lock.
+    /// Builds the serving engine for `compressed`, outside the lock: its
+    /// skeleton as stored beside its archive as stored.
     fn build_parts(
         &self,
         name: &str,
         compressed: &CompressedModel,
     ) -> Result<RevisionParts, ServeError> {
+        // Fails the engine build. Nothing here decodes, but the failpoint
+        // catalog and the chaos labels name it `registry.decode`.
         gobo_fault::fail_point!(
             "registry.decode",
             ServeError::Internal("injected registry.decode fault")
         );
-        let model = Arc::new(serving_model(compressed)?);
+        let model = Arc::new(compressed.skeleton.clone());
         let engine = Arc::new(QuantizedEngine::new(model, compressed)?);
         let bits = compressed.archive.iter().map(|(_, l)| l.bits()).max().unwrap_or(32);
         Ok(RevisionParts {
@@ -740,15 +743,6 @@ fn read_container(path: &str) -> Result<CompressedModel, ServeError> {
     Ok(CompressedModel::from_bytes(&bytes)?)
 }
 
-/// The FP32 side of a served model: the container's skeleton (config,
-/// aux, unarchived weights) plus the archive's `embeddings.*` tables
-/// decoded once — rows are gathered from them, not multiplied, so they
-/// stay dense. Archived FC weights stay absent; the engine serves them
-/// packed.
-pub(crate) fn serving_model(compressed: &CompressedModel) -> Result<TransformerModel, FormatError> {
-    compressed.decode_layers(|name| name.starts_with("embeddings."))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,14 +750,18 @@ mod tests {
     use gobo_model::batch::EncodeInput;
     use gobo_model::config::ModelConfig;
     use gobo_model::forward::EncoderOutput;
+    use gobo_model::TransformerModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn compressed(seed: u64, bits: u8) -> CompressedModel {
+    fn compressed_with(seed: u64, options: &QuantizeOptions) -> CompressedModel {
         let config = ModelConfig::tiny("Reg", 1, 16, 2, 40, 12).unwrap();
         let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(seed)).unwrap();
-        let outcome = quantize_model(&model, &QuantizeOptions::gobo(bits).unwrap()).unwrap();
-        CompressedModel::new(&model, outcome.archive)
+        CompressedModel::new(&model, quantize_model(&model, options).unwrap().archive)
+    }
+
+    fn compressed(seed: u64, bits: u8) -> CompressedModel {
+        compressed_with(seed, &QuantizeOptions::gobo(bits).unwrap())
     }
 
     fn registry(max_bytes: usize, max_models: usize) -> ModelRegistry {
@@ -1034,47 +1032,52 @@ mod tests {
 
     #[test]
     fn resident_bytes_are_conserved_across_the_lifecycle() {
-        // What one revision must cost, from the container alone: the
-        // decoded model's tensors, with every archived FC layer charged
-        // at its packed size instead of its FP32 size.
+        // What one revision must cost, from the container alone: its
+        // skeleton's tensors plus every archived layer at its packed size.
         fn expected(c: &CompressedModel) -> usize {
-            let decoded = c.decode().unwrap();
-            let fc = c.archive.iter().filter(|(n, _)| !n.starts_with("embeddings."));
-            fc.fold(decoded.resident_bytes(), |bytes, (name, layer)| {
-                bytes - decoded.weight(name).unwrap().len() * 4 + layer.compressed_bytes()
-            })
+            let packed: usize = c.archive.iter().map(|(_, layer)| layer.compressed_bytes()).sum();
+            c.skeleton.resident_bytes() + packed
         }
-        let models: Vec<CompressedModel> = (1..=4u64).map(|s| compressed(s, 3)).collect();
-        let r = registry(usize::MAX, 2);
-        let check = |live: &[usize], what: &str| {
-            r.sweep();
-            let want: usize = live.iter().map(|&i| expected(&models[i])).sum();
-            assert_eq!(r.resident_bytes(), want, "{what}: registry total");
-            let rows: usize = r.status().iter().map(|s| s.resident_bytes).sum();
-            assert_eq!(rows, want, "{what}: sum over status rows");
-        };
-        let key = r.insert("m", &models[0]).unwrap().key.clone();
-        check(&[0], "insert");
-        r.publish("m", &models[1]).unwrap();
-        check(&[0, 1], "publish (canary)");
-        r.publish("m", &models[2]).unwrap();
-        check(&[0, 2], "supersede (old canary retired)");
-        r.rollback(&key).unwrap();
-        check(&[0], "rollback");
-        r.publish("m", &models[3]).unwrap();
-        let pin = r.get("m", None).unwrap();
-        r.promote(&key).unwrap();
-        check(&[0, 3], "promote (old active pinned, draining)");
-        drop(pin);
-        check(&[3], "drained");
-        r.insert("n", &models[1]).unwrap();
-        r.insert("o", &models[2]).unwrap(); // third slot: evicts LRU `m`
-        assert!(r.status().iter().any(|s| s.state == RevState::Evicted && s.key.name == "m"));
-        check(&[1, 2], "eviction");
-        // One representation: the 3-bit model costs well under half of
-        // its own decoded weights.
-        let decoded_weights = models[0].decode().unwrap().weight_bytes();
-        assert!(expected(&models[0]) * 2 < decoded_weights, "{decoded_weights}");
+        let fc_only = QuantizeOptions::gobo(3).unwrap();
+        let with_embeddings = fc_only.clone().with_embedding_bits(3).unwrap();
+        for options in [fc_only, with_embeddings] {
+            let models: Vec<CompressedModel> =
+                (1..=4u64).map(|s| compressed_with(s, &options)).collect();
+            let r = registry(usize::MAX, 2);
+            let check = |live: &[usize], what: &str| {
+                r.sweep();
+                let want: usize = live.iter().map(|&i| expected(&models[i])).sum();
+                assert_eq!(r.resident_bytes(), want, "{what}: registry total");
+                let rows: usize = r.status().iter().map(|s| s.resident_bytes).sum();
+                assert_eq!(rows, want, "{what}: sum over status rows");
+                for s in r.status().iter().filter(|s| s.resident) {
+                    let (held, file) = (s.resident_bytes, s.compressed_bytes);
+                    assert!(held <= file, "{what}: r{} holds {held} B of a {file} B file", s.rev);
+                }
+            };
+            let key = r.insert("m", &models[0]).unwrap().key.clone();
+            check(&[0], "insert");
+            r.publish("m", &models[1]).unwrap();
+            check(&[0, 1], "publish (canary)");
+            r.publish("m", &models[2]).unwrap();
+            check(&[0, 2], "supersede (old canary retired)");
+            r.rollback(&key).unwrap();
+            check(&[0], "rollback");
+            r.publish("m", &models[3]).unwrap();
+            let pin = r.get("m", None).unwrap();
+            r.promote(&key).unwrap();
+            check(&[0, 3], "promote (old active pinned, draining)");
+            drop(pin);
+            check(&[3], "drained");
+            r.insert("n", &models[1]).unwrap();
+            r.insert("o", &models[2]).unwrap(); // third slot: evicts LRU `m`
+            assert!(r.status().iter().any(|s| s.state == RevState::Evicted && s.key.name == "m"));
+            check(&[1, 2], "eviction");
+            // One representation: the 3-bit model costs well under half
+            // of its own decoded weights.
+            let decoded_weights = models[0].decode().unwrap().weight_bytes();
+            assert!(expected(&models[0]) * 2 < decoded_weights, "{decoded_weights}");
+        }
     }
 
     /// Whether the slot's canary is `rev` with a trial nothing has

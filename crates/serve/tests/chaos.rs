@@ -10,24 +10,11 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{shutdown_and_check_counters, FaultGuard};
-use gobo::format::CompressedModel;
-use gobo::pipeline::{quantize_model, QuantizeOptions};
-use gobo_model::config::ModelConfig;
-use gobo_model::TransformerModel;
+use common::{compressed, shutdown_and_check_counters, FaultGuard};
 use gobo_serve::{
     CanaryPolicy, Client, EncodeRequest, Metrics, ModelRegistry, RegistryConfig, RevState,
     SchedulerConfig, ServeCore, ServeError, ServeOptions,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-fn compressed(seed: u64) -> CompressedModel {
-    let config = ModelConfig::tiny("Chaos", 1, 16, 2, 40, 12).unwrap();
-    let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(seed)).unwrap();
-    let outcome = quantize_model(&model, &QuantizeOptions::gobo(3).unwrap()).unwrap();
-    CompressedModel::new(&model, outcome.archive)
-}
 
 fn start_core(workers: usize) -> Arc<ServeCore> {
     ServeCore::start(ServeOptions {

@@ -2,46 +2,13 @@
 //! byte-identical encode results over the wire, error statuses, metrics
 //! exposition, and graceful shutdown via `POST /v1/shutdown`.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
-use std::time::Duration;
+mod common;
 
-use gobo::format::CompressedModel;
-use gobo::pipeline::{quantize_model, QuantizeOptions};
-use gobo_model::config::ModelConfig;
-use gobo_model::TransformerModel;
+use std::sync::Arc;
+
+use common::{compressed, request};
 use gobo_serve::json::{parse, Json};
 use gobo_serve::{Client, ServeCore, ServeOptions, Server};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-fn compressed(seed: u64) -> CompressedModel {
-    let config = ModelConfig::tiny("Http", 1, 16, 2, 40, 12).unwrap();
-    let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(seed)).unwrap();
-    let outcome = quantize_model(&model, &QuantizeOptions::gobo(3).unwrap()).unwrap();
-    CompressedModel::new(&model, outcome.archive)
-}
-
-/// One raw HTTP/1.1 round trip; returns (status, body).
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let message = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(message.as_bytes()).expect("write request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {raw:?}"));
-    let payload = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_owned()).unwrap_or_default();
-    (status, payload)
-}
 
 #[test]
 fn http_round_trip_byte_identical_and_graceful_shutdown() {

@@ -4,19 +4,16 @@
 //! feeds an internet-facing port, so every malformed input must come
 //! back as a clean `Err`, never a panic or a silently wrong parse.
 
+mod common;
+
 use std::io::{BufReader, Cursor, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use gobo::format::CompressedModel;
-use gobo::pipeline::{quantize_model, QuantizeOptions};
-use gobo_model::config::ModelConfig;
-use gobo_model::TransformerModel;
+use common::compressed;
 use gobo_serve::http::HttpError;
 use gobo_serve::{parse_request, Client, HttpClient, ServeCore, ServeOptions, Server};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const MAX_BODY: usize = 4 << 20;
 
@@ -225,18 +222,11 @@ fn truncated_requests_error_cleanly() {
 // Server-level behavior over a real socket
 // ---------------------------------------------------------------------------
 
-fn tiny_model(seed: u64) -> CompressedModel {
-    let config = ModelConfig::tiny("Parser", 1, 16, 2, 40, 12).unwrap();
-    let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(seed)).unwrap();
-    let outcome = quantize_model(&model, &QuantizeOptions::gobo(3).unwrap()).unwrap();
-    CompressedModel::new(&model, outcome.archive)
-}
-
 #[test]
 fn keep_alive_serves_pipelined_requests_on_one_socket() {
     let core = ServeCore::start(ServeOptions::default());
     let client = Client::new(Arc::clone(&core));
-    client.register("m", &tiny_model(3)).unwrap();
+    client.register("m", &compressed(3)).unwrap();
     let server = Server::bind(Arc::clone(&core), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
@@ -298,7 +288,7 @@ fn http_client_retries_connect_until_server_appears() {
 
     let core = ServeCore::start(ServeOptions::default());
     let client = Client::new(Arc::clone(&core));
-    client.register("m", &tiny_model(5)).unwrap();
+    client.register("m", &compressed(5)).unwrap();
     let server_core = Arc::clone(&core);
     let server_thread = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(60));

@@ -19,27 +19,14 @@ use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{shutdown_and_check_counters, FaultGuard};
-use gobo::format::CompressedModel;
-use gobo::pipeline::{quantize_model, QuantizeOptions};
+use common::{compressed, compressed_at, shutdown_and_check_counters, FaultGuard};
 use gobo_fault::{FaultAction, Policy};
-use gobo_model::config::ModelConfig;
-use gobo_model::TransformerModel;
 use gobo_serve::{
     Client, EncodeRequest, EncodeResponse, RegistryConfig, SchedulerConfig, ServeCore, ServeError,
     ServeOptions,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 type Reply = Receiver<Result<EncodeResponse, ServeError>>;
-
-fn compressed(seed: u64) -> CompressedModel {
-    let config = ModelConfig::tiny("Sched", 1, 16, 2, 40, 12).unwrap();
-    let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(seed)).unwrap();
-    let outcome = quantize_model(&model, &QuantizeOptions::gobo(3).unwrap()).unwrap();
-    CompressedModel::new(&model, outcome.archive)
-}
 
 fn core_with(scheduler: SchedulerConfig) -> (Arc<ServeCore>, Client) {
     let core = ServeCore::start(ServeOptions {
@@ -432,11 +419,8 @@ fn bits_pinning_selects_registration() {
     let _guard = FaultGuard::lock();
     let core = ServeCore::start(ServeOptions::default());
     let client = Client::new(Arc::clone(&core));
-    let config = ModelConfig::tiny("Sched", 1, 16, 2, 40, 12).unwrap();
-    let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(3)).unwrap();
     for bits in [2u8, 4] {
-        let outcome = quantize_model(&model, &QuantizeOptions::gobo(bits).unwrap()).unwrap();
-        client.register("m", &CompressedModel::new(&model, outcome.archive)).unwrap();
+        client.register("m", &compressed_at(3, bits)).unwrap();
     }
     let mut req = EncodeRequest::new("m", vec![1, 2, 3]);
     req.bits = Some(2);

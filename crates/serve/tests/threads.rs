@@ -5,17 +5,14 @@
 //! Alone in this file, so alone in its process — `Threads:` counts the
 //! whole process, and a neighbouring test's core would show up in it.
 
+mod common;
+
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gobo::format::CompressedModel;
-use gobo::pipeline::{quantize_model, QuantizeOptions};
-use gobo_model::config::ModelConfig;
-use gobo_model::TransformerModel;
+use common::compressed;
 use gobo_serve::{Client, EncodeRequest, SchedulerConfig, ServeCore, ServeError, ServeOptions};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Threads of this process, from `/proc/self/status`.
 fn threads() -> usize {
@@ -44,10 +41,7 @@ fn the_pool_is_exactly_its_workers_before_and_after_faults() {
     // lock anywhere below panics at the site and is recorded.
     gobo_sanitize::enable(gobo_sanitize::Mode::Fail);
     gobo_fault::install_panic_silencer();
-    let config = ModelConfig::tiny("Threads", 1, 16, 2, 40, 12).unwrap();
-    let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(5)).unwrap();
-    let archive = quantize_model(&model, &QuantizeOptions::gobo(3).unwrap()).unwrap().archive;
-    let container = CompressedModel::new(&model, archive);
+    let container = compressed(5);
     let direct = container.decode().unwrap();
 
     let workers = 2;
