@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use gobo::format::reseal_compressed;
+use gobo::pipeline::QuantizeOptions;
 use gobo_serve::{CanaryPolicy, SchedulerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,7 +155,7 @@ fn arm(spec: &str) -> Result<(), CliError> {
 }
 
 fn worker_panic(knobs: &Knobs, verdict: &mut Verdict) -> Result<(), CliError> {
-    let model = build_model(knobs.seed)?;
+    let model = build_model(knobs.seed, &QuantizeOptions::gobo(3).map_err(failed)?)?;
     let patterns = Patterns::new(&[&model])?;
     let mut run = |who: &str, fault: Option<&str>| -> Result<(Tally, u64), CliError> {
         let scheduler = SchedulerConfig {
@@ -211,7 +212,7 @@ fn worker_panic(knobs: &Knobs, verdict: &mut Verdict) -> Result<(), CliError> {
 /// the field parsers: those must be rejected or parse *stably* —
 /// writing the parse back and reading it again gives the same bytes.
 fn corrupt_model(knobs: &Knobs, verdict: &mut Verdict) -> Result<(), CliError> {
-    let compressed = build_model(knobs.seed)?;
+    let compressed = build_model(knobs.seed, &QuantizeOptions::gobo(3).map_err(failed)?)?;
     let reference = compressed.to_bytes();
     let mut rng = StdRng::seed_from_u64(knobs.seed ^ 0xC0DE);
     let resealed_runs = knobs.corruptions / 2;
@@ -293,7 +294,7 @@ fn corrupt_model(knobs: &Knobs, verdict: &mut Verdict) -> Result<(), CliError> {
 }
 
 fn queue_overload(knobs: &Knobs, verdict: &mut Verdict) -> Result<(), CliError> {
-    let model = build_model(knobs.seed)?;
+    let model = build_model(knobs.seed, &QuantizeOptions::gobo(3).map_err(failed)?)?;
     let patterns = Patterns::new(&[&model])?;
     let deadline = Duration::from_millis(250);
     let scheduler =
@@ -336,7 +337,7 @@ fn queue_overload(knobs: &Knobs, verdict: &mut Verdict) -> Result<(), CliError> 
 }
 
 fn node_kill(knobs: &Knobs, verdict: &mut Verdict) -> Result<(), CliError> {
-    let model = build_model(knobs.seed)?;
+    let model = build_model(knobs.seed, &QuantizeOptions::gobo(3).map_err(failed)?)?;
     let patterns = Patterns::new(&[&model])?;
     let mut cluster = Cluster::start(&model)?;
     let total = knobs.requests.clamp(64, 400);
@@ -393,7 +394,7 @@ fn node_kill(knobs: &Knobs, verdict: &mut Verdict) -> Result<(), CliError> {
 /// The partition is asymmetric: the victim still receives requests and
 /// never answers them, so its peers see silence, not resets.
 fn network_partition(knobs: &Knobs, verdict: &mut Verdict) -> Result<(), CliError> {
-    let model = build_model(knobs.seed)?;
+    let model = build_model(knobs.seed, &QuantizeOptions::gobo(3).map_err(failed)?)?;
     let patterns = Patterns::new(&[&model])?;
     let cluster = Cluster::start(&model)?;
     let router = &cluster.router;
@@ -455,8 +456,9 @@ fn reload_under_load(knobs: &Knobs, verdict: &mut Verdict) -> Result<(), CliErro
 /// p95 comparison; and once rolled back, active-path p99 must return to
 /// within 2x the fault-free baseline.
 fn reload_storm(knobs: &Knobs, verdict: &mut Verdict, dir: &Path) -> Result<(), CliError> {
-    let model_a = build_model(knobs.seed ^ 0xA)?;
-    let model_b = build_model(knobs.seed ^ 0xB)?;
+    let options = QuantizeOptions::gobo(3).map_err(failed)?;
+    let model_a = build_model(knobs.seed ^ 0xA, &options)?;
+    let model_b = build_model(knobs.seed ^ 0xB, &options)?;
     let patterns = Patterns::new(&[&model_a, &model_b])?;
     let on_disk = |file: &str, model: &CompressedModel| -> Result<String, CliError> {
         let path = dir.join(file);

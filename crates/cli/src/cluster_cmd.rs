@@ -126,12 +126,12 @@ mod tests {
             ["cluster-router", "--node", &members_a, "--node", &members_b, "--heartbeat-ms", "25"];
         let (router, port) = spawn_verb(suite, "router", &router);
 
-        let response = post(port, "/v1/encode", "{\"model\":\"smoke\",\"ids\":[1,2,3]}");
-        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
-        assert!(response.contains("\"hidden\""), "{response}");
+        let (status, body) = post(port, "/v1/encode", "{\"model\":\"smoke\",\"ids\":[1,2,3]}");
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"hidden\""), "{body}");
 
-        let response = post(port, "/v1/shutdown", "");
-        assert!(response.contains("draining"), "{response}");
+        let (_, body) = post(port, "/v1/shutdown", "");
+        assert!(body.contains("draining"), "{body}");
         let msg = router.join().unwrap().unwrap();
         assert!(msg.contains("shut down"), "{msg}");
 

@@ -271,20 +271,10 @@ fn quantize(args: &Args) -> Result<String, CliError> {
             .map_err(|_| CliError::Usage("flag --embedding-bits: not a number".into()))?;
         options = options.with_embedding_bits(eb).map_err(failed)?;
     }
-    let trace_out = args.get("trace-out");
-    if trace_out.is_some() {
-        gobo_obs::trace::reset();
-        gobo_obs::trace::enable();
-    }
-    let outcome = quantize_model(&model, &options);
-    if trace_out.is_some() {
-        gobo_obs::trace::disable();
-    }
+    let (outcome, traced) = traced(args, || quantize_model(&model, &options))?;
     let outcome = outcome.map_err(failed)?;
     let mut extras = String::new();
-    if let Some(path) = trace_out {
-        std::fs::write(path, gobo_obs::trace::export_chrome_trace())?;
-        gobo_obs::trace::reset();
+    if let Some(path) = traced {
         extras.push_str(&format!("\nchrome trace written to `{path}`"));
     }
     if let Some(path) = args.get("telemetry-out") {
@@ -303,6 +293,19 @@ fn quantize(args: &Args) -> Result<String, CliError> {
         outcome.report.outlier_fraction() * 100.0,
         bytes.len(),
     ))
+}
+
+/// Runs `run`, in a trace session when `--trace-out` names a file, and
+/// writes the session's Chrome trace there. Returns what `run` returned
+/// and the file written, if any.
+pub(crate) fn traced<T>(
+    args: &Args,
+    run: impl FnOnce() -> T,
+) -> Result<(T, Option<&str>), CliError> {
+    let Some(path) = args.get("trace-out") else { return Ok((run(), None)) };
+    let (value, session) = gobo_obs::trace::Session::record(run);
+    std::fs::write(path, session.chrome_trace())?;
+    Ok((value, Some(path)))
 }
 
 fn inspect(args: &Args) -> Result<String, CliError> {
@@ -376,9 +379,9 @@ pub fn run_str(args: &[&str]) -> Result<String, CliError> {
 /// What the tests of the long-running verbs share.
 #[cfg(test)]
 pub(crate) mod testing {
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
     use std::thread::JoinHandle;
+
+    use gobo_serve::HttpClient;
 
     use super::{run, run_str, CliError};
 
@@ -423,14 +426,10 @@ pub(crate) mod testing {
         panic!("`{tag}` never wrote its port file");
     }
 
-    /// One `POST` on a fresh connection; the whole response.
-    pub(crate) fn post(port: u16, path: &str, body: &str) -> String {
-        let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-        let head = format!("POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}", body.len());
-        write!(stream, "{head}\r\nConnection: close\r\n\r\n{body}").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        response
+    /// One `POST` on a fresh connection: (status, body).
+    pub(crate) fn post(port: u16, path: &str, body: &str) -> (u16, String) {
+        let client = HttpClient::new(format!("127.0.0.1:{port}"));
+        client.request("POST", path, body).expect("HTTP exchange")
     }
 }
 

@@ -1,7 +1,8 @@
 //! The one harness under `gobo chaos` and `gobo sanitize-report`: a
 //! load driver, the fixture every scenario shares (model, request
 //! patterns with their reference outputs, serving core, cluster), and
-//! the verdict a scenario reports through.
+//! the verdict a scenario reports through. The differential oracle
+//! (`tests/oracle.rs`) builds its models with the same [`build_model`].
 
 use std::collections::BTreeMap;
 use std::fmt::Display;
@@ -98,7 +99,7 @@ pub(crate) fn drains(core: &ServeCore) -> bool {
 
 /// Polls `condition` every millisecond until it holds or `timeout` has
 /// passed; returns whether it held.
-pub(crate) fn wait_until(timeout: Duration, mut condition: impl FnMut() -> bool) -> bool {
+pub fn wait_until(timeout: Duration, mut condition: impl FnMut() -> bool) -> bool {
     let deadline = Instant::now() + timeout;
     loop {
         if condition() {
@@ -114,11 +115,13 @@ pub(crate) fn wait_until(timeout: Duration, mut condition: impl FnMut() -> bool)
 /// The name every fixture core serves its model under.
 pub(crate) const MODEL: &str = "chaos";
 
-/// A small but non-trivial 3-bit GOBO model.
-pub(crate) fn build_model(seed: u64) -> Result<CompressedModel, CliError> {
+/// A small but non-trivial model (2 layers, 48 wide, 256-token
+/// vocabulary) with its weights drawn from `seed`, quantized as `options`
+/// say.
+pub fn build_model(seed: u64, options: &QuantizeOptions) -> Result<CompressedModel, CliError> {
     let config = ModelConfig::tiny("Chaos", 2, 48, 4, 256, 64).map_err(failed)?;
     let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(seed)).map_err(failed)?;
-    let outcome = quantize_model(&model, &QuantizeOptions::gobo(3).map_err(failed)?);
+    let outcome = quantize_model(&model, options);
     Ok(CompressedModel::new(&model, outcome.map_err(failed)?.archive))
 }
 

@@ -19,7 +19,10 @@ mod chaos_cmd;
 mod cluster_cmd;
 pub mod cmd;
 pub mod format;
-mod harness;
+/// The fixture `gobo chaos` runs on, shared with this crate's tests;
+/// not a stable interface.
+#[doc(hidden)]
+pub mod harness;
 mod lint_cmd;
 mod obs_cmd;
 mod sanitize_cmd;

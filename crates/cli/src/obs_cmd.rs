@@ -12,6 +12,7 @@
 use gobo::pipeline::{quantize_model, QuantizeOptions};
 use gobo_model::config::ModelConfig;
 use gobo_model::TransformerModel;
+use gobo_obs::trace::Session;
 use gobo_serve::json::{parse, Json};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,23 +36,17 @@ pub(crate) fn trace(args: &Args) -> Result<String, CliError> {
     let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(seed)).map_err(failed)?;
     let options = QuantizeOptions::gobo(bits).map_err(failed)?;
 
-    gobo_obs::trace::reset();
-    gobo_obs::trace::enable();
-    let outcome = quantize_model(&model, &options);
-    gobo_obs::trace::disable();
+    let (outcome, session) = Session::record(|| quantize_model(&model, &options));
     let outcome = outcome.map_err(failed)?;
-    let json = gobo_obs::trace::export_chrome_trace();
-    let events = gobo_obs::trace::take_events();
-    let dropped = gobo_obs::trace::dropped_events();
-    std::fs::write(out, &json)?;
+    std::fs::write(out, session.chrome_trace())?;
 
     Ok(format!(
         "traced quantization of {layers}x{hidden} at {bits} bits: \
          {} layers, {} spans ({} dropped), total wall {} us\n\
          chrome trace written to `{out}` (open in chrome://tracing or Perfetto)",
         outcome.report.layers.len(),
-        events.len(),
-        dropped,
+        session.events.len(),
+        session.dropped,
         outcome.report.total_wall_us(),
     ))
 }

@@ -8,9 +8,10 @@
 
 use std::time::Duration;
 
+use gobo::pipeline::QuantizeOptions;
 use gobo_serve::SchedulerConfig;
 
-use crate::cmd::{Args, CliError};
+use crate::cmd::{failed, Args, CliError};
 use crate::harness::{
     build_model, drive_during, served, start_core, two_workers, Load, Patterns, Verdict, MODEL,
     QUICK_CANARY,
@@ -95,8 +96,9 @@ pub(crate) fn sanitize_report(args: &Args) -> Result<String, CliError> {
 /// both the fast path and the publish path. Returns the requests sent
 /// and the revisions published.
 fn exercise(requests: usize, seed: u64) -> Result<(usize, usize), CliError> {
-    let model_a = build_model(seed ^ 0xA)?;
-    let model_b = build_model(seed ^ 0xB)?;
+    let options = QuantizeOptions::gobo(3).map_err(failed)?;
+    let model_a = build_model(seed ^ 0xA, &options)?;
+    let model_b = build_model(seed ^ 0xB, &options)?;
     let patterns = Patterns::new(&[&model_a, &model_b])?;
     let scheduler = SchedulerConfig { default_deadline: Duration::from_secs(60), ..two_workers() };
     let client = start_core(&model_a, scheduler, QUICK_CANARY)?;

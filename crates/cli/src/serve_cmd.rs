@@ -10,7 +10,7 @@ use gobo_serve::{
     ServeOptions, Server,
 };
 
-use crate::cmd::{Args, CliError};
+use crate::cmd::{traced, Args, CliError};
 
 fn scheduler_config(args: &Args) -> Result<SchedulerConfig, CliError> {
     // Unknown flags are ignored, so the removed knob is refused by name.
@@ -123,23 +123,14 @@ pub(crate) fn serve(args: &Args) -> Result<String, CliError> {
         .map_err(|e| CliError::Failed(format!("cannot bind `{addr}`: {e}")))?;
     let local = server.local_addr();
     write_port_file(args, local)?;
-    let trace_out = args.get("trace-out");
-    if trace_out.is_some() {
-        gobo_obs::trace::reset();
-        gobo_obs::trace::enable();
-    }
-    // `run` only returns its string after the server exits, so the
-    // address a caller needs to connect goes to stdout immediately.
-    println!("gobo-serve listening on http://{local} (models: {})", loaded.join(", "));
-    server.serve_until_shutdown();
-    let mut extras = String::new();
-    if let Some(path) = trace_out {
-        gobo_obs::trace::disable();
-        std::fs::write(path, gobo_obs::trace::export_chrome_trace())?;
-        gobo_obs::trace::reset();
-        extras.push_str(&format!("; chrome trace written to `{path}`"));
-    }
-    Ok(format!("gobo-serve on {local} shut down after draining{extras}"))
+    let ((), traced) = traced(args, || {
+        // `run` only returns its string after the server exits, so the
+        // address a caller needs to connect goes to stdout immediately.
+        println!("gobo-serve listening on http://{local} (models: {})", loaded.join(", "));
+        server.serve_until_shutdown();
+    })?;
+    let extras = traced.map(|path| format!("; chrome trace written to `{path}`"));
+    Ok(format!("gobo-serve on {local} shut down after draining{}", extras.unwrap_or_default()))
 }
 
 /// `gobo reload`: publish a new model revision into a running server
@@ -215,12 +206,12 @@ mod tests {
         let (server, port) =
             spawn_verb(suite, "serve", &["serve", "--model", &packed, "--name", "smoke"]);
 
-        let response = post(port, "/v1/encode", "{\"model\":\"smoke\",\"ids\":[1,2,3]}");
-        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
-        assert!(response.contains("\"hidden\""), "{response}");
+        let (status, body) = post(port, "/v1/encode", "{\"model\":\"smoke\",\"ids\":[1,2,3]}");
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"hidden\""), "{body}");
 
-        let response = post(port, "/v1/shutdown", "");
-        assert!(response.contains("draining"), "{response}");
+        let (_, body) = post(port, "/v1/shutdown", "");
+        assert!(body.contains("draining"), "{body}");
         let msg = server.join().unwrap().unwrap();
         assert!(msg.contains("shut down after draining"), "{msg}");
     }

@@ -360,11 +360,11 @@ mod tests {
     #[test]
     fn tracing_records_one_span_per_layer() {
         let model = tiny_model();
-        gobo_obs::trace::enable();
-        let outcome = quantize_model(&model, &QuantizeOptions::gobo(3).unwrap());
-        gobo_obs::trace::disable();
+        let options = QuantizeOptions::gobo(3).unwrap();
+        let (outcome, session) =
+            gobo_obs::trace::Session::record(|| quantize_model(&model, &options));
         outcome.unwrap();
-        let events = gobo_obs::trace::take_events();
+        let events = session.events;
         let layer_spans: Vec<&gobo_obs::trace::SpanEvent> =
             events.iter().filter(|e| e.name == "gobo.quantize_layer").collect();
         for spec in model.fc_layers() {

@@ -20,18 +20,16 @@
 //! # Example
 //!
 //! ```
+//! use gobo_obs::trace::Session;
 //! use gobo_obs::{hist::Histogram, span};
 //!
-//! gobo_obs::trace::enable();
 //! let latencies = Histogram::new();
-//! {
+//! let ((), session) = Session::record(|| {
 //!     let _span = span!("work.step", item = 3);
 //!     latencies.observe(1_250); // e.g. microseconds
-//! }
+//! });
 //! assert!(latencies.quantile(0.5) > 0.0);
-//! let trace_json = gobo_obs::trace::export_chrome_trace();
-//! assert!(trace_json.contains("work.step"));
-//! gobo_obs::trace::disable();
+//! assert!(session.chrome_trace().contains("work.step"));
 //! ```
 
 #![deny(missing_docs)]

@@ -19,18 +19,22 @@
 //! monotonic-clock reads, one `fetch_add` to claim a slot in a
 //! fixed-capacity event buffer, and one slot write — no locks on the
 //! hot path. When the buffer fills, further events are counted in
-//! [`dropped_events`] and discarded rather than blocking or reallocating.
+//! [`Session::dropped`] and discarded rather than blocking or reallocating.
 //!
-//! # Export
+//! # Sessions
 //!
-//! [`export_chrome_trace`] renders the buffered events as a Chrome
-//! trace-event JSON array (`ph:"X"` complete events plus `ph:"M"`
-//! thread-name metadata). Save it to a file and open it in
-//! `chrome://tracing` or <https://ui.perfetto.dev>.
+//! The buffer and the on/off switch are process-wide, so recording is
+//! one [`Session`] at a time: [`Session::record`] takes a process-wide
+//! lock, starts on an empty buffer, enables tracing, runs its closure,
+//! disables tracing and hands back every event recorded meanwhile.
+//! [`Session::chrome_trace`] renders them as a Chrome trace-event JSON
+//! array (`ph:"X"` complete events plus `ph:"M"` thread-name metadata).
+//! Save it to a file and open it in `chrome://tracing` or
+//! <https://ui.perfetto.dev>.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use gobo_sanitize::SanMutex;
@@ -58,7 +62,7 @@ fn thread_names() -> &'static SanMutex<Vec<(u32, String)>> {
 
 fn ring_slot() -> &'static SanMutex<Arc<Ring>> {
     static RING: OnceLock<SanMutex<Arc<Ring>>> = OnceLock::new();
-    RING.get_or_init(|| SanMutex::new("obs.trace.ring", 91, Arc::new(Ring::new(DEFAULT_CAPACITY))))
+    RING.get_or_init(|| SanMutex::new("obs.trace.ring", 91, Arc::new(Ring::new(0))))
 }
 
 /// One recorded span.
@@ -180,11 +184,11 @@ fn current_tid() -> u32 {
 }
 
 /// Fetches this thread's cached handle to the current event buffer,
-/// refreshing it (one mutex lock) only when [`reset`]/[`take_events`]
+/// refreshing it (one mutex lock) only when [`swap_ring`]
 /// installed a new generation since the last span on this thread.
 fn current_ring() -> Arc<Ring> {
     // ORDERING: Acquire pairs with the Release `GENERATION.fetch_add`
-    // in reset/take_events so a bumped generation is seen no earlier
+    // in swap_ring so a bumped generation is seen no earlier
     // than the new ring it announces (the mutex in the refresh path
     // then provides the actual handoff).
     let generation = GENERATION.load(Ordering::Acquire);
@@ -202,8 +206,8 @@ fn current_ring() -> Arc<Ring> {
 }
 
 /// Turns recording on. Idempotent; the event buffer keeps whatever it
-/// already holds (call [`reset`] for a clean slate).
-pub fn enable() {
+/// already holds.
+fn enable() {
     epoch(); // pin the epoch no later than the first enable
              // ORDERING: Release so the pinned epoch above is visible to any
              // thread that observes tracing as enabled.
@@ -212,7 +216,7 @@ pub fn enable() {
 
 /// Turns recording off. Spans currently on the stack still record on
 /// drop (their guards were armed at entry); new spans become no-ops.
-pub fn disable() {
+fn disable() {
     // ORDERING: Release, symmetric with `enable`; a flag flip needs no
     // stronger ordering because span guards re-check nothing else.
     ENABLED.store(false, Ordering::Release);
@@ -226,53 +230,73 @@ pub fn is_enabled() -> bool {
 }
 
 /// Installs a fresh, empty event buffer with `capacity` slots and
-/// discards the old one. In-flight spans from before the reset may
-/// still write to the old buffer; those events vanish with it.
-pub fn reset_with_capacity(capacity: usize) {
+/// returns the old one. In-flight spans from before the swap may still
+/// write to the old buffer.
+fn swap_ring(capacity: usize) -> Arc<Ring> {
     let mut slot = ring_slot().lock();
-    *slot = Arc::new(Ring::new(capacity));
+    let old = std::mem::replace(&mut *slot, Arc::new(Ring::new(capacity)));
     // ORDERING: Release pairs with the Acquire generation load in
     // `current_ring`, invalidating thread-local ring caches only after
     // the new ring is installed under the lock.
     GENERATION.fetch_add(1, Ordering::Release);
+    old
 }
 
-/// [`reset_with_capacity`] at the default capacity.
-pub fn reset() {
-    reset_with_capacity(DEFAULT_CAPACITY);
+/// Everything one traced run recorded.
+#[derive(Debug)]
+pub struct Session {
+    /// The recorded spans, sorted by thread then start time (deeper
+    /// spans after their parents).
+    pub events: Vec<SpanEvent>,
+    /// Spans dropped because the buffer was full.
+    pub dropped: u64,
 }
 
-/// Events dropped because the current buffer was full.
-pub fn dropped_events() -> u64 {
+impl Session {
+    /// Runs `run` with tracing on and returns its result with what it
+    /// recorded. Sessions take turns on a process-wide lock, and each
+    /// starts on an empty buffer and ends with tracing off, so two
+    /// sessions never see each other's spans. Spans from threads outside
+    /// any session that run meanwhile are recorded too.
+    ///
+    /// The lock is a plain `std` mutex, not a sanitized one: a session
+    /// may hold it across blocking I/O (`gobo serve --trace-out` holds it
+    /// for the server's whole life).
+    pub fn record<T>(run: impl FnOnce() -> T) -> (T, Session) {
+        record_with_capacity(DEFAULT_CAPACITY, run)
+    }
+
+    /// The recorded spans as Chrome trace-event JSON (the array form):
+    /// one `ph:"M"` thread-name metadata record per thread followed by
+    /// one `ph:"X"` complete event per span.
+    pub fn chrome_trace(&self) -> String {
+        chrome_trace(&self.events)
+    }
+}
+
+/// [`Session::record`] on a buffer of `capacity` slots.
+fn record_with_capacity<T>(capacity: usize, run: impl FnOnce() -> T) -> (T, Session) {
+    static SESSIONS: Mutex<()> = Mutex::new(());
+    /// Turns recording off however `run` ends.
+    struct Off;
+    impl Drop for Off {
+        fn drop(&mut self) {
+            disable();
+        }
+    }
+    let _turn = SESSIONS.lock().unwrap_or_else(PoisonError::into_inner);
+    swap_ring(capacity);
+    enable();
+    let off = Off;
+    let value = run();
+    drop(off);
+    // Nothing records between sessions, so the buffer left behind is empty.
+    let ring = swap_ring(0);
+    let mut events = ring.collect();
+    events.sort_by_key(|e| (e.tid, e.start_us, e.depth));
     // ORDERING: Relaxed — a statistics read of an independent counter.
-    ring_slot().lock().dropped.load(Ordering::Relaxed)
-}
-
-/// Snapshots every recorded event without clearing the buffer, sorted
-/// by thread then start time (deeper spans after their parents).
-pub fn snapshot_events() -> Vec<SpanEvent> {
-    let ring = Arc::clone(&ring_slot().lock());
-    let mut events = ring.collect();
-    events.sort_by_key(|e| (e.tid, e.start_us, e.depth));
-    events
-}
-
-/// Removes and returns every recorded event (same order as
-/// [`snapshot_events`]), leaving a fresh buffer of the same capacity.
-pub fn take_events() -> Vec<SpanEvent> {
-    let ring = {
-        let mut slot = ring_slot().lock();
-        let capacity = slot.slots.len();
-        let old = Arc::clone(&slot);
-        *slot = Arc::new(Ring::new(capacity));
-        // ORDERING: Release — same cache-invalidation pairing as
-        // `reset_with_capacity`.
-        GENERATION.fetch_add(1, Ordering::Release);
-        old
-    };
-    let mut events = ring.collect();
-    events.sort_by_key(|e| (e.tid, e.start_us, e.depth));
-    events
+    let dropped = ring.dropped.load(Ordering::Relaxed);
+    (value, Session { events, dropped })
 }
 
 /// An RAII span guard: created armed by [`span!`](crate::span) when
@@ -372,11 +396,7 @@ macro_rules! span {
     };
 }
 
-/// Renders every buffered event as Chrome trace-event JSON (the array
-/// form): one `ph:"M"` thread-name metadata record per thread followed
-/// by one `ph:"X"` complete event per span. The buffer is left intact.
-pub fn export_chrome_trace() -> String {
-    let events = snapshot_events();
+fn chrome_trace(events: &[SpanEvent]) -> String {
     let mut seen_tids: Vec<u32> = events.iter().map(|e| e.tid).collect();
     seen_tids.sort_unstable();
     seen_tids.dedup();
@@ -406,7 +426,7 @@ pub fn export_chrome_trace() -> String {
             ));
         }
     }
-    for event in &events {
+    for event in events {
         emit(&mut out, &mut first);
         out.push_str(&format!(
             "{{\"name\":{},\"cat\":\"gobo\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
@@ -430,42 +450,27 @@ pub fn export_chrome_trace() -> String {
 mod tests {
     use super::*;
 
-    /// The trace buffer is process-global, so every test that records
-    /// runs under this lock to avoid interleaving with its neighbours.
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        use std::sync::Mutex;
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
     fn disabled_spans_record_nothing_and_skip_detail() {
-        let _guard = test_lock();
-        disable();
-        reset();
         let mut evaluated = false;
-        {
+        let ((), session) = Session::record(|| {
+            disable();
             let span = Span::enter("test.noop", || {
                 evaluated = true;
                 String::new()
             });
             assert!(!span.is_armed());
-        }
+        });
         assert!(!evaluated, "detail closure ran while disabled");
-        assert!(snapshot_events().is_empty());
+        assert!(session.events.is_empty());
     }
 
     #[test]
     fn spans_nest_and_record_depth() {
-        let _guard = test_lock();
-        enable();
-        reset();
-        {
+        let ((), Session { events, .. }) = Session::record(|| {
             let _outer = span!("test.outer", step = 1);
             let _inner = span!("test.inner");
-        }
-        disable();
-        let events = take_events();
+        });
         assert_eq!(events.len(), 2);
         let outer = events.iter().find(|e| e.name == "test.outer").unwrap();
         let inner = events.iter().find(|e| e.name == "test.inner").unwrap();
@@ -479,60 +484,64 @@ mod tests {
 
     #[test]
     fn events_from_other_threads_carry_distinct_tids() {
-        let _guard = test_lock();
-        enable();
-        reset();
-        let main_tid = {
-            let _span = span!("test.main");
-            current_tid()
-        };
-        let worker_tid = std::thread::Builder::new()
-            .name("obs-test-worker".into())
-            .spawn(|| {
+        let ((main_tid, worker_tid), Session { events, .. }) = Session::record(|| {
+            let main_tid = {
+                let _span = span!("test.main");
+                current_tid()
+            };
+            let worker = std::thread::Builder::new().name("obs-test-worker".into()).spawn(|| {
                 let _span = span!("test.worker");
                 current_tid()
-            })
-            .unwrap()
-            .join()
-            .unwrap();
-        disable();
+            });
+            (main_tid, worker.unwrap().join().unwrap())
+        });
         assert_ne!(main_tid, worker_tid);
-        let events = take_events();
         assert!(events.iter().any(|e| e.name == "test.main" && e.tid == main_tid));
         assert!(events.iter().any(|e| e.name == "test.worker" && e.tid == worker_tid));
     }
 
     #[test]
     fn full_buffer_drops_instead_of_blocking() {
-        let _guard = test_lock();
-        enable();
-        reset_with_capacity(4);
-        for i in 0..10 {
-            let _span = span!("test.flood", i = i);
-        }
-        disable();
-        assert!(dropped_events() >= 6);
-        let events = take_events();
-        assert_eq!(events.len(), 4);
-        reset();
+        let ((), session) = record_with_capacity(4, || {
+            for i in 0..10 {
+                let _span = span!("test.flood", i = i);
+            }
+        });
+        assert_eq!(session.dropped, 6);
+        assert_eq!(session.events.len(), 4);
+    }
+
+    /// Two sessions at once, each emitting its own spans for a while:
+    /// each gets all of its own spans and none of the other's.
+    #[test]
+    fn concurrent_sessions_see_only_their_own_spans() {
+        let spans = |name: &'static str| {
+            let ((), session) = Session::record(|| {
+                for _ in 0..20 {
+                    let _span = span!(name);
+                    std::thread::sleep(std::time::Duration::from_micros(500));
+                }
+            });
+            session.events.into_iter().map(|e| e.name).collect::<Vec<_>>()
+        };
+        std::thread::scope(|scope| {
+            let a = scope.spawn(|| spans("test.session.a"));
+            assert_eq!(spans("test.session.b"), ["test.session.b"; 20]);
+            assert_eq!(a.join().unwrap(), ["test.session.a"; 20]);
+        });
     }
 
     #[test]
     fn chrome_export_contains_thread_metadata_and_complete_events() {
-        let _guard = test_lock();
-        enable();
-        reset();
-        {
+        let ((), session) = Session::record(|| {
             let _span = span!("test.export", layer = "encoder.0", bits = 3);
-        }
-        disable();
-        let out = export_chrome_trace();
+        });
+        let out = session.chrome_trace();
         assert!(out.starts_with('['));
         assert!(out.trim_end().ends_with(']'));
         assert!(out.contains("\"ph\":\"M\""), "{out}");
         assert!(out.contains("\"ph\":\"X\""), "{out}");
         assert!(out.contains("\"name\":\"test.export\""), "{out}");
         assert!(out.contains("layer=encoder.0 bits=3"), "{out}");
-        take_events();
     }
 }

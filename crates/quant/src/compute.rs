@@ -314,7 +314,7 @@ mod tests {
     fn assert_matches_dense(qm: &QuantizedMatrix, dense: Vec<f32>, what: &str) {
         let (rows, cols) = (qm.rows(), qm.cols());
         let dense = Tensor::from_vec(dense, &[rows, cols]).unwrap();
-        for m in [1usize, 2, 5, 32] {
+        for m in [1usize, 2, 5, 7, 32, 33] {
             let a: Vec<f32> = (0..m * cols).map(|i| (i as f32 * 0.11).sin()).collect();
             let got = qm.matmul_blocked(&a).unwrap();
             let want = Tensor::from_vec(a, &[m, cols]).unwrap().matmul_nt(&dense).unwrap();

@@ -146,22 +146,4 @@ proptest! {
         }
         assert_same_bits(&batched, &alone, &format!("batch={batch}@{bits}b"));
     }
-
-    /// The serving kernel must match decode-then-dense bit for bit at
-    /// every batch size, with a `cols % 8` tail and `cols = 256 + k`.
-    #[test]
-    fn matmul_blocked_bitwise_matches_decoded(
-        bits_i in 0usize..3,
-        batch_i in 0usize..3,
-        cols_i in 0usize..3,
-        seed in 0u64..1000,
-    ) {
-        let bits = [2u8, 3, 4][bits_i];
-        let batch = [1usize, 7, 33][batch_i];
-        let (rows, cols) = (32, [300usize, 256, 61][cols_i]);
-        let matrix = quantized(rows, cols, bits, 61, seed);
-        let a = activations(batch * cols, seed ^ 0x5A5A);
-        let got = matrix.matmul_blocked(&a).expect("matmul_blocked");
-        assert_same_bits(&got, &decoded_product(&matrix, &a), &format!("{cols} cols m={batch}"));
-    }
 }

@@ -2,7 +2,7 @@
 //! detect deadlocks before they ship.
 //!
 //! The serving stack is deeply concurrent — a versioned registry with
-//! refcount retirement, a claim-based batching scheduler, hedged
+//! refcount retirement, a fair-share batching scheduler, hedged
 //! cluster routing, canary lifecycle windows — and every one of those
 //! features added locks. `gobo_lint::interleave` proves hand-modeled
 //! protocols correct, but nothing checked the *real* lock graph. This

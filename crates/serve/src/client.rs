@@ -1,7 +1,8 @@
 //! A minimal blocking HTTP/1.1 client for the serve front end.
 //!
-//! Exists for two callers: tests/benchmarks that talk to a [`Server`]
-//! over a real socket, and the cluster router's health/admin probes.
+//! Exists for the callers that talk to a [`Server`] over a real socket:
+//! `gobo reload`, tests and benchmarks. (The cluster router speaks
+//! pooled wire frames to its nodes, not HTTP.)
 //! The important behavior is the *retry discipline*: connect-phase
 //! failures (refused / reset before any bytes are written) are retried
 //! with capped jittered backoff via [`gobo_proto::net::connect_retry`],

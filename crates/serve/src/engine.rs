@@ -168,35 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_output_is_byte_identical_to_decoded_model() {
-        // bits × {FC only, FC + embeddings} × batch, against the FP32
-        // oracle: decode the container, run the dense forward per
-        // sequence.
-        for bits in [2u8, 3, 4] {
-            let fc_only = QuantizeOptions::gobo(bits).unwrap();
-            let with_embeddings = fc_only.clone().with_embedding_bits(4).unwrap();
-            for (what, options) in [("fc", fc_only), ("fc+emb", with_embeddings)] {
-                let c = compressed_with(&options);
-                let oracle = c.decode().unwrap();
-                let engine = served(&c);
-                assert!(engine.packed_layers() > 0);
-                for batch in [1usize, 7, 32] {
-                    let seqs: Vec<Vec<usize>> = (0..batch)
-                        .map(|b| (0..1 + b % 12).map(|t| (3 * b + 5 * t + 1) % 40).collect())
-                        .collect();
-                    let inputs: Vec<EncodeInput<'_>> =
-                        seqs.iter().map(|ids| EncodeInput { ids, type_ids: &[] }).collect();
-                    let got = engine.encode_batch(&inputs).unwrap();
-                    for (ids, got) in seqs.iter().zip(&got) {
-                        let want = oracle.encode(ids, &[]).unwrap();
-                        assert_eq!(got, &want, "{bits}-bit {what} batch {batch}: {ids:?}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn every_fc_layer_is_served_compressed() {
         // Everything archived is served packed — FC layers, and the
         // embedding tables when they were quantized — and none of it is

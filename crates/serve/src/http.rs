@@ -464,6 +464,12 @@ impl HttpHandler for ServeCore {
 /// Shared with the cluster router, which speaks the same JSON dialect
 /// at its own front door.
 ///
+/// `bits: 0` and `deadline_ms: 0` are refused. The wire frame a routed
+/// request travels in spells "absent" as 0, so the router could only
+/// forward either as a request without that field, while a node would
+/// look up a 0-bit model or time out at once. Refusing both here keeps
+/// the two front doors saying the same thing.
+///
 /// # Errors
 ///
 /// [`ServeError::BadRequest`] describing the first malformed field.
@@ -490,8 +496,8 @@ pub fn parse_encode_body(body: &[u8]) -> Result<EncodeRequest, ServeError> {
         None | Some(Json::Null) => None,
         Some(v) => Some(
             v.as_usize()
-                .filter(|&b| b <= 32)
-                .ok_or_else(|| ServeError::BadRequest("`bits` must be a small integer".into()))?
+                .filter(|b| (1..=32).contains(b))
+                .ok_or_else(|| ServeError::BadRequest("`bits` must be in 1..=32".into()))?
                 as u8,
         ),
     };
@@ -499,7 +505,8 @@ pub fn parse_encode_body(body: &[u8]) -> Result<EncodeRequest, ServeError> {
         None | Some(Json::Null) => None,
         Some(v) => Some(Duration::from_millis(
             v.as_usize()
-                .ok_or_else(|| ServeError::BadRequest("`deadline_ms` must be an integer".into()))?
+                .filter(|&ms| ms > 0)
+                .ok_or_else(|| ServeError::BadRequest("`deadline_ms` must be positive".into()))?
                 as u64,
         )),
     };

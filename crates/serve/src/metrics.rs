@@ -9,9 +9,11 @@ use gobo_obs::hist::{render_family_header, render_scalars, Histogram};
 /// Counter/gauge/histogram set shared by the scheduler, registry, and
 /// front end.
 ///
-/// All fields are monotone counters except `queue_depth` (a gauge) and
-/// the two latency [`Histogram`]s — everything is updated with relaxed
-/// atomics since no cross-field consistency is required.
+/// All fields are monotone counters except six gauges (`queue_depth`,
+/// `queue_depth_peak`, `batch_size_max`, `registry_models`,
+/// `registry_bytes`, `registry_draining`) and the two latency
+/// [`Histogram`]s — everything is updated with relaxed atomics since no
+/// cross-field consistency is required.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Total HTTP requests accepted by the front end (all routes).
@@ -133,8 +135,8 @@ impl Metrics {
             (Counter, "gobo_rejected_shutdown_total", "requests rejected during shutdown", v(&self.rejected_shutdown)),
             (Counter, "gobo_encode_failed_total", "encode requests that failed inference", v(&self.encode_failed)),
             (Counter, "gobo_rejected_body_too_large_total", "HTTP requests rejected for an oversized body", v(&self.rejected_body_too_large)),
-            (Counter, "gobo_worker_panics_total", "worker threads lost to a panic during batch execution", v(&self.worker_panics)),
-            (Counter, "gobo_worker_respawns_total", "worker threads respawned after a panic", v(&self.worker_respawns)),
+            (Counter, "gobo_worker_panics_total", "panics a worker caught while taking or executing a batch", v(&self.worker_panics)),
+            (Counter, "gobo_worker_respawns_total", "times a worker went on after a panic, healed in place", v(&self.worker_respawns)),
             (Counter, "gobo_batches_total", "worker batches executed", v(&self.batches)),
             (Counter, "gobo_batched_requests_total", "requests carried in executed batches", v(&self.batched_requests)),
             (Counter, "gobo_registry_evictions_total", "models evicted under the registry byte budget", v(&self.registry_evictions)),

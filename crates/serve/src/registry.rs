@@ -795,17 +795,6 @@ mod tests {
     }
 
     #[test]
-    fn decoded_model_matches_direct_decode() {
-        let c = compressed(9, 3);
-        let r = registry(usize::MAX, 4);
-        let entry = r.insert("m", &c).unwrap();
-        assert_eq!(serve_one(&entry, &[1, 2, 3]), oracle(&c, &[1, 2, 3]));
-        assert_eq!(entry.resident_bytes, entry.engine.resident_bytes());
-        assert!(entry.compressed_bytes > 0);
-        assert!(entry.quantized_layers > 0);
-    }
-
-    #[test]
     fn lru_eviction_under_byte_budget() {
         let models: Vec<CompressedModel> = (1..=3u64).map(|s| compressed(s, 3)).collect();
         // True bytes differ a little per model (outlier counts), so size
@@ -1055,7 +1044,11 @@ mod tests {
                     assert!(held <= file, "{what}: r{} holds {held} B of a {file} B file", s.rev);
                 }
             };
-            let key = r.insert("m", &models[0]).unwrap().key.clone();
+            let first = r.insert("m", &models[0]).unwrap();
+            assert_eq!(first.resident_bytes, first.engine.resident_bytes());
+            assert!(first.compressed_bytes > 0 && first.quantized_layers > 0);
+            let key = first.key.clone();
+            drop(first);
             check(&[0], "insert");
             r.publish("m", &models[1]).unwrap();
             check(&[0, 1], "publish (canary)");

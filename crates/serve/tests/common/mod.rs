@@ -1,19 +1,17 @@
-//! Shared by the serve integration suites: the model they serve, a raw
+//! Shared by the serve integration suites: the model they serve, an
 //! HTTP round trip, the failpoint guard and the counter-conservation
 //! check every scheduler and chaos test ends on.
 
 #![allow(dead_code)] // each suite uses its own subset
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 use gobo::format::CompressedModel;
 use gobo::pipeline::{quantize_model, QuantizeOptions};
 use gobo_model::config::ModelConfig;
 use gobo_model::TransformerModel;
-use gobo_serve::ServeCore;
+use gobo_serve::{HttpClient, ServeCore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,24 +29,9 @@ pub fn compressed_at(seed: u64, bits: u8) -> CompressedModel {
     CompressedModel::new(&model, outcome.archive)
 }
 
-/// One raw HTTP/1.1 round trip; returns (status, body).
+/// One HTTP/1.1 round trip; returns (status, body).
 pub fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let message = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(message.as_bytes()).expect("write request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {raw:?}"));
-    let payload = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_owned()).unwrap_or_default();
-    (status, payload)
+    HttpClient::new(addr.to_string()).request(method, path, body).expect("HTTP exchange")
 }
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());

@@ -1,6 +1,7 @@
-//! End-to-end HTTP tests: raw-socket requests against a bound server,
-//! byte-identical encode results over the wire, error statuses, metrics
-//! exposition, and graceful shutdown via `POST /v1/shutdown`.
+//! End-to-end HTTP tests: requests against a bound server, encode over
+//! the wire, error statuses, metrics exposition, and graceful shutdown
+//! via `POST /v1/shutdown`. (The bytes an encode answers with are the
+//! differential oracle's, `crates/cli/tests/oracle.rs`.)
 
 mod common;
 
@@ -11,10 +12,8 @@ use gobo_serve::json::{parse, Json};
 use gobo_serve::{Client, ServeCore, ServeOptions, Server};
 
 #[test]
-fn http_round_trip_byte_identical_and_graceful_shutdown() {
+fn http_round_trip_and_graceful_shutdown() {
     let container = compressed(11);
-    let direct = container.decode().unwrap();
-
     let core = ServeCore::start(ServeOptions::default());
     let client = Client::new(Arc::clone(&core));
     client.register("demo", &container).unwrap();
@@ -31,9 +30,6 @@ fn http_round_trip_byte_identical_and_graceful_shutdown() {
     assert_eq!(models[0].get("name").and_then(Json::as_str), Some("demo"));
     assert_eq!(models[0].get("bits").and_then(Json::as_f64), Some(3.0));
 
-    // Encode: the floats that come back over the wire must be
-    // bit-identical to a direct `TransformerModel::encode` call.
-    let ids = [1usize, 2, 3, 4];
     let (status, body) = request(
         addr,
         "POST",
@@ -43,22 +39,8 @@ fn http_round_trip_byte_identical_and_graceful_shutdown() {
     assert_eq!(status, 200, "encode failed: {body}");
     let value = parse(&body).unwrap();
     assert_eq!(value.get("model").and_then(Json::as_str), Some("demo"));
-    let reference = direct.encode(&ids, &[0, 0, 1, 1]).unwrap();
     let dims = value.get("hidden").and_then(|h| h.get("dims")).unwrap();
     assert_eq!(dims.as_usize_array(), Some(vec![4, 16]));
-    let data = value.get("hidden").and_then(|h| h.get("data")).and_then(Json::as_array).unwrap();
-    let ref_hidden = reference.hidden.as_slice();
-    assert_eq!(data.len(), ref_hidden.len());
-    for (value, expected) in data.iter().zip(ref_hidden) {
-        let got = value.as_f64().unwrap() as f32;
-        assert_eq!(got.to_bits(), expected.to_bits());
-    }
-    let pooled = value.get("pooled").and_then(Json::as_array).unwrap();
-    let ref_pooled = reference.pooled.unwrap();
-    for (value, expected) in pooled.iter().zip(ref_pooled.as_slice()) {
-        let got = value.as_f64().unwrap() as f32;
-        assert_eq!(got.to_bits(), expected.to_bits());
-    }
 
     // Error statuses: unknown model, malformed body, unknown route.
     let (status, body) = request(addr, "POST", "/v1/encode", "{\"model\":\"ghost\",\"ids\":[1]}");

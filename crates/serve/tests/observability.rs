@@ -105,26 +105,17 @@ fn metrics_exposition_matches_golden_schema() {
 /// begin order, and (c) nests child spans inside their parents.
 #[test]
 fn chrome_trace_export_round_trips_with_cross_thread_nesting() {
-    gobo_obs::trace::reset();
-    gobo_obs::trace::enable();
-    let workers: Vec<_> = (0..3)
-        .map(|i| {
-            std::thread::spawn(move || {
-                for j in 0..4 {
-                    let _outer = gobo_obs::span!("t.outer", worker = i, round = j);
-                    std::thread::sleep(Duration::from_micros(200));
-                    let _inner = gobo_obs::span!("t.inner", worker = i);
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().unwrap();
-    }
-    gobo_obs::trace::disable();
-    let json = gobo_obs::trace::export_chrome_trace();
-    gobo_obs::trace::reset();
+    let work = |i| {
+        for j in 0..4 {
+            let _outer = gobo_obs::span!("t.outer", worker = i, round = j);
+            std::thread::sleep(Duration::from_micros(200));
+            let _inner = gobo_obs::span!("t.inner", worker = i);
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    };
+    let three_threads =
+        || std::thread::scope(|s| (0..3).for_each(|i| drop(s.spawn(move || work(i)))));
+    let json = gobo_obs::trace::Session::record(three_threads).1.chrome_trace();
 
     // (a) The export is valid JSON: an array of metadata + complete
     // events with the trace-event fields present.
