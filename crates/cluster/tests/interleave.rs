@@ -21,8 +21,8 @@
 //! The model below has exactly those atomic steps. A routing worker is
 //! two steps — front-and-encode (the encode itself is thread-local),
 //! then record-judge-apply — and a *replacer* thread calls `set_canary`
-//! at every possible point in between. Invariants proved over every
-//! schedule:
+//! at every possible point in between. The explorer closes that over
+//! every reachable state, which proves, for every schedule:
 //!
 //! * **a sample names its trial** — no sample, verdict or demotion ever
 //!   lands on a trial other than the one the request was fronted under,
@@ -36,12 +36,11 @@
 //! * **no full window left unjudged** — the verdict is applied in the
 //!   step that completes it.
 //!
-//! The sleep-set DPOR explorer re-proves the same invariants with the
-//! schedule count logged against naive DFS. The protocol this replaced
-//! — record under one lock, apply under another, no trial identity —
-//! is kept as the mutant the explorer must reject.
+//! The protocol this replaced — record under one lock, apply under
+//! another, no trial identity — is kept as the mutant the explorer must
+//! reject.
 
-use gobo_lint::interleave::{explore_dpor, explore_exhaustive, DporProgram, Footprint, Program};
+use gobo_lint::interleave::{explore, Explored, Program};
 
 /// Canary window size in the model: two samples fill it.
 const WINDOW: u32 = 2;
@@ -49,21 +48,15 @@ const WINDOW: u32 = 2;
 /// and the replacer's (identity 2). Index 0 is unused.
 const TRIALS: usize = 3;
 
-/// Abstract variable ids for DPOR footprints. `V_TRIAL` is everything
-/// behind the canary mutex, `V_COUNTERS` the promotion/rollback metrics
-/// and the node's slow score.
-const V_TRIAL: u32 = 0;
-const V_COUNTERS: u32 = 1;
-
 /// The `Option<CanaryTrial>` behind the mutex.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct Trial {
     id: usize,
     samples: u32,
 }
 
 /// The modeled router state, plus the bookkeeping the invariants read.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct Router {
     trial: Option<Trial>,
     /// Identities handed out so far.
@@ -107,7 +100,7 @@ impl Router {
 
 /// A routed request on the canary path. `fails` makes its canary
 /// attempt fail, which is an immediate rollback verdict.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct Worker {
     fails: bool,
     /// `None` until fronted; then the identity captured, if a trial was
@@ -149,18 +142,8 @@ impl Program<Router> for Worker {
     }
 }
 
-impl DporProgram<Router> for Worker {
-    fn next_footprint(&self) -> Footprint {
-        if self.fronted.is_none() {
-            Footprint::new(&[V_TRIAL], &[])
-        } else {
-            Footprint::new(&[V_TRIAL], &[V_TRIAL, V_COUNTERS])
-        }
-    }
-}
-
 /// `set_canary` on another node: one step under the canary mutex.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct Replacer {
     done: bool,
 }
@@ -180,15 +163,9 @@ impl Program<Router> for Replacer {
     }
 }
 
-impl DporProgram<Router> for Replacer {
-    fn next_footprint(&self) -> Footprint {
-        Footprint::new(&[V_TRIAL], &[V_TRIAL])
-    }
-}
-
 /// Mixed programs so one explorer run can hold workers, the replacer
 /// and the mutant.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 enum Thread {
     Work(Worker),
     Replace(Replacer),
@@ -209,17 +186,6 @@ impl Program<Router> for Thread {
             Thread::Work(w) => w.is_done(),
             Thread::Replace(r) => r.is_done(),
             Thread::SplitLock(w) => w.is_done(),
-        }
-    }
-}
-
-impl DporProgram<Router> for Thread {
-    fn next_footprint(&self) -> Footprint {
-        match self {
-            Thread::Work(w) => w.next_footprint(),
-            Thread::Replace(r) => r.next_footprint(),
-            // The mutant is only ever explored exhaustively.
-            Thread::SplitLock(_) => Footprint::new(&[V_TRIAL], &[V_TRIAL, V_COUNTERS]),
         }
     }
 }
@@ -255,8 +221,8 @@ fn assert_trials_clean(router: &Router, schedule: &[usize]) {
 
 /// Two requests whose samples fill a window, one whose canary attempt
 /// fails, and `set_canary` racing all of them.
-fn threads() -> [Thread; 4] {
-    [
+fn threads() -> Vec<Thread> {
+    vec![
         Thread::Work(Worker::new(false)),
         Thread::Work(Worker::new(false)),
         Thread::Work(Worker::new(true)),
@@ -268,43 +234,17 @@ fn threads() -> [Thread; 4] {
 fn interleave_canary_verdict_every_schedule_transitions_once() {
     let mut replaced_mid_flight = 0u64;
     let mut both_judged = 0u64;
-    let count = explore_exhaustive(&Router::new(), &threads(), |router, schedule| {
+    let explored = explore(Router::new(), threads(), |router, schedule| {
         assert_trials_clean(router, schedule);
         replaced_mid_flight += u64::from(router.replaced[1]);
         both_judged += u64::from(router.judged[1] && router.judged[2]);
     });
-    // 3 workers × 2 steps + 1 replacer step = 7!/(2!2!2!1!) = 630.
-    assert_eq!(count, 630);
-    // The schedules are not vacuous: some replace trial 1 before its
+    // 3 workers × 2 steps + 1 replacer step: 7!/(2!2!2!1!) = 630
+    // schedules.
+    assert_eq!(explored, Explored { states: 254, terminals: 27 });
+    // The outcomes are not vacuous: some replace trial 1 before its
     // verdict, and some judge both trials, each exactly once.
     assert!(replaced_mid_flight > 0 && both_judged > 0, "{replaced_mid_flight} {both_judged}");
-}
-
-/// The same proof through sleep-set DPOR, with the reduction logged —
-/// fronting steps only read the trial, so schedules that differ in
-/// their order collapse to one representative.
-#[test]
-fn interleave_canary_verdict_dpor_matches_naive_invariants() {
-    let start = std::time::Instant::now();
-    let naive = explore_exhaustive(&Router::new(), &threads(), |router, schedule| {
-        assert_trials_clean(router, schedule);
-    });
-    let naive_elapsed = start.elapsed();
-    let start = std::time::Instant::now();
-    let stats = explore_dpor(&Router::new(), &threads(), |router, schedule| {
-        assert_trials_clean(router, schedule);
-    });
-    let dpor_elapsed = start.elapsed();
-    println!(
-        "canary trial: naive {} schedules in {:?}; \
-         dpor {} schedules, {} sleep prunes, {} steps in {:?}",
-        naive, naive_elapsed, stats.schedules, stats.sleep_prunes, stats.steps, dpor_elapsed
-    );
-    assert!(
-        stats.schedules < naive,
-        "DPOR explored {} schedules — no reduction over naive {naive}",
-        stats.schedules
-    );
 }
 
 /// The protocol the one-lock trial replaced, kept as the mutant: the
@@ -312,7 +252,7 @@ fn interleave_canary_verdict_dpor_matches_naive_invariants() {
 /// the verdict applied under another acquisition (canary write), and
 /// neither step knows which trial the request was fronted under — each
 /// acts on whatever trial is in flight when it runs.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct SplitLockWorker {
     fronted: Option<Option<usize>>,
     /// Outcome of the record step: `Some(rollback)` once decided.
@@ -370,7 +310,7 @@ impl Program<Router> for SplitLockWorker {
 /// one sample of its own.
 #[test]
 fn interleave_explorer_rejects_the_split_lock_protocol() {
-    let threads = [
+    let threads = vec![
         Thread::SplitLock(SplitLockWorker::new(false)),
         Thread::SplitLock(SplitLockWorker::new(false)),
         Thread::SplitLock(SplitLockWorker::new(true)),
@@ -378,12 +318,13 @@ fn interleave_explorer_rejects_the_split_lock_protocol() {
     ];
     let mut misjudged = 0u64;
     let mut unsampled_demotion = 0u64;
-    let total = explore_exhaustive(&Router::new(), &threads, |router, _| {
+    let explored = explore(Router::new(), threads, |router, _| {
         misjudged += u64::from(violation(router).is_some());
         unsampled_demotion += u64::from(router.demotions[2] > 0 && !router.judged[2]);
     });
-    // 3 workers × 3 steps + 1 replacer step = 10!/(3!3!3!1!) = 16800.
-    assert_eq!(total, 16_800);
+    // 3 workers × 3 steps + 1 replacer step: 10!/(3!3!3!1!) = 16 800
+    // schedules.
+    assert_eq!(explored, Explored { states: 1306, terminals: 115 });
     assert!(misjudged > 0, "explorer failed to find a verdict landing on a replaced trial");
     assert!(unsampled_demotion > 0, "explorer failed to find trial 2 demoted on trial 1's failure");
 }
@@ -423,9 +364,7 @@ fn interleave_explorer_rejects_the_split_lock_protocol() {
 // request holding the connection while the first still reads from it.
 // ---------------------------------------------------------------------
 mod pool {
-    use gobo_lint::interleave::{
-        explore_dpor, explore_exhaustive, DporProgram, Footprint, Program,
-    };
+    use gobo_lint::interleave::{explore, Explored, Program};
 
     /// Connections a run can open: the one idle at the start plus one
     /// miss per request.
@@ -434,16 +373,7 @@ mod pool {
     /// full pool in some schedule.
     const IDLE_MAX: usize = 1;
 
-    /// Footprint variables: the `Vec` behind the pool lock, the count of
-    /// connections opened, and one per connection.
-    const V_IDLE: u32 = 20;
-    const V_OPENED: u32 = 21;
-    const fn v_conn(c: usize) -> u32 {
-        30 + c as u32
-    }
-    const V_ALL_CONNS: [u32; CONNS] = [v_conn(0), v_conn(1), v_conn(2), v_conn(3)];
-
-    #[derive(Clone, Default)]
+    #[derive(Clone, Default, PartialEq, Eq, Hash)]
     struct Pool {
         /// Behind the pool lock: idle connection ids, most recent last.
         idle: Vec<usize>,
@@ -501,7 +431,7 @@ mod pool {
         }
     }
 
-    #[derive(Clone, Copy, PartialEq)]
+    #[derive(Clone, Copy, PartialEq, Eq, Hash)]
     enum At {
         Checkout,
         Connect,
@@ -514,7 +444,7 @@ mod pool {
 
     /// One routed request. `answered`: its exchange ends in a whole reply
     /// with its own id; otherwise in any of the endings that close.
-    #[derive(Clone)]
+    #[derive(Clone, PartialEq, Eq, Hash)]
     struct Request {
         answered: bool,
         /// The mutant: pool the connection once the request is written.
@@ -579,23 +509,8 @@ mod pool {
         }
     }
 
-    impl DporProgram<Pool> for Request {
-        fn next_footprint(&self) -> Footprint {
-            match self.at {
-                // Which connection comes out is not known beforehand.
-                At::Checkout => Footprint::new(&[], &[&[V_IDLE][..], &V_ALL_CONNS].concat()),
-                At::Connect => Footprint::new(&[], &[&[V_OPENED][..], &V_ALL_CONNS].concat()),
-                At::Exchange if self.pools_early => {
-                    Footprint::new(&[], &[V_IDLE, v_conn(self.conn)])
-                }
-                At::Exchange | At::ReadReply => Footprint::new(&[], &[v_conn(self.conn)]),
-                At::Release | At::Done => Footprint::new(&[], &[V_IDLE, v_conn(self.conn)]),
-            }
-        }
-    }
-
     /// `drop_idle` on mark-dead: take under the lock, close outside it.
-    #[derive(Clone, Default)]
+    #[derive(Clone, Default, PartialEq, Eq, Hash)]
     struct MarkDead {
         taken: Option<Vec<usize>>,
         done: bool,
@@ -619,19 +534,7 @@ mod pool {
         }
     }
 
-    impl DporProgram<Pool> for MarkDead {
-        fn next_footprint(&self) -> Footprint {
-            match &self.taken {
-                None => Footprint::new(&[], &[V_IDLE]),
-                Some(taken) => {
-                    let conns: Vec<u32> = taken.iter().map(|&c| v_conn(c)).collect();
-                    Footprint::new(&[], &conns)
-                }
-            }
-        }
-    }
-
-    #[derive(Clone)]
+    #[derive(Clone, PartialEq, Eq, Hash)]
     enum Thread {
         Request(Request),
         MarkDead(MarkDead),
@@ -649,15 +552,6 @@ mod pool {
             match self {
                 Thread::Request(r) => r.is_done(),
                 Thread::MarkDead(m) => m.is_done(),
-            }
-        }
-    }
-
-    impl DporProgram<Pool> for Thread {
-        fn next_footprint(&self) -> Footprint {
-            match self {
-                Thread::Request(r) => r.next_footprint(),
-                Thread::MarkDead(m) => m.next_footprint(),
             }
         }
     }
@@ -683,8 +577,8 @@ mod pool {
     }
 
     /// Two requests that are answered, one that is not, and mark-dead.
-    fn threads() -> [Thread; 4] {
-        [
+    fn threads() -> Vec<Thread> {
+        vec![
             Thread::Request(Request::new(true)),
             Thread::Request(Request::new(true)),
             Thread::Request(Request::new(false)),
@@ -695,14 +589,7 @@ mod pool {
     #[test]
     fn interleave_pool_every_schedule_keeps_one_holder_and_pools_only_in_step() {
         let (mut reused, mut dropped_idle, mut overflowed) = (0u64, 0u64, 0u64);
-        // Exhaustively with two requests (one of each ending)…
-        let small = [threads()[1].clone(), threads()[2].clone(), threads()[3].clone()];
-        let naive = explore_exhaustive(&Pool::warm(), &small, |pool, schedule| {
-            assert_eq!(violation(pool), None, "schedule {schedule:?}");
-        });
-        // …and all three through DPOR: exchanges touch one connection
-        // each, so schedules that only reorder them collapse.
-        let stats = explore_dpor(&Pool::warm(), &threads(), |pool, schedule| {
+        let explored = explore(Pool::warm(), threads(), |pool, schedule| {
             assert_eq!(violation(pool), None, "schedule {schedule:?}");
             reused += u64::from(pool.opened < 4);
             dropped_idle += u64::from(pool.closed[0] && pool.opened == 4);
@@ -710,11 +597,7 @@ mod pool {
                 pool.idle.len() == IDLE_MAX && pool.closed[1..].iter().filter(|&&c| c).count() > 1,
             );
         });
-        println!(
-            "pool: naive {naive} schedules (2 requests); dpor {} schedules, {} sleep prunes, \
-             {} steps (3 requests)",
-            stats.schedules, stats.sleep_prunes, stats.steps
-        );
+        assert_eq!(explored, Explored { states: 2550, terminals: 54 });
         // Not vacuous: some schedules reuse the warm connection, some
         // lose it to mark-dead first, some check in to a full pool.
         assert!(
@@ -731,9 +614,9 @@ mod pool {
     fn interleave_explorer_rejects_pooling_before_the_reply_is_read() {
         let early =
             |answered| Thread::Request(Request { pools_early: true, ..Request::new(answered) });
-        let threads = [early(true), early(true), Thread::MarkDead(MarkDead::default())];
+        let threads = vec![early(true), early(true), Thread::MarkDead(MarkDead::default())];
         let (mut two_holders, mut closed_under_holder) = (0u64, 0u64);
-        explore_exhaustive(&Pool::warm(), &threads, |pool, _| {
+        explore(Pool::warm(), threads, |pool, _| {
             let what = pool.violation.unwrap_or_default();
             two_holders += u64::from(what.contains("two requests"));
             closed_under_holder += u64::from(what.contains("under the request"));

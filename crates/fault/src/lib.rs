@@ -155,8 +155,10 @@ fn registry() -> &'static RwLock<HashMap<String, Arc<Point>>> {
     REGISTRY.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-/// SplitMix64: the per-evaluation hash behind [`Trigger::Probability`].
-fn splitmix64(mut x: u64) -> u64 {
+/// The splitmix64 mixer: the workspace's one cheap deterministic hash,
+/// behind [`Trigger::Probability`] and the jitter of `gobo-proto`'s
+/// connect retries.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -31,13 +31,12 @@
 //! All findings and panic-site listings are sorted by `path:line:col`
 //! so lint output is deterministic and diffable run to run.
 //!
-//! The crate also ships [`interleave`], a deterministic
-//! exhaustive-interleaving explorer (with sleep-set DPOR) used by the
-//! concurrency audit harness (`crates/obs/tests/interleave.rs`,
+//! The crate also ships [`interleave`], a deterministic explorer that
+//! closes a modeled protocol over its reachable states, used by the
+//! concurrency audits (`crates/obs/tests/interleave.rs`,
 //! `crates/serve/tests/interleave.rs`,
-//! `crates/cluster/tests/interleave.rs`, and this crate's
-//! `tests/interleave.rs`) to prove small concurrent protocols correct
-//! across every schedule.
+//! `crates/cluster/tests/interleave.rs`) to prove small concurrent
+//! protocols correct across every schedule.
 //!
 //! Run it as `gobo lint` (see `crates/cli`); configuration lives in
 //! `lint.toml` at the workspace root.

@@ -18,11 +18,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Upper bounds (inclusive, `le` semantics) of the finite buckets.
-pub const BUCKET_BOUNDS: [u64; 20] = [
-    1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000,
-    200_000, 500_000, 1_000_000, 5_000_000,
-];
+pub use gobo_sanitize::BUCKET_BOUNDS;
 
 /// Number of buckets including the terminal `+Inf` bucket.
 pub const BUCKETS: usize = BUCKET_BOUNDS.len() + 1;

@@ -5,9 +5,9 @@
 //! atomic operations one explorer-step at a time — exactly the
 //! operations that are single atomic instructions in
 //! `crates/obs/src/trace.rs::Ring::push`/`collect` — and let
-//! `gobo_lint::interleave` enumerate **every** 2-thread schedule (plus
-//! seeded samples of 3-thread schedules). Invariants proved across all
-//! schedules:
+//! `gobo_lint::interleave` close two and three producers (or a producer
+//! and a collector) over every reachable state. Invariants proved
+//! across all schedules:
 //!
 //! * **distinct claims** — no two pushes ever write the same slot
 //!   (each slot is written at most once);
@@ -17,11 +17,11 @@
 //! * **no duplicate collection** — a collector sees each published
 //!   event at most once and nothing that was never published.
 
-use gobo_lint::interleave::{explore_exhaustive, explore_sampled, Program};
+use gobo_lint::interleave::{explore, Explored, Program};
 
 /// The shared state of the modeled ring: what the atomics + UnsafeCell
 /// slots of `trace::Ring` hold, plus bookkeeping the invariants need.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct Ring {
     /// `slot.ready` flags.
     ready: Vec<bool>,
@@ -59,7 +59,7 @@ impl Ring {
 /// steps of `Ring::push`: (1) `cursor.fetch_add` claims an index,
 /// (2) the unsynchronized slot write, (3) the `ready` Release store —
 /// or a single `dropped` increment when the claim is out of bounds.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct Producer {
     id: usize,
     events: usize,
@@ -114,7 +114,7 @@ impl Program<Ring> for Producer {
 /// A collector running `Ring::collect` concurrently with producers:
 /// loads `cursor` once (Acquire), then reads each slot's `ready` flag
 /// and payload, one slot per step.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct Collector {
     end: Option<usize>,
     next_slot: usize,
@@ -167,28 +167,27 @@ fn check_final(ring: &Ring, pushed: usize, schedule: &[usize]) {
 
 #[test]
 fn interleave_ring_two_producers_exhaustive() {
-    // 2 producers x 2 events x 3 steps each = C(12,6) = 924 schedules,
+    // 2 producers x 2 events x 3 steps each, C(12,6) = 924 schedules,
     // with capacity for every event: nothing may drop or be lost.
-    let shared = Ring::new(4);
-    let threads = vec![Producer::new(0, 2), Producer::new(1, 2)];
-    let schedules = explore_exhaustive(&shared, &threads, |ring, schedule| {
-        check_final(ring, 4, schedule);
-        assert_eq!(ring.dropped, 0, "capacity 4 fits all 4 events");
-    });
-    assert_eq!(schedules, 924);
+    let explored =
+        explore(Ring::new(4), vec![Producer::new(0, 2), Producer::new(1, 2)], |ring, schedule| {
+            check_final(ring, 4, schedule);
+            assert_eq!(ring.dropped, 0, "capacity 4 fits all 4 events");
+        });
+    assert_eq!(explored, Explored { states: 139, terminals: 6 });
 }
 
 #[test]
 fn interleave_ring_overflow_counts_drops_exhaustive() {
     // Capacity 1 for 1+2 events: exactly two pushes must overflow into
     // `dropped` in every schedule — never silently vanish.
-    let shared = Ring::new(1);
-    let threads = vec![Producer::new(0, 1), Producer::new(1, 2)];
-    explore_exhaustive(&shared, &threads, |ring, schedule| {
-        check_final(ring, 3, schedule);
-        assert_eq!(ring.dropped, 2, "exactly two events overflow: {schedule:?}");
-        assert_eq!(ring.published(), 1);
-    });
+    let explored =
+        explore(Ring::new(1), vec![Producer::new(0, 1), Producer::new(1, 2)], |ring, schedule| {
+            check_final(ring, 3, schedule);
+            assert_eq!(ring.dropped, 2, "exactly two events overflow: {schedule:?}");
+            assert_eq!(ring.published(), 1);
+        });
+    assert_eq!(explored, Explored { states: 18, terminals: 2 });
 }
 
 #[test]
@@ -196,12 +195,9 @@ fn interleave_ring_producer_vs_collector_exhaustive() {
     // One producer racing one collector across every schedule: the
     // collector must never see a torn slot, a duplicate, or an event
     // that was not published.
-    let shared = Ring::new(3);
-    let producer = Producer::new(0, 2);
-    let collector = Collector::new();
-    let mut explored = 0;
-    explore_exhaustive(&shared, &[Pc::P(producer), Pc::C(collector)], |ring, schedule| {
-        explored += 1;
+    let threads = vec![Pc::P(Producer::new(0, 2)), Pc::C(Collector::new())];
+    let mut collected = Vec::new();
+    let explored = explore(Ring::new(3), threads, |ring, schedule| {
         // The producer ran to completion in every terminal state.
         check_final(ring, 2, schedule);
         // Collector results: no duplicates, all genuinely published.
@@ -214,16 +210,19 @@ fn interleave_ring_producer_vs_collector_exhaustive() {
             assert_eq!(producer_id, 0);
             assert!(event < 2);
         }
+        collected.push(seen.len());
     });
-    // The collector snapshots `cursor` on its first step, so schedules
-    // where it starts early are short; dozens of distinct schedules
-    // still get explored.
-    assert!(explored > 20, "expected dozens of schedules, got {explored}");
+    // Not vacuous: the collector sees nothing, one event or both,
+    // depending on where it snapshots `cursor`.
+    collected.sort_unstable();
+    collected.dedup();
+    assert_eq!(collected, [0, 1, 2]);
+    assert_eq!(explored, Explored { states: 40, terminals: 5 });
 }
 
 /// Producer/collector union so both can run under one explorer call
 /// (the explorer requires homogeneous thread programs).
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 enum Pc {
     P(Producer),
     C(Collector),
@@ -250,14 +249,13 @@ impl Program<Ring> for Pc {
 }
 
 #[test]
-fn interleave_ring_three_producers_sampled() {
-    // 3 producers x 2 events explodes exhaustively; sample 2000 seeded
-    // schedules instead (deterministic, so failures reproduce).
-    let shared = Ring::new(6);
+fn interleave_ring_three_producers_exhaustive() {
+    // 3 producers x 2 events: 18!/(6!6!6!) ≈ 1.7·10⁷ schedules, a few
+    // thousand states.
     let threads = vec![Producer::new(0, 2), Producer::new(1, 2), Producer::new(2, 2)];
-    let samples = explore_sampled(&shared, &threads, 0xC0FFEE, 2000, |ring, schedule| {
+    let explored = explore(Ring::new(6), threads, |ring, schedule| {
         check_final(ring, 6, schedule);
         assert_eq!(ring.dropped, 0);
     });
-    assert_eq!(samples, 2000);
+    assert_eq!(explored, Explored { states: 6391, terminals: 90 });
 }

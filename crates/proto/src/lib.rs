@@ -48,4 +48,4 @@ pub use frame::{
     EncodeResponseFrame, Frame, HeartbeatAckFrame, ModelStatusFrame, ProtoError, MAX_PAYLOAD,
     PROTOCOL_VERSION,
 };
-pub use net::{connect_retry, splitmix64, RetryPolicy};
+pub use net::{connect_retry, RetryPolicy};

@@ -5,21 +5,14 @@
 //! binding. Those failures happen *before any bytes are written*, so
 //! retrying them is always safe — the request was never seen by the
 //! peer. [`connect_retry`] retries exactly that class of failure with
-//! capped exponential backoff plus deterministic SplitMix64 jitter
+//! capped exponential backoff plus deterministic [`splitmix64`] jitter
 //! (same seed → same schedule, so chaos runs replay).
 
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// SplitMix64 mixer — the workspace's standard cheap deterministic
-/// hash, reused here for backoff jitter.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use gobo_fault::splitmix64;
 
 /// Retry schedule for transient connect failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

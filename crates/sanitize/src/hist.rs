@@ -1,14 +1,14 @@
 //! Internal log-spaced histograms for hold/wait times.
 //!
-//! This intentionally duplicates `gobo-obs`'s 1-2-5 bucket scheme and
-//! text-exposition shape instead of depending on `gobo-obs`: the obs
-//! crate itself adopts [`SanMutex`](crate::SanMutex) for its span
-//! registries, so a dependency in the other direction would be a
-//! cycle. The bounds are identical, which keeps every `_us` histogram
-//! in the stack directly comparable.
+//! [`BUCKET_BOUNDS`] is the workspace's one 1-2-5 bucket scheme: it
+//! lives here, in the lower crate, because `gobo-obs` adopts
+//! [`SanMutex`](crate::SanMutex) for its span registries and so depends
+//! on this crate, and `gobo_obs::hist` re-exports it. Every `_us`
+//! histogram in the stack is therefore bucketed alike and directly
+//! comparable.
 
-/// Upper bounds (inclusive) of the non-terminal buckets, a 1-2-5
-/// progression in microseconds — byte-for-byte the `gobo-obs` bounds.
+/// Upper bounds (inclusive, `le` semantics) of the finite buckets, a
+/// 1-2-5 progression in microseconds from 1 µs to 5 s.
 pub const BUCKET_BOUNDS: [u64; 20] = [
     1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000,
     200_000, 500_000, 1_000_000, 5_000_000,
@@ -111,13 +111,5 @@ mod tests {
         assert_eq!(snap.counts.first().copied(), Some(1)); // le=1
         assert_eq!(snap.counts.get(2).copied(), Some(1)); // le=5
         assert_eq!(snap.counts.last().copied(), Some(1)); // +Inf
-    }
-
-    #[test]
-    fn bounds_match_obs() {
-        // Keep in lockstep with gobo-obs so `_us` histograms compare.
-        assert_eq!(BUCKET_BOUNDS.len(), 20);
-        assert_eq!(BUCKET_BOUNDS.first().copied(), Some(1));
-        assert_eq!(BUCKET_BOUNDS.last().copied(), Some(5_000_000));
     }
 }

@@ -66,7 +66,7 @@ use std::time::{Duration, Instant};
 mod hist;
 mod sync;
 
-pub use hist::HistogramSnapshot;
+pub use hist::{HistogramSnapshot, BUCKET_BOUNDS};
 pub use sync::{
     SanCondvar, SanMutex, SanMutexGuard, SanRwLock, SanRwLockReadGuard, SanRwLockWriteGuard,
 };

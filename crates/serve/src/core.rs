@@ -105,6 +105,9 @@ impl ServeCore {
     ///   between `ok + failed` and `ok + failed + rejected_deadline` — an
     ///   equality whenever no deadline expired;
     /// * no batch exceeded `max_batch`, and none was empty;
+    /// * every caught worker panic was followed by one respawn —
+    ///   `worker_respawns = worker_panics` (a drain ends the backoff in
+    ///   between at once, so no worker exits owing one);
     /// * the queue is empty, by the gauge and by the queue itself;
     /// * the registry's bytes agree three ways: the `gobo_registry_bytes`
     ///   gauge, [`ModelRegistry::resident_bytes`] and the sum of the
@@ -133,6 +136,12 @@ impl ServeCore {
             )
         } else if v(&m.batch_size_max) > max_batch {
             format!("batch_size_max {} > max_batch {max_batch}", v(&m.batch_size_max))
+        } else if v(&m.worker_respawns) != v(&m.worker_panics) {
+            format!(
+                "worker_respawns {} != worker_panics {}",
+                v(&m.worker_respawns),
+                v(&m.worker_panics)
+            )
         } else if v(&m.queue_depth) != 0 || self.scheduler.queue_depth() != 0 {
             format!(
                 "queue not empty: gauge {}, queue {}",

@@ -700,7 +700,7 @@ fn canary_encode(
 
 #[cfg(test)]
 mod tests {
-    use super::{hold_left, share, EncodeRequest, SchedulerConfig, COALESCE_HOLD};
+    use super::{hold_left, respawn_backoff, share, EncodeRequest, SchedulerConfig, COALESCE_HOLD};
     use crate::core::{Client, ServeCore, ServeOptions};
     use crate::error::ServeError;
     use std::sync::atomic::Ordering;
@@ -736,6 +736,16 @@ mod tests {
         assert_eq!(m.worker_panics.load(Ordering::Relaxed), 3);
         assert_eq!(m.worker_respawns.load(Ordering::Relaxed), 3);
         assert_eq!(m.encode_failed.load(Ordering::Relaxed), 4);
+    }
+
+    /// A crash loop doubles the backoff from 5 ms per strike up to the
+    /// 250 ms cap and stays there; the clamped shift keeps any strike
+    /// count, however large, from overflowing.
+    #[test]
+    fn respawn_backoff_doubles_per_strike_up_to_the_cap() {
+        let backoffs: Vec<Duration> = (0..8).map(respawn_backoff).collect();
+        assert_eq!(backoffs, [5, 10, 20, 40, 80, 160, 250, 250].map(Duration::from_millis));
+        assert_eq!(respawn_backoff(u32::MAX), Duration::from_millis(250));
     }
 
     /// The split rule over its whole operating range: a non-empty

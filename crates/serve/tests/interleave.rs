@@ -12,8 +12,8 @@
 //! These tests model exactly the operations that are atomic in the
 //! real implementation — one mutex-guarded lookup-and-clone, one
 //! mutex-guarded map removal, one refcount decrement — and let
-//! `gobo_lint::interleave` enumerate **every** schedule of getters
-//! against an evictor. Invariants proved across all schedules:
+//! `gobo_lint::interleave` close one to three getters racing an evictor
+//! over every reachable state. Invariants proved across all schedules:
 //!
 //! * **no use-after-free** — a pinned handle never reads freed
 //!   weights;
@@ -26,25 +26,11 @@
 //! weights in place instead of deferring to the refcount — proves the
 //! explorer actually catches the bug these invariants guard against.
 
-use std::collections::HashSet;
-
-use gobo_lint::interleave::{
-    explore_dpor, explore_exhaustive, explore_sampled, DporProgram, Footprint, Program,
-};
-
-/// Abstract variable ids for DPOR footprints. `STRONG` covers the
-/// refcount *and* the freed/frees bookkeeping it drives (drop_ref
-/// writes both atomically), `RESIDENT` the entries-map membership,
-/// `FREED` the weights' liveness as observed by encodes, `UAF` the
-/// use-after-free flag.
-const V_STRONG: u32 = 0;
-const V_RESIDENT: u32 = 1;
-const V_FREED: u32 = 2;
-const V_UAF: u32 = 3;
+use gobo_lint::interleave::{explore, Explored, Program};
 
 /// The modeled registry slot: what the `Arc` refcount and the entries
 /// map hold, plus the bookkeeping the invariants need.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct Slot {
     /// `Arc::strong_count` of the entry. The registry's own map
     /// reference counts as 1.
@@ -79,7 +65,7 @@ impl Slot {
 /// the real code does it under the lock; (2) the encode on the pinned
 /// handle, outside any lock; (3) the pin dropping when the batch
 /// completes.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct Getter {
     pinned: bool,
     encoded: bool,
@@ -125,7 +111,7 @@ impl Program<Slot> for Getter {
 /// map and dropping the registry's reference — `evict_beyond_budget`
 /// under the same lock `get` takes. The weights are freed here only
 /// when no pin is outstanding.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct Evictor {
     done: bool,
 }
@@ -146,7 +132,7 @@ impl Program<Slot> for Evictor {
 
 /// A broken evictor that frees the decoded weights in place, ignoring
 /// outstanding pins — the bug the refcount protocol exists to prevent.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct EagerEvictor {
     done: bool,
 }
@@ -176,7 +162,7 @@ fn assert_slot_clean(slot: &Slot, schedule: &[usize]) {
 }
 
 /// Mixed programs so one explorer run can hold getters and an evictor.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 enum Thread {
     Get(Getter),
     Evict(Evictor),
@@ -201,141 +187,36 @@ impl Program<Slot> for Thread {
     }
 }
 
-impl DporProgram<Slot> for Thread {
-    fn next_footprint(&self) -> Footprint {
-        match self {
-            Thread::Get(g) => {
-                if !g.pinned {
-                    // Lock, check residency, bump the refcount.
-                    Footprint::new(&[V_RESIDENT, V_STRONG], &[V_STRONG])
-                } else if !g.encoded {
-                    // Encode on the pin: reads liveness, may set UAF.
-                    Footprint::new(&[V_FREED], &[V_UAF])
-                } else {
-                    // Pin drops: refcount down, possibly frees.
-                    Footprint::new(&[V_STRONG], &[V_STRONG, V_FREED])
-                }
-            }
-            // Eviction: removes from the map and drops the registry
-            // reference (possibly freeing).
-            Thread::Evict(_) | Thread::Eager(_) => {
-                Footprint::new(&[V_RESIDENT, V_STRONG], &[V_RESIDENT, V_STRONG, V_FREED])
-            }
-        }
-    }
-}
-
 #[test]
 fn interleave_pin_evict_every_schedule_is_safe() {
-    // One getter racing the evictor: every interleaving of the 4 steps.
-    let threads = [Thread::Get(Getter::new()), Thread::Evict(Evictor { done: false })];
-    let count = explore_exhaustive(&Slot::new(), &threads, |slot, schedule| {
-        assert_slot_clean(slot, schedule);
-    });
-    assert!(count >= 4, "explorer covered too few schedules: {count}");
-
-    // Two getters racing the evictor: the pin handoff must stay safe
-    // when the refcount is contended from both sides.
-    let threads = [
-        Thread::Get(Getter::new()),
-        Thread::Get(Getter::new()),
-        Thread::Evict(Evictor { done: false }),
-    ];
-    let count = explore_exhaustive(&Slot::new(), &threads, |slot, schedule| {
-        assert_slot_clean(slot, schedule);
-    });
-    assert!(count >= 30, "explorer covered too few schedules: {count}");
-}
-
-#[test]
-fn interleave_pin_evict_sampled_wide_race_is_safe() {
-    // Three getters + evictor is exhaustive-explorable too, but the
-    // sampled mode is what CI leans on when models grow — prove it
-    // holds the same invariants reproducibly.
-    let threads = [
-        Thread::Get(Getter::new()),
-        Thread::Get(Getter::new()),
-        Thread::Get(Getter::new()),
-        Thread::Evict(Evictor { done: false }),
-    ];
-    let count = explore_sampled(&Slot::new(), &threads, 0xE71C, 512, |slot, schedule| {
-        assert_slot_clean(slot, schedule);
-    });
-    assert_eq!(count, 512);
-}
-
-/// Three getters racing the evictor, checked **exhaustively** — the
-/// configuration that previously had to fall back to sampling. Sleep-set
-/// DPOR collapses schedules that only reorder independent steps (e.g.
-/// two encodes on already-held pins), keeping the run well inside the
-/// 60s CI cap while still visiting every reachable terminal state.
-#[test]
-fn interleave_dpor_three_getters_exhaustive_is_safe() {
-    let threads = || {
-        [
-            Thread::Get(Getter::new()),
-            Thread::Get(Getter::new()),
-            Thread::Get(Getter::new()),
-            Thread::Evict(Evictor { done: false }),
-        ]
-    };
-    let start = std::time::Instant::now();
-    let naive = explore_exhaustive(&Slot::new(), &threads(), |slot, schedule| {
-        assert_slot_clean(slot, schedule);
-    });
-    let naive_elapsed = start.elapsed();
-    // Fewer than the 10!/(3!3!3!1!) = 16_800 full interleavings of
-    // 3×3+1 steps: a getter that loses the race to the evictor ends
-    // after its single miss step, shortening those branches.
-    assert_eq!(naive, 10_542);
-
-    let start = std::time::Instant::now();
-    let stats = explore_dpor(&Slot::new(), &threads(), |slot, schedule| {
-        assert_slot_clean(slot, schedule);
-    });
-    let dpor_elapsed = start.elapsed();
-    println!(
-        "pin/evict 3 getters + evictor: naive {} schedules in {:?}; \
-         dpor {} schedules, {} sleep prunes, {} steps in {:?}",
-        naive, naive_elapsed, stats.schedules, stats.sleep_prunes, stats.steps, dpor_elapsed
-    );
-    assert!(
-        stats.schedules < naive,
-        "DPOR explored {} schedules — no reduction over naive {naive}",
-        stats.schedules
-    );
-}
-
-#[test]
-fn interleave_dpor_catches_eager_free_bug() {
-    // Soundness guard: the reduced exploration must still surface the
-    // use-after-free the full enumeration finds.
-    let threads = [Thread::Get(Getter::new()), Thread::Eager(EagerEvictor { done: false })];
-    let mut bad = 0u64;
-    let stats = explore_dpor(&Slot::new(), &threads, |slot, _| {
-        if slot.use_after_free {
-            bad += 1;
-        }
-    });
-    assert!(stats.schedules >= 2);
-    assert!(bad > 0, "DPOR pruned away the eager-free use-after-free — unsound");
+    // One to three getters racing the evictor. Three are 10 542
+    // schedules (fewer than the 10!/(3!3!3!1!) = 16 800 interleavings of
+    // 3×3+1 steps: a getter that loses the race to the evictor ends after
+    // its single miss step) over 189 states.
+    let expected = [(1, 9, 2), (2, 41, 4), (3, 189, 8)];
+    for (getters, states, terminals) in expected {
+        let mut threads = vec![Thread::Get(Getter::new()); getters];
+        threads.push(Thread::Evict(Evictor { done: false }));
+        let explored = explore(Slot::new(), threads, assert_slot_clean);
+        assert_eq!(explored, Explored { states, terminals }, "{getters} getters");
+    }
 }
 
 #[test]
 fn interleave_explorer_catches_eager_free_bug() {
     // The broken evictor frees under a live pin. The explorer must
-    // surface at least one schedule where the getter reads freed
-    // weights — proving these tests would catch a regression that
-    // drops weights in place instead of deferring to the refcount.
-    let threads = [Thread::Get(Getter::new()), Thread::Eager(EagerEvictor { done: false })];
-    let mut bad = 0u64;
-    let total = explore_exhaustive(&Slot::new(), &threads, |slot, _| {
+    // surface the schedule where the getter reads freed weights —
+    // proving these tests would catch a regression that drops weights
+    // in place instead of deferring to the refcount: pin, free under the
+    // pin, encode on freed weights, unpin.
+    let threads = vec![Thread::Get(Getter::new()), Thread::Eager(EagerEvictor { done: false })];
+    let mut witnesses = Vec::new();
+    explore(Slot::new(), threads, |slot, schedule| {
         if slot.use_after_free {
-            bad += 1;
+            witnesses.push(schedule.to_vec());
         }
     });
-    assert!(total >= 4);
-    assert!(bad > 0, "explorer failed to find the eager-free use-after-free");
+    assert_eq!(witnesses, [[0, 1, 0, 0]], "explorer failed to find the eager-free use-after-free");
 }
 
 // ---------------------------------------------------------------------
@@ -346,10 +227,10 @@ fn interleave_explorer_catches_eager_free_bug() {
 // queue under the lock, takes its share if the share is a full
 // `max_batch` or its oldest request is past the coalescing hold
 // (`COALESCE_HOLD`, 0.5 ms), otherwise sleeps out the rest of the hold
-// on a timer and sweeps again, and sleeps without a timer only when the sweep found the queue
-// empty, the lock being released and the sleeper registered in one
-// atomic step (that is what a condition variable's `wait` is). The
-// model has exactly those steps: `push`, `notify`, and
+// on a timer and sweeps again, and sleeps without a timer only when the
+// sweep found the queue empty, the lock being released and the sleeper
+// registered in one atomic step (that is what a condition variable's
+// `wait` is). The model has exactly those steps: `push`, `notify`, and
 // `sweep → take | nap | sleep`. A nap is a sleep the clock always ends,
 // so a napping worker stays schedulable, and all the model keeps of
 // time is that the request it napped on is *ripe* afterwards. Workers
@@ -363,12 +244,12 @@ fn interleave_explorer_catches_eager_free_bug() {
 // * **batch shape** — every batch is one key, at most `max_batch`
 //   long, and each key's requests are dispatched in arrival order.
 //
-// One to four submitters over two keys against one and two workers:
-// schedule by schedule with `explore_dpor` where the schedules can be
-// counted, and state by state (`for_every_terminal_state`) for all of
-// them. A broken worker that tests the predicate *before* taking the
+// One to four submitters over two keys against one and two workers,
+// each closed over its reachable states: 2.3 million schedules for three
+// submitters and two workers, around 10⁹ for four, but a few thousand
+// states. A broken worker that tests the predicate *before* taking the
 // lock (peek, then sleep without looking again) must be caught losing a
-// wake-up by every explorer.
+// wake-up.
 // ---------------------------------------------------------------------
 
 const MAX_BATCH: usize = 2;
@@ -395,10 +276,6 @@ struct Sched {
     batches: Vec<Vec<Queued>>,
     workers: usize,
 }
-
-const V_QUEUE: u32 = 10;
-const V_BATCHES: u32 = 11;
-const V_ASLEEP: [u32; 2] = [12, 13];
 
 #[derive(Clone, PartialEq, Eq, Hash)]
 enum SchedThread {
@@ -493,18 +370,6 @@ impl Program<Sched> for SchedThread {
     }
 }
 
-impl DporProgram<Sched> for SchedThread {
-    fn next_footprint(&self) -> Footprint {
-        match self {
-            SchedThread::Submitter { pushed: false, .. } => Footprint::new(&[V_QUEUE], &[V_QUEUE]),
-            SchedThread::Submitter { .. } => Footprint::new(&[], &V_ASLEEP),
-            SchedThread::Worker { w } | SchedThread::PeekingWorker { w, .. } => {
-                Footprint::new(&[V_QUEUE, V_ASLEEP[*w]], &[V_QUEUE, V_BATCHES, V_ASLEEP[*w]])
-            }
-        }
-    }
-}
-
 fn sched_threads(keys: &[u8], workers: usize, peeking: bool) -> (Sched, Vec<SchedThread>) {
     let mut threads: Vec<SchedThread> = keys
         .iter()
@@ -541,89 +406,31 @@ fn assert_sched_clean(s: &Sched, submitted: usize, schedule: &[usize]) {
     }
 }
 
-/// Closes the model over its reachable **states** instead of its
-/// schedules, and shows `check` every terminal one. `explore_dpor`
-/// walks schedules, and everything here meets on the one queue, so
-/// there is little for it to prune: 2.3 million schedules for three
-/// submitters and two workers, around 10⁹ for four — over a state graph
-/// of a few thousand nodes. Every schedule is a path in that graph, so
-/// a check of every reachable terminal state is a check of every
-/// schedule's outcome. Returns `(states, terminal states)`.
-fn for_every_terminal_state(
-    sched: &Sched,
-    threads: &[SchedThread],
-    mut check: impl FnMut(&Sched),
-) -> (usize, usize) {
-    let mut seen = HashSet::new();
-    let mut terminals = 0;
-    let mut stack = vec![(sched.clone(), threads.to_vec())];
-    while let Some((s, ts)) = stack.pop() {
-        if !seen.insert((s.clone(), ts.clone())) {
-            continue;
-        }
-        let runnable: Vec<usize> =
-            (0..ts.len()).filter(|&i| !ts[i].is_done() && !ts[i].is_blocked(&s)).collect();
-        if runnable.is_empty() {
-            terminals += 1;
-            check(&s);
-        }
-        for i in runnable {
-            let (mut next, mut next_ts) = (s.clone(), ts.clone());
-            next_ts[i].step(&mut next);
-            stack.push((next, next_ts));
-        }
-    }
-    (seen.len(), terminals)
-}
-
-/// Every mix of one to four submitters over two keys.
-const KEYSETS: [&[u8]; 6] = [&[0], &[0, 0], &[0, 1], &[0, 0, 1], &[0, 0, 0, 0], &[0, 0, 1, 0]];
-
-#[test]
-fn interleave_scheduler_every_schedule_conserves_work() {
-    // Schedule by schedule where that is affordable, and there the
-    // state closure must arrive at exactly the same outcomes — which is
-    // what entitles the next test to use it alone.
-    for workers in [1usize, 2] {
-        for keys in KEYSETS.into_iter().filter(|keys| keys.len() + workers <= 4) {
-            let (sched, threads) = sched_threads(keys, workers, false);
-            let mut by_schedule = HashSet::new();
-            let stats = explore_dpor(&sched, &threads, |s, schedule| {
-                assert_sched_clean(s, keys.len(), schedule);
-                by_schedule.insert(s.clone());
-            });
-            assert!(stats.schedules >= 1);
-            let mut by_state = HashSet::new();
-            for_every_terminal_state(&sched, &threads, |s| {
-                by_state.insert(s.clone());
-            });
-            assert!(by_schedule == by_state, "{keys:?} x {workers}: the two explorers disagree");
-        }
-    }
-    // DPOR must not have pruned anything the plain enumeration sees.
-    let (sched, threads) = sched_threads(&[0, 1], 2, false);
-    let naive = explore_exhaustive(&sched, &threads, |s, schedule| {
-        assert_sched_clean(s, 2, schedule);
-    });
-    assert!(naive >= 1);
-}
+/// Every mix of one to four submitters over two keys, against one and
+/// two workers, with the states and terminal states each closes over.
+const CASES: [(&[u8], usize, Explored); 12] = [
+    (&[0], 1, Explored { states: 11, terminals: 1 }),
+    (&[0, 0], 1, Explored { states: 56, terminals: 2 }),
+    (&[0, 1], 1, Explored { states: 74, terminals: 2 }),
+    (&[0, 0, 1], 1, Explored { states: 476, terminals: 6 }),
+    (&[0, 0, 0, 0], 1, Explored { states: 1235, terminals: 5 }),
+    (&[0, 0, 1, 0], 1, Explored { states: 2702, terminals: 12 }),
+    (&[0], 2, Explored { states: 21, terminals: 1 }),
+    (&[0, 0], 2, Explored { states: 90, terminals: 1 }),
+    (&[0, 1], 2, Explored { states: 132, terminals: 2 }),
+    (&[0, 0, 1], 2, Explored { states: 670, terminals: 3 }),
+    (&[0, 0, 0, 0], 2, Explored { states: 1827, terminals: 3 }),
+    (&[0, 0, 1, 0], 2, Explored { states: 3633, terminals: 8 }),
+];
 
 #[test]
 fn interleave_scheduler_every_reachable_state_conserves_work() {
-    for workers in [1usize, 2] {
-        for keys in KEYSETS {
-            let (sched, threads) = sched_threads(keys, workers, false);
-            let (states, terminals) = for_every_terminal_state(&sched, &threads, |s| {
-                assert_sched_clean(s, keys.len(), &[]);
-            });
-            assert!(terminals >= 1);
-            if keys.len() == 4 {
-                println!(
-                    "scheduler {keys:?} x {workers} workers: {states} states, \
-                     {terminals} terminal"
-                );
-            }
-        }
+    for (keys, workers, expected) in CASES {
+        let (sched, threads) = sched_threads(keys, workers, false);
+        let explored = explore(sched, threads, |s, schedule| {
+            assert_sched_clean(s, keys.len(), schedule);
+        });
+        assert_eq!(explored, expected, "{keys:?} x {workers} workers");
     }
 }
 
@@ -632,14 +439,11 @@ fn interleave_scheduler_catches_predicate_outside_the_lock() {
     // One submitter, one peeking worker is enough: peek (empty), push,
     // notify (nobody asleep yet), sleep — for ever, with work queued.
     let (sched, threads) = sched_threads(&[0], 1, true);
-    let mut lost = 0u64;
-    let stats = explore_dpor(&sched, &threads, |s, _| lost += u64::from(stranded(s)));
-    assert!(stats.schedules >= 2);
-    assert!(lost > 0, "DPOR missed the lost wake-up of a predicate checked outside the lock");
-    let mut lost = 0u64;
-    explore_exhaustive(&sched, &threads, |s, _| lost += u64::from(stranded(s)));
-    assert!(lost > 0, "the explorer missed the lost wake-up");
-    let mut lost = 0u64;
-    for_every_terminal_state(&sched, &threads, |s| lost += u64::from(stranded(s)));
-    assert!(lost > 0, "the state closure missed the lost wake-up");
+    let mut witnesses = Vec::new();
+    explore(sched, threads, |s, schedule| {
+        if stranded(s) {
+            witnesses.push(schedule.to_vec());
+        }
+    });
+    assert_eq!(witnesses, [[1, 0, 0, 1]], "the explorer missed the lost wake-up");
 }
