@@ -104,8 +104,8 @@ SERVING:
   --canary-p95-factor-pct of the active baseline; the replaced
   revision drains behind in-flight batches before retiring. Every
   batch, coalesced or single, runs one cache-blocked GEMM directly on
-  the packed quantized indices, decoding each weight tile once per
-  batch. Serving numbers come from the repo's one benchmark,
+  the packed quantized indices, decoding each block of weight rows once
+  per batch. Serving numbers come from the repo's one benchmark,
   `stackbench` (BENCHMARK.json; see benchmark/README.md).
 
 CLUSTER:

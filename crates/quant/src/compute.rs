@@ -17,35 +17,35 @@
 //! What the software analogue keeps is the other half of the hardware
 //! argument — weights stay packed until the moment they are used.
 //! [`QuantizedMatrix::matmul_blocked`] hands the workspace's one GEMM
-//! kernel ([`gobo_tensor::linalg::gemm_nt`]) decoded tiles instead of
-//! dense rows: each 256-column tile is decoded (G-group runs unpacked
-//! straight through the codebook, outlier values written between the
-//! runs) exactly once and reused across **all** rows of the activation
-//! batch, so the per-element decode cost — which dominates low-bit
-//! inference at small batches — is amortized by the batch size;
-//! [`QuantizedMatrix::gather_rows`] decodes just the looked-up rows of an
-//! embedding table. No unpacked copy outlives a tile, so the resident
-//! footprint is the compressed layer itself, and because the dense
-//! product is the same kernel over the same values, the two agree bit
-//! for bit.
+//! kernel ([`gobo_tensor::linalg::gemm_nt`]) decoded blocks of weight
+//! rows instead of dense rows: each block of up to 8 rows is decoded
+//! (G-group runs unpacked straight through the codebook, outlier values
+//! written between the runs) exactly once and reused across **all** rows
+//! of the activation batch, so the per-element decode cost — which
+//! dominates low-bit inference at small batches — is amortized by the
+//! batch size; [`QuantizedMatrix::gather_rows`] decodes just the
+//! looked-up rows of an embedding table. No unpacked copy outlives a
+//! block, so the resident footprint is the compressed layer itself, and
+//! because the dense product is the same kernel over the same values, the
+//! two agree bit for bit.
 
-use gobo_tensor::linalg::{gemm_nt, WeightTiles, TILE_COLS};
+use gobo_tensor::linalg::{gemm_nt, WeightRows, BLOCK_ROWS};
 
 use crate::error::QuantError;
 use crate::layer::QuantizedLayer;
 use crate::packing::{self, GroupLut};
 
-/// Evaluates `$body` with `$tiles` bound to `$qm`'s tile decoder at the
+/// Evaluates `$body` with `$rows` bound to `$qm`'s row decoder at the
 /// layer's index width: the one width dispatch, for every consumer. A
 /// width outside 1–8 returns [`QuantError::UnsupportedBits`].
-macro_rules! with_tiles {
-    ($qm:expr, |$tiles:ident| $body:expr) => {
-        with_tiles!($qm, $tiles, $body, 1 2 3 4 5 6 7 8)
+macro_rules! with_decoder {
+    ($qm:expr, |$rows:ident| $body:expr) => {
+        with_decoder!($qm, $rows, $body, 1 2 3 4 5 6 7 8)
     };
-    ($qm:expr, $tiles:ident, $body:expr, $($bits:literal)*) => {
+    ($qm:expr, $rows:ident, $body:expr, $($bits:literal)*) => {
         match $qm.layer.bits() {
             $($bits => {
-                let $tiles = &mut $qm.tiles::<$bits>();
+                let $rows = &mut $qm.decoder::<$bits>();
                 $body
             })*
             bits => return Err(QuantError::UnsupportedBits { bits }),
@@ -106,9 +106,10 @@ impl QuantizedMatrix {
     /// at every batch size including 1.
     ///
     /// This is [`gobo_tensor::linalg::gemm_nt`] — the kernel under the
-    /// dense `Tensor::matmul_nt` — fed decoded tiles instead of slices
-    /// of a dense weight row: each [`TILE_COLS`]-wide tile is decoded
-    /// once and reused across **all** `m` activation rows. Because both
+    /// dense `Tensor::matmul_nt` — fed decoded blocks instead of slices
+    /// of the dense matrix: each block of [`BLOCK_ROWS`] weight rows is
+    /// decoded once and reused across **all** `m` activation rows, in a
+    /// scratch of at most `BLOCK_ROWS × cols` floats. Because both
     /// products run the same function over the same weight values, the
     /// result is **bit-identical** to decoding the layer and running
     /// `matmul_nt`, so the served output of a batch does not depend on
@@ -128,11 +129,11 @@ impl QuantizedMatrix {
         let _span =
             gobo_obs::span!("gobo.batch_gemm", rows = self.rows, cols = self.cols, batch = m);
         let (k, n) = (self.cols, self.rows);
-        Ok(with_tiles!(self, |tiles| gemm_nt(a, m, k, n, tiles)))
+        Ok(with_decoder!(self, |rows| gemm_nt(a, m, k, n, rows)))
     }
 
     /// Rows `ids` (any order, repeats allowed) as a row-major
-    /// `(ids.len(), cols)` buffer, decoded by `matmul_blocked`'s tile
+    /// `(ids.len(), cols)` buffer, decoded by `matmul_blocked`'s row
     /// decoder: each row equals the decoded layer's row bit for bit.
     ///
     /// # Errors
@@ -143,10 +144,8 @@ impl QuantizedMatrix {
             return Err(QuantError::InvalidConfig { name: "row id" });
         }
         let mut out = Vec::with_capacity(ids.len() * self.cols);
-        with_tiles!(self, |tiles| for &id in ids {
-            for col in (0..self.cols).step_by(TILE_COLS) {
-                out.extend_from_slice(tiles.tile(id, col, TILE_COLS.min(self.cols - col)));
-            }
+        with_decoder!(self, |rows| for &id in ids {
+            out.extend_from_slice(rows.rows(id, 1));
         });
         Ok(out)
     }
@@ -157,10 +156,10 @@ impl QuantizedMatrix {
         self.layer.decode()
     }
 
-    /// The packed tile source for a layer of width `BITS`.
-    fn tiles<const BITS: usize>(&self) -> TileDecoder<'_, BITS> {
+    /// The packed row source for a layer of width `BITS`.
+    fn decoder<const BITS: usize>(&self) -> RowDecoder<'_, BITS> {
         let (positions, values) = self.layer.outliers();
-        TileDecoder {
+        RowDecoder {
             cols: self.cols,
             total: self.layer.total(),
             lut: GroupLut::new(&self.layer.codebook().lut()),
@@ -168,14 +167,14 @@ impl QuantizedMatrix {
             values,
             packed: self.layer.packed_indices(),
             next: 0,
-            tile: [0.0; TILE_COLS],
+            block: vec![0.0; BLOCK_ROWS.min(self.rows) * self.cols],
         }
     }
 }
 
-/// Decodes weight tiles for [`gemm_nt`] from a packed layer of width
-/// `BITS`.
-struct TileDecoder<'a, const BITS: usize> {
+/// Decodes blocks of weight rows for [`gemm_nt`] from a packed layer of
+/// width `BITS`.
+struct RowDecoder<'a, const BITS: usize> {
     cols: usize,
     total: usize,
     /// The codebook; indices are validated against it when a layer is
@@ -184,25 +183,27 @@ struct TileDecoder<'a, const BITS: usize> {
     positions: &'a [u32],
     values: &'a [f32],
     packed: &'a [u8],
-    /// The first outlier at or after the end of the last tile asked for:
-    /// where the next tile in row-major order starts.
+    /// The first outlier at or after the end of the last block asked
+    /// for: where the next block in row-major order starts.
     next: usize,
-    tile: [f32; TILE_COLS],
+    /// Scratch for one block of at most [`BLOCK_ROWS`] rows.
+    block: Vec<f32>,
 }
 
-impl<const BITS: usize> WeightTiles for TileDecoder<'_, BITS> {
-    /// Outlier positions are ascending, so the tile splits at the
+impl<const BITS: usize> WeightRows for RowDecoder<'_, BITS> {
+    /// A block is the flat range `first·cols .. (first+count)·cols`, and
+    /// outlier positions are ascending, so the block splits at the
     /// outliers it holds: the G-group runs between them are gathered
     /// through the codebook, the outlier values are written as stored.
-    /// [`gemm_nt`] asks in row-major order, so the outliers are found by
-    /// a cursor; a binary search only rewinds it for a tile asked out of
+    /// [`gemm_nt`] asks in ascending order, so the outliers are found by
+    /// a cursor; a binary search only rewinds it for a block asked out of
     /// order.
-    fn tile(&mut self, row: usize, col: usize, width: usize) -> &[f32] {
-        let start = row * self.cols + col;
-        let end = start + width;
+    fn rows(&mut self, first: usize, count: usize) -> &[f32] {
+        let (start, len) = (first * self.cols, count * self.cols);
+        let end = start + len;
         // `new` checked that the payload holds every G-group index of the
-        // matrix, so this one check covers every run of the tile.
-        assert!(end <= self.total, "tile {start}..{end} outside a {}-weight matrix", self.total);
+        // matrix, so this one check covers every run of the block.
+        assert!(end <= self.total, "rows {start}..{end} outside a {}-weight matrix", self.total);
         let positions = self.positions;
         let cursor_at_start =
             self.next.checked_sub(1).is_none_or(|p| (positions[p] as usize) < start)
@@ -215,14 +216,14 @@ impl<const BITS: usize> WeightTiles for TileDecoder<'_, BITS> {
         let mut at = 0;
         while let Some(&p) = positions.get(self.next).filter(|&&p| (p as usize) < end) {
             let local = p as usize - start;
-            self.lut.unpack_run(self.packed, g_at, &mut self.tile[at..local]);
+            self.lut.unpack_run(self.packed, g_at, &mut self.block[at..local]);
             g_at += local - at;
-            self.tile[local] = self.values[self.next];
+            self.block[local] = self.values[self.next];
             at = local + 1;
             self.next += 1;
         }
-        self.lut.unpack_run(self.packed, g_at, &mut self.tile[at..width]);
-        &self.tile[..width]
+        self.lut.unpack_run(self.packed, g_at, &mut self.block[at..len]);
+        &self.block[..len]
     }
 }
 
@@ -326,8 +327,9 @@ mod tests {
     }
 
     /// This is what makes served outputs independent of batch
-    /// composition: shapes cross the tile width, and leave a `cols % 8`
-    /// tail with and without whole tiles before it.
+    /// composition: shapes cross the 8-row block with and without a short
+    /// last block, and leave a `cols % 8` tail with and without whole
+    /// chunks before it.
     #[test]
     fn matmul_blocked_is_bit_identical_to_decoded_dense() {
         for (rows, cols, bits) in
@@ -337,28 +339,29 @@ mod tests {
         }
     }
 
-    /// Outliers wherever the branch-free decode splits a tile: its first
-    /// and last column, two adjacent columns, the tile boundary of a
-    /// second tile, and a tile that is nothing but outliers.
+    /// Outliers wherever the branch-free decode splits a block of 8 weight
+    /// rows: its first and last weight, both sides of the row 7 | row 8
+    /// boundary, a row that is nothing but outliers, and the short last
+    /// block of a matrix whose rows are not a multiple of 8.
     #[test]
-    fn outliers_at_tile_edges_decode_exactly() {
-        let cols = 256 + 44;
-        let row = |r: usize, c: usize| r * cols + c;
+    fn outliers_at_block_edges_decode_exactly() {
+        let (rows, cols) = (43, 45);
+        let at = |r: usize, c: usize| r * cols + c;
         let cases: [(&str, Vec<usize>); 5] = [
-            ("first and last column of a tile", vec![row(1, 0), row(1, 255)]),
-            ("first and last column of the short tile", vec![row(2, 256), row(2, 299)]),
-            ("adjacent", vec![row(3, 17), row(3, 18), row(3, 255), row(3, 256)]),
-            ("row ends", vec![row(0, 0), row(5, 299)]),
-            ("all-outlier tile", (256..300).map(|c| row(4, c)).collect()),
+            ("first and last weight of a block", vec![at(0, 0), at(7, 44), at(8, 0), at(15, 44)]),
+            ("row 7 | row 8", vec![at(7, 43), at(7, 44), at(8, 0), at(8, 1)]),
+            ("row 15 | row 16", vec![at(15, 44), at(16, 0)]),
+            ("all-outlier row", (0..cols).map(|c| at(9, c)).collect()),
+            ("short last block", vec![at(40, 0), at(41, 20), at(42, 44)]),
         ];
         for (what, outliers) in &cases {
-            let qm = matrix_with(6, cols, 3, outliers);
-            assert_eq!(qm.to_dense().len(), 6 * cols);
+            let qm = matrix_with(rows, cols, 3, outliers);
+            assert_eq!(qm.to_dense().len(), rows * cols);
             assert_matches_decoded(&qm, what);
         }
     }
 
-    /// `decode()` and the tile decode share one unpack loop, so the
+    /// `decode()` and the row decode share one unpack loop, so the
     /// dense side here is rebuilt from the bytewise oracle instead: at
     /// every width, with runs at every group position and length 0–9,
     /// for the product and for row gathers in any order.
@@ -400,29 +403,45 @@ mod tests {
         }
     }
 
-    /// `gemm_nt` asks for tiles in row-major order and the decoder's
-    /// outlier cursor relies on it, but `WeightTiles` promises no order:
-    /// asked backwards or shuffled, every tile still decodes bit for bit.
+    /// `gemm_nt` asks for blocks in ascending order and the decoder's
+    /// outlier cursor relies on it, but `WeightRows` promises no order:
+    /// blocks asked backwards, shuffled, or at any start and length up to
+    /// `BLOCK_ROWS` still decode bit for bit.
     #[test]
-    fn tiles_asked_out_of_order_match_in_order() {
+    fn rows_asked_out_of_order_match_the_decoded_layer() {
         for cols in [13, 300] {
             let qm = planted(cols, 3);
-            let spans: Vec<(usize, usize, usize)> = (0..qm.rows())
-                .flat_map(|r| {
-                    (0..cols).step_by(TILE_COLS).map(move |c| (r, c, TILE_COLS.min(cols - c)))
+            let (rows, dense) = (qm.rows(), qm.to_dense());
+            let widest = BLOCK_ROWS.min(rows);
+            let blocks: Vec<(usize, usize)> = (0..rows)
+                .step_by(BLOCK_ROWS)
+                .map(|first| (first, widest.min(rows - first)))
+                .collect();
+            let mut shuffled = blocks.clone();
+            let mut rng = StdRng::seed_from_u64(7);
+            shuffled.shuffle(&mut rng);
+            let mixed: Vec<(usize, usize)> = (0..64)
+                .map(|_| {
+                    let count = 1 + rng.next_u64() as usize % widest;
+                    (rng.next_u64() as usize % (rows - count + 1), count)
                 })
                 .collect();
-            let bits_of = |tile: &[f32]| tile.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
-            let mut tiles = qm.tiles::<3>();
-            let in_order: Vec<_> =
-                spans.iter().map(|&(r, c, w)| bits_of(tiles.tile(r, c, w))).collect();
-            let mut shuffled: Vec<usize> = (0..spans.len()).collect();
-            shuffled.shuffle(&mut StdRng::seed_from_u64(7));
-            for order in [(0..spans.len()).rev().collect(), shuffled] {
-                let mut tiles = qm.tiles::<3>();
-                for i in order {
-                    let (r, c, w) = spans[i];
-                    assert_eq!(bits_of(tiles.tile(r, c, w)), in_order[i], "{cols} cols, tile {i}");
+            let bits_of = |w: &[f32]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            let reversed = blocks.iter().rev().copied().collect();
+            for (order, spans) in [
+                ("in order", blocks),
+                ("reversed", reversed),
+                ("shuffled", shuffled),
+                ("mixed", mixed),
+            ] {
+                let mut decoder = qm.decoder::<3>();
+                for (first, count) in spans {
+                    let want = bits_of(&dense[first * cols..][..count * cols]);
+                    assert_eq!(
+                        bits_of(decoder.rows(first, count)),
+                        want,
+                        "{cols} cols {order} ({first}, {count})"
+                    );
                 }
             }
         }

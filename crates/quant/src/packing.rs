@@ -9,7 +9,7 @@
 //! groups**: eight consecutive `BITS`-bit indices occupy exactly `BITS`
 //! bytes, so every group of a run starts at the same sub-byte offset, and
 //! a group is one u64 load split by constant shifts. That one loop is
-//! under [`unpack`], [`unpack_run`] and the compute-on-compressed tile
+//! under [`unpack`], [`unpack_run`] and the compute-on-compressed row
 //! decode (`GroupLut`); outside the test oracle, nothing else in the
 //! crate extracts indices from the stream. The byte layout is that of the
 //! bytewise formulation preserved in [`crate::oracle`] as the
@@ -87,7 +87,7 @@ pub fn unpack(packed: &[u8], bits: u8, count: usize) -> Result<Vec<u8>, QuantErr
 /// Unpacks `out.len()` `bits`-wide values starting at element `start`
 /// of an LSB-first byte stream, without touching earlier elements.
 ///
-/// A kernel walking a weight matrix tile by tile asks for exactly the
+/// A kernel walking a weight matrix block by block asks for exactly the
 /// index run it needs, at an arbitrary (non-byte-aligned) element
 /// offset; the run is read in byte-aligned groups of eight (see the
 /// [module docs](self)).

@@ -2,8 +2,9 @@
 //!
 //! [`QuantizedMatrix::matmul_blocked`] and `Tensor::matmul_nt` on the
 //! decoded layer consume the same weight values through the same
-//! kernel (`gobo_tensor::linalg::gemm_nt`), one from decoded tiles and
-//! one from dense rows. They must agree **bit for bit** — at BERT
+//! kernel (`gobo_tensor::linalg::gemm_nt`), one from decoded blocks of
+//! weight rows and one from slices of the dense matrix. They must agree
+//! **bit for bit** — at BERT
 //! geometry, at every batch size, and through the outlier path — so
 //! any difference at all is a codec bug.
 
@@ -125,7 +126,7 @@ proptest! {
     /// A request's rows must not depend on what it was coalesced with:
     /// row `i` of a batched product has the bits of the one-row product
     /// — across bit widths 2/3/4, ragged batch sizes (crossing the
-    /// kernel's 4-row pass) and outlier-heavy layers.
+    /// kernel's 2-row pass) and outlier-heavy layers.
     #[test]
     fn matmul_blocked_rows_do_not_depend_on_the_batch(
         bits_i in 0usize..3,

@@ -4,9 +4,9 @@
 //! stays packed — a [`QuantizedMatrix`] over the archive's own index
 //! bytes, codebook and outliers — and [`QuantizedEngine`] wires it into
 //! the forward pass as its [`WeightCompute`] backend: an archived FC
-//! product runs [`QuantizedMatrix::matmul_blocked`], the tiled batched
-//! GEMM that decodes each weight tile **once** per batch into a scratch
-//! tile, and an archived embedding table answers the batch's lookups
+//! product runs [`QuantizedMatrix::matmul_blocked`], the batched GEMM
+//! that decodes each block of 8 weight rows **once** per batch into a
+//! scratch block, and an archived embedding table answers the batch's lookups
 //! through [`QuantizedMatrix::gather_rows`], which decodes only the rows
 //! asked for. Neither materializes the matrix. The [`TransformerModel`]
 //! beside it is the container's skeleton as stored: the configuration,

@@ -159,7 +159,7 @@ impl Metrics {
         let mut out = String::with_capacity(1600);
         render_scalars(&scalars, &mut out);
         // Batch amortization: average requests carried per executed
-        // batch — how many activation rows each packed-tile decode was
+        // batch — how many activation rows each packed-block decode was
         // amortized over. Derived at render time from the two counters,
         // so it needs no extra atomic and stays consistent with them.
         let batches = v(&self.batches);

@@ -851,19 +851,20 @@ mod tests {
         // so every getter pin is racing an eviction. The pin must win:
         // an entry evicted under a live handle keeps serving that
         // handle, byte-identical, until the handle drops.
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, AtomicUsize};
+        /// Inserts past which a getter that never served is a failure.
+        const MAX_INSERTS: usize = 100_000;
         let models: Vec<CompressedModel> = (0..4u64).map(|s| compressed(s, 3)).collect();
         let reference: Vec<_> = models.iter().map(|c| oracle(c, &[1, 2, 3])).collect();
         let r = Arc::new(registry(1, 16));
         r.insert("m0", &models[0]).unwrap();
         let stop = Arc::new(AtomicBool::new(false));
+        let served: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
         let mut getters = Vec::new();
         for t in 0..3usize {
-            let r = Arc::clone(&r);
-            let stop = Arc::clone(&stop);
+            let (r, stop, served) = (Arc::clone(&r), Arc::clone(&stop), Arc::clone(&served));
             let reference = reference.clone();
             getters.push(std::thread::spawn(move || {
-                let mut served = 0usize;
                 let mut j = t;
                 while !stop.load(Ordering::Relaxed) {
                     j = (j + 1) % 4;
@@ -873,18 +874,27 @@ mod tests {
                     // still see the right weights.
                     let out = serve_one(&entry, &[1, 2, 3]);
                     assert_eq!(out, reference[j], "pinned handle served wrong weights");
-                    served += 1;
+                    served[t].fetch_add(1, Ordering::Relaxed);
                 }
-                served
             }));
         }
-        for i in 0..200usize {
-            let j = i % 4;
+        // At least 200 inserts, and on until every getter has served a
+        // pinned encode: the test asserts the pin, not the OS scheduler.
+        // A getter that panicked ends the loop; its join reports why.
+        let idle = || served.iter().any(|s| s.load(Ordering::Relaxed) == 0);
+        let mut inserts = 0usize;
+        while inserts < 200
+            || (inserts < MAX_INSERTS && idle() && !getters.iter().any(|g| g.is_finished()))
+        {
+            let j = inserts % 4;
             r.insert(&format!("m{j}"), &models[j]).unwrap();
+            inserts += 1;
         }
         stop.store(true, Ordering::Relaxed);
-        let served: usize = getters.into_iter().map(|g| g.join().unwrap()).sum();
-        assert!(served > 0, "getters never won a race against eviction");
+        for g in getters {
+            g.join().unwrap();
+        }
+        assert!(!idle(), "a getter never won a race in {inserts} inserts: served {served:?}");
         // Only the newest insert survives the one-model budget.
         assert_eq!(r.len(), 1);
     }

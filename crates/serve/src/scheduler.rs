@@ -29,7 +29,7 @@
 //! runs the **whole batch as one fused forward** through the
 //! compute-on-compressed engine
 //! ([`QuantizedEngine::encode_batch`]): archived FC layers execute the
-//! cache-blocked batched GEMM that decodes each packed weight tile once
+//! cache-blocked batched GEMM that decodes each packed weight block once
 //! per batch instead of once per request. The blocked kernel is
 //! bit-identical to decode-then-dense, so served outputs are
 //! byte-identical to direct in-process [`TransformerModel::encode`]
@@ -554,7 +554,7 @@ fn sweep(shared: &Shared, s: &mut State, batch: &mut Vec<Pending>) -> Sweep {
 /// pre-pass, so one bad request never fails its batchmates; the
 /// survivors then run through the compute-on-compressed engine in a
 /// single [`QuantizedEngine::encode_batch`] call, which amortizes every
-/// packed-tile decode across the whole batch.
+/// packed-block decode across the whole batch.
 ///
 /// [`QuantizedEngine::encode_batch`]: crate::engine::QuantizedEngine::encode_batch
 fn execute_batch(shared: &Shared, batch: &mut Vec<Pending>) {

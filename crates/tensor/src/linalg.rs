@@ -151,69 +151,56 @@ impl Tensor {
 /// Lanes of the canonical dot product (see the [module docs](self)).
 const LANES: usize = 8;
 
-/// Activation rows whose lanes one pass over a weight tile keeps in
-/// registers: 4 × 8 lanes is 8 SSE2 vectors, leaving room for the
-/// weight chunk and the products.
-const PANEL_ROWS: usize = 4;
+/// Weight rows [`gemm_nt`] asks its [`WeightRows`] source for at a time.
+pub const BLOCK_ROWS: usize = 8;
 
-/// Widest tile [`gemm_nt`] asks a [`WeightTiles`] source for. A multiple
-/// of [`LANES`], so tiling never moves an element to another lane.
-pub const TILE_COLS: usize = 256;
-
-/// Row-major `(n, k)` weights, handed to [`gemm_nt`] one tile at a time.
-pub trait WeightTiles {
-    /// Columns `col .. col + width` of weight row `row`, with
-    /// `width <= TILE_COLS`. The slice may live in scratch space that
-    /// the next call overwrites.
-    fn tile(&mut self, row: usize, col: usize, width: usize) -> &[f32];
+/// Row-major `(n, k)` weights, handed to [`gemm_nt`] a block of rows at a
+/// time.
+pub trait WeightRows {
+    /// Weight rows `first .. first + count` as one row-major `(count, k)`
+    /// slice, with `count <= BLOCK_ROWS`. The slice may live in scratch
+    /// space that the next call overwrites.
+    fn rows(&mut self, first: usize, count: usize) -> &[f32];
 }
 
-/// Dense weights: a tile is a slice of the row itself.
+/// Dense weights: a block is a slice of the matrix itself.
 struct DenseRows<'a> {
     w: &'a [f32],
     k: usize,
 }
 
-impl WeightTiles for DenseRows<'_> {
-    fn tile(&mut self, row: usize, col: usize, width: usize) -> &[f32] {
-        &self.w[row * self.k + col..][..width]
+impl WeightRows for DenseRows<'_> {
+    fn rows(&mut self, first: usize, count: usize) -> &[f32] {
+        &self.w[first * self.k..][..count * self.k]
     }
 }
 
 /// `A × Wᵀ` for row-major `a: (m, k)` and `weights: (n, k)`, giving
-/// row-major `(m, n)` — the one kernel under every FC product. Each
-/// output is the canonical dot product of the [module docs](self); a
-/// row's lanes are carried from tile to tile, so neither the tiling nor
-/// the number of rows in `a` shows in the result.
+/// row-major `(m, n)` — the one kernel under every FC product. Weights
+/// arrive [`BLOCK_ROWS`] rows at a time, and every pair of activation rows
+/// meets every pair of weight rows of a block in one `pass` over all of
+/// `k`. Each output is the canonical dot product of the [module
+/// docs](self), so neither the blocking nor the rows of `a` show in it.
 ///
 /// # Panics
 ///
 /// Panics unless `a.len() == m * k`.
-pub fn gemm_nt(
-    a: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    weights: &mut impl WeightTiles,
-) -> Vec<f32> {
+pub fn gemm_nt(a: &[f32], m: usize, k: usize, n: usize, weights: &mut impl WeightRows) -> Vec<f32> {
     assert_eq!(a.len(), m * k, "activation panel is not (m, k)");
     let mut out = vec![0.0f32; m * n];
-    let mut lanes = vec![[0.0f32; LANES]; m];
-    let tail = k % LANES;
-    for j in 0..n {
-        lanes.fill([0.0; LANES]);
-        for col in (0..k).step_by(TILE_COLS) {
-            let width = TILE_COLS.min(k - col);
-            let tile = weights.tile(j, col, width);
-            accumulate(&mut lanes, a, k, col, tile);
-            if col + width == k {
-                let w_tail = &tile[width - tail..];
-                for (i, l) in lanes.iter().enumerate() {
-                    let mut sum = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
-                    for (&x, &w) in a[(i + 1) * k - tail..(i + 1) * k].iter().zip(w_tail) {
-                        sum += x * w;
-                    }
-                    out[i * n + j] = sum;
+    if k == 0 {
+        return out;
+    }
+    for first in (0..n).step_by(BLOCK_ROWS) {
+        let block = weights.rows(first, BLOCK_ROWS.min(n - first));
+        for (i, a_pair) in a.chunks(2 * k).enumerate() {
+            for (j, w_pair) in block.chunks(2 * k).enumerate() {
+                let at = 2 * i * n + first + 2 * j;
+                match (a_pair.len() / k, w_pair.len() / k) {
+                    (2, 2) => pass::<2, 2>(a_pair, w_pair, &mut out[at..], n),
+                    (2, _) => pass::<2, 1>(a_pair, w_pair, &mut out[at..], n),
+                    (_, 2) => pass::<1, 2>(a_pair, w_pair, &mut out[at..], n),
+                    _ => pass::<1, 1>(a_pair, w_pair, &mut out[at..], n),
                 }
             }
         }
@@ -221,41 +208,52 @@ pub fn gemm_nt(
     out
 }
 
-/// Adds the whole [`LANES`]-wide chunks of `tile` times columns
-/// `col ..` of every row of `a` (row stride `k`) into that row's lanes,
-/// [`PANEL_ROWS`] rows per pass over the tile.
-fn accumulate(lanes: &mut [[f32; LANES]], a: &[f32], k: usize, col: usize, tile: &[f32]) {
-    let (w, _) = tile.as_chunks::<LANES>();
-    let row = |i: usize| a[i * k + col..][..w.len() * LANES].as_chunks::<LANES>().0;
-    let (quads, singles) = lanes.as_chunks_mut::<PANEL_ROWS>();
-    for (q, quad) in quads.iter_mut().enumerate() {
-        let i = q * PANEL_ROWS;
-        panel(quad, [row(i), row(i + 1), row(i + 2), row(i + 3)], w);
-    }
-    let first = quads.len() * PANEL_ROWS;
-    for (i, single) in singles.iter_mut().enumerate() {
-        panel(std::array::from_mut(single), [row(first + i)], w);
+/// One pass over all of `k` for the `R` activation rows of `a` and the
+/// `S` weight rows of `w` (both row-major, `k` columns): [`lanes`] sums
+/// the whole chunks, then each output's lanes are reduced, its `k % 8`
+/// tail is added, and output `(r, s)` is written to `out[r * n + s]`.
+#[inline(always)]
+fn pass<const R: usize, const S: usize>(a: &[f32], w: &[f32], out: &mut [f32], n: usize) {
+    let k = a.len() / R;
+    let a: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..][..k]);
+    let w: [&[f32]; S] = std::array::from_fn(|s| &w[s * k..][..k]);
+    let body = k - k % LANES;
+    let acc = lanes(a.map(|x| x[..body].as_chunks().0), w.map(|x| x[..body].as_chunks().0));
+    for (r, acc_r) in acc.iter().enumerate() {
+        for (s, l) in acc_r.iter().enumerate() {
+            let mut sum = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
+            for (&x, &y) in a[r][body..].iter().zip(&w[s][body..]) {
+                sum += x * y;
+            }
+            out[r * n + s] = sum;
+        }
     }
 }
 
-/// The inner loop: `lanes[r][l] += a[r][c][l] * w[c][l]` for every chunk
-/// `c`, with the `R × 8` lanes held in locals across the pass.
-#[inline(always)]
-fn panel<const R: usize>(
-    lanes: &mut [[f32; LANES]; R],
+/// The inner loop: every chunk `c` adds `a[r][c][l] * w[s][c][l]` to
+/// lane `l` of output `(r, s)`, with the `R × S × 8` lanes held in
+/// locals. Kept out of line, so the vectorizer sees this loop alone:
+/// inlined into a large caller it has left the loop scalar, and with the
+/// reductions in view it has packed lanes of different outputs into one
+/// register at a shuffle per product.
+#[inline(never)]
+fn lanes<const R: usize, const S: usize>(
     a: [&[[f32; LANES]]; R],
-    w: &[[f32; LANES]],
-) {
-    let a = a.map(|row| &row[..w.len()]);
-    let mut acc = *lanes;
-    for (c, wc) in w.iter().enumerate() {
+    w: [&[[f32; LANES]]; S],
+) -> [[[f32; LANES]; S]; R] {
+    let chunks = w[0].len();
+    let (a, w) = (a.map(|x| &x[..chunks]), w.map(|x| &x[..chunks]));
+    let mut acc = [[[0.0f32; LANES]; S]; R];
+    for c in 0..chunks {
         for (acc_r, a_r) in acc.iter_mut().zip(a) {
-            for ((s, &x), &y) in acc_r.iter_mut().zip(&a_r[c]).zip(wc) {
-                *s += x * y;
+            for (acc_rs, w_s) in acc_r.iter_mut().zip(w) {
+                for ((l, &x), &y) in acc_rs.iter_mut().zip(&a_r[c]).zip(&w_s[c]) {
+                    *l += x * y;
+                }
             }
         }
     }
-    *lanes = acc;
+    acc
 }
 
 fn check_matmul_dims(
@@ -487,15 +485,43 @@ mod tests {
                     assert_eq!(got[i * n + j].to_bits(), want.to_bits(), "k={k} ({i},{j})");
                 }
             }
-            if k > 0 {
-                let dot = t(a[..k].to_vec(), &[k]).dot(&t(w[..k].to_vec(), &[k])).unwrap();
-                assert_eq!(dot.to_bits(), got[0].to_bits(), "dot k={k}");
-            }
+            let dot = t(a[..k].to_vec(), &[k]).dot(&t(w[..k].to_vec(), &[k])).unwrap();
+            assert_eq!(dot.to_bits(), got[0].to_bits(), "dot k={k}");
         }
     }
 
+    /// Every output is the canonical dot product whatever the shape: `m`
+    /// and `n` cross the 2 × 2 pass with every remainder, `n` crosses
+    /// the 8-row weight block with and without a short last block, and
+    /// `k` = 0 is a product of zeros.
+    #[test]
+    fn every_output_is_the_spec_dot_under_weight_row_blocking() {
+        for k in [0usize, 7, 8, 269] {
+            for n in [1usize, 2, 3, 7, 8, 9, 17] {
+                let w = noise(n * k, 8);
+                for m in 1..=9 {
+                    let a = noise(m * k, 9);
+                    let got = gemm_nt(&a, m, k, n, &mut DenseRows { w: &w, k });
+                    assert_eq!(got.len(), m * n);
+                    for i in 0..m {
+                        for j in 0..n {
+                            let want = spec_dot(&a[i * k..(i + 1) * k], &w[j * k..(j + 1) * k]);
+                            let at = format!("m={m} n={n} k={k} ({i},{j})");
+                            assert_eq!(got[i * n + j].to_bits(), want.to_bits(), "{at}");
+                        }
+                    }
+                    if k == 0 {
+                        assert!(got.iter().all(|v| v.to_bits() == 0), "m={m} n={n}");
+                    }
+                }
+            }
+        }
+        let empty = Tensor::zeros(&[0]);
+        assert_eq!(empty.dot(&empty).unwrap().to_bits(), 0.0f32.to_bits());
+    }
+
     /// Row `i` of a product does not depend on how many rows ride along:
-    /// `m` from 1 to 9 crosses the 4-row pass and every remainder.
+    /// `m` from 1 to 9 crosses the 2-row pass and every remainder.
     #[test]
     fn rows_are_invariant_to_row_blocking() {
         let (k, n) = (300, 7);
@@ -512,7 +538,7 @@ mod tests {
     /// code generation reassociates or fuses would change these bits.
     #[test]
     fn golden_bits() {
-        let k = 269; // one full tile, whole chunks of a second, a 5-wide tail
+        let k = 269; // 33 whole chunks and a 5-wide tail
         let a = t(noise(2 * k, 5), &[2, k]);
         let w = t(noise(3 * k, 6), &[3, k]);
         let got: Vec<u32> =

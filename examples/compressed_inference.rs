@@ -1,5 +1,5 @@
 //! Compute directly on the compressed weights: the packed indices are
-//! decoded one 256-column tile at a time inside the product, so no FP32
+//! decoded eight weight rows at a time inside the product, so no FP32
 //! copy of the layer ever exists — and because the packed and the dense
 //! product are one kernel, the results agree bit for bit.
 //!
