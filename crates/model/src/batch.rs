@@ -17,13 +17,12 @@
 //! identical** to calling [`TransformerModel::encode`] once per
 //! sequence. The serve tier's byte-identical parity tests rely on this.
 
-use gobo_tensor::linalg::{merge_heads, split_heads, transpose_batched};
 use gobo_tensor::norm::LAYER_NORM_EPS;
 use gobo_tensor::Tensor;
 
 use crate::compute::{DenseCompute, WeightCompute};
 use crate::error::ModelError;
-use crate::forward::EncoderOutput;
+use crate::forward::{self_attention, EncoderOutput};
 use crate::weights::TransformerModel;
 
 /// One sequence of a ragged encode batch.
@@ -173,7 +172,6 @@ impl TransformerModel {
         let q = fc("attention.query", x)?;
         let k = fc("attention.key", x)?;
         let v = fc("attention.value", x)?;
-        let heads = config.heads;
         let hidden = config.hidden;
         let mut ctx_data = vec![0.0f32; x.len()];
         for pair in offsets.windows(2) {
@@ -184,14 +182,7 @@ impl TransformerModel {
                     &[end - start, hidden],
                 )?)
             };
-            let qh = split_heads(&slice(&q)?, heads)?;
-            let kh = split_heads(&slice(&k)?, heads)?;
-            let vh = split_heads(&slice(&v)?, heads)?;
-            let scores = qh
-                .batch_matmul(&transpose_batched(&kh)?)?
-                .scale(1.0 / (config.head_dim() as f32).sqrt());
-            let probs = scores.softmax()?;
-            let ctx = merge_heads(&probs.batch_matmul(&vh)?)?;
+            let ctx = self_attention(&slice(&q)?, &slice(&k)?, &slice(&v)?, config.heads)?;
             ctx_data[start * hidden..end * hidden].copy_from_slice(ctx.as_slice());
         }
         let ctx = Tensor::from_vec(ctx_data, x.dims())?;

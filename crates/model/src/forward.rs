@@ -125,15 +125,7 @@ impl TransformerModel {
         let q = fc("attention.query", x)?;
         let k = fc("attention.key", x)?;
         let v = fc("attention.value", x)?;
-        let heads = config.heads;
-        let qh = split_heads(&q, heads)?;
-        let kh = split_heads(&k, heads)?;
-        let vh = split_heads(&v, heads)?;
-        let scores = qh
-            .batch_matmul(&transpose_batched(&kh)?)?
-            .scale(1.0 / (config.head_dim() as f32).sqrt());
-        let probs = scores.softmax()?;
-        let ctx = merge_heads(&probs.batch_matmul(&vh)?)?;
+        let ctx = self_attention(&q, &k, &v, config.heads)?;
         let attn = fc("attention.output", &ctx)?;
         let x = x.add(&attn)?.layer_norm(
             self.aux(&format!("{prefix}.attention.ln.gamma"))?,
@@ -151,6 +143,24 @@ impl TransformerModel {
         )?;
         Ok(x)
     }
+}
+
+/// Scaled dot-product self-attention within one sequence: `q`, `k` and
+/// `v` are its `(seq_len, hidden)` projections, split into `heads`, and
+/// the result is the merged `(seq_len, hidden)` context. Both forwards
+/// call this — the reference on the whole sequence, the batched forward
+/// on each sequence's row slice. K's rows are the weight rows of
+/// `Q·Kᵀ`; `probs·V` runs against `Vᵀ`.
+pub(crate) fn self_attention(
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    heads: usize,
+) -> Result<Tensor, ModelError> {
+    let (qh, kh, vh) = (split_heads(q, heads)?, split_heads(k, heads)?, split_heads(v, heads)?);
+    let scale = 1.0 / (qh.dims()[2] as f32).sqrt();
+    let probs = qh.batch_matmul_nt(&kh)?.scale(scale).softmax()?;
+    Ok(merge_heads(&probs.batch_matmul_nt(&transpose_batched(&vh)?)?)?)
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //!   latency window, auto-rolled-back on any canary error or p95
 //!   regression — judged inside the registry slot that holds it;
 //! * [`engine`] — the compute-on-compressed engine: archived FC layers
-//!   run the cache-blocked batched GEMM straight on the packed indices,
+//!   run the one GEMM kernel (`gemm_nt`) straight on the packed indices,
 //!   archived embedding tables decode only the rows a batch looks up;
 //! * [`scheduler`] — bounded admission queue, worker pool, fair-share
 //!   batching (a free worker takes its share of what is queued for the

@@ -111,14 +111,6 @@ impl Metrics {
         self.queue_wait_us.observe(queue_wait_us);
     }
 
-    /// Reverses one [`Metrics::record_encode_ok`] — used when the reply
-    /// could not be delivered after the counters were already bumped.
-    pub fn unrecord_encode_ok(&self, latency_us: u64, queue_wait_us: u64) {
-        self.encode_ok.fetch_sub(1, Ordering::Relaxed);
-        self.latency_us.unobserve(latency_us);
-        self.queue_wait_us.unobserve(queue_wait_us);
-    }
-
     /// Renders the Prometheus text exposition.
     pub fn render(&self) -> String {
         let v = |value: &AtomicU64| value.load(Ordering::Relaxed);
@@ -223,19 +215,6 @@ mod tests {
         assert!(text.contains("gobo_serve_latency_us_bucket{le=\"+Inf\"} 1"));
         // Prometheus exposition shape: HELP+TYPE precede every sample.
         assert_eq!(text.matches("# TYPE").count(), text.matches("# HELP").count());
-    }
-
-    #[test]
-    fn unrecord_reverses_histograms() {
-        let m = Metrics::new();
-        m.record_encode_ok(1500, 300);
-        m.record_encode_ok(80, 10);
-        m.unrecord_encode_ok(1500, 300);
-        assert_eq!(m.latency_us.count(), 1);
-        assert_eq!(m.latency_us.sum(), 80);
-        assert_eq!(m.queue_wait_us.sum(), 10);
-        let text = m.render();
-        assert!(text.contains("gobo_serve_latency_us_bucket{le=\"+Inf\"} 1"));
     }
 
     /// The queue-depth high-water mark must survive racing pushes: a

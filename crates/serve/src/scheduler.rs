@@ -29,8 +29,8 @@
 //! runs the **whole batch as one fused forward** through the
 //! compute-on-compressed engine
 //! ([`QuantizedEngine::encode_batch`]): archived FC layers execute the
-//! cache-blocked batched GEMM that decodes each packed weight block once
-//! per batch instead of once per request. The blocked kernel is
+//! one GEMM kernel, which decodes each packed weight block once per
+//! batch instead of once per request. The blocked kernel is
 //! bit-identical to decode-then-dense, so served outputs are
 //! byte-identical to direct in-process [`TransformerModel::encode`]
 //! calls at any batch size.
@@ -69,7 +69,7 @@
 //! [`TransformerModel::encode`]: gobo_model::TransformerModel::encode
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 
@@ -184,6 +184,10 @@ struct Pending {
     enqueued: Instant,
     deadline: Instant,
     tx: SyncSender<Reply>,
+    /// Who counts the request: the worker's [`answer`] and a blocking
+    /// submitter's timeout both swap it, and only the swap that finds
+    /// it unset counts — one count a request, whichever side answers.
+    claim: Arc<AtomicBool>,
 }
 
 struct State {
@@ -270,6 +274,11 @@ impl Scheduler {
     /// [`ServeError::QueueFull`] at capacity, [`ServeError::ShuttingDown`]
     /// after [`Scheduler::shutdown`] began.
     pub fn submit(&self, req: EncodeRequest) -> Result<Receiver<Reply>, ServeError> {
+        self.admit(req).map(|(rx, _)| rx)
+    }
+
+    /// [`Scheduler::submit`], also handing back the request's claim.
+    fn admit(&self, req: EncodeRequest) -> Result<(Receiver<Reply>, Arc<AtomicBool>), ServeError> {
         gobo_fault::fail_point!(
             "serve.admission",
             ServeError::Internal("injected admission fault")
@@ -279,6 +288,7 @@ impl Scheduler {
         let now = Instant::now();
         let deadline = now + req.deadline.unwrap_or(self.shared.config.default_deadline);
         let (tx, rx) = sync_channel(1);
+        let claim = Arc::new(AtomicBool::new(false));
         {
             let mut state = self.shared.state.lock();
             if state.shutdown {
@@ -289,11 +299,12 @@ impl Scheduler {
                 metrics.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
                 return Err(ServeError::QueueFull);
             }
-            state.queue.push_back(Pending { req, enqueued: now, deadline, tx });
+            let pending = Pending { req, enqueued: now, deadline, tx, claim: Arc::clone(&claim) };
+            state.queue.push_back(pending);
             metrics.queue_push();
         }
         self.shared.cvar.notify_all();
-        Ok(rx)
+        Ok((rx, claim))
     }
 
     /// Submits and waits for the reply, enforcing the deadline on the
@@ -305,15 +316,23 @@ impl Scheduler {
     /// failures, or [`ServeError::DeadlineExceeded`].
     pub fn encode_blocking(&self, req: EncodeRequest) -> Result<EncodeResponse, ServeError> {
         let deadline = req.deadline.unwrap_or(self.shared.config.default_deadline);
-        let rx = self.submit(req)?;
+        let (rx, claim) = self.admit(req)?;
+        let lost = || Err(ServeError::Internal("worker reply lost"));
         match rx.recv_timeout(deadline + REPLY_GRACE) {
             Ok(reply) => reply,
+            // ORDERING: AcqRel — the two swaps are read-modify-writes of
+            // one location, so exactly one finds it unset at any
+            // ordering; the reply itself is published by the channel.
+            Err(RecvTimeoutError::Timeout) if claim.swap(true, Ordering::AcqRel) => {
+                // The worker claimed first: its reply is counted, and
+                // sent right after the claim.
+                rx.recv().unwrap_or_else(|_| lost())
+            }
             Err(RecvTimeoutError::Timeout) => {
-                // Counted here: the worker finds the receiver gone.
                 self.shared.metrics.rejected_deadline.fetch_add(1, Ordering::Relaxed);
                 Err(ServeError::DeadlineExceeded)
             }
-            Err(RecvTimeoutError::Disconnected) => Err(ServeError::Internal("worker reply lost")),
+            Err(RecvTimeoutError::Disconnected) => lost(),
         }
     }
 
@@ -379,27 +398,25 @@ fn spawn_worker(shared: &Arc<Shared>, index: usize) -> Option<JoinHandle<()>> {
 
 /// The one way a request leaves the scheduler. Picks the counter from
 /// the reply and counts *before* sending, so the counters lead the
-/// reply; a receiver that is gone gave up at its deadline and counted
-/// itself, so the count is taken back: one count a request, always.
+/// reply — unless a blocking submitter gave up at its deadline and won
+/// the request's claim first: then it has counted, and this does not.
 fn answer(shared: &Shared, p: Pending, reply: Reply) {
-    let m = &shared.metrics;
-    // End-to-end and queue-wait microseconds of a served request.
-    let served = reply.as_ref().ok().map(|r| (r.queue_us + r.compute_us, r.queue_us));
-    let refused = match &reply {
-        Err(ServeError::DeadlineExceeded) => &m.rejected_deadline,
-        Err(ServeError::ShuttingDown) => &m.rejected_shutdown,
-        _ => &m.encode_failed,
-    };
-    let count = |undo: bool| match (served, undo) {
-        (Some((latency_us, queue_us)), false) => m.record_encode_ok(latency_us, queue_us),
-        (Some((latency_us, queue_us)), true) => m.unrecord_encode_ok(latency_us, queue_us),
-        (None, false) => _ = refused.fetch_add(1, Ordering::Relaxed),
-        (None, true) => _ = refused.fetch_sub(1, Ordering::Relaxed),
-    };
-    count(false);
-    if p.tx.send(reply).is_err() {
-        count(true);
+    // ORDERING: AcqRel — see `Scheduler::encode_blocking`.
+    if !p.claim.swap(true, Ordering::AcqRel) {
+        let m = &shared.metrics;
+        match &reply {
+            Ok(r) => m.record_encode_ok(r.queue_us + r.compute_us, r.queue_us),
+            Err(e) => {
+                let refused = match e {
+                    ServeError::DeadlineExceeded => &m.rejected_deadline,
+                    ServeError::ShuttingDown => &m.rejected_shutdown,
+                    _ => &m.encode_failed,
+                };
+                refused.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
+    let _ = p.tx.send(reply);
 }
 
 /// Worker body, for the worker's whole life: take a batch and execute

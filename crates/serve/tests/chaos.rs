@@ -349,10 +349,10 @@ fn concurrent_load_under_panics_degrades_cleanly() {
 }
 
 /// The law at every exit: a submitter that gave up at its deadline has
-/// counted itself, so whatever the worker answers when it finally gets
-/// there — found behind a 400 ms delay, 130 ms after the submitter's
-/// 20 ms deadline and 250 ms grace ran out — must not count a second
-/// time. Three exits: `ModelNotFound`, expiry in the pre-pass (the
+/// claimed the request and counted it, so whatever the worker answers
+/// when it finally gets there — found behind a 400 ms delay, 130 ms
+/// after the submitter's 20 ms deadline and 250 ms grace ran out — must
+/// not count a second time. Three exits: `ModelNotFound`, expiry in the pre-pass (the
 /// armed `serve.encode=panic` behind it then has nothing left to fire
 /// on), and `WorkerPanic` out of the forward itself.
 #[test]

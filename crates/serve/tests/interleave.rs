@@ -1,6 +1,7 @@
 //! Concurrency audit: exhaustive interleaving checks for the model
-//! registry's pin/evict protocol and, at the end of the file, for the
-//! scheduler's push / notify / sweep / sleep protocol.
+//! registry's pin/evict protocol and, further down the file, for the
+//! scheduler's push / notify / sweep / sleep protocol and for the reply
+//! protocol that counts each request once.
 //!
 //! The registry protocol (`crates/serve/src/registry.rs`) is: `get` takes
 //! the registry mutex, clones the entry `Arc` (the *pin*), and releases
@@ -446,4 +447,161 @@ fn interleave_scheduler_catches_predicate_outside_the_lock() {
         }
     });
     assert_eq!(witnesses, [[1, 0, 0, 1]], "the explorer missed the lost wake-up");
+}
+
+// ---------------------------------------------------------------------
+// The reply protocol of one request (`scheduler::answer` against
+// `Scheduler::encode_blocking`).
+//
+// A worker answers every request it takes, expired ones included; a
+// blocking submitter waits for the reply until its deadline (plus a
+// grace) runs out and then answers its caller `DeadlineExceeded`
+// itself. Each side counts what it answers, and the counter law
+// `ServeCore::check_counter_laws` checks — requests in = answers out —
+// needs exactly one count a request, whichever side answers. The two
+// race for the request's claim (an `AtomicBool` both hold): only the
+// side whose swap finds it unset counts, and a submitter that loses the
+// claim after its timeout takes the worker's reply with a plain `recv`,
+// the worker sending right after its claim.
+//
+// The steps are the atomic actions: the submitter's `recv_timeout`
+// (which returns a reply already in the one-slot channel, or times out —
+// the explorer runs it at every point, so the deadline can end at any
+// of them), its claim, its count, its `recv` and dropping its receiver;
+// the worker's claim, its count and its `send`. The protocol before the
+// claim — the submitter counted on timeout and dropped its receiver, the
+// worker counted, sent, and took its count back only when the send
+// failed — is the mutant the explorer must reject: a worker that sends
+// between the submitter's timeout and its drop counts the request a
+// second time.
+// ---------------------------------------------------------------------
+
+/// One request's reply channel, claim and counters.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+struct ReplyState {
+    claimed: bool,
+    /// A reply sits in the one-slot channel.
+    buffered: bool,
+    /// The submitter dropped its receiver: a `send` fails.
+    hung_up: bool,
+    /// Deadline rejections the submitter counted.
+    timeouts: i32,
+    /// Answers the worker counted, less the counts it took back.
+    answers: i32,
+    /// What the caller was handed: `Some(true)` the worker's reply,
+    /// `Some(false)` the submitter's `DeadlineExceeded`.
+    handed: Option<bool>,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Side {
+    Submitter,
+    Worker,
+}
+
+/// One side of the protocol at program counter `pc` (`DONE` when
+/// finished); `claims` picks the claim protocol over the parent's undo.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct ReplyThread {
+    side: Side,
+    claims: bool,
+    pc: u8,
+}
+
+const DONE: u8 = u8::MAX;
+
+impl Program<ReplyState> for ReplyThread {
+    fn step(&mut self, r: &mut ReplyState) {
+        self.pc = match (self.side, self.pc) {
+            // `recv_timeout`: the reply if one is buffered, else the timeout.
+            (Side::Submitter, 0) if r.buffered => {
+                (r.buffered, r.handed) = (false, Some(true));
+                DONE
+            }
+            (Side::Submitter, 0) => 1,
+            // The claim after the timeout (the parent had none), and the
+            // count of the winner.
+            (Side::Submitter, 1) if self.claims && std::mem::replace(&mut r.claimed, true) => 3,
+            (Side::Submitter, 1) => {
+                r.timeouts += 1;
+                2
+            }
+            // The caller gets `DeadlineExceeded`, and the receiver drops.
+            (Side::Submitter, 2) => {
+                (r.handed, r.hung_up) = (Some(false), true);
+                DONE
+            }
+            // Lost the claim: `recv` the worker's reply (blocks until sent).
+            (Side::Submitter, 3) => {
+                (r.buffered, r.handed) = (false, Some(true));
+                DONE
+            }
+            (Side::Worker, 0) if self.claims && std::mem::replace(&mut r.claimed, true) => 1,
+            (Side::Worker, 0) => {
+                r.answers += 1;
+                1
+            }
+            // `send`: into the slot, or an error if the receiver is gone,
+            // which the parent answered by taking its count back.
+            (Side::Worker, 1) if r.hung_up && !self.claims => 2,
+            (Side::Worker, 1) => {
+                r.buffered = !r.hung_up;
+                DONE
+            }
+            (Side::Worker, 2) => {
+                r.answers -= 1;
+                DONE
+            }
+            (_, pc) => unreachable!("no step at pc {pc}"),
+        };
+    }
+
+    fn is_done(&self) -> bool {
+        self.pc == DONE
+    }
+
+    fn is_blocked(&self, r: &ReplyState) -> bool {
+        self.side == Side::Submitter && self.pc == 3 && !r.buffered
+    }
+}
+
+fn reply_threads(claims: bool) -> Vec<ReplyThread> {
+    [Side::Submitter, Side::Worker].map(|side| ReplyThread { side, claims, pc: 0 }).to_vec()
+}
+
+/// One count a request, and it is the count of what the caller got: a
+/// deadline rejection it counted itself, or the worker's counted reply.
+fn counted_once(r: &ReplyState) -> bool {
+    match r.handed {
+        Some(true) => (r.timeouts, r.answers) == (0, 1),
+        Some(false) => (r.timeouts, r.answers) == (1, 0),
+        None => false,
+    }
+}
+
+#[test]
+fn interleave_reply_every_schedule_counts_once() {
+    let explored = explore(ReplyState::default(), reply_threads(true), |r, schedule| {
+        assert!(counted_once(r), "counted {} + {} in {schedule:?}", r.timeouts, r.answers);
+    });
+    // Three ends: the reply arrived in time; the deadline won the claim
+    // (the worker's send landing before or after the receiver drops);
+    // the worker won it and its reply was taken after the timeout — the
+    // same state as the first.
+    assert_eq!(explored, Explored { states: 16, terminals: 3 });
+}
+
+#[test]
+fn interleave_explorer_rejects_the_reply_undo() {
+    // The parent protocol: the submitter times out and counts, the
+    // worker counts and sends into the still-open channel, and only then
+    // does the receiver drop — two counts for one request, and the one
+    // terminal state that breaks the law.
+    let mut witnesses = Vec::new();
+    explore(ReplyState::default(), reply_threads(false), |r, schedule| {
+        if !counted_once(r) {
+            witnesses.push(schedule.to_vec());
+        }
+    });
+    assert_eq!(witnesses, [[0, 0, 1, 1, 0]], "the explorer missed the double count");
 }

@@ -18,7 +18,7 @@ pub enum TensorError {
     },
     /// Two tensors had incompatible shapes for the attempted operation.
     ShapeMismatch {
-        /// Name of the operation that failed (e.g. `"matmul"`).
+        /// Name of the operation that failed (e.g. `"matmul_nt"`).
         op: &'static str,
         /// Shape of the left-hand operand.
         lhs: Vec<usize>,

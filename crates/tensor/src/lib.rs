@@ -6,7 +6,7 @@
 //! operations a BERT-style encoder needs:
 //!
 //! * shaped construction and seeded random fills ([`Tensor`]),
-//! * 2-D and batched matrix multiplication ([`linalg`]),
+//! * matrix products `A × Wᵀ`, plain and batched per head ([`linalg`]),
 //! * row-wise softmax / log-softmax and reductions ([`reduce`]),
 //! * layer normalization ([`norm`]),
 //! * GELU / tanh / sigmoid activations ([`activation`]),
@@ -25,7 +25,7 @@
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
 //! let b = Tensor::eye(2);
-//! let c = a.matmul(&b)?;
+//! let c = a.matmul_nt(&b)?;
 //! assert_eq!(c.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
 //! # Ok::<(), gobo_tensor::TensorError>(())
 //! ```

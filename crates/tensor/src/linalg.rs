@@ -1,17 +1,18 @@
 //! Matrix products.
 //!
-//! BERT inference is dominated by `activation × weightᵀ` products, so this
-//! module provides a cache-blocked 2-D matmul, a transposed variant that
-//! avoids materializing `Wᵀ`, and a batched form used by multi-head
-//! attention.
+//! Every product in the workspace has the shape `A × Wᵀ`: the rows of
+//! both operands are contiguous, so no transpose of the weights is
+//! materialized. The FC layers' weights are stored `(out, in)` already;
+//! attention's `Q·Kᵀ` takes K's rows as the weight rows, and `probs·V`
+//! and the training backward transpose an activation instead.
 //!
 //! # The canonical dot product
 //!
-//! Every `activation × weightᵀ` product in the workspace — dense
-//! ([`Tensor::matmul_nt`]), packed (`gobo-quant`'s `matmul_blocked`) and
-//! [`Tensor::dot`] — is one function, [`gemm_nt`], and therefore one
-//! summation order, fixed here so that it can be vectorized without
-//! changing a bit of the result:
+//! Every product in the workspace — dense ([`Tensor::matmul_nt`]),
+//! batched per attention head ([`Tensor::batch_matmul_nt`]), packed
+//! (`gobo-quant`'s `matmul_blocked`) and [`Tensor::dot`] — is one
+//! function, [`gemm_nt`], and therefore one summation order, fixed here
+//! so that it can be vectorized without changing a bit of the result:
 //!
 //! 1. element `c` of the first `K − K % 8` belongs to lane `c % 8`; each
 //!    of the 8 lanes starts at `+0.0` and accumulates its products in
@@ -29,35 +30,7 @@
 use crate::error::TensorError;
 use crate::tensor::Tensor;
 
-/// Block edge used by the cache-blocked kernels, chosen so three blocks of
-/// `f32` fit comfortably in a typical 32 KiB L1 cache.
-const BLOCK: usize = 48;
-
 impl Tensor {
-    /// Matrix product `self × rhs` of two rank-2 tensors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] unless both operands are rank
-    /// 2, and [`TensorError::ShapeMismatch`] unless the inner dimensions
-    /// agree.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use gobo_tensor::Tensor;
-    /// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
-    /// let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2])?;
-    /// assert_eq!(a.matmul(&b)?.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
-    /// # Ok::<(), gobo_tensor::TensorError>(())
-    /// ```
-    pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor, TensorError> {
-        let (m, k, n) = check_matmul_dims("matmul", self, rhs, false)?;
-        let mut out = vec![0.0f32; m * n];
-        matmul_blocked(self.as_slice(), rhs.as_slice(), &mut out, m, k, n);
-        Tensor::from_vec(out, &[m, n])
-    }
-
     /// Matrix product `self × rhsᵀ` without materializing the transpose.
     ///
     /// `rhs` has shape `(n, k)`; the result has shape `(m, n)`. This is the
@@ -72,61 +45,70 @@ impl Tensor {
     /// Returns [`TensorError::RankMismatch`] unless both operands are rank
     /// 2, and [`TensorError::ShapeMismatch`] unless both operands share the
     /// same number of columns.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use gobo_tensor::Tensor;
+    /// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
+    /// let w = Tensor::from_vec(vec![5.0, 7.0, 6.0, 8.0], &[2, 2])?;
+    /// assert_eq!(a.matmul_nt(&w)?.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
+    /// # Ok::<(), gobo_tensor::TensorError>(())
+    /// ```
     pub fn matmul_nt(&self, rhs: &Tensor) -> Result<Tensor, TensorError> {
-        let (m, k, n) = check_matmul_dims("matmul_nt", self, rhs, true)?;
-        let out = gemm_nt(self.as_slice(), m, k, n, &mut DenseRows { w: rhs.as_slice(), k });
-        Tensor::from_vec(out, &[m, n])
-    }
-
-    /// Batched matrix product of two rank-3 tensors with equal batch size.
-    ///
-    /// `self` is `(b, m, k)`, `rhs` is `(b, k, n)`; the result is
-    /// `(b, m, n)`. Used for per-head attention score and context products.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] unless both operands are rank
-    /// 3, and [`TensorError::ShapeMismatch`] unless batch and inner
-    /// dimensions agree.
-    pub fn batch_matmul(&self, rhs: &Tensor) -> Result<Tensor, TensorError> {
-        if self.shape().rank() != 3 {
-            return Err(TensorError::RankMismatch {
-                op: "batch_matmul",
-                expected: 3,
-                got: self.shape().rank(),
-            });
+        let op = "matmul_nt";
+        for x in [self, rhs] {
+            if x.shape().rank() != 2 {
+                return Err(TensorError::RankMismatch { op, expected: 2, got: x.shape().rank() });
+            }
         }
-        if rhs.shape().rank() != 3 {
-            return Err(TensorError::RankMismatch {
-                op: "batch_matmul",
-                expected: 3,
-                got: rhs.shape().rank(),
-            });
-        }
-        let (b, m, k) = (self.dims()[0], self.dims()[1], self.dims()[2]);
-        let (b2, k2, n) = (rhs.dims()[0], rhs.dims()[1], rhs.dims()[2]);
-        if b != b2 || k != k2 {
+        let (m, k, n) = (self.dims()[0], self.dims()[1], rhs.dims()[0]);
+        if rhs.dims()[1] != k {
             return Err(TensorError::ShapeMismatch {
-                op: "batch_matmul",
+                op,
                 lhs: self.dims().to_vec(),
                 rhs: rhs.dims().to_vec(),
             });
         }
-        let mut out = vec![0.0f32; b * m * n];
-        for batch in 0..b {
-            let a_off = batch * m * k;
-            let b_off = batch * k * n;
-            let o_off = batch * m * n;
-            matmul_blocked(
-                &self.as_slice()[a_off..a_off + m * k],
-                &rhs.as_slice()[b_off..b_off + k * n],
-                &mut out[o_off..o_off + m * n],
-                m,
-                k,
-                n,
-            );
+        let out = gemm_nt(self.as_slice(), m, k, n, &mut DenseRows { w: rhs.as_slice(), k });
+        Tensor::from_vec(out, &[m, n])
+    }
+
+    /// Batched `self × rhsᵀ` of two rank-3 tensors with equal batch size.
+    ///
+    /// `self` is `(b, m, k)`, `rhs` is `(b, n, k)`; the result is
+    /// `(b, m, n)`, batch `i` being [`gemm_nt`] of batch `i` of each
+    /// operand. Used for attention's `Q·Kᵀ` and `probs·V` (against
+    /// `Vᵀ`) and the training backward's batched products.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] unless both operands are rank
+    /// 3, and [`TensorError::ShapeMismatch`] unless batch sizes and column
+    /// counts agree.
+    pub fn batch_matmul_nt(&self, rhs: &Tensor) -> Result<Tensor, TensorError> {
+        let op = "batch_matmul_nt";
+        for x in [self, rhs] {
+            if x.shape().rank() != 3 {
+                return Err(TensorError::RankMismatch { op, expected: 3, got: x.shape().rank() });
+            }
         }
-        Ok(Tensor::from_vec(out, &[b, m, n]).expect("sized above"))
+        let (b, m, k) = (self.dims()[0], self.dims()[1], self.dims()[2]);
+        let n = rhs.dims()[1];
+        if rhs.dims()[0] != b || rhs.dims()[2] != k {
+            return Err(TensorError::ShapeMismatch {
+                op,
+                lhs: self.dims().to_vec(),
+                rhs: rhs.dims().to_vec(),
+            });
+        }
+        let mut out = Vec::with_capacity(b * m * n);
+        for batch in 0..b {
+            let a = &self.as_slice()[batch * m * k..][..m * k];
+            let w = &rhs.as_slice()[batch * n * k..][..n * k];
+            out.extend(gemm_nt(a, m, k, n, &mut DenseRows { w, k }));
+        }
+        Tensor::from_vec(out, &[b, m, n])
     }
 
     /// Dot product of two rank-1 tensors of equal length, in the
@@ -256,66 +238,6 @@ fn lanes<const R: usize, const S: usize>(
     acc
 }
 
-fn check_matmul_dims(
-    op: &'static str,
-    lhs: &Tensor,
-    rhs: &Tensor,
-    transposed: bool,
-) -> Result<(usize, usize, usize), TensorError> {
-    if lhs.shape().rank() != 2 {
-        return Err(TensorError::RankMismatch { op, expected: 2, got: lhs.shape().rank() });
-    }
-    if rhs.shape().rank() != 2 {
-        return Err(TensorError::RankMismatch { op, expected: 2, got: rhs.shape().rank() });
-    }
-    let (m, k) = (lhs.dims()[0], lhs.dims()[1]);
-    let (n, inner_ok) = if transposed {
-        (rhs.dims()[0], rhs.dims()[1] == k)
-    } else {
-        (rhs.dims()[1], rhs.dims()[0] == k)
-    };
-    if !inner_ok {
-        return Err(TensorError::ShapeMismatch {
-            op,
-            lhs: lhs.dims().to_vec(),
-            rhs: rhs.dims().to_vec(),
-        });
-    }
-    Ok((m, k, n))
-}
-
-/// Cache-blocked `C += A × B` over contiguous row-major slices.
-///
-/// `out` must be zero-initialized by the caller (the public wrappers do
-/// this); blocking over `k` accumulates partial sums directly into `out`.
-fn matmul_blocked(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    for i0 in (0..m).step_by(BLOCK) {
-        let i1 = (i0 + BLOCK).min(m);
-        for p0 in (0..k).step_by(BLOCK) {
-            let p1 = (p0 + BLOCK).min(k);
-            for j0 in (0..n).step_by(BLOCK) {
-                let j1 = (j0 + BLOCK).min(n);
-                for i in i0..i1 {
-                    for p in p0..p1 {
-                        let av = a[i * k + p];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let brow = &b[p * n + j0..p * n + j1];
-                        let orow = &mut out[i * n + j0..i * n + j1];
-                        for (o, &bv) in orow.iter_mut().zip(brow) {
-                            *o += av * bv;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Splits the columns of a `(rows, heads·head_dim)` matrix into
 /// `(heads, rows, head_dim)`, the layout used by multi-head attention.
 ///
@@ -381,7 +303,8 @@ pub fn merge_heads(x: &Tensor) -> Result<Tensor, TensorError> {
 }
 
 /// Transposes the last two axes of a rank-3 tensor: `(b, m, n)` →
-/// `(b, n, m)`. Used to form `Kᵀ` per attention head.
+/// `(b, n, m)`. Used to form `Vᵀ` per attention head, so `probs·V` is a
+/// [`Tensor::batch_matmul_nt`], and by the training backward.
 ///
 /// # Errors
 ///
@@ -419,30 +342,39 @@ mod tests {
     fn matmul_identity() {
         let a = t(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
         let i = Tensor::eye(3);
-        assert_eq!(a.matmul(&i).unwrap(), a);
+        assert_eq!(a.matmul_nt(&i).unwrap(), a);
     }
 
     #[test]
     fn matmul_known_values() {
         let a = t(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let b = t(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]);
-        assert_eq!(a.matmul(&b).unwrap().as_slice(), &[19.0, 22.0, 43.0, 50.0]);
+        let w = t(vec![5.0, 7.0, 6.0, 8.0], &[2, 2]);
+        assert_eq!(a.matmul_nt(&w).unwrap().as_slice(), &[19.0, 22.0, 43.0, 50.0]);
     }
 
     #[test]
     fn matmul_rejects_mismatched_inner() {
         let a = Tensor::zeros(&[2, 3]);
-        let b = Tensor::zeros(&[4, 2]);
-        assert!(a.matmul(&b).is_err());
+        let w = Tensor::zeros(&[2, 4]);
+        assert!(a.matmul_nt(&w).is_err());
+        assert!(a.matmul_nt(&Tensor::zeros(&[3])).is_err());
     }
 
+    /// Output `(i, j)` is row `i` of `a` against column `j` of the
+    /// explicit transpose `wᵀ`.
     #[test]
     fn matmul_nt_matches_explicit_transpose() {
         let a = t((0..12).map(|x| x as f32).collect(), &[3, 4]);
         let w = t((0..8).map(|x| (x as f32) * 0.5 - 2.0).collect(), &[2, 4]);
+        let wt = w.transpose().unwrap();
         let via_nt = a.matmul_nt(&w).unwrap();
-        let via_t = a.matmul(&w.transpose().unwrap()).unwrap();
-        assert_eq!(via_nt, via_t);
+        for i in 0..3 {
+            for j in 0..2 {
+                let col: Vec<f32> = (0..4).map(|p| wt.get(&[p, j]).unwrap()).collect();
+                let want = a.row(i).unwrap().dot(&t(col, &[4])).unwrap();
+                assert_eq!(via_nt.get(&[i, j]).unwrap(), want, "({i},{j})");
+            }
+        }
     }
 
     /// Deterministic values in `[-1, 1)` with full 24-bit mantissas, so
@@ -493,31 +425,41 @@ mod tests {
     /// Every output is the canonical dot product whatever the shape: `m`
     /// and `n` cross the 2 × 2 pass with every remainder, `n` crosses
     /// the 8-row weight block with and without a short last block, and
-    /// `k` = 0 is a product of zeros.
+    /// `k` = 0 is a product of zeros. The same holds for every batch of
+    /// [`Tensor::batch_matmul_nt`], and an empty batch or an empty `m`
+    /// gives an empty output of the right shape.
     #[test]
     fn every_output_is_the_spec_dot_under_weight_row_blocking() {
         for k in [0usize, 7, 8, 269] {
             for n in [1usize, 2, 3, 7, 8, 9, 17] {
-                let w = noise(n * k, 8);
                 for m in 1..=9 {
-                    let a = noise(m * k, 9);
-                    let got = gemm_nt(&a, m, k, n, &mut DenseRows { w: &w, k });
-                    assert_eq!(got.len(), m * n);
-                    for i in 0..m {
-                        for j in 0..n {
-                            let want = spec_dot(&a[i * k..(i + 1) * k], &w[j * k..(j + 1) * k]);
-                            let at = format!("m={m} n={n} k={k} ({i},{j})");
-                            assert_eq!(got[i * n + j].to_bits(), want.to_bits(), "{at}");
+                    for b in [1usize, 3] {
+                        let (a, w) = (noise(b * m * k, 9), noise(b * n * k, 8));
+                        let (ta, tw) = (t(a.clone(), &[b, m, k]), t(w.clone(), &[b, n, k]));
+                        let got = ta.batch_matmul_nt(&tw).unwrap();
+                        assert_eq!(got.dims(), &[b, m, n]);
+                        for (o, v) in got.as_slice().iter().enumerate() {
+                            let (l, i, j) = (o / (m * n), o / n % m, o % n);
+                            let row = &a[(l * m + i) * k..][..k];
+                            let col = &w[(l * n + j) * k..][..k];
+                            let at = format!("b={b} m={m} n={n} k={k} ({l},{i},{j})");
+                            assert_eq!(v.to_bits(), spec_dot(row, col).to_bits(), "{at}");
                         }
-                    }
-                    if k == 0 {
-                        assert!(got.iter().all(|v| v.to_bits() == 0), "m={m} n={n}");
+                        if k == 0 {
+                            assert!(got.as_slice().iter().all(|v| v.to_bits() == 0), "m={m} n={n}");
+                        }
                     }
                 }
             }
         }
         let empty = Tensor::zeros(&[0]);
         assert_eq!(empty.dot(&empty).unwrap().to_bits(), 0.0f32.to_bits());
+        for (b, m) in [(0usize, 4usize), (3, 0)] {
+            let got =
+                Tensor::zeros(&[b, m, 5]).batch_matmul_nt(&Tensor::zeros(&[b, 6, 5])).unwrap();
+            assert_eq!(got.dims(), &[b, m, 6]);
+            assert!(got.is_empty());
+        }
     }
 
     /// Row `i` of a product does not depend on how many rows ride along:
@@ -548,47 +490,11 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matmul_matches_naive_on_large_sizes() {
-        // Cross the BLOCK boundary to exercise all block-edge paths.
-        let m = 53;
-        let k = 61;
-        let n = 50;
-        let a: Vec<f32> = (0..m * k).map(|i| ((i * 7919) % 13) as f32 - 6.0).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| ((i * 104729) % 11) as f32 - 5.0).collect();
-        let ta = t(a.clone(), &[m, k]);
-        let tb = t(b.clone(), &[k, n]);
-        let fast = ta.matmul(&tb).unwrap();
-        // Naive reference.
-        let mut naive = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for p in 0..k {
-                    acc += a[i * k + p] * b[p * n + j];
-                }
-                naive[i * n + j] = acc;
-            }
-        }
-        for (x, y) in fast.as_slice().iter().zip(&naive) {
-            assert!((x - y).abs() < 1e-3, "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn batch_matmul_per_batch() {
-        let a = t(vec![1.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 2.0], &[2, 2, 2]);
-        let b = t(vec![1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0], &[2, 2, 2]);
-        let c = a.batch_matmul(&b).unwrap();
-        assert_eq!(c.dims(), &[2, 2, 2]);
-        assert_eq!(&c.as_slice()[..4], &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(&c.as_slice()[4..], &[2.0, 4.0, 6.0, 8.0]);
-    }
-
-    #[test]
     fn batch_matmul_rejects_mismatched_batch() {
         let a = Tensor::zeros(&[2, 2, 2]);
-        let b = Tensor::zeros(&[3, 2, 2]);
-        assert!(a.batch_matmul(&b).is_err());
+        assert!(a.batch_matmul_nt(&Tensor::zeros(&[3, 2, 2])).is_err());
+        assert!(a.batch_matmul_nt(&Tensor::zeros(&[2, 2, 3])).is_err());
+        assert!(a.batch_matmul_nt(&Tensor::zeros(&[2, 2])).is_err());
     }
 
     #[test]

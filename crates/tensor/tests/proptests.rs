@@ -25,8 +25,8 @@ proptest! {
     #[test]
     fn matmul_identity_left_and_right(m in matrix(10)) {
         let (r, c) = (m.dims()[0], m.dims()[1]);
-        prop_assert_eq!(Tensor::eye(r).matmul(&m).unwrap(), m.clone());
-        prop_assert_eq!(m.matmul(&Tensor::eye(c)).unwrap(), m);
+        prop_assert_eq!(Tensor::eye(r).matmul_nt(&m.transpose().unwrap()).unwrap(), m.clone());
+        prop_assert_eq!(m.matmul_nt(&Tensor::eye(c)).unwrap(), m);
     }
 
     #[test]
@@ -40,9 +40,9 @@ proptest! {
             Ok(t) => t,
             Err(_) => return Ok(()), // incompatible random sizes: skip
         };
-        let c = Tensor::ones(&[dims[1], 3]);
-        let lhs = a.add(&b).unwrap().matmul(&c).unwrap();
-        let rhs = a.matmul(&c).unwrap().add(&b.matmul(&c).unwrap()).unwrap();
+        let c = Tensor::ones(&[3, dims[1]]);
+        let lhs = a.add(&b).unwrap().matmul_nt(&c).unwrap();
+        let rhs = a.matmul_nt(&c).unwrap().add(&b.matmul_nt(&c).unwrap()).unwrap();
         for (x, y) in lhs.as_slice().iter().zip(rhs.as_slice()) {
             prop_assert!((x - y).abs() < 1e-2);
         }
@@ -53,10 +53,17 @@ proptest! {
         if a.dims()[1] != w.dims()[1] {
             return Ok(());
         }
+        // The naive triple loop over the explicit transpose, summed in
+        // column order.
         let nt = a.matmul_nt(&w).unwrap();
-        let explicit = a.matmul(&w.transpose().unwrap()).unwrap();
-        for (x, y) in nt.as_slice().iter().zip(explicit.as_slice()) {
-            prop_assert!((x - y).abs() < 1e-2);
+        let wt = w.transpose().unwrap();
+        let (m, k, n) = (a.dims()[0], a.dims()[1], w.dims()[0]);
+        for i in 0..m {
+            for j in 0..n {
+                let naive: f32 =
+                    (0..k).map(|p| a.get(&[i, p]).unwrap() * wt.get(&[p, j]).unwrap()).sum();
+                prop_assert!((nt.get(&[i, j]).unwrap() - naive).abs() < 1e-2);
+            }
         }
     }
 

@@ -181,12 +181,12 @@ fn encoder_layer(
     let qh = graph.split_heads(q, dims.heads)?;
     let kh = graph.split_heads(k, dims.heads)?;
     let vh = graph.split_heads(v, dims.heads)?;
-    let kt = graph.transpose_batched(kh)?;
-    let scores = graph.batch_matmul(qh, kt)?;
+    let scores = graph.batch_matmul_nt(qh, kh)?;
     let head_dim = dims.hidden / dims.heads;
     let scores = graph.scale(scores, 1.0 / (head_dim as f32).sqrt());
     let probs = graph.softmax(scores)?;
-    let ctx = graph.batch_matmul(probs, vh)?;
+    let vt = graph.transpose_batched(vh)?;
+    let ctx = graph.batch_matmul_nt(probs, vt)?;
     let merged = graph.merge_heads(ctx)?;
     let attn = fc(graph, "attention.output", merged)?;
     let res = graph.add(x, attn)?;

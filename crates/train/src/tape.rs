@@ -27,7 +27,7 @@ enum Op {
     Scale(VarId, f32),
     AddBias(VarId, VarId),
     MatMulNT(VarId, VarId),
-    BatchMatMul(VarId, VarId),
+    BatchMatMulNT(VarId, VarId),
     TransposeBatched(VarId),
     SplitHeads(VarId),
     MergeHeads(VarId, usize),
@@ -185,15 +185,16 @@ impl Graph {
         Ok(self.push(Op::MatMulNT(a, w), value, rg))
     }
 
-    /// Batched matrix product of two rank-3 variables.
+    /// `a × bᵀ` per batch for `a: (h, m, k)` and `b: (h, n, k)` — the
+    /// attention products.
     ///
     /// # Errors
     ///
     /// Propagates shape mismatches as [`TrainError::Tensor`].
-    pub fn batch_matmul(&mut self, a: VarId, b: VarId) -> Result<VarId, TrainError> {
-        let value = self.val(a).batch_matmul(self.val(b))?;
+    pub fn batch_matmul_nt(&mut self, a: VarId, b: VarId) -> Result<VarId, TrainError> {
+        let value = self.val(a).batch_matmul_nt(self.val(b))?;
         let rg = self.needs(a) || self.needs(b);
-        Ok(self.push(Op::BatchMatMul(a, b), value, rg))
+        Ok(self.push(Op::BatchMatMulNT(a, b), value, rg))
     }
 
     /// Transposes the last two axes of a rank-3 variable.
@@ -437,16 +438,17 @@ impl Graph {
                 self.accumulate(grads, *bias, dy.sum_cols()?)?;
             }
             Op::MatMulNT(a, w) => {
-                // y = a·wᵀ ⇒ da = dy·w, dw = dyᵀ·a.
-                self.accumulate(grads, *a, dy.matmul(self.val(*w))?)?;
-                self.accumulate(grads, *w, dy.transpose()?.matmul(self.val(*a))?)?;
+                // y = a·wᵀ ⇒ da = dy·w, dw = dyᵀ·a, each a product
+                // against a transpose.
+                let (at, wt) = (self.val(*a).transpose()?, self.val(*w).transpose()?);
+                self.accumulate(grads, *a, dy.matmul_nt(&wt)?)?;
+                self.accumulate(grads, *w, dy.transpose()?.matmul_nt(&at)?)?;
             }
-            Op::BatchMatMul(a, b) => {
-                // y = A·B ⇒ dA = dy·Bᵀ, dB = Aᵀ·dy (batched).
-                let bt = transpose_batched(self.val(*b))?;
-                self.accumulate(grads, *a, dy.batch_matmul(&bt)?)?;
-                let at = transpose_batched(self.val(*a))?;
-                self.accumulate(grads, *b, at.batch_matmul(dy)?)?;
+            Op::BatchMatMulNT(a, b) => {
+                // y = A·Bᵀ ⇒ dA = dy·B, dB = dyᵀ·A per batch, as above.
+                let (at, bt) = (transpose_batched(self.val(*a))?, transpose_batched(self.val(*b))?);
+                self.accumulate(grads, *a, dy.batch_matmul_nt(&bt)?)?;
+                self.accumulate(grads, *b, transpose_batched(dy)?.batch_matmul_nt(&at)?)?;
             }
             Op::TransposeBatched(a) => {
                 self.accumulate(grads, *a, transpose_batched(dy)?)?;
@@ -633,6 +635,16 @@ mod tests {
         Tensor::from_vec(v, d).unwrap()
     }
 
+    /// `mean(y ⊙ c)` for a fixed `c` whose elements differ, so the
+    /// upstream gradient of `y` is not uniform and a product rule that
+    /// swaps or transposes an operand shows.
+    fn weighted_mean(g: &mut Graph, y: VarId) -> VarId {
+        let (n, dims) = (g.value(y).len(), g.value(y).dims().to_vec());
+        let c = g.constant(t((0..n).map(|i| (i * 7 % 11) as f32 * 0.3 - 1.4).collect(), &dims));
+        let y = g.mul(y, c).unwrap();
+        g.mean(y).unwrap()
+    }
+
     #[test]
     fn matmul_nt_gradients() {
         let params = vec![
@@ -644,7 +656,26 @@ mod tests {
                 let a = g.parameter(p[0].clone());
                 let w = g.parameter(p[1].clone());
                 let y = g.matmul_nt(a, w).unwrap();
-                g.mean(y).unwrap()
+                weighted_mean(g, y)
+            },
+            &params,
+            1e-3,
+        );
+    }
+
+    #[test]
+    fn batch_matmul_nt_gradients() {
+        // Non-square in every axis: (2, 3, 5) × (2, 4, 5)ᵀ.
+        let params = vec![
+            t((0..30).map(|i| ((i * 5 % 13) as f32 - 6.0) * 0.1).collect(), &[2, 3, 5]), // a
+            t((0..40).map(|i| ((i * 3 % 17) as f32 - 8.0) * 0.07).collect(), &[2, 4, 5]), // b
+        ];
+        grad_check(
+            &|g, p| {
+                let a = g.parameter(p[0].clone());
+                let b = g.parameter(p[1].clone());
+                let y = g.batch_matmul_nt(a, b).unwrap();
+                weighted_mean(g, y)
             },
             &params,
             1e-3,
@@ -754,7 +785,7 @@ mod tests {
     fn attention_block_gradients() {
         // Full scaled-dot-product attention with head split/merge.
         let params = vec![
-            t((0..8).map(|i| 0.1 * i as f32 - 0.4).collect(), &[2, 4]), // x (seq=2, hidden=4)
+            t((0..12).map(|i| 0.1 * i as f32 - 0.5).collect(), &[3, 4]), // x (seq=3, hidden=4)
             t((0..16).map(|i| 0.05 * i as f32 - 0.4).collect(), &[4, 4]), // wq
             t((0..16).map(|i| 0.03 * (i as f32) - 0.2).collect(), &[4, 4]), // wk
             t((0..16).map(|i| -0.04 * (i as f32) + 0.3).collect(), &[4, 4]), // wv
@@ -771,13 +802,13 @@ mod tests {
                 let qh = g.split_heads(q, 2).unwrap();
                 let kh = g.split_heads(k, 2).unwrap();
                 let vh = g.split_heads(v, 2).unwrap();
-                let kt = g.transpose_batched(kh).unwrap();
-                let scores = g.batch_matmul(qh, kt).unwrap();
+                let scores = g.batch_matmul_nt(qh, kh).unwrap();
                 let scores = g.scale(scores, 1.0 / (2.0f32).sqrt());
                 let probs = g.softmax(scores).unwrap();
-                let ctx = g.batch_matmul(probs, vh).unwrap();
+                let vt = g.transpose_batched(vh).unwrap();
+                let ctx = g.batch_matmul_nt(probs, vt).unwrap();
                 let merged = g.merge_heads(ctx).unwrap();
-                g.mean(merged).unwrap()
+                weighted_mean(g, merged)
             },
             &params,
             3e-3,
