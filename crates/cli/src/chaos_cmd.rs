@@ -18,14 +18,13 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use gobo::format::reseal_compressed;
+use gobo::format::{reseal_compressed, CompressedModel};
 use gobo::pipeline::QuantizeOptions;
 use gobo_serve::{CanaryPolicy, SchedulerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cmd::{failed, Args, CliError};
-use crate::format::CompressedModel;
 use crate::harness::{
     build_model, drains, drive, drive_during, primary, routed, served, start_core, two_workers,
     unhealthy, wait_until, Cluster, Load, Patterns, Tally, Verdict, MODEL, QUICK_CANARY,
@@ -115,6 +114,8 @@ pub(crate) fn chaos(args: &Args) -> Result<String, CliError> {
 
 fn run_rows(rows: &[&Scenario], knobs: &Knobs) -> Result<String, CliError> {
     gobo_fault::install_panic_silencer();
+    // The sanitizer evidence printed below is the scenarios' alone.
+    gobo_sanitize::reset();
     let width = SCENARIOS.iter().map(|row| row.name.len()).max().unwrap_or(0);
     let mut out = String::new();
     let mut failures = 0usize;
@@ -142,12 +143,59 @@ fn run_rows(rows: &[&Scenario], knobs: &Knobs) -> Result<String, CliError> {
         out.push_str(&format!("scenario {:<width$} {outcome}\n{}", row.name, verdict.render()));
         failures += usize::from(!verdict.passed());
     }
+    if gobo_sanitize::enabled() {
+        out.push_str(&sanitizer_evidence());
+    }
     if failures > 0 {
         Err(CliError::Failed(format!("{out}{failures} chaos scenario(s) FAILED")))
     } else {
         out.push_str("all chaos scenarios passed: faults degraded service, nothing hung or lied");
         Ok(out)
     }
+}
+
+/// What the concurrency sanitizer saw over the scenarios: the observed
+/// lock-order graph, with the two acquisition sites of every edge, and
+/// per-lock acquisition statistics. An empty edge list is evidence too:
+/// the serving stack never held two sanitized locks at once.
+fn sanitizer_evidence() -> String {
+    let mut edges = gobo_sanitize::lock_order_edges();
+    edges.sort_by(|a, b| (&a.held, &a.acquired).cmp(&(&b.held, &b.acquired)));
+    let mut out = format!(
+        "sanitizer ({:?}) over the scenarios above\nlock-order edges (held -> acquired):\n",
+        gobo_sanitize::mode()
+    );
+    if edges.is_empty() {
+        out.push_str("  none recorded\n");
+    }
+    for e in &edges {
+        out.push_str(&format!(
+            "  {} -> {}  x{}  [thread {}]\n    held at {}, acquired at {}\n",
+            e.held, e.acquired, e.count, e.thread, e.held_site, e.acquired_site
+        ));
+    }
+
+    let mut stats = gobo_sanitize::lock_stats();
+    stats.sort_by(|a, b| (a.rank, &a.name).cmp(&(b.rank, &b.name)));
+    out.push_str("lock statistics:\n");
+    if stats.is_empty() {
+        out.push_str("  none recorded\n");
+    }
+    for s in &stats {
+        out.push_str(&format!(
+            "  {:<28} rank {:>3}  acq {:>7}  contended {:>5}  \
+             hold mean {:>5}us max {:>6}us  wait mean {:>5}us max {:>6}us\n",
+            s.name,
+            s.rank,
+            s.acquisitions,
+            s.contended,
+            s.hold_us.mean(),
+            s.hold_us.max,
+            s.wait_us.mean(),
+            s.wait_us.max
+        ));
+    }
+    out
 }
 
 fn arm(spec: &str) -> Result<(), CliError> {

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use gobo::format::CompressedModel;
 use gobo::pipeline::{quantize_model, QuantizeOptions};
 use gobo_model::config::ModelConfig;
 use gobo_model::io::{atomic_write, load_model, save_model};
@@ -9,8 +10,6 @@ use gobo_model::TransformerModel;
 use gobo_quant::QuantMethod;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-use crate::format::CompressedModel;
 
 /// Error surfaced by the CLI.
 #[derive(Debug)]
@@ -79,7 +78,6 @@ USAGE:
   gobo chaos    [--scenario worker-panic|corrupt-model|queue-overload
                  |node-kill|network-partition|reload-under-load]...
                 [--requests N] [--corruptions N] [--seed N]
-  gobo sanitize-report [--requests N] [--seed N] [--watchdog-ms N]
   gobo trace    --out <trace.json> [--layers N] [--hidden N] [--heads N]
                 [--bits N] [--seed N]
   gobo telemetry-check --input <telemetry.json>
@@ -139,14 +137,13 @@ OBSERVABILITY:
   Perfetto); `trace` quantizes a synthetic BERT-base model under
   tracing; `--telemetry-out` writes per-layer quantization telemetry
   (outlier fraction, iterations, final L1, bin occupancy, wall time)
-  that `telemetry-check` validates. `sanitize-report` runs a built-in
-  serve exercise with the concurrency sanitizer recording and prints
-  the observed lock-order graph (both acquisition sites per edge),
-  per-lock hold/wait statistics, and any reports; failure-class
-  reports (potential deadlock cycles, condvar misuse, blocking I/O
-  under a lock) make it exit non-zero. The same instrumentation runs
+  that `telemetry-check` validates. The concurrency sanitizer runs
   inside any gobo process under GOBO_SANITIZE=1 (record) or =fail
-  (panic at the detection site).";
+  (panic at the detection site). Under it, `chaos` fails a scenario
+  on any failure-class report (potential deadlock cycles, condvar
+  misuse, blocking I/O under a lock) and prints, after its scenarios,
+  the observed lock-order graph (both acquisition sites per edge) and
+  per-lock hold/wait statistics.";
 
 /// Minimal flag parser: `--name value` pairs after the subcommand.
 pub(crate) struct Args {
@@ -223,7 +220,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "cluster-node" => crate::cluster_cmd::cluster_node(&args),
         "cluster-router" => crate::cluster_cmd::cluster_router(&args),
         "chaos" => crate::chaos_cmd::chaos(&args),
-        "sanitize-report" => crate::sanitize_cmd::sanitize_report(&args),
         "trace" => crate::obs_cmd::trace(&args),
         "telemetry-check" => crate::obs_cmd::telemetry_check(&args),
         "help" | "--help" | "-h" => Ok(USAGE.to_owned()),

@@ -1,4 +1,4 @@
-//! The one harness under `gobo chaos` and `gobo sanitize-report`: a
+//! The one harness under `gobo chaos`: a
 //! load driver, the fixture every scenario shares (model, request
 //! patterns with their reference outputs, serving core, cluster), and
 //! the verdict a scenario reports through. The differential oracle
@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gobo::format::CompressedModel;
 use gobo::pipeline::{quantize_model, QuantizeOptions};
 use gobo_cluster::{ClusterNode, Router, RouterConfig};
 use gobo_model::config::ModelConfig;
@@ -21,7 +22,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::cmd::{failed, CliError};
-use crate::format::CompressedModel;
 
 /// What a scenario found. It passes iff every [`Verdict::must`] held,
 /// and every `must` prints its label and the value it judged, marked

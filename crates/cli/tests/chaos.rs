@@ -22,6 +22,7 @@ const MUSTS: [(&str, &[&str]); 5] = [
             "faulted run still answers",
             "faulted run within 2x fault-free + 500ms",
             "no byte-mismatches in either run",
+            "no failure-class sanitizer report",
             "the fault fails some requests",
             "workers respawned",
         ],
@@ -33,6 +34,7 @@ const MUSTS: [(&str, &[&str]); 5] = [
             "core draining list is empty",
             "every failure is queue_full or deadline_exceeded",
             "no byte-mismatches",
+            "no failure-class sanitizer report",
             "no request hung past its deadline",
             "serves normally once the fault is cleared",
             "some requests are served",
@@ -52,6 +54,7 @@ const MUSTS: [(&str, &[&str]); 5] = [
             "n3 counters obey the conservation laws",
             "n3 draining list is empty",
             "no byte-mismatches",
+            "no failure-class sanitizer report",
             "no routed encode fails",
             "the heartbeat marked the victim dead",
             "the victim left the replica set",
@@ -71,6 +74,7 @@ const MUSTS: [(&str, &[&str]); 5] = [
             "n3 counters obey the conservation laws",
             "n3 draining list is empty",
             "no byte-mismatches",
+            "no failure-class sanitizer report",
             "no routed encode fails after the heal",
             "no routed encode fails while partitioned",
             "routed encodes are answered",
@@ -91,6 +95,7 @@ const MUSTS: [(&str, &[&str]); 5] = [
             "core draining list is empty",
             "draining list empty after the storm",
             "no canary was stuck without a verdict",
+            "no failure-class sanitizer report",
             "post-rollback load gets answers",
             "post-rollback load has no byte-mismatches",
             "post-rollback load has no errors",
@@ -107,8 +112,13 @@ const MUSTS: [(&str, &[&str]); 5] = [
     ),
 ];
 
+/// The scenarios run with the concurrency sanitizer recording: each
+/// must also hold "no failure-class sanitizer report", and the report
+/// ends with the lock evidence of the serving locks the load and the
+/// publish storm took.
 #[test]
 fn the_fault_arming_scenarios_pass_and_check_what_they_are_pinned_to_check() {
+    gobo_sanitize::enable(gobo_sanitize::Mode::Record);
     let mut line: Vec<String> =
         ["chaos", "--requests", "64", "--seed", "7"].map(String::from).into();
     for (scenario, _) in MUSTS {
@@ -117,6 +127,10 @@ fn the_fault_arming_scenarios_pass_and_check_what_they_are_pinned_to_check() {
     let report = gobo_cli::run(&line).unwrap_or_else(|failed| panic!("{failed}"));
     assert!(report
         .ends_with("all chaos scenarios passed: faults degraded service, nothing hung or lied"));
+    let (_, evidence) = report.split_once("lock statistics:\n").expect("the sanitizer evidence");
+    for lock in ["serve.scheduler.state", "serve.registry.inner"] {
+        assert!(evidence.contains(lock), "no acquisition of {lock} in:\n{report}");
+    }
 
     // scenario → the labels of its `[ok]` lines (a `[FAIL]` would have
     // made `run` fail above).
@@ -128,10 +142,7 @@ fn the_fault_arming_scenarios_pass_and_check_what_they_are_pinned_to_check() {
             scenario = heading.split_whitespace().next().expect("a scenario name");
         } else if let Some(must) = line.strip_prefix("  [ok]   ") {
             let (label, _value) = must.split_once(": ").expect("`label: value`");
-            // Present only while GOBO_SANITIZE records.
-            if label != "no failure-class sanitizer report" {
-                musts.entry(scenario).or_default().push(label);
-            }
+            musts.entry(scenario).or_default().push(label);
         }
     }
     for (scenario, pinned) in MUSTS {

@@ -4,8 +4,9 @@
 //! A node is the unit of horizontal scale. It answers three things on
 //! its TCP port: encode requests (delegated to the serve scheduler,
 //! byte-identical to a direct in-process encode), heartbeats (answered
-//! with queue depth, drain state, and the registry's model residency),
-//! and drain commands (stop accepting encodes, finish what is queued).
+//! with the scheduler's queue depth and the drain state — the registry
+//! is not consulted), and drain commands (stop accepting encodes,
+//! finish what is queued).
 //!
 //! Two test-only knobs exist for chaos and benchmarking:
 //! [`ClusterNode::set_artificial_delay`] slows *this* node's encodes
@@ -23,7 +24,7 @@ use std::time::Duration;
 
 use gobo_proto::frame::{
     read_frame, write_frame, EncodeErrFrame, EncodeRequestFrame, EncodeResponseFrame, Frame,
-    HeartbeatAckFrame, ModelStatusFrame, ProtoError, MAX_PAYLOAD,
+    HeartbeatAckFrame, ProtoError, MAX_PAYLOAD,
 };
 use gobo_serve::{EncodeRequest, Listener, ServeCore, ShutdownSignal};
 
@@ -214,22 +215,9 @@ fn handle_encode(shared: &NodeShared, request: EncodeRequestFrame) -> Frame {
 }
 
 fn heartbeat_ack(shared: &NodeShared, seq: u64) -> Frame {
-    let models = shared
-        .core
-        .registry()
-        .status()
-        .into_iter()
-        .map(|status| ModelStatusFrame {
-            name: status.key.name,
-            bits: status.key.bits,
-            resident: status.resident,
-            resident_bytes: status.resident_bytes as u64,
-        })
-        .collect();
     Frame::HeartbeatAck(HeartbeatAckFrame {
         seq,
         queue_depth: shared.core.scheduler().queue_depth() as u32,
         draining: shared.draining.load(Ordering::Acquire),
-        models,
     })
 }

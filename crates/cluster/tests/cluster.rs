@@ -5,7 +5,8 @@
 //! request, and no connection reused unless its last exchange ended in
 //! a whole reply to the request it carried.
 
-use std::net::{SocketAddr, TcpListener};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -15,7 +16,11 @@ use gobo::pipeline::{quantize_model, QuantizeOptions};
 use gobo_cluster::{ClusterNode, Router, RouterConfig, RouterServer};
 use gobo_model::config::ModelConfig;
 use gobo_model::TransformerModel;
-use gobo_proto::frame::{read_frame, write_frame, EncodeOkFrame, EncodeResponseFrame, Frame};
+use gobo_proto::frame::{
+    read_frame, write_frame, EncodeOkFrame, EncodeResponseFrame, Frame, HeartbeatAckFrame,
+    MAX_PAYLOAD, PROTOCOL_VERSION,
+};
+use gobo_proto::integrity::Crc32;
 use gobo_serve::json::{parse, Json};
 use gobo_serve::{CanaryPolicy, Client, EncodeRequest, HttpClient, ServeCore, ServeOptions};
 use rand::rngs::StdRng;
@@ -659,6 +664,32 @@ fn artificial_delay_applies_per_request_on_a_pooled_connection() {
     assert!(timed(true) >= delay);
     assert!(timed(false) < delay);
     assert_eq!(router.metrics().connects.load(Relaxed), 1);
+}
+
+/// A mixed-version cluster fails loud: a node refuses a version 1
+/// heartbeat — no ack, and the connection closes — while a version 2
+/// heartbeat on a fresh connection is acked.
+#[test]
+fn a_v1_heartbeat_gets_no_ack_and_the_connection_closes() {
+    let core = ServeCore::start(ServeOptions::default());
+    let node = ClusterNode::start(core, "127.0.0.1:0").unwrap();
+    let heartbeat = |version: u8| {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &Frame::Heartbeat { seq: 5 }).unwrap();
+        bytes[4] = version;
+        let crc_at = bytes.len() - 4;
+        let mut crc = Crc32::default();
+        crc.update(&bytes[4..6]);
+        crc.update(&bytes[10..crc_at]);
+        bytes[crc_at..].copy_from_slice(&crc.finish().to_le_bytes());
+        let mut stream = TcpStream::connect(node.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream.write_all(&bytes).unwrap();
+        read_frame(&mut stream, MAX_PAYLOAD).unwrap()
+    };
+    assert!(heartbeat(1).is_none(), "a v1 heartbeat must close the connection unanswered");
+    let ack = heartbeat(PROTOCOL_VERSION);
+    assert!(matches!(ack, Some(Frame::HeartbeatAck(HeartbeatAckFrame { seq: 5, .. }))), "{ack:?}");
 }
 
 fn http_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {

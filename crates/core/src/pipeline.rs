@@ -103,11 +103,6 @@ impl QuantizeOptions {
         self.method
     }
 
-    /// The per-layer weight bit plan.
-    pub fn weight_plan(&self) -> &MixedPrecisionPlan {
-        &self.weight_plan
-    }
-
     /// Embedding bit width, if embeddings are quantized.
     pub fn embedding_bits(&self) -> Option<u8> {
         self.embedding_bits

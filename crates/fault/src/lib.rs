@@ -100,11 +100,6 @@ impl Policy {
     pub fn always(action: FaultAction) -> Self {
         Policy { action, trigger: Trigger::Always }
     }
-
-    /// A policy firing `action` on every `n`-th evaluation.
-    pub fn every_nth(action: FaultAction, n: u64) -> Self {
-        Policy { action, trigger: Trigger::EveryNth(n.max(1)) }
-    }
 }
 
 impl std::fmt::Display for Policy {
@@ -371,7 +366,7 @@ mod tests {
     fn every_nth_is_exact() {
         let _g = guard();
         reset();
-        configure("test.nth", Policy::every_nth(FaultAction::Error, 3));
+        configure("test.nth", Policy { action: FaultAction::Error, trigger: Trigger::EveryNth(3) });
         let fired: Vec<bool> = (0..9).map(|_| fire("test.nth").is_some()).collect();
         assert_eq!(fired, vec![false, false, true, false, false, true, false, false, true]);
         assert_eq!(fires("test.nth"), 3);

@@ -73,10 +73,10 @@ pub fn analyze(
 }
 
 /// The smallest compression ratio at which a model's weights become
-/// SRAM-resident for the given capacity (`None` if even lossless-∞
-/// compression cannot help because the FP32 activations alone dominate
-/// — never the case here, but the API is honest).
-pub fn crossover_ratio(fp32: &InferenceTraffic, sram_capacity_bytes: f64) -> Option<f64> {
+/// SRAM-resident for the given capacity (`None` for no weights or no
+/// SRAM) — the tests' probe of where [`analyze`] flips to resident.
+#[cfg(test)]
+fn crossover_ratio(fp32: &InferenceTraffic, sram_capacity_bytes: f64) -> Option<f64> {
     let weight_bytes = fp32.weight_bytes + fp32.embedding_bytes;
     if weight_bytes <= 0.0 || sram_capacity_bytes <= 0.0 {
         return None;

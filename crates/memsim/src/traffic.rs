@@ -54,12 +54,6 @@ impl InferenceTraffic {
     pub fn total_bytes(&self) -> f64 {
         self.weight_bytes + self.embedding_bytes + self.activation_bytes
     }
-
-    /// Fraction of traffic due to weights (the paper's "weights
-    /// dominate" claim is this being close to 1).
-    pub fn weight_fraction(&self) -> f64 {
-        self.weight_bytes / self.total_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -75,7 +69,8 @@ mod tests {
     fn weights_dominate_fp32_traffic() {
         // Section I: footprint and traffic are dominated by the weights.
         let t = base();
-        assert!(t.weight_fraction() > 0.9, "weight fraction {}", t.weight_fraction());
+        let weight_fraction = t.weight_bytes / t.total_bytes();
+        assert!(weight_fraction > 0.9, "weight fraction {weight_fraction}");
     }
 
     #[test]

@@ -66,18 +66,6 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed); // ORDERING: as above
     }
 
-    /// Reverses one [`Histogram::observe`] of the same value — used
-    /// when a recorded completion turns out not to have been delivered.
-    /// The caller must have observed `value` before, or counts go
-    /// negative (wrap).
-    pub fn unobserve(&self, value: u64) {
-        // ORDERING: Relaxed — exact inverse of `observe`; the same
-        // eventual-consistency contract applies.
-        self.buckets[Self::bucket_index(value)].fetch_sub(1, Ordering::Relaxed);
-        self.sum.fetch_sub(value, Ordering::Relaxed); // ORDERING: as above
-        self.count.fetch_sub(1, Ordering::Relaxed); // ORDERING: as above
-    }
-
     /// Total observations.
     pub fn count(&self) -> u64 {
         // ORDERING: Relaxed — a statistics read; no other memory is
@@ -263,18 +251,6 @@ mod tests {
         assert_eq!(counts[BUCKETS - 1], 1);
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 6_000_006);
-    }
-
-    #[test]
-    fn unobserve_reverses_observe() {
-        let h = Histogram::new();
-        h.observe(1500);
-        h.observe(42);
-        h.unobserve(1500);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), 42);
-        let counts = h.bucket_counts();
-        assert_eq!(counts.iter().sum::<u64>(), 1);
     }
 
     #[test]

@@ -334,11 +334,6 @@ impl Span {
         });
         Span { name, detail: detail(), tid, depth, start: Instant::now(), armed: true }
     }
-
-    /// Whether this span will record an event on drop.
-    pub fn is_armed(&self) -> bool {
-        self.armed
-    }
 }
 
 impl Drop for Span {
@@ -459,7 +454,7 @@ mod tests {
                 evaluated = true;
                 String::new()
             });
-            assert!(!span.is_armed());
+            assert!(!span.armed);
         });
         assert!(!evaluated, "detail closure ran while disabled");
         assert!(session.events.is_empty());

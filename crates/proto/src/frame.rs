@@ -18,7 +18,7 @@ use crate::codec::{put_f32s, put_len32, put_u32s, ByteReader, CodecError};
 use crate::integrity::Crc32;
 
 /// Protocol version emitted and accepted by this build.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Default upper bound on a frame payload (64 MiB) — far above any
 /// realistic encode response, low enough that a corrupt length prefix
@@ -131,19 +131,6 @@ pub struct EncodeResponseFrame {
     pub result: Result<EncodeOkFrame, EncodeErrFrame>,
 }
 
-/// Per-model status carried inside a heartbeat acknowledgement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelStatusFrame {
-    /// Model name.
-    pub name: String,
-    /// Bit width of this entry.
-    pub bits: u8,
-    /// Whether the model is resident in the node's LRU.
-    pub resident: bool,
-    /// Bytes the model occupies in the node's memory (0 when evicted).
-    pub resident_bytes: u64,
-}
-
 /// A node's answer to a heartbeat: liveness plus load.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HeartbeatAckFrame {
@@ -153,8 +140,6 @@ pub struct HeartbeatAckFrame {
     pub queue_depth: u32,
     /// Whether the node is draining (reject new work soon).
     pub draining: bool,
-    /// Models known to the node's registry.
-    pub models: Vec<ModelStatusFrame>,
 }
 
 /// All protocol messages.
@@ -258,13 +243,6 @@ fn encode_payload(out: &mut Vec<u8>, frame: &Frame) {
             out.put_u64_le(ack.seq);
             out.put_u32_le(ack.queue_depth);
             out.put_u8(u8::from(ack.draining));
-            put_len32(out, ack.models.len());
-            for m in &ack.models {
-                put_str(out, &m.name);
-                out.put_u8(m.bits);
-                out.put_u8(u8::from(m.resident));
-                out.put_u64_le(m.resident_bytes);
-            }
         }
         Frame::Drain | Frame::DrainAck => {}
     }
@@ -292,10 +270,6 @@ fn read_f32s(r: &mut ByteReader<'_>) -> Result<Vec<f32>, ProtoError> {
     let n = r.len32()?;
     Ok(r.f32s(n)?)
 }
-
-/// Bytes of the smallest model status: an empty name's length prefix,
-/// bits, the resident flag and the resident size.
-const MIN_MODEL_STATUS_BYTES: usize = 14;
 
 fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
     let r = &mut ByteReader::new(payload);
@@ -327,22 +301,11 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
             Frame::EncodeResponse(EncodeResponseFrame { id, result })
         }
         KIND_HEARTBEAT => Frame::Heartbeat { seq: r.u64()? },
-        KIND_HEARTBEAT_ACK => {
-            let seq = r.u64()?;
-            let queue_depth = r.u32()?;
-            let draining = read_bool(r)?;
-            let n = r.len32()?;
-            let mut models = Vec::with_capacity(r.counted(n, MIN_MODEL_STATUS_BYTES)?);
-            for _ in 0..n {
-                models.push(ModelStatusFrame {
-                    name: read_str(r)?,
-                    bits: r.u8()?,
-                    resident: read_bool(r)?,
-                    resident_bytes: r.u64()?,
-                });
-            }
-            Frame::HeartbeatAck(HeartbeatAckFrame { seq, queue_depth, draining, models })
-        }
+        KIND_HEARTBEAT_ACK => Frame::HeartbeatAck(HeartbeatAckFrame {
+            seq: r.u64()?,
+            queue_depth: r.u32()?,
+            draining: read_bool(r)?,
+        }),
         KIND_DRAIN => Frame::Drain,
         KIND_DRAIN_ACK => Frame::DrainAck,
         other => {
@@ -494,25 +457,7 @@ mod tests {
                 }),
             }),
             Frame::Heartbeat { seq: 99 },
-            Frame::HeartbeatAck(HeartbeatAckFrame {
-                seq: 99,
-                queue_depth: 17,
-                draining: false,
-                models: vec![
-                    ModelStatusFrame {
-                        name: "MiniBert".to_string(),
-                        bits: 3,
-                        resident: true,
-                        resident_bytes: 1 << 20,
-                    },
-                    ModelStatusFrame {
-                        name: "Tiny".to_string(),
-                        bits: 4,
-                        resident: false,
-                        resident_bytes: 0,
-                    },
-                ],
-            }),
+            Frame::HeartbeatAck(HeartbeatAckFrame { seq: 99, queue_depth: 17, draining: false }),
             Frame::Drain,
             Frame::DrainAck,
         ]
@@ -532,25 +477,6 @@ mod tests {
         bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
     }
 
-    #[test]
-    fn model_status_wire_layout_is_unchanged_by_the_field_rename() {
-        // The heartbeat ack of `sample_frames()` as written before the
-        // size field was renamed `resident_bytes`: same bytes, same
-        // protocol version.
-        const BEFORE_RENAME: &str = "474f42500104390000006300000000000000110000000002000000\
-            080000004d696e6942657274030100001000000000000400000054696e7904000000000000000000\
-            276e6ae8";
-        let before: Vec<u8> = (0..BEFORE_RENAME.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&BEFORE_RENAME[i..i + 2], 16).unwrap())
-            .collect();
-        let ack = sample_frames().into_iter().find(|f| matches!(f, Frame::HeartbeatAck(_)));
-        let ack = ack.unwrap();
-        assert_eq!(encode(&ack), before);
-        let got = read_frame(&mut Cursor::new(before), MAX_PAYLOAD).unwrap().unwrap();
-        assert_eq!(got, ack);
-    }
-
     /// FNV-1a/64 of `bytes`, the digest of every format pin (see
     /// `gobo_quant::container`'s for why not a CRC-32).
     fn fnv1a(bytes: &[u8]) -> u64 {
@@ -559,26 +485,89 @@ mod tests {
             .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
     }
 
-    /// Format pin next to the hex one above: every frame kind's bytes
-    /// must not move. Digests computed at the commit before the byte
-    /// codec was unified (`ca0882a`).
+    /// `bytes` with its version byte set to `version` and the CRC resealed.
+    fn restamp(bytes: &[u8], version: u8) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[4] = version;
+        reseal_frame(&mut out);
+        out
+    }
+
+    /// Digests of `sample_frames()` as protocol version 1 wrote them,
+    /// computed at the commit before the byte codec was unified
+    /// (`ca0882a`). Version 1 is refused now; these keep its bytes as
+    /// fixtures.
+    const V1_PINS: [u64; 7] = [
+        0xe439_b83f_2204_f95e,
+        0x32f2_de69_971b_9057,
+        0x7d7b_0aed_134e_cc66,
+        0x1e73_639e_07fe_654b,
+        0xa9b4_c2e2_d957_1c46,
+        0x127e_d917_273a_a1df,
+        0x5043_2953_e1cc_d1b9,
+    ];
+
+    /// The version 1 heartbeat ack of `sample_frames()`, which also
+    /// listed two model statuses (`MiniBert`/3 resident at 1 MiB, `Tiny`/4
+    /// evicted) after the draining flag.
+    const V1_ACK: &str = "474f42500104390000006300000000000000110000000002000000\
+        080000004d696e6942657274030100001000000000000400000054696e7904000000000000000000\
+        276e6ae8";
+
+    /// Every sample frame as version 1 wrote it: the stored ack, and the
+    /// other kinds' current bytes stamped back to version 1 — whose
+    /// digests are checked against [`V1_PINS`] in the pin test.
+    fn v1_frames() -> Vec<Vec<u8>> {
+        sample_frames()
+            .iter()
+            .map(|frame| match frame {
+                Frame::HeartbeatAck(_) => (0..V1_ACK.len())
+                    .step_by(2)
+                    .map(|i| u8::from_str_radix(&V1_ACK[i..i + 2], 16).unwrap())
+                    .collect(),
+                _ => restamp(&encode(frame), 1),
+            })
+            .collect()
+    }
+
+    /// Format pin: every frame kind's bytes must not move. Next to each
+    /// v2 digest, the frame's v1 bytes must match the v1 pin — so every
+    /// kind but the ack (whose model list went) moved only by its
+    /// version byte and CRC.
     #[test]
     fn every_frame_kind_is_pinned() {
         const PINS: [(u8, u64); 7] = [
-            (1, 0xe439_b83f_2204_f95e),
-            (2, 0x32f2_de69_971b_9057),
-            (2, 0x7d7b_0aed_134e_cc66),
-            (3, 0x1e73_639e_07fe_654b),
-            (4, 0xa9b4_c2e2_d957_1c46),
-            (5, 0x127e_d917_273a_a1df),
-            (6, 0x5043_2953_e1cc_d1b9),
+            (1, 0x4ab6_1742_4330_3879),
+            (2, 0xcad4_c86e_090d_0d4c),
+            (2, 0xd0fc_1935_173f_d50a),
+            (3, 0xd61a_94fe_fbf9_f628),
+            (4, 0xc3a7_1d5e_585a_0ec8),
+            (5, 0xdc16_ee20_1e07_b692),
+            (6, 0x6240_ebca_c5b5_a7b4),
         ];
         let frames = sample_frames();
         assert_eq!(frames.len(), PINS.len());
-        for (frame, (kind, pin)) in frames.iter().zip(PINS) {
+        for ((frame, (kind, pin)), (v1, v1_pin)) in
+            frames.iter().zip(PINS).zip(v1_frames().iter().zip(V1_PINS))
+        {
             assert_eq!(frame.kind(), kind);
-            let got = fnv1a(&encode(frame));
-            assert_eq!(got, pin, "kind {kind}: {got:#018x}");
+            let got = encode(frame);
+            let digest = fnv1a(&got);
+            assert_eq!(digest, pin, "kind {kind}: {digest:#018x}");
+            assert_eq!(fnv1a(v1), v1_pin, "kind {kind}: v1 bytes");
+            if kind != KIND_HEARTBEAT_ACK {
+                assert_eq!(restamp(v1, PROTOCOL_VERSION), got, "kind {kind}");
+            }
+        }
+    }
+
+    /// A mixed-version cluster fails loud: every v1 frame is refused by
+    /// its version byte, before its payload is read.
+    #[test]
+    fn v1_frames_are_refused_by_version() {
+        for bytes in v1_frames() {
+            let res = read_frame(&mut Cursor::new(bytes), MAX_PAYLOAD);
+            assert!(matches!(res, Err(ProtoError::Version(1))), "{res:?}");
         }
     }
 

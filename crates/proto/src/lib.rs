@@ -18,7 +18,7 @@
 //!
 //! ```text
 //! magic   4 B   "GOBP"
-//! version 1 B   currently 1
+//! version 1 B   currently 2 (other versions are refused)
 //! kind    1 B   frame discriminant
 //! length  4 B   payload length, little endian
 //! payload       kind-specific binary payload
@@ -45,7 +45,6 @@ pub mod net;
 
 pub use frame::{
     read_frame, write_frame, EncodeErrFrame, EncodeOkFrame, EncodeRequestFrame,
-    EncodeResponseFrame, Frame, HeartbeatAckFrame, ModelStatusFrame, ProtoError, MAX_PAYLOAD,
-    PROTOCOL_VERSION,
+    EncodeResponseFrame, Frame, HeartbeatAckFrame, ProtoError, MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 pub use net::{connect_retry, RetryPolicy};

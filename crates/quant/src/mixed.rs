@@ -128,11 +128,6 @@ impl MixedPrecisionPlan {
         self.rules.iter().find(|r| r.matches(layer_name)).map_or(self.default_bits, |r| r.bits)
     }
 
-    /// The default bit width.
-    pub fn default_bits(&self) -> u8 {
-        self.default_bits
-    }
-
     /// The override rules in evaluation order.
     pub fn rules(&self) -> &[LayerRule] {
         &self.rules
@@ -157,7 +152,7 @@ mod tests {
         let p = MixedPrecisionPlan::uniform(3).unwrap();
         assert_eq!(p.bits_for("encoder.0.attention.query"), 3);
         assert_eq!(p.bits_for("pooler"), 3);
-        assert_eq!(p.default_bits(), 3);
+        assert_eq!(p.default_bits, 3);
     }
 
     #[test]

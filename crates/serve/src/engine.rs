@@ -77,11 +77,6 @@ impl QuantizedEngine {
         &self.model
     }
 
-    /// Number of archived tensors served from their packed form.
-    pub fn packed_layers(&self) -> usize {
-        self.packed.len()
-    }
-
     /// Bytes this engine keeps in memory: every FP32 tensor of its
     /// model plus the packed form of every archived tensor.
     pub fn resident_bytes(&self) -> usize {
@@ -177,7 +172,7 @@ mod tests {
         for options in [fc_only, with_embeddings] {
             let c = compressed_with(&options);
             let engine = served(&c);
-            assert_eq!(engine.packed_layers(), c.archive.len());
+            assert_eq!(engine.packed.len(), c.archive.len());
             let model = engine.model();
             assert!(model.iter().all(|(name, _)| c.archive.get(name).is_none()));
             let packed: usize = c.archive.iter().map(|(_, l)| l.compressed_bytes()).sum();

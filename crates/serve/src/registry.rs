@@ -133,13 +133,6 @@ pub struct ModelEntry {
     pub quantized_layers: usize,
 }
 
-impl ModelEntry {
-    /// The full revision identity, `name@bits@rN`.
-    pub fn rev_id(&self) -> String {
-        format!("{}@r{}", self.key, self.rev)
-    }
-}
-
 /// Registry residency limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegistryConfig {
@@ -577,8 +570,8 @@ impl ModelRegistry {
     /// Status of every model revision the registry knows about — active
     /// revisions first (most recently used first), then canaries, then
     /// draining, then remembered retired revisions, then evicted slots.
-    /// The router's load-aware replica selection and `GET /v1/models`
-    /// both read this.
+    /// `GET /v1/models` reads this; no router does — a node's heartbeat
+    /// ack carries only its queue depth and draining flag.
     pub fn status(&self) -> Vec<ModelStatus> {
         let inner = self.lock_inner();
         let row = |e: &Arc<ModelEntry>, state: RevState| ModelStatus {
@@ -959,7 +952,6 @@ mod tests {
         let (second, state) = r.publish("m", &c2).unwrap();
         assert_eq!(state, RevState::Canary);
         assert_eq!(second.rev, 2);
-        assert_eq!(second.rev_id(), "m@3b@r2");
         // Active lookup still resolves rev 1 while the canary pends.
         assert_eq!(r.get("m", None).unwrap().rev, 1);
         assert_eq!(r.canary_for(&first.key).unwrap().rev, 2);

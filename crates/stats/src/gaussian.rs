@@ -97,11 +97,6 @@ impl Gaussian {
         -0.5 * z * z - self.std.ln() - LN_SQRT_2PI
     }
 
-    /// Number of standard deviations `x` lies from the mean.
-    pub fn z_score(&self, x: f32) -> f64 {
-        (f64::from(x) - self.mean) / self.std
-    }
-
     /// The half-width `|x - mean|` at which the log-density equals
     /// `log_threshold`, i.e. the outlier cut-off radius implied by the
     /// paper's threshold.
@@ -166,13 +161,6 @@ mod tests {
         assert!(g.log_pdf(1.0) > g.log_pdf(1.5));
         assert!(g.log_pdf(1.5) > g.log_pdf(2.5));
         assert!((g.log_pdf(0.5) - g.log_pdf(1.5)).abs() < 1e-9, "symmetric");
-    }
-
-    #[test]
-    fn z_score_is_signed() {
-        let g = Gaussian::new(10.0, 2.0).unwrap();
-        assert!((g.z_score(14.0) - 2.0).abs() < 1e-9);
-        assert!((g.z_score(6.0) + 2.0).abs() < 1e-9);
     }
 
     #[test]

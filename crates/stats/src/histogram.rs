@@ -114,15 +114,6 @@ impl Histogram {
         self.lo + w * (i as f32 + 0.5)
     }
 
-    /// Per-bin relative frequency (`count / total`); all zeros when empty.
-    pub fn frequencies(&self) -> Vec<f64> {
-        let total = self.total();
-        if total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts.iter().map(|&c| c as f64 / total as f64).collect()
-    }
-
     /// Lower bound of the histogram's range.
     pub fn lo(&self) -> f32 {
         self.lo
@@ -190,16 +181,6 @@ mod tests {
     fn bin_center_panics_out_of_range() {
         let h = Histogram::new(0.0, 1.0, 2).unwrap();
         let _ = h.bin_center(2);
-    }
-
-    #[test]
-    fn frequencies_sum_to_one() {
-        let mut h = Histogram::new(0.0, 1.0, 8).unwrap();
-        h.extend_from_slice(&[0.1, 0.2, 0.3, 0.9]);
-        let sum: f64 = h.frequencies().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-        let empty = Histogram::new(0.0, 1.0, 3).unwrap();
-        assert_eq!(empty.frequencies(), vec![0.0; 3]);
     }
 
     #[test]

@@ -188,7 +188,8 @@ impl TaskSpec {
 
     /// Total sequence length produced by the pair tasks:
     /// `[CLS] a… [SEP] b…`.
-    pub fn pair_len(&self) -> usize {
+    #[cfg(test)]
+    fn pair_len(&self) -> usize {
         2 + 2 * self.sentence_len
     }
 
@@ -199,7 +200,8 @@ impl TaskSpec {
     }
 
     /// The cluster a token belongs to (content tokens only).
-    pub fn cluster_of(&self, token: usize) -> Option<usize> {
+    #[cfg(test)]
+    fn cluster_of(&self, token: usize) -> Option<usize> {
         if token < FIRST_CONTENT {
             return None;
         }

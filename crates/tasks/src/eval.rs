@@ -29,14 +29,6 @@ pub struct TaskScore {
     pub value: f64,
 }
 
-impl TaskScore {
-    /// The "error" the paper reports: baseline minus this, in the same
-    /// percentage points.
-    pub fn error_vs(&self, baseline: &TaskScore) -> f64 {
-        baseline.value - self.value
-    }
-}
-
 /// Evaluates a model + head over a dataset, dispatching on the head's
 /// task kind.
 ///
@@ -272,13 +264,6 @@ mod tests {
         // Random spans on a ~13-token sequence score ≈ 0.1; learning the
         // copy-match rule should do far better.
         assert!(score.value > 0.45, "train f1 {}", score.value);
-    }
-
-    #[test]
-    fn error_vs_baseline() {
-        let base = TaskScore { kind: TaskKind::Nli, metric: "accuracy", value: 0.84 };
-        let quant = TaskScore { kind: TaskKind::Nli, metric: "accuracy", value: 0.83 };
-        assert!((quant.error_vs(&base) - 0.01).abs() < 1e-12);
     }
 
     #[test]

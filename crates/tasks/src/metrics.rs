@@ -47,32 +47,6 @@ pub fn span_f1(pred: (usize, usize), gold: (usize, usize)) -> f64 {
     2.0 * precision * recall / (precision + recall)
 }
 
-/// Exact-match of one predicted span (SQuAD's stricter EM metric).
-pub fn span_exact_match(pred: (usize, usize), gold: (usize, usize)) -> bool {
-    let (ps, pe) = (pred.0.min(pred.1), pred.0.max(pred.1));
-    (ps, pe) == gold
-}
-
-/// Fraction of exact span matches over a dataset.
-///
-/// # Errors
-///
-/// Returns [`TaskError::EmptyDataset`] for empty inputs and
-/// [`TaskError::InvalidParameter`] when lengths differ.
-pub fn mean_exact_match(
-    preds: &[(usize, usize)],
-    gold: &[(usize, usize)],
-) -> Result<f64, TaskError> {
-    if preds.is_empty() {
-        return Err(TaskError::EmptyDataset);
-    }
-    if preds.len() != gold.len() {
-        return Err(TaskError::InvalidParameter { name: "predictions" });
-    }
-    let hits = preds.iter().zip(gold).filter(|(&p, &g)| span_exact_match(p, g)).count();
-    Ok(hits as f64 / preds.len() as f64)
-}
-
 /// Mean [`span_f1`] over a dataset.
 ///
 /// # Errors
@@ -128,17 +102,6 @@ mod tests {
     fn span_f1_handles_inverted_prediction() {
         // A confused model may emit end < start; we normalize.
         assert_eq!(span_f1((5, 3), (3, 5)), 1.0);
-    }
-
-    #[test]
-    fn exact_match_is_strict() {
-        assert!(span_exact_match((3, 5), (3, 5)));
-        assert!(span_exact_match((5, 3), (3, 5)), "normalizes inversion");
-        assert!(!span_exact_match((3, 4), (3, 5)));
-        let em = mean_exact_match(&[(0, 1), (4, 5)], &[(0, 1), (4, 6)]).unwrap();
-        assert_eq!(em, 0.5);
-        assert!(mean_exact_match(&[], &[]).is_err());
-        assert!(mean_exact_match(&[(0, 0)], &[]).is_err());
     }
 
     #[test]

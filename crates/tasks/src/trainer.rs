@@ -83,12 +83,13 @@ pub fn train(
 }
 
 /// Computes the mean loss of a parameter set over a dataset without
-/// updating anything (used by tests and for reporting).
+/// updating anything — the tests' measure of whether training learned.
 ///
 /// # Errors
 ///
 /// Same conditions as [`train`].
-pub fn evaluate_loss(
+#[cfg(test)]
+fn evaluate_loss(
     kind: TaskKind,
     dims: &EncoderDims,
     params: &ParamSet,

@@ -100,33 +100,6 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Sum of each row.
-    ///
-    /// # Errors
-    ///
-    /// Returns a rank error for rank-0 tensors.
-    pub fn sum_rows(&self) -> Result<Tensor, TensorError> {
-        let (rows, cols) = self.shape().as_matrix()?;
-        let data = self.as_slice();
-        let sums: Vec<f32> =
-            (0..rows).map(|r| data[r * cols..(r + 1) * cols].iter().sum()).collect();
-        Tensor::from_vec(sums, &[rows])
-    }
-
-    /// Mean of each row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyDimension`] when rows are empty, or a
-    /// rank error for rank-0 tensors.
-    pub fn mean_rows(&self) -> Result<Tensor, TensorError> {
-        let (_, cols) = self.shape().as_matrix()?;
-        if cols == 0 {
-            return Err(TensorError::EmptyDimension { op: "mean_rows" });
-        }
-        Ok(self.sum_rows()?.scale(1.0 / cols as f32))
-    }
-
     /// Sum over rows, producing one value per column.
     ///
     /// # Errors
@@ -201,9 +174,7 @@ mod tests {
     #[test]
     fn row_and_col_sums() {
         let x = t(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        assert_eq!(x.sum_rows().unwrap().as_slice(), &[3.0, 7.0]);
         assert_eq!(x.sum_cols().unwrap().as_slice(), &[4.0, 6.0]);
-        assert_eq!(x.mean_rows().unwrap().as_slice(), &[1.5, 3.5]);
     }
 
     #[test]
@@ -211,7 +182,6 @@ mod tests {
         let x = Tensor::zeros(&[2, 0]);
         assert!(x.softmax().is_err());
         assert!(x.argmax_rows().is_err());
-        assert!(x.mean_rows().is_err());
     }
 
     #[test]

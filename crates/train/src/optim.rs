@@ -74,11 +74,6 @@ impl Adam {
         Ok(self)
     }
 
-    /// Number of optimizer steps taken so far.
-    pub fn step_count(&self) -> u64 {
-        self.step_count
-    }
-
     /// Applies one update from `(name, gradient)` pairs.
     ///
     /// Parameters without a gradient this step keep their value (their
@@ -202,7 +197,7 @@ mod tests {
         clipped.step(&mut b, [("w", &huge)].into_iter()).unwrap();
         // Both move by ≈ lr on the first step (sign step), but the
         // clipped one must have seen a gradient of magnitude 1.
-        assert_eq!(clipped.step_count(), 1);
+        assert_eq!(clipped.step_count, 1);
         assert!(b.get("w").unwrap().as_slice()[0].abs() <= 0.11);
         assert!(a.get("w").unwrap().all_finite());
     }

@@ -42,9 +42,9 @@ fn cli_formats_interoperate_with_pipeline() {
     let options = QuantizeOptions::gobo(4).expect("opts").with_embedding_bits(4).expect("emb");
     let outcome = quantize_model(&zoo.model, &options).expect("quantize");
 
-    let compressed = gobo_cli::format::CompressedModel::new(&zoo.model, outcome.archive.clone());
+    let compressed = gobo::format::CompressedModel::new(&zoo.model, outcome.archive.clone());
     let bytes = compressed.to_bytes();
-    let restored = gobo_cli::format::CompressedModel::from_bytes(&bytes).expect("read");
+    let restored = gobo::format::CompressedModel::from_bytes(&bytes).expect("read");
     let decoded = restored.decode().expect("decode");
 
     for spec in zoo.model.fc_layers() {

@@ -35,7 +35,7 @@ use gobo_model::{ModelError, TransformerModel};
 use gobo_proto::codec::{put_len16, put_len32, reseal, seal, CodecError};
 use gobo_proto::frame::{
     read_frame, write_frame, EncodeErrFrame, EncodeOkFrame, EncodeRequestFrame,
-    EncodeResponseFrame, Frame, HeartbeatAckFrame, ModelStatusFrame,
+    EncodeResponseFrame, Frame, HeartbeatAckFrame,
 };
 use gobo_proto::integrity::Crc32;
 use gobo_quant::container::{reseal_archive, ModelArchive};
@@ -536,12 +536,6 @@ fn sample_frames() -> Vec<Vec<u8>> {
         compute_us: 3_400,
     };
     let err = EncodeErrFrame { code: "queue_full".to_owned(), message: "at capacity".to_owned() };
-    let status = |name: &str, resident: bool| ModelStatusFrame {
-        name: name.to_owned(),
-        bits: 4,
-        resident,
-        resident_bytes: if resident { 1 << 20 } else { 0 },
-    };
     [
         Frame::EncodeRequest(EncodeRequestFrame {
             id: 42,
@@ -554,12 +548,7 @@ fn sample_frames() -> Vec<Vec<u8>> {
         Frame::EncodeResponse(EncodeResponseFrame { id: 42, result: Ok(ok) }),
         Frame::EncodeResponse(EncodeResponseFrame { id: 7, result: Err(err) }),
         Frame::Heartbeat { seq: 99 },
-        Frame::HeartbeatAck(HeartbeatAckFrame {
-            seq: 99,
-            queue_depth: 17,
-            draining: false,
-            models: vec![status("Fuzz", true), status("Other", false)],
-        }),
+        Frame::HeartbeatAck(HeartbeatAckFrame { seq: 99, queue_depth: 17, draining: false }),
         Frame::Drain,
         Frame::DrainAck,
     ]
