@@ -144,7 +144,7 @@ fn run_rows(rows: &[&Scenario], knobs: &Knobs) -> Result<String, CliError> {
         failures += usize::from(!verdict.passed());
     }
     if gobo_sanitize::enabled() {
-        out.push_str(&sanitizer_evidence());
+        out.push_str(&crate::sanitize_cmd::sanitizer_evidence());
     }
     if failures > 0 {
         Err(CliError::Failed(format!("{out}{failures} chaos scenario(s) FAILED")))
@@ -152,50 +152,6 @@ fn run_rows(rows: &[&Scenario], knobs: &Knobs) -> Result<String, CliError> {
         out.push_str("all chaos scenarios passed: faults degraded service, nothing hung or lied");
         Ok(out)
     }
-}
-
-/// What the concurrency sanitizer saw over the scenarios: the observed
-/// lock-order graph, with the two acquisition sites of every edge, and
-/// per-lock acquisition statistics. An empty edge list is evidence too:
-/// the serving stack never held two sanitized locks at once.
-fn sanitizer_evidence() -> String {
-    let mut edges = gobo_sanitize::lock_order_edges();
-    edges.sort_by(|a, b| (&a.held, &a.acquired).cmp(&(&b.held, &b.acquired)));
-    let mut out = format!(
-        "sanitizer ({:?}) over the scenarios above\nlock-order edges (held -> acquired):\n",
-        gobo_sanitize::mode()
-    );
-    if edges.is_empty() {
-        out.push_str("  none recorded\n");
-    }
-    for e in &edges {
-        out.push_str(&format!(
-            "  {} -> {}  x{}  [thread {}]\n    held at {}, acquired at {}\n",
-            e.held, e.acquired, e.count, e.thread, e.held_site, e.acquired_site
-        ));
-    }
-
-    let mut stats = gobo_sanitize::lock_stats();
-    stats.sort_by(|a, b| (a.rank, &a.name).cmp(&(b.rank, &b.name)));
-    out.push_str("lock statistics:\n");
-    if stats.is_empty() {
-        out.push_str("  none recorded\n");
-    }
-    for s in &stats {
-        out.push_str(&format!(
-            "  {:<28} rank {:>3}  acq {:>7}  contended {:>5}  \
-             hold mean {:>5}us max {:>6}us  wait mean {:>5}us max {:>6}us\n",
-            s.name,
-            s.rank,
-            s.acquisitions,
-            s.contended,
-            s.hold_us.mean(),
-            s.hold_us.max,
-            s.wait_us.mean(),
-            s.wait_us.max
-        ));
-    }
-    out
 }
 
 fn arm(spec: &str) -> Result<(), CliError> {

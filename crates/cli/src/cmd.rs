@@ -142,8 +142,8 @@ OBSERVABILITY:
   (panic at the detection site). Under it, `chaos` fails a scenario
   on any failure-class report (potential deadlock cycles, condvar
   misuse, blocking I/O under a lock) and prints, after its scenarios,
-  the observed lock-order graph (both acquisition sites per edge) and
-  per-lock hold/wait statistics.";
+  the observed lock-order graph (both acquisition sites per edge),
+  per-lock hold/wait statistics and any report.";
 
 /// Minimal flag parser: `--name value` pairs after the subcommand.
 pub(crate) struct Args {

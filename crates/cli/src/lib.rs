@@ -24,6 +24,7 @@ pub mod cmd;
 pub mod harness;
 mod lint_cmd;
 mod obs_cmd;
+mod sanitize_cmd;
 mod serve_cmd;
 
 pub use cmd::{run, CliError};

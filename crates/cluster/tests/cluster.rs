@@ -576,12 +576,20 @@ fn a_reply_to_another_request_closes_the_connection_and_fails_over() {
 /// to that node opens a new one and gets the answer to its own ids.
 #[test]
 fn a_hedge_loser_connection_is_never_reused() {
+    // Only a partitioned node is meant to be hedged past here, so the
+    // delay need not be short — it must outlast any answered request on
+    // a loaded machine: a hedged warm-up would connect to the other node
+    // too, and on its own helper thread, after the count is read.
     let config =
-        RouterConfig { hedge_after: Some(Duration::from_millis(10)), ..RouterConfig::default() };
+        RouterConfig { hedge_after: Some(Duration::from_millis(250)), ..RouterConfig::default() };
     let (nodes, router) = start_cluster(2, config);
     let victim = primary_index(&nodes, &router);
     let other = 1 - victim;
     let m = router.metrics();
+    // The first encode on a core pays its one-time setup; pay it here.
+    for node in &nodes {
+        Client::new(Arc::clone(&node.core)).encode(EncodeRequest::new("demo", vec![1])).unwrap();
+    }
     // Warm the victim's pool, so the partition meets a pooled connection.
     router.encode("demo", None, &[1], &[], 0).unwrap();
     assert_eq!(m.connects.load(Relaxed), 1);
