@@ -17,8 +17,7 @@ fn scheduler_config(args: &Args) -> Result<SchedulerConfig, CliError> {
     if args.get("max-wait-us").is_some() {
         return Err(CliError::Usage(
             "--max-wait-us was removed: batching no longer waits for a configurable window — a \
-             free worker takes its share of what is queued (up to --max-batch), and only a \
-             share short of --max-batch is held, for a fixed 0.5 ms from its oldest arrival"
+             free worker takes its share of what is queued (up to --max-batch) at once"
                 .into(),
         ));
     }

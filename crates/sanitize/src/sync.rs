@@ -336,11 +336,6 @@ impl SanCondvar {
         self.name
     }
 
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
     /// Wakes every waiter.
     pub fn notify_all(&self) {
         self.inner.notify_all();

@@ -21,8 +21,7 @@
 //!   archived embedding tables decode only the rows a batch looks up;
 //! * [`scheduler`] — bounded admission queue, worker pool, fair-share
 //!   batching (a free worker takes its share of what is queued for the
-//!   oldest model key, up to `max_batch`; a share short of `max_batch`
-//!   is held until its oldest request is 0.5 ms old, never longer),
+//!   oldest model key, up to `max_batch`, at once — no timer),
 //!   per-request deadlines that reject (never hang) on overload,
 //!   graceful drain;
 //! * [`listener`] — the one thread-per-connection TCP accept loop

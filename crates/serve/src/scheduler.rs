@@ -1,29 +1,20 @@
 //! Request scheduling: bounded admission, worker pool, fair-share
-//! batching behind a short coalescing hold, deadlines, graceful drain.
+//! batching, deadlines, graceful drain.
 //!
 //! Requests enter a bounded FIFO admission queue (overflow is
-//! *rejected*, never blocked on). A worker that finds work takes, in one
+//! *rejected*, never blocked on). A free worker takes at once, in one
 //! sweep under the state lock, the oldest live request plus the oldest
 //! requests of the same model/bits key, up to
 //! `min(max_batch, ⌈R / workers⌉)` where `R` is how many requests are
-//! queued for that key at that moment (`share` below). The take is one
-//! atomic sweep, so there is nothing to own between two lock
-//! acquisitions and no per-key claim.
+//! queued for that key at that moment (`share` below). A lone request
+//! goes alone; a backlog that built up behind busy workers is split into
+//! full and fair batches. The take is one atomic sweep, so there is
+//! nothing to own between two lock acquisitions and no per-key claim.
 //!
-//! A share smaller than `max_batch` is **held for company** until its
-//! oldest request is `COALESCE_HOLD` (0.5 ms) old: the worker sleeps out
-//! what is left of that on the condition variable and sweeps again. A
-//! request that already waited that long behind busy workers, a share
-//! that is a full `max_batch`, and everything during drain go at once,
-//! so the hold adds at most 0.5 ms to a request and nothing to a backlog.
-//! Company is the lesser reason for it. The hold is the one term of a
-//! round trip that the host does not move: without it a closed loop is
-//! nothing but CPU time and thread hand-offs, and on a shared two-core
-//! host those vary by ±15 % from one second to the next (DESIGN §7).
-//! A worker sleeps *without* a timer only after a sweep under the lock
-//! found the queue empty, so a push (which notifies after it unlocks)
-//! is never missed (`tests/interleave.rs` checks that protocol over
-//! every interleaving of up to four submitters and two workers).
+//! The scheduler has no timer: a worker sleeps only after a sweep under
+//! the lock found the queue empty, so a push (which notifies after it
+//! unlocks) is never missed (`tests/interleave.rs` checks that protocol
+//! over every interleaving of up to four submitters and two workers).
 //!
 //! The batch resolves its model handle from the registry once, then
 //! runs the **whole batch as one fused forward** through the
@@ -91,8 +82,7 @@ pub struct SchedulerConfig {
     pub workers: usize,
     /// Largest batch a worker will take in one sweep: the bound on the
     /// activation panel one forward runs (and on how long the requests
-    /// behind it wait for that worker). A share this large is never
-    /// held for company.
+    /// behind it wait for that worker).
     pub max_batch: usize,
     /// Admission-queue capacity; submissions beyond it are rejected
     /// with [`ServeError::QueueFull`].
@@ -152,7 +142,7 @@ pub struct EncodeResponse {
     /// Size of the batch this request was executed in.
     pub batch_size: usize,
     /// Time spent queued before execution, microseconds: the wait for
-    /// a free worker, or the coalescing hold, whichever was longer.
+    /// a free worker.
     pub queue_us: u64,
     /// Forward-pass time of the fused batch this request rode in,
     /// microseconds (shared by every request in the batch).
@@ -220,9 +210,6 @@ const RESPAWN_HEALTHY_AFTER: Duration = Duration::from_secs(1);
 /// workers answer every request they take (expired ones included), so
 /// this only covers scheduling noise between their reply and our wake.
 const REPLY_GRACE: Duration = Duration::from_millis(250);
-/// How long a share smaller than `max_batch` is held for company,
-/// counted from the arrival of its oldest request (see [`hold_left`]).
-const COALESCE_HOLD: Duration = Duration::from_micros(500);
 
 /// The admission queue and its worker pool.
 pub struct Scheduler {
@@ -474,54 +461,30 @@ fn share(queued: usize, workers: usize, max_batch: usize) -> usize {
     queued.div_ceil(workers.max(1)).min(max_batch.max(1))
 }
 
-/// How much longer a share of `take` requests, whose oldest has been
-/// queued for `waited`, is held for company: not at all once it is a
-/// full `max_batch` (nobody else could join) or the oldest request is
-/// [`COALESCE_HOLD`] old.
-fn hold_left(waited: Duration, take: usize, max_batch: usize) -> Option<Duration> {
-    if take >= max_batch.max(1) {
-        return None;
-    }
-    COALESCE_HOLD.checked_sub(waited).filter(|left| !left.is_zero())
-}
-
-/// What one sweep of the admission queue found.
-enum Sweep {
-    /// This worker's share, moved from the queue into its batch.
-    Taken,
-    /// Live work whose oldest request stays in its hold for this long.
-    Held(Duration),
-    /// Nothing queued.
-    Empty,
-}
-
-/// Blocks until the queue holds work whose hold is over, then moves
-/// this worker's [`share`] of it into `batch`. Every decision is a
-/// [`sweep`] under the lock, repeated after every wake-up: the worker
-/// sleeps without a timer only out of a sweep that found the queue
-/// empty, and for no longer than the hold's remainder out of one that
-/// found held work. Returns `false` when shutdown is requested and the
-/// queue is drained.
+/// Blocks until the queue holds work, then moves this worker's
+/// [`share`] of it into `batch`. Every decision is a [`sweep`] under the
+/// lock, repeated after every wake-up: the worker sleeps only out of a
+/// sweep that found the queue empty. Returns `false` when shutdown is
+/// requested and the queue is drained.
 fn next_batch(shared: &Shared, batch: &mut Vec<Pending>) -> bool {
     let mut state = shared.state.lock();
     loop {
-        state = match sweep(shared, &mut state, batch) {
-            Sweep::Taken => return true,
-            Sweep::Empty if state.shutdown => return false,
-            Sweep::Empty => shared.cvar.wait_while(state, |s| s.queue.is_empty() && !s.shutdown),
-            // Pushes wake this wait too, and it goes back to sleep for
-            // the rest of `left`: only the clock or a drain ends a hold.
-            Sweep::Held(left) => shared.cvar.wait_timeout_while(state, left, |s| !s.shutdown).0,
-        };
+        if sweep(shared, &mut state, batch) {
+            return true;
+        }
+        if state.shutdown {
+            return false;
+        }
+        state = shared.cvar.wait_while(state, |s| s.queue.is_empty() && !s.shutdown);
     }
 }
 
 /// One atomic sweep of the admission queue: answers expired requests
-/// where they sit, then — unless the oldest live request is still
-/// [held](hold_left) — moves it into `batch` together with the oldest
-/// requests of the same model/bits key, [`share`] of them in all, in
-/// arrival order. Nothing is held once shutdown began.
-fn sweep(shared: &Shared, s: &mut State, batch: &mut Vec<Pending>) -> Sweep {
+/// where they sit, then moves the oldest live request into `batch`
+/// together with the oldest requests of the same model/bits key,
+/// [`share`] of them in all, in arrival order. Returns whether it took
+/// a share; `false` means the queue is empty.
+fn sweep(shared: &Shared, s: &mut State, batch: &mut Vec<Pending>) -> bool {
     let now = Instant::now();
     let mut i = 0;
     while let Some(p) = s.queue.get(i) {
@@ -535,14 +498,10 @@ fn sweep(shared: &Shared, s: &mut State, batch: &mut Vec<Pending>) -> Sweep {
     let same_key =
         |a: &Pending, b: &Pending| a.req.model == b.req.model && a.req.bits == b.req.bits;
     let Some(oldest) = s.queue.front() else {
-        return Sweep::Empty;
+        return false;
     };
     let queued = s.queue.iter().filter(|p| same_key(p, oldest)).count();
     let take = share(queued, shared.config.workers, shared.config.max_batch);
-    let waited = now.saturating_duration_since(oldest.enqueued);
-    if let Some(left) = hold_left(waited, take, shared.config.max_batch).filter(|_| !s.shutdown) {
-        return Sweep::Held(left);
-    }
     let mut i = 0;
     while batch.len() < take {
         let Some(p) = s.queue.get(i) else { break };
@@ -558,7 +517,7 @@ fn sweep(shared: &Shared, s: &mut State, batch: &mut Vec<Pending>) -> Sweep {
     shared.metrics.record_batch(batch.len());
     #[cfg(test)]
     assert!(batch.iter().all(|p| p.req.model != tests::SWEEP_PANICS), "gobo-fault: sweep panic");
-    Sweep::Taken
+    true
 }
 
 /// Executes a batch as **one fused forward**. Each request stays in
@@ -717,7 +676,7 @@ fn canary_encode(
 
 #[cfg(test)]
 mod tests {
-    use super::{hold_left, respawn_backoff, share, EncodeRequest, SchedulerConfig, COALESCE_HOLD};
+    use super::{respawn_backoff, share, EncodeRequest, SchedulerConfig};
     use crate::core::{Client, ServeCore, ServeOptions};
     use crate::error::ServeError;
     use std::sync::atomic::Ordering;
@@ -811,29 +770,5 @@ mod tests {
         // A zero in the config degrades to one, never to a division by
         // zero or an empty batch.
         assert_eq!(share(5, 0, 0), 1);
-    }
-
-    /// The hold over its whole domain: a partial share waits out what
-    /// is left of [`COALESCE_HOLD`] since its oldest request arrived and
-    /// not a microsecond more; a full `max_batch`, or a request that
-    /// already waited that long behind busy workers, is never held.
-    #[test]
-    fn hold_runs_from_arrival_and_never_covers_a_full_share() {
-        let us = Duration::from_micros;
-        assert_eq!(hold_left(us(0), 1, 8), Some(COALESCE_HOLD), "a fresh lone request waits");
-        assert_eq!(hold_left(us(400), 1, 8), Some(COALESCE_HOLD - us(400)));
-        assert_eq!(hold_left(us(400), 7, 8), Some(COALESCE_HOLD - us(400)), "7 of 8 can grow");
-        assert_eq!(hold_left(COALESCE_HOLD, 1, 8), None, "the hold ends on the dot");
-        assert_eq!(hold_left(us(300_000), 1, 8), None, "a backlog is not held again");
-        assert_eq!(hold_left(us(0), 8, 8), None, "a full share goes at once");
-        assert_eq!(hold_left(us(0), 1, 1), None, "max_batch 1 has no company to wait for");
-        assert_eq!(hold_left(us(0), 1, 0), None, "a zero max_batch degrades to one");
-        for waited in (0..=1_500).step_by(50).map(us) {
-            for take in 1..=8usize {
-                let left = hold_left(waited, take, 8).unwrap_or_default();
-                assert!(waited + left <= COALESCE_HOLD.max(waited), "{waited:?} + {left:?}");
-                assert_eq!(left.is_zero(), take == 8 || waited >= COALESCE_HOLD);
-            }
-        }
     }
 }

@@ -225,30 +225,25 @@ fn interleave_explorer_catches_eager_free_bug() {
 //
 // `Scheduler::submit` pushes under the state lock and calls
 // `notify_all` after unlocking; a worker's `next_batch` sweeps the
-// queue under the lock, takes its share if the share is a full
-// `max_batch` or its oldest request is past the coalescing hold
-// (`COALESCE_HOLD`, 0.5 ms), otherwise sleeps out the rest of the hold
-// on a timer and sweeps again, and sleeps without a timer only when the
-// sweep found the queue empty, the lock being released and the sleeper
-// registered in one atomic step (that is what a condition variable's
-// `wait` is). The model has exactly those steps: `push`, `notify`, and
-// `sweep → take | nap | sleep`. A nap is a sleep the clock always ends,
-// so a napping worker stays schedulable, and all the model keeps of
-// time is that the request it napped on is *ripe* afterwards. Workers
-// never finish; a schedule ends when every submitter is done and every
-// worker is blocked asleep, and that is where the invariants are
-// checked:
+// queue under the lock, takes its share of whatever is queued at once,
+// and sleeps — untimed — only when the sweep found the queue empty, the
+// lock being released and the sleeper registered in one atomic step
+// (that is what a condition variable's `wait` is). The model has
+// exactly those steps: `push`, `notify`, and `sweep → take | sleep`.
+// Workers never finish; a schedule ends when every submitter is done
+// and every worker is blocked asleep, and that is where the invariants
+// are checked:
 //
 // * **work conservation / no lost wake-up** — no worker is asleep
-//   while a request is queued, held or not;
+//   while a request is queued;
 // * **exactly once** — every request submitted is in exactly one batch;
 // * **batch shape** — every batch is one key, at most `max_batch`
 //   long, and each key's requests are dispatched in arrival order.
 //
 // One to four submitters over two keys against one and two workers,
-// each closed over its reachable states: 2.3 million schedules for three
-// submitters and two workers, around 10⁹ for four, but a few thousand
-// states. A broken worker that tests the predicate *before* taking the
+// each closed over its reachable states — at most 2,455, for four
+// submitters and two workers, however many schedules reach them. A
+// broken worker that tests the predicate *before* taking the
 // lock (peek, then sleep without looking again) must be caught losing a
 // wake-up.
 // ---------------------------------------------------------------------
@@ -267,10 +262,6 @@ type Queued = (usize, u8);
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
 struct Sched {
     queue: Vec<Queued>,
-    /// Arrival number of the queued request whose coalescing hold has
-    /// run out (`scheduler::hold_left` is `None` for it). Only the
-    /// oldest request is ever waited on, so there is at most one.
-    ripe: Option<usize>,
     arrivals: usize,
     /// Worker `w` is registered on the condition variable.
     asleep: [bool; 2],
@@ -289,31 +280,12 @@ enum SchedThread {
     PeekingWorker { w: usize, saw_empty: bool },
 }
 
-/// The share the oldest queued request would be dispatched in.
-fn oldest_share(s: &Sched) -> Option<(Queued, usize)> {
-    let &oldest = s.queue.first()?;
-    let queued = s.queue.iter().filter(|r| r.1 == oldest.1).count();
-    Some((oldest, share(queued, s.workers)))
-}
-
-/// The sweep under the lock. A share short of `MAX_BATCH` whose oldest
-/// request is not ripe is held: the worker naps, and all that is left of
-/// the nap when it ends is that the request is ripe. Otherwise the
-/// oldest request leaves with the oldest requests of its key, `share`
-/// of them in all.
-fn sweep(s: &mut Sched) {
-    match oldest_share(s) {
-        Some(((arrival, _), want)) if want < MAX_BATCH && s.ripe != Some(arrival) => {
-            s.ripe = Some(arrival);
-        }
-        Some(_) => take(s),
-        None => {}
-    }
-}
-
-/// Removes the oldest request's share from the queue as one batch.
+/// The sweep under the lock: removes the oldest request's share from
+/// the queue as one batch — the oldest request and the oldest requests
+/// of its key, `share` of them in all.
 fn take(s: &mut Sched) {
-    let Some(((_, key), want)) = oldest_share(s) else { return };
+    let Some(&(_, key)) = s.queue.first() else { return };
+    let want = share(s.queue.iter().filter(|r| r.1 == key).count(), s.workers);
     let mut batch = Vec::new();
     s.queue.retain(|r| {
         let taken = r.1 == key && batch.len() < want;
@@ -322,7 +294,6 @@ fn take(s: &mut Sched) {
         }
         !taken
     });
-    s.ripe = s.ripe.filter(|arrival| batch.iter().all(|r| r.0 != *arrival));
     s.batches.push(batch);
 }
 
@@ -343,7 +314,7 @@ impl Program<Sched> for SchedThread {
                 if s.queue.is_empty() {
                     s.asleep[*w] = true;
                 } else {
-                    sweep(s);
+                    take(s);
                 }
             }
             SchedThread::PeekingWorker { w, saw_empty } => {
@@ -410,18 +381,18 @@ fn assert_sched_clean(s: &Sched, submitted: usize, schedule: &[usize]) {
 /// Every mix of one to four submitters over two keys, against one and
 /// two workers, with the states and terminal states each closes over.
 const CASES: [(&[u8], usize, Explored); 12] = [
-    (&[0], 1, Explored { states: 11, terminals: 1 }),
-    (&[0, 0], 1, Explored { states: 56, terminals: 2 }),
-    (&[0, 1], 1, Explored { states: 74, terminals: 2 }),
-    (&[0, 0, 1], 1, Explored { states: 476, terminals: 6 }),
-    (&[0, 0, 0, 0], 1, Explored { states: 1235, terminals: 5 }),
-    (&[0, 0, 1, 0], 1, Explored { states: 2702, terminals: 12 }),
-    (&[0], 2, Explored { states: 21, terminals: 1 }),
-    (&[0, 0], 2, Explored { states: 90, terminals: 1 }),
-    (&[0, 1], 2, Explored { states: 132, terminals: 2 }),
-    (&[0, 0, 1], 2, Explored { states: 670, terminals: 3 }),
-    (&[0, 0, 0, 0], 2, Explored { states: 1827, terminals: 3 }),
-    (&[0, 0, 1, 0], 2, Explored { states: 3633, terminals: 8 }),
+    (&[0], 1, Explored { states: 9, terminals: 1 }),
+    (&[0, 0], 1, Explored { states: 44, terminals: 2 }),
+    (&[0, 1], 1, Explored { states: 54, terminals: 2 }),
+    (&[0, 0, 1], 1, Explored { states: 342, terminals: 6 }),
+    (&[0, 0, 0, 0], 1, Explored { states: 939, terminals: 5 }),
+    (&[0, 0, 1, 0], 1, Explored { states: 1926, terminals: 12 }),
+    (&[0], 2, Explored { states: 17, terminals: 1 }),
+    (&[0, 0], 2, Explored { states: 66, terminals: 1 }),
+    (&[0, 1], 2, Explored { states: 96, terminals: 2 }),
+    (&[0, 0, 1], 2, Explored { states: 460, terminals: 3 }),
+    (&[0, 0, 0, 0], 2, Explored { states: 1265, terminals: 3 }),
+    (&[0, 0, 1, 0], 2, Explored { states: 2455, terminals: 8 }),
 ];
 
 #[test]
