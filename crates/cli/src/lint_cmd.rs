@@ -6,16 +6,13 @@ use crate::cmd::CliError;
 
 const LINT_USAGE: &str = "\
 USAGE:
-  gobo lint [--root PATH] [--deny-warnings] [--write-catalogs]
-            [--list-panic-sites] [--locks]
+  gobo lint [--root PATH] [--deny-warnings] [--write-catalogs] [--locks]
 
   --root PATH         workspace root to lint (default: .)
   --deny-warnings     treat warnings (budget slack, dead allowlist
                       entries) as failures — what CI runs
   --write-catalogs    regenerate FAILPOINTS.md, SPANS.md, and LOCKS.md
                       in place instead of checking them for staleness
-  --list-panic-sites  print every panic site counted against the
-                      ratchet budget (for burning them down)
   --locks             print the instrumented-lock table (name, kind,
                       rank, documented nesting) before the report";
 
@@ -29,7 +26,6 @@ pub fn lint(args: &[String]) -> Result<String, CliError> {
     let mut root = PathBuf::from(".");
     let mut deny_warnings = false;
     let mut options = gobo_lint::Options::default();
-    let mut list_panic_sites = false;
     let mut show_locks = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -41,7 +37,6 @@ pub fn lint(args: &[String]) -> Result<String, CliError> {
             }
             "--deny-warnings" => deny_warnings = true,
             "--write-catalogs" => options.write_catalogs = true,
-            "--list-panic-sites" => list_panic_sites = true,
             "--locks" => show_locks = true,
             "--help" | "-h" => return Ok(LINT_USAGE.to_owned()),
             other => {
@@ -56,7 +51,7 @@ pub fn lint(args: &[String]) -> Result<String, CliError> {
         rendered.push_str(&gobo_lint::catalog::render_locks(&ws));
         rendered.push('\n');
     }
-    rendered.push_str(&report.render(list_panic_sites));
+    rendered.push_str(&report.render());
     if report.failed(deny_warnings) {
         Err(CliError::Failed(rendered))
     } else {

@@ -35,6 +35,21 @@
 //! Spans: `gobo.cluster.route`, `gobo.cluster.canary`, `gobo.hedge`.
 
 #![deny(missing_docs)]
+// Panic-free outside tests: no `.unwrap()` / `.expect()`, panicking
+// macro (the assert family via `clippy.toml`) or unchecked index.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
 
 pub mod http;
 pub mod metrics;

@@ -23,12 +23,27 @@
 //! quantized); an archived weight is absent from it, not zeroed. The
 //! archive carries the compressed weights.
 
+// Panic-free outside tests: no `.unwrap()` / `.expect()`, panicking
+// macro (the assert family via `clippy.toml`) or unchecked index.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use std::collections::BTreeSet;
 
-use bytes::BufMut;
 use gobo_model::io::{load_model_partial, save_model, save_model_len};
 use gobo_model::{ModelError, TransformerModel};
-use gobo_proto::codec::{put_len32, reseal, seal, unseal, ByteReader, CodecError};
+use gobo_proto::codec::{put_len32, put_u32, reseal, seal, unseal, ByteReader, CodecError};
 use gobo_quant::container::{reseal_archive, ModelArchive};
 use gobo_quant::QuantError;
 use gobo_tensor::Tensor;
@@ -135,13 +150,13 @@ impl CompressedModel {
         let raw = save_model(&self.skeleton);
         // ARITH: lengths of live in-memory buffers
         let mut out = Vec::with_capacity(raw.len() + archive.len() + FRAMING_BYTES);
-        out.put_u32_le(COMPRESSED_MAGIC);
-        out.put_u8(COMPRESSED_FORMAT_VERSION);
-        out.put_slice(&[0u8; 3]);
+        put_u32(&mut out, COMPRESSED_MAGIC);
+        out.push(COMPRESSED_FORMAT_VERSION);
+        out.extend_from_slice(&[0u8; 3]);
         put_len32(&mut out, raw.len());
-        out.put_slice(&raw);
+        out.extend_from_slice(&raw);
         put_len32(&mut out, archive.len());
-        out.put_slice(&archive);
+        out.extend_from_slice(&archive);
         seal(&mut out, 0);
         out
     }

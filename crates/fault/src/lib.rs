@@ -43,6 +43,21 @@
 //! ```
 
 #![deny(missing_docs)]
+// Panic-free outside tests: no `.unwrap()` / `.expect()`, panicking
+// macro (the assert family via `clippy.toml`) or unchecked index.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -273,6 +288,7 @@ fn fire_slow(name: &str) -> Option<InjectedFault> {
             std::thread::sleep(d);
             None
         }
+        #[allow(clippy::panic, reason = "an injected panic is what the Panic action is for")]
         FaultAction::Panic => panic!("gobo-fault: injected panic at `{name}`"),
     }
 }

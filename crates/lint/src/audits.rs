@@ -1,11 +1,11 @@
 //! Widened static-audit ratchets: truncating `as`-casts and unchecked
 //! arithmetic on untrusted-input parser paths.
 //!
-//! Both rules follow the `panic_freedom` ratchet pattern: sites are
-//! counted against a `budget` in `lint.toml` that may only go down,
-//! `baseline` freezes the count at introduction, adjacent justification
-//! comments (`// CAST:` / `// ARITH:`) waive individual sites, and
-//! `path @ needle` allowlist entries waive deliberate ones centrally.
+//! Both rules share one ratchet (`ratchet` below): sites are counted
+//! against a `budget` in `lint.toml` that may only go down, `baseline`
+//! freezes the count at introduction, adjacent justification comments
+//! (`// CAST:` / `// ARITH:`) waive individual sites, and `path @ needle`
+//! allowlist entries waive deliberate ones centrally.
 
 use crate::config::Config;
 use crate::lexer::{Token, TokenKind};
@@ -18,7 +18,7 @@ use crate::source::Workspace;
 /// narrowing *out* of them is caught at the `as u32`-style target.
 const NARROWING_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "f32"];
 
-/// Rule 5 — **cast audit**: every `as` cast to a narrowing target on
+/// Rule 4 — **cast audit**: every `as` cast to a narrowing target on
 /// the configured paths, outside tests, needs an adjacent `// CAST:`
 /// justification (or a checked conversion instead of `as`). The
 /// remaining unjustified count ratchets down via `budget`/`baseline`.
@@ -57,7 +57,7 @@ pub fn cast_audit(ws: &Workspace, config: &Config, report: &mut Report) {
     allow.warn_dead_entries(rule, report);
 }
 
-/// Rule 6 — **arithmetic audit**: on untrusted-input parser paths,
+/// Rule 5 — **arithmetic audit**: on untrusted-input parser paths,
 /// raw `+`, `*`, and `<<` (including their compound assignments) on
 /// length-derived values must become `checked_*`/`saturating_*` or
 /// carry an adjacent `// ARITH:` bound argument. `+= 1` is exempt: a

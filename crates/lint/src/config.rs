@@ -210,7 +210,7 @@ mod tests {
     fn parses_sections_scalars_and_lists() {
         let config = Config::parse(
             "# top comment\n\
-             [panic_freedom]\n\
+             [cast_audit]\n\
              budget = 12\n\
              paths = [\"crates/serve/src\", \"crates/model/src/io.rs\"]\n\
              \n\
@@ -218,9 +218,9 @@ mod tests {
              golden = \"crates/serve/tests/golden/metrics_schema.txt\" # trailing\n",
         )
         .unwrap();
-        assert_eq!(config.get_int("panic_freedom", "budget"), Some(12));
+        assert_eq!(config.get_int("cast_audit", "budget"), Some(12));
         assert_eq!(
-            config.get_list("panic_freedom", "paths"),
+            config.get_list("cast_audit", "paths"),
             ["crates/serve/src".to_owned(), "crates/model/src/io.rs".to_owned()]
         );
         assert_eq!(

@@ -1,35 +1,36 @@
 //! gobo-lint: workspace invariant checker for the GOBO codebase.
 //!
 //! A dependency-free static analysis tool that lexes every workspace
-//! crate and enforces four families of invariants:
+//! crate and enforces the invariants clippy has no lint for:
 //!
-//! 1. **Panic-freedom** ([`rules::panic_freedom`]) — the serving path
-//!    must not panic. `.unwrap()` / `.expect()` / panicking macros /
-//!    index expressions on the configured hot paths are counted against
-//!    a ratcheting budget in `lint.toml`: the count may only go down.
-//! 2. **Unsafe audit** ([`rules::unsafe_audit`]) — every `unsafe`
-//!    needs a `// SAFETY:` comment; every relaxed-or-stronger atomic
-//!    `Ordering` in lock-free code needs a `// ORDERING:` justification.
-//! 3. **Naming discipline** ([`rules::naming`]) — Prometheus metrics
+//! 1. **Ordering audit** ([`rules::ordering_audit`]) — every
+//!    relaxed-or-stronger atomic `Ordering` in lock-free code needs a
+//!    `// ORDERING:` justification.
+//! 2. **Naming discipline** ([`rules::naming`]) — Prometheus metrics
 //!    are `gobo_`-prefixed with `_total` counters and `_us` histograms;
 //!    span and failpoint names are lowercase dotted identifiers,
 //!    cataloged in generated `FAILPOINTS.md` / `SPANS.md`.
-//! 4. **Vendored-dep hygiene** ([`rules::deps`]) — `use` roots must
+//! 3. **Vendored-dep hygiene** ([`rules::deps`]) — `use` roots must
 //!    resolve to the standard library, workspace crates, or crates
 //!    vendored under `vendor/`.
-//! 5. **Cast audit** ([`audits::cast_audit`]) — truncating `as` casts
+//! 4. **Cast audit** ([`audits::cast_audit`]) — truncating `as` casts
 //!    outside tests need a `// CAST:` justification or a checked
 //!    conversion; the unjustified count ratchets down.
-//! 6. **Arithmetic audit** ([`audits::arith_audit`]) — raw `+`/`*`/`<<`
+//! 5. **Arithmetic audit** ([`audits::arith_audit`]) — raw `+`/`*`/`<<`
 //!    on untrusted-input parser paths must become
 //!    `checked_*`/`saturating_*` or carry an `// ARITH:` bound.
-//! 7. **Lock order** ([`locks::locks`]) — `SanMutex`/`SanRwLock`
+//! 6. **Lock order** ([`locks::locks`]) — `SanMutex`/`SanRwLock`
 //!    declarations carry literal ranks, `ACQUIRES-AFTER` annotations
 //!    must agree with them, and the documented graph stays acyclic;
 //!    cataloged in the generated `LOCKS.md`.
 //!
-//! All findings and panic-site listings are sorted by `path:line:col`
-//! so lint output is deterministic and diffable run to run.
+//! Panic-freedom on the serving and codec paths and `// SAFETY:` on
+//! every `unsafe` are clippy's: the paths deny clippy's restriction
+//! lints outside `cfg(test)`, and the workspace denies
+//! `undocumented_unsafe_blocks` (root `Cargo.toml`, `clippy.toml`).
+//!
+//! All findings are sorted by `path:line:col` so lint output is
+//! deterministic and diffable run to run.
 //!
 //! The crate also ships [`interleave`], a deterministic explorer that
 //! closes a modeled protocol over its reachable states, used by the
@@ -87,8 +88,7 @@ pub fn run(root: &Path, options: Options) -> Result<Report, String> {
 pub fn run_with_config(root: &Path, config: &Config, options: Options) -> Result<Report, String> {
     let ws = Workspace::load(root)?;
     let mut report = Report { files_scanned: ws.files.len(), ..Report::default() };
-    rules::panic_freedom(&ws, config, &mut report);
-    rules::unsafe_audit(&ws, config, &mut report);
+    rules::ordering_audit(&ws, config, &mut report);
     rules::naming(&ws, config, &mut report);
     rules::deps(&ws, config, &mut report);
     audits::cast_audit(&ws, config, &mut report);
@@ -100,12 +100,11 @@ pub fn run_with_config(root: &Path, config: &Config, options: Options) -> Result
     if config.has_section("catalogs") {
         catalog::check_or_write(&ws, options.write_catalogs, &mut report);
     }
-    // Deterministic output: findings and panic sites in path:line:col
-    // order (stable, so equal positions keep rule emission order);
-    // workspace-level findings (empty path) sort first.
+    // Deterministic output: findings in path:line:col order (stable, so
+    // equal positions keep rule emission order); workspace-level
+    // findings (empty path) sort first.
     report
         .findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.col).cmp(&(b.path.as_str(), b.line, b.col)));
-    report.panic_sites.sort();
     Ok(report)
 }

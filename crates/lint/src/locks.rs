@@ -139,7 +139,7 @@ fn last_line_of_comment(t: &crate::lexer::Token) -> usize {
     t.line + t.text.matches('\n').count()
 }
 
-/// Rule 7 — **locks**: declared lock names must be lowercase dotted
+/// Rule 6 — **locks**: declared lock names must be lowercase dotted
 /// and carry literal ranks; a name declared twice must keep one rank;
 /// every `ACQUIRES-AFTER: a` on lock `b` must satisfy
 /// `rank(a) < rank(b)` and reference a declared lock; and the

@@ -1,5 +1,5 @@
-//! The lint rules: panic-freedom ratchet, unsafe/atomics audit, naming
-//! discipline, and vendored-dependency hygiene.
+//! The lint rules: atomics-ordering audit, naming discipline, and
+//! vendored-dependency hygiene.
 
 use crate::config::Config;
 use crate::source::Workspace;
@@ -56,9 +56,6 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Files scanned.
     pub files_scanned: usize,
-    /// Every panic site found on the configured hot paths (allowlisted
-    /// sites excluded) — the number the ratchet budget is compared to.
-    pub panic_sites: Vec<(String, usize, usize, String)>,
 }
 
 impl Report {
@@ -78,22 +75,16 @@ impl Report {
     }
 
     /// Renders findings and a summary line.
-    pub fn render(&self, list_panic_sites: bool) -> String {
+    pub fn render(&self) -> String {
         let mut out = String::new();
-        if list_panic_sites {
-            for (path, line, col, what) in &self.panic_sites {
-                out.push_str(&format!("{path}:{line}:{col} panic-site: {what}\n"));
-            }
-        }
         for finding in &self.findings {
             out.push_str(&finding.render());
             out.push('\n');
         }
         out.push_str(&format!(
-            "gobo-lint: {} error(s), {} warning(s); {} panic site(s) on the hot path; {} file(s) scanned",
+            "gobo-lint: {} error(s), {} warning(s); {} file(s) scanned",
             self.errors(),
             self.warnings(),
-            self.panic_sites.len(),
             self.files_scanned,
         ));
         out
@@ -199,98 +190,13 @@ impl Allow {
 }
 
 /// Identifiers that make a following `[` a type, pattern, or attribute
-/// rather than a (panicking) index expression.
+/// rather than an index expression.
 const NON_INDEX_KEYWORDS: &[&str] = &[
     "as", "box", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern", "fn",
     "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref",
     "return", "static", "struct", "trait", "type", "union", "unsafe", "use", "where", "while",
     "yield",
 ];
-
-/// Rule 1 — **panic-freedom**: on the configured hot paths
-/// (`[panic_freedom] paths`), outside `#[cfg(test)]`, count every
-/// `.unwrap()`, `.expect()`, panicking macro, and index expression.
-/// The count ratchets: `budget` in `lint.toml` records the tolerated
-/// number; exceeding it is an error, undershooting it is a warning
-/// telling you to lower the budget, and `budget` may never exceed the
-/// frozen `baseline`.
-pub fn panic_freedom(ws: &Workspace, config: &Config, report: &mut Report) {
-    let rule = "panic_freedom";
-    let paths = config.get_list(rule, "paths").to_vec();
-    let mut allow = Allow::new(config.get_list(rule, "allow"));
-    const PANIC_MACROS: &[&str] =
-        &["panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne"];
-
-    for file in ws.files_under(&paths) {
-        let code: Vec<_> = file.code_tokens().map(|(_, t)| t).collect();
-        for (i, t) in code.iter().enumerate() {
-            if file.in_test_region(t.line) {
-                continue;
-            }
-            let what = if (t.is_ident("unwrap") || t.is_ident("expect"))
-                && i > 0
-                && code[i - 1].is_punct('.')
-                && code.get(i + 1).is_some_and(|n| n.is_punct('('))
-            {
-                Some(format!("`.{}()`", t.text))
-            } else if PANIC_MACROS.iter().any(|m| t.is_ident(m))
-                && code.get(i + 1).is_some_and(|n| n.is_punct('!'))
-            {
-                Some(format!("`{}!`", t.text))
-            } else if t.is_punct('[') && i > 0 && is_index_base(code[i - 1]) {
-                Some("index expression (can panic on out-of-bounds)".to_owned())
-            } else {
-                None
-            };
-            let Some(what) = what else {
-                continue;
-            };
-            if allow.matches(&file.rel_path, file.line_text(t.line)) {
-                continue;
-            }
-            report.panic_sites.push((file.rel_path.clone(), t.line, t.col, what));
-        }
-    }
-
-    let count = report.panic_sites.len() as u64;
-    let budget = config.get_int(rule, "budget").unwrap_or(0);
-    let baseline = config.get_int(rule, "baseline").unwrap_or(budget);
-    if budget > baseline {
-        report.error(
-            rule,
-            "lint.toml",
-            0,
-            0,
-            format!(
-                "budget {budget} exceeds the frozen baseline {baseline}; the ratchet only turns down"
-            ),
-        );
-    }
-    if count > budget {
-        for (path, line, col, what) in report.panic_sites.clone() {
-            report.error(rule, &path, line, col, format!("{what} on a panic-free path"));
-        }
-        report.error(
-            rule,
-            "lint.toml",
-            0,
-            0,
-            format!(
-                "{count} panic site(s) on the hot path exceed the ratchet budget of {budget}; \
-                 burn sites down (or allowlist deliberate ones) instead of raising the budget"
-            ),
-        );
-    } else if count < budget {
-        report.warning(
-            rule,
-            "lint.toml",
-            0,
-            0,
-            format!("only {count} panic site(s) remain; ratchet `budget` down from {budget}"),
-        );
-    }
-    allow.warn_dead_entries(rule, report);
-}
 
 pub(crate) fn is_index_base(prev: &crate::lexer::Token) -> bool {
     use crate::lexer::TokenKind;
@@ -301,39 +207,23 @@ pub(crate) fn is_index_base(prev: &crate::lexer::Token) -> bool {
     }
 }
 
-/// Rule 2 — **unsafe audit**: every `unsafe` keyword needs an adjacent
-/// `// SAFETY:` comment, and every `Ordering::…` use in the configured
-/// `ordering_paths` needs an adjacent `// ORDERING:` justification.
-pub fn unsafe_audit(ws: &Workspace, config: &Config, report: &mut Report) {
-    let rule = "unsafe_audit";
+/// Rule 1 — **ordering audit**: every `Ordering::…` use in the
+/// configured `ordering_paths` needs an adjacent `// ORDERING:`
+/// justification. (`// SAFETY:` on `unsafe` is clippy's
+/// `undocumented_unsafe_blocks`, denied workspace-wide.)
+pub fn ordering_audit(ws: &Workspace, config: &Config, report: &mut Report) {
+    let rule = "ordering_audit";
     let ordering_paths = config.get_list(rule, "ordering_paths").to_vec();
     let mut allow = Allow::new(config.get_list(rule, "allow"));
     const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
-    for file in &ws.files {
+    for file in ws.files_under(&ordering_paths) {
         let code: Vec<_> = file.code_tokens().map(|(_, t)| t).collect();
         for (i, t) in code.iter().enumerate() {
             if file.in_test_region(t.line) {
                 continue;
             }
-            if t.is_ident("unsafe") {
-                if !file.has_adjacent_comment(t.line, "SAFETY:")
-                    && !allow.matches(&file.rel_path, file.line_text(t.line))
-                {
-                    report.error(
-                        rule,
-                        &file.rel_path,
-                        t.line,
-                        t.col,
-                        "`unsafe` without an adjacent `// SAFETY:` comment".to_owned(),
-                    );
-                }
-                continue;
-            }
-            let in_ordering_scope =
-                ordering_paths.iter().any(|p| file.rel_path.starts_with(p.as_str()));
-            if in_ordering_scope
-                && t.is_ident("Ordering")
+            if t.is_ident("Ordering")
                 && code.get(i + 1).is_some_and(|c| c.is_punct(':'))
                 && code.get(i + 2).is_some_and(|c| c.is_punct(':'))
                 && code.get(i + 3).is_some_and(|o| ORDERINGS.iter().any(|n| o.is_ident(n)))
@@ -354,7 +244,7 @@ pub fn unsafe_audit(ws: &Workspace, config: &Config, report: &mut Report) {
     allow.warn_dead_entries(rule, report);
 }
 
-/// Rule 3 — **naming discipline**: the Prometheus metrics schema
+/// Rule 2 — **naming discipline**: the Prometheus metrics schema
 /// (checked against the committed golden file) must use `gobo_`-prefixed
 /// names, `_total` counters, and `_us` histograms; span and failpoint
 /// names must be lowercase dotted identifiers. Catalog staleness is
@@ -500,7 +390,7 @@ pub fn collect_names(ws: &Workspace) -> Vec<(String, String, usize, usize, &'sta
     out
 }
 
-/// Rule 4 — **vendored-dependency hygiene**: every `use` / `extern
+/// Rule 3 — **vendored-dependency hygiene**: every `use` / `extern
 /// crate` root must be the standard library, a workspace crate, or a
 /// crate vendored under `vendor/` — the build must never reach for the
 /// network.

@@ -27,61 +27,38 @@ fn rule_errors(report: &Report, rule: &str) -> Vec<String> {
 }
 
 #[test]
-fn panic_violation_fixture_fails() {
-    let report = lint("panic_violation");
-    assert!(report.failed(false));
-    // Four distinct site kinds, each individually reported, plus the
-    // over-budget summary.
-    assert_eq!(report.panic_sites.len(), 4);
-    let messages = rule_errors(&report, "panic_freedom").join("\n");
-    for needle in ["`.unwrap()`", "`.expect()`", "`panic!`", "index expression", "ratchet budget"] {
-        assert!(messages.contains(needle), "missing {needle:?} in:\n{messages}");
-    }
-    // The `#[cfg(test)]` module's asserts/indexing were exempt.
-    assert!(report.panic_sites.iter().all(|(_, line, _, _)| *line < 12));
-}
-
-#[test]
-fn panic_allowlisted_fixture_passes() {
-    let report = lint("panic_allowlisted");
-    // Both entry shapes (`path @ needle` and bare path) matched, so no
-    // sites remain and no dead-entry warnings fire.
-    assert!(!report.failed(true), "{}", report.render(true));
-    assert_eq!(report.panic_sites.len(), 0);
-}
-
-#[test]
 fn ratchet_only_turns_down() {
+    // The ratchet the cast and arithmetic audits share, on the cast
+    // audit with one unjustified cast.
     let report = lint("ratchet_violation");
     // budget 5 > baseline 2: hard error even though the live count (1)
     // is under budget...
-    let errors = rule_errors(&report, "panic_freedom").join("\n");
-    assert!(errors.contains("exceeds the frozen baseline"), "{errors}");
+    let errors = rule_errors(&report, "cast_audit");
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert!(errors[0].contains("exceeds the frozen baseline"), "{errors:?}");
     // ...and the slack budget draws a ratchet-down warning.
     assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.severity == Severity::Warning && f.message.contains("ratchet `budget` down")),
+        report.findings.iter().any(|f| f.severity == Severity::Warning
+            && f.message.contains("only 1 site(s) remain; ratchet `budget` down")),
         "{}",
-        report.render(false)
+        report.render()
     );
-    assert_eq!(report.panic_sites.len(), 1);
 }
 
 #[test]
 fn unsafe_violation_fixture_fails() {
-    let report = lint("unsafe_violation");
-    let messages = rule_errors(&report, "unsafe_audit").join("\n");
-    assert!(messages.contains("SAFETY:"), "{messages}");
+    // The rule checks atomic orderings only; `// SAFETY:` on `unsafe`
+    // is clippy's `undocumented_unsafe_blocks`.
+    let report = lint("ordering_violation");
+    let messages = rule_errors(&report, "ordering_audit").join("\n");
     assert!(messages.contains("ORDERING:"), "{messages}");
-    assert_eq!(rule_errors(&report, "unsafe_audit").len(), 2);
+    assert_eq!(rule_errors(&report, "ordering_audit").len(), 1);
 }
 
 #[test]
 fn unsafe_allowlisted_fixture_passes() {
-    let report = lint("unsafe_allowlisted");
-    assert!(!report.failed(true), "{}", report.render(false));
+    let report = lint("ordering_allowlisted");
+    assert!(!report.failed(true), "{}", report.render());
 }
 
 #[test]
@@ -111,7 +88,7 @@ fn deps_violation_fixture_fails() {
 #[test]
 fn deps_allowlisted_fixture_passes() {
     let report = lint("deps_allowlisted");
-    assert!(!report.failed(true), "{}", report.render(false));
+    assert!(!report.failed(true), "{}", report.render());
 }
 
 #[test]
@@ -119,14 +96,14 @@ fn clean_fixture_passes_deny_warnings() {
     let report = lint("clean");
     // Every rule section is configured (including [catalogs] against
     // committed FAILPOINTS.md / SPANS.md) and nothing fires.
-    assert!(!report.failed(true), "{}", report.render(true));
+    assert!(!report.failed(true), "{}", report.render());
     assert_eq!(report.errors() + report.warnings(), 0);
 }
 
 #[test]
 fn workspace_self_check_passes_deny_warnings() {
     // The live repository must lint clean under its own lint.toml —
-    // ratchet budget honest, catalogs fresh, every unsafe/ordering
+    // ratchet budgets honest, catalogs fresh, every ordering
     // justified. CARGO_MANIFEST_DIR is crates/lint, two up is the root.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
@@ -138,7 +115,7 @@ fn workspace_self_check_passes_deny_warnings() {
     assert!(
         !report.failed(true),
         "the repository does not pass its own lint:\n{}",
-        report.render(true)
+        report.render()
     );
     // Sanity: this really was the full workspace, not a stray subdir.
     assert!(report.files_scanned > 50, "only {} files scanned", report.files_scanned);
@@ -164,7 +141,7 @@ fn audit_justified_fixture_passes_deny_warnings() {
     // `// CAST:` / `// ARITH:` justifications, `saturating_add`, and
     // `+= 1` bumps in every terminator position count zero sites.
     let report = lint("audit_justified");
-    assert!(!report.failed(true), "{}", report.render(true));
+    assert!(!report.failed(true), "{}", report.render());
 }
 
 #[test]
@@ -187,28 +164,25 @@ fn locks_annotated_exception_fixture_passes() {
     // The deliberate rank inversion is waived by a live `path @ needle`
     // allow entry, so no error and no dead-waiver warning.
     let report = lint("locks_annotated_exception");
-    assert!(!report.failed(true), "{}", report.render(true));
+    assert!(!report.failed(true), "{}", report.render());
 }
 
 #[test]
 fn locks_clean_fixture_passes_deny_warnings() {
     let report = lint("locks_clean");
-    assert!(!report.failed(true), "{}", report.render(true));
+    assert!(!report.failed(true), "{}", report.render());
 }
 
 #[test]
-fn findings_and_panic_sites_are_sorted_by_position() {
+fn findings_are_sorted_by_position() {
     // Deterministic output contract: every report comes back ordered
     // by path:line:col regardless of rule emission order.
-    for name in ["panic_violation", "audit_violation", "locks_cycle", "naming_violation"] {
+    for name in ["audit_violation", "locks_cycle", "naming_violation"] {
         let report = lint(name);
         let positions: Vec<_> =
             report.findings.iter().map(|f| (f.path.clone(), f.line, f.col)).collect();
         let mut sorted = positions.clone();
         sorted.sort();
         assert_eq!(positions, sorted, "{name} findings out of order");
-        let mut sites = report.panic_sites.clone();
-        sites.sort();
-        assert_eq!(report.panic_sites, sites, "{name} panic sites out of order");
     }
 }

@@ -1,5 +1,5 @@
-//! Fixture: every rule satisfied — commented unsafe/orderings,
-//! well-formed names, no panic sites outside tests, std-only deps.
+//! Fixture: every rule satisfied — commented orderings, well-formed
+//! names, std-only deps.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -19,12 +19,6 @@ pub static COUNTER: AtomicUsize = AtomicUsize::new(0);
 
 fn render_prometheus(name: &str) -> String {
     name.to_owned()
-}
-
-pub fn read_first(values: &[u32]) -> u32 {
-    // SAFETY: the pointer is derived from a live reference just above;
-    // reading it is always valid (fixture exercise for the audit rule).
-    unsafe { *values.as_ptr().cast::<u32>() }
 }
 
 pub fn bump() -> usize {

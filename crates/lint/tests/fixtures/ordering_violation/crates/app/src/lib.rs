@@ -1,12 +1,8 @@
-//! Fixture: identical sites to unsafe_violation, waived in lint.toml.
+//! Fixture: an `Ordering::Relaxed` with no `// ORDERING:` justification.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub static COUNTER: AtomicUsize = AtomicUsize::new(0);
-
-pub fn read_raw(p: *const u32) -> u32 {
-    unsafe { *p }
-}
 
 pub fn bump() -> usize {
     COUNTER.fetch_add(1, Ordering::Relaxed)

@@ -1,5 +1,5 @@
-//! Fixture: one live panic site, well under the (inflated) budget.
+//! Fixture: one unjustified cast, well under the (inflated) budget.
 
-pub fn hot(values: &[u32]) -> u32 {
-    values.first().copied().unwrap()
+pub fn low_byte(value: u32) -> u8 {
+    value as u8
 }

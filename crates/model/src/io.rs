@@ -24,8 +24,23 @@
 //! must remain before the skeleton that allocates them is built — and a
 //! tensor's **dims**, whose element count is a checked fold.
 
-use bytes::BufMut;
-use gobo_proto::codec::{put_f32s, put_len16, put_len32, ByteReader, CodecError};
+// Panic-free outside tests: no `.unwrap()` / `.expect()`, panicking
+// macro (the assert family via `clippy.toml`) or unchecked index.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
+use gobo_proto::codec::{put_f32s, put_len16, put_len32, put_u32, ByteReader, CodecError};
 use gobo_tensor::Tensor;
 
 use crate::config::ModelConfig;
@@ -77,12 +92,12 @@ fn read_name(r: &mut ByteReader<'_>) -> Result<String, ModelError> {
 /// [`ModelConfig::validate`], tensor names by the naming convention.
 fn put_name(out: &mut Vec<u8>, s: &str) {
     put_len16(out, s.len());
-    out.put_slice(s.as_bytes());
+    out.extend_from_slice(s.as_bytes());
 }
 
 fn put_tensor(out: &mut Vec<u8>, name: &str, tensor: &Tensor) {
     put_name(out, name);
-    out.put_u8(u8::try_from(tensor.shape().rank()).unwrap_or(u8::MAX));
+    out.push(u8::try_from(tensor.shape().rank()).unwrap_or(u8::MAX));
     for &d in tensor.dims() {
         put_len32(out, d);
     }
@@ -114,10 +129,10 @@ fn read_tensor(r: &mut ByteReader<'_>) -> Result<(String, Tensor), ModelError> {
 pub fn save_model(model: &TransformerModel) -> Vec<u8> {
     let config = model.config();
     let mut out = Vec::with_capacity(save_model_len(model));
-    out.put_u32_le(MODEL_MAGIC);
-    out.put_u8(MODEL_FORMAT_VERSION);
-    out.put_u8(u8::from(config.has_pooler));
-    out.put_slice(&[0u8; 2]);
+    put_u32(&mut out, MODEL_MAGIC);
+    out.push(MODEL_FORMAT_VERSION);
+    out.push(u8::from(config.has_pooler));
+    out.extend_from_slice(&[0u8; 2]);
     put_name(&mut out, &config.name);
     for v in [
         config.encoder_layers,

@@ -1,9 +1,10 @@
 //! The byte codec under every binary format in the workspace: the layer
 //! and archive container (`gobo-quant`), the raw model file
 //! (`gobo-model`), the `.gobom` (`gobo`) and the wire frame
-//! ([`crate::frame`]) are all read through [`ByteReader`], written
-//! through the `bytes::BufMut` put helpers plus [`put_len16`] /
-//! [`put_len32`], and sealed by [`seal`] / [`unseal`].
+//! ([`crate::frame`]) are all read through [`ByteReader`], written into a
+//! `Vec<u8>` through the little-endian put helpers ([`put_u32`],
+//! [`put_u64`], [`put_f32`] and their length and bulk forms), and sealed
+//! by [`seal`] / [`unseal`].
 //!
 //! # The count rule
 //!
@@ -23,10 +24,6 @@
 //! write side a length is cast in one place ([`put_len16`] /
 //! [`put_len32`]) and bounded where the value is created
 //! (`ModelArchive::push`, `ModelConfig::validate`).
-
-use std::ops::Deref;
-
-use bytes::BufMut;
 
 use crate::integrity::crc32;
 
@@ -172,45 +169,69 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+// Every put helper stays `#[inline]`: the formats write element by
+// element through them, an out-of-line call per `f32` made the model
+// file's writer several times slower, and inlining also compiles them at
+// the calling crate's optimisation level.
+
+/// Appends `v` little-endian.
+#[inline]
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends `v` little-endian.
+#[inline]
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends the little-endian bytes of `v`'s exact bit pattern.
+#[inline]
+pub fn put_f32(out: &mut Vec<u8>, v: f32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
 /// Writes a length or count as a `u16`. The bound is the caller's
 /// invariant, enforced where the value is created; a value past it
 /// saturates, so a reader meets a count whose bytes are not there and
 /// refuses the file — never a wrapped count that parses as something
 /// else.
-pub fn put_len16(out: &mut impl BufMut, len: usize) {
-    out.put_u16_le(u16::try_from(len).unwrap_or(u16::MAX));
+#[inline]
+pub fn put_len16(out: &mut Vec<u8>, len: usize) {
+    out.extend_from_slice(&u16::try_from(len).unwrap_or(u16::MAX).to_le_bytes());
 }
 
 /// Writes a length or count as a `u32`; see [`put_len16`].
-pub fn put_len32(out: &mut impl BufMut, len: usize) {
-    out.put_u32_le(u32::try_from(len).unwrap_or(u32::MAX));
+#[inline]
+pub fn put_len32(out: &mut Vec<u8>, len: usize) {
+    put_u32(out, u32::try_from(len).unwrap_or(u32::MAX));
 }
 
 /// Writes `values` as consecutive little-endian `u32`s.
-pub fn put_u32s(out: &mut impl BufMut, values: &[u32]) {
+#[inline]
+pub fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
     for &v in values {
-        out.put_u32_le(v);
+        put_u32(out, v);
     }
 }
 
 /// Writes `values` as consecutive little-endian `f32`s — exact bit
 /// patterns: byte-identity with the in-memory value is an invariant of
 /// every format.
-pub fn put_f32s(out: &mut impl BufMut, values: &[f32]) {
+#[inline]
+pub fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
     for &v in values {
-        out.put_f32_le(v);
+        put_f32(out, v);
     }
 }
 
 /// Seals `out[from..]`: appends the CRC-32 of every byte written since
 /// offset `from`.
-pub fn seal<B>(out: &mut B, from: usize)
-where
-    B: BufMut,
-    B: Deref<Target = [u8]>,
-{
+#[inline]
+pub fn seal(out: &mut Vec<u8>, from: usize) {
     let crc = crc32(out.get(from..).unwrap_or_default());
-    out.put_u32_le(crc);
+    put_u32(out, crc);
 }
 
 /// Verify-then-strip: checks the trailing CRC-32 of `sealed` against
@@ -241,11 +262,11 @@ mod tests {
     #[test]
     fn scalar_reads_are_little_endian_and_advance() {
         let mut out = Vec::new();
-        out.put_u8(7);
-        out.put_u16_le(0x0203);
-        out.put_u32_le(0x0405_0607);
-        out.put_u64_le(0x0809_0A0B_0C0D_0E0F);
-        out.put_f32_le(-1.5);
+        out.push(7);
+        put_len16(&mut out, 0x0203);
+        put_u32(&mut out, 0x0405_0607);
+        put_u64(&mut out, 0x0809_0A0B_0C0D_0E0F);
+        put_f32(&mut out, -1.5);
         let mut r = ByteReader::new(&out);
         assert_eq!(r.u8(), Ok(7));
         assert_eq!(r.len16(), Ok(0x0203));
@@ -335,7 +356,7 @@ mod tests {
     fn seal_unseal_and_reseal_agree() {
         let mut out = b"header".to_vec();
         let from = out.len();
-        out.put_slice(b"sealed body");
+        out.extend_from_slice(b"sealed body");
         seal(&mut out, from);
         // `unseal` covers a whole buffer, `unseal_since` a suffix of one.
         assert_eq!(unseal(&out[from..]), Ok(&b"sealed body"[..]));

@@ -11,10 +11,9 @@
 
 use std::io::{self, Read, Write};
 
-use bytes::BufMut;
 use gobo_fault::fail_point;
 
-use crate::codec::{put_f32s, put_len32, put_u32s, ByteReader, CodecError};
+use crate::codec::{put_f32s, put_len32, put_u32, put_u32s, put_u64, ByteReader, CodecError};
 use crate::integrity::Crc32;
 
 /// Protocol version emitted and accepted by this build.
@@ -188,7 +187,7 @@ impl From<CodecError> for ProtoError {
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_len32(out, s.len());
-    out.put_slice(s.as_bytes());
+    out.extend_from_slice(s.as_bytes());
 }
 
 fn put_counted_u32s(out: &mut Vec<u8>, v: &[u32]) {
@@ -204,45 +203,45 @@ fn put_counted_f32s(out: &mut Vec<u8>, v: &[f32]) {
 fn encode_payload(out: &mut Vec<u8>, frame: &Frame) {
     match frame {
         Frame::EncodeRequest(req) => {
-            out.put_u64_le(req.id);
+            put_u64(out, req.id);
             put_str(out, &req.model);
-            out.put_u8(req.bits);
-            out.put_u64_le(req.deadline_ms);
+            out.push(req.bits);
+            put_u64(out, req.deadline_ms);
             put_counted_u32s(out, &req.ids);
             put_counted_u32s(out, &req.type_ids);
         }
         Frame::EncodeResponse(resp) => {
-            out.put_u64_le(resp.id);
+            put_u64(out, resp.id);
             match &resp.result {
                 Ok(ok) => {
-                    out.put_u8(1);
+                    out.push(1);
                     put_str(out, &ok.model);
-                    out.put_u8(ok.bits);
+                    out.push(ok.bits);
                     put_counted_u32s(out, &ok.dims);
                     put_counted_f32s(out, &ok.hidden);
                     match &ok.pooled {
                         Some(p) => {
-                            out.put_u8(1);
+                            out.push(1);
                             put_counted_f32s(out, p);
                         }
-                        None => out.put_u8(0),
+                        None => out.push(0),
                     }
-                    out.put_u32_le(ok.batch_size);
-                    out.put_u64_le(ok.queue_us);
-                    out.put_u64_le(ok.compute_us);
+                    put_u32(out, ok.batch_size);
+                    put_u64(out, ok.queue_us);
+                    put_u64(out, ok.compute_us);
                 }
                 Err(err) => {
-                    out.put_u8(0);
+                    out.push(0);
                     put_str(out, &err.code);
                     put_str(out, &err.message);
                 }
             }
         }
-        Frame::Heartbeat { seq } => out.put_u64_le(*seq),
+        Frame::Heartbeat { seq } => put_u64(out, *seq),
         Frame::HeartbeatAck(ack) => {
-            out.put_u64_le(ack.seq);
-            out.put_u32_le(ack.queue_depth);
-            out.put_u8(u8::from(ack.draining));
+            put_u64(out, ack.seq);
+            put_u32(out, ack.queue_depth);
+            out.push(u8::from(ack.draining));
         }
         Frame::Drain | Frame::DrainAck => {}
     }
@@ -342,12 +341,12 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     let kind = frame.kind();
     // ARITH: header + CRC of a live in-memory payload, < isize::MAX
     let mut out = Vec::with_capacity(HEADER_BYTES + payload.len() + 4);
-    out.put_slice(&MAGIC);
-    out.put_u8(PROTOCOL_VERSION);
-    out.put_u8(kind);
+    out.extend_from_slice(&MAGIC);
+    out.push(PROTOCOL_VERSION);
+    out.push(kind);
     put_len32(&mut out, payload.len());
-    out.put_slice(&payload);
-    out.put_u32_le(frame_crc(PROTOCOL_VERSION, kind, &payload));
+    out.extend_from_slice(&payload);
+    put_u32(&mut out, frame_crc(PROTOCOL_VERSION, kind, &payload));
     w.write_all(&out)?;
     w.flush()
 }

@@ -14,6 +14,10 @@
 
 /// CRC32 lookup table for the reflected IEEE polynomial `0xEDB88320`,
 /// built at compile time.
+#[allow(
+    clippy::indexing_slicing,
+    reason = "const evaluation: an out-of-range index is a build error"
+)]
 const TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;

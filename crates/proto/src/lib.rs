@@ -7,7 +7,7 @@
 //! declared count is checked against the bytes remaining before anything
 //! is reserved). [`frame`] and [`net`] are the versioned wire protocol
 //! of the `gobo-cluster` serving tier, that codec's first user. The
-//! crate depends only on `gobo-fault` and `bytes` — the format crates
+//! crate depends only on `gobo-fault` — the format crates
 //! depend on it, not the other way round — so router and node, which
 //! live in different processes, stay independently testable against the
 //! same frame codec.
@@ -37,6 +37,21 @@
 //! router and the HTTP client share.
 
 #![deny(missing_docs)]
+// Panic-free outside tests: no `.unwrap()` / `.expect()`, panicking
+// macro (the assert family via `clippy.toml`) or unchecked index.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
 
 pub mod codec;
 pub mod frame;

@@ -298,7 +298,7 @@ mod tests {
             bits,
             rows * cols,
             codebook,
-            packing::pack(&indices, bits).unwrap(),
+            packing::pack(&indices, bits).unwrap().into(),
             positions,
             values,
             ConvergenceTrace::default(),

@@ -38,11 +38,28 @@
 //! and `codebook_len` are checked against the bytes that remain before
 //! anything is reserved for them (a 28-byte layer declaring four billion
 //! outliers is refused, not allocated for). Writing goes through the
-//! same module: `BufMut` puts, one length cast, one `seal`.
+//! same module: its `Vec<u8>` put helpers, one length cast, one `seal`.
 
-use bytes::{BufMut, Bytes, BytesMut};
+// Panic-free outside tests: no `.unwrap()` / `.expect()`, panicking
+// macro (the assert family via `clippy.toml`) or unchecked index.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
+use std::sync::Arc;
+
 use gobo_proto::codec::{
-    put_f32s, put_len16, put_len32, put_u32s, reseal, seal, unseal, ByteReader, CodecError,
+    put_f32s, put_len16, put_len32, put_u32, put_u32s, reseal, seal, unseal, ByteReader, CodecError,
 };
 
 use crate::codebook::{Codebook, ConvergenceTrace};
@@ -109,13 +126,13 @@ impl QuantizedLayer {
 
     /// Serializes the layer to the container format (trailing CRC32
     /// over everything preceding it).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut out = BytesMut::with_capacity(self.serialized_bytes());
-        out.put_u32_le(LAYER_MAGIC);
-        out.put_u8(FORMAT_VERSION);
-        out.put_u8(method_tag(self.method()));
-        out.put_u8(self.bits());
-        out.put_u8(0); // padding / reserved
+    pub fn to_bytes(&self) -> Arc<[u8]> {
+        let mut out = Vec::with_capacity(self.serialized_bytes());
+        put_u32(&mut out, LAYER_MAGIC);
+        out.push(FORMAT_VERSION);
+        out.push(method_tag(self.method()));
+        out.push(self.bits());
+        out.push(0); // padding / reserved
         put_len32(&mut out, self.total());
         put_len32(&mut out, self.outlier_count());
         put_len32(&mut out, self.codebook().len());
@@ -123,9 +140,9 @@ impl QuantizedLayer {
         let (positions, values) = self.outliers();
         put_u32s(&mut out, positions);
         put_f32s(&mut out, values);
-        out.put_slice(self.packed_indices());
+        out.extend_from_slice(self.packed_indices());
         seal(&mut out, 0);
-        out.freeze()
+        out.into()
     }
 
     /// Deserializes a layer from the container format. The payload is
@@ -215,7 +232,7 @@ impl QuantizedLayer {
             bits,
             total,
             codebook,
-            Bytes::copy_from_slice(packed),
+            Arc::from(packed),
             positions,
             values,
             ConvergenceTrace::default(),
@@ -290,23 +307,23 @@ impl ModelArchive {
     }
 
     /// Serializes the archive (a CRC32 seals every entry).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut out = BytesMut::with_capacity(self.serialized_bytes());
-        out.put_u32_le(ARCHIVE_MAGIC);
-        out.put_u8(FORMAT_VERSION);
-        out.put_slice(&[0u8; 3]);
+    pub fn to_bytes(&self) -> Arc<[u8]> {
+        let mut out = Vec::with_capacity(self.serialized_bytes());
+        put_u32(&mut out, ARCHIVE_MAGIC);
+        out.push(FORMAT_VERSION);
+        out.extend_from_slice(&[0u8; 3]);
         put_len32(&mut out, self.entries.len());
         seal(&mut out, 0);
         for (name, layer) in &self.entries {
             let entry_start = out.len();
             let payload = layer.to_bytes();
             put_len16(&mut out, name.len()); // bounded by `push`
-            out.put_slice(name.as_bytes());
+            out.extend_from_slice(name.as_bytes());
             put_len32(&mut out, payload.len());
-            out.put_slice(&payload);
+            out.extend_from_slice(&payload);
             seal(&mut out, entry_start);
         }
-        out.freeze()
+        out.into()
     }
 
     /// Deserializes an archive. The header and every entry are

@@ -6,6 +6,8 @@
 //! produces an FP32 weight vector of the original length, so the result
 //! is plug-in compatible with any FP32 execution engine.
 
+use std::sync::Arc;
+
 use crate::codebook::{Codebook, ConvergenceTrace};
 use crate::config::{QuantConfig, QuantMethod};
 use crate::error::QuantError;
@@ -51,7 +53,7 @@ pub struct QuantizedLayer {
     bits: u8,
     total: usize,
     codebook: Codebook,
-    packed_indices: bytes::Bytes,
+    packed_indices: Arc<[u8]>,
     outlier_positions: Vec<u32>,
     outlier_values: Vec<f32>,
     trace: ConvergenceTrace,
@@ -110,7 +112,7 @@ impl QuantizedLayer {
         };
         let packed_indices = {
             let _span = gobo_obs::span!("gobo.pack", bits = config.bits());
-            packing::pack(&clustering.assignments, config.bits())?
+            packing::pack(&clustering.assignments, config.bits())?.into()
         };
         Ok(QuantizedLayer {
             method: config.method(),
@@ -218,7 +220,7 @@ impl QuantizedLayer {
         bits: u8,
         total: usize,
         codebook: Codebook,
-        packed_indices: bytes::Bytes,
+        packed_indices: Arc<[u8]>,
         outlier_positions: Vec<u32>,
         outlier_values: Vec<f32>,
         trace: ConvergenceTrace,
@@ -300,6 +302,18 @@ mod tests {
 
     fn cfg(method: QuantMethod, bits: u8) -> QuantConfig {
         QuantConfig::new(method, bits).unwrap()
+    }
+
+    #[test]
+    fn clones_share_their_packed_indices() {
+        // A served model hands layers out by clone; the packed indices,
+        // the bulk of a layer, must be shared rather than copied.
+        let layer =
+            QuantizedLayer::encode(&gaussian_with_outliers(4_096), &cfg(QuantMethod::Gobo, 3))
+                .unwrap();
+        let clone = layer.clone();
+        assert!(!layer.packed_indices().is_empty());
+        assert_eq!(clone.packed_indices().as_ptr(), layer.packed_indices().as_ptr());
     }
 
     #[test]

@@ -110,13 +110,12 @@ pub fn scalar_linear_quantize_g(values: &[f32], clusters: usize) -> Result<Clust
 
 /// The original byte-at-a-time bit packer. Byte-layout oracle for
 /// [`crate::packing::pack`].
-pub fn pack_bytewise(values: &[u8], bits: u8) -> Result<bytes::Bytes, QuantError> {
-    use bytes::BufMut;
+pub fn pack_bytewise(values: &[u8], bits: u8) -> Result<Vec<u8>, QuantError> {
     if !(1..=8).contains(&bits) {
         return Err(QuantError::UnsupportedBits { bits });
     }
     let mask: u8 = if bits == 8 { 0xFF } else { (1u8 << bits) - 1 };
-    let mut out = bytes::BytesMut::with_capacity(packing::packed_len(values.len(), bits));
+    let mut out = Vec::with_capacity(packing::packed_len(values.len(), bits));
     let mut acc: u32 = 0;
     let mut acc_bits: u8 = 0;
     for &v in values {
@@ -126,15 +125,15 @@ pub fn pack_bytewise(values: &[u8], bits: u8) -> Result<bytes::Bytes, QuantError
         acc |= u32::from(v) << acc_bits;
         acc_bits += bits;
         while acc_bits >= 8 {
-            out.put_u8((acc & 0xFF) as u8);
+            out.push((acc & 0xFF) as u8);
             acc >>= 8;
             acc_bits -= 8;
         }
     }
     if acc_bits > 0 {
-        out.put_u8((acc & 0xFF) as u8);
+        out.push((acc & 0xFF) as u8);
     }
-    Ok(out.freeze())
+    Ok(out)
 }
 
 /// The original byte-at-a-time unpacker. Oracle for

@@ -15,7 +15,7 @@
 //! bytewise formulation preserved in [`crate::oracle`] as the
 //! equivalence oracle.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use gobo_proto::codec::put_u64;
 
 use crate::error::QuantError;
 
@@ -39,12 +39,12 @@ use crate::error::QuantError;
 /// assert_eq!(unpack(&packed, 3, indices.len())?, indices);
 /// # Ok::<(), gobo_quant::QuantError>(())
 /// ```
-pub fn pack(values: &[u8], bits: u8) -> Result<Bytes, QuantError> {
+pub fn pack(values: &[u8], bits: u8) -> Result<Vec<u8>, QuantError> {
     if !(1..=8).contains(&bits) {
         return Err(QuantError::UnsupportedBits { bits });
     }
     let mask = mask_for(bits);
-    let mut out = BytesMut::with_capacity(packed_len(values.len(), bits));
+    let mut out = Vec::with_capacity(packed_len(values.len(), bits));
     // The u128 accumulator always has room for one more value past the
     // 64-bit flush threshold (127 - 64 >= 8 = max width).
     let mut acc: u128 = 0;
@@ -57,18 +57,18 @@ pub fn pack(values: &[u8], bits: u8) -> Result<Bytes, QuantError> {
         acc |= u128::from(v) << acc_bits;
         acc_bits += u32::from(bits); // ARITH: at most 63 + 8.
         if acc_bits >= 64 {
-            out.put_u64_le(acc as u64);
+            put_u64(&mut out, acc as u64);
             acc >>= 64;
             acc_bits -= 64;
         }
     }
     while acc_bits > 0 {
         // CAST: masked to the low byte.
-        out.put_u8((acc & 0xFF) as u8);
+        out.push((acc & 0xFF) as u8);
         acc >>= 8;
         acc_bits = acc_bits.saturating_sub(8);
     }
-    Ok(out.freeze())
+    Ok(out)
 }
 
 /// Unpacks `count` `bits`-wide values from an LSB-first byte stream.

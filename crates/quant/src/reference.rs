@@ -9,6 +9,8 @@
 //! avoid; our accuracy columns therefore report the post-training
 //! variants and EXPERIMENTS.md notes the caveat.
 
+use std::sync::Arc;
+
 use crate::error::QuantError;
 use crate::kmeans;
 use crate::packing;
@@ -74,7 +76,7 @@ pub struct GroupedDictionaryLayer {
     total: usize,
     /// One codebook per group, flattened: `groups × 2^bits` entries.
     dictionaries: Vec<f32>,
-    packed_indices: bytes::Bytes,
+    packed_indices: Arc<[u8]>,
 }
 
 impl GroupedDictionaryLayer {
@@ -114,7 +116,7 @@ impl GroupedDictionaryLayer {
             dictionaries.extend_from_slice(&centroids);
             all_indices.extend_from_slice(&clustering.assignments);
         }
-        let packed_indices = packing::pack(&all_indices, bits)?;
+        let packed_indices = packing::pack(&all_indices, bits)?.into();
         Ok(GroupedDictionaryLayer {
             bits,
             group_len,

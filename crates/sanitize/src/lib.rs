@@ -55,6 +55,21 @@
 //! `// ACQUIRES-AFTER:` annotations; `LOCKS.md` catalogs both.
 
 #![deny(missing_docs)]
+// Panic-free outside tests: no `.unwrap()` / `.expect()`, panicking
+// macro (the assert family via `clippy.toml`) or unchecked index.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -327,6 +342,7 @@ fn site_str(site: &Location<'_>) -> String {
 }
 
 /// Records `report`; panics in [`Mode::Fail`] for failure-class kinds.
+#[allow(clippy::panic, reason = "GOBO_SANITIZE=fail panics on a failure-class report by contract")]
 fn record_report(kind: ReportKind, message: String) {
     let fail = mode() == Mode::Fail && kind.is_failure();
     let rendered = format!("[{}] {}", kind.label(), message);
@@ -338,6 +354,7 @@ fn record_report(kind: ReportKind, message: String) {
 
 /// Called before an acquisition blocks: records lock-order edges from
 /// every held lock, checks recursion, ranks, and cycles.
+#[allow(clippy::panic, reason = "GOBO_SANITIZE=fail panics on a failure-class report by contract")]
 pub(crate) fn on_acquire_attempt(name: &'static str, rank: u32, site: &'static Location<'static>) {
     let held: Vec<Held> = HELD.with(|h| h.borrow().clone());
     if held.is_empty() {

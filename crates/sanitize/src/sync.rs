@@ -50,8 +50,8 @@ fn spin_acquire<G>(
 
 /// A guard's `Option` payload is only `None` after `into_raw` took
 /// it, and `into_raw` consumes the guard — so a live guard always
-/// holds `Some`. Kept panic-free (the sanitizer sits under the
-/// workspace panic ratchet like every other locking crate).
+/// holds `Some`. Kept panic-free (the sanitizer denies clippy's
+/// panicking lints outside tests like every other locking crate).
 #[cold]
 fn guard_gone() -> ! {
     std::process::abort()

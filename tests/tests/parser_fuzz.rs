@@ -26,13 +26,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use bytes::BufMut;
 use gobo::format::{reseal_compressed, CompressedModel, FormatError};
 use gobo::pipeline::{quantize_model, QuantizeOptions};
 use gobo_model::config::ModelConfig;
 use gobo_model::io::{load_model_partial, save_model};
 use gobo_model::{ModelError, TransformerModel};
-use gobo_proto::codec::{put_len16, put_len32, reseal, seal, CodecError};
+use gobo_proto::codec::{put_f32, put_len16, put_len32, put_u32, reseal, seal, CodecError};
 use gobo_proto::frame::{
     read_frame, write_frame, EncodeErrFrame, EncodeOkFrame, EncodeRequestFrame,
     EncodeResponseFrame, Frame, HeartbeatAckFrame,
@@ -163,15 +162,15 @@ fn bounded<T, E>(
 /// A sealed archive holding `layer` (any bytes) under the name `x`.
 fn archive_around(layer: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.put_slice(b"GOBa");
-    out.put_slice(&[2, 0, 0, 0]);
+    out.extend_from_slice(b"GOBa");
+    out.extend_from_slice(&[2, 0, 0, 0]);
     put_len32(&mut out, 1);
     seal(&mut out, 0);
     let entry = out.len();
     put_len16(&mut out, 1);
-    out.put_slice(b"x");
+    out.extend_from_slice(b"x");
     put_len32(&mut out, layer.len());
-    out.put_slice(layer);
+    out.extend_from_slice(layer);
     seal(&mut out, entry);
     out
 }
@@ -179,12 +178,12 @@ fn archive_around(layer: &[u8]) -> Vec<u8> {
 /// A sealed `.gobom` around a skeleton section and an archive section.
 fn gobom_around(skeleton: &[u8], archive: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.put_slice(b"GOBM");
-    out.put_slice(&[2, 0, 0, 0]);
+    out.extend_from_slice(b"GOBM");
+    out.extend_from_slice(&[2, 0, 0, 0]);
     put_len32(&mut out, skeleton.len());
-    out.put_slice(skeleton);
+    out.extend_from_slice(skeleton);
     put_len32(&mut out, archive.len());
-    out.put_slice(archive);
+    out.extend_from_slice(archive);
     seal(&mut out, 0);
     out
 }
@@ -209,12 +208,12 @@ fn compressed(bits: u8) -> CompressedModel {
 /// aborted the process.
 fn crafted_layer() -> Vec<u8> {
     let mut out = Vec::new();
-    out.put_slice(b"GOBq");
-    out.put_slice(&[2, 0, 1, 0]); // version, method, bits, pad
-    out.put_u32_le(u32::MAX); // total
-    out.put_u32_le(u32::MAX); // outliers
-    out.put_u32_le(1); // codebook_len
-    out.put_f32_le(0.0);
+    out.extend_from_slice(b"GOBq");
+    out.extend_from_slice(&[2, 0, 1, 0]); // version, method, bits, pad
+    put_u32(&mut out, u32::MAX); // total
+    put_u32(&mut out, u32::MAX); // outliers
+    put_u32(&mut out, 1); // codebook_len
+    put_f32(&mut out, 0.0);
     seal(&mut out, 0);
     assert_eq!(out.len(), 28);
     out
@@ -225,14 +224,14 @@ fn crafted_layer() -> Vec<u8> {
 /// where the writer meant 1.
 fn crafted_descending_codebook() -> Vec<u8> {
     let mut out = Vec::new();
-    out.put_slice(b"GOBq");
-    out.put_slice(&[2, 0, 1, 0]); // version, method, bits, pad
-    out.put_u32_le(2); // total
-    out.put_u32_le(0); // outliers
-    out.put_u32_le(2); // codebook_len
-    out.put_f32_le(1.0);
-    out.put_f32_le(-1.0);
-    out.put_u8(0b10); // indices 0, 1
+    out.extend_from_slice(b"GOBq");
+    out.extend_from_slice(&[2, 0, 1, 0]); // version, method, bits, pad
+    put_u32(&mut out, 2); // total
+    put_u32(&mut out, 0); // outliers
+    put_u32(&mut out, 2); // codebook_len
+    put_f32(&mut out, 1.0);
+    put_f32(&mut out, -1.0);
+    out.push(0b10); // indices 0, 1
     seal(&mut out, 0);
     assert_eq!(out.len(), 33);
     out
@@ -244,13 +243,13 @@ fn crafted_descending_codebook() -> Vec<u8> {
 /// tensors; larger fields aborted.
 fn crafted_model_header(layers: u32, width: u32) -> Vec<u8> {
     let mut out = Vec::new();
-    out.put_slice(b"GOBm");
-    out.put_slice(&[1, 0, 0, 0]); // version, flags, pad
+    out.extend_from_slice(b"GOBm");
+    out.extend_from_slice(&[1, 0, 0, 0]); // version, flags, pad
     put_len16(&mut out, 0); // name
     for field in [layers, width, width, 1, 1, 1, 0] {
-        out.put_u32_le(field);
+        put_u32(&mut out, field);
     }
-    out.put_u32_le(0); // tensor count
+    put_u32(&mut out, 0); // tensor count
     assert_eq!(out.len(), 42);
     out
 }
@@ -264,10 +263,10 @@ fn model_with_rank4_tensor(dims: [u32; 4]) -> Vec<u8> {
     let count = u32::from_le_bytes(out[count_at..count_at + 4].try_into().expect("4 bytes"));
     out[count_at..count_at + 4].copy_from_slice(&(count + 1).to_le_bytes());
     put_len16(&mut out, 1);
-    out.put_slice(b"t");
-    out.put_u8(4);
+    out.extend_from_slice(b"t");
+    out.push(4);
     for d in dims {
-        out.put_u32_le(d);
+        put_u32(&mut out, d);
     }
     out
 }
