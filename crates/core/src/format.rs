@@ -146,17 +146,15 @@ impl CompressedModel {
 
     /// Serializes the compressed model, sealed by a trailing CRC32.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let archive = self.archive.to_bytes();
         let raw = save_model(&self.skeleton);
-        // ARITH: lengths of live in-memory buffers
-        let mut out = Vec::with_capacity(raw.len() + archive.len() + FRAMING_BYTES);
+        let mut out = Vec::with_capacity(self.serialized_bytes());
         put_u32(&mut out, COMPRESSED_MAGIC);
         out.push(COMPRESSED_FORMAT_VERSION);
         out.extend_from_slice(&[0u8; 3]);
         put_len32(&mut out, raw.len());
         out.extend_from_slice(&raw);
-        put_len32(&mut out, archive.len());
-        out.extend_from_slice(&archive);
+        put_len32(&mut out, self.archive.serialized_bytes());
+        self.archive.write_to(&mut out);
         seal(&mut out, 0);
         out
     }

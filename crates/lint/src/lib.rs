@@ -34,8 +34,7 @@
 //!
 //! The crate also ships [`interleave`], a deterministic explorer that
 //! closes a modeled protocol over its reachable states, used by the
-//! concurrency audits (`crates/obs/tests/interleave.rs`,
-//! `crates/serve/tests/interleave.rs`,
+//! concurrency audits (`crates/serve/tests/interleave.rs`,
 //! `crates/cluster/tests/interleave.rs`) to prove small concurrent
 //! protocols correct across every schedule.
 //!

@@ -6,7 +6,7 @@
 //! rest of the workspace uses to *see* those distributions, with no
 //! dependencies beyond `std` and no measurable cost when disabled:
 //!
-//! * [`trace`] — per-thread span stacks over a lock-free event buffer,
+//! * [`trace`] — per-thread span stacks over one lock-guarded event buffer,
 //!   recorded by the [`span!`] macro and exportable as Chrome
 //!   trace-event JSON (loadable in `chrome://tracing` / Perfetto).
 //!   Recording is **off by default**; a disabled span is one relaxed

@@ -1,5 +1,5 @@
-//! Span tracing: per-thread span stacks over a lock-free event buffer,
-//! exported as Chrome trace-event JSON.
+//! Span tracing: per-thread span stacks over one lock-guarded event
+//! buffer, exported as Chrome trace-event JSON.
 //!
 //! # Model
 //!
@@ -16,10 +16,10 @@
 //! Tracing is **disabled by default**. A span created while disabled is
 //! a single relaxed atomic load and constructs nothing (the detail
 //! closure is never called). While enabled, recording one event is two
-//! monotonic-clock reads, one `fetch_add` to claim a slot in a
-//! fixed-capacity event buffer, and one slot write — no locks on the
-//! hot path. When the buffer fills, further events are counted in
-//! [`Session::dropped`] and discarded rather than blocking or reallocating.
+//! monotonic-clock reads and one lock of the process-wide recording to
+//! push the event onto a `Vec` that grows on demand up to the session's
+//! capacity. Once it holds that many, further events are counted in
+//! [`Session::dropped`] and discarded.
 //!
 //! # Sessions
 //!
@@ -32,9 +32,9 @@
 //! Save it to a file and open it in `chrome://tracing` or
 //! <https://ui.perfetto.dev>.
 
-use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use gobo_sanitize::SanMutex;
@@ -45,25 +45,30 @@ use crate::json;
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static GENERATION: AtomicU64 = AtomicU64::new(0);
-static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
-// The obs registries are innermost locks: spans can be emitted while
-// any serve/cluster lock is held, so these rank above everything.
-fn thread_names() -> &'static SanMutex<Vec<(u32, String)>> {
-    static NAMES: OnceLock<SanMutex<Vec<(u32, String)>>> = OnceLock::new();
-    NAMES.get_or_init(|| SanMutex::new("obs.trace.names", 90, Vec::new()))
+/// What the current session has recorded, plus the thread names every
+/// session shares.
+struct Recording {
+    events: Vec<SpanEvent>,
+    /// Events the current session keeps; 0 between sessions.
+    capacity: usize,
+    dropped: u64,
+    /// Thread names, indexed by tid.
+    names: Vec<String>,
 }
 
-fn ring_slot() -> &'static SanMutex<Arc<Ring>> {
-    static RING: OnceLock<SanMutex<Arc<Ring>>> = OnceLock::new();
-    RING.get_or_init(|| SanMutex::new("obs.trace.ring", 91, Arc::new(Ring::new(0))))
-}
+// The innermost lock: spans can be emitted while any serve/cluster lock
+// is held, so it ranks above everything.
+static BUFFER: SanMutex<Recording> = SanMutex::new(
+    "obs.trace.buffer",
+    90,
+    Recording { events: Vec::new(), capacity: 0, dropped: 0, names: Vec::new() },
+);
 
 /// One recorded span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,126 +87,23 @@ pub struct SpanEvent {
     pub dur_us: u64,
 }
 
-struct Slot {
-    ready: AtomicBool,
-    data: std::cell::UnsafeCell<Option<SpanEvent>>,
-}
-
-/// Fixed-capacity write-once event buffer. Writers claim slots with one
-/// `fetch_add`; a slot is published by its `ready` flag (release store,
-/// acquire load), so readers never observe a partially written event.
-struct Ring {
-    slots: Box<[Slot]>,
-    cursor: AtomicUsize,
-    dropped: AtomicU64,
-}
-
-// SAFETY: each slot is written at most once, by the unique thread that
-// claimed its index via `cursor.fetch_add`; readers only dereference a
-// slot after `ready` is observed `true` with Acquire ordering, which
-// synchronizes with the writer's Release store.
-unsafe impl Sync for Ring {}
-// SAFETY: moving a Ring between threads moves plain owned data
-// (`Box<[Slot]>` plus atomics); the `UnsafeCell` contents are only
-// reached through the claim/publish protocol above.
-unsafe impl Send for Ring {}
-
-impl Ring {
-    fn new(capacity: usize) -> Self {
-        let mut slots = Vec::with_capacity(capacity);
-        slots.resize_with(capacity, || Slot {
-            ready: AtomicBool::new(false),
-            data: std::cell::UnsafeCell::new(None),
-        });
-        Ring {
-            slots: slots.into_boxed_slice(),
-            cursor: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    fn push(&self, event: SpanEvent) {
-        // ORDERING: Relaxed suffices for the claim — fetch_add's
-        // read-modify-write atomicity alone guarantees a unique index
-        // per caller; publication happens via `ready`, not `cursor`.
-        let idx = self.cursor.fetch_add(1, Ordering::Relaxed);
-        match self.slots.get(idx) {
-            Some(slot) => {
-                // SAFETY: `idx` was claimed exclusively by this thread.
-                unsafe { *slot.data.get() = Some(event) };
-                // ORDERING: Release publishes the slot write above;
-                // pairs with the Acquire load of `ready` in `collect`.
-                slot.ready.store(true, Ordering::Release);
-            }
-            None => {
-                // ORDERING: Relaxed — an independent statistics counter.
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn collect(&self) -> Vec<SpanEvent> {
-        // ORDERING: Acquire on `cursor` caps the scan at an index every
-        // concurrent writer had already claimed; per-slot visibility is
-        // still gated on each slot's own `ready` flag below.
-        let end = self.cursor.load(Ordering::Acquire).min(self.slots.len());
-        let mut out = Vec::with_capacity(end);
-        for slot in &self.slots[..end] {
-            // ORDERING: Acquire pairs with the writer's Release store
-            // of `ready`, making the slot's data write visible.
-            if slot.ready.load(Ordering::Acquire) {
-                // SAFETY: `ready` was set after the write completed.
-                if let Some(event) = unsafe { (*slot.data.get()).clone() } {
-                    out.push(event);
-                }
-            }
-        }
-        out
-    }
-}
-
 thread_local! {
     static TID: Cell<u32> = const { Cell::new(u32::MAX) };
     static DEPTH: Cell<u32> = const { Cell::new(0) };
-    static CACHED_RING: RefCell<Option<(u64, Arc<Ring>)>> = const { RefCell::new(None) };
 }
 
+/// This thread's tid: its index in the name list, taken on its first
+/// armed span.
 fn current_tid() -> u32 {
     TID.with(|cell| {
-        let tid = cell.get();
-        if tid != u32::MAX {
-            return tid;
+        if cell.get() == u32::MAX {
+            let name = std::thread::current().name().map(str::to_owned);
+            let mut recording = BUFFER.lock();
+            let tid = recording.names.len() as u32; // CAST: one per thread, far below u32::MAX
+            recording.names.push(name.unwrap_or_else(|| format!("thread-{tid}")));
+            cell.set(tid);
         }
-        // ORDERING: Relaxed — fetch_add atomicity alone makes ids
-        // unique; nothing else is ordered against assignment.
-        let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-        cell.set(tid);
-        let name =
-            std::thread::current().name().map_or_else(|| format!("thread-{tid}"), str::to_owned);
-        thread_names().lock().push((tid, name));
-        tid
-    })
-}
-
-/// Fetches this thread's cached handle to the current event buffer,
-/// refreshing it (one mutex lock) only when [`swap_ring`]
-/// installed a new generation since the last span on this thread.
-fn current_ring() -> Arc<Ring> {
-    // ORDERING: Acquire pairs with the Release `GENERATION.fetch_add`
-    // in swap_ring so a bumped generation is seen no earlier
-    // than the new ring it announces (the mutex in the refresh path
-    // then provides the actual handoff).
-    let generation = GENERATION.load(Ordering::Acquire);
-    CACHED_RING.with(|cell| {
-        let mut cached = cell.borrow_mut();
-        match cached.as_ref() {
-            Some((cached_generation, ring)) if *cached_generation == generation => Arc::clone(ring),
-            _ => {
-                let ring = Arc::clone(&ring_slot().lock());
-                *cached = Some((generation, Arc::clone(&ring)));
-                ring
-            }
-        }
+        cell.get()
     })
 }
 
@@ -227,19 +129,6 @@ pub fn is_enabled() -> bool {
     // ORDERING: Relaxed — a racy on/off check; callers tolerate a
     // stale answer for one span either way.
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Installs a fresh, empty event buffer with `capacity` slots and
-/// returns the old one. In-flight spans from before the swap may still
-/// write to the old buffer.
-fn swap_ring(capacity: usize) -> Arc<Ring> {
-    let mut slot = ring_slot().lock();
-    let old = std::mem::replace(&mut *slot, Arc::new(Ring::new(capacity)));
-    // ORDERING: Release pairs with the Acquire generation load in
-    // `current_ring`, invalidating thread-local ring caches only after
-    // the new ring is installed under the lock.
-    GENERATION.fetch_add(1, Ordering::Release);
-    old
 }
 
 /// Everything one traced run recorded.
@@ -274,7 +163,7 @@ impl Session {
     }
 }
 
-/// [`Session::record`] on a buffer of `capacity` slots.
+/// [`Session::record`] keeping at most `capacity` events.
 fn record_with_capacity<T>(capacity: usize, run: impl FnOnce() -> T) -> (T, Session) {
     static SESSIONS: Mutex<()> = Mutex::new(());
     /// Turns recording off however `run` ends.
@@ -285,17 +174,23 @@ fn record_with_capacity<T>(capacity: usize, run: impl FnOnce() -> T) -> (T, Sess
         }
     }
     let _turn = SESSIONS.lock().unwrap_or_else(PoisonError::into_inner);
-    swap_ring(capacity);
+    {
+        // Capacity 0 between sessions keeps `events` empty; only the
+        // drop count of stray spans needs clearing.
+        let mut recording = BUFFER.lock();
+        recording.capacity = capacity;
+        recording.dropped = 0;
+    }
     enable();
     let off = Off;
     let value = run();
     drop(off);
-    // Nothing records between sessions, so the buffer left behind is empty.
-    let ring = swap_ring(0);
-    let mut events = ring.collect();
+    let (mut events, dropped) = {
+        let mut recording = BUFFER.lock();
+        recording.capacity = 0;
+        (std::mem::take(&mut recording.events), recording.dropped)
+    };
     events.sort_by_key(|e| (e.tid, e.start_us, e.depth));
-    // ORDERING: Relaxed — a statistics read of an independent counter.
-    let dropped = ring.dropped.load(Ordering::Relaxed);
     (value, Session { events, dropped })
 }
 
@@ -349,14 +244,20 @@ impl Drop for Span {
         let start_us = self.start.duration_since(epoch()).as_micros() as u64;
         let end_us = epoch().elapsed().as_micros() as u64;
         let dur_us = end_us.saturating_sub(start_us);
-        current_ring().push(SpanEvent {
+        let event = SpanEvent {
             name: self.name,
             detail: std::mem::take(&mut self.detail),
             tid: self.tid,
             depth: self.depth,
             start_us,
             dur_us,
-        });
+        };
+        let mut recording = BUFFER.lock();
+        if recording.events.len() < recording.capacity {
+            recording.events.push(event);
+        } else {
+            recording.dropped += 1;
+        }
     }
 }
 
@@ -408,8 +309,8 @@ fn chrome_trace(events: &[SpanEvent]) -> String {
     };
 
     {
-        let names = thread_names().lock();
-        for &(tid, ref name) in names.iter() {
+        let recording = BUFFER.lock();
+        for (tid, name) in (0u32..).zip(&recording.names) {
             if !seen_tids.contains(&tid) {
                 continue;
             }
@@ -524,6 +425,29 @@ mod tests {
             assert_eq!(spans("test.session.b"), ["test.session.b"; 20]);
             assert_eq!(a.join().unwrap(), ["test.session.a"; 20]);
         });
+    }
+
+    /// Four threads racing into one session: every span is kept or
+    /// counted as dropped, exactly once.
+    #[test]
+    fn racing_threads_lose_and_duplicate_nothing() {
+        let ((), Session { events, dropped }) = record_with_capacity(2_500, || {
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| {
+                        for i in 0..1_000 {
+                            let _span = span!("test.race", i = i);
+                        }
+                    });
+                }
+            });
+        });
+        assert_eq!(events.len(), 2_500);
+        assert_eq!(events.len() as u64 + dropped, 4_000);
+        let mut pairs: Vec<_> = events.iter().map(|e| (e.tid, e.detail.as_str())).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        assert_eq!(pairs.len(), 2_500, "a (tid, detail) pair repeats");
     }
 
     #[test]

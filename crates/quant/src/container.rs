@@ -126,23 +126,29 @@ impl QuantizedLayer {
 
     /// Serializes the layer to the container format (trailing CRC32
     /// over everything preceding it).
-    pub fn to_bytes(&self) -> Arc<[u8]> {
+    pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.serialized_bytes());
-        put_u32(&mut out, LAYER_MAGIC);
+        self.write_to(&mut out);
+        out
+    }
+
+    /// Appends [`QuantizedLayer::to_bytes`]'s output to `out`.
+    fn write_to(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        put_u32(out, LAYER_MAGIC);
         out.push(FORMAT_VERSION);
         out.push(method_tag(self.method()));
         out.push(self.bits());
         out.push(0); // padding / reserved
-        put_len32(&mut out, self.total());
-        put_len32(&mut out, self.outlier_count());
-        put_len32(&mut out, self.codebook().len());
-        put_f32s(&mut out, self.codebook().centroids());
+        put_len32(out, self.total());
+        put_len32(out, self.outlier_count());
+        put_len32(out, self.codebook().len());
+        put_f32s(out, self.codebook().centroids());
         let (positions, values) = self.outliers();
-        put_u32s(&mut out, positions);
-        put_f32s(&mut out, values);
+        put_u32s(out, positions);
+        put_f32s(out, values);
         out.extend_from_slice(self.packed_indices());
-        seal(&mut out, 0);
-        out.into()
+        seal(out, start);
     }
 
     /// Deserializes a layer from the container format. The payload is
@@ -307,23 +313,29 @@ impl ModelArchive {
     }
 
     /// Serializes the archive (a CRC32 seals every entry).
-    pub fn to_bytes(&self) -> Arc<[u8]> {
+    pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.serialized_bytes());
-        put_u32(&mut out, ARCHIVE_MAGIC);
+        self.write_to(&mut out);
+        out
+    }
+
+    /// Appends [`ModelArchive::to_bytes`]'s output to `out`, each layer
+    /// written in place rather than serialized apart and copied.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        put_u32(out, ARCHIVE_MAGIC);
         out.push(FORMAT_VERSION);
         out.extend_from_slice(&[0u8; 3]);
-        put_len32(&mut out, self.entries.len());
-        seal(&mut out, 0);
+        put_len32(out, self.entries.len());
+        seal(out, start);
         for (name, layer) in &self.entries {
             let entry_start = out.len();
-            let payload = layer.to_bytes();
-            put_len16(&mut out, name.len()); // bounded by `push`
+            put_len16(out, name.len()); // bounded by `push`
             out.extend_from_slice(name.as_bytes());
-            put_len32(&mut out, payload.len());
-            out.extend_from_slice(&payload);
-            seal(&mut out, entry_start);
+            put_len32(out, layer.serialized_bytes());
+            layer.write_to(out);
+            seal(out, entry_start);
         }
-        out.into()
     }
 
     /// Deserializes an archive. The header and every entry are

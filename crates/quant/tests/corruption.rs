@@ -46,7 +46,7 @@ fn check_layer_mutation(reference: &[u8], pos: usize, mask: u8) -> Result<(), St
     match outcome {
         Err(_) => Err(format!("panic at byte {pos} mask {mask:#04x}")),
         Ok(Err(_)) => Ok(()),
-        Ok(Ok(reencoded)) if reencoded.as_ref() == reference => Ok(()),
+        Ok(Ok(reencoded)) if reencoded.as_slice() == reference => Ok(()),
         Ok(Ok(_)) => Err(format!("silently different parse at byte {pos} mask {mask:#04x}")),
     }
 }
@@ -59,7 +59,7 @@ fn check_archive_mutation(reference: &[u8], pos: usize, mask: u8) -> Result<(), 
     match outcome {
         Err(_) => Err(format!("panic at byte {pos} mask {mask:#04x}")),
         Ok(Err(_)) => Ok(()),
-        Ok(Ok(reencoded)) if reencoded.as_ref() == reference => Ok(()),
+        Ok(Ok(reencoded)) if reencoded.as_slice() == reference => Ok(()),
         Ok(Ok(_)) => Err(format!("silently different parse at byte {pos} mask {mask:#04x}")),
     }
 }

@@ -459,8 +459,13 @@ mod tests {
     use super::*;
     use crate::{enable, Mode};
 
+    /// Held by the test that turns the sanitizer off and by the one that
+    /// needs it on to record a report: the mode is process-wide.
+    static MODE_FLIP: Mutex<()> = Mutex::new(());
+
     #[test]
     fn disabled_roundtrip_is_passthrough() {
+        let _flip = MODE_FLIP.lock().unwrap_or_else(PoisonError::into_inner);
         // Off-mode guards must not touch global state.
         let m = SanMutex::new("sanitize.test.passthrough", 1, 7u32);
         enable(Mode::Off);
@@ -503,6 +508,7 @@ mod tests {
 
     #[test]
     fn raw_wait_is_reported() {
+        let _flip = MODE_FLIP.lock().unwrap_or_else(PoisonError::into_inner);
         enable(Mode::Record);
         let lock = SanMutex::new("sanitize.test.raw_cv_state", 4, ());
         let cv = SanCondvar::new("sanitize.test.raw_cv");

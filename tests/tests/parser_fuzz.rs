@@ -71,6 +71,7 @@ struct Counting;
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the bookkeeping touches only const-
 // initialised, destructor-free thread-locals and never allocates.
+#[allow(unsafe_code, reason = "a global allocator can only be an unsafe impl")]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: the caller's obligations are passed through as they are.
