@@ -245,6 +245,7 @@ mod tests {
     use crate::pipeline::{quantize_model, QuantizeOptions};
     use gobo_model::config::ModelConfig;
     use gobo_quant::container::ModelArchive;
+    use gobo_quant::QuantMethod;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -256,18 +257,24 @@ mod tests {
             .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
     }
 
-    /// Format pin: the `.gobom`'s bytes must not move. Digest computed
-    /// at the commit before the byte codec was unified (`ca0882a`).
+    /// Format pin: the `.gobom`'s bytes must not move. The layers are
+    /// linear, so the digest moves with the codec and never with the
+    /// clustering arithmetic (`gobo_quant`'s quantizer golden pins that).
     #[test]
     fn gobom_bytes_are_pinned() {
-        let (_, compressed) = quantized();
-        assert_eq!(fnv1a(&compressed.to_bytes()), 0xdcb9_52d6_0790_f838);
+        let options = QuantizeOptions::with_method(QuantMethod::Linear, 3).unwrap();
+        let (_, compressed) = quantized_with(&options);
+        assert_eq!(fnv1a(&compressed.to_bytes()), 0x0470_16d6_a047_77b8);
     }
 
     fn quantized() -> (TransformerModel, CompressedModel) {
+        quantized_with(&QuantizeOptions::gobo(3).unwrap())
+    }
+
+    fn quantized_with(options: &QuantizeOptions) -> (TransformerModel, CompressedModel) {
         let config = ModelConfig::tiny("CliFmt", 2, 24, 2, 40, 12).unwrap();
         let model = TransformerModel::new(config, &mut StdRng::seed_from_u64(5)).unwrap();
-        let outcome = quantize_model(&model, &QuantizeOptions::gobo(3).unwrap()).unwrap();
+        let outcome = quantize_model(&model, options).unwrap();
         let compressed = CompressedModel::new(&model, outcome.archive);
         (outcome.model, compressed)
     }

@@ -304,6 +304,47 @@ mod tests {
         QuantConfig::new(method, bits).unwrap()
     }
 
+    /// Quantizer golden: FNV-1a/64 over the codebook bits and packed
+    /// indices `encode` gives GOBO and K-Means at 2, 3 and 4 bits, on a
+    /// hash-seeded bell-shaped layer with outliers. The format pins
+    /// hash linear layers, so this is the one digest the clustering
+    /// arithmetic moves.
+    #[test]
+    fn codebooks_and_indices_are_pinned() {
+        const PINS: [(QuantMethod, u8, u64); 6] = [
+            (QuantMethod::Gobo, 2, 0xcb56_7a62_048d_e279),
+            (QuantMethod::Gobo, 3, 0xdbb7_f3c5_8150_679c),
+            (QuantMethod::Gobo, 4, 0x20e7_aa39_583f_0398),
+            (QuantMethod::KMeans, 2, 0xf6a3_f302_6286_9964),
+            (QuantMethod::KMeans, 3, 0x79c8_3e4a_df5a_c241),
+            (QuantMethod::KMeans, 4, 0x799a_27ae_fea4_1f35),
+        ];
+        let uniform = |i: u32| {
+            let h = (i ^ 0x9E37_79B9).wrapping_mul(0x85EB_CA6B);
+            ((h ^ (h >> 13)).wrapping_mul(0xC2B2_AE35) >> 8) as f32 / (1 << 23) as f32 - 1.0
+        };
+        let mut weights: Vec<f32> = (0..20_000u32)
+            .map(|i| (0..4).map(|lane| uniform(4 * i + lane)).sum::<f32>() * 0.02)
+            .collect();
+        for i in (0..weights.len()).step_by(997) {
+            weights[i] = if i % 2 == 0 { 0.6 } else { -0.5 };
+        }
+        let fnv = |h: u64, bytes: &[u8]| {
+            bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        };
+        for (method, bits, pin) in PINS {
+            let layer = QuantizedLayer::encode(&weights, &cfg(method, bits)).unwrap();
+            let codebook: Vec<u8> = layer
+                .codebook()
+                .centroids()
+                .iter()
+                .flat_map(|c| c.to_bits().to_le_bytes())
+                .collect();
+            let got = fnv(fnv(0xcbf2_9ce4_8422_2325, &codebook), layer.packed_indices());
+            assert_eq!(got, pin, "{method:?} at {bits} bits: {got:#018x}");
+        }
+    }
+
     #[test]
     fn clones_share_their_packed_indices() {
         // A served model hands layers out by clone; the packed indices,
