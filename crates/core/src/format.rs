@@ -41,7 +41,7 @@
 
 use std::collections::BTreeSet;
 
-use gobo_model::io::{load_model_partial, save_model, save_model_len};
+use gobo_model::io::{load_model_partial, save_model_len, write_model};
 use gobo_model::{ModelError, TransformerModel};
 use gobo_proto::codec::{put_len32, put_u32, reseal, seal, unseal, ByteReader, CodecError};
 use gobo_quant::container::{reseal_archive, ModelArchive};
@@ -146,13 +146,12 @@ impl CompressedModel {
 
     /// Serializes the compressed model, sealed by a trailing CRC32.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let raw = save_model(&self.skeleton);
         let mut out = Vec::with_capacity(self.serialized_bytes());
         put_u32(&mut out, COMPRESSED_MAGIC);
         out.push(COMPRESSED_FORMAT_VERSION);
         out.extend_from_slice(&[0u8; 3]);
-        put_len32(&mut out, raw.len());
-        out.extend_from_slice(&raw);
+        put_len32(&mut out, save_model_len(&self.skeleton));
+        write_model(&self.skeleton, &mut out);
         put_len32(&mut out, self.archive.serialized_bytes());
         self.archive.write_to(&mut out);
         seal(&mut out, 0);

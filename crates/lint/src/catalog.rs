@@ -27,9 +27,11 @@ pub fn render_spans(ws: &Workspace) -> String {
         ws,
         "span",
         "# Span catalog",
-        "Every `span!` site in production code. Spans are recorded by\n\
-         `gobo-obs` when tracing is enabled (`GOBO_TRACE=1`) and exported\n\
-         via `gobo serve` `/trace`; see `crates/obs`.",
+        "Every `span!` site in production code. `gobo-obs` records spans\n\
+         only inside a trace session: `--trace-out trace.json` on `gobo\n\
+         quantize` or `gobo serve` writes the session as Chrome trace-event\n\
+         JSON, and `gobo trace` quantizes a synthetic model under one; see\n\
+         `crates/obs`.",
     )
 }
 

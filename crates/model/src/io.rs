@@ -127,13 +127,21 @@ fn read_tensor(r: &mut ByteReader<'_>) -> Result<(String, Tensor), ModelError> {
 /// holds plus every auxiliary parameter. A skeleton therefore writes
 /// only what its archive does not carry.
 pub fn save_model(model: &TransformerModel) -> Vec<u8> {
-    let config = model.config();
     let mut out = Vec::with_capacity(save_model_len(model));
-    put_u32(&mut out, MODEL_MAGIC);
+    write_model(model, &mut out);
+    out
+}
+
+/// Appends [`save_model`]'s bytes (exactly [`save_model_len`] of them)
+/// to `out`, so a container can write the model straight into its own
+/// buffer.
+pub fn write_model(model: &TransformerModel, out: &mut Vec<u8>) {
+    let config = model.config();
+    put_u32(out, MODEL_MAGIC);
     out.push(MODEL_FORMAT_VERSION);
     out.push(u8::from(config.has_pooler));
     out.extend_from_slice(&[0u8; 2]);
-    put_name(&mut out, &config.name);
+    put_name(out, &config.name);
     for v in [
         config.encoder_layers,
         config.hidden,
@@ -143,18 +151,17 @@ pub fn save_model(model: &TransformerModel) -> Vec<u8> {
         config.max_position,
         config.type_vocab,
     ] {
-        put_len32(&mut out, v);
+        put_len32(out, v);
     }
     let aux = aux_entries(model);
     // ARITH: counts of live in-memory tensors
-    put_len32(&mut out, model.iter().count() + aux.len());
+    put_len32(out, model.iter().count() + aux.len());
     for (name, tensor) in model.iter() {
-        put_tensor(&mut out, name, tensor);
+        put_tensor(out, name, tensor);
     }
     for (name, tensor) in aux {
-        put_tensor(&mut out, &name, tensor);
+        put_tensor(out, &name, tensor);
     }
-    out
 }
 
 /// Length of [`save_model`]'s output, computed from the tensor shapes

@@ -2,6 +2,7 @@
 //! every centroid-selection policy.
 
 use crate::error::QuantError;
+use crate::kernel::nearest_sorted;
 
 /// A sorted table of representative values ("centroids") for one layer.
 ///
@@ -48,33 +49,9 @@ impl Codebook {
     }
 
     /// Index of the centroid nearest to `x` (ties break toward the lower
-    /// index, i.e. the smaller centroid).
-    ///
-    /// This is the original branchy binary search; the fused kernels use
-    /// [`crate::kernel::nearest_sorted`], which is exactly equivalent (the
-    /// kernel-equivalence proptests compare the two bit-for-bit) but takes
-    /// a branchless counting path for small codebooks. Keeping this body
-    /// verbatim lets the scalar oracle in [`crate::oracle`] measure the
-    /// pre-kernel implementation unchanged.
+    /// index, i.e. the smaller centroid): [`nearest_sorted`].
     pub fn nearest(&self, x: f32) -> usize {
-        let cs = &self.centroids;
-        if cs.len() == 1 {
-            return 0;
-        }
-        // partition_point returns the first centroid > x.
-        let hi = cs.partition_point(|&c| c <= x);
-        if hi == 0 {
-            return 0;
-        }
-        if hi == cs.len() {
-            return cs.len() - 1;
-        }
-        let lo = hi - 1;
-        if (x - cs[lo]).abs() <= (cs[hi] - x).abs() {
-            lo
-        } else {
-            hi
-        }
+        nearest_sorted(&self.centroids, x)
     }
 
     /// Assigns every value to its nearest centroid.
@@ -129,33 +106,6 @@ impl Codebook {
                 d * d
             })
             .sum()
-    }
-
-    /// Recomputes each centroid as the mean of its assigned values;
-    /// clusters with no members keep their previous centroid. Returns the
-    /// updated codebook (still sorted: means of interval-ordered clusters
-    /// preserve order).
-    pub fn update_means(&self, values: &[f32], assignments: &[u8]) -> Codebook {
-        let k = self.centroids.len();
-        let mut sums = vec![0.0f64; k];
-        let mut counts = vec![0u64; k];
-        for (&v, &a) in values.iter().zip(assignments) {
-            sums[a as usize] += f64::from(v);
-            counts[a as usize] += 1;
-        }
-        let centroids: Vec<f32> = (0..k)
-            .map(|i| {
-                if counts[i] == 0 {
-                    self.centroids[i]
-                } else {
-                    (sums[i] / counts[i] as f64) as f32
-                }
-            })
-            .collect();
-        // Means of clusters induced by a sorted codebook are themselves
-        // sorted, but empty clusters retaining stale centroids can break
-        // that in pathological cases — restore the invariant.
-        Codebook::new(centroids).expect("finite means")
     }
 }
 
@@ -259,39 +209,5 @@ mod tests {
         let a = cb.assign(&values);
         assert_eq!(cb.l1_norm(&values, &a), 3.0);
         assert_eq!(cb.l2_norm(&values, &a), 5.0);
-    }
-
-    #[test]
-    fn update_means_moves_centroids_to_cluster_means() {
-        let cb = Codebook::new(vec![0.0, 10.0]).unwrap();
-        let values = [1.0f32, 2.0, 9.0, 11.0];
-        let a = cb.assign(&values);
-        let updated = cb.update_means(&values, &a);
-        assert_eq!(updated.centroids(), &[1.5, 10.0]);
-    }
-
-    #[test]
-    fn update_means_keeps_empty_cluster_centroid() {
-        let cb = Codebook::new(vec![0.0, 100.0]).unwrap();
-        let values = [1.0f32, 2.0, 3.0];
-        let a = cb.assign(&values);
-        let updated = cb.update_means(&values, &a);
-        assert_eq!(updated.centroids()[1], 100.0);
-    }
-
-    #[test]
-    fn mean_update_never_increases_l2() {
-        // One Lloyd step (assign + mean update) cannot increase the L2
-        // objective — spot-check on an irregular sample.
-        let values: Vec<f32> = (0..500).map(|i| ((i * 37) % 97) as f32 * 0.1).collect();
-        let mut cb = Codebook::new(vec![0.0, 2.0, 4.0, 8.0]).unwrap();
-        let mut prev = f64::INFINITY;
-        for _ in 0..10 {
-            let a = cb.assign(&values);
-            let l2 = cb.l2_norm(&values, &a);
-            assert!(l2 <= prev + 1e-9, "L2 increased: {l2} > {prev}");
-            prev = l2;
-            cb = cb.update_means(&values, &a);
-        }
     }
 }

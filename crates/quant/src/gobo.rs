@@ -7,15 +7,13 @@
 //! for 3-bit codebooks, roughly 9× faster than running K-Means to
 //! assignment convergence, with consistently better downstream accuracy.
 //!
-//! Each iteration runs as one fused pass over the values
-//! ([`crate::kernel`]); the separate-pass formulation this replaces is
-//! preserved as a test oracle in [`crate::oracle`], and property
-//! tests assert the two produce bit-identical results.
+//! Every iteration reads one sorted view of the G group
+//! ([`crate::kernel`]), whose loop GOBO shares with K-Means; only the
+//! stopping rule and the returned iterate differ.
 
 use crate::codebook::{Codebook, ConvergenceTrace};
 use crate::error::QuantError;
-use crate::init;
-use crate::kernel::{self, ClusterScratch};
+use crate::kernel::{self, Stop};
 
 /// Result of clustering a layer's G group: the final codebook, one index
 /// per weight, and the per-iteration convergence trace.
@@ -69,48 +67,7 @@ pub fn quantize_g(
     clusters: usize,
     max_iterations: usize,
 ) -> Result<Clustering, QuantError> {
-    kernel::check_max_iterations(max_iterations)?;
-    let init_codebook = init::equal_population(values, clusters)?;
-    let mut scratch = ClusterScratch::new();
-    scratch.load(values.len(), init_codebook.centroids());
-    let mut trace = ConvergenceTrace::default();
-
-    let mut best_l1 = f64::INFINITY;
-    let mut have_best = false;
-    let mut have_prev = false;
-    let mut stale = 0usize;
-    for iteration in 0..max_iterations {
-        let stats = scratch.sweep(values);
-        trace.l1.push(stats.l1);
-        trace.l2.push(stats.l2);
-
-        let improved = !have_best || stats.l1 < best_l1;
-        if improved {
-            have_best = true;
-            best_l1 = stats.l1;
-            scratch.snapshot_best();
-            trace.selected_iteration = iteration;
-            stale = 0;
-        } else {
-            stale += 1;
-            if stale >= L1_PATIENCE {
-                // L1 has stopped decreasing: keep the minimal iterate.
-                break;
-            }
-        }
-        // A fixed point cannot improve further. (`changed` compares
-        // against the previous iteration's buffer contents, so it only
-        // means "fixed point" from the second sweep on.)
-        if have_prev && stats.changed == 0 {
-            break;
-        }
-        have_prev = true;
-        scratch.update_centroids();
-    }
-
-    let (centroids, assignments) = scratch.take_best();
-    let codebook = Codebook::new(centroids).expect("best centroids are finite and non-empty");
-    Ok(Clustering { codebook, assignments, trace })
+    kernel::cluster(values, clusters, max_iterations, Stop::MinL1)
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 
 use crate::codebook::Codebook;
 use crate::error::QuantError;
+use crate::kernel::SortedView;
 
 /// Equal-population initialization: sorts the values, splits them into
 /// `clusters` bins of (nearly) equal population, and uses each bin's
@@ -24,39 +25,36 @@ use crate::error::QuantError;
 /// [`QuantError::TooFewValues`] when there are fewer values than
 /// clusters.
 pub fn equal_population(values: &[f32], clusters: usize) -> Result<Codebook, QuantError> {
+    equal_population_of(&SortedView::new(values), clusters)
+}
+
+/// [`equal_population`] read off a sorted view: each bin is a run of the
+/// view, and its mean the run's prefix difference over its count
+/// ([`SortedView::mean`]), the same mean every later iteration takes.
+///
+/// # Errors
+///
+/// As [`equal_population`].
+pub(crate) fn equal_population_of(
+    view: &SortedView,
+    clusters: usize,
+) -> Result<Codebook, QuantError> {
     if clusters == 0 {
         return Err(QuantError::InvalidConfig { name: "clusters" });
     }
-    if values.is_empty() {
+    if view.is_empty() {
         return Err(QuantError::EmptyLayer);
     }
-    if values.len() < clusters {
-        return Err(QuantError::TooFewValues { values: values.len(), clusters });
+    if view.len() < clusters {
+        return Err(QuantError::TooFewValues { values: view.len(), clusters });
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite weights"));
-    let centroids = bin_means(&sorted, clusters);
-    Codebook::new(centroids)
-}
-
-/// Means of `clusters` equal-population bins over an ascending slice.
-/// Bin sizes differ by at most one (remainder spread over the first
-/// bins).
-fn bin_means(sorted: &[f32], clusters: usize) -> Vec<f32> {
-    let n = sorted.len();
-    let base = n / clusters;
-    let extra = n % clusters;
     let mut centroids = Vec::with_capacity(clusters);
-    let mut start = 0usize;
-    for b in 0..clusters {
-        let size = base + usize::from(b < extra);
-        let end = start + size;
-        let bin = &sorted[start..end];
-        let mean = bin.iter().map(|&v| f64::from(v)).sum::<f64>() / bin.len() as f64;
-        centroids.push(mean as f32);
-        start = end;
+    let mut start = 0;
+    for size in bin_populations(view.len(), clusters) {
+        centroids.push(view.mean(start, start + size));
+        start += size;
     }
-    centroids
+    Codebook::new(centroids)
 }
 
 /// Linear initialization: `clusters` equidistant levels spanning

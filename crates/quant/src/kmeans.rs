@@ -4,13 +4,12 @@
 //! the cluster *assignments* converge — the classical stopping rule,
 //! which the paper shows takes roughly 9× more iterations and lands on
 //! an L2-optimal (not L1-optimal) codebook with worse downstream
-//! accuracy.
+//! accuracy. It runs the same loop over the same sorted view as GOBO
+//! ([`crate::kernel`]), stopping at the fixed point instead.
 
-use crate::codebook::{Codebook, ConvergenceTrace};
 use crate::error::QuantError;
 use crate::gobo::Clustering;
-use crate::init;
-use crate::kernel::{self, ClusterScratch};
+use crate::kernel::{self, Stop};
 
 /// Quantizes G-group values with K-Means run to assignment convergence.
 ///
@@ -23,31 +22,7 @@ pub fn quantize_g(
     clusters: usize,
     max_iterations: usize,
 ) -> Result<Clustering, QuantError> {
-    kernel::check_max_iterations(max_iterations)?;
-    let init_codebook = init::equal_population(values, clusters)?;
-    let mut scratch = ClusterScratch::new();
-    scratch.load(values.len(), init_codebook.centroids());
-    let mut trace = ConvergenceTrace::default();
-
-    let mut have_prev = false;
-    for iteration in 0..max_iterations {
-        let stats = scratch.sweep(values);
-        trace.l1.push(stats.l1);
-        trace.l2.push(stats.l2);
-        trace.selected_iteration = iteration;
-        // Converged means this sweep reproduced the previous iteration's
-        // assignments; break *before* the mean update so the returned
-        // codebook is the one the assignments were made against.
-        if have_prev && stats.changed == 0 {
-            break;
-        }
-        have_prev = true;
-        scratch.update_centroids();
-    }
-
-    let (centroids, assignments) = scratch.take_current();
-    let codebook = Codebook::new(centroids).expect("centroids are finite and non-empty");
-    Ok(Clustering { codebook, assignments, trace })
+    kernel::cluster(values, clusters, max_iterations, Stop::FixedPoint)
 }
 
 #[cfg(test)]

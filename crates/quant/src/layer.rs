@@ -317,7 +317,7 @@ mod tests {
             (QuantMethod::Gobo, 4, 0x20e7_aa39_583f_0398),
             (QuantMethod::KMeans, 2, 0xf6a3_f302_6286_9964),
             (QuantMethod::KMeans, 3, 0x79c8_3e4a_df5a_c241),
-            (QuantMethod::KMeans, 4, 0x799a_27ae_fea4_1f35),
+            (QuantMethod::KMeans, 4, 0xafe2_6af1_53bd_b25e),
         ];
         let uniform = |i: u32| {
             let h = (i ^ 0x9E37_79B9).wrapping_mul(0x85EB_CA6B);

@@ -16,8 +16,9 @@
 //! Baselines from the paper's evaluation are implemented alongside:
 //! K-Means run to assignment convergence ([`kmeans`]), linear
 //! quantization ([`linear`]), and the Q8BERT/Q-BERT-style reference
-//! schemes ([`reference`]). The pre-kernel scalar loops the fused kernels
-//! are tested against live in [`oracle`]; production never calls them.
+//! schemes ([`reference`]). GOBO and K-Means share one loop over one
+//! sorted view of the G group ([`kernel`]); [`oracle`] states the same
+//! spec in its plain form for the tests, and production never calls it.
 //!
 //! [`layer::QuantizedLayer`] is the bit-exact storage format (packed
 //! indices + codebook + outliers) with exact size accounting, and

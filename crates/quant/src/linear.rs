@@ -10,7 +10,6 @@ use crate::codebook::ConvergenceTrace;
 use crate::error::QuantError;
 use crate::gobo::Clustering;
 use crate::init;
-use crate::kernel;
 
 /// Quantizes G-group values to equidistant levels.
 ///
@@ -24,12 +23,12 @@ use crate::kernel;
 /// [`QuantError::EmptyLayer`], [`QuantError::InvalidConfig`]).
 pub fn quantize_g(values: &[f32], clusters: usize) -> Result<Clustering, QuantError> {
     let codebook = init::linear(values, clusters)?;
-    let mut assignments = vec![0u8; values.len()];
-    let mut sums = vec![0.0f64; codebook.len()];
-    let mut counts = vec![0u64; codebook.len()];
-    let stats =
-        kernel::fused_sweep(values, codebook.centroids(), &mut assignments, &mut sums, &mut counts);
-    let trace = ConvergenceTrace { l1: vec![stats.l1], l2: vec![stats.l2], selected_iteration: 0 };
+    let assignments = codebook.assign(values);
+    let trace = ConvergenceTrace {
+        l1: vec![codebook.l1_norm(values, &assignments)],
+        l2: vec![codebook.l2_norm(values, &assignments)],
+        selected_iteration: 0,
+    };
     Ok(Clustering { codebook, assignments, trace })
 }
 

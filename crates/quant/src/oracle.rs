@@ -1,51 +1,83 @@
 //! Test oracle — never called from production.
 //!
-//! The **pre-fusion scalar implementations** of the clustering loops
-//! ([`scalar_gobo_quantize_g`], [`scalar_kmeans_quantize_g`],
-//! [`scalar_linear_quantize_g`]) and the bytewise bit packer
-//! ([`pack_bytewise`], [`unpack_bytewise`]), exactly as they were before
-//! [`crate::kernel`] and [`crate::packing`] replaced them. The tests in
-//! `tests/kernel_equivalence.rs` assert that the fused kernels, the
-//! word-at-a-time packer and the group-at-a-time unpacker produce
-//! bit-identical output, up to a G group of the paper's 768 × 768 layer;
-//! `compute`'s tests rebuild dense weights from [`unpack_bytewise`].
-//! Nothing else calls this module.
+//! [`cluster`] is the clustering spec in its plain form: sort the G
+//! group, then per iteration assign every sorted value with
+//! [`nearest_sorted`] (an O(n) pass), count the cluster boundaries off
+//! that pass, and take counts, sums, L1 and L2 by the same prefix
+//! differences and stopping rules as the kernel's `cluster`, which
+//! finds the boundaries by binary search instead. [`pack_bytewise`] and
+//! [`unpack_bytewise`] are the byte-at-a-time bit packer the
+//! word-at-a-time [`crate::packing`] replaced. `tests/kernel_equivalence.rs`
+//! asserts bit-identical output from each pair, up to a G group of the
+//! paper's 768 × 768 layer; `compute`'s tests rebuild dense weights from
+//! [`unpack_bytewise`]. Nothing else calls this module.
 
 use crate::codebook::{Codebook, ConvergenceTrace};
 use crate::error::QuantError;
 use crate::gobo::{Clustering, L1_PATIENCE};
 use crate::init;
+use crate::kernel::{nearest_sorted, Stop};
 use crate::packing;
 
-/// The GOBO centroid-selection loop in its original separate-pass
-/// formulation: `assign` + `l1_norm` + `l2_norm` + `update_means` each
-/// traverse the values, and improving iterates are snapshotted by
-/// cloning. Semantically and bit-exactly equivalent to
-/// [`crate::gobo::quantize_g`]; kept only as a test oracle.
-pub fn scalar_gobo_quantize_g(
+/// GOBO ([`Stop::MinL1`]) or K-Means ([`Stop::FixedPoint`]) on the
+/// sorted G group, written out pass by pass. Oracle for the kernel's
+/// `cluster`, which [`crate::gobo::quantize_g`] and
+/// [`crate::kmeans::quantize_g`] call.
+pub fn cluster(
     values: &[f32],
     clusters: usize,
     max_iterations: usize,
+    stop: Stop,
 ) -> Result<Clustering, QuantError> {
     if max_iterations == 0 {
         return Err(QuantError::InvalidConfig { name: "max_iterations" });
     }
-    let mut codebook = init::equal_population(values, clusters)?;
-    let mut trace = ConvergenceTrace::default();
+    let mut centroids = init::equal_population(values, clusters)?.centroids().to_vec();
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable_by(f32::total_cmp);
+    let (mut sums, mut squares) = (vec![0.0f64], vec![0.0f64]);
+    let (mut running, mut running_sq) = (0.0f64, 0.0f64);
+    for &v in &sorted {
+        let v = f64::from(v);
+        running += v;
+        running_sq += v * v;
+        sums.push(running);
+        squares.push(running_sq);
+    }
+    let sum = |a: usize, b: usize| sums[b] - sums[a];
+    let mean = |a: usize, b: usize| (sum(a, b) / (b - a) as f64) as f32;
 
-    let mut best: Option<(f64, Codebook, Vec<u8>)> = None;
+    let mut trace = ConvergenceTrace::default();
+    let mut selected = centroids.clone();
+    let mut best_l1 = f64::INFINITY;
     let mut stale = 0usize;
-    let mut prev_assignments: Vec<u8> = Vec::new();
+    let mut previous: Vec<usize> = Vec::new();
     for iteration in 0..max_iterations {
-        let assignments = codebook.assign(values);
-        let l1 = codebook.l1_norm(values, &assignments);
-        let l2 = codebook.l2_norm(values, &assignments);
+        let mut counts = vec![0usize; clusters];
+        for &v in &sorted {
+            counts[nearest_sorted(&centroids, v)] += 1;
+        }
+        let mut bounds = vec![0usize];
+        let mut end = 0;
+        for count in counts {
+            end += count;
+            bounds.push(end);
+        }
+
+        let (mut l1, mut l2) = (0.0f64, 0.0f64);
+        for (j, &c) in centroids.iter().enumerate() {
+            let (a, b) = (bounds[j], bounds[j + 1]);
+            let m = a + sorted[a..b].iter().filter(|&&v| v < c).count();
+            let c = f64::from(c);
+            l1 += (sum(m, b) - c * (b - m) as f64) + (c * (m - a) as f64 - sum(a, m));
+            l2 += (squares[b] - squares[a]) - 2.0 * c * sum(a, b) + (b - a) as f64 * c * c;
+        }
         trace.l1.push(l1);
         trace.l2.push(l2);
 
-        let improved = best.as_ref().is_none_or(|(b, _, _)| l1 < *b);
-        if improved {
-            best = Some((l1, codebook.clone(), assignments.clone()));
+        if stop == Stop::FixedPoint || l1 < best_l1 {
+            best_l1 = l1;
+            selected = centroids.clone();
             trace.selected_iteration = iteration;
             stale = 0;
         } else {
@@ -54,57 +86,20 @@ pub fn scalar_gobo_quantize_g(
                 break;
             }
         }
-        if assignments == prev_assignments {
+        if bounds == previous {
             break;
         }
-        codebook = codebook.update_means(values, &assignments);
-        prev_assignments = assignments;
-    }
-
-    let (_, codebook, assignments) = best.expect("at least one iteration ran");
-    Ok(Clustering { codebook, assignments, trace })
-}
-
-/// The K-Means loop in its original separate-pass formulation. Oracle
-/// for [`crate::kmeans::quantize_g`].
-pub fn scalar_kmeans_quantize_g(
-    values: &[f32],
-    clusters: usize,
-    max_iterations: usize,
-) -> Result<Clustering, QuantError> {
-    if max_iterations == 0 {
-        return Err(QuantError::InvalidConfig { name: "max_iterations" });
-    }
-    let mut codebook = init::equal_population(values, clusters)?;
-    let mut trace = ConvergenceTrace::default();
-    let mut assignments: Vec<u8> = Vec::new();
-
-    for iteration in 0..max_iterations {
-        let new_assignments = codebook.assign(values);
-        trace.l1.push(codebook.l1_norm(values, &new_assignments));
-        trace.l2.push(codebook.l2_norm(values, &new_assignments));
-        trace.selected_iteration = iteration;
-        let converged = new_assignments == assignments;
-        assignments = new_assignments;
-        if converged {
-            break;
+        for (j, c) in centroids.iter_mut().enumerate() {
+            if bounds[j + 1] > bounds[j] {
+                *c = mean(bounds[j], bounds[j + 1]);
+            }
         }
-        codebook = codebook.update_means(values, &assignments);
+        centroids.sort_by(f32::total_cmp);
+        previous = bounds;
     }
 
-    Ok(Clustering { codebook, assignments, trace })
-}
-
-/// Linear quantization in its original three-pass formulation. Oracle
-/// for [`crate::linear::quantize_g`].
-pub fn scalar_linear_quantize_g(values: &[f32], clusters: usize) -> Result<Clustering, QuantError> {
-    let codebook = init::linear(values, clusters)?;
+    let codebook = Codebook::new(selected)?;
     let assignments = codebook.assign(values);
-    let trace = ConvergenceTrace {
-        l1: vec![codebook.l1_norm(values, &assignments)],
-        l2: vec![codebook.l2_norm(values, &assignments)],
-        selected_iteration: 0,
-    };
     Ok(Clustering { codebook, assignments, trace })
 }
 

@@ -1,18 +1,26 @@
-//! Equivalence properties for the fused kernels.
+//! Equivalence properties for the clustering kernel and the bit packer.
 //!
-//! The single-pass kernels in `gobo_quant::kernel` and the
-//! word-at-a-time bit packer claim **bit-identical** output to the
-//! scalar separate-pass implementations preserved in
-//! `gobo_quant::oracle`. These tests enforce that claim across
-//! random layers, every supported bit width, degenerate inputs
-//! (constant layers, duplicate centroids, codebook-sized layers) and
-//! one G group of the paper's own layer size.
+//! GOBO and K-Means (`gobo_quant::kernel::cluster`) find each
+//! iteration's cluster boundaries by binary search over one sorted view
+//! of the G group; `gobo_quant::oracle::cluster` finds them with an O(n)
+//! nearest-centroid pass. The word-at-a-time packer and the
+//! group-at-a-time unpacker replace byte-at-a-time ones. Each pair must
+//! agree **bit for bit**: these tests enforce it across random layers,
+//! every supported bit width, sorted input, degenerate inputs (constant
+//! layers, duplicate centroids, codebook-sized layers) and one G group
+//! of the paper's own layer size. They also state the spec's one
+//! promise about order: a codebook depends only on the sorted multiset
+//! of the G values.
 
 use gobo_quant::gobo::{self, Clustering};
+use gobo_quant::kernel::Stop;
 use gobo_quant::oracle;
 use gobo_quant::packing;
-use gobo_quant::{kmeans, linear, Codebook};
+use gobo_quant::{kmeans, linear};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 fn f32_bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
@@ -24,33 +32,27 @@ fn f64_bits(xs: &[f64]) -> Vec<u64> {
 
 /// Panics unless the two clusterings agree bit-for-bit: codebook,
 /// assignments, both trace norms, and the selected iteration.
-fn assert_identical(fused: &Clustering, scalar: &Clustering) {
+fn assert_identical(kernel: &Clustering, oracle: &Clustering) {
     assert_eq!(
-        f32_bits(fused.codebook.centroids()),
-        f32_bits(scalar.codebook.centroids()),
+        f32_bits(kernel.codebook.centroids()),
+        f32_bits(oracle.codebook.centroids()),
         "codebooks differ"
     );
-    assert_eq!(fused.assignments, scalar.assignments, "assignments differ");
-    assert_eq!(f64_bits(&fused.trace.l1), f64_bits(&scalar.trace.l1), "L1 traces differ");
-    assert_eq!(f64_bits(&fused.trace.l2), f64_bits(&scalar.trace.l2), "L2 traces differ");
+    assert_eq!(kernel.assignments, oracle.assignments, "assignments differ");
+    assert_eq!(f64_bits(&kernel.trace.l1), f64_bits(&oracle.trace.l1), "L1 traces differ");
+    assert_eq!(f64_bits(&kernel.trace.l2), f64_bits(&oracle.trace.l2), "L2 traces differ");
     assert_eq!(
-        fused.trace.selected_iteration, scalar.trace.selected_iteration,
+        kernel.trace.selected_iteration, oracle.trace.selected_iteration,
         "selected iterations differ"
     );
 }
 
 fn compare_all_methods(values: &[f32], clusters: usize) {
-    let fused = gobo::quantize_g(values, clusters, 60).unwrap();
-    let scalar = oracle::scalar_gobo_quantize_g(values, clusters, 60).unwrap();
-    assert_identical(&fused, &scalar);
+    let kernel = gobo::quantize_g(values, clusters, 60).unwrap();
+    assert_identical(&kernel, &oracle::cluster(values, clusters, 60, Stop::MinL1).unwrap());
 
-    let fused = kmeans::quantize_g(values, clusters, 200).unwrap();
-    let scalar = oracle::scalar_kmeans_quantize_g(values, clusters, 200).unwrap();
-    assert_identical(&fused, &scalar);
-
-    let fused = linear::quantize_g(values, clusters).unwrap();
-    let scalar = oracle::scalar_linear_quantize_g(values, clusters).unwrap();
-    assert_identical(&fused, &scalar);
+    let kernel = kmeans::quantize_g(values, clusters, 200).unwrap();
+    assert_identical(&kernel, &oracle::cluster(values, clusters, 200, Stop::FixedPoint).unwrap());
 }
 
 /// G-group-like weights with at least 256 entries so every bit width
@@ -69,34 +71,36 @@ proptest! {
 
     #[test]
     fn fused_quantizers_match_scalar_reference_on_sorted_input(w in g_values(), bits in 1u8..=8) {
-        // Ascending input makes the partition point monotone along the
-        // sweep: every centroid boundary is crossed exactly once, in order.
+        // Ascending input: the view's sort leaves it as it is, and the
+        // final index pass crosses each boundary once, in order.
         let mut w = w;
         w.sort_by(|a, b| a.partial_cmp(b).unwrap());
         compare_all_methods(&w, 1usize << bits);
     }
 
     #[test]
-    fn fused_sweep_matches_codebook_passes(
-        values in proptest::collection::vec(-0.3f32..0.3, 1..400),
-        centroids in proptest::collection::vec(-0.25f32..0.25, 1..40),
+    fn codebooks_depend_only_on_the_sorted_multiset(
+        w in g_values(),
+        bits in 1u8..=8,
+        seed in any::<u64>(),
     ) {
-        // Random centroid tables (duplicates included) against the
-        // public Codebook building blocks the sweep fuses.
-        let cb = Codebook::new(centroids).unwrap();
-        let mut assignments = vec![0u8; values.len()];
-        let mut sums = vec![0.0f64; cb.len()];
-        let mut counts = vec![0u64; cb.len()];
-        let stats = gobo_quant::kernel::fused_sweep(
-            &values, cb.centroids(), &mut assignments, &mut sums, &mut counts,
-        );
-        let expected = cb.assign(&values);
-        prop_assert_eq!(&assignments, &expected);
-        prop_assert_eq!(stats.l1.to_bits(), cb.l1_norm(&values, &expected).to_bits());
-        prop_assert_eq!(stats.l2.to_bits(), cb.l2_norm(&values, &expected).to_bits());
-        let mut updated = cb.centroids().to_vec();
-        gobo_quant::kernel::update_centroids(&mut updated, &sums, &counts);
-        prop_assert_eq!(f32_bits(&updated), f32_bits(cb.update_means(&values, &expected).centroids()));
+        // The same G group in another order: every method gives the same
+        // codebook bits and, value for value, the same indices.
+        let mut order: Vec<usize> = (0..w.len()).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(seed));
+        let clusters = 1usize << bits;
+        let permuted: Vec<f32> = order.iter().map(|&i| w[i]).collect();
+        let runs = [
+            (gobo::quantize_g(&w, clusters, 60), gobo::quantize_g(&permuted, clusters, 60)),
+            (kmeans::quantize_g(&w, clusters, 200), kmeans::quantize_g(&permuted, clusters, 200)),
+            (linear::quantize_g(&w, clusters), linear::quantize_g(&permuted, clusters)),
+        ];
+        for (a, b) in runs {
+            let (a, b) = (a.unwrap(), b.unwrap());
+            prop_assert_eq!(f32_bits(a.codebook.centroids()), f32_bits(b.codebook.centroids()));
+            let expected: Vec<u8> = order.iter().map(|&i| a.assignments[i]).collect();
+            prop_assert_eq!(b.assignments, expected);
+        }
     }
 
     #[test]
@@ -134,7 +138,7 @@ proptest! {
 }
 
 /// A 768 × 768 G group — BERT-Base's attention matrices, 589 824
-/// values — at the paper's two widths: the sweep that quantizes a
+/// values — at the paper's two widths: the kernel that quantizes a
 /// paper-scale layer is the one the oracle is compared with, at that
 /// size. Hash-seeded and bell-shaped (a sum of four uniforms); the
 /// iteration caps keep the K-Means leg short, not the comparison loose.
@@ -148,14 +152,15 @@ fn a_paper_scale_g_group_matches_scalar_reference() {
         .map(|i| (0..4).map(|lane| uniform(4 * i + lane)).sum::<f32>() * 0.02)
         .collect();
     for clusters in [8, 16] {
-        let fused = gobo::quantize_g(&values, clusters, 8).unwrap();
-        let scalar = oracle::scalar_gobo_quantize_g(&values, clusters, 8).unwrap();
-        assert_identical(&fused, &scalar);
-        assert!(fused.trace.iterations() > 2, "the comparison covers mean updates");
+        let kernel = gobo::quantize_g(&values, clusters, 8).unwrap();
+        assert_identical(&kernel, &oracle::cluster(&values, clusters, 8, Stop::MinL1).unwrap());
+        assert!(kernel.trace.iterations() > 2, "the comparison covers mean updates");
 
-        let fused = kmeans::quantize_g(&values, clusters, 4).unwrap();
-        let scalar = oracle::scalar_kmeans_quantize_g(&values, clusters, 4).unwrap();
-        assert_identical(&fused, &scalar);
+        let kernel = kmeans::quantize_g(&values, clusters, 4).unwrap();
+        assert_identical(
+            &kernel,
+            &oracle::cluster(&values, clusters, 4, Stop::FixedPoint).unwrap(),
+        );
     }
 }
 

@@ -522,8 +522,8 @@ fn encode(core: &ServeCore, body: &[u8]) -> Result<String, ServeError> {
 
 /// Renders the `POST /v1/encode` success body, the one both front doors
 /// answer with. `rev` is the revision that served the request; the
-/// router passes `None`, and the field is left out, because wire frame
-/// v1 does not carry it back from the node.
+/// router passes `None`, and the field is left out, because the wire
+/// protocol (version 2) does not carry it back from the node.
 pub fn encode_body(ok: &EncodeOkFrame, rev: Option<u64>) -> String {
     let num = |v: u64| Json::Num(v as f64);
     let mut fields = vec![("model", Json::Str(ok.model.clone())), ("bits", num(ok.bits.into()))];
