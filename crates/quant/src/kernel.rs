@@ -270,6 +270,18 @@ mod tests {
     }
 
     #[test]
+    fn update_centroids_keeps_empty_cluster_centroid() {
+        // Empty clusters below and between populated ones keep their
+        // centroids too, and the codebook stays ascending.
+        let view = SortedView::new(&[3.0f32, 1.0, 99.0, 2.0]);
+        let mut centroids = vec![-100.0f32, 0.0, 50.0, 100.0];
+        let bounds = view.boundaries(&centroids);
+        assert_eq!(bounds, vec![0, 0, 3, 3, 4]);
+        view.update_centroids(&mut centroids, &bounds);
+        assert_eq!(centroids, vec![-100.0, 2.0, 50.0, 99.0]);
+    }
+
+    #[test]
     fn update_centroids_moves_centroids_to_cluster_means() {
         let view = SortedView::new(&[1.0f32, 2.0, 9.0, 11.0]);
         let mut centroids = vec![0.0f32, 10.0];
