@@ -4,8 +4,9 @@
 //! node's own code: the `POST /v1/encode` request is parsed and the
 //! response rendered by `gobo_serve::http`, so the serving tier can grow
 //! from one process to a cluster without a client change. The bodies
-//! agree field for field except for `rev`, which wire frame v1 does not
-//! carry back from the node and a routed response therefore lacks. Adds
+//! agree byte for byte except for `rev`, which the wire protocol
+//! (version 2) does not carry back from the node and a routed response
+//! therefore lacks. Adds
 //! `GET /v1/cluster` (membership snapshot, including any canary trial in
 //! flight), `POST /v1/canary` (start a canary trial on a member), and
 //! serves the cluster metrics on `GET /metrics`.

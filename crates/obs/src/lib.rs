@@ -15,7 +15,8 @@
 //!   counters: mergeable, revertible, p50/p95/p99 queries, and
 //!   Prometheus `_bucket`/`_sum`/`_count` text exposition.
 //! * [`json`] — the minimal JSON string/number formatting the two
-//!   exporters share (escaping per RFC 8259).
+//!   exporters and the serving front doors share (escaping per RFC 8259;
+//!   `f32` tensors as their shortest text, after Ryū).
 //!
 //! # Example
 //!

@@ -65,12 +65,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn fused_quantizers_match_scalar_reference(w in g_values(), bits in 1u8..=8) {
+    fn sorted_view_kernel_matches_oracle_cluster(w in g_values(), bits in 1u8..=8) {
         compare_all_methods(&w, 1usize << bits);
     }
 
     #[test]
-    fn fused_quantizers_match_scalar_reference_on_sorted_input(w in g_values(), bits in 1u8..=8) {
+    fn sorted_view_kernel_matches_oracle_cluster_on_sorted_input(w in g_values(), bits in 1u8..=8) {
         // Ascending input: the view's sort leaves it as it is, and the
         // final index pass crosses each boundary once, in order.
         let mut w = w;
@@ -143,7 +143,7 @@ proptest! {
 /// size. Hash-seeded and bell-shaped (a sum of four uniforms); the
 /// iteration caps keep the K-Means leg short, not the comparison loose.
 #[test]
-fn a_paper_scale_g_group_matches_scalar_reference() {
+fn sorted_view_kernel_matches_oracle_cluster_on_a_paper_scale_g_group() {
     let uniform = |i: u32| {
         let h = (i ^ 0x9E37_79B9).wrapping_mul(0x85EB_CA6B);
         ((h ^ (h >> 13)).wrapping_mul(0xC2B2_AE35) >> 8) as f32 / (1 << 23) as f32 - 1.0
@@ -165,7 +165,7 @@ fn a_paper_scale_g_group_matches_scalar_reference() {
 }
 
 #[test]
-fn degenerate_layers_match_scalar_reference() {
+fn sorted_view_kernel_matches_oracle_cluster_on_degenerate_layers() {
     let constant = vec![0.5f32; 300];
     let two_valued: Vec<f32> = (0..300).map(|i| (i % 2) as f32).collect();
     let codebook_sized: Vec<f32> = (0..256).map(|i| i as f32 * 0.01 - 1.28).collect();

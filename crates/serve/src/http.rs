@@ -26,11 +26,13 @@
 //! keep-alive connections unblock immediately instead of riding out
 //! their read timeout while a response being written still completes.
 
+use std::fmt::{self, Write as _};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use gobo_obs::json::{write_f32_array, write_number, write_string};
 use gobo_proto::frame::EncodeOkFrame;
 use gobo_sanitize::{SanCondvar, SanMutex};
 use std::time::Duration;
@@ -130,7 +132,7 @@ pub struct HttpResponse {
     /// `Content-Type` header value.
     pub content_type: &'static str,
     /// Response body.
-    pub body: String,
+    pub body: Vec<u8>,
     /// Force-close the connection after this response (the listener
     /// also closes when the *request* asked for it).
     pub close: bool,
@@ -138,8 +140,8 @@ pub struct HttpResponse {
 
 impl HttpResponse {
     /// A JSON response with the given status.
-    pub fn json(status: u16, body: String) -> Self {
-        HttpResponse { status, content_type: "application/json", body, close: false }
+    pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Self {
+        HttpResponse { status, content_type: "application/json", body: body.into(), close: false }
     }
 
     /// The uniform `{status, error, message}` JSON error response.
@@ -417,7 +419,7 @@ pub fn common_route(
         ("GET", "/metrics") => HttpResponse {
             status: 200,
             content_type: "text/plain; version=0.0.4",
-            body: metrics(),
+            body: metrics().into_bytes(),
             close: false,
         },
         ("POST", "/v1/shutdown") => {
@@ -425,7 +427,7 @@ pub fn common_route(
             HttpResponse {
                 status: 200,
                 content_type: "application/json",
-                body: "{\"status\":\"draining\"}".to_owned(),
+                body: b"{\"status\":\"draining\"}".to_vec(),
                 close: true,
             }
         }
@@ -435,14 +437,14 @@ pub fn common_route(
 
 impl HttpHandler for ServeCore {
     fn handle(&self, request: &ParsedRequest, signal: &ShutdownSignal) -> HttpResponse {
-        let served = |body: Result<String, ServeError>| match body {
+        let served = |body: Result<Vec<u8>, ServeError>| match body {
             Ok(body) => HttpResponse::json(200, body),
             Err(e) => e.into(),
         };
         match (request.method.as_str(), request.path.as_str()) {
             ("POST", "/v1/encode") => served(encode(self, &request.body)),
             ("GET", "/v1/models") => HttpResponse::json(200, models_body(self)),
-            ("POST", "/v1/reload") => served(reload(self, &request.body)),
+            ("POST", "/v1/reload") => served(reload(self, &request.body).map(String::into_bytes)),
             _ => common_route(request, signal, || self.metrics().render()),
         }
     }
@@ -513,7 +515,7 @@ pub fn parse_encode_body(body: &[u8]) -> Result<EncodeRequest, ServeError> {
     Ok(EncodeRequest { model, bits, ids, type_ids, deadline })
 }
 
-fn encode(core: &ServeCore, body: &[u8]) -> Result<String, ServeError> {
+fn encode(core: &ServeCore, body: &[u8]) -> Result<Vec<u8>, ServeError> {
     let request = parse_encode_body(body)?;
     let response = core.scheduler().encode_blocking(request)?;
     let rev = response.rev;
@@ -524,24 +526,56 @@ fn encode(core: &ServeCore, body: &[u8]) -> Result<String, ServeError> {
 /// answer with. `rev` is the revision that served the request; the
 /// router passes `None`, and the field is left out, because the wire
 /// protocol (version 2) does not carry it back from the node.
-pub fn encode_body(ok: &EncodeOkFrame, rev: Option<u64>) -> String {
-    let num = |v: u64| Json::Num(v as f64);
-    let mut fields = vec![("model", Json::Str(ok.model.clone())), ("bits", num(ok.bits.into()))];
-    fields.extend(rev.map(|rev| ("rev", num(rev))));
-    fields.extend([
-        ("batch_size", num(ok.batch_size.into())),
-        ("queue_us", num(ok.queue_us)),
-        ("compute_us", num(ok.compute_us)),
-        (
-            "hidden",
-            Json::obj(vec![
-                ("dims", Json::Arr(ok.dims.iter().map(|&d| num(d.into())).collect())),
-                ("data", Json::f32_array(&ok.hidden)),
-            ]),
-        ),
-        ("pooled", ok.pooled.as_deref().map_or(Json::Null, Json::f32_array)),
-    ]);
-    Json::obj(fields).to_string()
+///
+/// The body is written straight into one buffer, with no [`Json`] tree:
+/// the scalar fields through the workspace's string and number writers,
+/// then `hidden` and `pooled` through
+/// [`gobo_obs::json::write_f32_array`], which is also how
+/// [`Json::f32_array`] renders — so the body ends with
+/// `,"hidden":{"dims":[…],"data":[…]},"pooled":…}` exactly as the same
+/// fields built as a [`Json::obj`] would print.
+pub fn encode_body(ok: &EncodeOkFrame, rev: Option<u64>) -> Vec<u8> {
+    let floats = ok.hidden.len().saturating_add(ok.pooled.as_ref().map_or(0, Vec::len));
+    let mut head = String::with_capacity(floats.saturating_mul(12).saturating_add(256));
+    // Writing into a `String` cannot fail.
+    let _ = write_encode_head(&mut head, ok, rev);
+    let mut body = head.into_bytes();
+    write_f32_array(&mut body, &ok.hidden);
+    body.extend_from_slice(b"},\"pooled\":");
+    match &ok.pooled {
+        Some(pooled) => write_f32_array(&mut body, pooled),
+        None => body.extend_from_slice(b"null"),
+    }
+    body.push(b'}');
+    body
+}
+
+/// Writes an encode body up to the opening of `hidden.data`.
+fn write_encode_head(out: &mut String, ok: &EncodeOkFrame, rev: Option<u64>) -> fmt::Result {
+    out.push_str("{\"model\":");
+    write_string(out, &ok.model)?;
+    let counts = [
+        ("bits", Some(u64::from(ok.bits))),
+        ("rev", rev),
+        ("batch_size", Some(u64::from(ok.batch_size))),
+        ("queue_us", Some(ok.queue_us)),
+        ("compute_us", Some(ok.compute_us)),
+    ];
+    for (key, value) in counts {
+        if let Some(value) = value {
+            write!(out, ",\"{key}\":")?;
+            write_number(out, value as f64)?;
+        }
+    }
+    out.push_str(",\"hidden\":{\"dims\":[");
+    for (i, &dim) in ok.dims.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_number(out, f64::from(dim))?;
+    }
+    out.push_str("],\"data\":");
+    Ok(())
 }
 
 /// Parses the `POST /v1/reload` body (`{name, path}`) and publishes the
@@ -608,14 +642,112 @@ fn write_response(stream: &mut TcpStream, response: &HttpResponse) -> std::io::R
         _ => "Internal Server Error",
     };
     let connection = if response.close { "close" } else { "keep-alive" };
-    let header = format!(
+    // Header and body leave in one write: one syscall, one segment train.
+    let mut message = Vec::with_capacity(response.body.len().saturating_add(160));
+    write!(
+        message,
         "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\n\
          Content-Length: {}\r\nConnection: {connection}\r\n\r\n",
         response.status,
         response.content_type,
         response.body.len()
-    );
-    stream.write_all(header.as_bytes())?;
-    stream.write_all(response.body.as_bytes())?;
+    )?;
+    message.extend_from_slice(&response.body);
+    stream.write_all(&message)?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ok_frame(pooled: bool) -> EncodeOkFrame {
+        EncodeOkFrame {
+            model: "de\"mo".to_owned(),
+            bits: 3,
+            dims: vec![2, 3],
+            hidden: vec![
+                0.1,
+                -0.0,
+                1e-7,
+                2015.0 + 21.0 / 32.0,
+                f32::from_bits(0x15ae_43fd),
+                f32::MAX,
+            ],
+            pooled: pooled.then(|| vec![-1.5, -f32::from_bits(0x15ae_43fd), f32::MIN_POSITIVE]),
+            batch_size: 2,
+            queue_us: 17,
+            compute_us: 901,
+        }
+    }
+
+    /// The tensor fields as a [`Json`] object: how a client that checks
+    /// replies (stackbench's `correct` gate among them) builds the tail
+    /// every encode body must end with.
+    fn tensor_fields(ok: &EncodeOkFrame) -> Vec<(&'static str, Json)> {
+        let dims: Vec<usize> = ok.dims.iter().map(|&d| d as usize).collect();
+        vec![
+            (
+                "hidden",
+                Json::obj(vec![
+                    ("dims", Json::usize_array(&dims)),
+                    ("data", Json::f32_array(&ok.hidden)),
+                ]),
+            ),
+            ("pooled", ok.pooled.as_deref().map_or(Json::Null, Json::f32_array)),
+        ]
+    }
+
+    #[test]
+    fn encode_body_is_the_fields_as_one_json_object_ending_in_the_tensors() {
+        for pooled in [true, false] {
+            let ok = ok_frame(pooled);
+            let tail = Json::obj(tensor_fields(&ok)).to_string();
+            let tail = format!(",{}", &tail[1..]);
+            for rev in [Some(7), None] {
+                let body = String::from_utf8(encode_body(&ok, rev)).unwrap();
+                assert!(body.ends_with(&tail), "{body}\ndoes not end with\n{tail}");
+
+                let mut fields = vec![("model", Json::from("de\"mo")), ("bits", Json::Num(3.0))];
+                fields.extend(rev.map(|rev| ("rev", Json::Num(rev as f64))));
+                fields.extend([
+                    ("batch_size", Json::Num(2.0)),
+                    ("queue_us", Json::Num(17.0)),
+                    ("compute_us", Json::Num(901.0)),
+                ]);
+                fields.extend(tensor_fields(&ok));
+                assert_eq!(body, Json::obj(fields).to_string());
+
+                // Parsed as f64 and narrowed, every float is bit-exact.
+                let value = parse(&body).unwrap();
+                let floats = |v: Option<&Json>| -> Vec<u32> {
+                    v.and_then(Json::as_array)
+                        .unwrap()
+                        .iter()
+                        .map(|x| (x.as_f64().unwrap() as f32).to_bits())
+                        .collect()
+                };
+                let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+                assert_eq!(
+                    floats(value.get("hidden").and_then(|h| h.get("data"))),
+                    bits(&ok.hidden)
+                );
+                match &ok.pooled {
+                    Some(pooled) => assert_eq!(floats(value.get("pooled")), bits(pooled)),
+                    None => assert_eq!(value.get("pooled"), Some(&Json::Null)),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_routed_body_is_the_node_body_without_rev() {
+        for pooled in [true, false] {
+            let ok = ok_frame(pooled);
+            let node = String::from_utf8(encode_body(&ok, Some(42))).unwrap();
+            let routed = String::from_utf8(encode_body(&ok, None)).unwrap();
+            assert!(node.contains(",\"bits\":3,\"rev\":42,\"batch_size\":2,"), "{node}");
+            assert_eq!(node.replacen(",\"rev\":42", "", 1), routed);
+        }
+    }
 }

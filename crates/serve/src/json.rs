@@ -2,11 +2,15 @@
 //!
 //! The workspace vendors no JSON library, and the serving
 //! front end only needs a small, predictable subset: finite numbers,
-//! strings, booleans, null, arrays, and objects. Numbers are carried as
-//! `f64`; an `f32` widened to `f64`, written with Rust's shortest
-//! round-trip formatting, and parsed back re-narrows to the identical
+//! strings, booleans, null, arrays, and objects. Numbers are parsed into
+//! `f64`. Served tensors leave as `f32` text: each value is written as
+//! the shortest decimal that reads back as that `f32`
+//! ([`gobo_obs::json::write_f32`], std's `{}` text, an exact tie rounded
+//! up), and parsing it as `f64` and narrowing gives back the identical
 //! bit pattern, which is what keeps served tensors byte-identical to
-//! in-process results.
+//! in-process results. The one magnitude whose shortest text would not
+//! survive that `f64` step, ±7.038531e-26, is written as its widened
+//! `f64`'s text instead.
 
 use std::fmt;
 
@@ -23,6 +27,10 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
+    /// An array of `f32`s, written through
+    /// [`gobo_obs::json::write_f32_array`]. Only [`Json::f32_array`]
+    /// builds one; [`parse`] reads the text back as an [`Json::Arr`].
+    F32s(Vec<f32>),
     /// An object; insertion order is preserved.
     Obj(Vec<(String, Json)>),
 }
@@ -81,10 +89,11 @@ impl Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
     }
 
-    /// Builds an array of numbers from `f32` data without precision
-    /// loss (`f32 → f64` widening is exact).
+    /// Builds an array of numbers from `f32` data that renders exactly
+    /// as an encode reply writes its tensors: each value as its shortest
+    /// `f32` text.
     pub fn f32_array(values: &[f32]) -> Json {
-        Json::Arr(values.iter().map(|&v| Json::Num(v as f64)).collect())
+        Json::F32s(values.to_vec())
     }
 
     /// Builds an array of numbers from `usize` data.
@@ -105,6 +114,11 @@ impl fmt::Display for Json {
             Json::Null => write!(f, "null"),
             Json::Bool(b) => write!(f, "{b}"),
             Json::Num(v) => gobo_obs::json::write_number(f, *v),
+            Json::F32s(values) => {
+                let mut text = Vec::new();
+                gobo_obs::json::write_f32_array(&mut text, values);
+                f.write_str(std::str::from_utf8(&text).map_err(|_| fmt::Error)?)
+            }
             Json::Str(s) => gobo_obs::json::write_string(f, s),
             Json::Arr(items) => {
                 write!(f, "[")?;
