@@ -175,7 +175,7 @@ pub(crate) fn start_core(
 ) -> Result<Client, CliError> {
     let registry = RegistryConfig::default();
     let client = Client::new(ServeCore::start(ServeOptions { registry, scheduler, lifecycle }));
-    client.register(MODEL, model).map_err(failed)?;
+    client.register(MODEL, model.clone()).map_err(failed)?;
     client.encode(EncodeRequest::new(MODEL, vec![1, 2, 3])).map_err(failed)?;
     Ok(client)
 }

@@ -93,7 +93,7 @@ mod tests {
             |ids| served(&client, ids),
             || {
                 for model in [&model_b, &model_a, &model_b, &model_a] {
-                    if let Err(e) = client.core().registry().publish(MODEL, model) {
+                    if let Err(e) = client.core().registry().publish(MODEL, model.clone()) {
                         refused = Some(e);
                     }
                     std::thread::sleep(Duration::from_millis(5));

@@ -160,9 +160,11 @@ fn every_path_serves_the_fp32_forward_of_the_decoded_container() {
                         |k| hedged.replicas_for(&format!("{name}/{k}"), None)[0].id == "n0";
                     name = format!("{name}/{}", (0..).find(|&k| primary(k)).unwrap());
                 }
-                client.register(&name, if path == "canary" { base } else { model }).unwrap();
+                client
+                    .register(&name, (if path == "canary" { base } else { model }).clone())
+                    .unwrap();
                 if path == "canary" {
-                    let (entry, state) = core.registry().publish(&name, model).unwrap();
+                    let (entry, state) = core.registry().publish(&name, model.clone()).unwrap();
                     assert_eq!((entry.rev, state), (CANDIDATE, RevState::Canary));
                 }
                 cells.push((label, path, batch, name, want));
@@ -170,7 +172,7 @@ fn every_path_serves_the_fp32_forward_of_the_decoded_container() {
         }
     }
     assert_eq!(cells.len(), 6 * (3 * 3 + 4 * 2), "54 in-process and 48 network cells");
-    client.register("plug", &containers[0].1).unwrap();
+    client.register("plug", containers[0].1.clone()).unwrap();
 
     // Park the worker and queue the table, a thread per request (not the
     // engine's: one call is one batch).

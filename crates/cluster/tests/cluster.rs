@@ -46,7 +46,7 @@ fn start_cluster(n: usize, mut config: RouterConfig) -> (Vec<TestNode>, Router) 
     let mut nodes = Vec::new();
     for i in 0..n {
         let core = ServeCore::start(ServeOptions::default());
-        Client::new(Arc::clone(&core)).register("demo", &container).unwrap();
+        Client::new(Arc::clone(&core)).register("demo", container.clone()).unwrap();
         let node = ClusterNode::start(Arc::clone(&core), "127.0.0.1:0").unwrap();
         nodes.push(TestNode { id: format!("n{}", i + 1), core, node });
     }
@@ -428,7 +428,7 @@ fn concurrent_routed_load_is_bit_identical_on_pooled_connections() {
     let names = ["demo", "demo-b", "demo-c"];
     for node in &nodes {
         for name in &names[1..] {
-            Client::new(Arc::clone(&node.core)).register(name, &container).unwrap();
+            Client::new(Arc::clone(&node.core)).register(name, container.clone()).unwrap();
         }
     }
     let reference = container.decode().unwrap();

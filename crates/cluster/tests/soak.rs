@@ -45,7 +45,7 @@ fn threads_and_descriptors_are_constant_under_sequential_load() {
     for i in 0..3 {
         let core = ServeCore::start(ServeOptions::default());
         for name in ["a", "b", "c", "d"] {
-            Client::new(Arc::clone(&core)).register(name, &container).unwrap();
+            Client::new(Arc::clone(&core)).register(name, container.clone()).unwrap();
         }
         let node = ClusterNode::start(Arc::clone(&core), "127.0.0.1:0").unwrap();
         router.add_node(format!("n{}", i + 1), node.local_addr().to_string());

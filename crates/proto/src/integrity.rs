@@ -12,27 +12,46 @@
 //! It is not a defence against a crafted payload, which seals itself
 //! correctly: that is the count rule's job ([`crate::codec`]).
 
-/// CRC32 lookup table for the reflected IEEE polynomial `0xEDB88320`,
-/// built at compile time.
+/// Bytes folded per step of [`Crc32::update`]'s main loop (slicing-by-16).
+const LANES: usize = 16;
+
+/// The slicing tables of Kounavis and Berry ("A Systematic Approach to
+/// Building High Performance Software-Based CRC Generators", ISCC 2005)
+/// for the reflected IEEE polynomial `0xEDB88320`, built at compile
+/// time. `SLICES[k][i]` is the CRC register after byte `i` and then `k`
+/// zero bytes, so `SLICES[0]` is the classic byte-at-a-time table and
+/// the checksum of `LANES` bytes is the XOR of one lookup per byte.
 #[allow(
     clippy::indexing_slicing,
     reason = "const evaluation: an out-of-range index is a build error"
 )]
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+const SLICES: [[u32; 256]; LANES] = {
+    let mut tables = [[0u32; 256]; LANES];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32; // CAST: loop counter below 256
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-            bit += 1;
+        let mut k = 0;
+        while k < LANES {
+            // One more byte through the register, bit by bit.
+            let mut bit = 0;
+            while bit < 8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+                bit += 1;
+            }
+            tables[k][i] = crc;
+            k += 1;
         }
-        table[i] = crc;
         i += 1;
     }
-    table
+    tables
 };
+
+/// One table lookup. A `u8` index into 256 entries cannot miss, so the
+/// compiler drops the bounds check.
+#[inline(always)]
+fn lookup(table: &[u32; 256], byte: u8) -> u32 {
+    table.get(usize::from(byte)).copied().unwrap_or_default()
+}
 
 /// An incremental CRC-32 (IEEE, reflected — the zlib/PNG variant):
 /// feeding the parts of a message one after another gives the checksum
@@ -46,14 +65,36 @@ pub struct Crc32 {
 }
 
 impl Crc32 {
-    /// Feeds `data` into the checksum.
+    /// Feeds `data` into the checksum: `LANES` bytes a step, the running
+    /// checksum XORed into the first four, then the tail byte by byte.
     pub fn update(&mut self, data: &[u8]) {
         let mut crc = !self.sum;
-        for &byte in data {
+        let (chunks, tail) = data.as_chunks::<LANES>();
+        for chunk in chunks {
+            let [c0, c1, c2, c3] = crc.to_le_bytes();
+            let [b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15] = *chunk;
+            let [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15] = &SLICES;
+            crc = lookup(t15, b0 ^ c0)
+                ^ lookup(t14, b1 ^ c1)
+                ^ lookup(t13, b2 ^ c2)
+                ^ lookup(t12, b3 ^ c3)
+                ^ lookup(t11, b4)
+                ^ lookup(t10, b5)
+                ^ lookup(t9, b6)
+                ^ lookup(t8, b7)
+                ^ lookup(t7, b8)
+                ^ lookup(t6, b9)
+                ^ lookup(t5, b10)
+                ^ lookup(t4, b11)
+                ^ lookup(t3, b12)
+                ^ lookup(t2, b13)
+                ^ lookup(t1, b14)
+                ^ lookup(t0, b15);
+        }
+        let [table, ..] = &SLICES;
+        for &byte in tail {
             let [low, ..] = crc.to_le_bytes();
-            // A `u8` index into 256 entries: the lookup cannot miss.
-            let entry = TABLE.get(usize::from(low ^ byte)).copied().unwrap_or_default();
-            crc = (crc >> 8) ^ entry;
+            crc = (crc >> 8) ^ lookup(table, low ^ byte);
         }
         self.sum = !crc;
     }
@@ -76,6 +117,54 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The specification [`Crc32::update`] must equal: one table lookup
+    /// per byte.
+    fn bytewise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &byte in data {
+            crc = (crc >> 8) ^ SLICES[0][usize::from(crc.to_le_bytes()[0] ^ byte)];
+        }
+        !crc
+    }
+
+    /// `len` bytes of a SplitMix64 stream seeded with `seed`.
+    fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
+    #[test]
+    fn matches_the_bytewise_loop_at_every_length_and_offset() {
+        let data = random_bytes(1, 128);
+        for start in 0..64 {
+            for len in 0..=64 {
+                let part = &data[start..start + len];
+                assert_eq!(crc32(part), bytewise(part), "start {start}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn matches_the_bytewise_loop_on_random_buffers_up_to_64_kib() {
+        for seed in 0..24u64 {
+            let r = random_bytes(!seed, 2);
+            // Seed 0 takes the whole 64 KiB, the others a random length below it.
+            let len =
+                if seed == 0 { 1 << 16 } else { usize::from(u16::from_le_bytes([r[0], r[1]])) };
+            let data = random_bytes(seed, len);
+            assert_eq!(crc32(&data), bytewise(&data), "seed {seed}, len {len}");
+        }
+    }
 
     #[test]
     fn golden_check_value() {
@@ -112,7 +201,7 @@ mod tests {
             let mut crc = Crc32::default();
             crc.update(&data[..split]);
             crc.update(&data[split..]);
-            assert_eq!(crc.finish(), crc32(&data), "split at {split}");
+            assert_eq!(crc.finish(), bytewise(&data), "split at {split}");
         }
     }
 }

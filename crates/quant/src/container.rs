@@ -224,13 +224,12 @@ impl QuantizedLayer {
             return Err(corrupt("non-finite outlier"));
         }
         let g_count = total - outliers;
-        // The packed run is taken before it is unpacked, so the index
-        // buffer below is at most 8x the bytes actually present.
         let packed = r.take(packing::packed_len(g_count, bits))?;
-        // Validate that every index decodes inside the codebook.
-        let assignments = packing::unpack(packed, bits, g_count)?;
-        if assignments.iter().any(|&a| a as usize >= codebook_len) {
-            return Err(corrupt("index outside codebook"));
+        // A full codebook (2^bits centroids) holds every `bits`-wide
+        // index, so only a short one can be pointed past. ARITH: `bits`
+        // is 1..=8, checked above.
+        if codebook_len < 1 << bits {
+            check_indices(packed, bits, g_count, codebook_len)?;
         }
         let codebook = Codebook::new(centroids)?;
         Ok(QuantizedLayer::from_parts(
@@ -244,6 +243,26 @@ impl QuantizedLayer {
             ConvergenceTrace::default(),
         ))
     }
+}
+
+/// Refuses a packed index at or past `codebook_len`, unpacking the
+/// `count` indices a fixed run at a time into a stack buffer.
+fn check_indices(
+    packed: &[u8],
+    bits: u8,
+    count: usize,
+    codebook_len: usize,
+) -> Result<(), QuantError> {
+    let mut run = [0u8; 256];
+    for start in (0..count).step_by(run.len()) {
+        let len = run.len().min(count - start);
+        let indices = run.get_mut(..len).unwrap_or_default();
+        packing::unpack_run(packed, bits, start, indices)?;
+        if indices.iter().any(|&a| usize::from(a) >= codebook_len) {
+            return Err(corrupt("index outside codebook"));
+        }
+    }
+    Ok(())
 }
 
 /// A named collection of compressed layers — the whole-model payload.

@@ -14,6 +14,7 @@ use gobo_proto::codec::reseal;
 use gobo_quant::container::{reseal_archive, ModelArchive};
 use gobo_quant::integrity::crc32;
 use gobo_quant::layer::QuantizedLayer;
+use gobo_quant::packing;
 use gobo_quant::{QuantConfig, QuantError, QuantMethod};
 use proptest::prelude::*;
 
@@ -160,6 +161,67 @@ fn a_resealed_codebook_that_does_not_ascend_is_refused() {
     archive[at..at + layer.len()].copy_from_slice(&layer);
     reseal_archive(&mut archive);
     assert_eq!(ModelArchive::from_bytes(&archive).unwrap_err(), refused);
+}
+
+/// A sealed 3-bit layer of `indices` over `centroids` with no outliers,
+/// written field by field in the container's layout.
+fn raw_layer(centroids: &[f32], indices: &[u8]) -> Vec<u8> {
+    // Magic, version, method, bits = 3 and padding, from a real layer.
+    let mut out = sample_layer(64, 3).to_bytes()[..8].to_vec();
+    for len in [indices.len(), 0, centroids.len()] {
+        out.extend_from_slice(&u32::try_from(len).unwrap().to_le_bytes());
+    }
+    for c in centroids {
+        out.extend_from_slice(&c.to_le_bytes());
+    }
+    out.extend_from_slice(&packing::pack(indices, 3).unwrap());
+    out.extend_from_slice(&[0; 4]);
+    reseal(&mut out);
+    out
+}
+
+/// A short codebook (5 of 8 centroids) leaves 3-bit indices that point
+/// past it. One such index behind a fresh seal is refused, whichever
+/// run of the index check it falls in, alone and as an archive entry.
+#[test]
+fn a_resealed_index_outside_a_short_codebook_is_refused() {
+    let refused = QuantError::CorruptPayload { what: "index outside codebook" };
+    let five = [-0.2f32, -0.1, 0.0, 0.1, 0.2];
+    let indices: Vec<u8> = (0..700).map(|i| (i % 5) as u8).collect();
+    let intact = raw_layer(&five, &indices);
+    let layer = QuantizedLayer::from_bytes(&intact).unwrap();
+    assert_eq!(layer.codebook().len(), 5);
+    assert_eq!(layer.to_bytes(), intact, "a short codebook round-trips");
+
+    let mut archive = ModelArchive::new();
+    archive.push("encoder.0.attention.query", layer).unwrap();
+    archive.push("pooler", sample_layer(123, 2)).unwrap();
+    let archive = archive.to_bytes();
+    let at = archive.windows(intact.len()).position(|w| w == &intact[..]).expect("first entry");
+
+    for (position, bad) in [(0, 5u8), (255, 7), (256, 6), (699, 5)] {
+        let mut pointed_past = indices.clone();
+        pointed_past[position] = bad;
+        let corrupt = raw_layer(&five, &pointed_past);
+        assert_eq!(corrupt.len(), intact.len());
+        assert_eq!(QuantizedLayer::from_bytes(&corrupt).unwrap_err(), refused, "index {position}");
+
+        let mut archive = archive.clone();
+        archive[at..at + corrupt.len()].copy_from_slice(&corrupt);
+        reseal_archive(&mut archive);
+        assert_eq!(ModelArchive::from_bytes(&archive).unwrap_err(), refused, "entry {position}");
+    }
+}
+
+/// A full codebook (2^bits centroids) holds every index: a layer whose
+/// indices are all the largest one parses and round-trips.
+#[test]
+fn a_full_codebook_accepts_its_largest_index() {
+    let eight: Vec<f32> = (0..8u8).map(|c| f32::from(c) * 0.1 - 0.35).collect();
+    let bytes = raw_layer(&eight, &[7; 700]);
+    let layer = QuantizedLayer::from_bytes(&bytes).unwrap();
+    assert_eq!(layer.decode(), vec![eight[7]; 700]);
+    assert_eq!(layer.to_bytes(), bytes, "round-trip is byte-stable");
 }
 
 /// The trailing CRC in a v2 layer is the IEEE CRC-32 of everything

@@ -188,7 +188,7 @@ impl Client {
     pub fn register(
         &self,
         name: &str,
-        compressed: &CompressedModel,
+        compressed: CompressedModel,
     ) -> Result<Arc<ModelEntry>, ServeError> {
         self.core.registry.insert(name, compressed)
     }

@@ -28,6 +28,7 @@ use gobo_model::batch::EncodeInput;
 use gobo_model::compute::{DenseCompute, WeightCompute};
 use gobo_model::forward::EncoderOutput;
 use gobo_model::{ModelError, TransformerModel};
+use gobo_quant::container::ModelArchive;
 use gobo_quant::QuantizedMatrix;
 use gobo_tensor::Tensor;
 
@@ -59,8 +60,17 @@ impl QuantizedEngine {
         model: Arc<TransformerModel>,
         compressed: &CompressedModel,
     ) -> Result<Self, ServeError> {
+        Self::over_archive(model, &compressed.archive)
+    }
+
+    /// [`QuantizedEngine::new`] over the archive alone, for a caller
+    /// that has moved the container's skeleton into `model`.
+    pub(crate) fn over_archive(
+        model: Arc<TransformerModel>,
+        archive: &ModelArchive,
+    ) -> Result<Self, ServeError> {
         let mut packed = HashMap::new();
-        for (name, layer) in compressed.archive.iter() {
+        for (name, layer) in archive.iter() {
             let matrix = model
                 .weight_dims(name)
                 .ok()

@@ -62,7 +62,7 @@
 //! // Serve it in-process.
 //! let core = ServeCore::start(ServeOptions::default());
 //! let client = Client::new(core.clone());
-//! client.register("demo", &compressed)?;
+//! client.register("demo", compressed)?;
 //! let response = client.encode(EncodeRequest::new("demo", vec![1, 2, 3]))?;
 //! assert_eq!(response.hidden_dims, [3, 16]);
 //! core.shutdown();

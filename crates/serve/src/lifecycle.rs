@@ -174,8 +174,8 @@ mod tests {
     fn setup() -> (ModelRegistry, Arc<Metrics>, ModelKey) {
         let metrics = Arc::new(Metrics::new());
         let registry = ModelRegistry::new(RegistryConfig::default(), Arc::clone(&metrics));
-        registry.insert("m", &compressed(1)).unwrap();
-        let (entry, state) = registry.publish("m", &compressed(2)).unwrap();
+        registry.insert("m", compressed(1)).unwrap();
+        let (entry, state) = registry.publish("m", compressed(2)).unwrap();
         assert_eq!((entry.rev, state), (2, RevState::Canary));
         let key = entry.key.clone();
         (registry, metrics, key)

@@ -331,7 +331,7 @@ impl ModelRegistry {
     /// Returns [`ServeError::Io`] for unreadable files and
     /// [`ServeError::Format`] for corrupt containers.
     pub fn load_file(&self, name: &str, path: &str) -> Result<Arc<ModelEntry>, ServeError> {
-        self.insert(name, &read_container(path)?)
+        self.insert(name, read_container(path)?)
     }
 
     /// Loads a `.gobom` container from disk and publishes it through
@@ -348,15 +348,16 @@ impl ModelRegistry {
         name: &str,
         path: &str,
     ) -> Result<(Arc<ModelEntry>, RevState), ServeError> {
-        self.publish(name, &read_container(path)?)
+        self.publish(name, read_container(path)?)
     }
 
     /// Builds the serving engine for `compressed`, outside the lock: its
-    /// skeleton as stored beside its archive as stored.
+    /// skeleton as stored, moved into the engine, beside its archive as
+    /// stored.
     fn build_parts(
         &self,
         name: &str,
-        compressed: &CompressedModel,
+        compressed: CompressedModel,
     ) -> Result<RevisionParts, ServeError> {
         // Fails the engine build. Nothing here decodes, but the failpoint
         // catalog and the chaos labels name it `registry.decode`.
@@ -364,15 +365,16 @@ impl ModelRegistry {
             "registry.decode",
             ServeError::Internal("injected registry.decode fault")
         );
-        let model = Arc::new(compressed.skeleton.clone());
-        let engine = Arc::new(QuantizedEngine::new(model, compressed)?);
-        let bits = compressed.archive.iter().map(|(_, l)| l.bits()).max().unwrap_or(32);
+        let compressed_bytes = compressed.serialized_bytes();
+        let CompressedModel { skeleton, archive } = compressed;
+        let engine = Arc::new(QuantizedEngine::over_archive(Arc::new(skeleton), &archive)?);
+        let bits = archive.iter().map(|(_, l)| l.bits()).max().unwrap_or(32);
         Ok(RevisionParts {
             key: ModelKey { name: name.to_owned(), bits },
             resident_bytes: engine.resident_bytes(),
             engine,
-            compressed_bytes: compressed.serialized_bytes(),
-            quantized_layers: compressed.archive.len(),
+            compressed_bytes,
+            quantized_layers: archive.len(),
         })
     }
 
@@ -402,7 +404,7 @@ impl ModelRegistry {
     pub fn insert(
         &self,
         name: &str,
-        compressed: &CompressedModel,
+        compressed: CompressedModel,
     ) -> Result<Arc<ModelEntry>, ServeError> {
         let parts = self.build_parts(name, compressed)?;
         let mut inner = self.lock_inner();
@@ -430,7 +432,7 @@ impl ModelRegistry {
     pub fn publish(
         &self,
         name: &str,
-        compressed: &CompressedModel,
+        compressed: CompressedModel,
     ) -> Result<(Arc<ModelEntry>, RevState), ServeError> {
         let parts = self.build_parts(name, compressed)?;
         gobo_fault::fail_point!(
@@ -776,8 +778,8 @@ mod tests {
     #[test]
     fn insert_get_and_name_bits_key() {
         let r = registry(usize::MAX, 16);
-        r.insert("m", &compressed(1, 3)).unwrap();
-        r.insert("m", &compressed(1, 4)).unwrap();
+        r.insert("m", compressed(1, 3)).unwrap();
+        r.insert("m", compressed(1, 4)).unwrap();
         assert_eq!(r.len(), 2);
         assert_eq!(r.get("m", Some(3)).unwrap().key.bits, 3);
         assert_eq!(r.get("m", Some(4)).unwrap().key.bits, 4);
@@ -794,13 +796,15 @@ mod tests {
         // the budget from the models themselves: room for any two of
         // them, never for all three.
         let probe = registry(usize::MAX, 16);
-        let bytes: Vec<usize> =
-            models.iter().map(|c| probe.insert("probe", c).unwrap().resident_bytes).collect();
+        let bytes: Vec<usize> = models
+            .iter()
+            .map(|c| probe.insert("probe", c.clone()).unwrap().resident_bytes)
+            .collect();
         let r = registry(bytes.iter().sum::<usize>() - bytes.iter().min().unwrap(), 16);
-        r.insert("a", &models[0]).unwrap();
-        r.insert("b", &models[1]).unwrap();
+        r.insert("a", models[0].clone()).unwrap();
+        r.insert("b", models[1].clone()).unwrap();
         r.get("a", None).unwrap(); // touch `a`: now `b` is LRU
-        r.insert("c", &models[2]).unwrap();
+        r.insert("c", models[2].clone()).unwrap();
         assert_eq!(r.len(), 2);
         assert!(r.get("a", None).is_ok());
         assert!(r.get("b", None).is_err(), "LRU entry should be evicted");
@@ -811,8 +815,8 @@ mod tests {
     #[test]
     fn newest_model_survives_even_over_budget() {
         let r = registry(1, 16); // budget smaller than any model
-        r.insert("a", &compressed(1, 3)).unwrap();
-        r.insert("b", &compressed(2, 3)).unwrap();
+        r.insert("a", compressed(1, 3)).unwrap();
+        r.insert("b", compressed(2, 3)).unwrap();
         assert_eq!(r.len(), 1);
         assert!(r.get("b", None).is_ok());
     }
@@ -820,9 +824,9 @@ mod tests {
     #[test]
     fn model_count_cap() {
         let r = registry(usize::MAX, 2);
-        r.insert("a", &compressed(1, 3)).unwrap();
-        r.insert("b", &compressed(2, 3)).unwrap();
-        r.insert("c", &compressed(3, 3)).unwrap();
+        r.insert("a", compressed(1, 3)).unwrap();
+        r.insert("b", compressed(2, 3)).unwrap();
+        r.insert("c", compressed(3, 3)).unwrap();
         assert_eq!(r.len(), 2);
         assert!(r.get("a", None).is_err());
     }
@@ -831,8 +835,8 @@ mod tests {
     fn held_handle_survives_eviction() {
         let r = registry(1, 16);
         let a = compressed(1, 3);
-        let held = r.insert("a", &a).unwrap();
-        r.insert("b", &compressed(2, 3)).unwrap(); // evicts `a`
+        let held = r.insert("a", a.clone()).unwrap();
+        r.insert("b", compressed(2, 3)).unwrap(); // evicts `a`
         assert!(r.get("a", None).is_err());
         // The Arc keeps the engine alive for in-flight work.
         assert_eq!(serve_one(&held, &[1, 2]), oracle(&a, &[1, 2]));
@@ -850,7 +854,7 @@ mod tests {
         let models: Vec<CompressedModel> = (0..4u64).map(|s| compressed(s, 3)).collect();
         let reference: Vec<_> = models.iter().map(|c| oracle(c, &[1, 2, 3])).collect();
         let r = Arc::new(registry(1, 16));
-        r.insert("m0", &models[0]).unwrap();
+        r.insert("m0", models[0].clone()).unwrap();
         let stop = Arc::new(AtomicBool::new(false));
         let served: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
         let mut getters = Vec::new();
@@ -880,7 +884,7 @@ mod tests {
             || (inserts < MAX_INSERTS && idle() && !getters.iter().any(|g| g.is_finished()))
         {
             let j = inserts % 4;
-            r.insert(&format!("m{j}"), &models[j]).unwrap();
+            r.insert(&format!("m{j}"), models[j].clone()).unwrap();
             inserts += 1;
         }
         stop.store(true, Ordering::Relaxed);
@@ -895,8 +899,8 @@ mod tests {
     #[test]
     fn list_orders_by_recency() {
         let r = registry(usize::MAX, 16);
-        r.insert("a", &compressed(1, 3)).unwrap();
-        r.insert("b", &compressed(2, 3)).unwrap();
+        r.insert("a", compressed(1, 3)).unwrap();
+        r.insert("b", compressed(2, 3)).unwrap();
         r.get("a", None).unwrap();
         let names: Vec<String> = r.list().iter().map(|e| e.key.name.clone()).collect();
         assert_eq!(names, vec!["a", "b"]);
@@ -905,8 +909,8 @@ mod tests {
     #[test]
     fn status_reports_resident_and_evicted() {
         let r = registry(1, 16); // budget smaller than any model
-        r.insert("a", &compressed(1, 3)).unwrap();
-        r.insert("b", &compressed(2, 3)).unwrap(); // evicts `a`
+        r.insert("a", compressed(1, 3)).unwrap();
+        r.insert("b", compressed(2, 3)).unwrap(); // evicts `a`
         let status = r.status();
         assert_eq!(status.len(), 2);
         let b = status.iter().find(|s| s.key.name == "b").unwrap();
@@ -921,7 +925,7 @@ mod tests {
         assert_eq!(a.state, RevState::Evicted);
         // Re-inserting clears the evicted record.
         let r2 = registry(usize::MAX, 16);
-        r2.insert("a", &compressed(1, 3)).unwrap();
+        r2.insert("a", compressed(1, 3)).unwrap();
         let status = r2.status();
         assert_eq!(status.len(), 1);
         assert!(status[0].resident);
@@ -947,9 +951,9 @@ mod tests {
     fn publish_promote_flips_active_and_drains_old_rev() {
         let r = registry(usize::MAX, 16);
         let (c1, c2) = (compressed(1, 3), compressed(2, 3));
-        let first = r.insert("m", &c1).unwrap();
+        let first = r.insert("m", c1.clone()).unwrap();
         assert_eq!(first.rev, 1);
-        let (second, state) = r.publish("m", &c2).unwrap();
+        let (second, state) = r.publish("m", c2.clone()).unwrap();
         assert_eq!(state, RevState::Canary);
         assert_eq!(second.rev, 2);
         // Active lookup still resolves rev 1 while the canary pends.
@@ -982,7 +986,7 @@ mod tests {
     #[test]
     fn publish_into_empty_slot_goes_straight_to_active() {
         let r = registry(usize::MAX, 16);
-        let (entry, state) = r.publish("fresh", &compressed(1, 3)).unwrap();
+        let (entry, state) = r.publish("fresh", compressed(1, 3)).unwrap();
         assert_eq!(state, RevState::Active);
         assert_eq!(entry.rev, 1);
         assert_eq!(r.get("fresh", None).unwrap().rev, 1);
@@ -991,8 +995,8 @@ mod tests {
     #[test]
     fn rollback_keeps_active_serving() {
         let r = registry(usize::MAX, 16);
-        let first = r.insert("m", &compressed(1, 3)).unwrap();
-        let (second, _) = r.publish("m", &compressed(2, 3)).unwrap();
+        let first = r.insert("m", compressed(1, 3)).unwrap();
+        let (second, _) = r.publish("m", compressed(2, 3)).unwrap();
         let rolled = r.rollback(&first.key).unwrap();
         assert_eq!(rolled.rev, second.rev);
         assert!(r.canary_for(&first.key).is_none());
@@ -1008,9 +1012,9 @@ mod tests {
     #[test]
     fn superseded_canary_drains() {
         let r = registry(usize::MAX, 16);
-        let first = r.insert("m", &compressed(1, 3)).unwrap();
-        let (c2, _) = r.publish("m", &compressed(2, 3)).unwrap();
-        let (c3, _) = r.publish("m", &compressed(3, 3)).unwrap();
+        let first = r.insert("m", compressed(1, 3)).unwrap();
+        let (c2, _) = r.publish("m", compressed(2, 3)).unwrap();
+        let (c3, _) = r.publish("m", compressed(3, 3)).unwrap();
         assert_eq!(c3.rev, 3);
         assert_eq!(r.canary_for(&first.key).unwrap().rev, 3);
         drop(c2);
@@ -1046,26 +1050,26 @@ mod tests {
                     assert!(held <= file, "{what}: r{} holds {held} B of a {file} B file", s.rev);
                 }
             };
-            let first = r.insert("m", &models[0]).unwrap();
+            let first = r.insert("m", models[0].clone()).unwrap();
             assert_eq!(first.resident_bytes, first.engine.resident_bytes());
             assert!(first.compressed_bytes > 0 && first.quantized_layers > 0);
             let key = first.key.clone();
             drop(first);
             check(&[0], "insert");
-            r.publish("m", &models[1]).unwrap();
+            r.publish("m", models[1].clone()).unwrap();
             check(&[0, 1], "publish (canary)");
-            r.publish("m", &models[2]).unwrap();
+            r.publish("m", models[2].clone()).unwrap();
             check(&[0, 2], "supersede (old canary retired)");
             r.rollback(&key).unwrap();
             check(&[0], "rollback");
-            r.publish("m", &models[3]).unwrap();
+            r.publish("m", models[3].clone()).unwrap();
             let pin = r.get("m", None).unwrap();
             r.promote(&key).unwrap();
             check(&[0, 3], "promote (old active pinned, draining)");
             drop(pin);
             check(&[3], "drained");
-            r.insert("n", &models[1]).unwrap();
-            r.insert("o", &models[2]).unwrap(); // third slot: evicts LRU `m`
+            r.insert("n", models[1].clone()).unwrap();
+            r.insert("o", models[2].clone()).unwrap(); // third slot: evicts LRU `m`
             assert!(r.status().iter().any(|s| s.state == RevState::Evicted && s.key.name == "m"));
             check(&[1, 2], "eviction");
             // One representation: the 3-bit model costs well under half
@@ -1092,8 +1096,8 @@ mod tests {
         use crate::lifecycle::WindowVerdict::{Clean, Pending};
         let policy = CanaryPolicy { traffic_pct: 100, window: 3, ..Default::default() };
         let r = registry(usize::MAX, 16);
-        let key = r.insert("m", &compressed(1, 3)).unwrap().key.clone();
-        r.publish("m", &compressed(2, 3)).unwrap();
+        let key = r.insert("m", compressed(1, 3)).unwrap().key.clone();
+        r.publish("m", compressed(2, 3)).unwrap();
         // Two of the three samples rev 2 needs, then two batches in
         // flight on it while rev 3 is published.
         for _ in 0..2 {
@@ -1104,7 +1108,7 @@ mod tests {
         let ok_batch = r.resolve("m", None, &policy).unwrap();
         let failed_batch = r.resolve("m", None, &policy).unwrap();
         assert_eq!((ok_batch.trial_rev, failed_batch.trial_rev), (Some(2), Some(2)));
-        r.publish("m", &compressed(3, 3)).unwrap();
+        r.publish("m", compressed(3, 3)).unwrap();
         assert!(trial_is_fresh(&r, &key, 3));
 
         // Rev 2's third sample would have completed rev 2's window.
@@ -1138,11 +1142,11 @@ mod tests {
     fn resolve_routes_the_trials_share_and_names_the_trial() {
         let policy = CanaryPolicy { traffic_pct: 50, ..Default::default() };
         let r = registry(usize::MAX, 16);
-        r.insert("m", &compressed(1, 3)).unwrap();
+        r.insert("m", compressed(1, 3)).unwrap();
         let plain = r.resolve("m", None, &policy).unwrap();
         assert_eq!((plain.active.rev, plain.trial_rev, plain.canary.is_none()), (1, None, true));
         for rev in [2u64, 3] {
-            r.publish("m", &compressed(rev, 3)).unwrap();
+            r.publish("m", compressed(rev, 3)).unwrap();
             let routed: Vec<Option<u64>> = (0..4)
                 .map(|_| {
                     let batch = r.resolve("m", None, &policy).unwrap();
@@ -1162,11 +1166,11 @@ mod tests {
     #[test]
     fn status_shows_canary_and_draining_revs() {
         let r = registry(usize::MAX, 16);
-        let first = r.insert("m", &compressed(1, 3)).unwrap();
-        r.publish("m", &compressed(2, 3)).unwrap();
+        let first = r.insert("m", compressed(1, 3)).unwrap();
+        r.publish("m", compressed(2, 3)).unwrap();
         // `first` is still held here, so after promote it drains.
         r.promote(&first.key).unwrap();
-        r.publish("m", &compressed(3, 3)).unwrap();
+        r.publish("m", compressed(3, 3)).unwrap();
         let status = r.status();
         let states: Vec<(u64, RevState)> = status.iter().map(|s| (s.rev, s.state)).collect();
         assert!(states.contains(&(2, RevState::Active)), "{states:?}");

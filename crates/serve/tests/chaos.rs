@@ -37,7 +37,7 @@ fn panic_every_fifth_encode_fails_only_injected_requests() {
     let _guard = FaultGuard::lock();
     let core = start_core(2);
     let client = Client::new(Arc::clone(&core));
-    client.register("chaos", &compressed(3)).unwrap();
+    client.register("chaos", compressed(3)).unwrap();
     client.encode(EncodeRequest::new("chaos", vec![1, 2, 3])).unwrap();
 
     gobo_fault::configure_str("serve.encode=panic(every=5)").unwrap();
@@ -73,7 +73,7 @@ fn admission_failpoint_rejects_before_queueing() {
     let _guard = FaultGuard::lock();
     let core = start_core(1);
     let client = Client::new(Arc::clone(&core));
-    client.register("chaos", &compressed(4)).unwrap();
+    client.register("chaos", compressed(4)).unwrap();
 
     gobo_fault::configure_str("serve.admission=error").unwrap();
     let err = client.encode(EncodeRequest::new("chaos", vec![1, 2, 3])).unwrap_err();
@@ -94,12 +94,12 @@ fn registry_decode_failpoint_fails_registration() {
     let client = Client::new(Arc::clone(&core));
 
     gobo_fault::configure_str("registry.decode=error").unwrap();
-    let err = client.register("chaos", &compressed(5)).unwrap_err();
+    let err = client.register("chaos", compressed(5)).unwrap_err();
     assert_eq!(err.code(), "internal");
     assert_eq!(gobo_fault::fires("registry.decode"), 1);
 
     gobo_fault::reset();
-    client.register("chaos", &compressed(5)).unwrap();
+    client.register("chaos", compressed(5)).unwrap();
     client.encode(EncodeRequest::new("chaos", vec![1, 2, 3])).unwrap();
     shutdown_and_check_counters(&core);
 }
@@ -110,7 +110,7 @@ fn delay_failpoint_slows_but_serves() {
     let _guard = FaultGuard::lock();
     let core = start_core(1);
     let client = Client::new(Arc::clone(&core));
-    client.register("chaos", &compressed(6)).unwrap();
+    client.register("chaos", compressed(6)).unwrap();
     client.encode(EncodeRequest::new("chaos", vec![1, 2, 3])).unwrap();
 
     gobo_fault::configure_str("serve.batch=delay(ms=30)").unwrap();
@@ -127,10 +127,10 @@ fn delay_failpoint_slows_but_serves() {
 fn swap_failpoint_rejects_publish_without_mutation() {
     let _guard = FaultGuard::lock();
     let r = ModelRegistry::new(RegistryConfig::default(), Arc::new(Metrics::new()));
-    let first = r.insert("m", &compressed(11)).unwrap();
+    let first = r.insert("m", compressed(11)).unwrap();
 
     gobo_fault::configure_str("registry.swap=error").unwrap();
-    let err = r.publish("m", &compressed(12)).unwrap_err();
+    let err = r.publish("m", compressed(12)).unwrap_err();
     assert_eq!(err.code(), "internal");
     assert!(err.to_string().contains("registry.swap"), "{err}");
     assert!(gobo_fault::fires("registry.swap") > 0);
@@ -140,7 +140,7 @@ fn swap_failpoint_rejects_publish_without_mutation() {
     // accepted publish still gets the next rev number.
     assert_eq!(r.get("m", None).unwrap().rev, 1);
     assert!(r.canary_for(&first.key).is_none());
-    let (entry, state) = r.publish("m", &compressed(12)).unwrap();
+    let (entry, state) = r.publish("m", compressed(12)).unwrap();
     assert_eq!(entry.rev, 2);
     assert_eq!(state, RevState::Canary);
 }
@@ -154,8 +154,8 @@ fn retire_failpoint_fires_once_per_retirement() {
     // each retirement without changing behaviour.
     gobo_fault::configure_str("registry.retire=delay(ms=0)").unwrap();
     let r = ModelRegistry::new(RegistryConfig::default(), Arc::new(Metrics::new()));
-    let first = r.insert("m", &compressed(13)).unwrap();
-    let (second, _) = r.publish("m", &compressed(14)).unwrap();
+    let first = r.insert("m", compressed(13)).unwrap();
+    let (second, _) = r.publish("m", compressed(14)).unwrap();
     let key = first.key.clone();
     drop(first);
     drop(second);
@@ -178,12 +178,12 @@ fn canary_error_falls_back_and_rolls_back() {
         ..ServeOptions::default()
     });
     let client = Client::new(Arc::clone(&core));
-    client.register("chaos", &compressed(3)).unwrap();
+    client.register("chaos", compressed(3)).unwrap();
     let baseline = client.encode(EncodeRequest::new("chaos", vec![1, 2, 3])).unwrap();
     assert_eq!(baseline.rev, 1);
 
     gobo_fault::configure_str("serve.canary=error").unwrap();
-    let (entry, state) = core.registry().publish("chaos", &compressed(4)).unwrap();
+    let (entry, state) = core.registry().publish("chaos", compressed(4)).unwrap();
     assert_eq!(state, RevState::Canary);
 
     let fallback = client.encode(EncodeRequest::new("chaos", vec![1, 2, 3])).unwrap();
@@ -219,13 +219,13 @@ fn slow_canary_rolled_back_on_p95_regression() {
         ..ServeOptions::default()
     });
     let client = Client::new(Arc::clone(&core));
-    client.register("chaos", &compressed(5)).unwrap();
+    client.register("chaos", compressed(5)).unwrap();
     client.encode(EncodeRequest::new("chaos", vec![1, 2, 3])).unwrap();
 
     // Tiny model batches run in well under a millisecond; a 20 ms delay
     // dwarfs any plausible 3x baseline.
     gobo_fault::configure_str("serve.canary=delay(ms=20)").unwrap();
-    let (entry, _) = core.registry().publish("chaos", &compressed(6)).unwrap();
+    let (entry, _) = core.registry().publish("chaos", compressed(6)).unwrap();
 
     let mut served = 0usize;
     for r in 0..64usize {
@@ -262,7 +262,7 @@ fn superseding_canary_is_judged_on_its_own_samples() {
         ..ServeOptions::default()
     });
     let client = Client::new(Arc::clone(&core));
-    let key = client.register("chaos", &compressed(20)).unwrap().key.clone();
+    let key = client.register("chaos", compressed(20)).unwrap().key.clone();
     let promotions = || core.metrics().canary_promotions.load(Ordering::Relaxed);
     let active_rev = || core.registry().list()[0].rev;
     // `batches` sequential requests, each of which must be served by
@@ -298,7 +298,7 @@ fn superseding_canary_is_judged_on_its_own_samples() {
         assert_eq!((promotions(), active_rev()), (settled + 1, second), "{how}");
         assert!(core.registry().canary_for(&key).is_none(), "{how}");
     };
-    round("publish", 1, &|seed| core.registry().publish("chaos", &compressed(seed)).unwrap().1);
+    round("publish", 1, &|seed| core.registry().publish("chaos", compressed(seed)).unwrap().1);
     round("reload", 3, &|seed| core.reload("chaos", &file(seed)).unwrap().1);
     assert_eq!(core.metrics().canary_rollbacks.load(Ordering::Relaxed), 0);
     let _ = std::fs::remove_dir_all(&dir);
@@ -314,7 +314,7 @@ fn concurrent_load_under_panics_degrades_cleanly() {
     let _guard = FaultGuard::lock();
     let core = start_core(2);
     let client = Client::new(Arc::clone(&core));
-    client.register("chaos", &compressed(7)).unwrap();
+    client.register("chaos", compressed(7)).unwrap();
     client.encode(EncodeRequest::new("chaos", vec![1, 2, 3])).unwrap();
 
     gobo_fault::configure_str("serve.encode=panic(every=7)").unwrap();
@@ -372,8 +372,8 @@ fn an_answer_nobody_waits_for_is_not_counted_twice() {
             ..ServeOptions::default()
         });
         let client = Client::new(Arc::clone(&core));
-        client.register("chaos", &compressed(8)).unwrap();
-        core.registry().publish("chaos", &compressed(9)).unwrap();
+        client.register("chaos", compressed(8)).unwrap();
+        core.registry().publish("chaos", compressed(9)).unwrap();
 
         gobo_fault::configure_str(failpoints).unwrap();
         let mut request = EncodeRequest::new(model, vec![1, 2, 3]);

@@ -16,7 +16,7 @@ fn http_round_trip_and_graceful_shutdown() {
     let container = compressed(11);
     let core = ServeCore::start(ServeOptions::default());
     let client = Client::new(Arc::clone(&core));
-    client.register("demo", &container).unwrap();
+    client.register("demo", container).unwrap();
     let server = Server::bind(Arc::clone(&core), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     let serve_thread = std::thread::spawn(move || server.serve_until_shutdown());
@@ -107,7 +107,7 @@ fn reload_over_http_publishes_canary_and_models_report_lifecycle() {
 
     let core = ServeCore::start(ServeOptions::default());
     let client = Client::new(Arc::clone(&core));
-    client.register("demo", &compressed(11)).unwrap();
+    client.register("demo", compressed(11)).unwrap();
     let server = Server::bind(Arc::clone(&core), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     let serve_thread = std::thread::spawn(move || server.serve_until_shutdown());
@@ -184,7 +184,7 @@ fn request_shutdown_api_stops_server() {
 fn oversized_body_rejected_with_413() {
     let core = ServeCore::start(ServeOptions::default());
     let client = Client::new(Arc::clone(&core));
-    client.register("demo", &compressed(13)).unwrap();
+    client.register("demo", compressed(13)).unwrap();
     let server = Server::bind_with(
         Arc::clone(&core),
         "127.0.0.1:0",

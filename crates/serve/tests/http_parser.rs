@@ -226,7 +226,7 @@ fn truncated_requests_error_cleanly() {
 fn keep_alive_serves_pipelined_requests_on_one_socket() {
     let core = ServeCore::start(ServeOptions::default());
     let client = Client::new(Arc::clone(&core));
-    client.register("m", &compressed(3)).unwrap();
+    client.register("m", compressed(3)).unwrap();
     let server = Server::bind(Arc::clone(&core), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
@@ -288,7 +288,7 @@ fn http_client_retries_connect_until_server_appears() {
 
     let core = ServeCore::start(ServeOptions::default());
     let client = Client::new(Arc::clone(&core));
-    client.register("m", &compressed(5)).unwrap();
+    client.register("m", compressed(5)).unwrap();
     let server_core = Arc::clone(&core);
     let server_thread = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(60));

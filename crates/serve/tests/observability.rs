@@ -46,7 +46,7 @@ fn metrics_exposition_matches_golden_schema() {
     let container = compressed(23);
     let core = ServeCore::start(ServeOptions::default());
     let client = Client::new(Arc::clone(&core));
-    client.register("demo", &container).unwrap();
+    client.register("demo", container).unwrap();
     let server = Server::bind(Arc::clone(&core), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     let serve_thread = std::thread::spawn(move || server.serve_until_shutdown());

@@ -33,7 +33,7 @@ fn core_with(scheduler: SchedulerConfig) -> (Arc<ServeCore>, Client) {
         ..ServeOptions::default()
     });
     let client = Client::new(Arc::clone(&core));
-    client.register("m", &compressed(1)).unwrap();
+    client.register("m", compressed(1)).unwrap();
     (core, client)
 }
 
@@ -215,7 +215,7 @@ fn a_batch_never_mixes_keys() {
         queue_capacity: 64,
         default_deadline: Duration::from_secs(30),
     });
-    client.register("other", &compressed(2)).unwrap();
+    client.register("other", compressed(2)).unwrap();
     let direct = [compressed(1).decode().unwrap(), compressed(2).decode().unwrap()];
     let plugs = park_workers(&core, 1);
     // m, other, m, other, m — three of one key and two of the other.
@@ -372,7 +372,7 @@ fn bits_pinning_selects_registration() {
     let core = ServeCore::start(ServeOptions::default());
     let client = Client::new(Arc::clone(&core));
     for bits in [2u8, 4] {
-        client.register("m", &compressed_at(3, bits)).unwrap();
+        client.register("m", compressed_at(3, bits)).unwrap();
     }
     let mut req = EncodeRequest::new("m", vec![1, 2, 3]);
     req.bits = Some(2);

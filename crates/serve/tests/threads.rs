@@ -52,7 +52,7 @@ fn the_pool_is_exactly_its_workers_before_and_after_faults() {
     });
     assert_eq!(threads(), before + workers, "a core is its workers and no thread more");
     let client = Client::new(Arc::clone(&core));
-    client.register("m", &container).unwrap();
+    client.register("m", container).unwrap();
 
     // One sequential client: every request is a batch of one, so
     // `every=2` panics exactly every second request.
