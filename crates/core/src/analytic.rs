@@ -176,10 +176,9 @@ pub fn convergence_comparison(
     let dist = layer_distribution(config, specs.len() / 2, specs.len());
     let weights = synthesize_layer(spec, &dist, seed);
     let split = OutlierSplit::detect(&weights, gobo_quant::DEFAULT_LOG_PDF_THRESHOLD)?;
-    let gobo_layer =
-        QuantizedLayer::encode_split(&split, &QuantConfig::new(QuantMethod::Gobo, bits)?)?;
-    let kmeans_layer =
-        QuantizedLayer::encode_split(&split, &QuantConfig::new(QuantMethod::KMeans, bits)?)?;
+    let encode =
+        |method| QuantizedLayer::encode_split(&weights, &split, &QuantConfig::new(method, bits)?);
+    let (gobo_layer, kmeans_layer) = (encode(QuantMethod::Gobo)?, encode(QuantMethod::KMeans)?);
     Ok(ConvergenceComparison {
         layer_name: spec.name.clone(),
         gobo: gobo_layer.trace().clone(),
@@ -223,15 +222,8 @@ pub fn layer_scatter(
     let dist = layer_distribution(config, idx, specs.len());
     let weights = synthesize_layer(&specs[idx], &dist, seed);
     let split = OutlierSplit::detect(&weights, gobo_quant::DEFAULT_LOG_PDF_THRESHOLD)?;
-    let outliers: std::collections::HashSet<u32> =
-        split.outlier_positions().iter().copied().collect();
     let stride = (weights.len() / max_points.max(1)).max(1);
-    Ok(weights
-        .iter()
-        .enumerate()
-        .step_by(stride)
-        .map(|(i, &w)| (w, outliers.contains(&(i as u32))))
-        .collect())
+    Ok(weights.iter().step_by(stride).map(|&w| (w, split.is_outlier(w))).collect())
 }
 
 #[cfg(test)]

@@ -179,14 +179,18 @@ pub fn layer(options: &ExperimentOptions) -> Result<LayerAblation, GoboError> {
     }
 
     let split = OutlierSplit::detect(&weights, DEFAULT_LOG_PDF_THRESHOLD)?;
-    let g = split.g_values();
+    // The G group read from the layer, in input order: the initial L1
+    // sums below are input-order folds.
+    let g_group: Vec<f32> = weights.iter().copied().filter(|&w| !split.is_outlier(w)).collect();
+    let g = &g_group[..];
     let gobo_run = gobo::quantize_g(g, 8, 1000)?;
     let kmeans_run = kmeans::quantize_g(g, 8, 1000)?;
     let entropy_of = |assignments: &[u8]| -> Result<(f64, f64), GoboError> {
         let report = entropy_report(assignments, 3)?;
         Ok((report.entropy_bits, report.huffman_saving()))
     };
-    let (equal_population, linear_init) = (init::equal_population(g, 8)?, init::linear(g, 8)?);
+    let (equal_population, linear_init) =
+        (init::equal_population(split.view(), 8)?, init::linear(g, 8)?);
     let last = |l1: &[f64]| l1.last().copied().unwrap_or(f64::NAN);
     Ok(LayerAblation {
         layer: (specs[index].name.clone(), weights.len()),

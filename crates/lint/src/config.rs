@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn multiline_arrays() {
         let config = Config::parse(
-            "[deps]\n\
+            "[rule]\n\
              allow = [\n\
                  \"alpha\",  # why alpha is fine\n\
                  \"beta\",\n\
@@ -242,8 +242,8 @@ mod tests {
              after = 1\n",
         )
         .unwrap();
-        assert_eq!(config.get_list("deps", "allow"), ["alpha".to_owned(), "beta".to_owned()]);
-        assert_eq!(config.get_int("deps", "after"), Some(1));
+        assert_eq!(config.get_list("rule", "allow"), ["alpha".to_owned(), "beta".to_owned()]);
+        assert_eq!(config.get_int("rule", "after"), Some(1));
     }
 
     #[test]

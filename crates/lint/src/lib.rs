@@ -10,22 +10,21 @@
 //!    are `gobo_`-prefixed with `_total` counters and `_us` histograms;
 //!    span and failpoint names are lowercase dotted identifiers,
 //!    cataloged in generated `FAILPOINTS.md` / `SPANS.md`.
-//! 3. **Vendored-dep hygiene** ([`rules::deps`]) — `use` roots must
-//!    resolve to the standard library, workspace crates, or crates
-//!    vendored under `vendor/`.
-//! 4. **Cast audit** ([`audits::cast_audit`]) — truncating `as` casts
+//! 3. **Cast audit** ([`audits::cast_audit`]) — truncating `as` casts
 //!    outside tests need a `// CAST:` justification or a checked
 //!    conversion; the unjustified count ratchets down.
-//! 5. **Arithmetic audit** ([`audits::arith_audit`]) — raw `+`/`*`/`<<`
+//! 4. **Arithmetic audit** ([`audits::arith_audit`]) — raw `+`/`*`/`<<`
 //!    on untrusted-input parser paths must become
 //!    `checked_*`/`saturating_*` or carry an `// ARITH:` bound.
-//! 6. **Lock order** ([`locks::locks`]) — `SanMutex`/`SanRwLock`
+//! 5. **Lock order** ([`locks::locks`]) — `SanMutex`/`SanRwLock`
 //!    declarations carry literal ranks, `ACQUIRES-AFTER` annotations
 //!    must agree with them, and the documented graph stays acyclic;
 //!    cataloged in the generated `LOCKS.md`.
 //!
 //! Panic-freedom on the serving and codec paths and `// SAFETY:` on
-//! every `unsafe` are clippy's: the paths deny clippy's restriction
+//! every `unsafe` are clippy's, and dependency hygiene is the compiler's
+//! (every dependency is a path crate; `tests/fixtures.rs` checks the
+//! manifests): the paths deny clippy's restriction
 //! lints outside `cfg(test)`, and the workspace denies
 //! `undocumented_unsafe_blocks` (root `Cargo.toml`, `clippy.toml`).
 //!
@@ -89,7 +88,6 @@ pub fn run_with_config(root: &Path, config: &Config, options: Options) -> Result
     let mut report = Report { files_scanned: ws.files.len(), ..Report::default() };
     rules::ordering_audit(&ws, config, &mut report);
     rules::naming(&ws, config, &mut report);
-    rules::deps(&ws, config, &mut report);
     audits::cast_audit(&ws, config, &mut report);
     audits::arith_audit(&ws, config, &mut report);
     locks::locks(&ws, config, &mut report);

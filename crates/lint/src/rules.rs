@@ -389,62 +389,3 @@ pub fn collect_names(ws: &Workspace) -> Vec<(String, String, usize, usize, &'sta
     }
     out
 }
-
-/// Rule 3 — **vendored-dependency hygiene**: every `use` / `extern
-/// crate` root must be the standard library, a workspace crate, or a
-/// crate vendored under `vendor/` — the build must never reach for the
-/// network.
-pub fn deps(ws: &Workspace, config: &Config, report: &mut Report) {
-    let rule = "deps";
-    let mut allowed: Vec<&str> = ws.local_crates.iter().map(String::as_str).collect();
-    let extra = config.get_list(rule, "allow").to_vec();
-    allowed.extend(extra.iter().map(String::as_str));
-    allowed.extend(["crate", "self", "super", "test"]);
-
-    for file in &ws.files {
-        let code: Vec<_> = file.code_tokens().map(|(_, t)| t).collect();
-        // Edition-2018 uniform paths resolve `use foo::…` to a local
-        // `mod foo` in scope; collect this file's module declarations.
-        let local_mods: Vec<&str> = code
-            .iter()
-            .enumerate()
-            .filter(|(i, t)| {
-                t.is_ident("mod")
-                    && code.get(i + 1).is_some_and(|n| n.kind == crate::lexer::TokenKind::Ident)
-            })
-            .map(|(i, _)| code[i + 1].text.as_str())
-            .collect();
-        for (i, t) in code.iter().enumerate() {
-            let root = if t.is_ident("use") {
-                // Skip the leading `::` of `use ::foo::…`.
-                let mut j = i + 1;
-                while code.get(j).is_some_and(|c| c.is_punct(':')) {
-                    j += 1;
-                }
-                code.get(j)
-            } else if t.is_ident("extern") && code.get(i + 1).is_some_and(|c| c.is_ident("crate")) {
-                code.get(i + 2)
-            } else {
-                None
-            };
-            let Some(root) = root.filter(|r| r.kind == crate::lexer::TokenKind::Ident) else {
-                continue;
-            };
-            // `use` inside macro definitions can reference `$metavars`;
-            // the ident filter above already skipped those.
-            if !allowed.contains(&root.text.as_str()) && !local_mods.contains(&root.text.as_str()) {
-                report.error(
-                    rule,
-                    &file.rel_path,
-                    root.line,
-                    root.col,
-                    format!(
-                        "`use {}::…` is not a workspace or vendored crate; vendor it under \
-                         vendor/ or drop the dependency",
-                        root.text
-                    ),
-                );
-            }
-        }
-    }
-}

@@ -196,10 +196,6 @@ pub struct Workspace {
     pub root: PathBuf,
     /// Lexed sources, sorted by relative path.
     pub files: Vec<SourceFile>,
-    /// Workspace member crate names (`gobo`, `gobo_serve`, …) plus
-    /// vendored crate names, underscored — the set of legal `use`
-    /// roots beyond the standard library.
-    pub local_crates: Vec<String>,
 }
 
 impl Workspace {
@@ -228,14 +224,7 @@ impl Workspace {
                 std::fs::read_to_string(&abs).map_err(|e| format!("{}: {e}", abs.display()))?;
             files.push(SourceFile::parse(rel, &text));
         }
-        let mut local_crates =
-            vec!["std".to_owned(), "core".to_owned(), "alloc".to_owned(), "proc_macro".to_owned()];
-        for dir in ["crates", "vendor"] {
-            local_crates.extend(member_names(&root.join(dir)));
-        }
-        local_crates.sort();
-        local_crates.dedup();
-        Ok(Workspace { root: root.to_path_buf(), files, local_crates })
+        Ok(Workspace { root: root.to_path_buf(), files })
     }
 
     /// Files whose relative path starts with any of `prefixes`.
@@ -273,35 +262,6 @@ fn collect_rs_under(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Reads `name = "…"` out of each member's `Cargo.toml`, normalizing
-/// dashes to underscores (the crate name as it appears in `use`).
-fn member_names(dir: &Path) -> Vec<String> {
-    let mut names = Vec::new();
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return names;
-    };
-    for entry in entries.flatten() {
-        let manifest = entry.path().join("Cargo.toml");
-        let Ok(text) = std::fs::read_to_string(&manifest) else {
-            continue;
-        };
-        for line in text.lines() {
-            let line = line.trim();
-            if let Some(rest) = line.strip_prefix("name") {
-                let rest = rest.trim_start();
-                if let Some(rest) = rest.strip_prefix('=') {
-                    let name = rest.trim().trim_matches('"');
-                    if !name.is_empty() {
-                        names.push(name.replace('-', "_"));
-                    }
-                    break;
-                }
-            }
-        }
-    }
-    names
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! gobo-lint's own test coverage: each rule against a violation
 //! fixture, an allowlisted fixture, and a clean fixture (mini
 //! workspaces under `tests/fixtures/`), plus a self-check that the
-//! live repository passes `--deny-warnings`.
+//! live repository passes `--deny-warnings` and that every dependency
+//! in its manifests is a path crate.
 
 use std::path::{Path, PathBuf};
 
@@ -78,17 +79,113 @@ fn naming_violation_fixture_fails() {
     assert_eq!(rule_errors(&report, "naming").len(), 7);
 }
 
-#[test]
-fn deps_violation_fixture_fails() {
-    let report = lint("deps_violation");
-    let messages = rule_errors(&report, "deps").join("\n");
-    assert!(messages.contains("`use leftpad::…`"), "{messages}");
+/// The entries of one manifest's dependency tables that are not local.
+/// In `[dependencies]`, `[dev-dependencies]` and `[build-dependencies]`,
+/// target-specific ones included, an entry must be `{ path = … }` or
+/// `{ workspace = true }` (or `name.workspace = true`); in
+/// `[workspace.dependencies]` it must be `{ path = … }`. A dotted
+/// `[dependencies.name]` table is refused whole.
+fn non_local_dependencies(manifest: &str) -> Vec<String> {
+    const TABLES: [&str; 3] = ["dependencies", "dev-dependencies", "build-dependencies"];
+    let mut refused = Vec::new();
+    // `Some(true)` inside `[workspace.dependencies]`, `Some(false)` in a
+    // member's dependency table.
+    let mut table = None;
+    for line in manifest.lines() {
+        let line = line.split('#').next().unwrap_or_default().trim();
+        if let Some(header) = line.strip_prefix('[') {
+            let segments: Vec<&str> = header.trim_end_matches(']').split('.').collect();
+            let (last, before) = segments.split_last().expect("split yields one segment");
+            table = TABLES.contains(last).then(|| before == ["workspace"]);
+            if before.iter().any(|s| TABLES.contains(s)) {
+                refused.push(line.to_owned());
+            }
+            continue;
+        }
+        let (Some(workspace_table), Some((key, value))) = (table, line.split_once('=')) else {
+            if table.is_some() && !line.is_empty() {
+                refused.push(line.to_owned());
+            }
+            continue;
+        };
+        let (key, value) = (key.trim(), value.trim());
+        let fields: Vec<(&str, &str)> = value
+            .strip_prefix('{')
+            .and_then(|v| v.strip_suffix('}'))
+            .map(|v| v.split(',').filter_map(|f| f.split_once('=')).collect())
+            .unwrap_or_default();
+        let has = |name: &str, want: Option<&str>| {
+            fields.iter().any(|(k, v)| k.trim() == name && want.is_none_or(|w| v.trim() == w))
+        };
+        let inherited =
+            key.ends_with(".workspace") && value == "true" || has("workspace", Some("true"));
+        if !(has("path", None) || !workspace_table && inherited) {
+            refused.push(line.to_owned());
+        }
+    }
+    refused
 }
 
+/// Every workspace member's manifest, from the root's `members` list.
+fn member_manifests(root: &Path) -> Vec<PathBuf> {
+    let text = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    let members = text.lines().find_map(|l| l.trim().strip_prefix("members")).expect("members");
+    let mut manifests = Vec::new();
+    for member in members.split('"').skip(1).step_by(2) {
+        let dirs: Vec<PathBuf> = match member.strip_suffix("/*") {
+            Some(parent) => std::fs::read_dir(root.join(parent))
+                .expect("member directory")
+                .map(|e| e.expect("directory entry").path())
+                .collect(),
+            None => vec![root.join(member)],
+        };
+        manifests.extend(dirs.into_iter().map(|d| d.join("Cargo.toml")).filter(|m| m.is_file()));
+    }
+    manifests.sort();
+    manifests
+}
+
+/// The workspace builds offline from path crates alone, so a `use` of
+/// any crate not in the workspace or under `vendor/` does not compile:
+/// the manifests are what is checked.
 #[test]
-fn deps_allowlisted_fixture_passes() {
-    let report = lint("deps_allowlisted");
-    assert!(!report.failed(true), "{}", report.render());
+fn every_dependency_is_a_path_crate() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2).expect("workspace root");
+    let manifests = member_manifests(root);
+    assert!(manifests.len() >= 20, "only {} member manifests: {manifests:?}", manifests.len());
+    for manifest in manifests.iter().chain([&root.join("Cargo.toml")]) {
+        let text = std::fs::read_to_string(manifest).expect("manifest");
+        let refused = non_local_dependencies(&text);
+        assert!(refused.is_empty(), "{}: {refused:?}", manifest.display());
+    }
+}
+
+/// The manifest check refuses every form of dependency that is not a
+/// path crate or inherited from the workspace.
+#[test]
+fn non_path_dependency_is_refused() {
+    for (manifest, line) in [
+        ("[dependencies]\nleftpad = \"1\"\n", "leftpad = \"1\""),
+        ("[dev-dependencies]\nserde = { version = \"1\" }\n", "serde"),
+        ("[build-dependencies]\ncc = { git = \"https://example.invalid/cc\" }\n", "cc"),
+        ("[target.'cfg(unix)'.dependencies]\nlibc = \"0.2\"\n", "libc"),
+        ("[workspace.dependencies]\nrand = { workspace = true }\n", "rand"),
+        ("[workspace.dependencies]\nrand.workspace = true\n", "rand"),
+        ("[dependencies.leftpad]\nversion = \"1\"\n", "[dependencies.leftpad]"),
+        ("[dependencies]\nleftpad\n", "leftpad"),
+    ] {
+        let refused = non_local_dependencies(manifest);
+        assert!(refused.iter().any(|r| r.starts_with(line)), "{manifest:?} passed: {refused:?}");
+    }
+}
+
+/// Path crates and workspace-inherited entries pass the manifest check.
+#[test]
+fn path_and_workspace_dependencies_pass() {
+    let local = "[package]\nname = \"x\"\n[dependencies]\na = { path = \"../a\" }\n\
+                 b = { workspace = true }\nc.workspace = true # inherited\n\
+                 [workspace.dependencies]\nd = { path = \"d\", features = [\"e\"] }\n";
+    assert_eq!(non_local_dependencies(local), Vec::<String>::new());
 }
 
 #[test]

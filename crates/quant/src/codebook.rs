@@ -55,9 +55,9 @@ impl Codebook {
     }
 
     /// Assigns every value to its nearest centroid.
-    pub fn assign(&self, values: &[f32]) -> Vec<u8> {
+    pub fn assign<'a>(&self, values: impl IntoIterator<Item = &'a f32>) -> Vec<u8> {
         debug_assert!(self.centroids.len() <= 256, "u8 assignments");
-        values.iter().map(|&v| self.nearest(v) as u8).collect()
+        values.into_iter().map(|&v| self.nearest(v) as u8).collect()
     }
 
     /// The centroids padded with zeros to every `u8` index, so a decode
@@ -87,19 +87,29 @@ impl Codebook {
         Ok(out)
     }
 
-    /// Sum of `|v - c(v)|` over all values (the norm GOBO monitors).
-    pub fn l1_norm(&self, values: &[f32], assignments: &[u8]) -> f64 {
+    /// Sum of `|v - c(v)|` over all values (the norm GOBO monitors), in
+    /// the values' order.
+    pub fn l1_norm<'a>(
+        &self,
+        values: impl IntoIterator<Item = &'a f32>,
+        assignments: &[u8],
+    ) -> f64 {
         values
-            .iter()
+            .into_iter()
             .zip(assignments)
             .map(|(&v, &a)| f64::from((v - self.centroids[a as usize]).abs()))
             .sum()
     }
 
-    /// Sum of `(v - c(v))²` over all values (the K-Means objective).
-    pub fn l2_norm(&self, values: &[f32], assignments: &[u8]) -> f64 {
+    /// Sum of `(v - c(v))²` over all values (the K-Means objective), in
+    /// the values' order.
+    pub fn l2_norm<'a>(
+        &self,
+        values: impl IntoIterator<Item = &'a f32>,
+        assignments: &[u8],
+    ) -> f64 {
         values
-            .iter()
+            .into_iter()
             .zip(assignments)
             .map(|(&v, &a)| {
                 let d = f64::from(v - self.centroids[a as usize]);

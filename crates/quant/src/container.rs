@@ -319,6 +319,11 @@ impl ModelArchive {
         self.entries.iter().map(|(n, l)| (n.as_str(), l))
     }
 
+    /// Moves `(name, layer)` out in insertion order.
+    pub fn into_layers(self) -> impl Iterator<Item = (String, QuantizedLayer)> {
+        self.entries.into_iter()
+    }
+
     /// Length of [`ModelArchive::to_bytes`]'s output, computed from the
     /// layers' size breakdowns without serializing: each entry frames
     /// its layer with a name, a length and a trailing CRC32.

@@ -215,7 +215,7 @@ mod tests {
         // so fixed-width packing is already near-optimal.
         let w = gaussianish(50_000);
         let split = OutlierSplit::detect(&w, -4.0).unwrap();
-        let c = gobo::quantize_g(split.g_values(), 8, 100).unwrap();
+        let c = gobo::quantize_g(split.view().values(), 8, 100).unwrap();
         let r = entropy_report(&c.assignments, 3).unwrap();
         assert!(r.huffman_saving() < 0.05, "saving {}", r.huffman_saving());
     }
@@ -227,7 +227,7 @@ mod tests {
         // balancing init removes that slack.
         let w = gaussianish(50_000);
         let split = OutlierSplit::detect(&w, -4.0).unwrap();
-        let c = linear::quantize_g(split.g_values(), 8).unwrap();
+        let c = linear::quantize_g(split.view().values(), 8).unwrap();
         let r = entropy_report(&c.assignments, 3).unwrap();
         assert!(r.huffman_saving() > 0.1, "saving {}", r.huffman_saving());
     }

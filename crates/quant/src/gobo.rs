@@ -13,7 +13,7 @@
 
 use crate::codebook::{Codebook, ConvergenceTrace};
 use crate::error::QuantError;
-use crate::kernel::{self, Stop};
+use crate::kernel::{self, SortedView, Stop};
 
 /// Result of clustering a layer's G group: the final codebook, one index
 /// per weight, and the per-iteration convergence trace.
@@ -67,7 +67,9 @@ pub fn quantize_g(
     clusters: usize,
     max_iterations: usize,
 ) -> Result<Clustering, QuantError> {
-    kernel::cluster(values, clusters, max_iterations, Stop::MinL1)
+    let (codebook, trace) =
+        kernel::cluster(&SortedView::new(values), clusters, max_iterations, Stop::MinL1)?;
+    Ok(Clustering { assignments: codebook.assign(values), codebook, trace })
 }
 
 #[cfg(test)]

@@ -10,9 +10,10 @@ use crate::codebook::Codebook;
 use crate::error::QuantError;
 use crate::kernel::SortedView;
 
-/// Equal-population initialization: sorts the values, splits them into
-/// `clusters` bins of (nearly) equal population, and uses each bin's
-/// mean as its initial centroid.
+/// Equal-population initialization: splits a view's sorted G group
+/// into `clusters` bins of (nearly) equal population and uses each bin's
+/// mean as its initial centroid: the run's prefix difference over its
+/// count ([`SortedView::mean`]), the same mean every later iteration takes.
 ///
 /// When the values contain heavy ties the bin means can coincide; the
 /// resulting codebook still has `clusters` entries (duplicates allowed)
@@ -20,29 +21,15 @@ use crate::kernel::SortedView;
 ///
 /// # Errors
 ///
-/// Returns [`QuantError::EmptyLayer`] for empty input,
+/// Returns [`QuantError::EmptyLayer`] for an empty G group,
 /// [`QuantError::InvalidConfig`] for `clusters == 0`, and
 /// [`QuantError::TooFewValues`] when there are fewer values than
 /// clusters.
-pub fn equal_population(values: &[f32], clusters: usize) -> Result<Codebook, QuantError> {
-    equal_population_of(&SortedView::new(values), clusters)
-}
-
-/// [`equal_population`] read off a sorted view: each bin is a run of the
-/// view, and its mean the run's prefix difference over its count
-/// ([`SortedView::mean`]), the same mean every later iteration takes.
-///
-/// # Errors
-///
-/// As [`equal_population`].
-pub(crate) fn equal_population_of(
-    view: &SortedView,
-    clusters: usize,
-) -> Result<Codebook, QuantError> {
+pub fn equal_population(view: &SortedView, clusters: usize) -> Result<Codebook, QuantError> {
     if clusters == 0 {
         return Err(QuantError::InvalidConfig { name: "clusters" });
     }
-    if view.is_empty() {
+    if view.len() == 0 {
         return Err(QuantError::EmptyLayer);
     }
     if view.len() < clusters {
@@ -61,21 +48,27 @@ pub(crate) fn equal_population_of(
 /// `[min, max]` of the values.
 ///
 /// Unlike [`equal_population`], the level positions do not depend on
-/// the population, so fewer values than clusters is permitted.
+/// the population, so fewer values than clusters is permitted. Min and
+/// max are folds in the values' order, so a layer passes its G group in
+/// input order (a ±0 tie is decided by that order).
 ///
 /// # Errors
 ///
 /// Returns [`QuantError::EmptyLayer`] for empty input and
 /// [`QuantError::InvalidConfig`] for `clusters == 0`.
-pub fn linear(values: &[f32], clusters: usize) -> Result<Codebook, QuantError> {
+pub fn linear<'a>(
+    values: impl IntoIterator<Item = &'a f32, IntoIter: Clone>,
+    clusters: usize,
+) -> Result<Codebook, QuantError> {
+    let values = values.into_iter();
     if clusters == 0 {
         return Err(QuantError::InvalidConfig { name: "clusters" });
     }
-    if values.is_empty() {
+    if values.clone().next().is_none() {
         return Err(QuantError::EmptyLayer);
     }
-    let lo = values.iter().copied().fold(f32::INFINITY, f32::min);
-    let hi = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let lo = values.clone().copied().fold(f32::INFINITY, f32::min);
+    let hi = values.copied().fold(f32::NEG_INFINITY, f32::max);
     let centroids = if clusters == 1 {
         vec![(lo + hi) * 0.5]
     } else {
@@ -96,6 +89,10 @@ pub fn bin_populations(n: usize, clusters: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn equal_population(values: &[f32], clusters: usize) -> Result<Codebook, QuantError> {
+        super::equal_population(&SortedView::new(values), clusters)
+    }
 
     #[test]
     fn equal_population_uniform_data() {

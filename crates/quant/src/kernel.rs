@@ -1,16 +1,16 @@
-//! The clustering kernel: one sorted view of a layer's G group.
+//! The clustering kernel: one sorted view of a layer.
 //!
 //! GOBO and K-Means alternate nearest-centroid assignment with a mean
 //! update. On one dimension the nearest centroid of an ascending table
 //! is monotone in the value, so every cluster is a contiguous run of the
-//! sorted values. [`SortedView`] sorts the G group once and keeps f64
-//! prefix sums of v and v²; an iteration then finds the k − 1 cluster
-//! boundaries by binary search, with [`nearest_sorted`] as the
-//! predicate, and takes counts, sums, L1 and L2 from prefix differences:
-//! O(k log n) an iteration, and the weights are not touched. This is the
-//! standard device of exact 1-D clustering (Grønlund et al., 2017,
-//! <https://arxiv.org/abs/1701.07204>). One final [`nearest_sorted`]
-//! pass writes the selected centroids' indices in input order.
+//! sorted values. [`SortedView`] is the layer sorted once, with f64
+//! prefix sums of v and v² over its G group; an iteration then finds the
+//! k − 1 cluster boundaries by binary search, with [`nearest_sorted`] as
+//! the predicate, and takes counts, sums, L1 and L2 from prefix
+//! differences: O(k log n) an iteration, and the weights are not
+//! touched. This is the standard device of exact 1-D clustering
+//! (Grønlund et al., 2017, <https://arxiv.org/abs/1701.07204>). The
+//! caller's one input-order pass then writes each G weight's index.
 //!
 //! So a codebook is a function of the sorted multiset of the G values,
 //! never of their order in memory. `cluster` is the one loop GOBO and
@@ -23,9 +23,11 @@
 //! alone, never of the host's core count. Cores are used one level up,
 //! across the layers of a model (`gobo::quantize_model`).
 
+use std::ops::Range;
+
 use crate::codebook::{Codebook, ConvergenceTrace};
 use crate::error::QuantError;
-use crate::gobo::{Clustering, L1_PATIENCE};
+use crate::gobo::L1_PATIENCE;
 use crate::init;
 
 /// Codebooks up to this size use the branchless counting search in
@@ -69,54 +71,70 @@ pub fn nearest_sorted(cs: &[f32], x: f32) -> usize {
     }
 }
 
-/// A G group sorted ascending (`f32::total_cmp`), with the f64 prefix
-/// sums of its values and of their squares, accumulated in sorted order.
-/// It costs 20 bytes a value; `cluster` drops it before the index pass.
-#[derive(Debug)]
+/// A layer sorted ascending (`f32::total_cmp`) and the run of it that
+/// is clustered, its G group, with the f64 prefix sums of that run's
+/// values and of their squares, accumulated in sorted order from the
+/// run's first value. It costs 20 bytes a value.
+/// [`crate::OutlierSplit`] is this view of a layer; on a bare G group
+/// ([`SortedView::new`]) the run is all of it.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SortedView {
     sorted: Vec<f32>,
-    /// `sums[i]` is the sum of `sorted[..i]`.
+    /// The G group: `sorted[g]`.
+    g: Range<usize>,
+    /// `sums[i]` is the sum of `values()[..i]`.
     sums: Vec<f64>,
-    /// `squares[i]` is the sum of the squares of `sorted[..i]`.
+    /// `squares[i]` is the sum of the squares of `values()[..i]`.
     squares: Vec<f64>,
 }
 
 impl SortedView {
-    /// Sorts a copy of `values` and accumulates its prefix sums.
+    /// Sorts a copy of `values`, all of which are clustered.
     pub fn new(values: &[f32]) -> Self {
         let mut sorted = values.to_vec();
         sorted.sort_unstable_by(f32::total_cmp);
-        let mut sums = Vec::with_capacity(sorted.len() + 1);
-        let mut squares = Vec::with_capacity(sorted.len() + 1);
+        let g = 0..sorted.len();
+        Self::over(sorted, g)
+    }
+
+    /// The view of an ascending layer whose G group is `sorted[g]`.
+    pub(crate) fn over(sorted: Vec<f32>, g: Range<usize>) -> Self {
+        let mut sums = Vec::with_capacity(g.len() + 1);
+        let mut squares = Vec::with_capacity(g.len() + 1);
         let (mut sum, mut square) = (0.0f64, 0.0f64);
         sums.push(sum);
         squares.push(square);
-        for &v in &sorted {
+        for &v in &sorted[g.clone()] {
             let v = f64::from(v);
             sum += v;
             square += v * v;
             sums.push(sum);
             squares.push(square);
         }
-        SortedView { sorted, sums, squares }
+        SortedView { sorted, g, sums, squares }
     }
 
-    /// Number of values.
-    pub(crate) fn len(&self) -> usize {
+    /// The clustered values, ascending.
+    pub fn values(&self) -> &[f32] {
+        &self.sorted[self.g.clone()]
+    }
+
+    /// Number of weights in the whole layer, clustered or not.
+    pub(crate) fn total(&self) -> usize {
         self.sorted.len()
     }
 
-    /// Returns `true` for a view of no values.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
+    /// Number of clustered values.
+    pub(crate) fn len(&self) -> usize {
+        self.g.len()
     }
 
-    /// Sum of `sorted[a..b]`, as a prefix difference.
+    /// Sum of `values()[a..b]`, as a prefix difference.
     fn sum(&self, a: usize, b: usize) -> f64 {
         self.sums[b] - self.sums[a]
     }
 
-    /// Mean of the non-empty run `sorted[a..b]`: its prefix difference
+    /// Mean of the non-empty run `values()[a..b]`: its prefix difference
     /// over its count.
     pub(crate) fn mean(&self, a: usize, b: usize) -> f32 {
         // CAST: a mean of f32 values rounds back to the codebook's type
@@ -124,15 +142,16 @@ impl SortedView {
     }
 
     /// The k + 1 cluster boundaries for an ascending centroid table:
-    /// cluster `j` is `sorted[b[j]..b[j + 1]]`, the values whose
+    /// cluster `j` is `values()[b[j]..b[j + 1]]`, the values whose
     /// [`nearest_sorted`] index is `j` (empty for a centroid no value is
     /// nearest to).
     pub fn boundaries(&self, centroids: &[f32]) -> Vec<usize> {
+        let values = self.values();
         let mut bounds = Vec::with_capacity(centroids.len() + 1);
         let mut start = 0;
         bounds.push(start);
         for j in 1..centroids.len() {
-            start += self.sorted[start..].partition_point(|&v| nearest_sorted(centroids, v) < j);
+            start += values[start..].partition_point(|&v| nearest_sorted(centroids, v) < j);
             bounds.push(start);
         }
         bounds.push(self.len());
@@ -142,10 +161,10 @@ impl SortedView {
     /// Summed `|v - c(v)|` and `(v - c(v))²` of the clustering that
     /// `bounds` defines. L1 splits each cluster's run at its centroid.
     pub fn norms(&self, centroids: &[f32], bounds: &[usize]) -> (f64, f64) {
-        let (mut l1, mut l2) = (0.0f64, 0.0f64);
+        let (values, mut l1, mut l2) = (self.values(), 0.0f64, 0.0f64);
         for (j, &c) in centroids.iter().enumerate() {
             let (a, b) = (bounds[j], bounds[j + 1]);
-            let m = a + self.sorted[a..b].partition_point(|&v| v < c);
+            let m = a + values[a..b].partition_point(|&v| v < c);
             let c = f64::from(c);
             l1 += (self.sum(m, b) - c * (b - m) as f64) + (c * (m - a) as f64 - self.sum(a, m));
             l2 += (self.squares[b] - self.squares[a]) - 2.0 * c * self.sum(a, b)
@@ -180,10 +199,10 @@ pub enum Stop {
     FixedPoint,
 }
 
-/// Clusters G-group values from equal-population initialization, at
-/// most `max_iterations` assignment + mean-update rounds, on one
-/// [`SortedView`]. A fixed point is an iteration whose boundaries equal
-/// the previous one's.
+/// Clusters a view's G group from equal-population initialization, at
+/// most `max_iterations` assignment + mean-update rounds. A fixed point
+/// is an iteration whose boundaries equal the previous one's. Returns
+/// the selected codebook and the trace; the caller writes the indices.
 ///
 /// # Errors
 ///
@@ -191,16 +210,15 @@ pub enum Stop {
 /// initialization's errors ([`QuantError::TooFewValues`],
 /// [`QuantError::EmptyLayer`], [`QuantError::InvalidConfig`]).
 pub(crate) fn cluster(
-    values: &[f32],
+    view: &SortedView,
     clusters: usize,
     max_iterations: usize,
     stop: Stop,
-) -> Result<Clustering, QuantError> {
+) -> Result<(Codebook, ConvergenceTrace), QuantError> {
     if max_iterations == 0 {
         return Err(QuantError::InvalidConfig { name: "max_iterations" });
     }
-    let view = SortedView::new(values);
-    let mut centroids = init::equal_population_of(&view, clusters)?.centroids().to_vec();
+    let mut centroids = init::equal_population(view, clusters)?.centroids().to_vec();
     let mut selected = centroids.clone();
     let mut trace = ConvergenceTrace::default();
     let mut best_l1 = f64::INFINITY;
@@ -228,10 +246,7 @@ pub(crate) fn cluster(
         view.update_centroids(&mut centroids, &bounds);
         previous = bounds;
     }
-    drop(view);
-    let codebook = Codebook::new(selected)?;
-    let assignments = codebook.assign(values);
-    Ok(Clustering { codebook, assignments, trace })
+    Ok((Codebook::new(selected)?, trace))
 }
 
 #[cfg(test)]
@@ -245,7 +260,7 @@ mod tests {
         let bounds = view.boundaries(&centroids);
         assert_eq!(bounds, vec![0, 1, 4, 7, 7]);
         for (j, run) in bounds.windows(2).enumerate() {
-            for &v in &view.sorted[run[0]..run[1]] {
+            for &v in &view.values()[run[0]..run[1]] {
                 assert_eq!(nearest_sorted(&centroids, v), j);
             }
         }

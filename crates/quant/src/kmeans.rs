@@ -9,7 +9,7 @@
 
 use crate::error::QuantError;
 use crate::gobo::Clustering;
-use crate::kernel::{self, Stop};
+use crate::kernel::{self, SortedView, Stop};
 
 /// Quantizes G-group values with K-Means run to assignment convergence.
 ///
@@ -22,7 +22,9 @@ pub fn quantize_g(
     clusters: usize,
     max_iterations: usize,
 ) -> Result<Clustering, QuantError> {
-    kernel::cluster(values, clusters, max_iterations, Stop::FixedPoint)
+    let (codebook, trace) =
+        kernel::cluster(&SortedView::new(values), clusters, max_iterations, Stop::FixedPoint)?;
+    Ok(Clustering { assignments: codebook.assign(values), codebook, trace })
 }
 
 #[cfg(test)]

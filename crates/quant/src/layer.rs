@@ -11,9 +11,9 @@ use std::sync::Arc;
 use crate::codebook::{Codebook, ConvergenceTrace};
 use crate::config::{QuantConfig, QuantMethod};
 use crate::error::QuantError;
-use crate::outlier::OutlierSplit;
-use crate::packing;
-use crate::{gobo, kmeans, linear};
+use crate::kernel::{self, Stop};
+use crate::outlier::{OutlierRule, OutlierSplit};
+use crate::{linear, packing};
 
 /// Byte cost of the fixed per-layer header in the storage format:
 /// element count (u32), outlier count (u32), bits (u8), method tag (u8),
@@ -57,7 +57,6 @@ pub struct QuantizedLayer {
     outlier_positions: Vec<u32>,
     outlier_values: Vec<f32>,
     trace: ConvergenceTrace,
-    outlier_fraction: f64,
 }
 
 impl QuantizedLayer {
@@ -80,50 +79,102 @@ impl QuantizedLayer {
                 OutlierSplit::all_gaussian(weights)?
             }
         };
-        Self::encode_split(&split, config)
+        let (codebook, trace) = Self::cluster(weights, &split, config)?;
+        let (rule, g_count) = (split.rule(), split.view().len());
+        // The sorted view goes before the index pass, so that the layer's
+        // long-lived buffers are not allocated beside its 20 bytes a value
+        // (which fragments the heap of a process that quantizes).
+        drop(split);
+        Self::index(weights, rule, g_count, codebook, trace, config)
     }
 
-    /// Quantizes a pre-computed outlier split, allowing callers to reuse
-    /// one detection pass across several configurations (as the paper's
-    /// Table IV sweep does: "the outlier weights in all of these methods
-    /// are detected and represented in the same manner").
+    /// Quantizes `weights` over their pre-computed outlier split, so one
+    /// detection and one sort serve several configurations (as the
+    /// paper's Table IV sweep does: "the outlier weights in all of these
+    /// methods are detected and represented in the same manner").
     ///
     /// # Errors
     ///
-    /// Propagates clustering failures from the configured policy.
-    pub fn encode_split(split: &OutlierSplit, config: &QuantConfig) -> Result<Self, QuantError> {
-        let clusters = config.clusters();
-        let clustering = {
-            let _span = gobo_obs::span!(
-                "gobo.cluster",
-                method = config.method(),
-                bits = config.bits(),
-                g = split.g_values().len()
-            );
-            match config.method() {
-                QuantMethod::Gobo => {
-                    gobo::quantize_g(split.g_values(), clusters, config.max_iterations())?
-                }
-                QuantMethod::KMeans => {
-                    kmeans::quantize_g(split.g_values(), clusters, config.max_iterations())?
-                }
-                QuantMethod::Linear => linear::quantize_g(split.g_values(), clusters)?,
+    /// Propagates clustering failures from the configured policy, and
+    /// returns [`QuantError::InvalidConfig`] when `weights` is not the
+    /// layer `split` was made from.
+    pub fn encode_split(
+        weights: &[f32],
+        split: &OutlierSplit,
+        config: &QuantConfig,
+    ) -> Result<Self, QuantError> {
+        if weights.len() != split.total() {
+            return Err(QuantError::InvalidConfig { name: "weights of another layer's split" });
+        }
+        let (codebook, trace) = Self::cluster(weights, split, config)?;
+        Self::index(weights, split.rule(), split.view().len(), codebook, trace, config)
+    }
+
+    /// The configured policy's codebook and trace: GOBO and K-Means
+    /// cluster the split's sorted view, Linear the G group in input order.
+    fn cluster(
+        weights: &[f32],
+        split: &OutlierSplit,
+        config: &QuantConfig,
+    ) -> Result<(Codebook, ConvergenceTrace), QuantError> {
+        let (clusters, max, view) = (config.clusters(), config.max_iterations(), split.view());
+        let _span = gobo_obs::span!(
+            "gobo.cluster",
+            method = config.method(),
+            bits = config.bits(),
+            g = view.len()
+        );
+        Ok(match config.method() {
+            QuantMethod::Gobo => kernel::cluster(view, clusters, max, Stop::MinL1)?,
+            QuantMethod::KMeans => kernel::cluster(view, clusters, max, Stop::FixedPoint)?,
+            QuantMethod::Linear => {
+                let g = weights.iter().filter(|&&w| !split.is_outlier(w));
+                let linear = linear::quantize_g(g, clusters)?;
+                (linear.codebook, linear.trace)
             }
-        };
+        })
+    }
+
+    /// The one input-order pass: each outlier's position and value, and
+    /// each of the `g_count` G weights' index, packed.
+    fn index(
+        weights: &[f32],
+        rule: OutlierRule,
+        g_count: usize,
+        codebook: Codebook,
+        trace: ConvergenceTrace,
+        config: &QuantConfig,
+    ) -> Result<Self, QuantError> {
+        let mut assignments = Vec::with_capacity(g_count);
+        let outliers = weights.len().saturating_sub(g_count);
+        let (mut outlier_positions, mut outlier_values) =
+            (Vec::with_capacity(outliers), Vec::with_capacity(outliers));
+        for (i, &w) in weights.iter().enumerate() {
+            if rule.is_outlier(w) {
+                // CAST: a layer's length fits the format's u32 count
+                outlier_positions.push(i as u32);
+                outlier_values.push(w);
+            } else {
+                // CAST: a codebook has at most 256 entries
+                assignments.push(codebook.nearest(w) as u8);
+            }
+        }
+        if assignments.len() != g_count {
+            return Err(QuantError::InvalidConfig { name: "weights of another layer's split" });
+        }
         let packed_indices = {
             let _span = gobo_obs::span!("gobo.pack", bits = config.bits());
-            packing::pack(&clustering.assignments, config.bits())?.into()
+            packing::pack(&assignments, config.bits())?.into()
         };
         Ok(QuantizedLayer {
             method: config.method(),
             bits: config.bits(),
-            total: split.total(),
-            codebook: clustering.codebook,
+            total: weights.len(),
+            codebook,
             packed_indices,
-            outlier_positions: split.outlier_positions().to_vec(),
-            outlier_values: split.outlier_values().to_vec(),
-            trace: clustering.trace,
-            outlier_fraction: split.outlier_fraction(),
+            outlier_positions,
+            outlier_values,
+            trace,
         })
     }
 
@@ -172,7 +223,11 @@ impl QuantizedLayer {
 
     /// Fraction of weights stored as outliers.
     pub fn outlier_fraction(&self) -> f64 {
-        self.outlier_fraction
+        if self.total == 0 {
+            0.0
+        } else {
+            self.outlier_values.len() as f64 / self.total as f64
+        }
     }
 
     /// The per-layer reconstruction table.
@@ -225,8 +280,6 @@ impl QuantizedLayer {
         outlier_values: Vec<f32>,
         trace: ConvergenceTrace,
     ) -> Self {
-        let outlier_fraction =
-            if total == 0 { 0.0 } else { outlier_values.len() as f64 / total as f64 };
         QuantizedLayer {
             method,
             bits,
@@ -236,7 +289,6 @@ impl QuantizedLayer {
             outlier_positions,
             outlier_values,
             trace,
-            outlier_fraction,
         }
     }
 
@@ -456,8 +508,8 @@ mod tests {
     fn gobo_error_not_worse_than_linear() {
         let w = gaussian_with_outliers(20_000);
         let split = OutlierSplit::detect(&w, -4.0).unwrap();
-        let g = QuantizedLayer::encode_split(&split, &cfg(QuantMethod::Gobo, 3)).unwrap();
-        let l = QuantizedLayer::encode_split(&split, &cfg(QuantMethod::Linear, 3)).unwrap();
+        let g = QuantizedLayer::encode_split(&w, &split, &cfg(QuantMethod::Gobo, 3)).unwrap();
+        let l = QuantizedLayer::encode_split(&w, &split, &cfg(QuantMethod::Linear, 3)).unwrap();
         assert!(g.mean_abs_error(&w) <= l.mean_abs_error(&w));
     }
 
@@ -465,9 +517,17 @@ mod tests {
     fn encode_split_reuses_outliers() {
         let w = gaussian_with_outliers(8_192);
         let split = OutlierSplit::detect(&w, -4.0).unwrap();
-        let a = QuantizedLayer::encode_split(&split, &cfg(QuantMethod::Gobo, 3)).unwrap();
-        let b = QuantizedLayer::encode_split(&split, &cfg(QuantMethod::KMeans, 3)).unwrap();
-        assert_eq!(a.outlier_count(), b.outlier_count());
+        for method in [QuantMethod::Gobo, QuantMethod::KMeans, QuantMethod::Linear] {
+            let shared = QuantizedLayer::encode_split(&w, &split, &cfg(method, 3)).unwrap();
+            assert_eq!(shared, QuantizedLayer::encode(&w, &cfg(method, 3)).unwrap(), "{method}");
+        }
+        // Weights the split was not made from are refused: another
+        // length, or the same length with a G weight moved out.
+        let other = gaussian_with_outliers(8_000);
+        assert!(QuantizedLayer::encode_split(&other, &split, &cfg(QuantMethod::Gobo, 3)).is_err());
+        let mut moved = w.clone();
+        moved[1] = 10.0;
+        assert!(QuantizedLayer::encode_split(&moved, &split, &cfg(QuantMethod::Gobo, 3)).is_err());
     }
 
     #[test]

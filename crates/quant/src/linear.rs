@@ -15,17 +15,22 @@ use crate::init;
 ///
 /// No iteration is involved; the trace contains the single resulting
 /// L1/L2 point so linear quantization plots alongside the iterative
-/// policies in Figure 2.
+/// policies in Figure 2. Levels and norms are folds in the values'
+/// order, so a layer passes its G group in input order.
 ///
 /// # Errors
 ///
 /// Propagates initialization errors ([`QuantError::TooFewValues`],
 /// [`QuantError::EmptyLayer`], [`QuantError::InvalidConfig`]).
-pub fn quantize_g(values: &[f32], clusters: usize) -> Result<Clustering, QuantError> {
-    let codebook = init::linear(values, clusters)?;
-    let assignments = codebook.assign(values);
+pub fn quantize_g<'a>(
+    values: impl IntoIterator<Item = &'a f32, IntoIter: Clone>,
+    clusters: usize,
+) -> Result<Clustering, QuantError> {
+    let values = values.into_iter();
+    let codebook = init::linear(values.clone(), clusters)?;
+    let assignments = codebook.assign(values.clone());
     let trace = ConvergenceTrace {
-        l1: vec![codebook.l1_norm(values, &assignments)],
+        l1: vec![codebook.l1_norm(values.clone(), &assignments)],
         l2: vec![codebook.l2_norm(values, &assignments)],
         selected_iteration: 0,
     };

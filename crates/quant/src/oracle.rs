@@ -1,23 +1,66 @@
 //! Test oracle — never called from production.
 //!
-//! [`cluster`] is the clustering spec in its plain form: sort the G
-//! group, then per iteration assign every sorted value with
-//! [`nearest_sorted`] (an O(n) pass), count the cluster boundaries off
-//! that pass, and take counts, sums, L1 and L2 by the same prefix
-//! differences and stopping rules as the kernel's `cluster`, which
-//! finds the boundaries by binary search instead. [`pack_bytewise`] and
-//! [`unpack_bytewise`] are the byte-at-a-time bit packer the
-//! word-at-a-time [`crate::packing`] replaced. `tests/kernel_equivalence.rs`
-//! asserts bit-identical output from each pair, up to a G group of the
-//! paper's 768 × 768 layer; `compute`'s tests rebuild dense weights from
-//! [`unpack_bytewise`]. Nothing else calls this module.
+//! [`split`] is the outlier split in its plain form: one input-order
+//! pass that copies the G group and lists the outliers by position, the
+//! loop the sorted [`crate::OutlierSplit`] replaced. [`cluster`] is the
+//! clustering spec in its plain form: sort the G group, then per
+//! iteration assign every sorted value with [`nearest_sorted`] (an O(n)
+//! pass), count the cluster boundaries off that pass, and take counts,
+//! sums, L1 and L2 by the same prefix differences and stopping rules as
+//! the kernel's `cluster`, which finds the boundaries by binary search
+//! instead. [`pack_bytewise`] and [`unpack_bytewise`] are the
+//! byte-at-a-time bit packer the word-at-a-time [`crate::packing`]
+//! replaced. `tests/kernel_equivalence.rs` asserts bit-identical output
+//! from each pair, up to a G group of the paper's 768 × 768 layer, and
+//! that [`crate::QuantizedLayer::encode`] is [`split`], then [`cluster`]
+//! (or [`crate::linear::quantize_g`]), then assignment and packing;
+//! `compute`'s tests rebuild dense weights from [`unpack_bytewise`].
+//! Nothing else calls this module.
+
+use gobo_stats::Gaussian;
 
 use crate::codebook::{Codebook, ConvergenceTrace};
 use crate::error::QuantError;
 use crate::gobo::{Clustering, L1_PATIENCE};
 use crate::init;
-use crate::kernel::{nearest_sorted, Stop};
+use crate::kernel::{nearest_sorted, SortedView, Stop};
+use crate::outlier::fit_error;
 use crate::packing;
+
+/// A layer split in input order.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Split {
+    /// The G group, in the layer's order.
+    pub g: Vec<f32>,
+    /// The outliers' positions, strictly increasing.
+    pub positions: Vec<u32>,
+    /// The outliers' values, parallel to `positions`.
+    pub values: Vec<f32>,
+}
+
+/// Splits `weights` by their Gaussian log-density at `threshold` (for
+/// `None`, every weight is in the G group). Oracle for
+/// [`crate::OutlierSplit`] and the index pass of
+/// [`crate::QuantizedLayer::encode_split`], with the same errors.
+pub fn split(weights: &[f32], threshold: Option<f64>) -> Result<Split, QuantError> {
+    if weights.is_empty() {
+        return Err(QuantError::EmptyLayer);
+    }
+    let gaussian = Gaussian::fit(weights).map_err(fit_error)?;
+    let (mean, radius) = (gaussian.mean(), threshold.map(|t| gaussian.cutoff_radius(t)));
+    let mut out = Split::default();
+    for (i, &w) in weights.iter().enumerate() {
+        // A threshold above the density peak has no radius: every weight
+        // is an outlier.
+        if radius.is_some_and(|r| r.is_none_or(|r| (f64::from(w) - mean).abs() > r)) {
+            out.positions.push(i as u32);
+            out.values.push(w);
+        } else {
+            out.g.push(w);
+        }
+    }
+    Ok(out)
+}
 
 /// GOBO ([`Stop::MinL1`]) or K-Means ([`Stop::FixedPoint`]) on the
 /// sorted G group, written out pass by pass. Oracle for the kernel's
@@ -32,7 +75,8 @@ pub fn cluster(
     if max_iterations == 0 {
         return Err(QuantError::InvalidConfig { name: "max_iterations" });
     }
-    let mut centroids = init::equal_population(values, clusters)?.centroids().to_vec();
+    let mut centroids =
+        init::equal_population(&SortedView::new(values), clusters)?.centroids().to_vec();
     let mut sorted = values.to_vec();
     sorted.sort_unstable_by(f32::total_cmp);
     let (mut sums, mut squares) = (vec![0.0f64], vec![0.0f64]);

@@ -1,26 +1,33 @@
-//! Equivalence properties for the clustering kernel and the bit packer.
+//! Equivalence properties for the clustering kernel, the outlier split
+//! and the bit packer.
 //!
 //! GOBO and K-Means (`gobo_quant::kernel::cluster`) find each
 //! iteration's cluster boundaries by binary search over one sorted view
 //! of the G group; `gobo_quant::oracle::cluster` finds them with an O(n)
-//! nearest-centroid pass. The word-at-a-time packer and the
-//! group-at-a-time unpacker replace byte-at-a-time ones. Each pair must
-//! agree **bit for bit**: these tests enforce it across random layers,
-//! every supported bit width, sorted input, degenerate inputs (constant
-//! layers, duplicate centroids, codebook-sized layers) and one G group
-//! of the paper's own layer size. They also state the spec's one
-//! promise about order: a codebook depends only on the sorted multiset
-//! of the G values.
+//! nearest-centroid pass. `OutlierSplit` finds the G group as the run
+//! between two binary searches on the sorted layer, and
+//! `QuantizedLayer::encode_split` writes outliers and indices in one
+//! input-order pass; `gobo_quant::oracle::split` is the plain input-order
+//! partition. The word-at-a-time packer and the group-at-a-time unpacker
+//! replace byte-at-a-time ones. Each pair must agree **bit for bit**:
+//! these tests enforce it across random layers, every supported bit
+//! width, sorted input, degenerate inputs (constant layers, duplicate
+//! centroids, codebook-sized layers), layers cut exactly at their
+//! outlier radius, and one G group of the paper's own layer size. They
+//! also state the spec's one promise about order: a codebook depends
+//! only on the sorted multiset of the G values.
 
 use gobo_quant::gobo::{self, Clustering};
 use gobo_quant::kernel::Stop;
 use gobo_quant::oracle;
 use gobo_quant::packing;
-use gobo_quant::{kmeans, linear};
+use gobo_quant::{
+    kmeans, linear, OutlierSplit, QuantConfig, QuantError, QuantMethod, QuantizedLayer,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn f32_bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
@@ -59,6 +66,85 @@ fn compare_all_methods(values: &[f32], clusters: usize) {
 /// up to 8 has enough values for its codebook.
 fn g_values() -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-0.15f32..0.15, 260..600)
+}
+
+/// A layer at the edges of the split: a bell of small values with both
+/// zeros and a repeated value, two strong outliers, and its last eight
+/// weights on the cut of its own fit at `threshold` — μ + r and μ − r
+/// rounded to f32, each twice (duplicates at the cut), and each one ulp
+/// up and down. Moving those eight moves the fit, so they are moved
+/// again until they hold still. A `nonneg` layer is at or above zero
+/// and is not cut, so both zeros tie for the G group's minimum, which
+/// Linear's input-order fold decides. Returns the layer and whether its
+/// cut held still.
+fn layer_at_the_cut(seed: u64, n: usize, threshold: f64, nonneg: bool) -> (Vec<f32>, bool) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut w: Vec<f32> = (0..n)
+        .map(|_| match rng.gen_range(0u32..8) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 0.03,
+            _ => {
+                let v: f32 = (0..4).map(|_| rng.gen_range(-0.05f32..0.05)).sum();
+                if nonneg {
+                    v.abs()
+                } else {
+                    v
+                }
+            }
+        })
+        .collect();
+    (w[0], w[1]) = (0.9, if nonneg { 0.8 } else { -0.7 });
+    if nonneg {
+        return (w, false);
+    }
+    for _ in 0..64 {
+        let Ok(split) = OutlierSplit::detect(&w, threshold) else { break };
+        let Some(r) = split.gaussian().cutoff_radius(threshold) else { break };
+        let (hi, lo) = ((split.gaussian().mean() + r) as f32, (split.gaussian().mean() - r) as f32);
+        let cut = [hi, hi, hi.next_up(), hi.next_down(), lo, lo, lo.next_up(), lo.next_down()];
+        if w[n - 8..] == cut {
+            return (w, true);
+        }
+        w[n - 8..].copy_from_slice(&cut);
+    }
+    (w, false)
+}
+
+/// Panics unless `QuantizedLayer::encode` is its plain spec, bit for
+/// bit: `oracle::split`, then `oracle::cluster` (or
+/// `linear::quantize_g`) on the input-order G group, then
+/// `Codebook::assign` and `packing::pack` — or both fail alike.
+fn assert_encode_is_the_spec(w: &[f32], config: &QuantConfig) {
+    let threshold = config.detect_outliers().then(|| config.outlier_threshold());
+    let spec = oracle::split(w, threshold).and_then(|oracle::Split { g, positions, values }| {
+        let (clusters, max) = (config.clusters(), config.max_iterations());
+        let clustering = match config.method() {
+            QuantMethod::Gobo => oracle::cluster(&g, clusters, max, Stop::MinL1)?,
+            QuantMethod::KMeans => oracle::cluster(&g, clusters, max, Stop::FixedPoint)?,
+            QuantMethod::Linear => linear::quantize_g(&g, clusters)?,
+        };
+        let packed = packing::pack(&clustering.codebook.assign(&g), config.bits())?;
+        Ok((positions, values, clustering, packed))
+    });
+    match (QuantizedLayer::encode(w, config), spec) {
+        (Ok(layer), Ok((spec_positions, spec_values, clustering, packed))) => {
+            let spec = Clustering { assignments: Vec::new(), ..clustering };
+            let got = Clustering {
+                codebook: layer.codebook().clone(),
+                assignments: Vec::new(),
+                trace: layer.trace().clone(),
+            };
+            assert_identical(&got, &spec);
+            assert_eq!(layer.packed_indices(), &packed[..], "packed indices differ");
+            let (positions, values) = layer.outliers();
+            assert_eq!(positions, &spec_positions[..], "outlier positions differ");
+            assert_eq!(f32_bits(values), f32_bits(&spec_values), "outlier values differ");
+            assert_eq!(layer.total(), w.len());
+        }
+        (Err(got), Err(spec)) => assert_eq!(got, spec, "errors differ"),
+        (got, spec) => panic!("encode's error {:?}, the spec's {:?}", got.err(), spec.err()),
+    }
 }
 
 proptest! {
@@ -101,6 +187,24 @@ proptest! {
             let expected: Vec<u8> = order.iter().map(|&i| a.assignments[i]).collect();
             prop_assert_eq!(b.assignments, expected);
         }
+    }
+
+    #[test]
+    fn encode_matches_the_split_spec(
+        seed in any::<u64>(),
+        n in 64usize..400,
+        bits in 2u8..=4,
+        method in 0usize..3,
+        threshold in 0usize..4,
+        detect in any::<bool>(),
+    ) {
+        // -2, -4 and -6 cut a band; +50 is above every layer's density
+        // peak, so every weight is an outlier and the G group is empty.
+        let threshold = [-4.0, -2.0, -6.0, 50.0][threshold];
+        let (w, _) = layer_at_the_cut(seed, n, threshold, seed % 2 == 0);
+        let method = [QuantMethod::Gobo, QuantMethod::KMeans, QuantMethod::Linear][method];
+        let config = QuantConfig::new(method, bits).unwrap().with_outlier_threshold(threshold).unwrap();
+        assert_encode_is_the_spec(&w, &if detect { config } else { config.without_outliers() });
     }
 
     #[test]
@@ -196,4 +300,53 @@ fn packing_error_cases_match_bytewise_oracle() {
     let packed = packing::pack(&[1, 2, 3, 4, 5], 4).unwrap();
     assert!(packing::unpack(&packed[..1], 4, 5).is_err());
     assert!(oracle::unpack_bytewise(&packed[..1], 4, 5).is_err());
+}
+
+/// The split's edges, pinned: on layers whose cut held still, a weight
+/// on each side of μ ± r, in every method and width, with and without
+/// detection. A threshold above the density peak makes every weight an
+/// outlier, and encoding then fails as it always has: the G group is
+/// empty.
+#[test]
+fn encode_matches_the_split_spec_at_the_cut() {
+    let mut held = 0;
+    for seed in 0..12u64 {
+        let (w, still) = layer_at_the_cut(seed, 300, -4.0, false);
+        if !still {
+            continue;
+        }
+        held += 1;
+        let split = OutlierSplit::detect(&w, -4.0).unwrap();
+        let cut = &w[w.len() - 8..];
+        assert!(cut.iter().any(|&v| split.is_outlier(v)), "seed {seed}: no cut weight is out");
+        assert!(cut.iter().any(|&v| !split.is_outlier(v)), "seed {seed}: no cut weight is in");
+        for method in [QuantMethod::Gobo, QuantMethod::KMeans, QuantMethod::Linear] {
+            for bits in 2..=4 {
+                let config = QuantConfig::new(method, bits).unwrap();
+                assert_encode_is_the_spec(&w, &config);
+                assert_encode_is_the_spec(&w, &config.without_outliers());
+            }
+        }
+    }
+    assert!(held >= 6, "only {held} of 12 cuts held still");
+
+    // Both zeros are the G group's minimum, with detection and without.
+    let (w, _) = layer_at_the_cut(3, 300, -4.0, true);
+    let g = OutlierSplit::detect(&w, -4.0).unwrap().view().values().to_vec();
+    assert_eq!(
+        (g[0].to_bits(), g.iter().find(|v| v.to_bits() != g[0].to_bits())),
+        (0x8000_0000, Some(&0.0))
+    );
+    for bits in 2..=4 {
+        let config = QuantConfig::new(QuantMethod::Linear, bits).unwrap();
+        assert_encode_is_the_spec(&w, &config);
+        assert_encode_is_the_spec(&w, &config.without_outliers());
+    }
+
+    let (w, _) = layer_at_the_cut(7, 300, -4.0, false);
+    for method in [QuantMethod::Gobo, QuantMethod::KMeans, QuantMethod::Linear] {
+        let config = QuantConfig::new(method, 3).unwrap().with_outlier_threshold(50.0).unwrap();
+        assert_eq!(QuantizedLayer::encode(&w, &config), Err(QuantError::EmptyLayer));
+        assert_encode_is_the_spec(&w, &config);
+    }
 }

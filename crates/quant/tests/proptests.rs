@@ -2,11 +2,10 @@
 
 use gobo_quant::compute::QuantizedMatrix;
 use gobo_quant::container::ModelArchive;
-use gobo_quant::kernel::SortedView;
 use gobo_quant::layer::QuantizedLayer;
 use gobo_quant::outlier::OutlierSplit;
 use gobo_quant::packing::{pack, packed_len, unpack};
-use gobo_quant::{gobo, init, kmeans, QuantConfig, QuantMethod};
+use gobo_quant::{gobo, init, kmeans, oracle, QuantConfig, QuantMethod};
 use gobo_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -45,15 +44,14 @@ proptest! {
     #[test]
     fn outlier_split_partitions_exactly(w in layer_weights(), thr in -8.0f64..-1.0) {
         let split = OutlierSplit::detect(&w, thr).unwrap();
-        prop_assert_eq!(split.g_values().len() + split.outlier_count(), w.len());
-        prop_assert!(split.outlier_positions().windows(2).all(|p| p[0] < p[1]));
-        // Every weight is in exactly one group, in place and in order.
-        let (mut g, mut outliers) = (split.g_values().iter(), split.outlier_values().iter());
-        let mut positions = split.outlier_positions().iter().peekable();
-        for (i, weight) in w.iter().enumerate() {
-            let outlier = positions.next_if(|&&p| p as usize == i).is_some();
-            prop_assert_eq!(if outlier { outliers.next() } else { g.next() }, Some(weight));
-        }
+        prop_assert_eq!(split.view().values().len() + split.outlier_count(), w.len());
+        // The rule marks exactly the plain split's outliers, and the
+        // sorted view's G group is the plain split's G group sorted.
+        let oracle::Split { mut g, positions, .. } = oracle::split(&w, Some(thr)).unwrap();
+        let marked: Vec<u32> = (0..w.len() as u32).filter(|&i| split.is_outlier(w[i as usize])).collect();
+        prop_assert_eq!(marked, positions);
+        g.sort_by(f32::total_cmp);
+        prop_assert_eq!(split.view().values(), &g[..]);
     }
 
     #[test]
@@ -70,8 +68,9 @@ proptest! {
     #[test]
     fn gobo_stops_within_patience_of_its_minimum(w in layer_weights()) {
         let split = OutlierSplit::detect(&w, -4.0).unwrap();
-        if split.g_values().len() < 8 { return Ok(()); }
-        let c = gobo::quantize_g(split.g_values(), 8, 100).unwrap();
+        let g = split.view().values();
+        if g.len() < 8 { return Ok(()); }
+        let c = gobo::quantize_g(g, 8, 100).unwrap();
         prop_assert!(
             c.trace.iterations() <= c.trace.selected_iteration + 1 + gobo::L1_PATIENCE
         );
@@ -83,11 +82,11 @@ proptest! {
         // guarantee is: it returns the L1-minimal iterate of the prefix it
         // explored, which is never worse than the initialization.
         let split = OutlierSplit::detect(&w, -4.0).unwrap();
-        if split.g_values().len() < 8 { return Ok(()); }
+        let view = split.view();
+        if view.values().len() < 8 { return Ok(()); }
         // The trace's norms are the sorted view's, so the returned
         // codebook's L1 is re-measured there: bit for bit the minimum.
-        let g = gobo::quantize_g(split.g_values(), 8, 500).unwrap();
-        let view = SortedView::new(split.g_values());
+        let g = gobo::quantize_g(view.values(), 8, 500).unwrap();
         let centroids = g.codebook.centroids();
         let (final_l1, _) = view.norms(centroids, &view.boundaries(centroids));
         let trace_min = g.trace.l1.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -98,9 +97,10 @@ proptest! {
     #[test]
     fn gobo_never_iterates_longer_than_kmeans(w in layer_weights()) {
         let split = OutlierSplit::detect(&w, -4.0).unwrap();
-        if split.g_values().len() < 8 { return Ok(()); }
-        let g = gobo::quantize_g(split.g_values(), 8, 500).unwrap();
-        let k = kmeans::quantize_g(split.g_values(), 8, 500).unwrap();
+        let g_group = split.view().values();
+        if g_group.len() < 8 { return Ok(()); }
+        let g = gobo::quantize_g(g_group, 8, 500).unwrap();
+        let k = kmeans::quantize_g(g_group, 8, 500).unwrap();
         // Both observe one extra iteration to detect their stopping
         // condition; GOBO's L1 test can fire one step later than
         // assignment convergence in tie-heavy cases, hence the +1.

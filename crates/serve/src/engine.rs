@@ -60,23 +60,24 @@ impl QuantizedEngine {
         model: Arc<TransformerModel>,
         compressed: &CompressedModel,
     ) -> Result<Self, ServeError> {
-        Self::over_archive(model, &compressed.archive)
+        Self::over_archive(model, compressed.archive.clone())
     }
 
     /// [`QuantizedEngine::new`] over the archive alone, for a caller
-    /// that has moved the container's skeleton into `model`.
+    /// that has moved the container's skeleton into `model`: each
+    /// archived layer moves into its matrix.
     pub(crate) fn over_archive(
         model: Arc<TransformerModel>,
-        archive: &ModelArchive,
+        archive: ModelArchive,
     ) -> Result<Self, ServeError> {
         let mut packed = HashMap::new();
-        for (name, layer) in archive.iter() {
+        for (name, layer) in archive.into_layers() {
             let matrix = model
-                .weight_dims(name)
+                .weight_dims(&name)
                 .ok()
-                .and_then(|[rows, cols]| QuantizedMatrix::new(layer.clone(), rows, cols).ok())
+                .and_then(|[rows, cols]| QuantizedMatrix::new(layer, rows, cols).ok())
                 .ok_or(ServeError::Internal("archive layer shape mismatch"))?;
-            packed.insert(name.to_owned(), matrix);
+            packed.insert(name, matrix);
         }
         Ok(QuantizedEngine { model, packed })
     }

@@ -367,14 +367,15 @@ impl ModelRegistry {
         );
         let compressed_bytes = compressed.serialized_bytes();
         let CompressedModel { skeleton, archive } = compressed;
-        let engine = Arc::new(QuantizedEngine::over_archive(Arc::new(skeleton), &archive)?);
         let bits = archive.iter().map(|(_, l)| l.bits()).max().unwrap_or(32);
+        let quantized_layers = archive.len();
+        let engine = Arc::new(QuantizedEngine::over_archive(Arc::new(skeleton), archive)?);
         Ok(RevisionParts {
             key: ModelKey { name: name.to_owned(), bits },
             resident_bytes: engine.resident_bytes(),
             engine,
             compressed_bytes,
-            quantized_layers: archive.len(),
+            quantized_layers,
         })
     }
 

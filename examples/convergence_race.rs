@@ -28,8 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         split.outlier_fraction() * 100.0
     );
 
-    let g = gobo::quantize_g(split.g_values(), 8, 1000)?;
-    let k = kmeans::quantize_g(split.g_values(), 8, 1000)?;
+    let g_group: Vec<f32> = weights.iter().copied().filter(|&w| !split.is_outlier(w)).collect();
+    let g = gobo::quantize_g(&g_group, 8, 1000)?;
+    let k = kmeans::quantize_g(&g_group, 8, 1000)?;
 
     println!(
         "\n{:>5} {:>16} {:>16} {:>16} {:>16}",
